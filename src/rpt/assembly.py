@@ -109,11 +109,7 @@ def verify_path_partition(g: Graph, p: PathPartition) -> PathPartitionReport:
 class RestrictedPartition:
     parts: tuple[int, ...]
     eps: Fraction
-    bound: int  # configured N
-
-    def __post_init__(self):
-        if len(self.parts) > self.bound:
-            raise ValueError("more parts than the configured bound")
+    bound: int  # configured N; verify_restricted_partition checks the count
 
 
 def verify_restricted_partition(

@@ -29,18 +29,18 @@ from .adversarial import (
 )
 from .assembly import (
     LengthenParams,
-    PathPartition,
-    RemovalResult,
     run_main_theorem,
     verify_path_partition,
     verify_restricted_partition,
 )
 from .extraction import (
     ExtractionBudget,
+    PeelChain,
+    depth_for,
     extract_restricted_exact,
     find_low_or_high_density_subset,
     peel_chain,
-    phi,
+    verify_peel_chain,
 )
 from .graph import (
     Graph,
@@ -48,13 +48,18 @@ from .graph import (
     count_induced_copies,
     edge_density,
     load_graph_text,
-    mask_from_ids,
     named_pattern,
     to_edge_list,
 )
-from .keypartition import BlowupFound, KeyParams, run_key_lemma
+from .keypartition import (
+    BlowupFound,
+    KeyParams,
+    run_key_lemma,
+    verify_blowup_found,
+    verify_key_certificate,
+)
 from .ledger import build_ledger
-from .predicates import is_full_pair, is_restricted, verify_blowup
+from .predicates import is_full_pair, verify_blowup
 from .values import parse_fraction
 
 
@@ -65,7 +70,6 @@ class CommandPlan:
     seed: int
     json_mode: bool
     mode: str
-    threads: int
 
 
 def _fraction(text: str) -> Fraction:
@@ -92,13 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--mode", choices=["paper", "practical"], default="practical")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker cap (falls back to RPT_THREADS; operations are "
-        "deterministic regardless)",
-    )
     top = argparse.ArgumentParser(
         prog="rpt",
         description="count induced copies, verify certificates, and run the "
@@ -176,14 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv) -> CommandPlan:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("RPT_THREADS", "1"))
-    if threads < 1:
-        parser.error("--threads must be >= 1")
     if args.mode == "paper" and getattr(args, "delta_prime", None) is not None:
         parser.error("paper mode forbids overriding ledger-defined parameters")
-    return CommandPlan(args.subcommand, args, args.seed, args.json, args.mode, threads)
+    return CommandPlan(args.subcommand, args, args.seed, args.json, args.mode)
 
 
 def _emit(plan: CommandPlan, payload: dict, human: str) -> None:
@@ -205,53 +197,58 @@ def _cmd_count(plan: CommandPlan) -> int:
     return 0
 
 
-def _check_key_result(g: Graph, obj: dict) -> tuple[bool, str]:
-    """Re-verify an exported working-partition result clause by clause."""
-    from math import comb
+def _raising(verify):
+    """(ok, detail) from a verifier that raises AssertionError on failure."""
 
-    from rpt.graph import mask_from_ids
+    def check(g: Graph, cert) -> tuple[bool, str]:
+        try:
+            verify(g, cert)
+        except AssertionError as exc:
+            return False, str(exc)
+        return True, ""
 
-    eps = parse_fraction(obj["eps"])
-    eta = parse_fraction(obj["eta"])
-    theta = parse_fraction(obj["theta"])
-    h = int(obj["h"])
-    removed = mask_from_ids(obj["S"])
-    if removed.bit_count() > int(obj["d"]):
-        return False, "removed set exceeds d"
-    if len(obj["A"]) != len(obj["B"]):
-        return False, "pair rows have unequal lengths"
-    if len(obj["A"]) > comb(h, 2):
-        return False, "more pairs than C(h,2)"
-    union = removed
-    for idx, (a_ids, b_ids) in enumerate(zip(obj["A"], obj["B"])):
-        a, b = mask_from_ids(a_ids), mask_from_ids(b_ids)
-        if not a or not b:
-            return False, f"pair {idx} has an empty side"
-        if (a | b) & union or a & b:
-            return False, f"pair {idx} overlaps earlier sets"
-        union |= a | b
-        if not is_restricted(g, a, eps):
-            return False, f"pair {idx}: A not eps-restricted"
-        if b.bit_count() > eta * a.bit_count():
-            return False, f"pair {idx}: B larger than eta*|A|"
-        if not is_tight_to(g, a, b, theta, "tight").ok:
-            return False, f"pair {idx}: B not theta-tight to A"
-    for idx, c_ids in enumerate(obj["C"]):
-        c = mask_from_ids(c_ids)
-        if not c or c & union:
-            return False, f"single {idx} empty or overlapping"
-        union |= c
-        if not is_restricted(g, c, eps):
-            return False, f"single {idx} not eps-restricted"
-    if union != g.full_mask:
-        return False, "sets do not cover V(G)"
-    if "delta_prime" in obj and "eta_prime" in obj:
-        bound = comb(h, 2) + (h - 1) * phi(
-            parse_fraction(obj["delta_prime"]), parse_fraction(obj["eta_prime"])
-        )
-        if len(obj["C"]) > bound:
-            return False, f"single count exceeds N = {bound}"
-    return True, ""
+    return check
+
+
+def _full_pair(g: Graph, cert) -> tuple[bool, str]:
+    res = is_full_pair(g, cert, method="exact")
+    if res.ok:
+        return True, ""
+    a, b = serialize.ids(res.witness_a), serialize.ids(res.witness_b)
+    return False, f"violating subpair a={a} b={b}"
+
+
+def _blowup(g: Graph, cert) -> tuple[bool, str]:
+    res = verify_blowup(g, cert)
+    return res.ok, "" if res.ok else f"failing pair {res.failing_pair}"
+
+
+def _restricted_partition(g: Graph, part) -> tuple[bool, str]:
+    ok, why = verify_restricted_partition(g, part)
+    return ok, why or ""
+
+
+def _path_partition(g: Graph, pp) -> tuple[bool, str]:
+    rep = verify_path_partition(g, pp)
+    return rep.ok, rep.clause or ""
+
+
+# certificate kind -> (its JSON loader in rpt.serialize, the library's
+# verifier giving (ok, detail)).  Loaders are looked up by name when a
+# check runs, so a wrapped or patched serialize module is honoured.
+_CHECKS = {
+    "full_pair": ("full_pair_from_json", _full_pair),
+    "blowup": ("blowup_from_json", _blowup),
+    "restricted_partition": ("restricted_partition_from_json", _restricted_partition),
+    "path_partition": ("path_partition_from_json", _path_partition),
+    "removal_result": ("removal_result_from_json", _raising(lambda g, r: r.verify(g))),
+    "key_lemma_result": ("key_result_from_json", _raising(verify_key_certificate)),
+    "blowup_found": ("blowup_found_from_json", _raising(verify_blowup_found)),
+    "peel_chain": (
+        "peel_chain_from_json",
+        _raising(lambda g, fields: verify_peel_chain(g, PeelChain(**fields))),
+    ),
+}
 
 
 def _cmd_check(plan: CommandPlan) -> int:
@@ -259,72 +256,10 @@ def _cmd_check(plan: CommandPlan) -> int:
     with open(plan.args.cert, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     kind = obj.get("kind")
-    ok = False
-    detail = ""
-    if kind == "full_pair":
-        cert = serialize.full_pair_from_json(obj)
-        res = is_full_pair(g, cert, method="exact")
-        ok = res.ok
-        if not ok:
-            detail = f"violating subpair a={serialize.ids(res.witness_a)} b={serialize.ids(res.witness_b)}"
-    elif kind == "blowup":
-        cert = serialize.blowup_from_json(obj)
-        res = verify_blowup(g, cert)
-        ok = res.ok
-        if not ok:
-            detail = f"failing pair {res.failing_pair}"
-    elif kind == "restricted_partition":
-        part = serialize.restricted_partition_from_json(obj)
-        ok, why = verify_restricted_partition(g, part)
-        detail = why or ""
-    elif kind == "path_partition":
-        pp = serialize.path_partition_from_json(obj)
-        rep = verify_path_partition(g, pp)
-        ok = rep.ok
-        detail = rep.clause or ""
-    elif kind == "removal_result":
-        res = serialize.removal_result_from_json(obj)
-        try:
-            res.verify(g)
-            ok = True
-        except AssertionError as exc:
-            detail = str(exc)
-    elif kind == "key_lemma_result":
-        ok, detail = _check_key_result(g, obj)
-    elif kind == "blowup_found":
-        from .embedding import blowup_copy_bound
-        from .graph import count_embeddings_into_parts
-
-        cert = serialize.blowup_from_json(obj["certificate"])
-        res = verify_blowup(g, cert)
-        ok = res.ok
-        if not ok:
-            detail = f"failing pair {res.failing_pair}"
-        else:
-            count = count_embeddings_into_parts(g, cert.pattern, cert.parts)
-            if str(count) != obj["copy_count"]:
-                ok, detail = False, "copy count does not match a recount"
-            elif count < parse_fraction(obj["copy_bound"]):
-                ok, detail = False, "copy count below the stated bound"
-    elif kind == "peel_chain":
-        data = serialize.peel_chain_from_json(obj)
-        ok = True
-        union = data["leftover"]
-        for idx, peel in enumerate(data["peels"]):
-            if peel & union or not is_restricted(g, peel, data["eps"]):
-                ok, detail = False, f"peel {idx} overlaps or is not restricted"
-                break
-            union |= peel
-        if ok and union != g.full_mask:
-            ok, detail = False, "peels plus leftover do not cover V(G)"
-        if ok and data["leftover"].bit_count() > data["eta"] * g.n:
-            ok, detail = False, "leftover exceeds eta |G|"
-        if ok and data["phi_bound"] != phi(data["delta"], data["eta"]):
-            ok, detail = False, "phi bound does not match its parameters"
-        if ok and len(data["peels"]) > data["phi_bound"]:
-            ok, detail = False, "more peels than phi(delta, eta)"
-    else:
+    if kind not in _CHECKS:
         raise ValueError(f"unknown certificate kind {kind!r}")
+    loader, verify = _CHECKS[kind]
+    ok, detail = verify(g, getattr(serialize, loader)(obj))
     _emit(
         plan,
         {"kind": "check_result", "certificate": kind, "ok": ok, "detail": detail},
@@ -342,8 +277,6 @@ def _cmd_extract(plan: CommandPlan) -> int:
         if plan.mode == "paper":
             budget = ExtractionBudget.exact_schedule(pat.size, args.eps, eps2)
         else:
-            from .extraction import depth_for
-
             depth = args.depth if args.depth is not None else depth_for(min(args.eps, eps2))
             budget = ExtractionBudget.practical(args.eps, eps2, depth, h=pat.size)
         res = find_low_or_high_density_subset(g, pat, budget)

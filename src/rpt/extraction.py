@@ -468,7 +468,6 @@ def peel_chain(
     """
     if not (0 < eta < 1 and 0 < delta < 1):
         raise ValueError("eta and delta must lie in (0,1)")
-    bound = phi(delta, eta)
     u = g.full_mask
     total = g.n
     peels: list[int] = []
@@ -491,10 +490,27 @@ def peel_chain(
             peel = u & -u  # lowest-id single vertex
         if peel.bit_count() < need:
             guaranteed = False
-        if not is_restricted(g, peel, eps):
-            raise AssertionError("peel fails its restrictedness recheck")
         peels.append(peel)
         u &= ~peel
-    if len(peels) > bound and guaranteed:
-        raise AssertionError("chain exceeded phi despite meeting every delta fraction")
-    return PeelChain(tuple(peels), u, eps, eta, delta, bound, guaranteed)
+    chain = PeelChain(tuple(peels), u, eps, eta, delta, phi(delta, eta), guaranteed)
+    verify_peel_chain(g, chain)
+    return chain
+
+
+def verify_peel_chain(g: Graph, pc: PeelChain) -> None:
+    """Recheck every clause of a peel chain; raises AssertionError naming
+    the first that fails.  Only a guaranteed chain claims the length bound
+    phi(delta, eta)."""
+    union = pc.leftover
+    for idx, peel in enumerate(pc.peels):
+        if peel & union or not is_restricted(g, peel, pc.eps):
+            raise AssertionError(f"peel {idx} overlaps or is not restricted")
+        union |= peel
+    if union != g.full_mask:
+        raise AssertionError("peels plus leftover do not cover V(G)")
+    if pc.leftover.bit_count() > pc.eta * g.n:
+        raise AssertionError("leftover exceeds eta |G|")
+    if pc.phi_bound != phi(pc.delta, pc.eta):
+        raise AssertionError("phi bound does not match its parameters")
+    if pc.guaranteed and pc.length > pc.phi_bound:
+        raise AssertionError("more peels than phi(delta, eta)")

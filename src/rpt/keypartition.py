@@ -55,8 +55,43 @@ class StepFailure(RuntimeError):
     """A sub-procedure failed during one iteration; carries step context."""
 
 
+class _PartBound:
+    """The single-count bound N = C(h,2) + (h-1)*phi(delta', eta'), decided
+    soundly also when delta'/eta' are known only on the log scale.  Mixed
+    into the frozen dataclasses with fields h, delta_prime and eta_prime."""
+
+    def phi_bound(self) -> int | None:
+        """phi(delta', eta') when exactly computable, else None (astronomical)."""
+        if isinstance(self.delta_prime, Fraction) and isinstance(self.eta_prime, Fraction):
+            return phi(self.delta_prime, self.eta_prime)
+        return None
+
+    def n_bound_holds(self, n: int, multiplier: int) -> bool:
+        """Decide n <= multiplier * phi(delta', eta') soundly."""
+        if multiplier == 0:
+            return n == 0
+        exact = self.phi_bound()
+        if exact is not None:
+            return n <= multiplier * exact
+        # phi >= ln(1/eta')/delta' / (1 + delta'); with tiny delta' this
+        # lower bound dwarfs any desk-scale n.
+        lower_log2 = (
+            mpmath.log(-scalar_log2(self.eta_prime) * mpmath.log(2), 2)
+            - scalar_log2(self.delta_prime)
+            - 1
+        )
+        return mpmath.log(max(n, 1), 2) <= lower_log2 + mpmath.log(multiplier, 2)
+
+    def part_bound_holds(self, n: int) -> bool:
+        """Decide n <= N = C(h,2) + (h-1)*phi(delta', eta')."""
+        slack = comb(self.h, 2)
+        if n <= slack:
+            return True
+        return self.n_bound_holds(n - slack, self.h - 1)
+
+
 @dataclass(frozen=True)
-class KeyParams:
+class KeyParams(_PartBound):
     """Parameter schedule for the iteration.
 
     eps/eta/theta bound the output rows; xi (at most theta/4) is the
@@ -228,35 +263,6 @@ class KeyParams:
             self.eps_schedule[t + 1] * self.gamma_chain(t, 0) for t in range(self.h)
         )
 
-    def phi_bound(self) -> int | None:
-        """phi(delta', eta') when exactly computable, else None (astronomical)."""
-        if isinstance(self.delta_prime, Fraction) and isinstance(self.eta_prime, Fraction):
-            return phi(self.delta_prime, self.eta_prime)
-        return None
-
-    def n_bound_holds(self, n: int, multiplier: int) -> bool:
-        """Decide n <= multiplier * phi(delta', eta') soundly."""
-        if multiplier == 0:
-            return n == 0
-        exact = self.phi_bound()
-        if exact is not None:
-            return n <= multiplier * exact
-        # phi >= ln(1/eta')/delta' / (1 + delta'); with tiny delta' this
-        # lower bound dwarfs any desk-scale n.
-        lower_log2 = (
-            mpmath.log(-scalar_log2(self.eta_prime) * mpmath.log(2), 2)
-            - scalar_log2(self.delta_prime)
-            - 1
-        )
-        return mpmath.log(max(n, 1), 2) <= lower_log2 + mpmath.log(multiplier, 2)
-
-    def part_bound_holds(self, n: int) -> bool:
-        """Decide n <= N = C(h,2) + (h-1)*phi(delta', eta')."""
-        slack = comb(self.h, 2)
-        if n <= slack:
-            return True
-        return self.n_bound_holds(n - slack, self.h - 1)
-
 
 @dataclass(frozen=True)
 class MNTPartition:
@@ -387,6 +393,25 @@ class KeyLemmaResult:
     params: KeyParams
     d_budget: int
     transcript: tuple[StepRecord, ...] = ()
+
+
+@dataclass(frozen=True)
+class KeyCertificate(_PartBound):
+    """A key-lemma result as exported: the rows plus the values their check
+    reads.  delta_prime/eta_prime are None when not stated (paper-mode
+    exports omit them); the single-count clause is then skipped."""
+
+    removed: int
+    a_sets: tuple[int, ...]
+    b_sets: tuple[int, ...]
+    singles: tuple[int, ...]
+    d_budget: int
+    h: int
+    eps: Fraction
+    eta: Fraction
+    theta: Fraction
+    delta_prime: Scalar | None
+    eta_prime: Scalar | None
 
 
 @dataclass(frozen=True)
@@ -577,38 +602,61 @@ def advance_or_finish(
 
 
 def verify_key_result(g: Graph, pat: Pattern, res: KeyLemmaResult) -> None:
-    """Independent recheck of every output clause; raises on failure."""
-    pr = res.params
-    h = pat.size
-    if res.removed.bit_count() > res.d_budget:
-        raise AssertionError("removed set exceeds the budget")
-    union = res.removed
-    for a, b in res.pairs:
+    """Independent recheck of every output clause; raises AssertionError on failure."""
+    pr, pairs = res.params, res.pairs
+    a_sets, b_sets = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+    rows = (res.removed, a_sets, b_sets, res.singles, res.d_budget, pat.size)
+    bounds = (pr.eps, pr.eta, pr.theta, pr.delta_prime, pr.eta_prime)
+    verify_key_certificate(g, KeyCertificate(*rows, *bounds))
+
+
+def verify_key_certificate(g: Graph, c: KeyCertificate) -> None:
+    """Every clause of a key-lemma result, in order; raises AssertionError
+    naming the first that fails (pairs and singles indexed from 0)."""
+    if c.removed.bit_count() > c.d_budget:
+        raise AssertionError("removed set exceeds d")
+    if len(c.a_sets) != len(c.b_sets):
+        raise AssertionError("pair rows have unequal lengths")
+    if len(c.a_sets) > comb(c.h, 2):
+        raise AssertionError("more pairs than C(h,2)")
+    union = c.removed
+    for idx, (a, b) in enumerate(zip(c.a_sets, c.b_sets)):
         if not a or not b:
-            raise AssertionError("pair with an empty side")
+            raise AssertionError(f"pair {idx} has an empty side")
         if (a | b) & union or a & b:
-            raise AssertionError("output sets overlap")
+            raise AssertionError(f"pair {idx} overlaps earlier sets")
         union |= a | b
-        if not is_restricted(g, a, pr.eps):
-            raise AssertionError("pair A-side not eps-restricted")
-        if b.bit_count() > pr.eta * a.bit_count():
-            raise AssertionError("pair B-side too large")
-        if not is_tight_to(g, a, b, pr.theta, "tight").ok:
-            raise AssertionError("pair B-side not theta-tight")
-    for c in res.singles:
-        if not c:
-            raise AssertionError("empty single")
-        if c & union:
-            raise AssertionError("output sets overlap")
-        union |= c
-        if not is_restricted(g, c, pr.eps):
-            raise AssertionError("single not eps-restricted")
+        if not is_restricted(g, a, c.eps):
+            raise AssertionError(f"pair {idx}: A not eps-restricted")
+        if b.bit_count() > c.eta * a.bit_count():
+            raise AssertionError(f"pair {idx}: B larger than eta*|A|")
+        if not is_tight_to(g, a, b, c.theta, "tight").ok:
+            raise AssertionError(f"pair {idx}: B not theta-tight to A")
+    for idx, single in enumerate(c.singles):
+        if not single or single & union:
+            raise AssertionError(f"single {idx} empty or overlapping")
+        union |= single
+        if not is_restricted(g, single, c.eps):
+            raise AssertionError(f"single {idx} not eps-restricted")
     if union != g.full_mask:
-        raise AssertionError("output does not cover V(G)")
-    if len(res.pairs) > comb(h, 2):
-        raise AssertionError("pair count exceeds C(h,2)")
-    if not pr.part_bound_holds(len(res.singles)):
-        raise AssertionError("single count exceeds N")
+        raise AssertionError("sets do not cover V(G)")
+    if c.delta_prime is not None and not c.part_bound_holds(len(c.singles)):
+        p = c.phi_bound()
+        bound = "" if p is None else f" = {comb(c.h, 2) + (c.h - 1) * p}"
+        raise AssertionError(f"single count exceeds N{bound}")
+
+
+def verify_blowup_found(g: Graph, found: BlowupFound) -> None:
+    """Recheck a reported blowup and its copy count; raises AssertionError on failure."""
+    cert = found.certificate
+    chk = verify_blowup(g, cert)
+    if not chk.ok:
+        raise AssertionError(f"failing pair {chk.failing_pair}")
+    count = count_embeddings_into_parts(g, cert.pattern, cert.parts)
+    if count != found.copy_count:
+        raise AssertionError("copy count does not match a recount")
+    if count < found.copy_bound:
+        raise AssertionError("copy count below the stated bound")
 
 
 def run_key_lemma(

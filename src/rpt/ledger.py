@@ -20,6 +20,7 @@ from math import comb
 
 import mpmath
 
+from .extraction import depth_for
 from .values import log2_fraction
 
 # An entry's exact Fraction is kept only below this many bits.
@@ -160,18 +161,6 @@ def tight_copy_threshold_entry(h: int, eps: Fraction) -> LedgerEntry:
     return entry_from_fraction(Fraction(1, (4 * h) ** h) * eps ** comb(h, 2))
 
 
-def depth_exact(eps: Fraction) -> int:
-    """least s >= 1 with (3/2)^s >= eps^-2; log-scale guess, exact adjust."""
-    target = 1 / eps**2
-    guess = max(int(mpmath.ceil(-2 * log2_fraction(eps) / mpmath.log(mpmath.mpf(3) / 2, 2))), 1)
-    base = Fraction(3, 2)
-    while base**guess < target:
-        guess += 1
-    while guess > 1 and base ** (guess - 1) >= target:
-        guess -= 1
-    return guess
-
-
 def weak_restricted_entries(h: int, eps: LedgerEntry) -> tuple[LedgerEntry, LedgerEntry, int, LedgerEntry]:
     """(shrink eta, per-run delta = eta^s, depth s, copy threshold kappa)
     for the density-subset extractor run at targets (eps, eps)."""
@@ -182,7 +171,7 @@ def weak_restricted_entries(h: int, eps: LedgerEntry) -> tuple[LedgerEntry, Ledg
     lead = entry_from_fraction(Fraction(1, 2 * (2 * h) ** 2))
     eta = entry_mul(lead, entry_pow(quarter, h - 1))
     if eps.exact is not None:
-        s = depth_exact(eps.exact)
+        s = depth_for(eps.exact)
     else:
         s = max(int(mpmath.ceil(-2 * eps.log2 / mpmath.log(mpmath.mpf(3) / 2, 2))), 1)
     delta = entry_pow(eta, s)

@@ -11,10 +11,9 @@ import json
 from fractions import Fraction
 
 from .assembly import PathPartition, RemovalResult, RestrictedPartition
-from .embedding import CopyCount, TightPairWitness
 from .extraction import PeelChain
 from .graph import Graph, Pattern, mask_from_ids, mask_to_ids
-from .keypartition import KeyLemmaResult, StepRecord
+from .keypartition import BlowupFound, KeyCertificate, KeyLemmaResult, StepRecord
 from .predicates import BlowupCertificate, FullPairCertificate
 from .values import format_fraction, parse_fraction
 
@@ -84,21 +83,6 @@ def blowup_from_json(obj: dict) -> BlowupCertificate:
     )
 
 
-def tight_witness_to_json(w: TightPairWitness) -> dict:
-    return {
-        "kind": "tight_witness",
-        "i": w.i,
-        "j": w.j,
-        "a": ids(w.a),
-        "b": ids(w.b),
-        "mode": w.mode,
-    }
-
-
-def copy_count_to_json(c: CopyCount) -> dict:
-    return {"kind": "copy_count", "count": str(c.count), "bound": frac(c.bound)}
-
-
 def peel_chain_to_json(pc: PeelChain) -> dict:
     return {
         "kind": "peel_chain",
@@ -113,13 +97,16 @@ def peel_chain_to_json(pc: PeelChain) -> dict:
 
 
 def peel_chain_from_json(obj: dict) -> dict:
+    """The PeelChain fields by name.  Only an explicit "guaranteed": false
+    frees the chain from the phi(delta, eta) length bound."""
     return {
-        "peels": [mask_from_ids(p) for p in obj["peels"]],
+        "peels": tuple(mask_from_ids(p) for p in obj["peels"]),
         "leftover": mask_from_ids(obj["leftover"]),
         "eps": parse_fraction(obj["eps"]),
         "eta": parse_fraction(obj["eta"]),
         "delta": parse_fraction(obj["delta"]),
         "phi_bound": obj["phi_bound"],
+        "guaranteed": obj.get("guaranteed", True) is not False,
     }
 
 
@@ -144,7 +131,27 @@ def key_result_to_json(res: KeyLemmaResult) -> dict:
     return out
 
 
-def blowup_found_to_json(found) -> dict:
+def key_result_from_json(obj: dict) -> KeyCertificate:
+    def sets(key: str) -> tuple[int, ...]:
+        return tuple(mask_from_ids(x) for x in obj[key])
+
+    stated = "delta_prime" in obj and "eta_prime" in obj
+    return KeyCertificate(
+        mask_from_ids(obj["S"]),
+        sets("A"),
+        sets("B"),
+        sets("C"),
+        int(obj["d"]),
+        int(obj["h"]),
+        parse_fraction(obj["eps"]),
+        parse_fraction(obj["eta"]),
+        parse_fraction(obj["theta"]),
+        parse_fraction(obj["delta_prime"]) if stated else None,
+        parse_fraction(obj["eta_prime"]) if stated else None,
+    )
+
+
+def blowup_found_to_json(found: BlowupFound) -> dict:
     return {
         "kind": "blowup_found",
         "certificate": blowup_to_json(found.certificate),
@@ -152,6 +159,15 @@ def blowup_found_to_json(found) -> dict:
         "copy_bound": frac(found.copy_bound),
         "contradiction_checked": found.contradiction_checked,
     }
+
+
+def blowup_found_from_json(obj: dict) -> BlowupFound:
+    return BlowupFound(
+        blowup_from_json(obj["certificate"]),
+        int(obj["copy_count"]),
+        parse_fraction(obj["copy_bound"]),
+        bool(obj.get("contradiction_checked", False)),
+    )
 
 
 def step_record_to_json(rec: StepRecord) -> dict:

@@ -127,6 +127,22 @@ class TestCommands:
         )
         code, out = run_cli(capsys, ["check", "--graph", c5_file, "--cert", str(cert)])
         assert code == 2 and "part 0" in out
+        # well formed but false: more parts than the certificate's own N
+        cert.write_text(
+            json.dumps(
+                {
+                    "kind": "restricted_partition",
+                    "parts": [[0, 1], [2, 3, 4]],
+                    "eps": "1/2",
+                    "N": 1,
+                }
+            )
+        )
+        code, out = run_cli(
+            capsys, ["check", "--graph", c5_file, "--cert", str(cert), "--json"]
+        )
+        assert code == 2
+        assert json.loads(out)["detail"] == "part count exceeds the bound"
 
     def test_theorem_roundtrip_through_check(self, capsys, tmp_path, c5_file):
         code, out = run_cli(
@@ -155,6 +171,74 @@ class TestCommands:
         cert.write_text(json.dumps(obj))
         code, out2 = run_cli(capsys, ["check", "--graph", c5_file, "--cert", str(cert)])
         assert code == 2 and "cover" in out2
+
+    def test_key_result_with_pair_through_check(self, capsys, tmp_path):
+        from fractions import Fraction
+
+        from rpt import serialize
+        from rpt.graph import mask_from_ids, named_pattern
+        from rpt.keypartition import KeyLemmaResult, KeyParams, verify_key_result
+
+        # A independent, each B vertex sees 2 < |A|/4 of A, C a clique,
+        # vertex 20 removed
+        a, b, c = range(12), (12, 13), range(14, 20)
+        edges = [(0, 12), (1, 12), (2, 13), (3, 13)]
+        edges += [(u, v) for u in c for v in c if u < v]
+        edges += [(u, 20) for u in range(0, 20, 3)]
+        g = Graph.from_edges(21, edges)
+        k2 = named_pattern("K2")
+        res = KeyLemmaResult(
+            1 << 20,
+            ((mask_from_ids(a), mask_from_ids(b)),),
+            (mask_from_ids(c),),
+            KeyParams.practical(k2, Fraction(1, 4)),
+            1,
+        )
+        verify_key_result(g, k2, res)
+        g_path = tmp_path / "g.el"
+        g_path.write_text(to_edge_list(g))
+        cert = tmp_path / "kl.json"
+        payload = serialize.key_result_to_json(res)
+        cert.write_text(json.dumps(payload))
+        argv = ["check", "--graph", str(g_path), "--cert", str(cert), "--json"]
+        code, out = run_cli(capsys, argv)
+        assert code == 0, out
+        payload["B"] = [[12, 13, 14]]  # 14 is also in C
+        cert.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["detail"] == "single 0 empty or overlapping"
+
+    def test_unguaranteed_peel_chain_through_check(self, capsys, tmp_path):
+        import random
+
+        rng = random.Random(0)
+        n, p = rng.randint(10, 40), rng.random()
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        g_path = tmp_path / "g.el"
+        g_path.write_text(to_edge_list(g))
+        code, out = run_cli(
+            capsys,
+            ["extract", "--graph", str(g_path), "--pattern", "K3", "--op", "peel",
+             "--eps", "1/4", "--eta", "1/4", "--delta", "1/2", "--json"],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert not payload["guaranteed"]
+        assert len(payload["peels"]) > payload["phi_bound"]
+        cert = tmp_path / "peel.json"
+        cert.write_text(out)
+        argv = ["check", "--graph", str(g_path), "--cert", str(cert), "--json"]
+        code, out = run_cli(capsys, argv)
+        assert code == 0, out
+        # a chain claiming the guarantee is held to phi(delta, eta)
+        payload["guaranteed"] = True
+        cert.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["detail"] == "more peels than phi(delta, eta)"
 
     def test_blowup_found_round_trip_through_check(self, capsys, tmp_path):
         from fractions import Fraction
@@ -238,15 +322,6 @@ class TestCommands:
     def test_missing_file_is_error(self, capsys):
         code, _ = run_cli(capsys, ["count", "--graph", "/nonexistent", "--pattern", "K2"])
         assert code == 1
-
-    def test_threads_env_fallback(self, monkeypatch, c5_file):
-        monkeypatch.setenv("RPT_THREADS", "4")
-        plan = parse_args(["count", "--graph", c5_file, "--pattern", "K2"])
-        assert plan.threads == 4
-        plan = parse_args(
-            ["count", "--graph", c5_file, "--pattern", "K2", "--threads", "2"]
-        )
-        assert plan.threads == 2
 
 
 class TestDeterminism:
