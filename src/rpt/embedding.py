@@ -115,13 +115,15 @@ def _witness_search(
                 i=i, j=m, a=di, b=p_i, mode="sparse" if edge else "dense"
             )
         surviving &= ~p_i
-    assert surviving.bit_count() >= (1 - delta) * n_last
+    if surviving.bit_count() < (1 - delta) * n_last:
+        raise AssertionError("too many last-part vertices dropped as incorrect")
     for u in iter_bits(surviving):
         shrunk = []
         for i in range(1, m):
             di = parts[i - 1]
             sub = g.adj[u] & di if pat.label_edge(i, m) else di & ~g.adj[u]
-            assert sub.bit_count() >= eps * di.bit_count()
+            if sub.bit_count() < eps * di.bit_count():
+                raise AssertionError("a surviving vertex sees too little of a part")
             shrunk.append(sub)
         deep = _witness_search(g, pat, shrunk, params, m - 1)
         if deep is not None:

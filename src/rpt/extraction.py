@@ -42,7 +42,7 @@ from .graph import (
     mask_from_ids,
 )
 from .predicates import extract_restricted_from_weak, is_restricted
-from .values import ceil_frac
+from .values import ceil_frac, least_power
 
 
 class ExtractionInfeasible(RuntimeError):
@@ -50,38 +50,17 @@ class ExtractionInfeasible(RuntimeError):
 
 
 def phi(delta: Fraction, eta: Fraction) -> int:
-    """Least integer p >= 1 with (1-delta)^p <= eta, by exact iteration."""
+    """Least integer p >= 1 with (1-delta)^p <= eta, decided exactly."""
     if not (0 < delta < 1 and 0 < eta < 1):
         raise ValueError("phi needs delta, eta in (0,1)")
-    p = 1
-    power = 1 - delta
-    while power > eta:
-        p += 1
-        power *= 1 - delta
-    return p
+    return least_power(1 - delta, eta)
 
 
 def depth_for(eps: Fraction) -> int:
-    """ceil(log_{3/2}(eps^-2)): least s with (3/2)^s >= eps^-2, exactly.
-
-    Log-scale guess, then exact adjustment by squared powers (the naive
-    per-step product is quadratic in the final bit length and chokes on
-    the tiny exact-schedule epsilons).
-    """
+    """ceil(log_{3/2}(eps^-2)): least s >= 1 with (3/2)^s >= eps^-2, exactly."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    import mpmath
-
-    from .values import log2_fraction
-
-    target = 1 / eps**2
-    base = Fraction(3, 2)
-    guess = max(int(mpmath.ceil(-2 * log2_fraction(eps) / mpmath.log(mpmath.mpf(3) / 2, 2))), 1)
-    while base**guess < target:
-        guess += 1
-    while guess > 1 and base ** (guess - 1) >= target:
-        guess -= 1
-    return guess
+    return least_power(Fraction(2, 3), eps**2)
 
 
 def shrink_fraction(h: int, eps1: Fraction, eps2: Fraction) -> Fraction:
@@ -254,15 +233,18 @@ def _assert_merge_arithmetic(
     (1/2) eps k^2 crossing edges  =>  the union has density <= eps1.
     """
     k = a1.bit_count()
-    assert k == b1.bit_count()
     ea = work.edges_inside(a1)
     eb = work.edges_inside(b1)
     cross = work.edges_between(a1, b1)
-    assert ea <= Fraction(3, 2) * eps1 * comb(k, 2)
-    assert eb <= Fraction(3, 2) * eps1 * comb(k, 2)
-    assert cross <= Fraction(1, 2) * eps * k * k
-    total = ea + eb + cross
-    assert total <= eps1 * comb(2 * k, 2), "merge arithmetic failed"
+    side_cap = Fraction(3, 2) * eps1 * comb(k, 2)
+    if (
+        k != b1.bit_count()
+        or ea > side_cap
+        or eb > side_cap
+        or cross > Fraction(1, 2) * eps * k * k
+        or ea + eb + cross > eps1 * comb(2 * k, 2)
+    ):
+        raise AssertionError("merge arithmetic failed")
 
 
 _MAX_RESIZE_ROUNDS = 32
@@ -320,7 +302,8 @@ def _search(
         for v in iter_bits(a_mask):
             if (work.adj[v] & b1).bit_count() <= Fraction(1, 2) * eps * k:
                 a0 |= 1 << v
-        assert 2 * a0.bit_count() > a_mask.bit_count(), "low-crossing core too small"
+        if 2 * a0.bit_count() <= a_mask.bit_count():
+            raise AssertionError("low-crossing core too small")
         s_a, side_a, fa = sub(a0, depth - 1)
         flag_a = flag_a and fa
         if side_a == "high":
@@ -329,7 +312,8 @@ def _search(
             a1 = trim_to_size(work, s_a, k, "low")
             _assert_merge_arithmetic(work, a1, b1, we1, eps)
             merged = a1 | b1
-            assert edge_density(work, merged) <= we1
+            if edge_density(work, merged) > we1:
+                raise AssertionError("merged piece misses its density target")
             return unflip(merged, "low", flag_b and flag_a)
         k = s_a.bit_count()
         if k == 0:

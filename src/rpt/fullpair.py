@@ -30,11 +30,12 @@ from .predicates import (
     FullPairCertificate,
     is_full_pair,
 )
-from .values import LogValue, ceil_frac, log2_fraction
+from .values import EXACT_BITS_CAP, LogValue, Scalar, log2_fraction, scalar_ceil_mul
 
-# Exact gamma values are materialised only while the binary size of the
-# result stays tame; beyond this the log-scale form is authoritative.
-_EXACT_EXPONENT_CAP = 200_000
+# |log2 c| above this would make gamma's logarithm exponent
+# unrepresentable; saturate instead.
+_LOG_INPUT_CAP = mpmath.mpf(2) ** 46
+_SATURATED_LOG2 = -(mpmath.mpf(2) ** 46)
 
 
 class FullPairSearchError(RuntimeError):
@@ -45,36 +46,29 @@ class FullPairGuaranteeViolation(RuntimeError):
     """No subpair at the guaranteed sizes: impossible for valid inputs."""
 
 
-@dataclass(frozen=True)
-class GammaValue:
-    exact: Fraction | None
-    log2: mpmath.mpf
+def gamma(c: Scalar, eps: Fraction) -> LogValue:
+    """gamma(c, eps) = (1/2) * (2*eps)^(12/c) on the log scale.
 
-    def __float__(self) -> float:
-        return float(mpmath.power(2, self.log2))
-
-
-def gamma(c: Fraction, eps: Fraction) -> GammaValue:
-    """gamma(c, eps) = (1/2) * (2*eps)^(12/c), exact when 12/c is integral."""
-    if not Fraction(0) < c < 1:
+    Exact when c is exact and 12/c is an integer, within the exactness
+    cap.  A saturated c, or one so small that the result's logarithm would
+    overflow, gives a saturated value whose log2 is only an upper bound.
+    """
+    if not (c.log2 < 0 if isinstance(c, LogValue) else 0 < c < 1):
         raise ValueError("c must lie in (0,1)")
     if not Fraction(0) < eps < Fraction(1, 4):
         raise ValueError("eps must lie in (0,1/4)")
-    exponent = 12 / c
+    c = LogValue.of(c)
+    if c.saturated or -c.log2 > _LOG_INPUT_CAP:
+        return LogValue(_SATURATED_LOG2, saturated=True)
     base = 2 * eps
-    log2 = mpmath.mpf(-1) + mpmath.mpf(exponent.numerator) / exponent.denominator * log2_fraction(base)
+    log2 = mpmath.mpf(-1) + mpmath.mpf(12) * mpmath.power(2, -c.log2) * log2_fraction(base)
     exact = None
-    if exponent.denominator == 1:
+    exponent = None if c.exact is None else 12 / c.exact
+    if exponent is not None and exponent.denominator == 1:
         k = exponent.numerator
-        bits = k * max(base.numerator.bit_length(), base.denominator.bit_length())
-        if bits <= _EXACT_EXPONENT_CAP:
+        if k * max(base.numerator.bit_length(), base.denominator.bit_length()) <= EXACT_BITS_CAP:
             exact = base**k / 2
-    return GammaValue(exact, log2)
-
-
-def gamma_scalar(c: Fraction, eps: Fraction) -> "Fraction | LogValue":
-    g = gamma(c, eps)
-    return g.exact if g.exact is not None else LogValue(g.log2)
+    return LogValue(log2, exact)
 
 
 @dataclass(frozen=True)
@@ -91,14 +85,11 @@ class FullPairParams:
 
     def size_floor(self, side: int) -> int:
         """max(1, ceil(frac * side)) with frac = min_frac or gamma(c,eps)."""
-        if self.min_frac is not None:
-            return max(1, ceil_frac(self.min_frac * side))
-        gv = gamma(self.c, self.eps)
-        if gv.exact is not None:
-            return max(1, ceil_frac(gv.exact * side))
-        if gv.log2 + mpmath.log(side, 2) < -1:
-            return 1
-        raise AssertionError("gamma floor undecidable; supply min_frac")
+        frac = self.min_frac
+        if frac is None:
+            gv = gamma(self.c, self.eps)
+            frac = gv.exact if gv.exact is not None else gv
+        return max(1, scalar_ceil_mul(frac, side))
 
 
 def _certify(

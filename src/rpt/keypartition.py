@@ -44,7 +44,7 @@ from .predicates import (
     is_tight_to,
     verify_blowup,
 )
-from .values import LogValue, Scalar, scalar_log2
+from .values import Scalar, scalar_log2
 
 
 class InfeasibleAtScale(RuntimeError):
@@ -195,13 +195,13 @@ class KeyParams(_PartBound):
             schedule.append(entry.exact)
         dp = led.get("delta_prime")
         ep = led.get("eta_prime")
-        delta_prime: Scalar = dp.exact if dp.exact is not None else LogValue(dp.log2)
-        eta_prime: Scalar = ep.exact if ep.exact is not None else LogValue(ep.log2)
+        delta_prime: Scalar = dp.exact if dp.exact is not None else dp
+        eta_prime: Scalar = ep.exact if ep.exact is not None else ep
         lam_min = None
         for t in range(h):
             for i in range(t + 1):
                 entry = led.get(f"lambda[{t},{i}]")
-                val = entry.exact if entry.exact is not None else None
+                val = entry.exact
                 if val is not None and (lam_min is None or val < lam_min):
                     lam_min = val
         # the realized chain fractions only matter through size floors;
@@ -738,7 +738,8 @@ def _blowup_found(
 def _paper_precheck(g: Graph, pat: Pattern, params: KeyParams, d_budget: int) -> None:
     from .graph import count_induced_copies
 
-    assert params.ledger is not None
+    if params.ledger is None:
+        raise AssertionError("paper-mode parameters carry no ledger")
     kap = params.ledger.get("kappa")
     ind = count_induced_copies(g, pat)
     if ind == 0:

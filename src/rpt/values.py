@@ -4,10 +4,13 @@ All run-time thresholds in this package are exact ``fractions.Fraction``
 values; floats never enter a comparison that decides a verification
 outcome.  Constant recursions whose values are towers of exponentials
 cannot be materialised as rationals, so they are tracked on a base-2
-logarithmic scale with high-precision mpmath floats instead.  A
-:class:`LogValue` carries such a quantity; the few decisions that must be
-made about one (is ``v * k`` below 1, what is ``ceil(v * k)``) are only
-answered when the log-scale bound makes the answer unambiguous.
+logarithmic scale with high-precision mpmath floats instead.
+:class:`LogValue` is the one log-scale number type: its ``log2`` always
+holds, an exact rational rides along while it stays below a size cap, and
+a saturation flag marks a ``log2`` that is only an upper bound.  The few
+decisions that must be made about one (is ``v * k`` below 1, what is
+``ceil(v * k)``) are only answered when the log-scale bound makes the
+answer unambiguous.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ import mpmath
 # Enough head-room that the ledger's 1e-12 relative-error acceptance
 # check is nowhere near the working precision.
 mpmath.mp.prec = 240
+
+# A LogValue keeps its exact rational only while it takes at most this many bits.
+EXACT_BITS_CAP = 300_000
+# Decimal p/q emission is capped separately: int->str is quadratic.
+_EXACT_PRINT_BITS = 20_000
 
 
 class UndecidableAtScale(Exception):
@@ -61,31 +69,71 @@ def log2_fraction(x: Fraction) -> mpmath.mpf:
         den <<= shift
     else:
         num <<= -shift
+    # Both now have the same bit length.  Converting an integer of 10^5+
+    # bits to mpf is quadratic in pure-Python mpmath, so drop the same
+    # number of low bits from each, keeping a sticky 1 when any dropped bit
+    # is set.  The kept 4*prec bits hold every bit down to well past the
+    # rounding position, and the sticky bit tells "exactly on a rounding
+    # boundary" from "just above it", so each mpf, and hence the quotient
+    # and the logarithm, is bit-for-bit the one the full integers give.
+    drop = num.bit_length() - 4 * mpmath.mp.prec
+    if drop > 0:
+        low = (1 << drop) - 1
+        num = (num >> drop) | bool(num & low)
+        den = (den >> drop) | bool(den & low)
     return mpmath.mpf(shift) + mpmath.log(mpmath.mpf(num) / mpmath.mpf(den), 2)
+
+
+def _bits(x: Fraction) -> int:
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+def _tame(x: Fraction) -> Fraction | None:
+    """x while its binary size stays within the exactness cap, else None."""
+    return x if _bits(x) <= EXACT_BITS_CAP else None
 
 
 @dataclass(frozen=True)
 class LogValue:
-    """A positive real represented by its base-2 logarithm."""
+    """A positive real represented by its base-2 logarithm.
+
+    ``exact`` is the value as a rational while that takes at most
+    ``EXACT_BITS_CAP`` bits, else None.  ``saturated`` means ``log2`` is
+    only an upper bound: the value is too small for its own logarithm to
+    be represented.  Arithmetic keeps ``exact`` under the cap and carries
+    ``saturated`` along; comparisons look at ``log2`` alone.
+    """
 
     log2: mpmath.mpf
+    exact: Fraction | None = None
+    saturated: bool = False
 
     @staticmethod
     def of(x: "Fraction | int | LogValue") -> "LogValue":
         if isinstance(x, LogValue):
             return x
-        return LogValue(log2_fraction(Fraction(x)))
+        x = Fraction(x)
+        return LogValue(log2_fraction(x), _tame(x))
 
     def __mul__(self, other: "Fraction | int | LogValue") -> "LogValue":
-        return LogValue(self.log2 + LogValue.of(other).log2)
+        o = LogValue.of(other)
+        exact = None if self.exact is None or o.exact is None else _tame(self.exact * o.exact)
+        return LogValue(self.log2 + o.log2, exact, self.saturated or o.saturated)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Fraction | int | LogValue") -> "LogValue":
-        return LogValue(self.log2 - LogValue.of(other).log2)
+        o = LogValue.of(other)
+        if o.saturated:
+            raise ValueError("dividing by a saturated value leaves no upper bound")
+        exact = None if self.exact is None or o.exact is None else _tame(self.exact / o.exact)
+        return LogValue(self.log2 - o.log2, exact, self.saturated)
 
     def __pow__(self, k: int) -> "LogValue":
-        return LogValue(self.log2 * k)
+        exact = None
+        if self.exact is not None and abs(k) * _bits(self.exact) <= EXACT_BITS_CAP:
+            exact = self.exact**k
+        return LogValue(self.log2 * k, exact, self.saturated)
 
     # Comparisons against exact rationals go through the log scale with a
     # small guard band; refusing to answer beats answering wrongly.
@@ -116,6 +164,19 @@ class LogValue:
     def __str__(self) -> str:
         return f"2^{mpmath.nstr(self.log2, 17)}"
 
+    @property
+    def printable_exact(self) -> Fraction | None:
+        """The exact value when it is small enough to print in decimal."""
+        x = self.exact
+        return x if x is not None and _bits(x) <= _EXACT_PRINT_BITS else None
+
+    def describe(self) -> str:
+        x = self.printable_exact
+        if x is not None:
+            return str(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        prefix = "<= " if self.saturated else ""
+        return f"{prefix}{self}"
+
 
 Scalar = Fraction | LogValue
 
@@ -132,17 +193,12 @@ def scalar_min(*xs: Scalar) -> Scalar:
     return best
 
 
-def scalar_mul(a: Scalar, b: "Scalar | int") -> Scalar:
-    if isinstance(a, Fraction) and isinstance(b, (Fraction, int)):
-        return a * b
-    return LogValue.of(a) * b
-
-
 def scalar_ceil_mul(x: Scalar, k: int) -> int:
     """ceil(x * k) for positive x and k >= 1, decided exactly.
 
     For a LogValue the answer is only returned when the bound pins it to 1
-    (x * k <= 1/2 suffices since the product is positive).
+    (x * k <= 1/2 suffices since the product is positive); pass its
+    ``exact`` instead when there is one.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -153,8 +209,19 @@ def scalar_ceil_mul(x: Scalar, k: int) -> int:
     raise UndecidableAtScale(f"cannot take ceil of {x} * {k} from logs alone")
 
 
-def scalar_lt_int(x: Scalar, k: int) -> bool:
-    """Decide x < k exactly, or via an unambiguous log bound."""
-    if isinstance(x, Fraction):
-        return x < k
-    return x < Fraction(k)
+def least_power(q: Fraction, x: Fraction) -> int:
+    """Least integer p >= 1 with q^p <= x, for q and x in (0, 1).
+
+    The log-scale quotient log(x)/log(q) is only a guess; the exact
+    rational comparisons that adjust it decide the answer, so it never
+    depends on rounding.  One power per step keeps the cost near that of
+    the final power, where a factor-at-a-time product would be quadratic.
+    """
+    if not (0 < q < 1 and 0 < x < 1):
+        raise ValueError("least_power needs q, x in (0,1)")
+    p = max(int(mpmath.ceil(log2_fraction(x) / log2_fraction(q))), 1)
+    while q**p > x:
+        p += 1
+    while p > 1 and q ** (p - 1) <= x:
+        p -= 1
+    return p

@@ -58,10 +58,43 @@ class TestPhi:
         assert phi(delta, eta) <= math.log(1 / eta) / float(delta) + 1
 
 
+    def test_matches_iteration_on_a_grid(self):
+        def by_iteration(delta, eta):
+            p, power = 1, 1 - delta
+            while power > eta:
+                p += 1
+                power *= 1 - delta
+            return p
+
+        for delta in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 10), Fraction(1, 97),
+                      Fraction(3, 1000)):
+            for eta in (Fraction(1, 2), Fraction(1, 7), Fraction(1, 1000), Fraction(1, 61440)):
+                assert phi(delta, eta) == by_iteration(delta, eta), (delta, eta)
+        assert phi(Fraction(1, 120), Fraction(1, 61440)) == 1318
+
+
 class TestDepth:
     def test_quarter(self):
         # (3/2)^s >= 16 first at s = 7
         assert depth_for(QUARTER) == 7
+
+    def test_matches_iteration_down_to_tiny_eps(self):
+        def by_iteration(eps):
+            s, power = 1, Fraction(3, 2)
+            while power < 1 / eps**2:
+                s += 1
+                power *= Fraction(3, 2)
+            return s
+
+        for k in (1, 2, 3, 10, 57, 128, 250):
+            for eps in (Fraction(1, 2**k), Fraction(2, 3 * 2**k), Fraction(1, 2**k + 1)):
+                assert depth_for(eps) == by_iteration(eps), eps
+        assert depth_for(Fraction(2, 3)) == 2  # (3/2)^2 = 9/4 = eps^-2: equality counts
+
+    def test_rejects_bad_domain(self):
+        for eps in (Fraction(0), Fraction(1), Fraction(-1, 2)):
+            with pytest.raises(ValueError):
+                depth_for(eps)
 
     def test_shrink_fraction_formula(self):
         h = 3

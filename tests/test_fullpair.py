@@ -15,6 +15,7 @@ from rpt.fullpair import (
 )
 from rpt.graph import Graph, mask_from_ids, mask_to_ids
 from rpt.predicates import CheckPreconditionError, FullPairCertificate, is_full_pair
+from rpt.values import LogValue, UndecidableAtScale
 
 EIGHTH = Fraction(1, 8)
 
@@ -47,6 +48,37 @@ class TestGamma:
         for c in (Fraction(1, 2), Fraction(9, 10)):
             gv = gamma(c, Fraction(1, 5))
             assert mpmath.power(2, gv.log2) < mpmath.mpf(1) / 3
+
+
+    def test_log_scale_c_matches_fraction_c(self):
+        for c in (Fraction(1, 2), Fraction(3, 4), Fraction(5, 7), Fraction(1, 768)):
+            for eps in (EIGHTH, Fraction(1, 16)):
+                assert gamma(LogValue.of(c), eps) == gamma(c, eps)
+
+    def test_saturates_on_tower_overflow(self):
+        tiny = LogValue(-(mpmath.mpf(2) ** 47))
+        sat = LogValue(mpmath.mpf(-5), saturated=True)
+        for c in (tiny, sat):
+            gv = gamma(c, EIGHTH)
+            assert gv.saturated and gv.exact is None and gv.log2 < -(2**45)
+        assert not gamma(LogValue(mpmath.mpf(-40)), EIGHTH).saturated
+
+
+class TestSizeFloor:
+    def test_exact_gamma(self):
+        params = FullPairParams(Fraction(1, 2), EIGHTH)  # gamma = 2^-49
+        assert params.size_floor(10) == 1
+        assert params.size_floor(2**49 + 1) == 2
+
+    def test_min_frac_override(self):
+        params = FullPairParams(Fraction(1, 2), EIGHTH, min_frac=Fraction(1, 3))
+        assert params.size_floor(10) == 4
+
+    def test_log_only_gamma(self):
+        params = FullPairParams(Fraction(5, 7), EIGHTH)  # gamma ~ 2^-34.6, log only
+        assert params.size_floor(2**20) == 1
+        with pytest.raises(UndecidableAtScale):
+            params.size_floor(2**40)
 
 
 class TestFindFullPair:

@@ -209,3 +209,34 @@ def test_load_graph_text_detects_format():
     c5 = Graph.cycle(5)
     assert load_graph_text(to_edge_list(c5)) == c5
     assert load_graph_text(to_graph6(c5) + "\n") == c5
+
+
+# Six vertices, trivial automorphism group: a triangle 0-1-2 with a
+# pendant 4 on 1 and a pendant path 3-5 on 0.
+ASYMMETRIC = Pattern.of(
+    Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)])
+)
+
+
+@pytest.mark.parametrize("name", ["K3", "P4", "C4", "C5", "asymmetric"])
+def test_count_matches_networkx_graph_matcher(name):
+    """A third, independent counting oracle: networkx's node-induced
+    subgraph isomorphisms, each one a labelled induced copy."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def to_nx(g: Graph):
+        out = nx.Graph()
+        out.add_nodes_from(range(g.n))
+        out.add_edges_from(g.edges())
+        return out
+
+    pat = ASYMMETRIC if name == "asymmetric" else named_pattern(name)
+    hx = to_nx(pat.graph)
+    if name == "asymmetric":
+        assert sum(1 for _ in GraphMatcher(hx, hx).isomorphisms_iter()) == 1
+    for n in (6, 10, 14):
+        for seed in range(3):
+            g = random_graph(n, 0.5, seed)
+            oracle = sum(1 for _ in GraphMatcher(to_nx(g), hx).subgraph_isomorphisms_iter())
+            assert count_induced_copies(g, pat) == oracle, (n, seed)

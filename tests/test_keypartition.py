@@ -68,6 +68,12 @@ class TestLedger:
         assert led.get("kappa").saturated
         assert led.get("kappa").log2 < 0
 
+    def test_paper_params_carry_the_ledger_values(self):
+        # delta' and eta' of K2 at 1/4 are known only on the log scale
+        params = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
+        assert params.delta_prime is params.ledger.get("delta_prime")
+        assert params.eta_prime is params.ledger.get("eta_prime")
+
     def test_level_constants(self):
         led = build_ledger(2, QUARTER, QUARTER, QUARTER)
         assert led.get("path_length").exact == 16

@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from rpt.values import (
+    EXACT_BITS_CAP,
     LogValue,
     UndecidableAtScale,
     ceil_frac,
     floor_frac,
     format_fraction,
+    least_power,
     log2_fraction,
     parse_fraction,
     scalar_ceil_mul,
@@ -81,3 +85,92 @@ class TestLogValue:
         assert scalar_ceil_mul(Fraction(5, 2), 2) == 5
         with pytest.raises(UndecidableAtScale):
             scalar_ceil_mul(LogValue.of(Fraction(3)), 7)
+
+    def test_log2_matches_untruncated_conversion(self):
+        # log2_fraction drops low bits before the mpf conversion; the result
+        # must be bit-identical to converting the full integers.
+        def untruncated(x):
+            num, den = x.numerator, x.denominator
+            shift = num.bit_length() - den.bit_length()
+            if shift > 0:
+                den <<= shift
+            else:
+                num <<= -shift
+            return mpmath.mpf(shift) + mpmath.log(mpmath.mpf(num) / mpmath.mpf(den), 2)
+
+        rng = random.Random(3)
+        cases = []
+        for _ in range(100):
+            cases.append(Fraction(rng.getrandbits(rng.randint(1, 6000)) + 1,
+                                  rng.getrandbits(rng.randint(1, 6000)) + 1))
+        for bits in (1000, 3000):
+            top = 1 << bits
+            for below in (240, 241, 242, 960, 961):  # near and on rounding ties
+                for low in (0, 1):
+                    cases.append(Fraction(top + (1 << (bits - below)) + low, 3))
+                    cases.append(Fraction(7, top - (1 << (bits - below)) - low))
+        for x in cases:
+            assert log2_fraction(x) == untruncated(x)
+
+
+class TestLogValueExactness:
+    def test_of_keeps_exact_up_to_the_cap(self):
+        at_cap = Fraction(1, 2 ** (EXACT_BITS_CAP - 2))  # 1 + (cap - 1) bits
+        assert LogValue.of(at_cap).exact == at_cap
+        assert LogValue.of(at_cap / 2).exact is None
+        assert LogValue.of(at_cap / 2).log2 == -(EXACT_BITS_CAP - 1)
+
+    def test_mul_and_div_keep_exact_up_to_the_cap(self):
+        k = EXACT_BITS_CAP // 2
+        a = LogValue.of(Fraction(1, 2**k))
+        b = LogValue.of(Fraction(1, 2 ** (EXACT_BITS_CAP - k - 2)))
+        assert (a * b).exact == Fraction(1, 2 ** (EXACT_BITS_CAP - 2))
+        assert (a * b * Fraction(1, 2)).exact is None
+        assert (Fraction(1, 2) * (a * b)).exact is None
+        assert (a / LogValue.of(2 ** (EXACT_BITS_CAP - k - 2))).exact == (a * b).exact
+        assert (a / LogValue.of(2 ** (EXACT_BITS_CAP - k - 1))).exact is None
+
+    def test_pow_keeps_exact_up_to_the_cap(self):
+        x = LogValue.of(Fraction(1, 2**99))  # 101 bits
+        k = EXACT_BITS_CAP // 101
+        assert (x**k).exact == Fraction(1, 2 ** (99 * k))
+        assert (x ** (k + 1)).exact is None
+        assert (x ** (k + 1)).log2 == -99 * (k + 1)
+
+    def test_saturated_propagates(self):
+        sat = LogValue(mpmath.mpf(-10), saturated=True)
+        half = LogValue.of(Fraction(1, 2))
+        assert not (half * half).saturated and not (half**3).saturated
+        for v in (sat * half, half * sat, sat * Fraction(1, 2), Fraction(1, 2) * sat,
+                  sat**3, sat / 4):
+            assert v.saturated and v.exact is None
+        assert (sat * half).log2 == -11 and (sat**3).log2 == -30
+        with pytest.raises(ValueError):
+            _ = half / sat
+
+    def test_describe(self):
+        assert LogValue.of(Fraction(3, 8)).describe() == "3/8"
+        assert LogValue.of(5).describe() == "5"
+        assert LogValue(mpmath.mpf(-3)).describe() == "2^-3.0"
+        assert LogValue(mpmath.mpf(-3), saturated=True).describe() == "<= 2^-3.0"
+
+
+def _least_power_by_iteration(q: Fraction, x: Fraction) -> int:
+    p, power = 1, q
+    while power > x:
+        p += 1
+        power *= q
+    return p
+
+
+class TestLeastPower:
+    def test_matches_iteration(self):
+        for q in (Fraction(1, 2), Fraction(2, 3), Fraction(119, 120), Fraction(999, 1000)):
+            for x in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 1000), q, q**7, q**7 * (1 + Fraction(1, 10**9))):
+                assert least_power(q, x) == _least_power_by_iteration(q, x), (q, x)
+
+    @pytest.mark.parametrize("q,x", [(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2)),
+                                     (Fraction(1, 2), Fraction(0)), (Fraction(1, 2), Fraction(1))])
+    def test_rejects_bad_domain(self, q, x):
+        with pytest.raises(ValueError):
+            least_power(q, x)
