@@ -18,6 +18,7 @@ from .assembly import (
     lengthen,
     run_main_theorem,
     verify_path_partition,
+    verify_removal_result,
     verify_restricted_partition,
 )
 from .embedding import (
@@ -66,6 +67,7 @@ from .ledger import ConstantsLedger, build_ledger
 from .predicates import (
     BlowupCertificate,
     FullPairCertificate,
+    Verdict,
     extract_restricted_from_weak,
     is_full_pair,
     is_restricted,

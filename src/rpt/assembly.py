@@ -31,7 +31,7 @@ from .keypartition import (
     KeyParams,
     run_key_lemma,
 )
-from .predicates import is_restricted, is_tight_to
+from .predicates import Verdict, is_restricted, is_tight_to
 from .values import ceil_frac, floor_frac
 
 
@@ -65,34 +65,27 @@ class PathPartition:
         return PathPartition((g.full_mask,), eps)
 
 
-@dataclass(frozen=True)
-class PathPartitionReport:
-    ok: bool
-    clause: str | None = None
-    detail: str = ""
-
-
-def verify_path_partition(g: Graph, p: PathPartition) -> PathPartitionReport:
+def verify_path_partition(g: Graph, p: PathPartition) -> Verdict:
     """All three invariant groups, exactly."""
     if not p.blocks:
-        return PathPartitionReport(False, "shape", "no blocks")
+        return Verdict(False, "shape", "no blocks")
     union = 0
     for idx, w in enumerate(p.blocks):
         if not w:
-            return PathPartitionReport(False, f"nonempty:{idx}")
+            return Verdict(False, f"nonempty:{idx}")
         if w & union:
-            return PathPartitionReport(False, "disjoint", f"block {idx} overlaps")
+            return Verdict(False, "disjoint", f"block {idx} overlaps")
         union |= w
     if union != g.full_mask:
-        return PathPartitionReport(False, "cover", "blocks do not cover V(G)")
+        return Verdict(False, "cover", "blocks do not cover V(G)")
     k = p.k
     last = p.blocks[k]
     for i in range(k):
         w = p.blocks[i]
         if not is_restricted(g, w, p.eps):
-            return PathPartitionReport(False, f"restricted:{i}")
+            return Verdict(False, f"restricted:{i}")
         if w.bit_count() < 12 * last.bit_count():
-            return PathPartitionReport(
+            return Verdict(
                 False,
                 f"size:{i}",
                 f"|W_{i}|={w.bit_count()} < 12*|W_k|={12 * last.bit_count()}",
@@ -101,8 +94,8 @@ def verify_path_partition(g: Graph, p: PathPartition) -> PathPartitionReport:
         for j in range(i + 1, k + 1):
             tail |= p.blocks[j]
         if not is_tight_to(g, w, tail, p.eps / 12, "tight").ok:
-            return PathPartitionReport(False, f"tail-tight:{i}")
-    return PathPartitionReport(True)
+            return Verdict(False, f"tail-tight:{i}")
+    return Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -114,22 +107,22 @@ class RestrictedPartition:
 
 def verify_restricted_partition(
     g: Graph, p: RestrictedPartition, universe: int | None = None
-) -> tuple[bool, str | None]:
+) -> Verdict:
     union = 0
     for idx, part in enumerate(p.parts):
         if not part:
-            return False, f"empty part {idx}"
+            return Verdict(False, detail=f"empty part {idx}")
         if part & union:
-            return False, f"part {idx} overlaps"
+            return Verdict(False, detail=f"part {idx} overlaps")
         union |= part
         if not is_restricted(g, part, p.eps):
-            return False, f"part {idx} not restricted"
+            return Verdict(False, detail=f"part {idx} not restricted")
     target = g.full_mask if universe is None else universe
     if union != target:
-        return False, "parts do not cover the universe"
+        return Verdict(False, detail="parts do not cover the universe")
     if len(p.parts) > p.bound:
-        return False, "part count exceeds the bound"
-    return True, None
+        return Verdict(False, detail="part count exceeds the bound")
+    return Verdict(True)
 
 
 def default_part_bound(eps: Fraction) -> int:
@@ -177,9 +170,9 @@ def base_partition(
             pool &= ~chunk
     if len(parts) <= bound:
         result = RestrictedPartition(tuple(parts), eps, bound)
-        ok, why = verify_restricted_partition(g, result)
-        if not ok:
-            raise AssertionError(f"assembled base partition failed recheck: {why}")
+        v = verify_restricted_partition(g, result)
+        if not v.ok:
+            raise AssertionError(f"assembled base partition failed recheck: {v.detail}")
         return result
     if g.n <= exhaustive_limit:
         ok, witness = exact_n_restricted(g, bound, eps, budget=exhaustive_limit)
@@ -198,18 +191,24 @@ class RemovalResult:
     d_budget: int
 
     def verify(self, g: Graph) -> None:
-        if self.removed.bit_count() > self.d_budget:
-            raise AssertionError("removed more than the budget")
-        if self.removed & ~g.full_mask:
-            raise AssertionError("removed set out of range")
-        for part in self.partition.parts:
-            if part & self.removed:
-                raise AssertionError("parts intersect the removed set")
-        ok, why = verify_restricted_partition(
-            g, self.partition, universe=g.full_mask & ~self.removed
-        )
-        if not ok:
-            raise AssertionError(f"removal result failed recheck: {why}")
+        """verify_removal_result, raising AssertionError on a failed verdict."""
+        v = verify_removal_result(g, self)
+        if not v.ok:
+            raise AssertionError(v.detail)
+
+
+def verify_removal_result(g: Graph, r: RemovalResult) -> Verdict:
+    """At most d vertices removed, all inside V(G), and the rest split into
+    at most N eps-restricted parts that avoid them."""
+    if r.removed.bit_count() > r.d_budget:
+        return Verdict(False, detail="removed more than the budget")
+    if r.removed & ~g.full_mask:
+        return Verdict(False, detail="removed set out of range")
+    for part in r.partition.parts:
+        if part & r.removed:
+            return Verdict(False, detail="parts intersect the removed set")
+    v = verify_restricted_partition(g, r.partition, universe=g.full_mask & ~r.removed)
+    return v if v.ok else v._replace(detail=f"removal result failed recheck: {v.detail}")
 
 
 @dataclass(frozen=True)

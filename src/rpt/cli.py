@@ -31,6 +31,7 @@ from .assembly import (
     LengthenParams,
     run_main_theorem,
     verify_path_partition,
+    verify_removal_result,
     verify_restricted_partition,
 )
 from .extraction import (
@@ -197,56 +198,22 @@ def _cmd_count(plan: CommandPlan) -> int:
     return 0
 
 
-def _raising(verify):
-    """(ok, detail) from a verifier that raises AssertionError on failure."""
-
-    def check(g: Graph, cert) -> tuple[bool, str]:
-        try:
-            verify(g, cert)
-        except AssertionError as exc:
-            return False, str(exc)
-        return True, ""
-
-    return check
-
-
-def _full_pair(g: Graph, cert) -> tuple[bool, str]:
-    res = is_full_pair(g, cert, method="exact")
-    if res.ok:
-        return True, ""
-    a, b = serialize.ids(res.witness_a), serialize.ids(res.witness_b)
-    return False, f"violating subpair a={a} b={b}"
-
-
-def _blowup(g: Graph, cert) -> tuple[bool, str]:
-    res = verify_blowup(g, cert)
-    return res.ok, "" if res.ok else f"failing pair {res.failing_pair}"
-
-
-def _restricted_partition(g: Graph, part) -> tuple[bool, str]:
-    ok, why = verify_restricted_partition(g, part)
-    return ok, why or ""
-
-
-def _path_partition(g: Graph, pp) -> tuple[bool, str]:
-    rep = verify_path_partition(g, pp)
-    return rep.ok, rep.clause or ""
-
-
 # certificate kind -> (its JSON loader in rpt.serialize, the library's
-# verifier giving (ok, detail)).  Loaders are looked up by name when a
-# check runs, so a wrapped or patched serialize module is honoured.
+# verifier returning a Verdict).  When a check runs, the loader is looked
+# up by name in rpt.serialize and the verifier by name in this module, so
+# a wrapped or patched function is honoured; the peel chain's lambda has
+# no module-level name and is called as it is.
 _CHECKS = {
-    "full_pair": ("full_pair_from_json", _full_pair),
-    "blowup": ("blowup_from_json", _blowup),
-    "restricted_partition": ("restricted_partition_from_json", _restricted_partition),
-    "path_partition": ("path_partition_from_json", _path_partition),
-    "removal_result": ("removal_result_from_json", _raising(lambda g, r: r.verify(g))),
-    "key_lemma_result": ("key_result_from_json", _raising(verify_key_certificate)),
-    "blowup_found": ("blowup_found_from_json", _raising(verify_blowup_found)),
+    "full_pair": ("full_pair_from_json", is_full_pair),
+    "blowup": ("blowup_from_json", verify_blowup),
+    "restricted_partition": ("restricted_partition_from_json", verify_restricted_partition),
+    "path_partition": ("path_partition_from_json", verify_path_partition),
+    "removal_result": ("removal_result_from_json", verify_removal_result),
+    "key_lemma_result": ("key_result_from_json", verify_key_certificate),
+    "blowup_found": ("blowup_found_from_json", verify_blowup_found),
     "peel_chain": (
         "peel_chain_from_json",
-        _raising(lambda g, fields: verify_peel_chain(g, PeelChain(**fields))),
+        lambda g, fields: verify_peel_chain(g, PeelChain(**fields)),
     ),
 }
 
@@ -259,13 +226,14 @@ def _cmd_check(plan: CommandPlan) -> int:
     if kind not in _CHECKS:
         raise ValueError(f"unknown certificate kind {kind!r}")
     loader, verify = _CHECKS[kind]
-    ok, detail = verify(g, getattr(serialize, loader)(obj))
+    v = globals().get(verify.__name__, verify)(g, getattr(serialize, loader)(obj))
+    detail = v.clause or v.detail
     _emit(
         plan,
-        {"kind": "check_result", "certificate": kind, "ok": ok, "detail": detail},
-        f"{kind}: {'VERIFIED' if ok else 'FAILED'}" + (f" ({detail})" if detail else ""),
+        {"kind": "check_result", "certificate": kind, "ok": v.ok, "detail": detail},
+        f"{kind}: {'VERIFIED' if v.ok else 'FAILED'}" + (f" ({detail})" if detail else ""),
     )
-    return 0 if ok else 2
+    return 0 if v.ok else 2
 
 
 def _cmd_extract(plan: CommandPlan) -> int:

@@ -306,7 +306,7 @@ def blowup_copy_bound_check(
         raise ValueError("certificate must be an (eps^h, eps)-blowup")
     chk = verify_blowup(g, cert, method=method, budget=budget)
     if not chk.ok:
-        raise ValueError(f"unverified blowup certificate (pair {chk.failing_pair})")
+        raise ValueError(f"unverified blowup certificate (pair {chk.witness})")
     count = count_embeddings_into_parts(g, pat, cert.parts)
     bound = blowup_copy_bound(h, cert.eps, [p.bit_count() for p in cert.parts], exponent_form)
     return count >= bound

@@ -41,7 +41,7 @@ from .graph import (
     iter_bits,
     mask_from_ids,
 )
-from .predicates import extract_restricted_from_weak, is_restricted
+from .predicates import Verdict, extract_restricted_from_weak, is_restricted
 from .values import ceil_frac, least_power
 
 
@@ -477,24 +477,27 @@ def peel_chain(
         peels.append(peel)
         u &= ~peel
     chain = PeelChain(tuple(peels), u, eps, eta, delta, phi(delta, eta), guaranteed)
-    verify_peel_chain(g, chain)
+    v = verify_peel_chain(g, chain)
+    if not v.ok:
+        raise AssertionError(v.detail)
     return chain
 
 
-def verify_peel_chain(g: Graph, pc: PeelChain) -> None:
-    """Recheck every clause of a peel chain; raises AssertionError naming
-    the first that fails.  Only a guaranteed chain claims the length bound
+def verify_peel_chain(g: Graph, pc: PeelChain) -> Verdict:
+    """Recheck every clause of a peel chain; the verdict names the first
+    that fails.  Only a guaranteed chain claims the length bound
     phi(delta, eta)."""
     union = pc.leftover
     for idx, peel in enumerate(pc.peels):
         if peel & union or not is_restricted(g, peel, pc.eps):
-            raise AssertionError(f"peel {idx} overlaps or is not restricted")
+            return Verdict(False, detail=f"peel {idx} overlaps or is not restricted")
         union |= peel
     if union != g.full_mask:
-        raise AssertionError("peels plus leftover do not cover V(G)")
+        return Verdict(False, detail="peels plus leftover do not cover V(G)")
     if pc.leftover.bit_count() > pc.eta * g.n:
-        raise AssertionError("leftover exceeds eta |G|")
+        return Verdict(False, detail="leftover exceeds eta |G|")
     if pc.phi_bound != phi(pc.delta, pc.eta):
-        raise AssertionError("phi bound does not match its parameters")
+        return Verdict(False, detail="phi bound does not match its parameters")
     if pc.guaranteed and pc.length > pc.phi_bound:
-        raise AssertionError("more peels than phi(delta, eta)")
+        return Verdict(False, detail="more peels than phi(delta, eta)")
+    return Verdict(True)

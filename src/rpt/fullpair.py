@@ -85,10 +85,7 @@ class FullPairParams:
 
     def size_floor(self, side: int) -> int:
         """max(1, ceil(frac * side)) with frac = min_frac or gamma(c,eps)."""
-        frac = self.min_frac
-        if frac is None:
-            gv = gamma(self.c, self.eps)
-            frac = gv.exact if gv.exact is not None else gv
+        frac = gamma(self.c, self.eps) if self.min_frac is None else self.min_frac
         return max(1, scalar_ceil_mul(frac, side))
 
 
@@ -135,8 +132,8 @@ def find_full_pair(
         res = is_full_pair(g, cert, method="exact", budget=check_budget)
         if res.ok:
             return cert
-        cur_a &= ~res.witness_a
-        cur_b &= ~res.witness_b
+        cur_a &= ~res.witness[0]
+        cur_b &= ~res.witness[1]
         if cur_a.bit_count() < floor_a or cur_b.bit_count() < floor_b:
             break
 

@@ -40,6 +40,7 @@ from .ledger import ConstantsLedger, build_ledger
 from .predicates import (
     BlowupCertificate,
     EnumerationBudgetError,
+    Verdict,
     is_restricted,
     is_tight_to,
     verify_blowup,
@@ -293,53 +294,46 @@ class MNTPartition:
         return MNTPartition((), (), (), (), g.full_mask, params, d_budget)
 
 
-@dataclass(frozen=True)
-class MNTReport:
-    ok: bool
-    clause: str | None = None
-    detail: str = ""
-    exact: bool = True  # False when a blowup pair was only sample-checked
-
-
 def verify_mnt_partition(
     g: Graph, pat: Pattern, p: MNTPartition, full_pair_budget: int = 10**7
-) -> MNTReport:
-    """Check all six invariant groups; returns the first violated clause."""
+) -> Verdict:
+    """Check all six invariant groups; returns the first violated clause.
+    The verdict is not exact when a blowup pair was only sample-checked."""
     pr = p.params
     if len(p.b_sets) != len(p.a_sets):
-        return MNTReport(False, "shape", "one B per A required")
+        return Verdict(False, "shape", "one B per A required")
     if p.t > pat.size:
-        return MNTReport(False, "shape", "more blowup parts than pattern labels")
+        return Verdict(False, "shape", "more blowup parts than pattern labels")
 
     union = p.leftover
     for mask in (*p.a_sets, *p.b_sets, *p.c_sets, *p.d_sets):
         if mask & union:
-            return MNTReport(False, "disjoint-union", "sets overlap")
+            return Verdict(False, "disjoint-union", "sets overlap")
         union |= mask
     if union != g.full_mask:
-        return MNTReport(False, "disjoint-union", "sets do not cover V(G)")
+        return Verdict(False, "disjoint-union", "sets do not cover V(G)")
 
     if p.m > comb(p.t, 2):
-        return MNTReport(False, "counts", f"m={p.m} exceeds C(t,2)={comb(p.t, 2)}")
+        return Verdict(False, "counts", f"m={p.m} exceeds C(t,2)={comb(p.t, 2)}")
     if not pr.n_bound_holds(p.n, p.t):
-        return MNTReport(False, "counts", f"n={p.n} exceeds t*phi(delta',eta')")
+        return Verdict(False, "counts", f"n={p.n} exceeds t*phi(delta',eta')")
 
     for i, a in enumerate(p.a_sets, start=1):
         if not a:
-            return MNTReport(False, f"a-nonempty:{i}")
+            return Verdict(False, f"a-nonempty:{i}")
         if not is_restricted(g, a, pr.eps):
-            return MNTReport(False, f"a-restricted:{i}")
+            return Verdict(False, f"a-restricted:{i}")
     for j, c in enumerate(p.c_sets, start=1):
         if not c:
-            return MNTReport(False, f"c-nonempty:{j}")
+            return Verdict(False, f"c-nonempty:{j}")
         if not is_restricted(g, c, pr.eps):
-            return MNTReport(False, f"c-restricted:{j}")
+            return Verdict(False, f"c-restricted:{j}")
 
     for i, (a, b) in enumerate(zip(p.a_sets, p.b_sets), start=1):
         if b.bit_count() > pr.eta * a.bit_count():
-            return MNTReport(False, f"b-size:{i}")
+            return Verdict(False, f"b-size:{i}")
         if b and not is_tight_to(g, a, b, pr.theta, "tight").ok:
-            return MNTReport(False, f"b-tight:{i}")
+            return Verdict(False, f"b-tight:{i}")
 
     exact = True
     if p.t > 0:
@@ -351,22 +345,22 @@ def verify_mnt_partition(
             chk = verify_blowup(g, cert, method="sampled")
             exact = False
         if not chk.ok:
-            return MNTReport(False, f"blowup:{chk.failing_pair}", exact=exact)
+            return Verdict(False, f"blowup:{chk.witness}", exact=exact)
         ell = p.leftover.bit_count()
         for i, dset in enumerate(p.d_sets, start=1):
             size = dset.bit_count()
             lam_d = pr.big_lambda(p.t, i)
             if isinstance(lam_d, Fraction):
                 if p.d_budget and not size > lam_d * p.d_budget:
-                    return MNTReport(False, f"d-threshold:{i}", "Lambda*d bound")
+                    return Verdict(False, f"d-threshold:{i}", "Lambda*d bound")
             else:
                 if p.d_budget and not lam_d * p.d_budget < Fraction(size):
-                    return MNTReport(False, f"d-threshold:{i}", "Lambda*d bound (log)")
+                    return Verdict(False, f"d-threshold:{i}", "Lambda*d bound (log)")
             if not size * pr.eta > 2 * ell:
-                return MNTReport(False, f"d-threshold:{i}", "2/eta * |L| bound")
+                return Verdict(False, f"d-threshold:{i}", "2/eta * |L| bound")
             if not is_restricted(g, dset, eps_t):
-                return MNTReport(False, f"d-restricted:{i}")
-    return MNTReport(True, exact=exact)
+                return Verdict(False, f"d-restricted:{i}")
+    return Verdict(True, exact=exact)
 
 
 @dataclass(frozen=True)
@@ -602,61 +596,66 @@ def advance_or_finish(
 
 
 def verify_key_result(g: Graph, pat: Pattern, res: KeyLemmaResult) -> None:
-    """Independent recheck of every output clause; raises AssertionError on failure."""
+    """verify_key_certificate on a run's result, raising AssertionError on
+    a failed verdict."""
     pr, pairs = res.params, res.pairs
     a_sets, b_sets = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
     rows = (res.removed, a_sets, b_sets, res.singles, res.d_budget, pat.size)
     bounds = (pr.eps, pr.eta, pr.theta, pr.delta_prime, pr.eta_prime)
-    verify_key_certificate(g, KeyCertificate(*rows, *bounds))
+    v = verify_key_certificate(g, KeyCertificate(*rows, *bounds))
+    if not v.ok:
+        raise AssertionError(v.detail)
 
 
-def verify_key_certificate(g: Graph, c: KeyCertificate) -> None:
-    """Every clause of a key-lemma result, in order; raises AssertionError
-    naming the first that fails (pairs and singles indexed from 0)."""
+def verify_key_certificate(g: Graph, c: KeyCertificate) -> Verdict:
+    """Every clause of a key-lemma result, in order; the verdict names the
+    first that fails (pairs and singles indexed from 0)."""
     if c.removed.bit_count() > c.d_budget:
-        raise AssertionError("removed set exceeds d")
+        return Verdict(False, detail="removed set exceeds d")
     if len(c.a_sets) != len(c.b_sets):
-        raise AssertionError("pair rows have unequal lengths")
+        return Verdict(False, detail="pair rows have unequal lengths")
     if len(c.a_sets) > comb(c.h, 2):
-        raise AssertionError("more pairs than C(h,2)")
+        return Verdict(False, detail="more pairs than C(h,2)")
     union = c.removed
     for idx, (a, b) in enumerate(zip(c.a_sets, c.b_sets)):
         if not a or not b:
-            raise AssertionError(f"pair {idx} has an empty side")
+            return Verdict(False, detail=f"pair {idx} has an empty side")
         if (a | b) & union or a & b:
-            raise AssertionError(f"pair {idx} overlaps earlier sets")
+            return Verdict(False, detail=f"pair {idx} overlaps earlier sets")
         union |= a | b
         if not is_restricted(g, a, c.eps):
-            raise AssertionError(f"pair {idx}: A not eps-restricted")
+            return Verdict(False, detail=f"pair {idx}: A not eps-restricted")
         if b.bit_count() > c.eta * a.bit_count():
-            raise AssertionError(f"pair {idx}: B larger than eta*|A|")
+            return Verdict(False, detail=f"pair {idx}: B larger than eta*|A|")
         if not is_tight_to(g, a, b, c.theta, "tight").ok:
-            raise AssertionError(f"pair {idx}: B not theta-tight to A")
+            return Verdict(False, detail=f"pair {idx}: B not theta-tight to A")
     for idx, single in enumerate(c.singles):
         if not single or single & union:
-            raise AssertionError(f"single {idx} empty or overlapping")
+            return Verdict(False, detail=f"single {idx} empty or overlapping")
         union |= single
         if not is_restricted(g, single, c.eps):
-            raise AssertionError(f"single {idx} not eps-restricted")
+            return Verdict(False, detail=f"single {idx} not eps-restricted")
     if union != g.full_mask:
-        raise AssertionError("sets do not cover V(G)")
+        return Verdict(False, detail="sets do not cover V(G)")
     if c.delta_prime is not None and not c.part_bound_holds(len(c.singles)):
         p = c.phi_bound()
         bound = "" if p is None else f" = {comb(c.h, 2) + (c.h - 1) * p}"
-        raise AssertionError(f"single count exceeds N{bound}")
+        return Verdict(False, detail=f"single count exceeds N{bound}")
+    return Verdict(True)
 
 
-def verify_blowup_found(g: Graph, found: BlowupFound) -> None:
-    """Recheck a reported blowup and its copy count; raises AssertionError on failure."""
+def verify_blowup_found(g: Graph, found: BlowupFound) -> Verdict:
+    """Recheck a reported blowup and its copy count."""
     cert = found.certificate
     chk = verify_blowup(g, cert)
     if not chk.ok:
-        raise AssertionError(f"failing pair {chk.failing_pair}")
+        return chk
     count = count_embeddings_into_parts(g, cert.pattern, cert.parts)
     if count != found.copy_count:
-        raise AssertionError("copy count does not match a recount")
+        return Verdict(False, detail="copy count does not match a recount")
     if count < found.copy_bound:
-        raise AssertionError("copy count below the stated bound")
+        return Verdict(False, detail="copy count below the stated bound")
+    return Verdict(True)
 
 
 def run_key_lemma(

@@ -23,6 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, NamedTuple
 
 from .graph import Graph, Pattern, complement, edge_density, iter_bits, mask_to_ids
 from .values import ceil_frac
@@ -36,6 +37,27 @@ class CheckPreconditionError(ValueError):
 
 class EnumerationBudgetError(RuntimeError):
     """Exact enumeration would exceed the configured budget."""
+
+
+class Verdict(NamedTuple):
+    """What every certificate verifier returns.
+
+    ``clause`` names the first violated clause where the verifier has
+    clause names, ``detail`` says what went wrong, ``exact`` is False when
+    the verdict rests on sampling rather than a complete check, and
+    ``witness`` carries the object that refutes the certificate (a
+    violating subpair, a failing label pair) where there is one.
+    """
+
+    ok: bool
+    clause: str | None = None
+    detail: str = ""
+    exact: bool = True
+    witness: Any = None
+
+    def __bool__(self):
+        # a non-empty tuple is truthy, so `if verdict:` would pass a failure
+        raise TypeError("a Verdict has no truth value; read .ok")
 
 
 @dataclass(frozen=True)
@@ -180,16 +202,16 @@ class FullPairCertificate:
             raise ValueError("sides must be disjoint")
 
 
-@dataclass(frozen=True)
-class FullPairCheck:
-    ok: bool
-    certifying: bool  # exact or witness-backed (sampled True is not certifying)
-    witness_a: int | None = None
-    witness_b: int | None = None
-
-
 def min_subpair_sizes(cert: FullPairCertificate) -> tuple[int, int]:
     return ceil_frac(cert.c * cert.a.bit_count()), ceil_frac(cert.c * cert.b.bit_count())
+
+
+def _refuted(a1: int, b1: int) -> Verdict:
+    return Verdict(
+        False,
+        detail=f"violating subpair a={mask_to_ids(a1)} b={mask_to_ids(b1)}",
+        witness=(a1, b1),
+    )
 
 
 def _violating_subpair(
@@ -244,13 +266,13 @@ def is_full_pair(
     budget: int = 10**7,
     rng: random.Random | None = None,
     samples: int = 2000,
-) -> FullPairCheck:
+) -> Verdict:
     """Check a fullness certificate.
 
     exact: decides the (c,eps)-full property (via the minimum-size
-    reduction); a False result carries a violating subpair.  sampled:
-    probabilistic refutation only; False carries a verified violating
-    subpair, True is non-certifying.
+    reduction); a failed verdict's witness is a violating subpair (A1, B1).
+    sampled: probabilistic refutation only; a failure carries a verified
+    violating subpair, a pass is not exact.
     """
     work = g if cert.polarity == "full" else complement(g)
     ka, kb = min_subpair_sizes(cert)
@@ -263,9 +285,7 @@ def is_full_pair(
                 f"exact fullness check needs more than {budget} subset evaluations"
             )
         bad = _violating_subpair(work, cert.a, cert.b, ka, kb, cert.eps)
-        if bad is None:
-            return FullPairCheck(True, True)
-        return FullPairCheck(False, True, witness_a=bad[0], witness_b=bad[1])
+        return Verdict(True) if bad is None else _refuted(*bad)
     if method == "sampled":
         rng = rng or random.Random(0)
         a_ids = mask_to_ids(cert.a)
@@ -276,8 +296,8 @@ def is_full_pair(
             am = sum(1 << v for v in a1)
             bm = sum(1 << v for v in b1)
             if work.edges_between(am, bm) < cert.eps * ka * kb:
-                return FullPairCheck(False, True, witness_a=am, witness_b=bm)
-        return FullPairCheck(True, False)
+                return _refuted(am, bm)
+        return Verdict(True, exact=False)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -300,20 +320,14 @@ class BlowupCertificate:
             union |= p
 
 
-@dataclass(frozen=True)
-class BlowupCheck:
-    ok: bool
-    certifying: bool
-    failing_pair: tuple[int, int] | None = None  # 1-based labels
-    detail: FullPairCheck | None = None
-
-
 def verify_blowup(
     g: Graph, cert: BlowupCertificate, method: str = "exact", budget: int = 10**7
-) -> BlowupCheck:
-    """Every label pair must be full where the pattern has an edge, empty where not."""
+) -> Verdict:
+    """Every label pair must be full where the pattern has an edge, empty
+    where not; a failed verdict's witness is the first failing label pair
+    (1-based)."""
     t = len(cert.parts)
-    certifying = True
+    exact = True
     for i in range(1, t + 1):
         for j in range(i + 1, t + 1):
             polarity = "full" if cert.pattern.label_edge(i, j) else "empty"
@@ -321,7 +335,8 @@ def verify_blowup(
                 cert.parts[i - 1], cert.parts[j - 1], cert.c, cert.eps, polarity
             )
             res = is_full_pair(g, pair, method=method, budget=budget)
-            certifying = certifying and res.certifying
+            exact = exact and res.exact
             if not res.ok:
-                return BlowupCheck(False, res.certifying, (i, j), res)
-    return BlowupCheck(True, certifying, None, None)
+                detail = f"failing pair {(i, j)}"
+                return Verdict(False, detail=detail, exact=res.exact, witness=(i, j))
+    return Verdict(True, exact=exact)

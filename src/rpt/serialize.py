@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .assembly import PathPartition, RemovalResult, RestrictedPartition
 from .extraction import PeelChain
-from .graph import Graph, Pattern, mask_from_ids, mask_to_ids
+from .graph import Graph, Pattern, mask_to_ids
 from .keypartition import BlowupFound, KeyCertificate, KeyLemmaResult, StepRecord
 from .predicates import BlowupCertificate, FullPairCertificate
 from .values import format_fraction, parse_fraction
@@ -28,6 +28,19 @@ def ids(mask: int) -> list[int]:
 
 def frac(x: Fraction) -> str:
     return format_fraction(x)
+
+
+def _mask(vertex_ids) -> int:
+    """The vertex set of an id list, rejecting ids that are not nonnegative
+    integers (booleans included) and repeated ids."""
+    m = 0
+    for v in vertex_ids:
+        if type(v) is not int or v < 0:
+            raise ValueError(f"vertex id {v!r} is not a nonnegative integer")
+        if m >> v & 1:
+            raise ValueError(f"vertex id {v} is repeated")
+        m |= 1 << v
+    return m
 
 
 def pattern_to_json(pat: Pattern) -> dict:
@@ -56,8 +69,8 @@ def full_pair_to_json(cert: FullPairCertificate) -> dict:
 
 def full_pair_from_json(obj: dict) -> FullPairCertificate:
     return FullPairCertificate(
-        mask_from_ids(obj["a"]),
-        mask_from_ids(obj["b"]),
+        _mask(obj["a"]),
+        _mask(obj["b"]),
         parse_fraction(obj["c"]),
         parse_fraction(obj["eps"]),
         obj["polarity"],
@@ -76,7 +89,7 @@ def blowup_to_json(cert: BlowupCertificate) -> dict:
 
 def blowup_from_json(obj: dict) -> BlowupCertificate:
     return BlowupCertificate(
-        tuple(mask_from_ids(p) for p in obj["parts"]),
+        tuple(_mask(p) for p in obj["parts"]),
         parse_fraction(obj["c"]),
         parse_fraction(obj["eps"]),
         pattern_from_json(obj["pattern"]),
@@ -100,8 +113,8 @@ def peel_chain_from_json(obj: dict) -> dict:
     """The PeelChain fields by name.  Only an explicit "guaranteed": false
     frees the chain from the phi(delta, eta) length bound."""
     return {
-        "peels": tuple(mask_from_ids(p) for p in obj["peels"]),
-        "leftover": mask_from_ids(obj["leftover"]),
+        "peels": tuple(_mask(p) for p in obj["peels"]),
+        "leftover": _mask(obj["leftover"]),
         "eps": parse_fraction(obj["eps"]),
         "eta": parse_fraction(obj["eta"]),
         "delta": parse_fraction(obj["delta"]),
@@ -133,11 +146,11 @@ def key_result_to_json(res: KeyLemmaResult) -> dict:
 
 def key_result_from_json(obj: dict) -> KeyCertificate:
     def sets(key: str) -> tuple[int, ...]:
-        return tuple(mask_from_ids(x) for x in obj[key])
+        return tuple(_mask(x) for x in obj[key])
 
     stated = "delta_prime" in obj and "eta_prime" in obj
     return KeyCertificate(
-        mask_from_ids(obj["S"]),
+        _mask(obj["S"]),
         sets("A"),
         sets("B"),
         sets("C"),
@@ -197,7 +210,7 @@ def restricted_partition_to_json(p: RestrictedPartition) -> dict:
 
 def restricted_partition_from_json(obj: dict) -> RestrictedPartition:
     return RestrictedPartition(
-        tuple(mask_from_ids(x) for x in obj["parts"]),
+        tuple(_mask(x) for x in obj["parts"]),
         parse_fraction(obj["eps"]),
         int(obj["N"]),
     )
@@ -213,7 +226,7 @@ def path_partition_to_json(p: PathPartition) -> dict:
 
 def path_partition_from_json(obj: dict) -> PathPartition:
     return PathPartition(
-        tuple(mask_from_ids(x) for x in obj["blocks"]), parse_fraction(obj["eps"])
+        tuple(_mask(x) for x in obj["blocks"]), parse_fraction(obj["eps"])
     )
 
 
@@ -231,8 +244,8 @@ def removal_result_to_json(r: RemovalResult, verified: bool = True) -> dict:
 
 def removal_result_from_json(obj: dict) -> RemovalResult:
     partition = RestrictedPartition(
-        tuple(mask_from_ids(x) for x in obj["parts"]),
+        tuple(_mask(x) for x in obj["parts"]),
         parse_fraction(obj["eps"]),
         int(obj["N"]),
     )
-    return RemovalResult(mask_from_ids(obj["removed"]), partition, int(obj["d"]))
+    return RemovalResult(_mask(obj["removed"]), partition, int(obj["d"]))

@@ -196,12 +196,14 @@ def scalar_min(*xs: Scalar) -> Scalar:
 def scalar_ceil_mul(x: Scalar, k: int) -> int:
     """ceil(x * k) for positive x and k >= 1, decided exactly.
 
-    For a LogValue the answer is only returned when the bound pins it to 1
-    (x * k <= 1/2 suffices since the product is positive); pass its
-    ``exact`` instead when there is one.
+    A LogValue is decided by its ``exact`` when it has one; otherwise the
+    answer is only returned when the bound pins it to 1 (x * k <= 1/2
+    suffices since the product is positive).
     """
     if k <= 0:
         raise ValueError("k must be positive")
+    if isinstance(x, LogValue) and x.exact is not None:
+        x = x.exact
     if isinstance(x, Fraction):
         return ceil_frac(x * k)
     if x.log2 + mpmath.log(k, 2) < -1:

@@ -340,7 +340,7 @@ def test_c07_key_lemma_structural_soundness():
                     p.d_sets, params.eps_schedule[h], params.xi, pat.prefix(h)
                 )
                 chk = verify_blowup(g, cert, method="exact")
-                if not chk.ok or not chk.certifying:
+                if not chk.ok or not chk.exact:
                     violations.append((idx, "blowup certificate not exactly verified"))
             elif isinstance(outcome, KeyLemmaResult):
                 if outcome.removed.bit_count() > d:

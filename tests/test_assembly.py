@@ -93,8 +93,8 @@ class TestBasePartition:
         assert verify_path_partition(g, pp).ok
         part = base_partition(g, pp, Fraction(1, 3))
         assert len(part.parts) <= default_part_bound(Fraction(1, 3))
-        ok, why = verify_restricted_partition(g, part)
-        assert ok, why
+        v = verify_restricted_partition(g, part)
+        assert v.ok, v.detail
 
     def test_level_mismatch_rejected(self):
         g = Graph.empty(4)
@@ -108,8 +108,8 @@ class TestBasePartition:
         g = Graph.cycle(5)
         pp = PathPartition.trivial(g, Fraction(0))
         part = base_partition(g, pp, Fraction(0), bound=3)
-        ok, why = verify_restricted_partition(g, part)
-        assert ok, why
+        v = verify_restricted_partition(g, part)
+        assert v.ok, v.detail
         assert len(part.parts) <= 3
 
 

@@ -349,3 +349,142 @@ class TestDeterminism:
         code2, out2 = run_cli(capsys, argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+K44 = [(u, v) for u in range(4) for v in range(4, 8)]
+K2_JSON = {"n": 2, "edges": [[0, 1]], "order": [0, 1]}
+BLOWUP_K44 = {
+    "kind": "blowup",
+    "parts": [[0, 1, 2, 3], [4, 5, 6, 7]],
+    "c": "1/2",
+    "eps": "1/4",
+    "pattern": K2_JSON,
+}
+
+# kind -> (graph edges, valid certificate, (field, mutated value), the
+# `rpt check --json` line the mutant prints)
+CHECK_CASES = {
+    "full_pair": (
+        (8, K44),
+        {"kind": "full_pair", "a": [0, 1, 2, 3], "b": [4, 5, 6, 7], "c": "1/2",
+         "eps": "1/4", "polarity": "full"},
+        ("polarity", "empty"),
+        "violating subpair a=[0, 1] b=[4, 5]",
+    ),
+    "blowup": (
+        (8, K44),
+        BLOWUP_K44,
+        ("pattern", {"n": 2, "edges": [], "order": [0, 1]}),
+        "failing pair (1, 2)",
+    ),
+    "restricted_partition": (
+        (5, Graph.cycle(5).edges()),
+        {"kind": "restricted_partition", "parts": [[0, 1, 2, 3, 4]], "eps": "1/2", "N": 1},
+        ("eps", "1/4"),
+        "part 0 not restricted",
+    ),
+    "path_partition": (
+        (5, Graph.cycle(5).edges()),
+        {"kind": "path_partition", "blocks": [[0, 1, 2, 3, 4]], "eps": "1/4"},
+        ("blocks", [[0, 1, 2, 3]]),
+        "cover",
+    ),
+    "removal_result": (
+        (5, Graph.cycle(5).edges()),
+        {"kind": "removal_result", "removed": [], "parts": [[0, 1, 2, 3, 4]],
+         "eps": "1/2", "N": 1, "d": 0, "verified": True},
+        ("eps", "1/4"),
+        "removal result failed recheck: part 0 not restricted",
+    ),
+    "key_lemma_result": (
+        (5, Graph.cycle(5).edges()),
+        {"kind": "key_lemma_result", "S": [], "A": [], "B": [], "C": [[0, 1, 2, 3, 4]],
+         "d": 0, "h": 2, "eps": "2/5", "eta": "1/4", "theta": "1/4"},
+        ("eps", "1/4"),
+        "single 0 not eps-restricted",
+    ),
+    "blowup_found": (
+        (8, K44),
+        {"kind": "blowup_found", "certificate": BLOWUP_K44, "copy_count": "16",
+         "copy_bound": "1/1", "contradiction_checked": False},
+        ("copy_count", "17"),
+        "copy count does not match a recount",
+    ),
+    "peel_chain": (
+        (5, Graph.cycle(5).edges()),
+        {"kind": "peel_chain", "peels": [[0, 1, 2, 3, 4]], "leftover": [], "eps": "1/2",
+         "eta": "1/4", "delta": "1/2", "phi_bound": 2, "guaranteed": True},
+        ("peels", [[0, 1, 2, 3]]),
+        "peels plus leftover do not cover V(G)",
+    ),
+}
+
+
+class TestCheckKinds:
+    def test_cases_cover_every_kind(self):
+        from rpt import cli
+
+        assert sorted(CHECK_CASES) == sorted(cli._CHECKS)
+
+    @pytest.mark.parametrize("kind", sorted(CHECK_CASES))
+    def test_valid_and_mutant_lines(self, capsys, tmp_path, kind):
+        (n, edges), cert, (field, value), detail = CHECK_CASES[kind]
+        g_path = tmp_path / "g.el"
+        g_path.write_text(to_edge_list(Graph.from_edges(n, edges)))
+        cert_path = tmp_path / "cert.json"
+        argv = ["check", "--graph", str(g_path), "--cert", str(cert_path), "--json"]
+
+        cert_path.write_text(json.dumps(cert))
+        code, out = run_cli(capsys, argv)
+        assert (code, out) == (
+            0,
+            f'{{"certificate":"{kind}","detail":"","kind":"check_result","ok":true}}\n',
+        )
+
+        cert_path.write_text(json.dumps({**cert, field: value}))
+        code, out = run_cli(capsys, argv)
+        assert (code, out) == (
+            2,
+            f'{{"certificate":"{kind}","detail":"{detail}","kind":"check_result","ok":false}}\n',
+        )
+
+
+# kind -> the path to a vertex id list starting with 0 in its CHECK_CASES certificate
+ID_LIST = {
+    "full_pair": ("a",),
+    "blowup": ("parts", 0),
+    "restricted_partition": ("parts", 0),
+    "path_partition": ("blocks", 0),
+    "removal_result": ("parts", 0),
+    "key_lemma_result": ("C", 0),
+    "blowup_found": ("certificate", "parts", 0),
+    "peel_chain": ("peels", 0),
+}
+
+
+class TestMalformedIds:
+    @pytest.mark.parametrize("kind", sorted(ID_LIST))
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (-1, "vertex id -1 is not a nonnegative integer"),
+            (1.5, "vertex id 1.5 is not a nonnegative integer"),
+            ("3", "vertex id '3' is not a nonnegative integer"),
+            (True, "vertex id True is not a nonnegative integer"),
+            (0, "vertex id 0 is repeated"),
+        ],
+    )
+    def test_rejected_with_exit_1(self, capsys, tmp_path, kind, bad, message):
+        (n, edges), cert, _, _ = CHECK_CASES[kind]
+        cert = json.loads(json.dumps(cert))
+        ids = cert
+        for key in ID_LIST[kind]:
+            ids = ids[key]
+        ids.append(bad)
+        g_path = tmp_path / "g.el"
+        g_path.write_text(to_edge_list(Graph.from_edges(n, edges)))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code = main(["check", "--graph", str(g_path), "--cert", str(cert_path), "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")

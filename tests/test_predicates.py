@@ -226,11 +226,19 @@ class TestFullPair:
         res = is_full_pair(g, cert)
         assert not res.ok
         ka, kb = min_subpair_sizes(cert)
-        assert res.witness_a.bit_count() == ka
-        assert res.witness_b.bit_count() == kb
+        assert res.witness[0].bit_count() == ka
+        assert res.witness[1].bit_count() == kb
         # and the same pair is exactly empty
         cert_e = FullPairCertificate(0b00001111, 0b11110000, HALF, Fraction(1, 4), "empty")
         assert is_full_pair(g, cert_e).ok
+
+    def test_verdict_has_no_truth_value(self):
+        # a failed verdict is a non-empty tuple; it must not read as true
+        g = Graph.empty(8)
+        for polarity in ("full", "empty"):
+            cert = FullPairCertificate(0b00001111, 0b11110000, HALF, Fraction(1, 4), polarity)
+            with pytest.raises(TypeError):
+                bool(is_full_pair(g, cert))
 
     @given(st.integers(0, 120))
     @settings(max_examples=25, deadline=None)
@@ -254,7 +262,7 @@ class TestFullPair:
         g = Graph.empty(8)
         cert = FullPairCertificate(0b00001111, 0b11110000, HALF, Fraction(1, 4), "full")
         res = is_full_pair(g, cert, method="sampled", rng=random.Random(1))
-        assert not res.ok and res.certifying
+        assert not res.ok and res.exact
 
     def test_exact_budget_enforced(self):
         from rpt.predicates import EnumerationBudgetError
@@ -315,4 +323,4 @@ class TestBlowup:
             (0b000111, 0b111000), Fraction(1, 3), Fraction(1, 4), named_pattern("K2")
         )
         res = verify_blowup(g, cert)
-        assert not res.ok and res.failing_pair == (1, 2)
+        assert not res.ok and res.witness == (1, 2)

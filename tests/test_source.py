@@ -15,3 +15,36 @@ def test_no_bare_asserts():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"bare asserts: {', '.join(found)}"
+
+
+# Raising wrappers kept for callers that want an exception, and the hard
+# instance's dict report (it is the `counterexample` JSON payload).
+NOT_VERDICTS = {
+    "keypartition.verify_key_result",
+    "assembly.RemovalResult.verify",
+    "adversarial.verify_hard_graph",
+}
+
+
+def test_verifiers_return_verdicts():
+    # every certificate verifier reports through the one Verdict type
+    found, wrong = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(path.stem, tree)]
+        scopes += [(f"{path.stem}.{node.name}", node) for node in tree.body
+                   if isinstance(node, ast.ClassDef)]
+        for prefix, scope in scopes:
+            for node in scope.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                named = node.name in ("verify", "is_full_pair") or node.name.startswith("verify_")
+                if not named:
+                    continue
+                name = f"{prefix}.{node.name}"
+                found.add(name)
+                returns = node.returns and ast.unparse(node.returns)
+                if name not in NOT_VERDICTS and returns != "Verdict":
+                    wrong.append(f"{name} -> {returns}")
+    assert NOT_VERDICTS <= found, f"stale exceptions: {sorted(NOT_VERDICTS - found)}"
+    assert not wrong, f"verifiers not annotated -> Verdict: {', '.join(wrong)}"

@@ -83,8 +83,9 @@ class TestLogValue:
         assert scalar_min(Fraction(1, 4), tiny) is tiny
         assert scalar_ceil_mul(tiny, 1000) == 1
         assert scalar_ceil_mul(Fraction(5, 2), 2) == 5
+        assert scalar_ceil_mul(LogValue.of(Fraction(3)), 7) == 21
         with pytest.raises(UndecidableAtScale):
-            scalar_ceil_mul(LogValue.of(Fraction(3)), 7)
+            scalar_ceil_mul(LogValue(LogValue.of(Fraction(3)).log2), 7)
 
     def test_log2_matches_untruncated_conversion(self):
         # log2_fraction drops low bits before the mpf conversion; the result
