@@ -226,7 +226,7 @@ def _cmd_check(plan: CommandPlan) -> int:
     if kind not in _CHECKS:
         raise ValueError(f"unknown certificate kind {kind!r}")
     loader, verify = _CHECKS[kind]
-    v = globals().get(verify.__name__, verify)(g, getattr(serialize, loader)(obj))
+    v = globals().get(verify.__name__, verify)(g, getattr(serialize, loader)(obj, g.n))
     detail = v.clause or v.detail
     _emit(
         plan,

@@ -8,13 +8,19 @@ ids, translating through the index map returned by :func:`induced_subgraph`.
 A *copy* of a pattern H in G is an injective map phi from the pattern
 vertices into V(G) that preserves both adjacency and non-adjacency; the
 count of such maps is what :func:`count_induced_copies` returns (so each
-induced-isomorphic vertex subset contributes |Aut(H)| to the total).
+induced-isomorphic vertex subset contributes |Aut(H)| to the total).  It
+computes that number as |Aut(H)| times the count of maps that also meet
+symmetry-breaking order constraints (phi(v) < phi(u)) read off a stabilizer
+chain of Aut(H), which enumerate each such vertex subset exactly once.
+:func:`count_embeddings_into_parts` shares the same backtracking routine
+with no order constraints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class GraphParseError(ValueError):
@@ -58,16 +64,31 @@ class Graph:
     def __post_init__(self):
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length must equal vertex count")
+        adj = self.adj
         full = self.full_mask
-        for v, row in enumerate(self.adj):
+        # Symmetric iff every bit below the diagonal is mirrored above it and
+        # the two halves hold equally many bits; the full scan below runs
+        # only to name the first asymmetric pair.
+        mirrored = True
+        lower = upper = 0
+        for v, row in enumerate(adj):
             if row & (1 << v):
                 raise ValueError(f"self-loop at vertex {v}")
             if row & ~full:
                 raise ValueError(f"adjacency row {v} mentions out-of-range vertices")
-        for v in range(self.n):
-            for u in iter_bits(self.adj[v]):
-                if not self.adj[u] & (1 << v):
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+            below = row & ((1 << v) - 1)
+            count = below.bit_count()
+            lower += count
+            upper += row.bit_count() - count
+            while below and mirrored:
+                low = below & -below
+                mirrored = adj[low.bit_length() - 1] >> v & 1
+                below ^= low
+        if not mirrored or lower != upper:
+            for v in range(self.n):
+                for u in iter_bits(adj[v]):
+                    if not adj[u] & (1 << v):
+                        raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @property
     def full_mask(self) -> int:
@@ -76,16 +97,13 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         rows = [0] * n
-        seen = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop edge ({u},{v})")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            if rows[u] >> v & 1:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add(key)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
@@ -245,8 +263,7 @@ def from_edge_list(text: str) -> Graph:
     "u v" with 0 <= u < v < n.  '#' starts a comment line.
     """
     n = None
-    edges = []
-    seen = set()
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -261,6 +278,7 @@ def from_edge_list(text: str) -> Graph:
                 raise GraphParseError(f"bad vertex count {parts[0]!r}", lineno) from None
             if n < 0:
                 raise GraphParseError("vertex count must be nonnegative", lineno)
+            rows = [0] * n
             continue
         if len(parts) != 2:
             raise GraphParseError("expected an edge 'u v'", lineno)
@@ -274,13 +292,13 @@ def from_edge_list(text: str) -> Graph:
             raise GraphParseError(f"edge must satisfy 0 <= u < v, got ({u},{v})", lineno)
         if v >= n:
             raise GraphParseError(f"vertex {v} out of range for n={n}", lineno)
-        if (u, v) in seen:
+        if rows[u] >> v & 1:
             raise GraphParseError(f"duplicate edge ({u},{v})", lineno)
-        seen.add((u, v))
-        edges.append((u, v))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     if n is None:
         raise GraphParseError("no vertex count found")
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(rows))
 
 
 def to_edge_list(g: Graph) -> str:
@@ -351,49 +369,172 @@ def load_graph_text(text: str) -> Graph:
     raise GraphParseError("empty graph input")
 
 
-def _position_constraints(pat: Pattern):
-    """Per position k: lists of earlier positions that must be neighbors / non-neighbors."""
-    padj = pat.graph.adj
-    prev_edge, prev_non = [], []
-    for k in range(pat.size):
-        vk = pat.order[k]
-        prev_edge.append([j for j in range(k) if padj[vk] & (1 << pat.order[j])])
-        prev_non.append([j for j in range(k) if not padj[vk] & (1 << pat.order[j])])
-    return prev_edge, prev_non
+def _extends_to_automorphism(adj: tuple[int, ...], forced: dict[int, int]) -> bool:
+    """Does some automorphism of the graph with rows ``adj`` map each key of
+    ``forced`` to its value?
+
+    A first-found search with forward checking: each vertex keeps the set of
+    images still consistent with the vertices placed so far, and the vertex
+    with the fewest goes next.  It stops at the first automorphism, so it
+    never lists the group.
+    """
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        by_degree[row.bit_count()] = by_degree.get(row.bit_count(), 0) | 1 << v
+    domain = {v: by_degree[row.bit_count()] for v, row in enumerate(adj)}
+    for v, x in forced.items():
+        domain[v] &= 1 << x
+
+    def rec(domain: dict[int, int]) -> bool:
+        if not domain:
+            return True
+        w = min(domain, key=lambda v: (domain[v].bit_count(), v))
+        for x in iter_bits(domain[w]):
+            rest = {
+                v: d & ~(1 << x) & (adj[x] if adj[w] >> v & 1 else ~adj[x])
+                for v, d in domain.items()
+                if v != w
+            }
+            if all(rest.values()) and rec(rest):
+                return True
+        return False
+
+    return rec(domain)
 
 
-def _count_backtrack(g: Graph, pat: Pattern, parts: list[int] | None) -> int:
-    hn = pat.size
-    full = g.full_mask
-    prev_edge, prev_non = _position_constraints(pat)
-    phi = [0] * hn
+@lru_cache(maxsize=256)
+def _symmetry(h: Graph) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """|Aut(H)|, the break vertices and the symmetry-breaking constraints of H.
 
-    def rec(k: int, used: int) -> int:
-        cand = (parts[k] if parts is not None else full) & ~used
-        for j in prev_edge[k]:
-            cand &= g.adj[phi[j]]
-        for j in prev_non[k]:
-            cand &= ~g.adj[phi[j]]
-        cand &= full
-        if k == hn - 1:
-            return cand.bit_count()
-        total = 0
-        rest = cand
-        while rest:
-            low = rest & -rest
-            phi[k] = low.bit_length() - 1
-            total += rec(k + 1, used | low)
-            rest ^= low
-        return total
+    Walks a stabilizer chain of Aut(H) with the vertices 0..n-1 as its base:
+    at vertex v, the group is the pointwise stabilizer of 0..v-1, and the
+    orbit of v under it is found by one automorphism search per candidate
+    image.  A nontrivial orbit makes v a break vertex and adds the
+    constraints phi(v) < phi(u), written ``(v, u)``, for every other u in it.
+    |Aut(H)| is the product of the orbit sizes.  Of the |Aut(H)| labelled
+    maps onto one induced copy, exactly one meets every constraint: level by
+    level, the constraints pick the coset whose image of v is least.
+    """
+    aut = 1
+    breaks: list[int] = []
+    less: list[tuple[int, int]] = []
+    fixed: dict[int, int] = {}
+    for v in range(h.n):
+        orbit = [v] + [
+            u for u in range(v + 1, h.n) if _extends_to_automorphism(h.adj, {**fixed, v: u})
+        ]
+        if len(orbit) > 1:
+            aut *= len(orbit)
+            breaks.append(v)
+            less += [(v, u) for u in orbit[1:]]
+        fixed[v] = v
+    return aut, tuple(breaks), tuple(less)
 
+
+def _greedy_order(h: Graph, p: float, breaks, less) -> list[int]:
+    """Pattern vertices in the order they are placed.
+
+    The first break vertex goes first.  Each later vertex is the one with
+    the smallest expected candidate set: a factor p per placed neighbour,
+    1 - p per placed non-neighbour (p is the host's edge density) and 1/2
+    per order constraint to a placed vertex; ties go to the lower id.
+    """
+    order = list(breaks[:1])
+    rest = [v for v in range(h.n) if v not in order]
+
+    def estimate(w: int) -> float:
+        edges = sum(h.adj[w] >> y & 1 for y in order)
+        pinned = sum((a == w and b in order) or (b == w and a in order) for a, b in less)
+        return p**edges * (1 - p) ** (len(order) - edges) / 2**pinned
+
+    while rest:
+        w = min(rest, key=lambda v: (estimate(v), v))
+        order.append(w)
+        rest.remove(w)
+    return order
+
+
+def _links(h: Graph, order, less) -> list[list[tuple[bool, int]]]:
+    """How the positions of ``order`` constrain each other.
+
+    ``links[k][m - k - 1]`` relates positions k < m: whether their pattern
+    vertices are adjacent, and +1 (-1) when the image at m must lie above
+    (below) the image at k under a constraint of ``less``, else 0.
+    """
+    return [
+        [(bool(h.adj[a] >> b & 1), ((a, b) in less) - ((b, a) in less)) for b in order[k + 1 :]]
+        for k, a in enumerate(order)
+    ]
+
+
+def _count_backtrack(g: Graph, links, parts: list[int] | None) -> int:
+    """Injective maps phi meeting ``links``, placed one position at a time.
+
+    ``masks[m]`` holds the images still open to a later position m (capped
+    by ``parts[m]`` when parts are given).  Placing x at position k ANDs
+    each of them with the row of x in the table for the (k, m) link: the
+    neighbours of x, or its non-neighbours other than x, cut to the ids
+    above x (``& -(2 << x)``) or below it (``& (1 << x) - 1``) when an order
+    constraint ties the two positions.  Both rows exclude x, so injectivity
+    needs no used set.  The last position is counted with ``bit_count``.
+    """
+    hn = len(links)
     if hn > g.n:
         return 0
-    return rec(0, 0)
+    full = g.full_mask
+    masks = [full] * hn if parts is None else [p & full for p in parts]
+    if hn == 1:
+        return masks[0].bit_count()
+    tables: dict[tuple[bool, int], list[int]] = {}
+
+    def table(edge: bool, order: int) -> list[int]:
+        if (edge, order) not in tables:
+            rows = g.adj if edge else [full ^ row ^ 1 << v for v, row in enumerate(g.adj)]
+            if order > 0:
+                rows = [row & -(2 << v) for v, row in enumerate(rows)]
+            elif order < 0:
+                rows = [row & (1 << v) - 1 for v, row in enumerate(rows)]
+            tables[edge, order] = rows
+        return tables[edge, order]
+
+    later = [[table(*link) for link in row] for row in links]
+    last = hn - 1
+
+    def rec(k: int, masks: list[int]) -> int:
+        cand, rest = masks[0], masks[1:]
+        rows = later[k]
+        total = 0
+        if k + 1 == last:
+            (row,), (mask,) = rows, rest
+            while cand:
+                low = cand & -cand
+                total += (mask & row[low.bit_length() - 1]).bit_count()
+                cand ^= low
+            return total
+        while cand:
+            low = cand & -cand
+            x = low.bit_length() - 1
+            new = [mask & row[x] for row, mask in zip(rows, rest)]
+            if all(new):
+                total += rec(k + 1, new)
+            cand ^= low
+        return total
+
+    return rec(0, masks)
 
 
 def count_induced_copies(g: Graph, pat: Pattern) -> int:
-    """Number of injective maps preserving adjacency and non-adjacency."""
-    return _count_backtrack(g, pat, None)
+    """Number of injective maps preserving adjacency and non-adjacency.
+
+    Each induced copy is enumerated once, under the order constraints of
+    :func:`_symmetry`, and the count is multiplied by |Aut(H)|; the result
+    is still the number of labelled maps.  The position order follows the
+    host's edge density (:func:`_greedy_order`).
+    """
+    h = pat.graph
+    aut, breaks, less = _symmetry(h)
+    order = _greedy_order(h, float(edge_density(g)), breaks, less)
+    return aut * _count_backtrack(g, _links(h, order, less), None)
 
 
 def count_embeddings_into_parts(g: Graph, pat: Pattern, parts) -> int:
@@ -406,4 +547,4 @@ def count_embeddings_into_parts(g: Graph, pat: Pattern, parts) -> int:
         if p & union:
             raise ValueError("parts must be pairwise disjoint")
         union |= p
-    return _count_backtrack(g, pat, parts)
+    return _count_backtrack(g, _links(pat.graph, pat.order, ()), parts)

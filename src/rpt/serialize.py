@@ -2,7 +2,9 @@
 
 Fractions travel as exact "p/q" strings, vertex sets as sorted id lists,
 counts as decimal strings (they outgrow doubles quickly).  Emission is
-deterministic: sorted keys, fixed separators, no timestamps.
+deterministic: sorted keys, fixed separators, no timestamps.  Every
+``*_from_json`` loader takes the host graph's vertex count ``n`` when it is
+known, and then rejects vertex ids outside the graph.
 """
 
 from __future__ import annotations
@@ -30,13 +32,16 @@ def frac(x: Fraction) -> str:
     return format_fraction(x)
 
 
-def _mask(vertex_ids) -> int:
+def _mask(vertex_ids, n: int | None = None) -> int:
     """The vertex set of an id list, rejecting ids that are not nonnegative
-    integers (booleans included) and repeated ids."""
+    integers (booleans included), repeated ids and, when the graph's vertex
+    count ``n`` is given, ids >= n, before any shift by such an id."""
     m = 0
     for v in vertex_ids:
         if type(v) is not int or v < 0:
             raise ValueError(f"vertex id {v!r} is not a nonnegative integer")
+        if n is not None and v >= n:
+            raise ValueError(f"vertex id {v} out of range for a graph on {n} vertices")
         if m >> v & 1:
             raise ValueError(f"vertex id {v} is repeated")
         m |= 1 << v
@@ -67,10 +72,10 @@ def full_pair_to_json(cert: FullPairCertificate) -> dict:
     }
 
 
-def full_pair_from_json(obj: dict) -> FullPairCertificate:
+def full_pair_from_json(obj: dict, n: int | None = None) -> FullPairCertificate:
     return FullPairCertificate(
-        _mask(obj["a"]),
-        _mask(obj["b"]),
+        _mask(obj["a"], n),
+        _mask(obj["b"], n),
         parse_fraction(obj["c"]),
         parse_fraction(obj["eps"]),
         obj["polarity"],
@@ -87,9 +92,9 @@ def blowup_to_json(cert: BlowupCertificate) -> dict:
     }
 
 
-def blowup_from_json(obj: dict) -> BlowupCertificate:
+def blowup_from_json(obj: dict, n: int | None = None) -> BlowupCertificate:
     return BlowupCertificate(
-        tuple(_mask(p) for p in obj["parts"]),
+        tuple(_mask(p, n) for p in obj["parts"]),
         parse_fraction(obj["c"]),
         parse_fraction(obj["eps"]),
         pattern_from_json(obj["pattern"]),
@@ -109,12 +114,12 @@ def peel_chain_to_json(pc: PeelChain) -> dict:
     }
 
 
-def peel_chain_from_json(obj: dict) -> dict:
+def peel_chain_from_json(obj: dict, n: int | None = None) -> dict:
     """The PeelChain fields by name.  Only an explicit "guaranteed": false
     frees the chain from the phi(delta, eta) length bound."""
     return {
-        "peels": tuple(_mask(p) for p in obj["peels"]),
-        "leftover": _mask(obj["leftover"]),
+        "peels": tuple(_mask(p, n) for p in obj["peels"]),
+        "leftover": _mask(obj["leftover"], n),
         "eps": parse_fraction(obj["eps"]),
         "eta": parse_fraction(obj["eta"]),
         "delta": parse_fraction(obj["delta"]),
@@ -144,13 +149,13 @@ def key_result_to_json(res: KeyLemmaResult) -> dict:
     return out
 
 
-def key_result_from_json(obj: dict) -> KeyCertificate:
+def key_result_from_json(obj: dict, n: int | None = None) -> KeyCertificate:
     def sets(key: str) -> tuple[int, ...]:
-        return tuple(_mask(x) for x in obj[key])
+        return tuple(_mask(x, n) for x in obj[key])
 
     stated = "delta_prime" in obj and "eta_prime" in obj
     return KeyCertificate(
-        _mask(obj["S"]),
+        _mask(obj["S"], n),
         sets("A"),
         sets("B"),
         sets("C"),
@@ -174,9 +179,9 @@ def blowup_found_to_json(found: BlowupFound) -> dict:
     }
 
 
-def blowup_found_from_json(obj: dict) -> BlowupFound:
+def blowup_found_from_json(obj: dict, n: int | None = None) -> BlowupFound:
     return BlowupFound(
-        blowup_from_json(obj["certificate"]),
+        blowup_from_json(obj["certificate"], n),
         int(obj["copy_count"]),
         parse_fraction(obj["copy_bound"]),
         bool(obj.get("contradiction_checked", False)),
@@ -208,9 +213,9 @@ def restricted_partition_to_json(p: RestrictedPartition) -> dict:
     }
 
 
-def restricted_partition_from_json(obj: dict) -> RestrictedPartition:
+def restricted_partition_from_json(obj: dict, n: int | None = None) -> RestrictedPartition:
     return RestrictedPartition(
-        tuple(_mask(x) for x in obj["parts"]),
+        tuple(_mask(x, n) for x in obj["parts"]),
         parse_fraction(obj["eps"]),
         int(obj["N"]),
     )
@@ -224,9 +229,9 @@ def path_partition_to_json(p: PathPartition) -> dict:
     }
 
 
-def path_partition_from_json(obj: dict) -> PathPartition:
+def path_partition_from_json(obj: dict, n: int | None = None) -> PathPartition:
     return PathPartition(
-        tuple(_mask(x) for x in obj["blocks"]), parse_fraction(obj["eps"])
+        tuple(_mask(x, n) for x in obj["blocks"]), parse_fraction(obj["eps"])
     )
 
 
@@ -242,10 +247,10 @@ def removal_result_to_json(r: RemovalResult, verified: bool = True) -> dict:
     }
 
 
-def removal_result_from_json(obj: dict) -> RemovalResult:
+def removal_result_from_json(obj: dict, n: int | None = None) -> RemovalResult:
     partition = RestrictedPartition(
-        tuple(_mask(x) for x in obj["parts"]),
+        tuple(_mask(x, n) for x in obj["parts"]),
         parse_fraction(obj["eps"]),
         int(obj["N"]),
     )
-    return RemovalResult(_mask(obj["removed"]), partition, int(obj["d"]))
+    return RemovalResult(_mask(obj["removed"], n), partition, int(obj["d"]))

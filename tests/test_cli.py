@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import random_graph
 from rpt.cli import main, parse_args
 from rpt.graph import Graph, to_edge_list, to_graph6
 
@@ -420,6 +421,39 @@ CHECK_CASES = {
 }
 
 
+# `rpt count --json` stdout on G(40, p) from conftest.random_graph with seed 1,
+# recorded from the labelled-map counter that walked every automorphic
+# image of each copy; the symmetry-broken counter must print the same bytes.
+COUNT_GOLDEN = {
+    "1/2": {
+        "K3": '{"h":3,"kind":"count","n":40,"value":"6732"}',
+        "P4": '{"h":4,"kind":"count","n":40,"value":"33692"}',
+        "C4": '{"h":4,"kind":"count","n":40,"value":"32704"}',
+        "K4": '{"h":4,"kind":"count","n":40,"value":"27144"}',
+        "C5": '{"h":5,"kind":"count","n":40,"value":"73430"}',
+        "P5": '{"h":5,"kind":"count","n":40,"value":"78516"}',
+    },
+    "1/5": {
+        "K3": '{"h":3,"kind":"count","n":40,"value":"384"}',
+        "P4": '{"h":4,"kind":"count","n":40,"value":"8576"}',
+        "C4": '{"h":4,"kind":"count","n":40,"value":"2152"}',
+        "K4": '{"h":4,"kind":"count","n":40,"value":"48"}',
+        "C5": '{"h":5,"kind":"count","n":40,"value":"8290"}',
+        "P5": '{"h":5,"kind":"count","n":40,"value":"30886"}',
+    },
+}
+
+
+@pytest.mark.parametrize("p", sorted(COUNT_GOLDEN))
+def test_count_json_golden(capsys, tmp_path, p):
+    num, den = map(int, p.split("/"))
+    path = tmp_path / "g.el"
+    path.write_text(to_edge_list(random_graph(40, num / den, 1)))
+    for name, line in COUNT_GOLDEN[p].items():
+        argv = ["count", "--graph", str(path), "--pattern", name, "--json"]
+        assert run_cli(capsys, argv) == (0, line + "\n"), name
+
+
 class TestCheckKinds:
     def test_cases_cover_every_kind(self):
         from rpt import cli
@@ -472,10 +506,12 @@ class TestMalformedIds:
             ("3", "vertex id '3' is not a nonnegative integer"),
             (True, "vertex id True is not a nonnegative integer"),
             (0, "vertex id 0 is repeated"),
+            (10**8, "vertex id 100000000 out of range for a graph on {n} vertices"),
         ],
     )
     def test_rejected_with_exit_1(self, capsys, tmp_path, kind, bad, message):
         (n, edges), cert, _, _ = CHECK_CASES[kind]
+        message = message.format(n=n)
         cert = json.loads(json.dumps(cert))
         ids = cert
         for key in ID_LIST[kind]:

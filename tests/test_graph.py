@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_pattern
+from rpt.adversarial import naive_count
 from rpt.graph import (
+    _symmetry,
     Graph,
     GraphParseError,
     mask_to_ids,
@@ -57,6 +59,50 @@ def test_edge_list_errors_carry_line_numbers(text, fragment):
     with pytest.raises(GraphParseError) as err:
         from_edge_list(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("# c\n3\n0 1\n\n0 5", "line 5: vertex 5 out of range for n=3"),
+        ("3\n1 1", "line 2: self-loop (1,1)"),
+        ("3\n0 1\n1 2\n0 1", "line 4: duplicate edge (0,1)"),
+        ("3\nx y", "line 2: bad edge 'x y'"),
+        ("3\n0 1 2", "line 2: expected an edge 'u v'"),
+        ("3 4", "line 1: expected a single vertex count"),
+        ("-1", "line 1: vertex count must be nonnegative"),
+        ("  # only a comment", "no vertex count found"),
+        ("3\n2 1", "line 2: edge must satisfy 0 <= u < v, got (2,1)"),
+    ],
+)
+def test_edge_list_error_messages(text, message):
+    with pytest.raises(GraphParseError) as err:
+        from_edge_list(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "adj,message",
+    [
+        ((0b010, 0b000, 0b000), "asymmetric adjacency between 1 and 0"),
+        ((0b000, 0b001, 0b000), "asymmetric adjacency between 0 and 1"),
+        ((0b100, 0b100, 0b010), "asymmetric adjacency between 2 and 0"),
+        ((0b000, 0b010, 0b000), "self-loop at vertex 1"),
+        ((0b1000, 0b000, 0b000), "adjacency row 0 mentions out-of-range vertices"),
+        ((0b010, 0b001), "adjacency length must equal vertex count"),
+    ],
+)
+def test_graph_rejects_bad_adjacency(adj, message):
+    with pytest.raises(ValueError) as err:
+        Graph(3, adj)
+    assert str(err.value) == message
+
+
+def test_from_edges_errors():
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1,0\)$"):
+        Graph.from_edges(3, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match=r"^edge \(0,3\) out of range for n=3$"):
+        Graph.from_edges(3, [(0, 3)])
 
 
 def test_complement_spot_values():
@@ -218,7 +264,96 @@ ASYMMETRIC = Pattern.of(
 )
 
 
-@pytest.mark.parametrize("name", ["K3", "P4", "C4", "C5", "asymmetric"])
+TWO_K2 = Pattern.of(Graph.from_edges(4, [(0, 1), (2, 3)]))
+K1_K3 = Pattern.of(Graph.from_edges(4, [(1, 2), (1, 3), (2, 3)]))
+
+
+def test_automorphism_count_matches_brute_force():
+    """|Aut(H)| from the stabilizer chain equals the number of
+    edge-preserving permutations, and exactly one automorphism meets every
+    symmetry-breaking constraint."""
+    import itertools
+
+    graphs = [ASYMMETRIC.graph]
+    for h in range(1, 6):
+        pairs = list(itertools.combinations(range(h), 2))
+        for bits in range(1 << len(pairs)):
+            graphs.append(Graph.from_edges(h, [e for i, e in enumerate(pairs) if bits >> i & 1]))
+    for h in graphs:
+        edges = set(h.edges())
+        auts = [
+            perm
+            for perm in itertools.permutations(range(h.n))
+            if {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
+        ]
+        aut, _, less = _symmetry(h)
+        assert aut == len(auts), h
+        kept = [perm for perm in auts if all(perm[a] < perm[b] for a, b in less)]
+        assert len(kept) == 1, h
+    assert _symmetry(ASYMMETRIC.graph) == (1, (), ())
+
+
+def test_automorphism_count_does_not_list_the_group():
+    assert _symmetry(Graph.empty(12))[0] == 479001600
+    assert _symmetry(Graph.complete(12))[0] == 479001600
+
+
+def _patterns_up_to_isomorphism(h: int) -> list[Pattern]:
+    import itertools
+
+    pairs = list(itertools.combinations(range(h), 2))
+    seen, out = set(), []
+    for bits in range(1 << len(pairs)):
+        edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
+        canon = min(
+            tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+            for perm in itertools.permutations(range(h))
+        )
+        if canon not in seen:
+            seen.add(canon)
+            out.append(Pattern.of(Graph.from_edges(h, edges)))
+    return out
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_count_matches_naive_on_every_small_pattern(p):
+    patterns = [pat for h in range(2, 6) for pat in _patterns_up_to_isomorphism(h)]
+    assert len(patterns) == 2 + 4 + 11 + 34
+    for n, seed in ((6, 3), (8, 4)):
+        g = random_graph(n, p, seed)
+        for pat in patterns:
+            assert count_induced_copies(g, pat) == naive_count(g, pat), (n, pat.graph.edges())
+
+
+def test_count_edge_cases():
+    k1 = named_pattern("K1")
+    assert count_induced_copies(Graph.empty(0), k1) == 0
+    assert count_induced_copies(Graph.empty(5), k1) == 5
+    assert count_induced_copies(Graph.complete(2), named_pattern("K3")) == 0
+    assert count_induced_copies(Graph.cycle(4), named_pattern("C5")) == 0
+    empty3 = Pattern.of(Graph.empty(3))
+    assert count_induced_copies(Graph.empty(6), empty3) == 6 * 5 * 4
+    assert count_induced_copies(Graph.empty(6), named_pattern("K3")) == 0
+    assert count_induced_copies(Graph.complete(6), named_pattern("K3")) == 6 * 5 * 4
+    assert count_induced_copies(Graph.complete(6), empty3) == 0
+    assert count_induced_copies(Graph.complete(6), named_pattern("P3")) == 0
+    # disconnected patterns: 2K2 has |Aut| = 8, K1+K3 has 6
+    assert _symmetry(TWO_K2.graph)[0] == 8 and _symmetry(K1_K3.graph)[0] == 6
+    assert count_induced_copies(Graph.cycle(6), TWO_K2) == 8 * 3
+    for seed in range(4):
+        g = random_graph(8, 0.5, seed)
+        for pat in (TWO_K2, K1_K3):
+            assert count_induced_copies(g, pat) == naive_count(g, pat), seed
+    # the count ranges over all labelled maps, whatever the label order
+    c5 = Graph.cycle(5)
+    g = random_graph(8, 0.5, 4)
+    relabelled = Pattern(c5, (2, 0, 4, 1, 3))
+    want = naive_count(g, relabelled)
+    assert want > 0
+    assert count_induced_copies(g, relabelled) == want == count_induced_copies(g, Pattern.of(c5))
+
+
+@pytest.mark.parametrize("name", ["K3", "P4", "C4", "C5", "2K2", "asymmetric"])
 def test_count_matches_networkx_graph_matcher(name):
     """A third, independent counting oracle: networkx's node-induced
     subgraph isomorphisms, each one a labelled induced copy."""
@@ -231,7 +366,7 @@ def test_count_matches_networkx_graph_matcher(name):
         out.add_edges_from(g.edges())
         return out
 
-    pat = ASYMMETRIC if name == "asymmetric" else named_pattern(name)
+    pat = {"asymmetric": ASYMMETRIC, "2K2": TWO_K2}.get(name) or named_pattern(name)
     hx = to_nx(pat.graph)
     if name == "asymmetric":
         assert sum(1 for _ in GraphMatcher(hx, hx).isomorphisms_iter()) == 1
