@@ -14,15 +14,20 @@ Conventions pinned here once and relied on everywhere else:
 
 The exact fullness check only examines subpairs at the minimum sizes
 ceil(c|A|) x ceil(c|B|); docs/fullness-reduction.md proves this
-equivalent to the all-sizes definition by an averaging argument.
+equivalent to the all-sizes definition by an averaging argument.  It
+enumerates one side by a depth-first search in lexicographic order that
+prunes on a lower bound over every completion; the same document proves
+that the bound holds and that a failed check's witness is the
+lexicographically first violating subpair, as with the unpruned
+enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, comb
 from typing import Any, NamedTuple
 
 from .graph import Graph, Pattern, complement, edge_density, iter_bits, mask_to_ids
@@ -219,44 +224,72 @@ def _violating_subpair(
 ) -> tuple[int, int] | None:
     """Find A1 (|A1|=ka), B1 (|B1|=kb) spanning fewer than eps*ka*kb edges.
 
-    Enumerates subsets of one side only: for a fixed B1 the minimum edge
-    count over all A1 is the sum of the ka smallest per-vertex counts, so
-    the other side never needs explicit enumeration.
+    Enumerates subsets of one side only, the side with fewer
+    combinations: for a fixed B1 the minimum edge count over all A1 is the
+    sum of the ka smallest per-vertex counts, so the other side never
+    needs explicit enumeration.  The enumeration is a depth-first search
+    in lexicographic order that prunes a partial subset once a lower bound
+    on every completion reaches the threshold (docs/fullness-reduction.md),
+    so the subpair returned is the lexicographically first violating one.
     """
     a_ids = mask_to_ids(a)
     b_ids = mask_to_ids(b)
-
-    def search(outer_ids, inner_ids, outer_k, inner_k, rows):
-        # rows[u] = adjacency of inner vertex u restricted to the outer set
-        for combo in itertools.combinations(outer_ids, outer_k):
-            combo_mask = 0
-            for v in combo:
-                combo_mask |= 1 << v
-            counts = sorted((rows[u] & combo_mask).bit_count() for u in inner_ids)
-            worst = counts[:inner_k]
-            if sum(worst) < eps * outer_k * inner_k:
-                # reconstruct which inner vertices realize the minimum
-                scored = sorted(inner_ids, key=lambda u: ((rows[u] & combo_mask).bit_count(), u))
-                inner_mask = 0
-                for u in scored[:inner_k]:
-                    inner_mask |= 1 << u
-                return combo_mask, inner_mask
-        return None
-
-    from math import comb
-
     if comb(len(b_ids), kb) <= comb(len(a_ids), ka):
-        rows = {u: work.adj[u] for u in a_ids}
-        found = search(b_ids, a_ids, kb, ka, rows)
-        if found is None:
-            return None
-        b1, a1 = found
-        return a1, b1
-    rows = {u: work.adj[u] for u in b_ids}
-    found = search(a_ids, b_ids, ka, kb, rows)
-    if found is None:
-        return None
-    return found
+        found = _first_violation(work, b_ids, a_ids, kb, ka, eps)
+        return None if found is None else (found[1], found[0])
+    return _first_violation(work, a_ids, b_ids, ka, kb, eps)
+
+
+def _first_violation(
+    work: Graph,
+    outer_ids: list[int],
+    inner_ids: list[int],
+    outer_k: int,
+    inner_k: int,
+    eps: Fraction,
+) -> tuple[int, int] | None:
+    """The lexicographically first outer_k-subset of outer_ids whose
+    inner_k least-joined inner vertices span fewer than eps*outer_k*inner_k
+    edges to it, with those inner vertices, as (outer mask, inner mask).
+
+    A node is a chosen set P of outer vertices plus the suffix R of
+    outer_ids from which the `need` remaining vertices must come.  Every
+    inner vertex u ends with at least |N(u)&P| + max(0, need - |R - N(u)|)
+    edges, so the inner_k smallest such bounds add up to a lower bound on
+    every leaf below; at or above the threshold the node is pruned.  When
+    need is 0 or |R|, the node has one leaf and the bound is its count.
+    """
+    m = len(outer_ids)
+    bits = [1 << v for v in outer_ids]
+    suffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | bits[i]
+    rows = [work.adj[u] & suffix[0] for u in inner_ids]
+    # the edge counts are integers: count < eps*k*k iff count < ceil(eps*k*k)
+    threshold = ceil(eps * outer_k * inner_k)
+    stack = [(0, 0, outer_k)]  # (P, index where R starts, need)
+    while stack:
+        chosen, start, need = stack.pop()
+        rest = suffix[start]
+        slack = need - (m - start)  # need - |R|
+        bounds = sorted(
+            (r & chosen).bit_count() + max(0, slack + (r & rest).bit_count()) for r in rows
+        )
+        if sum(bounds[:inner_k]) >= threshold:
+            continue
+        if need and slack:
+            stack.extend(
+                (chosen | bits[i], i + 1, need - 1) for i in range(m - need, start - 1, -1)
+            )
+            continue
+        # a single leaf, and it violates: recover the inner vertices realizing the minimum
+        combo_mask = chosen | rest if need else chosen
+        scored = sorted(inner_ids, key=lambda u: ((work.adj[u] & combo_mask).bit_count(), u))
+        inner_mask = 0
+        for u in scored[:inner_k]:
+            inner_mask |= 1 << u
+        return combo_mask, inner_mask
+    return None
 
 
 def is_full_pair(
@@ -278,8 +311,6 @@ def is_full_pair(
     ka, kb = min_subpair_sizes(cert)
     na, nb = cert.a.bit_count(), cert.b.bit_count()
     if method == "exact":
-        from math import comb
-
         if min(comb(na, ka), comb(nb, kb)) > budget:
             raise EnumerationBudgetError(
                 f"exact fullness check needs more than {budget} subset evaluations"

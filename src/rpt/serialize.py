@@ -33,10 +33,12 @@ def frac(x: Fraction) -> str:
 
 
 def _mask(vertex_ids, n: int | None = None) -> int:
-    """The vertex set of an id list, rejecting ids that are not nonnegative
-    integers (booleans included), repeated ids and, when the graph's vertex
-    count ``n`` is given, ids >= n, before any shift by such an id."""
+    """The vertex set of a sorted id list, rejecting ids that are not
+    nonnegative integers (booleans included), repeated ids, ids out of
+    ascending order and, when the graph's vertex count ``n`` is given,
+    ids >= n, before any shift by such an id."""
     m = 0
+    prev = -1
     for v in vertex_ids:
         if type(v) is not int or v < 0:
             raise ValueError(f"vertex id {v!r} is not a nonnegative integer")
@@ -44,7 +46,10 @@ def _mask(vertex_ids, n: int | None = None) -> int:
             raise ValueError(f"vertex id {v} out of range for a graph on {n} vertices")
         if m >> v & 1:
             raise ValueError(f"vertex id {v} is repeated")
+        if v < prev:
+            raise ValueError(f"vertex id {v} follows {prev}; id lists must be sorted")
         m |= 1 << v
+        prev = v
     return m
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,24 +20,24 @@ def random_pattern(h: int, seed: int) -> Pattern:
 
 
 def all_small_patterns(max_h: int = 4) -> list[Pattern]:
-    """All graphs on 1..max_h vertices up to isomorphism (as patterns)."""
-    import itertools
+    """All graphs on 1..max_h vertices up to isomorphism (as patterns).
 
+    The canonical form of an edge set is the least sorted tuple of its
+    relabelled edges over all permutations.
+    """
     out = []
     for h in range(1, max_h + 1):
         seen = set()
         pairs = list(itertools.combinations(range(h), 2))
         for bits in range(1 << len(pairs)):
-            edges = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
+            edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
             canon = min(
-                frozenset(
-                    (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges
-                )
+                tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
                 for perm in itertools.permutations(range(h))
             )
             if canon not in seen:
                 seen.add(canon)
-                out.append(Pattern.of(Graph.from_edges(h, sorted(edges))))
+                out.append(Pattern.of(Graph.from_edges(h, edges)))
     return out
 
 

@@ -496,6 +496,13 @@ ID_LIST = {
 }
 
 
+def _id_list(cert: dict, kind: str) -> list:
+    ids = cert
+    for key in ID_LIST[kind]:
+        ids = ids[key]
+    return ids
+
+
 class TestMalformedIds:
     @pytest.mark.parametrize("kind", sorted(ID_LIST))
     @pytest.mark.parametrize(
@@ -510,13 +517,21 @@ class TestMalformedIds:
         ],
     )
     def test_rejected_with_exit_1(self, capsys, tmp_path, kind, bad, message):
+        (n, _), _, _, _ = CHECK_CASES[kind]
+        self._check_exits_1(capsys, tmp_path, kind, lambda ids: ids.append(bad),
+                            message.format(n=n))
+
+    @pytest.mark.parametrize("kind", sorted(ID_LIST))
+    def test_unsorted_rejected_with_exit_1(self, capsys, tmp_path, kind):
+        ids = _id_list(CHECK_CASES[kind][1], kind)
+        message = f"vertex id {ids[-2]} follows {ids[-1]}; id lists must be sorted"
+        self._check_exits_1(capsys, tmp_path, kind, list.reverse, message)
+
+    @staticmethod
+    def _check_exits_1(capsys, tmp_path, kind, edit, message):
         (n, edges), cert, _, _ = CHECK_CASES[kind]
-        message = message.format(n=n)
         cert = json.loads(json.dumps(cert))
-        ids = cert
-        for key in ID_LIST[kind]:
-            ids = ids[key]
-        ids.append(bad)
+        edit(_id_list(cert, kind))
         g_path = tmp_path / "g.el"
         g_path.write_text(to_edge_list(Graph.from_edges(n, edges)))
         cert_path = tmp_path / "cert.json"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, random_pattern
+from conftest import all_small_patterns, random_graph, random_pattern
 from rpt.adversarial import naive_count
 from rpt.graph import (
     _symmetry,
@@ -298,26 +298,14 @@ def test_automorphism_count_does_not_list_the_group():
     assert _symmetry(Graph.complete(12))[0] == 479001600
 
 
-def _patterns_up_to_isomorphism(h: int) -> list[Pattern]:
-    import itertools
-
-    pairs = list(itertools.combinations(range(h), 2))
-    seen, out = set(), []
-    for bits in range(1 << len(pairs)):
-        edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
-        canon = min(
-            tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
-            for perm in itertools.permutations(range(h))
-        )
-        if canon not in seen:
-            seen.add(canon)
-            out.append(Pattern.of(Graph.from_edges(h, edges)))
-    return out
+def test_small_patterns_are_isomorphism_classes():
+    sizes = [pat.size for pat in all_small_patterns(4)]
+    assert [sizes.count(h) for h in range(1, 5)] == [1, 2, 4, 11]
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
 def test_count_matches_naive_on_every_small_pattern(p):
-    patterns = [pat for h in range(2, 6) for pat in _patterns_up_to_isomorphism(h)]
+    patterns = [pat for pat in all_small_patterns(5) if pat.size >= 2]
     assert len(patterns) == 2 + 4 + 11 + 34
     for n, seed in ((6, 3), (8, 4)):
         g = random_graph(n, p, seed)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -214,7 +215,109 @@ def brute_force_full(g: Graph, cert: FullPairCertificate) -> bool:
     return True
 
 
+def flat_violating_subpair(work: Graph, a: int, b: int, ka: int, kb: int, eps: Fraction):
+    """The flat enumeration the branch and bound replaced: every combination
+    of the side with fewer of them, in lexicographic order, with the other
+    side resolved by a partial sort.  Kept as the oracle for the first
+    violating subpair."""
+    a_ids = mask_to_ids(a)
+    b_ids = mask_to_ids(b)
+
+    def search(outer_ids, inner_ids, outer_k, inner_k, rows):
+        for combo in itertools.combinations(outer_ids, outer_k):
+            combo_mask = 0
+            for v in combo:
+                combo_mask |= 1 << v
+            counts = sorted((rows[u] & combo_mask).bit_count() for u in inner_ids)
+            worst = counts[:inner_k]
+            if sum(worst) < eps * outer_k * inner_k:
+                scored = sorted(inner_ids, key=lambda u: ((rows[u] & combo_mask).bit_count(), u))
+                inner_mask = 0
+                for u in scored[:inner_k]:
+                    inner_mask |= 1 << u
+                return combo_mask, inner_mask
+        return None
+
+    if comb(len(b_ids), kb) <= comb(len(a_ids), ka):
+        rows = {u: work.adj[u] for u in a_ids}
+        found = search(b_ids, a_ids, kb, ka, rows)
+        if found is None:
+            return None
+        b1, a1 = found
+        return a1, b1
+    rows = {u: work.adj[u] for u in b_ids}
+    return search(a_ids, b_ids, ka, kb, rows)
+
+
+C_GRID = (Fraction(1, 3), HALF, Fraction(2, 3))
+EPS_GRID = (Fraction(1, 8), Fraction(1, 4), HALF)
+
+
+def random_pair_case(seed: int, na: int, nb: int):
+    """A seeded graph with a random split of its vertices into sides of
+    sizes na and nb, and a certificate drawn from the c/eps grid."""
+    rng = random.Random(seed)
+    g = random_graph(na + nb, rng.uniform(0.2, 0.9), seed)
+    ids = list(range(na + nb))
+    rng.shuffle(ids)
+    cert = FullPairCertificate(
+        mask_from_ids(sorted(ids[:na])),
+        mask_from_ids(sorted(ids[na:])),
+        rng.choice(C_GRID),
+        rng.choice(EPS_GRID),
+        rng.choice(["full", "empty"]),
+    )
+    return g, cert
+
+
+def flat_verdict(g: Graph, cert: FullPairCertificate):
+    work = g if cert.polarity == "full" else complement(g)
+    ka, kb = min_subpair_sizes(cert)
+    bad = flat_violating_subpair(work, cert.a, cert.b, ka, kb, cert.eps)
+    if bad is None:
+        return True, None, ""
+    return False, bad, f"violating subpair a={mask_to_ids(bad[0])} b={mask_to_ids(bad[1])}"
+
+
 class TestFullPair:
+    def test_matches_flat_enumeration(self):
+        # same verdict and the same (lexicographically first) witness
+        outcomes = set()
+        for seed in range(320):
+            rng = random.Random(10_000 + seed)
+            g, cert = random_pair_case(seed, rng.randint(4, 17), rng.randint(4, 17))
+            res = is_full_pair(g, cert)
+            expected = flat_verdict(g, cert)
+            assert (res.ok, res.witness, res.detail) == expected, seed
+            outcomes.add((cert.polarity, res.ok))
+        assert len(outcomes) == 4
+
+    def test_small_pairs_match_definition(self):
+        # every side-size pair with |A| + |B| <= 10, against the definition
+        outcomes = set()
+        for na in range(1, 10):
+            for nb in range(1, 11 - na):
+                for seed in range(3):
+                    g, cert = random_pair_case(100 * na + 10 * nb + seed, na, nb)
+                    res = is_full_pair(g, cert)
+                    assert (res.ok, res.witness, res.detail) == flat_verdict(g, cert)
+                    assert res.ok == brute_force_full(g, cert), (na, nb, seed)
+                    outcomes.add(res.ok)
+        assert outcomes == {True, False}
+
+    def test_exact_budget_boundary(self):
+        from rpt.predicates import EnumerationBudgetError
+
+        g = random_graph(18, 0.5, 3)
+        a = mask_from_ids(range(8))
+        b = mask_from_ids(range(8, 18))
+        cert = FullPairCertificate(a, b, HALF, Fraction(1, 4), "full")
+        budget = min(comb(8, 4), comb(10, 5))
+        assert budget == 70
+        assert is_full_pair(g, cert, budget=budget).exact
+        with pytest.raises(EnumerationBudgetError):
+            is_full_pair(g, cert, budget=budget - 1)
+
     def test_complete_bipartite_is_full(self):
         g = Graph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])
         cert = FullPairCertificate(0b00001111, 0b11110000, HALF, Fraction(1, 4), "full")
