@@ -11,6 +11,7 @@ Exit codes: 0 verified success, 2 a check that verified false, 1 errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -92,7 +93,10 @@ def _load_pattern(spec: str) -> Pattern:
     return named_pattern(spec)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, built once per process: parsing never
+    changes it, and building it costs more than most checks."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=0)

@@ -18,12 +18,21 @@ On top of that sit: greedy density-monotone trimming to exact sizes, the
 exact-size eps-restricted extractor (density subset -> trim -> weak-to-
 strong conversion), and the peel chain that repeatedly removes
 restricted sets until only an eta-fraction leftover remains.
+
+Both degree-deletion greedies (trimming, and the best-effort shrink
+toward a density target) run on one peeling, ``_peel``: degrees are
+maintained, not rescanned, with a bucket queue of per-degree vertex
+bitmasks, so each deletion updates only the deleted vertex's
+neighbours.  The shrink compares densities as integers (2e*den against
+num*s(s-1)).  Ties go to the lowest vertex id: the lowest set bit of
+the top (or bottom) bucket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .embedding import (
@@ -103,27 +112,73 @@ class DensitySubsetResult:
     guaranteed: bool  # exact-schedule preconditions confirmed AND size >= eta^s |G|
 
 
+def _peel(g: Graph, mask: int, side: str):
+    """Yield (v, d): the vertices of mask in deletion order, each with its
+    degree d in what is left of mask just before v goes.
+
+    side="low" deletes a maximum-degree vertex, side="high" a minimum-
+    degree one; ties go to the lowest vertex id.  The bucket queue is the
+    one of Matula & Beck's smallest-last ordering (JACM 1983): ``deg`` holds
+    each remaining vertex's degree, ``buckets[d]`` the bitmask of remaining
+    vertices of degree d, and the next vertex is the lowest set bit of the
+    top (or bottom) nonempty bucket.  A deletion touches only the deleted
+    vertex's remaining neighbours, each of whose degree drops by one, so
+    the maximum never rises and the minimum falls by at most one per step.
+    The deletion of v happens when the next vertex is requested.
+    """
+    adj = g.adj
+    deg = [0] * g.n
+    buckets = [0] * mask.bit_count()
+    for v in iter_bits(mask):
+        d = (adj[v] & mask).bit_count()
+        deg[v] = d
+        buckets[d] |= 1 << v
+    low = side == "low"
+    d = len(buckets) - 1 if low else 0
+    left = mask
+    while left:
+        if low:
+            while not buckets[d]:
+                d -= 1
+        else:
+            while not buckets[d]:
+                d += 1
+        bit = buckets[d] & -buckets[d]
+        v = bit.bit_length() - 1
+        yield v, d
+        buckets[d] ^= bit
+        left ^= bit
+        nbrs = adj[v] & left
+        while nbrs:
+            b = nbrs & -nbrs
+            u = b.bit_length() - 1
+            du = deg[u]
+            buckets[du] ^= b
+            buckets[du - 1] |= b
+            deg[u] = du - 1
+            nbrs ^= b
+        if not low and d:
+            d -= 1
+
+
 def trim_to_size(g: Graph, s: int, k: int, side: str) -> int:
     """Exact-size subset whose density moved only the promised way.
 
     side="low": delete maximum-degree vertices (density never increases);
     side="high": delete minimum-degree vertices (never decreases).
-    Ties go to the lowest vertex id.
+    Ties go to the lowest vertex id (the deletion order of ``_peel``).
     """
+    if s & ~g.full_mask:
+        raise ValueError("vertex set out of range")
     size = s.bit_count()
-    if k > size:
+    if not 0 <= k <= size:
         raise ValueError(f"cannot trim {size} vertices down to {k}")
     if side not in ("low", "high"):
         raise ValueError("side must be 'low' or 'high'")
     before = edge_density(g, s)
     current = s
-    while current.bit_count() > k:
-        best_v, best_d = None, None
-        for v in iter_bits(current):
-            d = (g.adj[v] & current).bit_count()
-            if best_d is None or (d > best_d if side == "low" else d < best_d):
-                best_v, best_d = v, d
-        current &= ~(1 << best_v)
+    for v, _ in islice(_peel(g, s, side), size - k):
+        current ^= 1 << v
     after = edge_density(g, current)
     if current.bit_count() >= 2:
         if side == "low" and after > before:
@@ -134,15 +189,20 @@ def trim_to_size(g: Graph, s: int, k: int, side: str) -> int:
 
 
 def _greedy_shrink_to_density(g: Graph, target: Fraction) -> int:
-    """Delete maximum-degree vertices until the density drops to target."""
+    """Delete maximum-degree vertices until the density drops to target >= 0.
+
+    The density 2e / (s(s-1)) is compared with target = num/den as the
+    integers 2e*den and num*s(s-1), with e and s updated per deletion.
+    """
+    num, den = target.numerator, target.denominator
+    size, twice_e = g.n, 2 * g.edge_count()
     cur = g.full_mask
-    while cur and edge_density(g, cur) > target:
-        worst, worst_d = None, -1
-        for v in iter_bits(cur):
-            d = (g.adj[v] & cur).bit_count()
-            if d > worst_d:
-                worst, worst_d = v, d
-        cur &= ~(1 << worst)
+    peeling = _peel(g, cur, "low")
+    while twice_e * den > num * size * (size - 1):
+        v, d = next(peeling)
+        cur ^= 1 << v
+        size -= 1
+        twice_e -= 2 * d
     return cur
 
 
@@ -252,20 +312,22 @@ _MAX_RESIZE_ROUNDS = 32
 
 def _search(
     g: Graph, pat: Pattern, eps1: Fraction, eps2: Fraction, depth: int
-) -> tuple[int, str, bool]:
+) -> tuple[int, str, bool] | None:
+    """(mask, side, flag) from the recursive scheme, or None when a step
+    cannot honor the guarantee; the caller then falls back to
+    ``_greedy_best_effort(g, eps1, eps2)`` with the flag cleared, so that
+    fallback is built once per graph and not again by the caller."""
     d = edge_density(g)
     if d <= eps1:
         return g.full_mask, "low", True
     if d >= 1 - eps2:
         return g.full_mask, "high", True
     if depth <= 0 or g.n < pat.size:
-        m, side = _greedy_best_effort(g, eps1, eps2)
-        return m, side, False
+        return None
     eps = min(eps1, eps2)
     found = find_tight_pair(g, pat, eps / 4)
     if isinstance(found, ManyCopiesResult):
-        m, side = _greedy_best_effort(g, eps1, eps2)
-        return m, side, False
+        return None
 
     flipped = found.mode == "dense"
     if flipped:
@@ -284,7 +346,11 @@ def _search(
     def sub(mask: int, dep: int) -> tuple[int, str, bool]:
         """Recurse on the induced subgraph; result mapped to host ids."""
         sg, ids = induced_subgraph(work, mask)
-        sm, side, flag = _search(sg, pat, Fraction(3, 2) * we1, we2, dep)
+        se1 = Fraction(3, 2) * we1
+        res = _search(sg, pat, se1, we2, dep)
+        if res is None:
+            res = (*_greedy_best_effort(sg, se1, we2), False)
+        sm, side, flag = res
         host = mask_from_ids(ids[v] for v in iter_bits(sm))
         return host, side, flag
 
@@ -293,8 +359,7 @@ def _search(
         return unflip(s_b, "high", flag_b)
     k = min(s_b.bit_count(), a_mask.bit_count() // 2)
     if k == 0:
-        m, side = _greedy_best_effort(g, eps1, eps2)
-        return m, side, False
+        return None
     b1 = trim_to_size(work, s_b, k, "low")
     flag_a = True
     for _ in range(_MAX_RESIZE_ROUNDS):
@@ -319,8 +384,7 @@ def _search(
         if k == 0:
             break
         b1 = trim_to_size(work, b1, k, "low")
-    m, side = _greedy_best_effort(g, eps1, eps2)
-    return m, side, False
+    return None
 
 
 def find_low_or_high_density_subset(
@@ -337,10 +401,14 @@ def find_low_or_high_density_subset(
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    mask, side, flag = _search(g, pat, budget.eps1, budget.eps2, budget.depth)
+    found = _search(g, pat, budget.eps1, budget.eps2, budget.depth)
     alt_mask, alt_side = _greedy_best_effort(g, budget.eps1, budget.eps2)
-    if alt_mask.bit_count() > mask.bit_count():
-        mask, side = alt_mask, alt_side
+    if found is None:
+        mask, side, flag = alt_mask, alt_side, False
+    else:
+        mask, side, flag = found
+        if alt_mask.bit_count() > mask.bit_count():
+            mask, side = alt_mask, alt_side
     dens = edge_density(g, mask)
     if side == "low" and dens > budget.eps1:
         raise AssertionError("low-side result misses its density claim")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rpt
 from conftest import random_graph
 from rpt.cli import main, parse_args
 from rpt.graph import Graph, to_edge_list, to_graph6
@@ -350,6 +355,26 @@ class TestDeterminism:
         code2, out2 = run_cli(capsys, argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_one_process_matches_fresh_runs(self, capsys, monkeypatch, c5_file):
+        # the parser is built once per process; a run must not see the ones
+        # before it, including a usage error and a help request
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal
+        runs = [
+            ["count", "--graph", c5_file, "--pattern", "P3", "--json"],
+            ["extract", "--graph", c5_file, "--pattern", "K2", "--op", "density",
+             "--eps", "nonsense"],
+            ["constants", "--h", "2", "--eps", "1/4", "--eta", "1/4",
+             "--theta", "1/4", "--json"],
+            ["check", "--help"],
+            ["count", "--graph", c5_file, "--pattern", "K3"],
+        ]
+        src = str(Path(rpt.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        for argv in runs:
+            fresh = subprocess.run([sys.executable, "-m", "rpt.cli", *argv], env=env,
+                                   capture_output=True, text=True, timeout=60)
+            assert run_cli(capsys, argv) == (fresh.returncode, fresh.stdout), argv
 
 
 K44 = [(u, v) for u in range(4) for v in range(4, 8)]

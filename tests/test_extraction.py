@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from rpt import extraction
 from rpt.extraction import (
     ExtractionBudget,
     ExtractionInfeasible,
@@ -17,7 +18,14 @@ from rpt.extraction import (
     shrink_fraction,
     trim_to_size,
 )
-from rpt.graph import Graph, complement, edge_density, mask_from_ids, named_pattern
+from rpt.graph import (
+    Graph,
+    complement,
+    edge_density,
+    iter_bits,
+    mask_from_ids,
+    named_pattern,
+)
 from rpt.predicates import is_restricted
 
 QUARTER = Fraction(1, 4)
@@ -142,6 +150,116 @@ class TestTrim:
             assert edge_density(g, high) >= before
 
 
+    def test_rejects_negative_size(self):
+        g = Graph.cycle(5)
+        for side in ("low", "high"):
+            with pytest.raises(ValueError, match="down to -1"):
+                trim_to_size(g, g.full_mask, -1, side)
+
+    def test_rejects_mask_beyond_graph(self):
+        g = Graph.cycle(5)
+        for mask in (1 << 5, g.full_mask | 1 << 9, -1):
+            with pytest.raises(ValueError, match="vertex set out of range"):
+                trim_to_size(g, mask, 1, "low")
+
+
+# The rescanning loops that the bucket-queue peeling replaced, kept
+# verbatim as oracles: each deletion rescans every degree, and the shrink
+# recomputes the density as a Fraction.
+def trim_to_size_rescan(g: Graph, s: int, k: int, side: str) -> int:
+    """Exact-size subset whose density moved only the promised way.
+
+    side="low": delete maximum-degree vertices (density never increases);
+    side="high": delete minimum-degree vertices (never decreases).
+    Ties go to the lowest vertex id.
+    """
+    size = s.bit_count()
+    if k > size:
+        raise ValueError(f"cannot trim {size} vertices down to {k}")
+    if side not in ("low", "high"):
+        raise ValueError("side must be 'low' or 'high'")
+    before = edge_density(g, s)
+    current = s
+    while current.bit_count() > k:
+        best_v, best_d = None, None
+        for v in iter_bits(current):
+            d = (g.adj[v] & current).bit_count()
+            if best_d is None or (d > best_d if side == "low" else d < best_d):
+                best_v, best_d = v, d
+        current &= ~(1 << best_v)
+    after = edge_density(g, current)
+    if current.bit_count() >= 2:
+        if side == "low" and after > before:
+            raise AssertionError("low-side trim increased density")
+        if side == "high" and after < before:
+            raise AssertionError("high-side trim decreased density")
+    return current
+
+
+def greedy_shrink_rescan(g: Graph, target: Fraction) -> int:
+    """Delete maximum-degree vertices until the density drops to target."""
+    cur = g.full_mask
+    while cur and edge_density(g, cur) > target:
+        worst, worst_d = None, -1
+        for v in iter_bits(cur):
+            d = (g.adj[v] & cur).bit_count()
+            if d > worst_d:
+                worst, worst_d = v, d
+        cur &= ~(1 << worst)
+    return cur
+
+
+@st.composite
+def peeling_graphs(draw) -> Graph:
+    """Graphs on at most 40 vertices, with many degree ties among them:
+    G(n, p), cycles, circulant (regular) graphs, empty and complete graphs,
+    and a clique joined to an independent set."""
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["gnp", "cycle", "circulant", "empty", "complete", "split"]))
+    if kind == "gnp":
+        return random_graph(n, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 10**6)))
+    if kind == "cycle" and n >= 3:
+        return Graph.cycle(n)
+    if kind == "circulant" and n >= 2:
+        jumps = draw(st.sets(st.integers(1, n // 2), max_size=4))
+        return Graph.from_edges(n, {tuple(sorted((v, (v + j) % n)))
+                                    for v in range(n) for j in jumps if (v + j) % n != v})
+    if kind == "complete":
+        return Graph.complete(n)
+    if kind == "split":
+        c = draw(st.integers(0, n))
+        return Graph.from_edges(n, [(u, v) for u in range(c) for v in range(u + 1, n)])
+    return Graph.empty(n)
+
+
+TARGETS = st.one_of(
+    st.fractions(0, 1, max_denominator=60),
+    st.sampled_from([Fraction(0), Fraction(1, 10**6), Fraction(1), Fraction(3, 2), Fraction(7)]),
+)
+
+
+class TestPeelingMatchesRescan:
+    @given(peeling_graphs(), TARGETS)
+    @settings(max_examples=400, deadline=None)
+    def test_shrink_to_density(self, g, target):
+        assert extraction._greedy_shrink_to_density(g, target) == greedy_shrink_rescan(g, target)
+
+    @given(peeling_graphs(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_trim_both_sides(self, g, data):
+        s = data.draw(st.integers(0, g.full_mask))
+        k = data.draw(st.integers(0, s.bit_count()))
+        for side in ("low", "high"):
+            assert trim_to_size(g, s, k, side) == trim_to_size_rescan(g, s, k, side)
+
+    def test_ties_go_to_the_lowest_id(self):
+        # every vertex of C6 ties, so both sides delete in id order
+        g = Graph.cycle(6)
+        assert trim_to_size(g, g.full_mask, 4, "low") == 0b111010
+        assert trim_to_size(g, g.full_mask, 4, "high") == 0b111100
+        assert extraction._greedy_shrink_to_density(Graph.complete(6), Fraction(0)) == 0b100000
+
+
 class TestDensitySubset:
     def test_edgeless_immediate(self):
         g = Graph.empty(9)
@@ -204,6 +322,34 @@ class TestDensitySubset:
             res.side == "high" and dens >= 1 - QUARTER
         )
         assert res.guaranteed
+
+    @pytest.mark.parametrize(
+        "n,p,seed,pattern,expected",
+        [
+            # find_tight_pair reports many copies at the top level
+            (18, 0.6, 0, "K2", (32537, "high")),
+            # the recursion gives up below the top level (k = 0)
+            (None, None, 14, "P3", (4086, "high")),
+        ],
+    )
+    def test_fallback_built_once_per_graph(self, monkeypatch, n, p, seed, pattern, expected):
+        if n is None:
+            rng = random.Random(seed)
+            n, p = rng.randint(6, 40), rng.uniform(0.05, 0.95)
+        g = random_graph(n, p, seed)
+        pat = named_pattern(pattern)
+        calls = []
+        build = extraction._greedy_best_effort
+
+        def counted(graph, eps1, eps2):
+            calls.append((graph, eps1, eps2))
+            return build(graph, eps1, eps2)
+
+        monkeypatch.setattr(extraction, "_greedy_best_effort", counted)
+        budget = ExtractionBudget.practical(QUARTER, QUARTER, 7, h=pat.size)
+        res = find_low_or_high_density_subset(g, pat, budget)
+        assert (res.vertices, res.side, res.guaranteed) == (*expected, False)
+        assert calls and len(set(calls)) == len(calls)
 
     def test_exact_schedule_budget_fields(self):
         b = ExtractionBudget.exact_schedule(2, QUARTER, QUARTER)
