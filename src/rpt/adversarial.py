@@ -301,13 +301,14 @@ def check_partition_against_hard_instance(
         problems.append(f"partition uses {len(parts)} > N = {big_n} parts")
     if not any((p & core).bit_count() >= min_core for p in parts):
         problems.append("pigeonhole failed: no part meets the core in m/N vertices")
+    gc = complement(g)
     for idx, p in enumerate(parts):
         t_part = p & core
         s_part = p & ~core
         if t_part.bit_count() >= min_core and s_part:
             size = p.bit_count()
             gmax = g.max_degree(p)
-            cmax = complement(g).max_degree(p)
+            cmax = gc.max_degree(p)
             if not gmax > eps * size:
                 problems.append(f"part {idx}: graph-side degree bound not exceeded")
             if not cmax > eps * size:

@@ -5,6 +5,14 @@ used as a bitmask over 0..n-1; helpers below convert to and from sorted
 id lists.  Certificates elsewhere in the package always speak host-graph
 ids, translating through the index map returned by :func:`induced_subgraph`.
 
+Every :class:`Graph` is checked in full when it is built: after the
+per-row self-loop and range checks, the rows are packed into one w x w
+bit matrix (w a power of two >= max(8, n)) and compared with its
+transpose, which :func:`_transpose` computes in log2 w delta swaps.  Only
+when they differ does a per-edge scan run, to name the first asymmetric
+pair.  :func:`induced_subgraph` relabels through the same transpose
+instead of a loop over edges.
+
 A *copy* of a pattern H in G is an injective map phi from the pattern
 vertices into V(G) that preserves both adjacency and non-adjacency; the
 count of such maps is what :func:`count_induced_copies` returns (so each
@@ -54,6 +62,52 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def _width(n: int) -> int:
+    """Side of the packed bit matrix for n vertices: a power of two >= max(8, n)."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+def _pack(rows, w: int) -> int:
+    """Rows of at most w bits each, packed row-major: row r at bits [r*w, (r+1)*w)."""
+    return int.from_bytes(b"".join(row.to_bytes(w // 8, "little") for row in rows), "little")
+
+
+@lru_cache(maxsize=8)
+def _swap_masks(w: int) -> tuple[tuple[int, int], ...]:
+    """The (shift, mask) of each delta swap of :func:`_transpose` at width w.
+
+    Swap j exchanges bit (r, c) with bit (r + j, c - j), which sits
+    s = j*(w-1) places higher, wherever bit j of r is 0 and bit j of c is 1;
+    the mask marks those (r, c).  Rows are byte-aligned because w >= 8.
+    """
+    step = w // 8
+    out = []
+    j = 1
+    while j < w:
+        if j < 8:
+            row = bytes([{1: 0xAA, 2: 0xCC, 4: 0xF0}[j]]) * step
+        else:
+            row = (bytes(j // 8) + b"\xff" * (j // 8)) * (w // (2 * j))
+        block = row * j + bytes(step * j)
+        out.append((j * (w - 1), int.from_bytes(block * (w // (2 * j)), "little")))
+        j *= 2
+    return tuple(out)
+
+
+def _transpose(x: int, w: int) -> int:
+    """Transpose of a w x w bit matrix packed row-major into ``x``.
+
+    Bit (r, c) sits at r*w + c, and w is a power of two >= 8.  Each of the
+    log2(w) delta swaps (Warren, *Hacker's Delight*, section 7-3) exchanges
+    the off-diagonal j x j blocks of every 2j x 2j diagonal block; together
+    they move (r, c) to (c, r).
+    """
+    for s, m in _swap_masks(w):
+        t = ((x >> s) ^ x) & m
+        x ^= t ^ (t << s)
+    return x
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple graph: ``adj[v]`` is the neighbor bitmask of vertex v."""
@@ -66,25 +120,16 @@ class Graph:
             raise ValueError("adjacency length must equal vertex count")
         adj = self.adj
         full = self.full_mask
-        # Symmetric iff every bit below the diagonal is mirrored above it and
-        # the two halves hold equally many bits; the full scan below runs
-        # only to name the first asymmetric pair.
-        mirrored = True
-        lower = upper = 0
         for v, row in enumerate(adj):
             if row & (1 << v):
                 raise ValueError(f"self-loop at vertex {v}")
             if row & ~full:
                 raise ValueError(f"adjacency row {v} mentions out-of-range vertices")
-            below = row & ((1 << v) - 1)
-            count = below.bit_count()
-            lower += count
-            upper += row.bit_count() - count
-            while below and mirrored:
-                low = below & -below
-                mirrored = adj[low.bit_length() - 1] >> v & 1
-                below ^= low
-        if not mirrored or lower != upper:
+        # Symmetric iff the packed matrix equals its transpose; the full scan
+        # below runs only to name the first asymmetric pair.
+        w = _width(self.n)
+        packed = _pack(adj, w)
+        if _transpose(packed, w) != packed:
             for v in range(self.n):
                 for u in iter_bits(adj[v]):
                     if not adj[u] & (1 << v):
@@ -165,16 +210,20 @@ def complement(g: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
-    """Subgraph induced by ``mask`` plus the new-id -> host-id map."""
+    """Subgraph induced by ``mask`` plus the new-id -> host-id map.
+
+    The kept rows are packed as rows 0..k-1 and transposed once: row v of
+    the transpose holds the new ids of v's kept neighbours, so by symmetry
+    the transpose's rows at the kept ids are the relabelled rows.
+    """
     if mask & ~g.full_mask:
         raise ValueError("vertex set out of range")
     ids = mask_to_ids(mask)
-    pos = {v: i for i, v in enumerate(ids)}
-    rows = [0] * len(ids)
-    for i, v in enumerate(ids):
-        for u in iter_bits(g.adj[v] & mask):
-            rows[i] |= 1 << pos[u]
-    return Graph(len(ids), tuple(rows)), ids
+    w = _width(g.n)
+    step = w // 8
+    data = _transpose(_pack([g.adj[v] for v in ids], w), w).to_bytes(w * step, "little")
+    rows = tuple(int.from_bytes(data[v * step : v * step + step], "little") for v in ids)
+    return Graph(len(ids), rows), ids
 
 
 def edge_density(g: Graph, mask: int | None = None) -> Fraction:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import all_small_patterns, random_graph, random_pattern
 from rpt.adversarial import naive_count
 from rpt.graph import (
     _symmetry,
+    _transpose,
     Graph,
     GraphParseError,
     mask_to_ids,
@@ -19,6 +21,7 @@ from rpt.graph import (
     from_edge_list,
     from_graph6,
     induced_subgraph,
+    iter_bits,
     load_graph_text,
     mask_from_ids,
     named_pattern,
@@ -132,6 +135,113 @@ def test_induced_subgraph_examples(petersen):
     assert sub == Graph.complete(3)
     outer, _ = induced_subgraph(petersen, mask_from_ids(range(5)))
     assert count_induced_copies(outer, Pattern.of(Graph.cycle(5))) > 0
+
+
+# Sizes on both sides of every packed-matrix width (8, 16, ..., 512).
+WIDTH_EDGES = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 255, 256, 257]
+
+
+def _oracle_check(n, adj):
+    """Graph.__post_init__ as it was before the transpose: the reference scan."""
+    if n < 0 or len(adj) != n:
+        raise ValueError("adjacency length must equal vertex count")
+    full = (1 << n) - 1
+    # Symmetric iff every bit below the diagonal is mirrored above it and
+    # the two halves hold equally many bits; the full scan below runs
+    # only to name the first asymmetric pair.
+    mirrored = True
+    lower = upper = 0
+    for v, row in enumerate(adj):
+        if row & (1 << v):
+            raise ValueError(f"self-loop at vertex {v}")
+        if row & ~full:
+            raise ValueError(f"adjacency row {v} mentions out-of-range vertices")
+        below = row & ((1 << v) - 1)
+        count = below.bit_count()
+        lower += count
+        upper += row.bit_count() - count
+        while below and mirrored:
+            low = below & -below
+            mirrored = adj[low.bit_length() - 1] >> v & 1
+            below ^= low
+    if not mirrored or lower != upper:
+        for v in range(n):
+            for u in iter_bits(adj[v]):
+                if not adj[u] & (1 << v):
+                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+
+def _oracle_induced_subgraph(g, mask):
+    """induced_subgraph as it was before the transpose: rows and id map."""
+    if mask & ~g.full_mask:
+        raise ValueError("vertex set out of range")
+    ids = mask_to_ids(mask)
+    pos = {v: i for i, v in enumerate(ids)}
+    rows = [0] * len(ids)
+    for i, v in enumerate(ids):
+        for u in iter_bits(g.adj[v] & mask):
+            rows[i] |= 1 << pos[u]
+    return tuple(rows), ids
+
+
+@pytest.mark.parametrize("w", [8, 16, 32, 64, 128, 256, 512])
+def test_transpose_matches_naive_and_is_involution(w):
+    rng = random.Random(w)
+    x = rng.getrandbits(w * w)
+    bits = format(x, f"0{w * w}b")[::-1]  # bits[r * w + c] is bit (r, c)
+    naive = int("".join(bits[r * w + c] for c in range(w) for r in range(w))[::-1], 2)
+    assert _transpose(x, w) == naive
+    assert _transpose(naive, w) == x
+
+
+@given(st.sampled_from(WIDTH_EDGES), st.sampled_from([0.1, 0.5, 0.9]), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_induced_subgraph_matches_oracle(n, p, seed):
+    g = random_graph(n, p, seed)
+    rng = random.Random(seed)
+    masks = [0, g.full_mask, rng.getrandbits(n) if n else 0]
+    if n:
+        masks.append(1 << rng.randrange(n))
+    for mask in masks:
+        sub, ids = induced_subgraph(g, mask)
+        assert (sub.adj, ids) == _oracle_induced_subgraph(g, mask)
+
+
+def _corrupt(adj, kind, rng):
+    """One bad row: a flipped off-diagonal bit, a diagonal bit, a bit >= n or a negative row."""
+    n = len(adj)
+    adj = list(adj)
+    v = rng.randrange(n)
+    if kind == "flip":
+        u = rng.choice([u for u in range(n) if u != v])
+        adj[v] ^= 1 << u
+    elif kind == "diagonal":
+        adj[v] |= 1 << v
+    elif kind == "beyond":
+        adj[v] |= 1 << (n + rng.randrange(8))
+    else:
+        adj[v] = -1 - rng.getrandbits(n + 1)
+    return tuple(adj)
+
+
+@pytest.mark.parametrize(
+    "n,kind",
+    [
+        (n, kind)
+        for n in WIDTH_EDGES
+        for kind in ["flip", "diagonal", "beyond", "negative"]
+        if n >= 1 + (kind == "flip")
+    ],
+)
+def test_graph_rejection_messages_match_oracle(n, kind):
+    for seed in range(3):
+        rng = random.Random(seed * 1000 + n)
+        adj = _corrupt(random_graph(n, 0.5, seed).adj, kind, rng)
+        with pytest.raises(ValueError) as want:
+            _oracle_check(n, adj)
+        with pytest.raises(ValueError) as got:
+            Graph(n, adj)
+        assert str(got.value) == str(want.value)
 
 
 def test_edge_density_values():
