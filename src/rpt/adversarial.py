@@ -26,11 +26,10 @@ from .graph import (
     Graph,
     Pattern,
     complement,
-    edge_density,
     induced_subgraph,
     iter_bits,
+    lift,
     mask_from_ids,
-    mask_to_ids,
 )
 from .predicates import is_restricted, is_weakly_restricted
 from .values import ceil_frac
@@ -88,8 +87,11 @@ def _block_can_become_restricted(g: Graph, block: int, eps: Fraction, n_total: i
     return True
 
 
+EXHAUSTIVE_LIMIT = 12  # default vertex budget of exact_n_restricted
+
+
 def exact_n_restricted(
-    g: Graph, n_parts: int, eps: Fraction, budget: int = 12
+    g: Graph, n_parts: int, eps: Fraction, budget: int = EXHAUSTIVE_LIMIT
 ) -> tuple[bool, list[int] | None]:
     """Exact decision: can V(G) be partitioned into <= n_parts eps-restricted sets?
 
@@ -145,7 +147,7 @@ def min_removal_oracle(
             sub, ids = induced_subgraph(g, g.full_mask & ~removed)
             ok, parts = exact_n_restricted(sub, n_parts, eps, budget=budget)
             if ok:
-                host_parts = [mask_from_ids(ids[v] for v in mask_to_ids(p)) for p in parts]
+                host_parts = [lift(ids, p) for p in parts]
                 return r, removed, host_parts
     raise AssertionError("unreachable: removing everything always succeeds")
 
@@ -174,12 +176,15 @@ class HardInstanceSpec:
             raise ValueError("pattern must have at least two vertices")
 
 
+_SCAN_BUDGET = 5 * 10**6  # subsets an exhaustive core scan may test
+
+
 def _subset_scan_budget(m: int, k0: int) -> int:
     return sum(comb(m, k) for k in range(k0, m + 1))
 
 
 def core_has_large_weak_subset(
-    f: Graph, eps6: Fraction, min_size: int, budget: int = 5 * 10**6
+    f: Graph, eps6: Fraction, min_size: int, budget: int = _SCAN_BUDGET
 ) -> tuple[bool, int | None]:
     """Does F contain a weakly eps6-restricted subset of size >= min_size?
 
@@ -197,7 +202,7 @@ def core_has_large_weak_subset(
 
 
 def core_has_large_restricted_subset(
-    f: Graph, eps3: Fraction, min_size: int, budget: int = 5 * 10**6
+    f: Graph, eps3: Fraction, min_size: int, budget: int = _SCAN_BUDGET
 ) -> tuple[bool, int | None]:
     if _subset_scan_budget(f.n, min_size) > budget:
         raise OracleBudgetError("core subset scan exceeds budget")
@@ -227,9 +232,10 @@ def _attach_dominating_independents(f: Graph, n: int) -> tuple[Graph, int]:
     return Graph(n, tuple(rows)), all_core
 
 
-def generate_hard_graph(
-    spec: HardInstanceSpec, max_resamples: int = 200, scan_budget: int = 5 * 10**6
-) -> HardInstance:
+_MAX_RESAMPLES = 200
+
+
+def generate_hard_graph(spec: HardInstanceSpec) -> HardInstance:
     """Sample the counterexample instance; the core property is verified,
     not trusted (a Chernoff-type argument makes resampling cheap).
 
@@ -242,8 +248,8 @@ def generate_hard_graph(
     rng = random.Random(spec.seed)
     min_size = ceil_frac(Fraction(m, big_n))
     relaxed = m < 20 * big_n**2
-    exact_possible = not relaxed and _subset_scan_budget(m, min_size) <= scan_budget
-    for attempt in range(1, max_resamples + 1):
+    exact_possible = not relaxed and _subset_scan_budget(m, min_size) <= _SCAN_BUDGET
+    for attempt in range(1, _MAX_RESAMPLES + 1):
         edges = [(u, v) for u in range(m) for v in range(u + 1, m) if rng.random() < 0.5]
         f = Graph.from_edges(m, edges)
         if relaxed:
@@ -253,9 +259,7 @@ def generate_hard_graph(
                 continue
             return HardInstance(g, all_core, spec, attempt, core_exactly_verified=False)
         if exact_possible:
-            bad, _witness = core_has_large_weak_subset(
-                f, 6 * spec.eps, min_size, budget=scan_budget
-            )
+            bad, _witness = core_has_large_weak_subset(f, 6 * spec.eps, min_size)
             if bad:
                 continue
             verified = True
@@ -318,12 +322,7 @@ def check_partition_against_hard_instance(
     return problems
 
 
-def verify_hard_graph(
-    inst: HardInstance,
-    count_fn,
-    exhaustive_limit: int = 12,
-    scan_budget: int = 5 * 10**6,
-) -> dict:
+def verify_hard_graph(inst: HardInstance, count_fn) -> dict:
     """Re-verify a generated instance from scratch.
 
     count_fn(graph, pattern) supplies the induced-copy counter (passed in
@@ -348,15 +347,15 @@ def verify_hard_graph(
         f, _ = induced_subgraph(g, core)
         try:
             has, _w = core_has_large_restricted_subset(
-                f, 3 * spec.eps, ceil_frac(Fraction(m, spec.restriction_budget)), scan_budget
+                f, 3 * spec.eps, ceil_frac(Fraction(m, spec.restriction_budget))
             )
             clause("core-no-large-restricted-subset", not has)
         except OracleBudgetError:
             clause("core-no-large-restricted-subset", True, "skipped: over budget (flagged)")
             report["core_scan_skipped"] = True
 
-    if n <= exhaustive_limit:
-        ok, _parts = exact_n_restricted(g, spec.restriction_budget, spec.eps, budget=exhaustive_limit)
+    if n <= EXHAUSTIVE_LIMIT:
+        ok, _parts = exact_n_restricted(g, spec.restriction_budget, spec.eps)
         clause("not-n-restricted-exhaustive", not ok)
     else:
         if spec.restriction_budget == 1:

@@ -21,16 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from .adversarial import exact_n_restricted
-from .graph import Graph, Pattern, induced_subgraph, iter_bits, mask_from_ids
-from .keypartition import (
-    BlowupFound,
-    KeyLemmaResult,
-    KeyParams,
-    run_key_lemma,
-)
+from .adversarial import EXHAUSTIVE_LIMIT, exact_n_restricted
+from .extraction import greedy_restricted_chunk
+from .graph import Graph, Pattern, induced_subgraph, iter_bits, lift, mask_from_ids
+from .keypartition import BlowupFound, KeyParams, run_key_lemma
 from .predicates import Verdict, is_restricted, is_tight_to
 from .values import ceil_frac, floor_frac
 
@@ -134,16 +129,16 @@ def base_partition(
     p: PathPartition,
     eps: Fraction,
     bound: int | None = None,
-    exhaustive_limit: int = 12,
 ) -> RestrictedPartition:
     """A verified eps-restricted partition of V(G) from a path-partition.
 
     Strategy: the blocks before the last are already restricted at the
     partition's level (which must not exceed eps) and are kept whole; the
     last block is appended if restricted, otherwise split into greedy
-    restricted chunks.  If that overshoots the bound, an exhaustive
-    search runs at tiny scale; a final failure contradicts the guarantee
-    and raises.
+    restricted chunks (``extraction.greedy_restricted_chunk``).  If that
+    overshoots the bound, an exhaustive search runs at tiny scale
+    (``adversarial.EXHAUSTIVE_LIMIT`` vertices); a final failure
+    contradicts the guarantee and raises.
     """
     if p.eps > eps:
         raise PathPartitionError("path-partition level exceeds the target eps")
@@ -159,13 +154,7 @@ def base_partition(
     else:
         pool = last
         while pool:
-            chunk = 0
-            for v in iter_bits(pool):
-                cand = chunk | (1 << v)
-                if is_restricted(g, cand, eps):
-                    chunk = cand
-            if not chunk:
-                chunk = pool & -pool
+            chunk = greedy_restricted_chunk(g, pool, eps)
             parts.append(chunk)
             pool &= ~chunk
     if len(parts) <= bound:
@@ -174,8 +163,8 @@ def base_partition(
         if not v.ok:
             raise AssertionError(f"assembled base partition failed recheck: {v.detail}")
         return result
-    if g.n <= exhaustive_limit:
-        ok, witness = exact_n_restricted(g, bound, eps, budget=exhaustive_limit)
+    if g.n <= EXHAUSTIVE_LIMIT:
+        ok, witness = exact_n_restricted(g, bound, eps)
         if ok:
             return RestrictedPartition(tuple(witness), eps, bound)
     raise PartBoundViolation(
@@ -247,17 +236,9 @@ def _split_round_robin(mask: int, ways: int) -> list[int]:
     return parts
 
 
-def key_part_bound(key: KeyParams) -> int | None:
-    """N = C(h,2) + (h-1)*phi(delta', eta'), exactly when computable."""
-    p = key.phi_bound()
-    if p is None:
-        return None
-    return comb(key.h, 2) + (key.h - 1) * p
-
-
 def part_count_target(params: LengthenParams, h: int, k: int) -> int | None:
     """h^(2(K-k)) * (2400 eps^-2 + N) - N, the level-k part budget."""
-    n_bound = key_part_bound(params.key)
+    n_bound = params.key.part_bound()
     if n_bound is None:
         return None
     scale = h ** (2 * (params.big_k - k))
@@ -309,13 +290,10 @@ def lengthen(
             key_res,
         )
 
-    def lift(mask: int) -> int:
-        return mask_from_ids(ids[v] for v in iter_bits(mask))
-
-    removed_core = lift(key_res.removed)
-    pairs = [(lift(a), lift(b)) for a, b in key_res.pairs]
-    singles = [lift(c) for c in key_res.singles]
-    n_bound = key_part_bound(params.key)
+    removed_core = lift(ids, key_res.removed)
+    pairs = [(lift(ids, a), lift(ids, b)) for a, b in key_res.pairs]
+    singles = [lift(ids, c) for c in key_res.singles]
+    n_bound = params.key.part_bound()
     m = len(pairs)
 
     if m == 0:
@@ -365,11 +343,8 @@ def lengthen(
                 f"refined path-partition {j} failed clause {rep_j.clause}: {rep_j.detail}"
             )
         res_j = lengthen(sub_j, pat, pp_j, params, d_budget, k + 1)
-        removed_total |= mask_from_ids(ids_j[v] for v in iter_bits(res_j.removed))
-        all_parts += [
-            mask_from_ids(ids_j[v] for v in iter_bits(part))
-            for part in res_j.partition.parts
-        ]
+        removed_total |= lift(ids_j, res_j.removed)
+        all_parts += [lift(ids_j, part) for part in res_j.partition.parts]
     all_parts += singles
 
     # removal bookkeeping: |S| <= (m+1) h^(-2(k+1)) d <= h^(-2k) d

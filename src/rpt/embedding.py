@@ -286,14 +286,7 @@ def blowup_copy_bound(h: int, eps: Fraction, sizes, exponent_form: str = "h-1") 
     return bound
 
 
-def blowup_copy_bound_check(
-    g: Graph,
-    pat: Pattern,
-    cert,
-    exponent_form: str = "h-1",
-    method: str = "exact",
-    budget: int = 10**7,
-) -> bool:
+def blowup_copy_bound_check(g: Graph, pat: Pattern, cert) -> bool:
     """An invariant the guarantee forces on verified (eps^h, eps)-blowups: the
     labeled copy count meets the product lower bound.  False indicates an
     implementation bug or an unverified certificate."""
@@ -304,9 +297,9 @@ def blowup_copy_bound_check(
         raise ValueError("blowup bound check needs eps in (0, 1/2)")
     if cert.c != cert.eps**h:
         raise ValueError("certificate must be an (eps^h, eps)-blowup")
-    chk = verify_blowup(g, cert, method=method, budget=budget)
+    chk = verify_blowup(g, cert)
     if not chk.ok:
         raise ValueError(f"unverified blowup certificate (pair {chk.witness})")
     count = count_embeddings_into_parts(g, pat, cert.parts)
-    bound = blowup_copy_bound(h, cert.eps, [p.bit_count() for p in cert.parts], exponent_form)
+    bound = blowup_copy_bound(h, cert.eps, [p.bit_count() for p in cert.parts])
     return count >= bound

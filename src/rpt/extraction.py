@@ -19,13 +19,15 @@ exact-size eps-restricted extractor (density subset -> trim -> weak-to-
 strong conversion), and the peel chain that repeatedly removes
 restricted sets until only an eta-fraction leftover remains.
 
-Both degree-deletion greedies (trimming, and the best-effort shrink
-toward a density target) run on one peeling, ``_peel``: degrees are
-maintained, not rescanned, with a bucket queue of per-degree vertex
-bitmasks, so each deletion updates only the deleted vertex's
+Both degree-deletion greedies here (trimming, and the best-effort shrink
+toward a density target) run on the one peeling, ``graph.peel_order``:
+degrees are maintained, not rescanned, with a bucket queue of per-degree
+vertex bitmasks, so each deletion updates only the deleted vertex's
 neighbours.  The shrink compares densities as integers (2e*den against
 num*s(s-1)).  Ties go to the lowest vertex id: the lowest set bit of
-the top (or bottom) bucket.
+the top (or bottom) bucket.  The restricted chunks of the peel chain and
+of ``assembly.base_partition`` come from one grower,
+``greedy_restricted_chunk``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from math import comb
 
 from .embedding import (
     ManyCopiesResult,
-    TightPairResult,
     find_tight_pair,
     tight_pair_copy_threshold,
 )
@@ -48,7 +49,8 @@ from .graph import (
     edge_density,
     induced_subgraph,
     iter_bits,
-    mask_from_ids,
+    lift,
+    peel_order,
 )
 from .predicates import Verdict, extract_restricted_from_weak, is_restricted
 from .values import ceil_frac, least_power
@@ -112,61 +114,12 @@ class DensitySubsetResult:
     guaranteed: bool  # exact-schedule preconditions confirmed AND size >= eta^s |G|
 
 
-def _peel(g: Graph, mask: int, side: str):
-    """Yield (v, d): the vertices of mask in deletion order, each with its
-    degree d in what is left of mask just before v goes.
-
-    side="low" deletes a maximum-degree vertex, side="high" a minimum-
-    degree one; ties go to the lowest vertex id.  The bucket queue is the
-    one of Matula & Beck's smallest-last ordering (JACM 1983): ``deg`` holds
-    each remaining vertex's degree, ``buckets[d]`` the bitmask of remaining
-    vertices of degree d, and the next vertex is the lowest set bit of the
-    top (or bottom) nonempty bucket.  A deletion touches only the deleted
-    vertex's remaining neighbours, each of whose degree drops by one, so
-    the maximum never rises and the minimum falls by at most one per step.
-    The deletion of v happens when the next vertex is requested.
-    """
-    adj = g.adj
-    deg = [0] * g.n
-    buckets = [0] * mask.bit_count()
-    for v in iter_bits(mask):
-        d = (adj[v] & mask).bit_count()
-        deg[v] = d
-        buckets[d] |= 1 << v
-    low = side == "low"
-    d = len(buckets) - 1 if low else 0
-    left = mask
-    while left:
-        if low:
-            while not buckets[d]:
-                d -= 1
-        else:
-            while not buckets[d]:
-                d += 1
-        bit = buckets[d] & -buckets[d]
-        v = bit.bit_length() - 1
-        yield v, d
-        buckets[d] ^= bit
-        left ^= bit
-        nbrs = adj[v] & left
-        while nbrs:
-            b = nbrs & -nbrs
-            u = b.bit_length() - 1
-            du = deg[u]
-            buckets[du] ^= b
-            buckets[du - 1] |= b
-            deg[u] = du - 1
-            nbrs ^= b
-        if not low and d:
-            d -= 1
-
-
 def trim_to_size(g: Graph, s: int, k: int, side: str) -> int:
     """Exact-size subset whose density moved only the promised way.
 
     side="low": delete maximum-degree vertices (density never increases);
     side="high": delete minimum-degree vertices (never decreases).
-    Ties go to the lowest vertex id (the deletion order of ``_peel``).
+    Ties go to the lowest vertex id (the deletion order of ``peel_order``).
     """
     if s & ~g.full_mask:
         raise ValueError("vertex set out of range")
@@ -177,7 +130,7 @@ def trim_to_size(g: Graph, s: int, k: int, side: str) -> int:
         raise ValueError("side must be 'low' or 'high'")
     before = edge_density(g, s)
     current = s
-    for v, _ in islice(_peel(g, s, side), size - k):
+    for v, _ in islice(peel_order(g, s, side), size - k):
         current ^= 1 << v
     after = edge_density(g, current)
     if current.bit_count() >= 2:
@@ -197,7 +150,7 @@ def _greedy_shrink_to_density(g: Graph, target: Fraction) -> int:
     num, den = target.numerator, target.denominator
     size, twice_e = g.n, 2 * g.edge_count()
     cur = g.full_mask
-    peeling = _peel(g, cur, "low")
+    peeling = peel_order(g, cur, "low")
     while twice_e * den > num * size * (size - 1):
         v, d = next(peeling)
         cur ^= 1 << v
@@ -216,7 +169,10 @@ def _greedy_independent(g: Graph) -> int:
     return out
 
 
-def _independent_set(g: Graph, node_budget: int = 20_000) -> int:
+_INDEPENDENT_SET_NODES = 20_000
+
+
+def _independent_set(g: Graph) -> int:
     """Branch-and-bound maximum independent set, seeded by the greedy one.
 
     Deterministic; gives up (returning the best found so far) once the
@@ -232,7 +188,7 @@ def _independent_set(g: Graph, node_budget: int = 20_000) -> int:
 
     def bnb(cand: int, cur: int, cur_size: int):
         nonlocal best, nodes
-        if nodes >= node_budget:
+        if nodes >= _INDEPENDENT_SET_NODES:
             return
         nodes += 1
         if cur_size + cand.bit_count() <= best.bit_count():
@@ -351,8 +307,7 @@ def _search(
         if res is None:
             res = (*_greedy_best_effort(sg, se1, we2), False)
         sm, side, flag = res
-        host = mask_from_ids(ids[v] for v in iter_bits(sm))
-        return host, side, flag
+        return lift(ids, sm), side, flag
 
     s_b, side_b, flag_b = sub(b_mask, depth - 1)
     if side_b == "high":
@@ -477,8 +432,11 @@ def extract_restricted_exact(
     return t
 
 
-def _greedy_restricted_chunk(g: Graph, pool: int, eps: Fraction) -> int:
-    """Grow a restricted subset of the pool greedily by ascending id."""
+def greedy_restricted_chunk(g: Graph, pool: int, eps: Fraction) -> int:
+    """Grow a restricted subset of the pool greedily by ascending id.
+
+    A singleton is restricted, so a nonempty pool always gives a nonempty
+    chunk, and it holds the pool's lowest id."""
     chunk = 0
     for v in iter_bits(pool):
         cand = chunk | (1 << v)
@@ -508,15 +466,13 @@ def peel_chain(
     eps: Fraction,
     eta: Fraction,
     delta: Fraction,
-    use_pipeline: bool = True,
 ) -> PeelChain:
     """Repeatedly peel eps-restricted sets of fractional size >= delta until
     at most an eta fraction of the vertices remains.
 
-    When the pipeline extractor cannot reach the delta fraction the peel
-    degrades to a greedy chunk or a single vertex (still a valid
-    restricted peel) and the chain is flagged: its length may then exceed
-    phi(delta, eta).
+    Each peel is the larger of a greedy restricted chunk and the pipeline
+    extractor's set.  When neither reaches the delta fraction the chain is
+    flagged: its length may then exceed phi(delta, eta).
     """
     if not (0 < eta < 1 and 0 < delta < 1):
         raise ValueError("eta and delta must lie in (0,1)")
@@ -526,20 +482,18 @@ def peel_chain(
     guaranteed = True
     while u.bit_count() > eta * total:
         need = ceil_frac(delta * u.bit_count())
-        peel = _greedy_restricted_chunk(g, u, eps)
-        if use_pipeline and peel.bit_count() < u.bit_count():
+        peel = greedy_restricted_chunk(g, u, eps)
+        if peel.bit_count() < u.bit_count():
             sub, ids = induced_subgraph(g, u)
             try:
                 local = extract_restricted_exact(
                     sub, pat, eps, min(delta, Fraction(1, 4))
                 )
-                candidate = mask_from_ids(ids[v] for v in iter_bits(local))
+                candidate = lift(ids, local)
                 if candidate.bit_count() > peel.bit_count():
                     peel = candidate
             except (ExtractionInfeasible, ValueError):
                 pass
-        if not peel:
-            peel = u & -u  # lowest-id single vertex
         if peel.bit_count() < need:
             guaranteed = False
         peels.append(peel)

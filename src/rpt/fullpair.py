@@ -89,11 +89,14 @@ class FullPairParams:
         return max(1, scalar_ceil_mul(frac, side))
 
 
+_WORK_BUDGET = 400_000  # subpair candidates the exhaustive phase may try
+
+
 def _certify(
-    g: Graph, a: int, b: int, params: FullPairParams, polarity: str, budget: int
+    g: Graph, a: int, b: int, params: FullPairParams, polarity: str
 ) -> FullPairCertificate | None:
     cert = FullPairCertificate(a, b, params.c, params.eps, polarity)
-    if is_full_pair(g, cert, method="exact", budget=budget).ok:
+    if is_full_pair(g, cert, method="exact").ok:
         return cert
     return None
 
@@ -104,8 +107,6 @@ def find_full_pair(
     b: int,
     params: FullPairParams,
     polarity: str = "full",
-    check_budget: int = 10**7,
-    work_budget: int = 400_000,
 ) -> FullPairCertificate:
     """A subpair (A' of a, B' of b) certified (c,eps)-full (or -empty).
 
@@ -129,7 +130,7 @@ def find_full_pair(
     cur_a, cur_b = a, b
     while cur_a and cur_b:
         cert = FullPairCertificate(cur_a, cur_b, params.c, params.eps, polarity)
-        res = is_full_pair(g, cert, method="exact", budget=check_budget)
+        res = is_full_pair(g, cert, method="exact")
         if res.ok:
             return cert
         cur_a &= ~res.witness[0]
@@ -158,7 +159,7 @@ def find_full_pair(
         if keep_a.bit_count() >= floor_a:
             cur_a = keep_a
         if cur_a.bit_count() >= floor_a and cur_b.bit_count() >= floor_b:
-            cert = _certify(g, cur_a, cur_b, params, polarity, check_budget)
+            cert = _certify(g, cur_a, cur_b, params, polarity)
             if cert is not None:
                 return cert
 
@@ -177,7 +178,7 @@ def find_full_pair(
     )
     for sa, sb in sizes:
         cost = comb(na, sa) * comb(nb, sb)
-        if spent + cost > work_budget:
+        if spent + cost > _WORK_BUDGET:
             skipped_any = True
             continue
         spent += cost
@@ -190,14 +191,14 @@ def find_full_pair(
                 for v in combo_b:
                     bm |= 1 << v
                 try:
-                    cert = _certify(g, am, bm, params, polarity, check_budget)
+                    cert = _certify(g, am, bm, params, polarity)
                 except EnumerationBudgetError:
                     cert = None
                 if cert is not None:
                     return cert
     if skipped_any:
         raise FullPairSearchError(
-            f"work budget {work_budget} exhausted without a certified subpair"
+            f"work budget {_WORK_BUDGET} exhausted without a certified subpair"
         )
     raise FullPairGuaranteeViolation(
         f"no ({params.c},{params.eps})-{polarity} subpair at sizes >= "

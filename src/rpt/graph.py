@@ -3,7 +3,8 @@
 Vertices are dense 0-based integers.  A vertex set is a plain Python int
 used as a bitmask over 0..n-1; helpers below convert to and from sorted
 id lists.  Certificates elsewhere in the package always speak host-graph
-ids, translating through the index map returned by :func:`induced_subgraph`.
+ids, translating through the index map returned by :func:`induced_subgraph`
+with :func:`lift`.
 
 Every :class:`Graph` is checked in full when it is built: after the
 per-row self-loop and range checks, the rows are packed into one w x w
@@ -224,6 +225,64 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     data = _transpose(_pack([g.adj[v] for v in ids], w), w).to_bytes(w * step, "little")
     rows = tuple(int.from_bytes(data[v * step : v * step + step], "little") for v in ids)
     return Graph(len(ids), rows), ids
+
+
+def lift(ids: list[int], mask: int) -> int:
+    """The host-graph mask of ``mask``, a vertex set of the subgraph whose
+    new-id -> host-id map ``ids`` came from :func:`induced_subgraph`."""
+    out = 0
+    for v in iter_bits(mask):
+        out |= 1 << ids[v]
+    return out
+
+
+def peel_order(g: Graph, mask: int, side: str):
+    """Yield (v, d): the vertices of mask in deletion order, each with its
+    degree d in what is left of mask just before v goes.
+
+    side="low" deletes a maximum-degree vertex, side="high" a minimum-
+    degree one; ties go to the lowest vertex id.  The bucket queue is the
+    one of Matula & Beck's smallest-last ordering (JACM 1983): ``deg`` holds
+    each remaining vertex's degree, ``buckets[d]`` the bitmask of remaining
+    vertices of degree d, and the next vertex is the lowest set bit of the
+    top (or bottom) nonempty bucket.  A deletion touches only the deleted
+    vertex's remaining neighbours, each of whose degree drops by one, so
+    the maximum never rises and the minimum falls by at most one per step.
+    The deletion of v happens when the next vertex is requested.
+    """
+    adj = g.adj
+    deg = [0] * g.n
+    buckets = [0] * mask.bit_count()
+    for v in iter_bits(mask):
+        d = (adj[v] & mask).bit_count()
+        deg[v] = d
+        buckets[d] |= 1 << v
+    low = side == "low"
+    d = len(buckets) - 1 if low else 0
+    left = mask
+    while left:
+        if low:
+            while not buckets[d]:
+                d -= 1
+        else:
+            while not buckets[d]:
+                d += 1
+        bit = buckets[d] & -buckets[d]
+        v = bit.bit_length() - 1
+        yield v, d
+        buckets[d] ^= bit
+        left ^= bit
+        nbrs = adj[v] & left
+        while nbrs:
+            b = nbrs & -nbrs
+            u = b.bit_length() - 1
+            du = deg[u]
+            buckets[du] ^= b
+            buckets[du - 1] |= b
+            deg[u] = du - 1
+            nbrs ^= b
+        if not low and d:
+            d -= 1
 
 
 def edge_density(g: Graph, mask: int | None = None) -> Fraction:

@@ -34,7 +34,7 @@ from .graph import (
     count_embeddings_into_parts,
     induced_subgraph,
     iter_bits,
-    mask_from_ids,
+    lift,
 )
 from .ledger import ConstantsLedger, build_ledger
 from .predicates import (
@@ -66,6 +66,11 @@ class _PartBound:
         if isinstance(self.delta_prime, Fraction) and isinstance(self.eta_prime, Fraction):
             return phi(self.delta_prime, self.eta_prime)
         return None
+
+    def part_bound(self) -> int | None:
+        """N = C(h,2) + (h-1)*phi(delta', eta') when exactly computable, else None."""
+        p = self.phi_bound()
+        return None if p is None else comb(self.h, 2) + (self.h - 1) * p
 
     def n_bound_holds(self, n: int, multiplier: int) -> bool:
         """Decide n <= multiplier * phi(delta', eta') soundly."""
@@ -294,9 +299,7 @@ class MNTPartition:
         return MNTPartition((), (), (), (), g.full_mask, params, d_budget)
 
 
-def verify_mnt_partition(
-    g: Graph, pat: Pattern, p: MNTPartition, full_pair_budget: int = 10**7
-) -> Verdict:
+def verify_mnt_partition(g: Graph, pat: Pattern, p: MNTPartition) -> Verdict:
     """Check all six invariant groups; returns the first violated clause.
     The verdict is not exact when a blowup pair was only sample-checked."""
     pr = p.params
@@ -340,7 +343,7 @@ def verify_mnt_partition(
         eps_t = pr.eps_schedule[p.t]
         cert = BlowupCertificate(p.d_sets, eps_t, pr.xi, pat.prefix(p.t))
         try:
-            chk = verify_blowup(g, cert, method="exact", budget=full_pair_budget)
+            chk = verify_blowup(g, cert, method="exact")
         except EnumerationBudgetError:
             chk = verify_blowup(g, cert, method="sampled")
             exact = False
@@ -467,17 +470,17 @@ def _finish(
 
 
 def advance_or_finish(
-    g: Graph, pat: Pattern, p: MNTPartition, verify: bool = True
+    g: Graph, pat: Pattern, p: MNTPartition
 ) -> tuple[KeyLemmaResult | MNTPartition, StepRecord]:
-    """One iteration: finish (|S| <= d) or assemble the (m+t, n+s, t+1)-partition."""
+    """One iteration: finish (|S| <= d) or assemble the (m+t, n+s, t+1)-partition.
+    Both the input and the assembled partition are verified."""
     pr = p.params
     t = p.t
     if t >= pat.size:
         raise ValueError("cannot advance a partition that already reached t = h")
-    if verify:
-        rep = verify_mnt_partition(g, pat, p)
-        if not rep.ok:
-            raise StepFailure(f"input partition invalid at clause {rep.clause}")
+    rep = verify_mnt_partition(g, pat, p)
+    if not rep.ok:
+        raise StepFailure(f"input partition invalid at clause {rep.clause}")
 
     s_mask, l_parts = _correct_adjacency_split(g, pat, p)
     s_size = s_mask.bit_count()
@@ -497,7 +500,7 @@ def advance_or_finish(
         )
     except ExtractionInfeasible as exc:
         raise StepFailure(f"core extraction failed at t={t}: {exc}") from exc
-    s0 = mask_from_ids(ids_s[v] for v in iter_bits(core_local))
+    s0 = lift(ids_s, core_local)
 
     chain = []
     d_primes = []
@@ -549,10 +552,8 @@ def advance_or_finish(
             pc = peel_chain(sub_r, pat, pr.eps, eta_p, delta_p)
         except Exception as exc:
             raise StepFailure(f"peeling failed at t={t}: {exc}") from exc
-        peels = tuple(
-            mask_from_ids(ids_r[v] for v in iter_bits(q)) for q in pc.peels
-        )
-        new_leftover = mask_from_ids(ids_r[v] for v in iter_bits(pc.leftover))
+        peels = tuple(lift(ids_r, q) for q in pc.peels)
+        new_leftover = lift(ids_r, pc.leftover)
         if new_leftover.bit_count() > eta_p * rest.bit_count():
             raise AssertionError("peel leftover exceeds its eta' bound")
         if not pr.n_bound_holds(len(peels), 1):
@@ -585,13 +586,12 @@ def advance_or_finish(
         peel_sets=peels,
         peel_leftover=new_leftover,
     )
-    if verify:
-        rep = verify_mnt_partition(g, pat, nxt)
-        if not rep.ok:
-            raise StepFailure(
-                f"assembled (m={nxt.m},n={nxt.n},t={nxt.t})-partition fails "
-                f"clause {rep.clause}: {rep.detail}"
-            )
+    rep = verify_mnt_partition(g, pat, nxt)
+    if not rep.ok:
+        raise StepFailure(
+            f"assembled (m={nxt.m},n={nxt.n},t={nxt.t})-partition fails "
+            f"clause {rep.clause}: {rep.detail}"
+        )
     return nxt, rec
 
 
@@ -638,8 +638,8 @@ def verify_key_certificate(g: Graph, c: KeyCertificate) -> Verdict:
     if union != g.full_mask:
         return Verdict(False, detail="sets do not cover V(G)")
     if c.delta_prime is not None and not c.part_bound_holds(len(c.singles)):
-        p = c.phi_bound()
-        bound = "" if p is None else f" = {comb(c.h, 2) + (c.h - 1) * p}"
+        n_bound = c.part_bound()
+        bound = "" if n_bound is None else f" = {n_bound}"
         return Verdict(False, detail=f"single count exceeds N{bound}")
     return Verdict(True)
 
@@ -663,7 +663,6 @@ def run_key_lemma(
     pat: Pattern,
     params: KeyParams,
     d_budget: int,
-    max_steps: int | None = None,
     start: MNTPartition | None = None,
 ) -> KeyLemmaResult | BlowupFound:
     """Iterate from the trivial partition (or a verified resume state);
@@ -681,7 +680,7 @@ def run_key_lemma(
     transcript: list[StepRecord] = []
     if p.t == h:
         return _blowup_found(g, pat, params, p, d_budget, transcript)
-    for _ in range(max_steps if max_steps is not None else h + 1):
+    for _ in range(h + 1):
         outcome, rec = advance_or_finish(g, pat, p)
         transcript.append(rec)
         if isinstance(outcome, KeyLemmaResult):

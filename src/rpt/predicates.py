@@ -27,10 +27,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import ceil, comb
 from typing import Any, NamedTuple
 
-from .graph import Graph, Pattern, complement, edge_density, iter_bits, mask_to_ids
+from .graph import Graph, Pattern, complement, edge_density, iter_bits, mask_to_ids, peel_order
 from .values import ceil_frac
 
 TIGHTNESS_MODES = ("sparse", "dense", "tight")
@@ -65,25 +66,13 @@ class Verdict(NamedTuple):
         raise TypeError("a Verdict has no truth value; read .ok")
 
 
-@dataclass(frozen=True)
-class TightnessCheck:
-    ok: bool
-    satisfied: str | None  # "sparse" or "dense" when ok under mode="tight"
-    sparse_violator: int | None
-    dense_violator: int | None
+def is_tight_to(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> Verdict:
+    """Is B eps-sparse / eps-dense / eps-tight to A (strict bounds)?
 
-    @property
-    def witness(self) -> int | None:
-        """A vertex violating both bounds if one exists, else any violator."""
-        if self.sparse_violator is not None and self.sparse_violator == self.dense_violator:
-            return self.sparse_violator
-        if self.sparse_violator is not None:
-            return self.sparse_violator
-        return self.dense_violator
-
-
-def is_tight_to(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> TightnessCheck:
-    """Is B eps-sparse / eps-dense / eps-tight to A (strict bounds)?"""
+    A failed verdict's witness is a vertex of B that breaks the mode's
+    bound; under "tight", one that breaks both bounds if there is one,
+    else the first that breaks the sparse bound.
+    """
     if mode not in TIGHTNESS_MODES:
         raise ValueError(f"unknown tightness mode {mode!r}")
     if not a:
@@ -92,8 +81,7 @@ def is_tight_to(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> Tightness
         raise CheckPreconditionError("A and B must be disjoint")
     na = a.bit_count()
     threshold = eps * na
-    sparse_bad = dense_bad = None
-    both_bad = None
+    sparse_bad = dense_bad = both_bad = None
     for v in iter_bits(b):
         nbrs = (g.adj[v] & a).bit_count()
         viol_sparse = not nbrs < threshold
@@ -104,19 +92,17 @@ def is_tight_to(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> Tightness
             dense_bad = v
         if viol_sparse and viol_dense and both_bad is None:
             both_bad = v
-    sparse_ok = sparse_bad is None
-    dense_ok = dense_bad is None
     if mode == "sparse":
-        return TightnessCheck(sparse_ok, "sparse" if sparse_ok else None, sparse_bad, None)
-    if mode == "dense":
-        return TightnessCheck(dense_ok, "dense" if dense_ok else None, None, dense_bad)
-    ok = sparse_ok or dense_ok
-    satisfied = "sparse" if sparse_ok else ("dense" if dense_ok else None)
-    if ok:
-        return TightnessCheck(True, satisfied, None, None)
-    if both_bad is not None:
-        return TightnessCheck(False, None, both_bad, both_bad)
-    return TightnessCheck(False, None, sparse_bad, dense_bad)
+        bad = sparse_bad
+    elif mode == "dense":
+        bad = dense_bad
+    elif sparse_bad is None or dense_bad is None:
+        bad = None
+    else:
+        bad = sparse_bad if both_bad is None else both_bad
+    if bad is None:
+        return Verdict(True)
+    return Verdict(False, detail=f"vertex {bad} of B breaks the {mode} bound", witness=bad)
 
 
 def restricted_side(g: Graph, s: int, eps: Fraction) -> str | None:
@@ -153,11 +139,11 @@ def extract_restricted_from_weak(g: Graph, s: int, eps: Fraction) -> int:
     """From a weakly (eps/4)-restricted S, return an eps-restricted subset
     of size exactly ceil(|S|/2).
 
-    Works on whichever side has density at most eps/4 and repeatedly
-    deletes a maximum-degree vertex (ties to the lowest id): the density
-    never increases, and once every remaining degree is at most
-    eps*ceil(|S|/2) it can never rise again.  The postcondition is
-    rechecked before returning.
+    Works on whichever side has density at most eps/4 and deletes the
+    first floor(|S|/2) vertices of ``peel_order`` (a maximum-degree vertex
+    each time, ties to the lowest id): the density never increases, and
+    once every remaining degree is at most eps*ceil(|S|/2) it can never
+    rise again.  The postcondition is rechecked before returning.
     """
     size = s.bit_count()
     if size == 0:
@@ -172,15 +158,9 @@ def extract_restricted_from_weak(g: Graph, s: int, eps: Fraction) -> int:
         raise CheckPreconditionError(
             f"set is not weakly {quarter}-restricted (density {dens})"
         )
-    target = (size + 1) // 2
     current = s
-    while current.bit_count() > target:
-        worst, worst_deg = None, -1
-        for v in iter_bits(current):
-            d = (work.adj[v] & current).bit_count()
-            if d > worst_deg:
-                worst, worst_deg = v, d
-        current &= ~(1 << worst)
+    for v, _ in islice(peel_order(work, s, "low"), size // 2):
+        current ^= 1 << v
     if not is_restricted(g, current, eps):
         raise AssertionError("greedy extraction missed its postcondition")
     return current
@@ -292,13 +272,15 @@ def _first_violation(
     return None
 
 
+_FULLNESS_SAMPLES = 2000
+
+
 def is_full_pair(
     g: Graph,
     cert: FullPairCertificate,
     method: str = "exact",
     budget: int = 10**7,
     rng: random.Random | None = None,
-    samples: int = 2000,
 ) -> Verdict:
     """Check a fullness certificate.
 
@@ -321,7 +303,7 @@ def is_full_pair(
         rng = rng or random.Random(0)
         a_ids = mask_to_ids(cert.a)
         b_ids = mask_to_ids(cert.b)
-        for _ in range(samples):
+        for _ in range(_FULLNESS_SAMPLES):
             a1 = rng.sample(a_ids, ka)
             b1 = rng.sample(b_ids, kb)
             am = sum(1 << v for v in a1)

@@ -240,7 +240,7 @@ def path_partition_from_json(obj: dict, n: int | None = None) -> PathPartition:
     )
 
 
-def removal_result_to_json(r: RemovalResult, verified: bool = True) -> dict:
+def removal_result_to_json(r: RemovalResult) -> dict:
     return {
         "kind": "removal_result",
         "removed": ids(r.removed),
@@ -248,7 +248,7 @@ def removal_result_to_json(r: RemovalResult, verified: bool = True) -> dict:
         "eps": frac(r.partition.eps),
         "N": r.partition.bound,
         "d": r.d_budget,
-        "verified": verified,
+        "verified": True,
     }
 
 

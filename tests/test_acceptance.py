@@ -323,7 +323,7 @@ def test_c07_key_lemma_structural_soundness():
                 if not rep.ok:
                     violations.append((idx, f"intermediate clause {rep.clause}"))
                     break
-                result, _rec = advance_or_finish(g, pat, p, verify=True)
+                result, _rec = advance_or_finish(g, pat, p)
                 steps += 1
                 if isinstance(result, KeyLemmaResult):
                     outcome = result

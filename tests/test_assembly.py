@@ -19,7 +19,6 @@ from rpt.assembly import (
     RestrictedPartition,
     base_partition,
     default_part_bound,
-    key_part_bound,
     lengthen,
     level_eps,
     run_main_theorem,
@@ -124,7 +123,7 @@ class TestLengthen:
         pp = PathPartition.trivial(g, level_eps(params, 2, 0))
         res = lengthen(g, K2, pp, params, Fraction(4), 0)
         assert res.removed == 0
-        n_bound = key_part_bound(params.key)
+        n_bound = params.key.part_bound()
         assert len(res.partition.parts) <= 0 + n_bound
         res.verify(g)
 

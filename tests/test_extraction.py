@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
@@ -13,6 +13,7 @@ from rpt.extraction import (
     depth_for,
     extract_restricted_exact,
     find_low_or_high_density_subset,
+    greedy_restricted_chunk,
     peel_chain,
     phi,
     shrink_fraction,
@@ -392,6 +393,20 @@ class TestExtractExact:
         assert is_restricted(g, out, eps)
         if n >= 2:
             assert (n - out.bit_count()) * 2 >= n
+
+
+class TestGreedyRestrictedChunk:
+    @given(peeling_graphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_nonempty_pool_keeps_its_lowest_id(self, g, data):
+        # a singleton is restricted, so the chunk is never empty
+        assume(g.n > 0)
+        pool = data.draw(st.integers(1, g.full_mask))
+        eps = data.draw(st.fractions(0, 1, max_denominator=20))
+        chunk = greedy_restricted_chunk(g, pool, eps)
+        assert chunk & ~pool == 0
+        assert chunk & pool & -pool
+        assert is_restricted(g, chunk, eps)
 
 
 class TestPeelChain:

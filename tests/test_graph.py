@@ -22,6 +22,7 @@ from rpt.graph import (
     from_graph6,
     induced_subgraph,
     iter_bits,
+    lift,
     load_graph_text,
     mask_from_ids,
     named_pattern,
@@ -205,6 +206,18 @@ def test_induced_subgraph_matches_oracle(n, p, seed):
     for mask in masks:
         sub, ids = induced_subgraph(g, mask)
         assert (sub.adj, ids) == _oracle_induced_subgraph(g, mask)
+
+
+@given(st.integers(0, 64), st.integers(0, 10**6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_lift_matches_comprehension(n, seed, data):
+    # the per-call-site comprehension that lift replaced, as the oracle
+    g = random_graph(n, 0.5, seed)
+    mask = data.draw(st.integers(0, g.full_mask))
+    sub, ids = induced_subgraph(g, mask)
+    local = data.draw(st.integers(0, sub.full_mask))
+    assert lift(ids, local) == mask_from_ids(ids[v] for v in iter_bits(local))
+    assert lift(ids, sub.full_mask) == mask
 
 
 def _corrupt(adj, kind, rng):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -13,6 +14,7 @@ from rpt.graph import (
     Pattern,
     complement,
     edge_density,
+    iter_bits,
     mask_from_ids,
     mask_to_ids,
     named_pattern,
@@ -94,6 +96,68 @@ class TestTightness:
         assert res.ok == (sparse or dense)
         if not res.ok:
             assert res.witness is not None
+
+    @given(st.integers(0, 10**6), st.integers(2, 16), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_witness_matches_tightness_check(self, seed, n, data):
+        g = random_graph(n, data.draw(st.floats(0.0, 1.0)), seed)
+        a = data.draw(st.integers(1, g.full_mask))
+        b = data.draw(st.integers(0, g.full_mask)) & ~a
+        eps = data.draw(st.fractions(Fraction(1, 20), 1, max_denominator=20))
+        for mode in ("sparse", "dense", "tight"):
+            old = tightness_check(g, a, b, eps, mode)
+            res = is_tight_to(g, a, b, eps, mode)
+            assert (res.ok, res.witness) == (old.ok, old.witness), mode
+
+
+# The result type and loop that is_tight_to had before it returned a
+# Verdict, kept verbatim as the oracle for its witness.
+@dataclass(frozen=True)
+class TightnessCheck:
+    ok: bool
+    satisfied: str | None  # "sparse" or "dense" when ok under mode="tight"
+    sparse_violator: int | None
+    dense_violator: int | None
+
+    @property
+    def witness(self) -> int | None:
+        """A vertex violating both bounds if one exists, else any violator."""
+        if self.sparse_violator is not None and self.sparse_violator == self.dense_violator:
+            return self.sparse_violator
+        if self.sparse_violator is not None:
+            return self.sparse_violator
+        return self.dense_violator
+
+
+def tightness_check(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> TightnessCheck:
+    """Is B eps-sparse / eps-dense / eps-tight to A (strict bounds)?"""
+    na = a.bit_count()
+    threshold = eps * na
+    sparse_bad = dense_bad = None
+    both_bad = None
+    for v in iter_bits(b):
+        nbrs = (g.adj[v] & a).bit_count()
+        viol_sparse = not nbrs < threshold
+        viol_dense = not (na - nbrs) < threshold
+        if viol_sparse and sparse_bad is None:
+            sparse_bad = v
+        if viol_dense and dense_bad is None:
+            dense_bad = v
+        if viol_sparse and viol_dense and both_bad is None:
+            both_bad = v
+    sparse_ok = sparse_bad is None
+    dense_ok = dense_bad is None
+    if mode == "sparse":
+        return TightnessCheck(sparse_ok, "sparse" if sparse_ok else None, sparse_bad, None)
+    if mode == "dense":
+        return TightnessCheck(dense_ok, "dense" if dense_ok else None, None, dense_bad)
+    ok = sparse_ok or dense_ok
+    satisfied = "sparse" if sparse_ok else ("dense" if dense_ok else None)
+    if ok:
+        return TightnessCheck(True, satisfied, None, None)
+    if both_bad is not None:
+        return TightnessCheck(False, None, both_bad, both_bad)
+    return TightnessCheck(False, None, sparse_bad, dense_bad)
 
 
 class TestRestricted:
@@ -193,6 +257,50 @@ class TestExtractFromWeak:
             pass  # the greedy side met the bound itself
         else:
             assert is_restricted(g, out, eps)
+
+    @given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 10**6),
+           st.sampled_from(["low", "high"]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rescan(self, n, p, seed, polarity, data):
+        # G(n, p) for the sparse polarity, its complement for the dense one
+        g = random_graph(n, p, seed)
+        if polarity == "high":
+            g = complement(g)
+        s = data.draw(st.integers(1, g.full_mask))
+        dens = edge_density(g, s)
+        sparse_side = dens if polarity == "low" else 1 - dens
+        eps = max(4 * sparse_side, data.draw(st.sampled_from([Fraction(1, 40), Fraction(1, 2)])))
+        assert extract_restricted_from_weak(g, s, eps) == extract_from_weak_rescan(g, s, eps)
+
+
+# The rescanning loop that extract_restricted_from_weak ran before it took
+# its deletion order from graph.peel_order, kept verbatim as an oracle.
+def extract_from_weak_rescan(g: Graph, s: int, eps: Fraction) -> int:
+    size = s.bit_count()
+    if size == 0:
+        raise CheckPreconditionError("cannot extract from an empty set")
+    quarter = eps / 4
+    dens = edge_density(g, s)
+    if dens <= quarter:
+        work = g
+    elif dens >= 1 - quarter:
+        work = complement(g)
+    else:
+        raise CheckPreconditionError(
+            f"set is not weakly {quarter}-restricted (density {dens})"
+        )
+    target = (size + 1) // 2
+    current = s
+    while current.bit_count() > target:
+        worst, worst_deg = None, -1
+        for v in iter_bits(current):
+            d = (work.adj[v] & current).bit_count()
+            if d > worst_deg:
+                worst, worst_deg = v, d
+        current &= ~(1 << worst)
+    if not is_restricted(g, current, eps):
+        raise AssertionError("greedy extraction missed its postcondition")
+    return current
 
 
 def brute_force_full(g: Graph, cert: FullPairCertificate) -> bool:

@@ -38,7 +38,8 @@ def test_verifiers_return_verdicts():
             for node in scope.body:
                 if not isinstance(node, ast.FunctionDef):
                     continue
-                named = node.name in ("verify", "is_full_pair") or node.name.startswith("verify_")
+                named = (node.name in ("verify", "is_full_pair", "is_tight_to")
+                         or node.name.startswith("verify_"))
                 if not named:
                     continue
                 name = f"{prefix}.{node.name}"
@@ -48,3 +49,39 @@ def test_verifiers_return_verdicts():
                     wrong.append(f"{name} -> {returns}")
     assert NOT_VERDICTS <= found, f"stale exceptions: {sorted(NOT_VERDICTS - found)}"
     assert not wrong, f"verifiers not annotated -> Verdict: {', '.join(wrong)}"
+
+
+def _id_maps(tree) -> set[str]:
+    """Names bound to the id map of ``sub, ids = induced_subgraph(...)``."""
+    return {
+        node.targets[0].elts[1].id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func).endswith("induced_subgraph")
+        and isinstance(node.targets[0], ast.Tuple)
+        and len(node.targets[0].elts) == 2
+        and isinstance(node.targets[0].elts[1], ast.Name)
+    }
+
+
+def test_subgraph_masks_lift_through_graph_lift():
+    # a subgraph mask goes back to host ids through graph.lift alone, not
+    # through mask_from_ids(ids[v] for v in ...) written out at each call site
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        id_maps = _id_maps(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("mask_from_ids")
+                    and node.args):
+                continue
+            arg = node.args[0]
+            if (isinstance(arg, (ast.GeneratorExp, ast.ListComp))
+                    and isinstance(arg.elt, ast.Subscript)
+                    and isinstance(arg.elt.value, ast.Name)
+                    and arg.elt.value.id in id_maps):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"hand-written lifts (use graph.lift): {', '.join(found)}"
