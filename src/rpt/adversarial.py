@@ -183,35 +183,32 @@ def _subset_scan_budget(m: int, k0: int) -> int:
     return sum(comb(m, k) for k in range(k0, m + 1))
 
 
-def core_has_large_weak_subset(
-    f: Graph, eps6: Fraction, min_size: int, budget: int = _SCAN_BUDGET
-) -> tuple[bool, int | None]:
-    """Does F contain a weakly eps6-restricted subset of size >= min_size?
-
-    Exhaustive over all sizes in [min_size, |F|]; density is not monotone
-    under taking subsets so every size must be scanned.
-    """
+def _scan_core_subsets(f: Graph, holds, min_size: int, budget: int) -> tuple[bool, int | None]:
+    """The first subset of F of size >= min_size (smallest size first, then
+    lexicographic) on which ``holds`` is true; exhaustive, because neither
+    predicate is monotone under taking subsets."""
     if _subset_scan_budget(f.n, min_size) > budget:
         raise OracleBudgetError("core subset scan exceeds budget")
     for k in range(min_size, f.n + 1):
         for combo in itertools.combinations(range(f.n), k):
             mask = mask_from_ids(combo)
-            if is_weakly_restricted(f, mask, eps6):
+            if holds(mask):
                 return True, mask
     return False, None
+
+
+def core_has_large_weak_subset(
+    f: Graph, eps6: Fraction, min_size: int, budget: int = _SCAN_BUDGET
+) -> tuple[bool, int | None]:
+    """Does F contain a weakly eps6-restricted subset of size >= min_size?"""
+    return _scan_core_subsets(f, lambda m: is_weakly_restricted(f, m, eps6), min_size, budget)
 
 
 def core_has_large_restricted_subset(
     f: Graph, eps3: Fraction, min_size: int, budget: int = _SCAN_BUDGET
 ) -> tuple[bool, int | None]:
-    if _subset_scan_budget(f.n, min_size) > budget:
-        raise OracleBudgetError("core subset scan exceeds budget")
-    for k in range(min_size, f.n + 1):
-        for combo in itertools.combinations(range(f.n), k):
-            mask = mask_from_ids(combo)
-            if is_restricted(f, mask, eps3):
-                return True, mask
-    return False, None
+    """Does F contain an eps3-restricted subset of size >= min_size?"""
+    return _scan_core_subsets(f, lambda m: is_restricted(f, m, eps3), min_size, budget)
 
 
 @dataclass

@@ -15,6 +15,10 @@ The bounded-partition step for full-length path-partitions is realized
 as a verified search (greedy refinement with an exhaustive fallback at
 tiny scale): the cited bound 2400/eps^2 is used as the alarm threshold,
 and failing it is reported as a hard diagnostic, never absorbed.
+
+Each result is checked by the verifier that ``rpt check`` runs for its
+kind before it is returned: a base partition by
+verify_restricted_partition, a removal result by verify_removal_result.
 """
 
 from __future__ import annotations
@@ -138,7 +142,8 @@ def base_partition(
     restricted chunks (``extraction.greedy_restricted_chunk``).  If that
     overshoots the bound, an exhaustive search runs at tiny scale
     (``adversarial.EXHAUSTIVE_LIMIT`` vertices); a final failure
-    contradicts the guarantee and raises.
+    contradicts the guarantee and raises.  Either partition is checked by
+    verify_restricted_partition, the verifier ``rpt check`` runs for it.
     """
     if p.eps > eps:
         raise PathPartitionError("path-partition level exceeds the target eps")
@@ -157,20 +162,21 @@ def base_partition(
             chunk = greedy_restricted_chunk(g, pool, eps)
             parts.append(chunk)
             pool &= ~chunk
-    if len(parts) <= bound:
-        result = RestrictedPartition(tuple(parts), eps, bound)
-        v = verify_restricted_partition(g, result)
-        if not v.ok:
-            raise AssertionError(f"assembled base partition failed recheck: {v.detail}")
-        return result
-    if g.n <= EXHAUSTIVE_LIMIT:
-        ok, witness = exact_n_restricted(g, bound, eps)
-        if ok:
-            return RestrictedPartition(tuple(witness), eps, bound)
-    raise PartBoundViolation(
-        f"could not partition into {bound} eps-restricted parts "
-        f"(greedy reached {len(parts)}); this contradicts the guarantee"
-    )
+    if len(parts) > bound:
+        ok, witness = False, None
+        if g.n <= EXHAUSTIVE_LIMIT:
+            ok, witness = exact_n_restricted(g, bound, eps)
+        if not ok:
+            raise PartBoundViolation(
+                f"could not partition into {bound} eps-restricted parts "
+                f"(greedy reached {len(parts)}); this contradicts the guarantee"
+            )
+        parts = witness
+    result = RestrictedPartition(tuple(parts), eps, bound)
+    v = verify_restricted_partition(g, result)
+    if not v.ok:
+        raise AssertionError(f"base partition failed recheck: {v.detail}")
+    return result
 
 
 @dataclass(frozen=True)
@@ -214,14 +220,12 @@ class LengthenParams:
         pat: Pattern,
         eps: Fraction,
         key: KeyParams | None = None,
-        big_k: int | None = None,
     ) -> "LengthenParams":
         if not Fraction(0) < eps < Fraction(1, 3):
             raise ValueError("eps must lie in (0, 1/3)")
-        k_val = big_k if big_k is not None else ceil_frac(4 / eps)
         if key is None:
             key = KeyParams.practical(pat, eps)
-        return LengthenParams(eps, k_val, key, default_part_bound(eps))
+        return LengthenParams(eps, ceil_frac(4 / eps), key, default_part_bound(eps))
 
 
 def level_eps(params: LengthenParams, h: int, k: int) -> Fraction:

@@ -291,15 +291,17 @@ def _cmd_extract(plan: CommandPlan) -> int:
     return 0
 
 
+def _delta_prime(args, g: Graph) -> Fraction:
+    """--delta-prime, or 1/max(8, n) when it is not given."""
+    return Fraction(1, max(8, g.n)) if args.delta_prime is None else args.delta_prime
+
+
 def _key_params(plan: CommandPlan, pat: Pattern, g: Graph) -> KeyParams:
     args = plan.args
     if plan.mode == "paper":
         return KeyParams.paper(pat, args.eps, args.eta, args.theta)
-    dp = getattr(args, "delta_prime", None)
-    if dp is None:
-        dp = Fraction(1, max(8, g.n))
     return KeyParams.practical(
-        pat, args.eps, eta=args.eta, theta=args.theta, delta_prime=dp
+        pat, args.eps, eta=args.eta, theta=args.theta, delta_prime=_delta_prime(args, g)
     )
 
 
@@ -341,8 +343,7 @@ def _cmd_theorem(plan: CommandPlan) -> int:
         key = KeyParams.paper(pat, args.eps, Fraction(1, pat.size**2), args.eps / 12)
         params = LengthenParams.practical(pat, args.eps, key=key)
     else:
-        dp = getattr(args, "delta_prime", None) or Fraction(1, max(8, g.n))
-        key = KeyParams.practical(pat, args.eps, delta_prime=dp)
+        key = KeyParams.practical(pat, args.eps, delta_prime=_delta_prime(args, g))
         params = LengthenParams.practical(pat, args.eps, key=key)
     res = run_main_theorem(g, pat, args.eps, args.d, params)
     _emit(

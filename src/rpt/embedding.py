@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .graph import Graph, Pattern, count_embeddings_into_parts, iter_bits
+from .graph import Graph, Pattern, count_embeddings_into_parts, iter_bits, mask_from_ids
 from .predicates import is_tight_to
 
 
@@ -238,14 +238,7 @@ def split_into_label_parts(g: Graph, h: int, shuffle_seed: int | None = None) ->
         import random
 
         random.Random(shuffle_seed).shuffle(ids)
-    parts = []
-    for t in range(h):
-        chunk = ids[t * size : (t + 1) * size]
-        mask = 0
-        for v in chunk:
-            mask |= 1 << v
-        parts.append(mask)
-    return parts
+    return [mask_from_ids(ids[t * size : (t + 1) * size]) for t in range(h)]
 
 
 def find_tight_pair(
@@ -277,9 +270,13 @@ def blowup_copy_bound(h: int, eps: Fraction, sizes, exponent_form: str = "h-1") 
     """(1-eps)^(h-1) * eps^C(h,2) * prod |D_i|.
 
     exponent_form="h" uses the weaker (1-eps)^h variant employed by the
-    contradiction test in the key-partition runner; both forms hold.
+    contradiction test in the key-partition runner; both forms hold.  Any
+    other exponent_form raises ValueError.
     """
-    e = h - 1 if exponent_form == "h-1" else h
+    exponents = {"h-1": h - 1, "h": h}
+    if exponent_form not in exponents:
+        raise ValueError(f"exponent_form must be 'h-1' or 'h', not {exponent_form!r}")
+    e = exponents[exponent_form]
     bound = (1 - eps) ** e * eps ** comb(h, 2)
     for s in sizes:
         bound *= s

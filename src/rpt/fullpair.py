@@ -23,7 +23,7 @@ from math import comb
 
 import mpmath
 
-from .graph import Graph, complement, iter_bits, mask_to_ids
+from .graph import Graph, complement, iter_bits, mask_from_ids, mask_to_ids
 from .predicates import (
     CheckPreconditionError,
     EnumerationBudgetError,
@@ -183,13 +183,9 @@ def find_full_pair(
             continue
         spent += cost
         for combo_a in itertools.combinations(a_ids, sa):
-            am = 0
-            for v in combo_a:
-                am |= 1 << v
+            am = mask_from_ids(combo_a)
             for combo_b in itertools.combinations(b_ids, sb):
-                bm = 0
-                for v in combo_b:
-                    bm |= 1 << v
+                bm = mask_from_ids(combo_b)
                 try:
                     cert = _certify(g, am, bm, params, polarity)
                 except EnumerationBudgetError:

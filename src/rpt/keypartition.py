@@ -14,13 +14,17 @@ many copies; under the exact constant schedule that contradicts the copy
 budget, and in practical runs it is a legitimate reported outcome.
 
 Every assembled partition is re-verified clause by clause before the
-iteration continues; nothing downstream trusts the construction.
+iteration continues, and every result is checked by the verifier that
+``rpt check`` runs for its kind: key-lemma rows by verify_key_certificate
+(through verify_key_result), a blowup found by verify_blowup_found.
+Nothing downstream trusts the construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import mpmath
@@ -35,6 +39,7 @@ from .graph import (
     induced_subgraph,
     iter_bits,
     lift,
+    mask_from_ids,
 )
 from .ledger import ConstantsLedger, build_ledger
 from .predicates import (
@@ -158,7 +163,6 @@ class KeyParams(_PartBound):
         lam: Fraction | None = None,
         delta_prime: Fraction = Fraction(1, 8),
         eta_prime: Fraction | None = None,
-        eps_top: Fraction | None = None,
     ) -> "KeyParams":
         h = pat.size
         xi = theta / 4
@@ -166,8 +170,7 @@ class KeyParams(_PartBound):
             # the chain's b-side is only guaranteed a 2*xi fraction of
             # correct neighbors, so the floor must not exceed that
             lam = min(Fraction(1, 3), 2 * xi)
-        eps_h = eps_top if eps_top is not None else min(eps, xi**h)
-        schedule = [eps_h]
+        schedule = [min(eps, xi**h)]
         for _ in range(h):
             schedule.append(schedule[-1] * lam)
         schedule.reverse()
@@ -233,18 +236,11 @@ class KeyParams(_PartBound):
 
     def delta_prime_at(self, scale: int) -> Fraction:
         """delta' as an exact fraction, or a surrogate equivalent at sizes <= scale."""
-        if isinstance(self.delta_prime, Fraction):
-            return self.delta_prime
-        if self.delta_prime * scale < 1:  # LogValue comparison, sound
-            return Fraction(1, 4 * scale)
-        raise InfeasibleAtScale("delta_prime not representable at this scale")
+        return _at_scale("delta_prime", self.delta_prime, scale)
 
     def eta_prime_at(self, scale: int) -> Fraction:
-        if isinstance(self.eta_prime, Fraction):
-            return self.eta_prime
-        if self.eta_prime * scale < 1:
-            return Fraction(1, 4 * scale)
-        raise InfeasibleAtScale("eta_prime not representable at this scale")
+        """eta' as an exact fraction, or a surrogate equivalent at sizes <= scale."""
+        return _at_scale("eta_prime", self.eta_prime, scale)
 
     def gamma_chain(self, t: int, i: int) -> Fraction:
         """Gamma(t,i) = lam^(t-i): required shrink of S_t relative to S_i."""
@@ -268,6 +264,14 @@ class KeyParams(_PartBound):
         return min(
             self.eps_schedule[t + 1] * self.gamma_chain(t, 0) for t in range(self.h)
         )
+
+
+def _at_scale(name: str, value: Scalar, scale: int) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if value * scale < 1:  # LogValue comparison, sound
+        return Fraction(1, 4 * scale)
+    raise InfeasibleAtScale(f"{name} not representable at this scale")
 
 
 @dataclass(frozen=True)
@@ -455,25 +459,17 @@ def _finish(
     singles = [a for a, b in zip(p.a_sets, p.b_sets) if not b]
     singles += [d for d, l in zip(p.d_sets, l_parts) if not l]
     singles += list(p.c_sets)
-    h = pat.size
-    if len(pairs) > comb(h, 2):
-        raise AssertionError("final pair count exceeds C(h,2)")
-    if not pr.part_bound_holds(len(singles)):
-        raise AssertionError("final single count exceeds N")
-    return KeyLemmaResult(
-        removed=s_mask,
-        pairs=tuple(pairs),
-        singles=tuple(singles),
-        params=pr,
-        d_budget=p.d_budget,
-    )
+    result = KeyLemmaResult(s_mask, tuple(pairs), tuple(singles), pr, p.d_budget)
+    verify_key_result(g, pat, result)
+    return result
 
 
 def advance_or_finish(
     g: Graph, pat: Pattern, p: MNTPartition
 ) -> tuple[KeyLemmaResult | MNTPartition, StepRecord]:
     """One iteration: finish (|S| <= d) or assemble the (m+t, n+s, t+1)-partition.
-    Both the input and the assembled partition are verified."""
+    Both the input and the assembled partition are verified, and a finished
+    result goes through verify_key_result."""
     pr = p.params
     t = p.t
     if t >= pat.size:
@@ -519,14 +515,7 @@ def advance_or_finish(
             raise StepFailure(f"chain step {i}: core shrank below lam fraction")
         if d_i_prime.bit_count() < pr.lam * di.bit_count():
             raise StepFailure(f"chain step {i}: D side shrank below lam fraction")
-        half = di.bit_count() // 2
-        want = min(d_i_prime.bit_count(), half)
-        p_i = 0
-        for v in iter_bits(d_i_prime):
-            if want == 0:
-                break
-            p_i |= 1 << v
-            want -= 1
+        p_i = mask_from_ids(islice(iter_bits(d_i_prime), di.bit_count() // 2))
         if not p_i or 2 * (di & ~p_i).bit_count() < di.bit_count():
             raise AssertionError("P_i must leave at least half of D_i")
         # the next level's blowup scaling needs both of these
@@ -684,16 +673,7 @@ def run_key_lemma(
         outcome, rec = advance_or_finish(g, pat, p)
         transcript.append(rec)
         if isinstance(outcome, KeyLemmaResult):
-            result = KeyLemmaResult(
-                outcome.removed,
-                outcome.pairs,
-                outcome.singles,
-                outcome.params,
-                outcome.d_budget,
-                tuple(transcript),
-            )
-            verify_key_result(g, pat, result)
-            return result
+            return replace(outcome, transcript=tuple(transcript))
         p = outcome
         if p.t == h:
             return _blowup_found(g, pat, params, p, d_budget, transcript)
@@ -708,29 +688,33 @@ def _blowup_found(
     d_budget: int,
     transcript: list[StepRecord],
 ) -> BlowupFound:
+    """The t = h partition's blowup row as a result, checked by
+    verify_blowup_found; exact-schedule runs also show that its copies
+    exceed the budget kappa * d^h."""
     h = pat.size
-    eps_h = params.eps_schedule[h]
-    cert = BlowupCertificate(p.d_sets, eps_h, params.xi, pat.prefix(h))
-    chk = verify_blowup(g, cert, method="exact")
-    if not chk.ok:
-        raise AssertionError("blowup row failed its exact recheck at t=h")
+    cert = BlowupCertificate(p.d_sets, params.eps_schedule[h], params.xi, pat.prefix(h))
     count = count_embeddings_into_parts(g, pat, p.d_sets)
     sizes = [d.bit_count() for d in p.d_sets]
     bound = blowup_copy_bound(h, params.xi, sizes, exponent_form="h")
-    contradiction = False
-    if eps_h <= params.xi**h:
-        if count < bound:
-            raise AssertionError("blowup found but the copy lower bound fails")
-        if params.mode == "paper" and params.ledger is not None:
-            kap = params.ledger.get("kappa")
-            lhs = mpmath.log(max(count, 1), 2)
-            rhs = kap.log2 + h * mpmath.log(max(d_budget, 1), 2)
-            if d_budget and lhs <= rhs:
-                raise AssertionError(
-                    "exact-schedule contradiction failed: count within kappa*d^h"
-                )
-            contradiction = True
-    return BlowupFound(cert, count, bound, contradiction, tuple(transcript))
+    contradiction = params.mode == "paper" and params.ledger is not None
+    found = BlowupFound(cert, count, bound, contradiction, tuple(transcript))
+    v = verify_blowup_found(g, found)
+    if not v.ok:
+        raise AssertionError(v.detail)
+    if contradiction and d_budget:
+        lhs, rhs = _log2_count_and_budget(count, params, h, d_budget)
+        if lhs <= rhs:
+            raise AssertionError("exact-schedule contradiction failed: count within kappa*d^h")
+    return found
+
+
+def _log2_count_and_budget(
+    count: int, params: KeyParams, h: int, d_budget: int
+) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """log2 of a copy count, and the upper bound log2 kappa + h*log2 d on
+    log2 of the copy budget kappa * d^h."""
+    kap = params.ledger.get("kappa")
+    return mpmath.log(max(count, 1), 2), kap.log2 + h * mpmath.log(max(d_budget, 1), 2)
 
 
 def _paper_precheck(g: Graph, pat: Pattern, params: KeyParams, d_budget: int) -> None:
@@ -738,7 +722,6 @@ def _paper_precheck(g: Graph, pat: Pattern, params: KeyParams, d_budget: int) ->
 
     if params.ledger is None:
         raise AssertionError("paper-mode parameters carry no ledger")
-    kap = params.ledger.get("kappa")
     ind = count_induced_copies(g, pat)
     if ind == 0:
         return
@@ -746,8 +729,7 @@ def _paper_precheck(g: Graph, pat: Pattern, params: KeyParams, d_budget: int) ->
     # refusal errs on the safe side.
     if d_budget == 0:
         raise InfeasibleAtScale("exact schedule needs ind(G) = 0 when d = 0")
-    lhs = mpmath.log(ind, 2)
-    rhs = kap.log2 + pat.size * mpmath.log(d_budget, 2)
+    lhs, rhs = _log2_count_and_budget(ind, params, pat.size, d_budget)
     if lhs > rhs:
         raise InfeasibleAtScale(
             "constants infeasible at this scale: ind(G) exceeds kappa*d^h "

@@ -31,7 +31,16 @@ from itertools import islice
 from math import ceil, comb
 from typing import Any, NamedTuple
 
-from .graph import Graph, Pattern, complement, edge_density, iter_bits, mask_to_ids, peel_order
+from .graph import (
+    Graph,
+    Pattern,
+    complement,
+    edge_density,
+    iter_bits,
+    mask_from_ids,
+    mask_to_ids,
+    peel_order,
+)
 from .values import ceil_frac
 
 TIGHTNESS_MODES = ("sparse", "dense", "tight")
@@ -265,10 +274,7 @@ def _first_violation(
         # a single leaf, and it violates: recover the inner vertices realizing the minimum
         combo_mask = chosen | rest if need else chosen
         scored = sorted(inner_ids, key=lambda u: ((work.adj[u] & combo_mask).bit_count(), u))
-        inner_mask = 0
-        for u in scored[:inner_k]:
-            inner_mask |= 1 << u
-        return combo_mask, inner_mask
+        return combo_mask, mask_from_ids(scored[:inner_k])
     return None
 
 
@@ -306,8 +312,8 @@ def is_full_pair(
         for _ in range(_FULLNESS_SAMPLES):
             a1 = rng.sample(a_ids, ka)
             b1 = rng.sample(b_ids, kb)
-            am = sum(1 << v for v in a1)
-            bm = sum(1 << v for v in b1)
+            am = mask_from_ids(a1)
+            bm = mask_from_ids(b1)
             if work.edges_between(am, bm) < cert.eps * ka * kb:
                 return _refuted(am, bm)
         return Verdict(True, exact=False)

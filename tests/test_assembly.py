@@ -27,7 +27,7 @@ from rpt.assembly import (
 )
 from rpt.graph import Graph, complement, mask_from_ids, named_pattern
 from rpt.keypartition import KeyParams
-from rpt.predicates import is_restricted
+from rpt.predicates import Verdict, is_restricted
 
 QUARTER = Fraction(1, 4)
 K2 = named_pattern("K2")
@@ -110,6 +110,23 @@ class TestBasePartition:
         v = verify_restricted_partition(g, part)
         assert v.ok, v.detail
         assert len(part.parts) <= 3
+
+    def test_exhaustive_fallback_goes_through_the_verifier(self, monkeypatch):
+        # greedy splits this graph into 3 independent sets or cliques, the
+        # exhaustive search into 2; its partition is rechecked like the greedy one
+        import rpt.assembly
+
+        searched = []
+        monkeypatch.setattr(rpt.assembly, "exact_n_restricted",
+                            lambda *a: searched.append(a) or exact_n_restricted(*a))
+        g = random_graph(5, 0.5, 1)
+        pp = PathPartition.trivial(g, Fraction(0))
+        assert len(base_partition(g, pp, Fraction(0), bound=2).parts) == 2
+        assert len(searched) == 1
+        monkeypatch.setattr(rpt.assembly, "verify_restricted_partition",
+                            lambda g, p, universe=None: Verdict(False, detail="refuted"))
+        with pytest.raises(AssertionError, match="refuted"):
+            base_partition(g, pp, Fraction(0), bound=2)
 
 
 class TestLengthen:

@@ -286,6 +286,15 @@ class TestCommands:
         assert payload["kind"] == "key_lemma_result"
         assert all(rec["kind"] == "step_record" for rec in payload["transcript"])
 
+    @pytest.mark.parametrize("subcommand", ["keylemma", "theorem"])
+    def test_delta_prime_zero_rejected(self, capsys, c5_file, subcommand):
+        # both subcommands read --delta-prime through one default and one check
+        code = main([subcommand, "--graph", c5_file, "--pattern", "K2", "--d", "2",
+                     "--delta-prime", "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: delta_prime must lie in (0, 1/4]\n"
+
     def test_extract_peel(self, capsys, c5_file):
         code, out = run_cli(
             capsys,

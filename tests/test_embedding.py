@@ -159,6 +159,17 @@ class TestBlowupCopyBound:
             3, eps, sizes, "h-1"
         )
 
+    def test_exponent_forms(self):
+        # (1-eps)^e * eps^C(h,2) * prod sizes with e = h-1 or h
+        assert blowup_copy_bound(2, Fraction(1, 4), [4, 4]) == 3
+        assert blowup_copy_bound(2, Fraction(1, 4), [4, 4], "h-1") == 3
+        assert blowup_copy_bound(2, Fraction(1, 4), [4, 4], "h") == Fraction(9, 4)
+
+    @pytest.mark.parametrize("form", ["H-1", "h - 1", "", "h-2"])
+    def test_unknown_exponent_form_rejected(self, form):
+        with pytest.raises(ValueError, match="exponent_form"):
+            blowup_copy_bound(2, Fraction(1, 4), [4, 4], form)
+
     @given(st.integers(0, 2000))
     @settings(max_examples=200, deadline=None)
     def test_verified_blowups_meet_the_bound(self, seed):

@@ -6,7 +6,9 @@ import mpmath
 import pytest
 
 from conftest import random_graph
+import rpt.keypartition
 from rpt.adversarial import HardInstanceSpec, generate_hard_graph
+from rpt.embedding import blowup_copy_bound
 from rpt.extraction import phi
 from rpt.fullpair import gamma
 from rpt.graph import Graph, Pattern, complement, mask_from_ids, named_pattern
@@ -18,11 +20,12 @@ from rpt.keypartition import (
     MNTPartition,
     advance_or_finish,
     run_key_lemma,
+    verify_blowup_found,
     verify_key_result,
     verify_mnt_partition,
 )
 from rpt.ledger import build_ledger
-from rpt.predicates import is_restricted, is_tight_to
+from rpt.predicates import Verdict, is_restricted, is_tight_to
 
 QUARTER = Fraction(1, 4)
 K2 = named_pattern("K2")
@@ -178,6 +181,15 @@ class TestAdvanceOrFinish:
         assert not rec.finished
         assert verify_mnt_partition(g, K2, outcome).ok
 
+    def test_finished_result_goes_through_the_verifier(self, monkeypatch):
+        # a result handed to a direct caller is checked in full, not clause by clause
+        monkeypatch.setattr(rpt.keypartition, "verify_key_certificate",
+                            lambda g, c: Verdict(False, detail="refuted for the test"))
+        g = random_graph(9, 0.5, 3)
+        p = MNTPartition.trivial(g, KeyParams.practical(K2, QUARTER), 9)
+        with pytest.raises(AssertionError, match="refuted for the test"):
+            advance_or_finish(g, K2, p)
+
     def test_rejects_t_equal_h(self):
         g = Graph.empty(4)
         params = KeyParams.practical(K2, QUARTER)
@@ -195,6 +207,21 @@ def crafted_blowup_start(params):
     g = Graph.from_edges(11, edges)
     d1 = mask_from_ids(range(10))
     p = MNTPartition((), (), (), (d1,), 1 << 10, params, 0)
+    return g, p
+
+
+def crafted_k3_start(params):
+    """t=2 state for K3: D_1, D_2 completely joined cliques, leftover
+    vertex adjacent to everything."""
+    d1 = list(range(0, 10))
+    d2 = list(range(10, 20))
+    u = 20
+    edges = [(i, j) for i in d1 for j in d1 if i < j]
+    edges += [(i, j) for i in d2 for j in d2 if i < j]
+    edges += [(i, j) for i in d1 for j in d2]
+    edges += [(i, u) for i in d1 + d2]
+    g = Graph.from_edges(21, edges)
+    p = MNTPartition((), (), (), (mask_from_ids(d1), mask_from_ids(d2)), 1 << u, params, 0)
     return g, p
 
 
@@ -225,22 +252,31 @@ class TestRunKeyLemma:
         assert res.copy_count >= res.copy_bound
         assert len(res.certificate.parts) == 2
 
+    def test_blowup_found_goes_through_the_verifier(self, monkeypatch):
+        monkeypatch.setattr(rpt.keypartition, "verify_blowup_found",
+                            lambda g, found: Verdict(False, detail="refuted for the test"))
+        params = KeyParams.practical(K2, QUARTER)
+        g, start = crafted_blowup_start(params)
+        with pytest.raises(AssertionError, match="refuted for the test"):
+            run_key_lemma(g, K2, params, 0, start=start)
+
+    @pytest.mark.parametrize("pat, crafted_start",
+                             [(K2, crafted_blowup_start), (K3, crafted_k3_start)],
+                             ids=["K2", "K3"])
+    def test_blowup_found_passes_its_verifier(self, pat, crafted_start):
+        params = KeyParams.practical(pat, QUARTER)
+        g, start = crafted_start(params)
+        res = run_key_lemma(g, pat, params, 0, start=start)
+        assert isinstance(res, BlowupFound)
+        sizes = [d.bit_count() for d in res.certificate.parts]
+        assert res.copy_bound == blowup_copy_bound(pat.size, params.xi, sizes, "h")
+        assert verify_blowup_found(g, res).ok
+
     def test_two_step_chain_reaches_h3_blowup(self):
-        # t=2 state for K3: D_1, D_2 completely joined cliques, leftover
-        # vertex adjacent to everything: the chain must run two
-        # densification steps and assemble a verified 3-part blowup.
-        d1 = list(range(0, 10))
-        d2 = list(range(10, 20))
-        u = 20
-        edges = [(i, j) for i in d1 for j in d1 if i < j]
-        edges += [(i, j) for i in d2 for j in d2 if i < j]
-        edges += [(i, j) for i in d1 for j in d2]
-        edges += [(i, u) for i in d1 + d2]
-        g = Graph.from_edges(21, edges)
+        # the chain must run two densification steps and assemble a
+        # verified 3-part blowup.
         params = KeyParams.practical(K3, QUARTER)
-        start = MNTPartition(
-            (), (), (), (mask_from_ids(d1), mask_from_ids(d2)), 1 << u, params, 0
-        )
+        g, start = crafted_k3_start(params)
         assert verify_mnt_partition(g, K3, start).ok
         res = run_key_lemma(g, K3, params, 0, start=start)
         assert isinstance(res, BlowupFound)

@@ -85,3 +85,30 @@ def test_subgraph_masks_lift_through_graph_lift():
                     and arg.elt.value.id in id_maps):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"hand-written lifts (use graph.lift): {', '.join(found)}"
+
+
+def _builds_mask_by_hand(node) -> bool:
+    """``for v in ids: m |= 1 << v``: a loop whose only statement ORs the
+    bit of its own target into a name."""
+    if not (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+            and len(node.body) == 1):
+        return False
+    stmt = node.body[0]
+    return (isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.BitOr)
+            and isinstance(stmt.target, ast.Name)
+            and isinstance(stmt.value, ast.BinOp) and isinstance(stmt.value.op, ast.LShift)
+            and ast.unparse(stmt.value.left) == "1"
+            and isinstance(stmt.value.right, ast.Name)
+            and stmt.value.right.id == node.target.id)
+
+
+def test_masks_from_id_lists_use_mask_from_ids():
+    # a mask built from an id list goes through graph.mask_from_ids
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _builds_mask_by_hand(node)]
+    assert not found, f"hand-written masks (use graph.mask_from_ids): {', '.join(found)}"
