@@ -7,12 +7,20 @@ ids, translating through the index map returned by :func:`induced_subgraph`
 with :func:`lift`.
 
 Every :class:`Graph` is checked in full when it is built: after the
-per-row self-loop and range checks, the rows are packed into one w x w
-bit matrix (w a power of two >= max(8, n)) and compared with its
-transpose, which :func:`_transpose` computes in log2 w delta swaps.  Only
-when they differ does a per-edge scan run, to name the first asymmetric
-pair.  :func:`induced_subgraph` relabels through the same transpose
+per-row self-loop and range checks, rows 0..k-1 are packed into one w x w
+bit matrix and compared with its transpose, which :func:`_transpose`
+computes in log2 w delta swaps.  Here k is 1 + the highest vertex that has,
+or is, a neighbour, and w is a power of two >= max(8, k); the rows from k
+on are zero.  Only when the two differ does a per-edge scan run, to name
+the first asymmetric pair.  So an edgeless graph, or one with an isolated
+tail, costs time and memory linear in n, but the matrix is quadratic in
+k: the two-line edge list "16000\\n0 15999\\n" still packs a 16384 x 16384
+bit matrix.  :func:`induced_subgraph` relabels through the same transpose
 instead of a loop over edges.
+
+Edge lists are read by :func:`load_graph_text`, which tries one fast pass
+for clean text (:func:`_clean_edge_list`) and otherwise leaves the text to
+the line parser :func:`from_edge_list`, the one source of parse errors.
 
 A *copy* of a pattern H in G is an injective map phi from the pattern
 vertices into V(G) that preserves both adjacency and non-adjacency; the
@@ -30,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 
 class GraphParseError(ValueError):
@@ -109,6 +118,15 @@ def _transpose(x: int, w: int) -> int:
     return x
 
 
+def _transposed_rows(rows, w: int, ids) -> list[int]:
+    """Rows ``ids`` of the transpose of the w x w bit matrix whose first
+    rows are ``rows`` (the rest zero): row v holds bit r wherever rows[r]
+    holds bit v."""
+    step = w // 8
+    data = _transpose(_pack(rows, w), w).to_bytes(w * step, "little")
+    return [int.from_bytes(data[v * step : v * step + step], "little") for v in ids]
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple graph: ``adj[v]`` is the neighbor bitmask of vertex v."""
@@ -120,20 +138,26 @@ class Graph:
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length must equal vertex count")
         adj = self.adj
-        full = self.full_mask
-        for v, row in enumerate(adj):
-            if row & (1 << v):
+        n = self.n
+        # Rows from ``last`` on are zero and pass every check; finding them
+        # takes no Python-level step per row.
+        last = bytes(map(bool, adj)).rfind(1) + 1
+        for v, row in enumerate(islice(adj, last)):
+            if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            if row & ~full:
+            if row >> n:
                 raise ValueError(f"adjacency row {v} mentions out-of-range vertices")
+        # k is 1 + the highest vertex that has, or is, a neighbour.
+        k = max(last, max(map(int.bit_length, islice(adj, last)), default=0))
         # Symmetric iff the packed matrix equals its transpose; the full scan
-        # below runs only to name the first asymmetric pair.
-        w = _width(self.n)
-        packed = _pack(adj, w)
+        # below runs only to name the first asymmetric pair.  Rows from k on
+        # are zero and no row has a bit at k or above, so rows[:k] suffice.
+        w = _width(k)
+        packed = _pack(adj[:k], w)
         if _transpose(packed, w) != packed:
-            for v in range(self.n):
+            for v in range(k):
                 for u in iter_bits(adj[v]):
-                    if not adj[u] & (1 << v):
+                    if not adj[u] >> v & 1:
                         raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @property
@@ -220,11 +244,8 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     if mask & ~g.full_mask:
         raise ValueError("vertex set out of range")
     ids = mask_to_ids(mask)
-    w = _width(g.n)
-    step = w // 8
-    data = _transpose(_pack([g.adj[v] for v in ids], w), w).to_bytes(w * step, "little")
-    rows = tuple(int.from_bytes(data[v * step : v * step + step], "little") for v in ids)
-    return Graph(len(ids), rows), ids
+    rows = _transposed_rows([g.adj[v] for v in ids], _width(g.n), ids)
+    return Graph(len(ids), tuple(rows)), ids
 
 
 def lift(ids: list[int], mask: int) -> int:
@@ -368,7 +389,11 @@ def from_edge_list(text: str) -> Graph:
     """Parse the edge-list format.
 
     First non-comment line is the vertex count n; each following line is
-    "u v" with 0 <= u < v < n.  '#' starts a comment line.
+    "u v" with 0 <= u < v < n.  '#' starts a comment line; blank lines,
+    surrounding whitespace and any line break :meth:`str.splitlines` knows
+    are accepted.  Every :class:`GraphParseError` an edge list can raise,
+    with its line number, comes from here: :func:`load_graph_text` reads
+    only clean text in its fast pass and hands the rest to this parser.
     """
     n = None
     rows: list[int] = []
@@ -463,8 +488,69 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+def _clean_edge_list(text: str) -> Graph | None:
+    """The graph of a clean edge list, or None for :func:`from_edge_list` to parse.
+
+    Clean means: the vertex count alone on the first line, in canonical
+    decimal, then one "u v" per line with 0 <= u < v < n, no edge twice,
+    a single space between the two ids, each id in canonical decimal, lines
+    separated by "\\n", and at most one final "\\n".  On such text the two
+    parsers agree.  Anything else returns None, so the line parser stays
+    the one source of error messages.  A blank line, a comment, other
+    whitespace (a tab, "\\r", "\\x0b", ...), a sign or a leading zero puts a
+    token that is not a key of ``ids`` or breaks the two-way unpack; an id
+    at or above n (or len(text)) is no key either.  An edge with v <= u
+    leaves a row whose lowest bit is at or below its own vertex, and a
+    repeated edge leaves fewer bits than lines.  The upper triangle is
+    mirrored by one :func:`_transpose`, and the result is checked in full
+    by ``Graph``.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return None
+    try:
+        n = int(lines[0])
+        if n < 0 or str(n) != lines[0]:
+            return None
+        # At most len(text) keys, so a huge n costs no more than its rows;
+        # a text that names a higher id is left to the line parser.
+        ids = {str(v): v for v in range(min(n, len(text)))}
+        rows = [0] * n
+        for line in islice(lines, 1, None):
+            u, v = line.split(" ")
+            rows[ids[u]] |= 1 << ids[v]
+    except (ValueError, KeyError, OverflowError, MemoryError):
+        return None
+    if sum(map(int.bit_count, rows)) != len(lines) - 1:
+        return None
+    del lines  # freed before the matrix work, so the two peaks do not add up
+    # Every edge has u < v: no row from k on holds a bit, and the lowest bit
+    # of each row lies above the row's own vertex.
+    k = max(map(int.bit_length, rows), default=0)
+    if any(islice(rows, k, None)):
+        return None
+    for u, row in enumerate(islice(rows, k)):
+        if row and (row & -row).bit_length() <= u + 1:
+            return None
+    for v, lower in enumerate(_transposed_rows(rows[:k], _width(k), range(k))):
+        rows[v] |= lower
+    return Graph(n, tuple(rows))
+
+
 def load_graph_text(text: str) -> Graph:
-    """Edge-list or graph6, detected by whether the first data line is an integer."""
+    """Edge-list or graph6, detected by whether the first data line is an integer.
+
+    A clean edge list (one "u v" per "\\n"-ended line, see
+    :func:`_clean_edge_list`) is read in one fast pass; the fast pass never
+    raises, and any other text goes through :func:`from_edge_list` or
+    :func:`from_graph6`, which alone report errors.  Both ways give the same
+    graph, checked in full by ``Graph``.
+    """
+    g = _clean_edge_list(text)
+    if g is not None:
+        return g
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):

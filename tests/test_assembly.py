@@ -101,15 +101,22 @@ class TestBasePartition:
         with pytest.raises(PathPartitionError):
             base_partition(g, pp, QUARTER)
 
-    def test_exhaustive_fallback_tiny(self):
-        # last block not restricted and not greedily splittable under the
-        # bound: force the exhaustive search path on a tiny instance
+    def test_greedy_exit_tiny(self, monkeypatch):
+        # C5 is not 0-restricted, but the greedy split already meets the
+        # bound of 3 parts, so the exhaustive search never runs; the test
+        # below covers that fallback
+        import rpt.assembly
+
+        searched = []
+        monkeypatch.setattr(rpt.assembly, "exact_n_restricted",
+                            lambda *a: searched.append(a) or exact_n_restricted(*a))
         g = Graph.cycle(5)
         pp = PathPartition.trivial(g, Fraction(0))
         part = base_partition(g, pp, Fraction(0), bound=3)
         v = verify_restricted_partition(g, part)
         assert v.ok, v.detail
         assert len(part.parts) <= 3
+        assert searched == []
 
     def test_exhaustive_fallback_goes_through_the_verifier(self, monkeypatch):
         # greedy splits this graph into 3 independent sets or cliques, the

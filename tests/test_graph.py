@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import all_small_patterns, random_graph, random_pattern
 from rpt.adversarial import naive_count
 from rpt.graph import (
+    _clean_edge_list,
     _symmetry,
     _transpose,
     Graph,
@@ -257,6 +259,35 @@ def test_graph_rejection_messages_match_oracle(n, kind):
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize(
+    "m,kind",
+    [
+        (m, kind)
+        for m in WIDTH_EDGES
+        for kind in ["flip", "diagonal", "beyond", "negative", None]
+        if m >= 2 or kind is None
+    ],
+)
+def test_isolated_tails_keep_their_messages(m, kind):
+    # the packed matrix covers only the rows up to the last vertex with a
+    # neighbour; a bad row in the tail or past the matrix's width is still
+    # caught, with the message of the full scan
+    for seed, tail in enumerate([1, 9, 300]):
+        rng = random.Random(seed * 1000 + m)
+        n = m + tail
+        adj = random_graph(m, 0.5, seed).adj + (0,) * tail
+        if kind is not None:
+            adj = _corrupt(adj, kind, rng)
+        try:
+            _oracle_check(n, adj)
+        except ValueError as want:
+            with pytest.raises(ValueError) as got:
+                Graph(n, adj)
+            assert str(got.value) == str(want)
+        else:
+            assert Graph(n, adj).adj == adj
+
+
 def test_edge_density_values():
     c5 = Graph.cycle(5)
     assert edge_density(c5) == Fraction(1, 2)
@@ -378,6 +409,139 @@ def test_load_graph_text_detects_format():
     c5 = Graph.cycle(5)
     assert load_graph_text(to_edge_list(c5)) == c5
     assert load_graph_text(to_graph6(c5) + "\n") == c5
+
+
+def _oracle_load(text):
+    """load_graph_text as it was before the fast pass: detect, then parse."""
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            int(line.split()[0])
+        except ValueError:
+            return from_graph6(line)
+        return from_edge_list(text)
+    raise GraphParseError("empty graph input")
+
+
+def _outcome(load, text):
+    """The graph ``load`` gives, or the type and text of what it raised."""
+    try:
+        return load(text)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        return type(exc), str(exc)
+
+
+def _edge_list_text(n, p, seed, newline):
+    """An edge list of G(n, p) with its edge lines shuffled."""
+    g = random_graph(n, p, seed)
+    lines = [f"{u} {v}" for u, v in g.edges()]
+    random.Random(seed).shuffle(lines)
+    return g, "\n".join([str(n)] + lines) + ("\n" if newline else "")
+
+
+@given(st.integers(0, 40), st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(0, 10**6),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_clean_edge_lists_take_the_fast_pass(n, p, seed, newline):
+    g, text = _edge_list_text(n, p, seed, newline)
+    assert from_edge_list(text) == load_graph_text(text) == g
+    # an id at or above len(text) has no key, so such a (short, sparse)
+    # text goes to the line parser; every other clean text is read fast
+    keyed = all(v < len(text) for _, v in g.edges())
+    for clean in [text, to_edge_list(g)]:
+        fast = _clean_edge_list(clean)
+        assert fast == g if keyed else fast in (None, g)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_fast_pass_tiny_graphs(n):
+    for text in [f"{n}", f"{n}\n"]:
+        assert _clean_edge_list(text) == Graph.empty(n) == from_edge_list(text)
+
+
+EDITS = ["letter", "space", "tab", "cr", "vtab", "blank", "comment", "zero", "swap",
+         "duplicate", "range", "huge"]
+
+
+def _edit(text, kind, rng):
+    """``text`` with one corruption of the given kind on a random line."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    i = rng.randrange(len(lines))
+    edges = range(1, len(lines))
+    j = rng.choice(edges) if edges else None
+    line = lines[i]
+    if kind == "letter":
+        c = rng.randrange(len(line))
+        if line[c].isdigit():
+            line = line[:c] + rng.choice("xlO") + line[c + 1 :]
+    elif kind in ("space", "tab", "cr", "vtab"):
+        c = rng.randrange(len(line) + 1)
+        line = line[:c] + {"space": " ", "tab": "\t", "cr": "\r", "vtab": "\x0b"}[kind] + line[c:]
+    elif kind == "blank":
+        lines.insert(i, "")
+    elif kind == "comment":
+        lines.insert(i, "# a comment")
+    elif kind == "zero":
+        tokens = line.split(" ")
+        t = rng.randrange(len(tokens))
+        tokens[t] = "0" + tokens[t]
+        line = " ".join(tokens)
+    elif kind == "swap" and j is not None:
+        lines[j] = " ".join(reversed(lines[j].split(" ")))
+    elif kind == "duplicate" and j is not None:
+        lines.insert(rng.randrange(1, len(lines) + 1), lines[j])
+    elif kind == "range" and j is not None:
+        u, _ = lines[j].split(" ")
+        lines[j] = f"{u} {int(lines[0]) + rng.randrange(3)}"
+    elif kind == "huge":
+        lines[0] = str(rng.choice([10**5 + rng.randrange(10**4), 10**30]))
+    if kind not in ("blank", "comment", "swap", "duplicate", "range", "huge"):
+        lines[i] = line
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+@given(st.integers(0, 24), st.sampled_from([0.1, 0.5]), st.integers(0, 10**6),
+       st.sampled_from(EDITS))
+@settings(max_examples=400, deadline=None)
+def test_one_edit_corruptions_match_the_line_parser(n, p, seed, kind):
+    _, text = _edge_list_text(n, p, seed, True)
+    bad = _edit(text, kind, random.Random(seed))
+    assert _outcome(load_graph_text, bad) == _outcome(_oracle_load, bad)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", "3\n\n", "3\n0 1\n\n", "03\n0 1\n", "+3\n0 1\n", "-1\n", " 3\n", "3 \n",
+     "3\r\n0 1\r\n", "3\n0 1\r\n", "3\n0 1\x0c", "3\n0\t1\n", "3\n0 1 2\n", "3\n0 1\n0 1\n",
+     "3\n1 0\n", "3\n1 1\n", "3\n0 3\n", "3\n0 -1\n", "3\n00 1\n", "3\n0 ١\n", "3\n0 ²\n",
+     "٣\n0 1\n", "²\n", "1" * 5000 + "\n", "16\n0 15\n", "1000\n0 999\n", "# c\n3\n0 1\n"],
+)
+def test_fast_pass_falls_back_or_agrees(text):
+    fast = _clean_edge_list(text)
+    assert fast is None or fast == from_edge_list(text)
+    assert _outcome(load_graph_text, text) == _outcome(_oracle_load, text)
+
+
+def _peak_mib(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_edgeless_graphs_cost_their_rows():
+    # a w x w packing for n = 10**6 would need about 128 GiB
+    assert _peak_mib(lambda: load_graph_text("1000000\n")) < 64
+    assert _peak_mib(lambda: Graph.empty(10**6)) < 64
+    # an isolated tail: only the rows up to the last vertex with an edge pack
+    assert _peak_mib(lambda: load_graph_text("1000000\n0 1\n1 2\n")) < 64
+    assert load_graph_text("1000000\n0 1\n1 2\n").edges() == [(0, 1), (1, 2)]
 
 
 # Six vertices, trivial automorphism group: a triangle 0-1-2 with a

@@ -112,3 +112,14 @@ def test_masks_from_id_lists_use_mask_from_ids():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if _builds_mask_by_hand(node)]
     assert not found, f"hand-written masks (use graph.mask_from_ids): {', '.join(found)}"
+
+
+def test_fast_edge_list_pass_never_raises():
+    # the line parser is the one source of GraphParseError messages: the
+    # fast pass may only give up (return None), never raise or assert
+    tree = ast.parse((SRC / "graph.py").read_text())
+    (fast,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_clean_edge_list"]
+    found = [f"graph.py:{node.lineno}" for node in ast.walk(fast)
+             if isinstance(node, (ast.Raise, ast.Assert))]
+    assert not found, f"raise or assert in the fast pass: {', '.join(found)}"
