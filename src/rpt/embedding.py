@@ -27,6 +27,7 @@ from math import comb
 
 from .graph import Graph, Pattern, count_embeddings_into_parts, iter_bits, mask_from_ids
 from .predicates import is_tight_to
+from .values import Scalar
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,9 @@ def witness_or_count(
     return WitnessOrCount(witness=None, copies=CopyCount(count, bound))
 
 
-def tight_pair_copy_threshold(h: int, eps: Fraction) -> Fraction:
-    """(4h)^-h * eps^C(h,2): the copy density below which a tight pair must exist."""
+def tight_pair_copy_threshold(h: int, eps: Scalar) -> Scalar:
+    """(4h)^-h * eps^C(h,2): the copy density below which a tight pair must
+    exist.  A LogValue eps (as in the constants ledger) gives a LogValue."""
     return Fraction(1, (4 * h) ** h) * eps ** comb(h, 2)
 
 
@@ -266,8 +268,9 @@ def find_tight_pair(
     return ManyCopiesResult(res.copies.count, threshold, exceeds)
 
 
-def blowup_copy_bound(h: int, eps: Fraction, sizes, exponent_form: str = "h-1") -> Fraction:
-    """(1-eps)^(h-1) * eps^C(h,2) * prod |D_i|.
+def blowup_copy_bound(h: int, eps: Fraction, sizes, exponent_form: str = "h-1") -> Scalar:
+    """(1-eps)^(h-1) * eps^C(h,2) * prod |D_i|.  Sizes may be LogValues, as
+    the constants ledger's Lambda rows are; the bound is then one too.
 
     exponent_form="h" uses the weaker (1-eps)^h variant employed by the
     contradiction test in the key-partition runner; both forms hold.  Any

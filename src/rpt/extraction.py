@@ -37,11 +37,9 @@ from fractions import Fraction
 from itertools import islice
 from math import comb
 
-from .embedding import (
-    ManyCopiesResult,
-    find_tight_pair,
-    tight_pair_copy_threshold,
-)
+import mpmath
+
+from .embedding import ManyCopiesResult, find_tight_pair
 from .graph import (
     Graph,
     Pattern,
@@ -53,7 +51,7 @@ from .graph import (
     peel_order,
 )
 from .predicates import Verdict, extract_restricted_from_weak, is_restricted
-from .values import ceil_frac, least_power
+from .values import LogValue, Scalar, ceil_frac, least_power, log2_fraction, scalar_log2
 
 
 class ExtractionInfeasible(RuntimeError):
@@ -67,16 +65,38 @@ def phi(delta: Fraction, eta: Fraction) -> int:
     return least_power(1 - delta, eta)
 
 
-def depth_for(eps: Fraction) -> int:
-    """ceil(log_{3/2}(eps^-2)): least s >= 1 with (3/2)^s >= eps^-2, exactly."""
+def phi_lower_bound(delta: Scalar, eta: Scalar) -> LogValue:
+    """A lower bound on phi(delta, eta) from upper bounds on delta <= 1/2
+    and eta: phi >= ln(1/eta) / -ln(1-delta) >= ln(1/eta) / (delta (1+delta)),
+    and 1 + delta <= 2 costs one bit."""
+    return LogValue(
+        mpmath.log(-scalar_log2(eta) * mpmath.log(2), 2) - scalar_log2(delta) - 1
+    )
+
+
+def part_bound(h: int, p: int | LogValue) -> int | LogValue:
+    """N = C(h,2) + (h-1) * p for p = phi(delta', eta'), an int or a LogValue."""
+    return comb(h, 2) + (h - 1) * p
+
+
+def depth_for(eps: Scalar) -> int:
+    """ceil(log_{3/2}(eps^-2)): least s >= 1 with (3/2)^s >= eps^-2.
+
+    Exact for a rational eps or a LogValue that keeps one; otherwise the
+    log-scale quotient rounded up, which on an exact power of 2/3 may
+    exceed the exact answer by one.
+    """
+    if isinstance(eps, LogValue):
+        if eps.exact is None:
+            return max(int(mpmath.ceil(-2 * eps.log2 / mpmath.log(mpmath.mpf(3) / 2, 2))), 1)
+        eps = eps.exact
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     return least_power(Fraction(2, 3), eps**2)
 
 
-def shrink_fraction(h: int, eps1: Fraction, eps2: Fraction) -> Fraction:
-    """Per-level size shrink: 1/2 * (2h)^-2 * (min(eps1,eps2)/4)^(h-1)."""
-    eps = min(eps1, eps2)
+def shrink_fraction(h: int, eps: Scalar) -> Scalar:
+    """Per-level size shrink at density target eps: 1/2 * (2h)^-2 * (eps/4)^(h-1)."""
     return Fraction(1, 2) * Fraction(1, (2 * h) ** 2) * (eps / 4) ** (h - 1)
 
 
@@ -86,7 +106,6 @@ class ExtractionBudget:
     eps2: Fraction
     depth: int  # recursion budget s
     eta: Fraction  # per-level shrink fraction
-    kappa: Fraction | None  # admissible copy-density threshold (exact schedule)
 
     def __post_init__(self):
         if not (0 < self.eps1 < 1 and 0 < self.eps2 < 1):
@@ -97,14 +116,11 @@ class ExtractionBudget:
     @staticmethod
     def exact_schedule(h: int, eps1: Fraction, eps2: Fraction) -> "ExtractionBudget":
         eps = min(eps1, eps2)
-        s = depth_for(eps)
-        eta = shrink_fraction(h, eps1, eps2)
-        kappa = eta ** (s * h) * tight_pair_copy_threshold(h, eps / 4)
-        return ExtractionBudget(eps1, eps2, s, eta, kappa)
+        return ExtractionBudget(eps1, eps2, depth_for(eps), shrink_fraction(h, eps))
 
     @staticmethod
     def practical(eps1: Fraction, eps2: Fraction, depth: int, h: int = 2) -> "ExtractionBudget":
-        return ExtractionBudget(eps1, eps2, depth, shrink_fraction(h, eps1, eps2), None)
+        return ExtractionBudget(eps1, eps2, depth, shrink_fraction(h, min(eps1, eps2)))
 
 
 @dataclass(frozen=True)
@@ -379,10 +395,6 @@ def _meets_size_floor(size: int, budget: ExtractionBudget, n: int) -> bool:
     When the floor is provably below one vertex (decided on the log
     scale) any nonempty result passes; otherwise compare exactly.
     """
-    import mpmath
-
-    from .values import log2_fraction
-
     floor_log2 = budget.depth * log2_fraction(budget.eta) + mpmath.log(max(n, 1), 2)
     if floor_log2 < -1:
         return size >= 1

@@ -15,8 +15,8 @@ on are zero.  Only when the two differ does a per-edge scan run, to name
 the first asymmetric pair.  So an edgeless graph, or one with an isolated
 tail, costs time and memory linear in n, but the matrix is quadratic in
 k: the two-line edge list "16000\\n0 15999\\n" still packs a 16384 x 16384
-bit matrix.  :func:`induced_subgraph` relabels through the same transpose
-instead of a loop over edges.
+bit matrix.  :func:`induced_subgraph` relabels through the same transpose,
+at the width of the highest kept vertex, instead of a loop over edges.
 
 Edge lists are read by :func:`load_graph_text`, which tries one fast pass
 for clean text (:func:`_clean_edge_list`) and otherwise leaves the text to
@@ -237,14 +237,15 @@ def complement(g: Graph) -> Graph:
 def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     """Subgraph induced by ``mask`` plus the new-id -> host-id map.
 
-    The kept rows are packed as rows 0..k-1 and transposed once: row v of
-    the transpose holds the new ids of v's kept neighbours, so by symmetry
-    the transpose's rows at the kept ids are the relabelled rows.
+    The kept rows, cut to ``mask``, are packed as rows 0..k-1 and
+    transposed once: row v of the transpose holds the new ids of v's kept
+    neighbours, so by symmetry the transpose's rows at the kept ids are the
+    relabelled rows.  The matrix is as wide as the highest kept id, not n.
     """
     if mask & ~g.full_mask:
         raise ValueError("vertex set out of range")
     ids = mask_to_ids(mask)
-    rows = _transposed_rows([g.adj[v] for v in ids], _width(g.n), ids)
+    rows = _transposed_rows([g.adj[v] & mask for v in ids], _width(mask.bit_length()), ids)
     return Graph(len(ids), tuple(rows)), ids
 
 

@@ -30,7 +30,14 @@ from math import comb
 import mpmath
 
 from .embedding import blowup_copy_bound
-from .extraction import ExtractionInfeasible, extract_restricted_exact, peel_chain, phi
+from .extraction import (
+    ExtractionInfeasible,
+    extract_restricted_exact,
+    part_bound,
+    peel_chain,
+    phi,
+    phi_lower_bound,
+)
 from .fullpair import FullPairParams, find_full_pair
 from .graph import (
     Graph,
@@ -50,7 +57,7 @@ from .predicates import (
     is_tight_to,
     verify_blowup,
 )
-from .values import Scalar, scalar_log2
+from .values import Scalar
 
 
 class InfeasibleAtScale(RuntimeError):
@@ -75,7 +82,7 @@ class _PartBound:
     def part_bound(self) -> int | None:
         """N = C(h,2) + (h-1)*phi(delta', eta') when exactly computable, else None."""
         p = self.phi_bound()
-        return None if p is None else comb(self.h, 2) + (self.h - 1) * p
+        return None if p is None else part_bound(self.h, p)
 
     def n_bound_holds(self, n: int, multiplier: int) -> bool:
         """Decide n <= multiplier * phi(delta', eta') soundly."""
@@ -84,14 +91,9 @@ class _PartBound:
         exact = self.phi_bound()
         if exact is not None:
             return n <= multiplier * exact
-        # phi >= ln(1/eta')/delta' / (1 + delta'); with tiny delta' this
-        # lower bound dwarfs any desk-scale n.
-        lower_log2 = (
-            mpmath.log(-scalar_log2(self.eta_prime) * mpmath.log(2), 2)
-            - scalar_log2(self.delta_prime)
-            - 1
-        )
-        return mpmath.log(max(n, 1), 2) <= lower_log2 + mpmath.log(multiplier, 2)
+        # with tiny delta' this lower bound dwarfs any desk-scale n
+        lower = phi_lower_bound(self.delta_prime, self.eta_prime)
+        return mpmath.log(max(n, 1), 2) <= lower.log2 + mpmath.log(multiplier, 2)
 
     def part_bound_holds(self, n: int) -> bool:
         """Decide n <= N = C(h,2) + (h-1)*phi(delta', eta')."""
@@ -99,6 +101,11 @@ class _PartBound:
         if n <= slack:
             return True
         return self.n_bound_holds(n - slack, self.h - 1)
+
+
+def _eta_prime_cap(h: int, eta: Fraction, delta_prime: Fraction, lam: Fraction) -> Fraction:
+    """eta*delta'*lam^(h-1)/2: the largest leftover fraction eta' may be."""
+    return Fraction(1, 2) * eta * delta_prime * lam ** (h - 1)
 
 
 @dataclass(frozen=True)
@@ -146,7 +153,7 @@ class KeyParams(_PartBound):
         ):
             raise ValueError("delta_prime must lie in (0, 1/4]")
         if isinstance(self.eta_prime, Fraction) and isinstance(self.delta_prime, Fraction):
-            cap = Fraction(1, 2) * self.eta * self.delta_prime * self.lam ** (self.h - 1)
+            cap = _eta_prime_cap(self.h, self.eta, self.delta_prime, self.lam)
             if self.eta_prime > cap:
                 raise ValueError(
                     f"eta_prime must be at most eta*delta_prime*lam^(h-1)/2 = {cap}"
@@ -175,7 +182,7 @@ class KeyParams(_PartBound):
             schedule.append(schedule[-1] * lam)
         schedule.reverse()
         if eta_prime is None:
-            eta_prime = Fraction(1, 2) * eta * delta_prime * lam ** (h - 1)
+            eta_prime = _eta_prime_cap(h, eta, delta_prime, lam)
         return KeyParams(
             h, eps, eta, theta, xi, tuple(schedule), lam, delta_prime, eta_prime
         )
@@ -206,18 +213,12 @@ class KeyParams(_PartBound):
         ep = led.get("eta_prime")
         delta_prime: Scalar = dp.exact if dp.exact is not None else dp
         eta_prime: Scalar = ep.exact if ep.exact is not None else ep
-        lam_min = None
-        for t in range(h):
-            for i in range(t + 1):
-                entry = led.get(f"lambda[{t},{i}]")
-                val = entry.exact
-                if val is not None and (lam_min is None or val < lam_min):
-                    lam_min = val
         # the realized chain fractions only matter through size floors;
         # a saturated lambda row means floor 1, which Fraction(0+) below
         # cannot express, so pass the smallest representable row value or
         # a scale surrogate at run time.
-        lam = lam_min if lam_min is not None else Fraction(1, 3)
+        rows = (led.get(f"lambda[{t},{i}]").exact for t in range(h) for i in range(t + 1))
+        lam = min((x for x in rows if x is not None), default=Fraction(1, 3))
         return KeyParams(
             h,
             eps,

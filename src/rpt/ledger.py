@@ -6,49 +6,45 @@ gamma(c, xi) = (1/2)(2 xi)^(12/c), which exponentiates the running
 logarithm.  Every entry is a :class:`~rpt.values.LogValue`: a base-2
 logarithm (mpmath, 240-bit mantissas) with the exact rational kept
 alongside while its binary representation stays within the size cap.
-Once even the logarithm's exponent would stop fitting in memory the entry
-saturates: its ``log2`` becomes an upper bound and ``saturated`` is set.
-Upper bounds are sound for every use the runtime makes of these constants
-(all are of the form "is v * size below 1").
+Each entry comes from the runtime's own function for its constant
+(``gamma``, ``shrink_fraction``, ``depth_for``, ``phi``, ``phi_lower_bound``,
+``part_bound``, ``tight_pair_copy_threshold``, ``blowup_copy_bound``)
+called with LogValue arguments.  Once even the logarithm's exponent would
+stop fitting in memory an entry saturates: its ``log2`` becomes an upper
+bound and ``saturated`` is set.  Upper bounds are sound for every use the
+runtime makes of these constants (all are of the form "is v * size below
+1").  phi(delta', eta') and N are the exceptions: without an exact value
+their ``log2`` is a lower bound, which is what count comparisons need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import mpmath
 
-from .extraction import depth_for, phi
+from .embedding import blowup_copy_bound, tight_pair_copy_threshold
+from .extraction import depth_for, part_bound, phi, phi_lower_bound, shrink_fraction
 from .fullpair import gamma
-from .values import LogValue, ceil_frac, log2_fraction, scalar_min
+from .values import LogValue, ceil_frac, scalar_min
 
 
 def phi_entry(delta: LogValue, eta: LogValue) -> LogValue:
     """phi(delta, eta): least p >= 1 with (1-delta)^p <= eta.
 
-    Exact when delta is a tame rational; otherwise the analytic
-    value ln(1/eta)/(-ln(1-delta)) rounded up, which for the tiny deltas
-    that reach this path is accurate far beyond the ledger's tolerance.
+    Exact when delta is a tame rational.  Otherwise a lower bound: the
+    analytic value ln(1/eta)/(-ln(1-delta)), which for the tiny deltas
+    that reach this path is accurate far beyond the ledger's tolerance, or,
+    when delta or eta is saturated (only an upper bound), phi_lower_bound.
+    Neither is marked saturated, since neither is an upper bound.
     """
-    if (
-        delta.exact is not None
-        and eta.exact is not None
-        and delta.exact >= Fraction(1, 10**6)
-    ):
+    if delta.exact is not None and eta.exact is not None and delta.exact >= Fraction(1, 10**6):
         return LogValue.of(phi(delta.exact, eta.exact))
     if delta.saturated or eta.saturated:
-        # phi >= ln(1/eta)/delta; an upper-bound delta gives a lower-bound
-        # phi, which is what the count comparisons need.
-        log2_phi = mpmath.log(-eta.log2 * mpmath.log(2), 2) - delta.log2
-        return LogValue(log2_phi, saturated=True)
-    # -ln(1-delta) ~= delta * ln 2 adjustments; compute via log1p at mpf scale
-    d = mpmath.power(2, delta.log2)
-    denom = -mpmath.log1p(-d)
-    log_eta = eta.log2 * mpmath.log(2)
-    value = -log_eta / denom
-    return LogValue(mpmath.log(value, 2))
+        return phi_lower_bound(delta, eta)
+    denom = -mpmath.log1p(-mpmath.power(2, delta.log2))  # -ln(1-delta) at mpf scale
+    return LogValue(mpmath.log(-eta.log2 * mpmath.log(2) / denom, 2))
 
 
 @dataclass
@@ -74,31 +70,13 @@ class ConstantsLedger:
         return out
 
 
-def tight_copy_threshold_entry(h: int, eps: Fraction) -> LogValue:
-    return LogValue.of(Fraction(1, (4 * h) ** h) * eps ** comb(h, 2))
-
-
 def weak_restricted_entries(h: int, eps: LogValue) -> tuple[LogValue, LogValue, int, LogValue]:
     """(shrink eta, per-run delta = eta^s, depth s, copy threshold kappa)
     for the density-subset extractor run at targets (eps, eps)."""
-    quarter = eps / 4
-    # eta = 1/2 (2h)^-2 (eps/4)^(h-1)
-    eta = LogValue.of(Fraction(1, 2 * (2 * h) ** 2)) * quarter ** (h - 1)
-    if eps.exact is not None:
-        s = depth_for(eps.exact)
-    else:
-        s = max(int(mpmath.ceil(-2 * eps.log2 / mpmath.log(mpmath.mpf(3) / 2, 2))), 1)
-    delta = eta**s
-    if eps.exact is not None and not eps.saturated:
-        kappa_tail = tight_copy_threshold_entry(h, eps.exact / 4)
-    else:
-        # (4h)^-h (eps/4)^C(h,2) via logs
-        kappa_tail = LogValue(
-            log2_fraction(Fraction(1, (4 * h) ** h)) + comb(h, 2) * quarter.log2,
-            saturated=eps.saturated,
-        )
-    kappa = eta ** (s * h) * kappa_tail
-    return eta, delta, s, kappa
+    eta = shrink_fraction(h, eps)
+    s = depth_for(eps)
+    kappa = eta ** (s * h) * tight_pair_copy_threshold(h, eps / 4)
+    return eta, eta**s, s, kappa
 
 
 def build_ledger(h: int, eps: Fraction, eta: Fraction, theta: Fraction) -> ConstantsLedger:
@@ -152,14 +130,7 @@ def build_ledger(h: int, eps: Fraction, eta: Fraction, theta: Fraction) -> Const
 
     phi_val = phi_entry(delta_prime, eta_prime)
     e["phi(delta_prime,eta_prime)"] = phi_val
-    if phi_val.exact is not None:
-        n_val = LogValue.of(comb(h, 2) + (h - 1) * phi_val.exact)
-    elif phi_val.log2 < 40:
-        approx = comb(h, 2) + (h - 1) * mpmath.power(2, phi_val.log2)
-        n_val = LogValue(mpmath.log(approx, 2), saturated=phi_val.saturated)
-    else:
-        n_val = LogValue(log2_fraction(Fraction(h - 1)) + phi_val.log2, saturated=phi_val.saturated)
-    e["N"] = n_val
+    e["N"] = part_bound(h, phi_val)
 
     big_lam: dict[tuple[int, int], LogValue] = {}
     for i in range(1, h + 1):
@@ -169,12 +140,10 @@ def build_ledger(h: int, eps: Fraction, eta: Fraction, theta: Fraction) -> Const
             big_lam[(t + 1, i)] = lam[(t, i)] * big_lam[(t, i)]
             e[f"Lambda[{t + 1},{i}]"] = big_lam[(t + 1, i)]
 
-    kappa_first = LogValue.of((1 - xi) ** (h - 1) * xi ** comb(h, 2))
-    for i in range(1, h + 1):
-        kappa_first = kappa_first * big_lam[(h, i)]
+    kappa_first = blowup_copy_bound(h, xi, [big_lam[(h, i)] for i in range(1, h + 1)])
 
     # section-2 constants at the ledger's own (h, eps)
-    e["tight_copy_threshold"] = tight_copy_threshold_entry(h, eps)
+    e["tight_copy_threshold"] = tight_pair_copy_threshold(h, LogValue.of(eps))
     s2_eta, s2_delta, s2_s, s2_kappa = weak_restricted_entries(h, LogValue.of(eps))
     e["density_shrink"] = s2_eta
     e["density_depth"] = LogValue.of(s2_s)

@@ -114,28 +114,14 @@ def is_tight_to(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> Verdict:
     return Verdict(False, detail=f"vertex {bad} of B breaks the {mode} bound", witness=bad)
 
 
-def restricted_side(g: Graph, s: int, eps: Fraction) -> str | None:
-    """Which side witnesses eps-restrictedness ('graph'/'complement'), or None."""
-    size = s.bit_count()
-    if size <= 1:
-        return "graph"
-    threshold = eps * size
-    max_deg = 0
-    min_deg = size
-    for v in iter_bits(s):
-        d = (g.adj[v] & s).bit_count()
-        max_deg = max(max_deg, d)
-        min_deg = min(min_deg, d)
-    if max_deg <= threshold:
-        return "graph"
-    if (size - 1 - min_deg) <= threshold:
-        return "complement"
-    return None
-
-
 def is_restricted(g: Graph, s: int, eps: Fraction) -> bool:
     """Max degree at most eps*|S| in G[S] or in its complement."""
-    return restricted_side(g, s, eps) is not None
+    size = s.bit_count()
+    if size <= 1:
+        return True
+    degs = [(g.adj[v] & s).bit_count() for v in iter_bits(s)]
+    threshold = eps * size
+    return max(degs) <= threshold or size - 1 - min(degs) <= threshold
 
 
 def is_weakly_restricted(g: Graph, s: int, eps: Fraction) -> bool:

@@ -122,6 +122,17 @@ class LogValue:
 
     __rmul__ = __mul__
 
+    def __add__(self, other: "Fraction | int | LogValue") -> "LogValue":
+        o = LogValue.of(other)
+        if self.exact is not None and o.exact is not None:
+            return LogValue.of(self.exact + o.exact)
+        lo, hi = sorted((self.log2, o.log2))
+        # 2^lo is lost in 2^hi once the gap exceeds the working precision
+        tail = mpmath.log(1 + mpmath.power(2, lo - hi), 2) if hi - lo <= mpmath.mp.prec else 0
+        return LogValue(hi + tail, None, self.saturated or o.saturated)
+
+    __radd__ = __add__
+
     def __truediv__(self, other: "Fraction | int | LogValue") -> "LogValue":
         o = LogValue.of(other)
         if o.saturated:
@@ -186,11 +197,7 @@ def scalar_log2(x: Scalar) -> mpmath.mpf:
 
 
 def scalar_min(*xs: Scalar) -> Scalar:
-    best = xs[0]
-    for x in xs[1:]:
-        if scalar_log2(x) < scalar_log2(best):
-            best = x
-    return best
+    return min(xs, key=scalar_log2)  # ties keep the first
 
 
 def scalar_ceil_mul(x: Scalar, k: int) -> int:

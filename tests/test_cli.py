@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -323,6 +324,36 @@ class TestCommands:
         assert code == 0
         entries = json.loads(out)["entries"]
         assert entries["xi"]["exact"] == "1/16"
+
+    def test_constants_h4_phi_and_n_are_not_upper_bounds(self, capsys):
+        # delta' and eta' saturate at h = 4, so phi and N are lower bounds
+        argv = ["constants", "--h", "4", "--eps", "1/4", "--eta", "1/4", "--theta", "1/4"]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert lines["delta_prime"].startswith("<= 2^-")
+        for name in ("phi(delta_prime,eta_prime)", "N"):
+            assert lines[name].startswith("2^3.168"), name
+        code, out = run_cli(capsys, argv + ["--json"])
+        entries = json.loads(out)["entries"]
+        assert entries["delta_prime"]["saturated"] and entries["eta_prime"]["saturated"]
+        for name in ("phi(delta_prime,eta_prime)", "N"):
+            assert entries[name]["exact"] is None and not entries[name]["saturated"], name
+
+    def test_constants_match_the_benchmark_record(self, capsys):
+        """Every `rpt constants --json` op of the benchmark prints the bytes
+        recorded in perfbench/expected.json (read only, never written)."""
+        expected = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+        recorded = json.loads(expected.read_text())["constants"]["1"]
+        assert len(recorded) == 6
+        for op_id, (want_code, want_digest) in recorded.items():
+            _, h, eps, eta, theta = op_id.split(":")
+            argv = ["constants", "--h", h.removeprefix("h"), "--eps", eps.removeprefix("eps"),
+                    "--eta", eta.removeprefix("eta"), "--theta", theta.removeprefix("theta"),
+                    "--json"]
+            code, out = run_cli(capsys, argv)
+            assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (
+                want_code, want_digest), op_id
 
     def test_oracle_sweep_csv(self, capsys):
         code, out = run_cli(

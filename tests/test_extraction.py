@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
 from rpt import extraction
+from rpt.embedding import tight_pair_copy_threshold
 from rpt.extraction import (
     ExtractionBudget,
     ExtractionInfeasible,
@@ -16,6 +18,7 @@ from rpt.extraction import (
     greedy_restricted_chunk,
     peel_chain,
     phi,
+    phi_lower_bound,
     shrink_fraction,
     trim_to_size,
 )
@@ -27,7 +30,9 @@ from rpt.graph import (
     mask_from_ids,
     named_pattern,
 )
+from rpt.ledger import build_ledger
 from rpt.predicates import is_restricted
+from rpt.values import LogValue
 
 QUARTER = Fraction(1, 4)
 
@@ -81,6 +86,16 @@ class TestPhi:
                 assert phi(delta, eta) == by_iteration(delta, eta), (delta, eta)
         assert phi(Fraction(1, 120), Fraction(1, 61440)) == 1318
 
+    def test_lower_bound_is_sound_and_within_a_factor_of_two(self):
+        # phi_lower_bound is what the ledger and n_bound_holds use once
+        # delta and eta are known only on the log scale
+        for delta in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(3, 1000)):
+            for eta in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 1000), Fraction(1, 61440)):
+                exact = phi(delta, eta)
+                for d, e in ((delta, eta), (LogValue.of(delta), LogValue.of(eta))):
+                    lower = mpmath.power(2, phi_lower_bound(d, e).log2)
+                    assert exact / 2 - 1 <= lower <= exact, (delta, eta)
+
 
 class TestDepth:
     def test_quarter(self):
@@ -105,10 +120,26 @@ class TestDepth:
             with pytest.raises(ValueError):
                 depth_for(eps)
 
+    def test_log_branch_matches_exact(self):
+        # a LogValue without an exact value takes the log-scale quotient
+        for k in (1, 2, 3, 5, 10, 57, 128, 250):
+            for eps in (Fraction(1, 2**k + 1), Fraction(3, 7 * 2**k), Fraction(5, 3**k + 7)):
+                bare = LogValue(LogValue.of(eps).log2)
+                assert bare.exact is None
+                assert depth_for(bare) == depth_for(eps) == depth_for(LogValue.of(eps)), eps
+        # on an exact power of 2/3 the quotient is an integer that rounding
+        # may push up by one; the log branch never undershoots
+        for k in range(1, 60):
+            eps = Fraction(2, 3) ** k
+            assert depth_for(LogValue(LogValue.of(eps).log2)) - depth_for(eps) in (0, 1), k
+
     def test_shrink_fraction_formula(self):
         h = 3
-        val = shrink_fraction(h, QUARTER, Fraction(1, 2))
+        val = shrink_fraction(h, QUARTER)
         assert val == Fraction(1, 2) * Fraction(1, 36) * (QUARTER / 4) ** 2
+        # a budget shrinks at the smaller of its two density targets
+        budget = ExtractionBudget.practical(QUARTER, Fraction(1, 2), 3, h=h)
+        assert budget.eta == val
 
 
 class TestTrim:
@@ -355,8 +386,12 @@ class TestDensitySubset:
     def test_exact_schedule_budget_fields(self):
         b = ExtractionBudget.exact_schedule(2, QUARTER, QUARTER)
         assert b.depth == 7
-        assert b.eta == shrink_fraction(2, QUARTER, QUARTER)
-        assert b.kappa is not None
+        assert b.eta == shrink_fraction(2, QUARTER)
+        # the constants ledger's section-2 entries are these same values
+        led = build_ledger(2, QUARTER, QUARTER, QUARTER)
+        assert led.get("density_shrink").exact == b.eta
+        assert led.get("density_depth").exact == b.depth == depth_for(QUARTER)
+        assert led.get("tight_copy_threshold").exact == tight_pair_copy_threshold(2, QUARTER)
 
 
 class TestExtractExact:

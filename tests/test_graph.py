@@ -205,6 +205,8 @@ def test_induced_subgraph_matches_oracle(n, p, seed):
     masks = [0, g.full_mask, rng.getrandbits(n) if n else 0]
     if n:
         masks.append(1 << rng.randrange(n))
+        # kept ids all low: the packed matrix is narrower than the host's
+        masks.append(rng.getrandbits(rng.randrange(n + 1)))
     for mask in masks:
         sub, ids = induced_subgraph(g, mask)
         assert (sub.adj, ids) == _oracle_induced_subgraph(g, mask)
@@ -542,6 +544,13 @@ def test_edgeless_graphs_cost_their_rows():
     # an isolated tail: only the rows up to the last vertex with an edge pack
     assert _peak_mib(lambda: load_graph_text("1000000\n0 1\n1 2\n")) < 64
     assert load_graph_text("1000000\n0 1\n1 2\n").edges() == [(0, 1), (1, 2)]
+
+
+def test_small_induced_subgraph_of_a_large_host_costs_its_rows():
+    # packing at the host's width would build an 8192 x 8192 bit matrix
+    host = Graph.from_edges(8000, [(0, 1), (1, 7999)])
+    assert _peak_mib(lambda: induced_subgraph(host, 0b111)) < 1
+    assert induced_subgraph(host, 0b111) == (Graph.from_edges(3, [(0, 1)]), [0, 1, 2])
 
 
 # Six vertices, trivial automorphism group: a triangle 0-1-2 with a

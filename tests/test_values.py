@@ -149,6 +149,21 @@ class TestLogValueExactness:
         with pytest.raises(ValueError):
             _ = half / sat
 
+    def test_add(self):
+        # exact operands give the exact sum and its own log2
+        total = 3 + 2 * LogValue.of(Fraction(5, 7))
+        assert total.exact == Fraction(31, 7) and total.log2 == LogValue.of(Fraction(31, 7)).log2
+        # log-scale operands: log2(2^a + 2^b) to working precision
+        for a, b in ((0, 0), (10, 3), (-5, 40), (100, 100 - 200)):
+            v = LogValue(mpmath.mpf(a)) + LogValue(mpmath.mpf(b))
+            want = mpmath.log(mpmath.power(2, a) + mpmath.power(2, b), 2)
+            assert v.exact is None and abs(v.log2 - want) < mpmath.mpf(2) ** -200, (a, b)
+        # past the working precision the smaller term is dropped outright
+        huge = LogValue(mpmath.mpf("1e30"))
+        assert (huge + 3).log2 == huge.log2 and (3 + huge).log2 == huge.log2
+        sat = LogValue(mpmath.mpf(-10), saturated=True)
+        assert (sat + LogValue(mpmath.mpf(-12))).saturated
+
     def test_describe(self):
         assert LogValue.of(Fraction(3, 8)).describe() == "3/8"
         assert LogValue.of(5).describe() == "5"
