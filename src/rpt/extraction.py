@@ -21,13 +21,13 @@ restricted sets until only an eta-fraction leftover remains.
 
 Both degree-deletion greedies here (trimming, and the best-effort shrink
 toward a density target) run on the one peeling, ``graph.peel_order``:
-degrees are maintained, not rescanned, with a bucket queue of per-degree
-vertex bitmasks, so each deletion updates only the deleted vertex's
-neighbours.  The shrink compares densities as integers (2e*den against
-num*s(s-1)).  Ties go to the lowest vertex id: the lowest set bit of
-the top (or bottom) bucket.  The restricted chunks of the peel chain and
-of ``assembly.base_partition`` come from one grower,
-``greedy_restricted_chunk``.
+degrees are maintained, not rescanned, as bit-sliced counters (plane j
+holds bit j of every degree), so a deletion costs O(log n) whole-mask
+operations.  The shrink compares densities as integers (2e*den against
+num*s(s-1)).  Ties go to the lowest vertex id.  The restricted chunks of
+the peel chain and of ``assembly.base_partition`` come from one grower,
+``greedy_restricted_chunk``, which keeps its chunk degrees on the same
+counters and tests each pool vertex against integer thresholds.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ from .graph import (
     Graph,
     Pattern,
     complement,
+    count_up,
     edge_density,
+    extreme_degree,
     induced_subgraph,
     iter_bits,
     lift,
@@ -447,13 +449,35 @@ def extract_restricted_exact(
 def greedy_restricted_chunk(g: Graph, pool: int, eps: Fraction) -> int:
     """Grow a restricted subset of the pool greedily by ascending id.
 
+    A pool vertex v joins when chunk + v is still eps-restricted: with
+    k = |chunk| and t = floor(eps (k+1)), when its degrees are all at most
+    t or all at least k - t.  The chunk degrees are bit-sliced counters
+    (``graph.count_up``); their maximum hi and minimum lo, and the vertices
+    at each (``graph.extreme_degree``), change only when a vertex joins.  So
+    a test costs one row: in chunk + v the chunk vertices reach hi + 1 iff
+    v meets one at hi, and stay above lo iff v meets all at lo.
     A singleton is restricted, so a nonempty pool always gives a nonempty
     chunk, and it holds the pool's lowest id."""
-    chunk = 0
+    if pool & ~g.full_mask:
+        raise ValueError("vertex set out of range")
+    adj = g.adj
+    num, den = eps.numerator, eps.denominator
+    planes: list[int] = []  # per pool vertex, its number of chunk neighbours
+    chunk = k = 0
     for v in iter_bits(pool):
-        cand = chunk | (1 << v)
-        if is_restricted(g, cand, eps):
-            chunk = cand
+        row = adj[v]
+        if k:
+            dv = (row & chunk).bit_count()
+            high = max(dv, hi + bool(row & at_hi))
+            low = min(dv, lo + (at_lo & ~row == 0))
+            if high > t and k - low > t:
+                continue
+        chunk |= 1 << v
+        k += 1
+        count_up(planes, row & pool)
+        t = num * (k + 1) // den
+        hi, at_hi = extreme_degree(planes, chunk, True)
+        lo, at_lo = extreme_degree(planes, chunk, False)
     return chunk
 
 

@@ -82,6 +82,11 @@ def _pack(rows, w: int) -> int:
     return int.from_bytes(b"".join(row.to_bytes(w // 8, "little") for row in rows), "little")
 
 
+# The masks of one width take w**2 log2(w) / 8 bytes: 1.25 MiB at w = 1024,
+# 24 MiB at 4096.  Only widths up to this one stay cached between calls.
+_CACHED_WIDTH = 1024
+
+
 @lru_cache(maxsize=8)
 def _swap_masks(w: int) -> tuple[tuple[int, int], ...]:
     """The (shift, mask) of each delta swap of :func:`_transpose` at width w.
@@ -112,7 +117,8 @@ def _transpose(x: int, w: int) -> int:
     the off-diagonal j x j blocks of every 2j x 2j diagonal block; together
     they move (r, c) to (c, r).
     """
-    for s, m in _swap_masks(w):
+    masks = _swap_masks(w) if w <= _CACHED_WIDTH else _swap_masks.__wrapped__(w)
+    for s, m in masks:
         t = ((x >> s) ^ x) & m
         x ^= t ^ (t << s)
     return x
@@ -258,53 +264,104 @@ def lift(ids: list[int], mask: int) -> int:
     return out
 
 
+def degree_planes(adj, mask: int) -> list[int]:
+    """The degrees in G[mask] of the vertices of ``mask``, bit-sliced: plane
+    j holds bit j of every degree (Knuth, TAOCP 4A, section 7.1.3).
+
+    There are as many planes as the largest degree has bits.  The degrees
+    are written as one binary string, nb digits per vertex from the highest
+    id down (vertices outside ``mask`` read 0), so plane j is every nb-th
+    digit: one Python step per vertex of ``mask``, and no w x w matrix.
+    """
+    ids = mask_to_ids(mask)
+    degs = [(adj[v] & mask).bit_count() for v in ids]
+    nb = max(degs, default=0).bit_length()
+    if not nb:
+        return []
+    cells = ["0" * nb] * mask.bit_length()
+    fmt = f"0{nb}b"
+    for v, d in zip(ids, degs):
+        cells[v] = format(d, fmt)
+    text = "".join(reversed(cells))
+    return [int(text[nb - 1 - j :: nb], 2) for j in range(nb)]
+
+
+def count_up(planes: list[int], which: int) -> None:
+    """Add 1 to the counter of every vertex of ``which``: a ripple carry
+    from plane 0 that stops once no carry is left, and a new top plane when
+    one still is."""
+    for j, p in enumerate(planes):
+        planes[j] = p ^ which
+        which &= p
+        if not which:
+            return
+    planes.append(which)
+
+
+def count_down(planes: list[int], which: int) -> None:
+    """Subtract 1 from the counter of every vertex of ``which``, each of
+    which must be positive: a ripple borrow that stops once none is left."""
+    for j, p in enumerate(planes):
+        planes[j] = p ^ which
+        which &= ~p
+        if not which:
+            return
+
+
+def extreme_degree(planes: list[int], cand: int, top: bool) -> tuple[int, int]:
+    """(d, ties): the largest (top) or smallest counter d over the nonempty
+    set ``cand``, and the vertices of ``cand`` that hold it.
+
+    ``cand`` narrows plane by plane from the highest to those with a 1 (top)
+    or a 0 there, whenever any are left; d is read off as it narrows.
+    """
+    d = 0
+    j = len(planes)
+    if top:
+        while j:
+            j -= 1
+            hit = cand & planes[j]
+            if hit:
+                cand = hit
+                d |= 1 << j
+    else:
+        while j:
+            j -= 1
+            hit = cand & ~planes[j]
+            if hit:
+                cand = hit
+            else:
+                d |= 1 << j
+    return d, cand
+
+
 def peel_order(g: Graph, mask: int, side: str):
     """Yield (v, d): the vertices of mask in deletion order, each with its
     degree d in what is left of mask just before v goes.
 
     side="low" deletes a maximum-degree vertex, side="high" a minimum-
-    degree one; ties go to the lowest vertex id.  The bucket queue is the
-    one of Matula & Beck's smallest-last ordering (JACM 1983): ``deg`` holds
-    each remaining vertex's degree, ``buckets[d]`` the bitmask of remaining
-    vertices of degree d, and the next vertex is the lowest set bit of the
-    top (or bottom) nonempty bucket.  A deletion touches only the deleted
-    vertex's remaining neighbours, each of whose degree drops by one, so
-    the maximum never rises and the minimum falls by at most one per step.
-    The deletion of v happens when the next vertex is requested.
+    degree one; ties go to the lowest vertex id.  The degrees are kept as
+    bit-planes (:func:`degree_planes`): the next vertex is the lowest set
+    bit of :func:`extreme_degree` over what is left, and a deletion takes
+    1 from its remaining neighbours with :func:`count_down`, so each step
+    costs O(log n) whole-mask operations, not one per neighbour.  The
+    deletion of v happens when the next vertex is requested.
     """
-    adj = g.adj
-    deg = [0] * g.n
-    buckets = [0] * mask.bit_count()
-    for v in iter_bits(mask):
-        d = (adj[v] & mask).bit_count()
-        deg[v] = d
-        buckets[d] |= 1 << v
-    low = side == "low"
-    d = len(buckets) - 1 if low else 0
+    if mask & ~g.full_mask:
+        raise ValueError("vertex set out of range")
+    return _peel(g.adj, mask, side == "low")
+
+
+def _peel(adj, mask: int, top: bool):
+    planes = degree_planes(adj, mask)
     left = mask
     while left:
-        if low:
-            while not buckets[d]:
-                d -= 1
-        else:
-            while not buckets[d]:
-                d += 1
-        bit = buckets[d] & -buckets[d]
+        d, ties = extreme_degree(planes, left, top)
+        bit = ties & -ties
         v = bit.bit_length() - 1
         yield v, d
-        buckets[d] ^= bit
         left ^= bit
-        nbrs = adj[v] & left
-        while nbrs:
-            b = nbrs & -nbrs
-            u = b.bit_length() - 1
-            du = deg[u]
-            buckets[du] ^= b
-            buckets[du - 1] |= b
-            deg[u] = du - 1
-            nbrs ^= b
-        if not low and d:
-            d -= 1
+        count_down(planes, adj[v] & left)
 
 
 def edge_density(g: Graph, mask: int | None = None) -> Fraction:

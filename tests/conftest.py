@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from rpt.graph import Graph, Pattern
 
@@ -11,6 +12,37 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def peeling_graphs(draw) -> Graph:
+    """Graphs on at most 40 vertices, with many degree ties among them:
+    G(n, p), cycles, circulant (regular) graphs, empty and complete graphs,
+    and a clique joined to an independent set."""
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["gnp", "cycle", "circulant", "empty", "complete", "split"]))
+    if kind == "gnp":
+        return random_graph(n, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 10**6)))
+    if kind == "cycle" and n >= 3:
+        return Graph.cycle(n)
+    if kind == "circulant" and n >= 2:
+        jumps = draw(st.sets(st.integers(1, n // 2), max_size=4))
+        return Graph.from_edges(n, {tuple(sorted((v, (v + j) % n)))
+                                    for v in range(n) for j in jumps if (v + j) % n != v})
+    if kind == "complete":
+        return Graph.complete(n)
+    if kind == "split":
+        c = draw(st.integers(0, n))
+        return Graph.from_edges(n, [(u, v) for u in range(c) for v in range(u + 1, n)])
+    return Graph.empty(n)
+
+
+@st.composite
+def wide_graphs(draw) -> Graph:
+    """G(n, p) on 65 to 200 vertices, so that rows and masks take more than
+    one machine word."""
+    n = draw(st.integers(65, 200))
+    return random_graph(n, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 10**6)))
 
 
 def random_pattern(h: int, seed: int) -> Pattern:

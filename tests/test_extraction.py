@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
-from rpt import extraction
+from conftest import peeling_graphs, random_graph, wide_graphs
+from rpt import assembly, extraction
+from rpt.assembly import PathPartition, base_partition
 from rpt.embedding import tight_pair_copy_threshold
 from rpt.extraction import (
     ExtractionBudget,
@@ -241,29 +242,6 @@ def greedy_shrink_rescan(g: Graph, target: Fraction) -> int:
     return cur
 
 
-@st.composite
-def peeling_graphs(draw) -> Graph:
-    """Graphs on at most 40 vertices, with many degree ties among them:
-    G(n, p), cycles, circulant (regular) graphs, empty and complete graphs,
-    and a clique joined to an independent set."""
-    n = draw(st.integers(0, 40))
-    kind = draw(st.sampled_from(["gnp", "cycle", "circulant", "empty", "complete", "split"]))
-    if kind == "gnp":
-        return random_graph(n, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 10**6)))
-    if kind == "cycle" and n >= 3:
-        return Graph.cycle(n)
-    if kind == "circulant" and n >= 2:
-        jumps = draw(st.sets(st.integers(1, n // 2), max_size=4))
-        return Graph.from_edges(n, {tuple(sorted((v, (v + j) % n)))
-                                    for v in range(n) for j in jumps if (v + j) % n != v})
-    if kind == "complete":
-        return Graph.complete(n)
-    if kind == "split":
-        c = draw(st.integers(0, n))
-        return Graph.from_edges(n, [(u, v) for u in range(c) for v in range(u + 1, n)])
-    return Graph.empty(n)
-
-
 TARGETS = st.one_of(
     st.fractions(0, 1, max_denominator=60),
     st.sampled_from([Fraction(0), Fraction(1, 10**6), Fraction(1), Fraction(3, 2), Fraction(7)]),
@@ -430,6 +408,23 @@ class TestExtractExact:
             assert (n - out.bit_count()) * 2 >= n
 
 
+# The grower that greedy_restricted_chunk ran before it kept chunk degrees
+# as bit-planes, kept verbatim as an oracle.
+def greedy_restricted_chunk_rescan(g: Graph, pool: int, eps: Fraction) -> int:
+    chunk = 0
+    for v in iter_bits(pool):
+        cand = chunk | (1 << v)
+        if is_restricted(g, cand, eps):
+            chunk = cand
+    return chunk
+
+
+CHUNK_EPS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 20), QUARTER, Fraction(1), 0, 1, 2]),
+    st.fractions(0, 1, max_denominator=20),
+)
+
+
 class TestGreedyRestrictedChunk:
     @given(peeling_graphs(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -442,6 +437,28 @@ class TestGreedyRestrictedChunk:
         assert chunk & ~pool == 0
         assert chunk & pool & -pool
         assert is_restricted(g, chunk, eps)
+
+    @given(st.one_of(peeling_graphs(), wide_graphs()), CHUNK_EPS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rescan(self, g, eps, data):
+        pool = data.draw(st.one_of(st.integers(0, g.full_mask), st.just(g.full_mask)))
+        assert greedy_restricted_chunk(g, pool, eps) == greedy_restricted_chunk_rescan(g, pool, eps)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 20), QUARTER])
+    def test_base_partition_split_matches_rescan(self, monkeypatch, seed, eps):
+        # G(70, 1/2) is not eps-restricted here, so base_partition splits the
+        # one block of the trivial path partition into greedy chunks
+        g = random_graph(70, 0.5, seed)
+        pp = PathPartition.trivial(g, Fraction(0))
+        split = base_partition(g, pp, eps, bound=g.n)
+        assert len(split.parts) > 1
+        monkeypatch.setattr(assembly, "greedy_restricted_chunk", greedy_restricted_chunk_rescan)
+        assert base_partition(g, pp, eps, bound=g.n) == split
+
+    def test_rejects_vertices_beyond_the_graph(self):
+        with pytest.raises(ValueError, match="vertex set out of range"):
+            greedy_restricted_chunk(Graph.path(3), 0b1100, QUARTER)
 
 
 class TestPeelChain:

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_small_patterns, random_graph, random_pattern
+from conftest import all_small_patterns, peeling_graphs, random_graph, random_pattern, wide_graphs
 from rpt.adversarial import naive_count
 from rpt.graph import (
     _clean_edge_list,
+    _swap_masks,
     _symmetry,
     _transpose,
     Graph,
@@ -28,6 +30,7 @@ from rpt.graph import (
     load_graph_text,
     mask_from_ids,
     named_pattern,
+    peel_order,
     to_edge_list,
     to_graph6,
 )
@@ -551,6 +554,82 @@ def test_small_induced_subgraph_of_a_large_host_costs_its_rows():
     host = Graph.from_edges(8000, [(0, 1), (1, 7999)])
     assert _peak_mib(lambda: induced_subgraph(host, 0b111)) < 1
     assert induced_subgraph(host, 0b111) == (Graph.from_edges(3, [(0, 1)]), [0, 1, 2])
+
+
+def test_wide_transpose_masks_are_not_kept():
+    # the delta-swap masks of w = 4096 take 24 MiB; only widths up to 1024
+    # stay cached, among them w = 512 for count's G(500, 1/2)
+    _swap_masks.cache_clear()
+    tracemalloc.start()
+    try:
+        load_graph_text("4000\n0 3999\n")
+        gc.collect()
+        kept_mib = tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert kept_mib < 2
+    Graph.path(500)
+    Graph.path(500)
+    assert _swap_masks.cache_info().hits == 1
+
+
+# The Matula-Beck bucket queue that peel_order ran before it kept its
+# degrees as bit-planes, kept verbatim as an oracle.
+def peel_order_buckets(g: Graph, mask: int, side: str):
+    adj = g.adj
+    deg = [0] * g.n
+    buckets = [0] * mask.bit_count()
+    for v in iter_bits(mask):
+        d = (adj[v] & mask).bit_count()
+        deg[v] = d
+        buckets[d] |= 1 << v
+    low = side == "low"
+    d = len(buckets) - 1 if low else 0
+    left = mask
+    while left:
+        if low:
+            while not buckets[d]:
+                d -= 1
+        else:
+            while not buckets[d]:
+                d += 1
+        bit = buckets[d] & -buckets[d]
+        v = bit.bit_length() - 1
+        yield v, d
+        buckets[d] ^= bit
+        left ^= bit
+        nbrs = adj[v] & left
+        while nbrs:
+            b = nbrs & -nbrs
+            u = b.bit_length() - 1
+            du = deg[u]
+            buckets[du] ^= b
+            buckets[du - 1] |= b
+            deg[u] = du - 1
+            nbrs ^= b
+        if not low and d:
+            d -= 1
+
+
+@given(st.one_of(peeling_graphs(), wide_graphs()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_peel_order_matches_bucket_queue(g, data):
+    mask = data.draw(st.integers(0, g.full_mask))
+    kind = data.draw(st.sampled_from(["any", "full", "high ids", "empty"]))
+    if kind == "full":
+        mask = g.full_mask
+    elif kind == "high ids":
+        mask &= -(1 << data.draw(st.integers(0, g.n)))
+    elif kind == "empty":
+        mask = 0
+    for side in ("low", "high"):
+        assert list(peel_order(g, mask, side)) == list(peel_order_buckets(g, mask, side))
+
+
+def test_peel_order_rejects_vertices_beyond_the_graph():
+    with pytest.raises(ValueError, match="vertex set out of range"):
+        peel_order(Graph.path(3), 0b1001, "low")
+    assert list(peel_order(Graph.empty(0), 0, "high")) == []
 
 
 # Six vertices, trivial automorphism group: a triangle 0-1-2 with a
