@@ -27,7 +27,7 @@ from math import comb
 
 from .graph import Graph, Pattern, count_embeddings_into_parts, iter_bits, mask_from_ids
 from .predicates import is_tight_to
-from .values import Scalar
+from .values import Scalar, ceil_frac
 
 
 @dataclass(frozen=True)
@@ -99,17 +99,19 @@ def _witness_search(
     d_last = parts[m - 1]
     n_last = d_last.bit_count()
     surviving = d_last
+    # an integer count c has c < eps |D_i| iff c < ceil(eps |D_i|)
+    need = [ceil_frac(eps * di.bit_count()) for di in parts[: m - 1]]
     for i in range(1, m):
         di = parts[i - 1]
         ni = di.bit_count()
         edge = pat.label_edge(i, m)
-        threshold = eps * ni
+        need_i = need[i - 1]
         p_i = 0
         for u in iter_bits(d_last):
             correct = (g.adj[u] & di).bit_count()
             if not edge:
                 correct = ni - correct
-            if correct < threshold:
+            if correct < need_i:
                 p_i |= 1 << u
         if p_i.bit_count() * (m - 1) > delta * n_last:
             return TightPairWitness(
@@ -123,7 +125,7 @@ def _witness_search(
         for i in range(1, m):
             di = parts[i - 1]
             sub = g.adj[u] & di if pat.label_edge(i, m) else di & ~g.adj[u]
-            if sub.bit_count() < eps * di.bit_count():
+            if sub.bit_count() < need[i - 1]:
                 raise AssertionError("a surviving vertex sees too little of a part")
             shrunk.append(sub)
         deep = _witness_search(g, pat, shrunk, params, m - 1)

@@ -28,6 +28,15 @@ num*s(s-1)).  Ties go to the lowest vertex id.  The restricted chunks of
 the peel chain and of ``assembly.base_partition`` come from one grower,
 ``greedy_restricted_chunk``, which keeps its chunk degrees on the same
 counters and tests each pool vertex against integer thresholds.
+
+The best-effort fallback also offers a maximum independent set and a
+maximum clique, from one branch and bound (``_independent_set``, on G and
+on its complement) for n <= 64.  Each node is bounded by a greedy clique
+cover of its candidates, and the search only looks for sets larger than
+the best candidate already held; the answer is the plain search's
+whenever that search finishes within the node budget.  Per-vertex tests
+against eps-scaled thresholds (the low-crossing core of the recursion)
+compare integers: a count c has c <= x iff c <= floor(x).
 """
 
 from __future__ import annotations
@@ -53,7 +62,15 @@ from .graph import (
     peel_order,
 )
 from .predicates import Verdict, extract_restricted_from_weak, is_restricted
-from .values import LogValue, Scalar, ceil_frac, least_power, log2_fraction, scalar_log2
+from .values import (
+    LogValue,
+    Scalar,
+    ceil_frac,
+    floor_frac,
+    least_power,
+    log2_fraction,
+    scalar_log2,
+)
 
 
 class ExtractionInfeasible(RuntimeError):
@@ -190,8 +207,27 @@ def _greedy_independent(g: Graph) -> int:
 _INDEPENDENT_SET_NODES = 20_000
 
 
-def _independent_set(g: Graph) -> int:
+def _independent_set(g: Graph, floor: int = 0) -> int:
     """Branch-and-bound maximum independent set, seeded by the greedy one.
+
+    Only a set of more than ``floor`` vertices counts as an improvement,
+    so the caller can pass the size of an answer it already holds.  Each
+    node is bounded by a greedy clique cover of its candidates, built the
+    BBMC way on the complement (San Segundo et al. 2011; Tomita & Seki
+    2003): take the lowest candidate left, keep only its neighbours, and
+    repeat until none is left; that closes one clique.  An independent set
+    meets each clique at most once, so the number of cliques bounds what
+    the candidates can add, and counting stops once it exceeds the room
+    above the incumbent max(|best|, floor).  The pivot is the candidate of
+    highest degree within the candidates (lowest id on ties); its "take"
+    branch is searched first.
+
+    A pruned subtree holds no set larger than the incumbent, so the bound
+    removes no strict improvement the plain size bound |cur| + |cand| would
+    find, and it visits a subset of that search's nodes in the same order.
+    Hence, whenever the plain search finishes within the node budget, this
+    one returns its set if alpha(G) > floor, and otherwise a set of at most
+    ``floor`` vertices (the greedy one).
 
     Deterministic; gives up (returning the best found so far) once the
     node budget is spent, so worst-case inputs degrade to the greedy
@@ -202,27 +238,37 @@ def _independent_set(g: Graph) -> int:
     best = _greedy_independent(g)
     if g.n > 64:
         return best
+    adj = g.adj
+    incumbent = max(best.bit_count(), floor)
     nodes = 0
 
     def bnb(cand: int, cur: int, cur_size: int):
-        nonlocal best, nodes
+        nonlocal best, incumbent, nodes
         if nodes >= _INDEPENDENT_SET_NODES:
             return
         nodes += 1
-        if cur_size + cand.bit_count() <= best.bit_count():
+        room = incumbent - cur_size
+        cover, rest = 0, cand
+        while rest and cover <= room:
+            cover += 1
+            clique = rest
+            while clique:
+                low = clique & -clique
+                rest ^= low
+                clique &= adj[low.bit_length() - 1]
+        if cover <= room:
             return
         if not cand:
-            if cur_size > best.bit_count():
-                best = cur
+            best, incumbent = cur, cur_size
             return
         # branch on the highest-degree candidate (within cand)
         pivot, pivot_d = -1, -1
         for v in iter_bits(cand):
-            d = (g.adj[v] & cand).bit_count()
+            d = (adj[v] & cand).bit_count()
             if d > pivot_d:
                 pivot, pivot_d = v, d
         bit = 1 << pivot
-        bnb(cand & ~bit & ~g.adj[pivot], cur | bit, cur_size + 1)
+        bnb(cand & ~bit & ~adj[pivot], cur | bit, cur_size + 1)
         bnb(cand & ~bit, cur, cur_size)
 
     bnb(g.full_mask, 0, 0)
@@ -230,28 +276,33 @@ def _independent_set(g: Graph) -> int:
 
 
 def _greedy_best_effort(g: Graph, eps1: Fraction, eps2: Fraction) -> tuple[int, str]:
-    """Largest qualifying set among four cheap candidates: degree-deletion
-    toward either density target, a greedy independent set (density 0),
-    and a greedy clique (density 1).  Always succeeds: a singleton has
-    density 0."""
+    """Largest qualifying set among four candidates, taken in this order
+    with ties to the earlier: degree-deletion toward either density target,
+    a maximum independent set (density 0) and a maximum clique (density 1).
+    For n <= 64 the last two come from the exact branch and bound
+    ``_independent_set`` (on G and on its complement), which stops at its
+    node budget; beyond that they are the greedy min-degree answers.  Each
+    search gets the size of the best candidate so far as its floor, since
+    only a strictly larger set can replace it.  Always succeeds: a
+    singleton has density 0."""
     gc = complement(g)
-    candidates = [
-        (_greedy_shrink_to_density(g, eps1), "low"),
-        (_greedy_shrink_to_density(gc, eps2), "high"),
-        (_independent_set(g), "low"),
-        (_independent_set(gc), "high"),
-    ]
     best, best_side = 0, "low"
-    for mask, side in candidates:
-        if not mask:
-            continue
+
+    def offer(mask: int, side: str) -> None:
+        nonlocal best, best_side
+        if not mask or mask.bit_count() <= best.bit_count():
+            return
         dens = edge_density(g, mask)
         if side == "low" and dens > eps1:
-            continue
+            return
         if side == "high" and dens < 1 - eps2:
-            continue
-        if mask.bit_count() > best.bit_count():
-            best, best_side = mask, side
+            return
+        best, best_side = mask, side
+
+    offer(_greedy_shrink_to_density(g, eps1), "low")
+    offer(_greedy_shrink_to_density(gc, eps2), "high")
+    offer(_independent_set(g, best.bit_count()), "low")
+    offer(_independent_set(gc, best.bit_count()), "high")
     if not best:
         best = 1  # vertex 0: density 0 qualifies on the low side
         best_side = "low"
@@ -279,6 +330,17 @@ def _assert_merge_arithmetic(
         or ea + eb + cross > eps1 * comb(2 * k, 2)
     ):
         raise AssertionError("merge arithmetic failed")
+
+
+def _low_crossing_core(g: Graph, a: int, b: int, cap: Fraction) -> int:
+    """The vertices of A with at most ``cap`` neighbours in B.  An integer
+    count c has c <= cap iff c <= floor(cap), so the loop compares ints."""
+    most = floor_frac(cap)
+    core = 0
+    for v in iter_bits(a):
+        if (g.adj[v] & b).bit_count() <= most:
+            core |= 1 << v
+    return core
 
 
 _MAX_RESIZE_ROUNDS = 32
@@ -336,10 +398,7 @@ def _search(
     b1 = trim_to_size(work, s_b, k, "low")
     flag_a = True
     for _ in range(_MAX_RESIZE_ROUNDS):
-        a0 = 0
-        for v in iter_bits(a_mask):
-            if (work.adj[v] & b1).bit_count() <= Fraction(1, 2) * eps * k:
-                a0 |= 1 << v
+        a0 = _low_crossing_core(work, a_mask, b1, eps * k / 2)
         if 2 * a0.bit_count() <= a_mask.bit_count():
             raise AssertionError("low-crossing core too small")
         s_a, side_a, fa = sub(a0, depth - 1)
@@ -528,7 +587,7 @@ def peel_chain(
                 candidate = lift(ids, local)
                 if candidate.bit_count() > peel.bit_count():
                     peel = candidate
-            except (ExtractionInfeasible, ValueError):
+            except ExtractionInfeasible:
                 pass
         if peel.bit_count() < need:
             guaranteed = False

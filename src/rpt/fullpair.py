@@ -30,7 +30,7 @@ from .predicates import (
     FullPairCertificate,
     is_full_pair,
 )
-from .values import EXACT_BITS_CAP, LogValue, Scalar, log2_fraction, scalar_ceil_mul
+from .values import EXACT_BITS_CAP, LogValue, Scalar, ceil_frac, log2_fraction, scalar_ceil_mul
 
 # |log2 c| above this would make gamma's logarithm exponent
 # unrepresentable; saturate instead.
@@ -101,6 +101,17 @@ def _certify(
     return None
 
 
+def _well_connected(g: Graph, s: int, t: int, eps: Fraction) -> int:
+    """The vertices of S with at least (1 - eps)|T| neighbours in T.  An
+    integer count c has c >= x iff c >= ceil(x), so the loop compares ints."""
+    need = ceil_frac((1 - eps) * t.bit_count())
+    keep = 0
+    for v in iter_bits(s):
+        if (g.adj[v] & t).bit_count() >= need:
+            keep |= 1 << v
+    return keep
+
+
 def find_full_pair(
     g: Graph,
     a: int,
@@ -144,18 +155,10 @@ def find_full_pair(
     # neighborhood.
     cur_a, cur_b = a, b
     for _ in range(4):
-        na_c = cur_a.bit_count()
-        keep_b = 0
-        for v in iter_bits(cur_b):
-            if (work.adj[v] & cur_a).bit_count() >= (1 - params.eps) * na_c:
-                keep_b |= 1 << v
+        keep_b = _well_connected(work, cur_b, cur_a, params.eps)
         if keep_b.bit_count() >= floor_b:
             cur_b = keep_b
-        nb_c = cur_b.bit_count()
-        keep_a = 0
-        for v in iter_bits(cur_a):
-            if (work.adj[v] & cur_b).bit_count() >= (1 - params.eps) * nb_c:
-                keep_a |= 1 << v
+        keep_a = _well_connected(work, cur_a, cur_b, params.eps)
         if keep_a.bit_count() >= floor_a:
             cur_a = keep_a
         if cur_a.bit_count() >= floor_a and cur_b.bit_count() >= floor_b:

@@ -224,10 +224,14 @@ class Graph:
         return max((self.degree_in(v, mask) for v in iter_bits(mask)), default=0)
 
     def edges_inside(self, mask: int) -> int:
-        total = 0
-        for v in iter_bits(mask):
-            total += (self.adj[v] & mask).bit_count()
-        return total // 2
+        # bin(mask)[:1:-1] spells the mask from vertex 0 up, one digit each
+        if mask >> self.n:
+            raise ValueError("vertex set out of range")
+        return sum(
+            (row & mask).bit_count()
+            for row, bit in zip(self.adj, bin(mask)[:1:-1])
+            if bit == "1"
+        ) // 2
 
     def edges_between(self, a: int, b: int) -> int:
         if a & b:

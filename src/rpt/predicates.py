@@ -89,12 +89,12 @@ def is_tight_to(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> Verdict:
     if a & b:
         raise CheckPreconditionError("A and B must be disjoint")
     na = a.bit_count()
-    threshold = eps * na
+    need = ceil_frac(eps * na)  # a count c has c < eps |A| iff c < need
     sparse_bad = dense_bad = both_bad = None
     for v in iter_bits(b):
         nbrs = (g.adj[v] & a).bit_count()
-        viol_sparse = not nbrs < threshold
-        viol_dense = not (na - nbrs) < threshold
+        viol_sparse = nbrs >= need
+        viol_dense = na - nbrs >= need
         if viol_sparse and sparse_bad is None:
             sparse_bad = v
         if viol_dense and dense_bad is None:

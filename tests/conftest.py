@@ -1,11 +1,27 @@
 import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from rpt.graph import Graph, Pattern
+
+
+@contextmanager
+def count_fraction_ops():
+    """Count Fraction comparisons and multiplications made inside the block;
+    yields a one-element list that holds the count."""
+    calls = [0]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__mul__", "__rmul__"):
+            def counted(x, y, op=getattr(Fraction, name)):
+                calls[0] += 1
+                return op(x, y)
+
+            mp.setattr(Fraction, name, counted)
+        yield calls
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

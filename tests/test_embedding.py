@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, random_pattern
+from conftest import count_fraction_ops, random_graph, random_pattern
+from rpt import embedding
 from rpt.embedding import (
     EmbeddingParams,
     ManyCopiesResult,
     TightPairResult,
+    TightPairWitness,
     blowup_copy_bound,
     blowup_copy_bound_check,
     find_tight_pair,
@@ -22,6 +24,7 @@ from rpt.graph import (
     Graph,
     Pattern,
     count_embeddings_into_parts,
+    iter_bits,
     mask_from_ids,
     named_pattern,
 )
@@ -198,3 +201,116 @@ class TestBlowupCopyBound:
         cert = BlowupCertificate(tuple(masks), eps**h, eps, pat.prefix(h))
         assert verify_blowup(g, cert).ok
         assert blowup_copy_bound_check(g, pat, cert)
+
+
+# The peeling recursion as it compared each count with a Fraction threshold,
+# kept verbatim (bar its name) as the oracle for witness_or_count.
+def witness_search_fraction(
+    g: Graph, pat: Pattern, parts: list[int], params: EmbeddingParams, m: int
+) -> TightPairWitness | None:
+    """Run the peeling recursion on labels 1..m; None means the bound is certified."""
+    if m <= 1:
+        return None
+    eps = params.eps_seq[m - 2]
+    delta = params.delta_seq[m - 2]
+    d_last = parts[m - 1]
+    n_last = d_last.bit_count()
+    surviving = d_last
+    for i in range(1, m):
+        di = parts[i - 1]
+        ni = di.bit_count()
+        edge = pat.label_edge(i, m)
+        threshold = eps * ni
+        p_i = 0
+        for u in iter_bits(d_last):
+            correct = (g.adj[u] & di).bit_count()
+            if not edge:
+                correct = ni - correct
+            if correct < threshold:
+                p_i |= 1 << u
+        if p_i.bit_count() * (m - 1) > delta * n_last:
+            return TightPairWitness(
+                i=i, j=m, a=di, b=p_i, mode="sparse" if edge else "dense"
+            )
+        surviving &= ~p_i
+    if surviving.bit_count() < (1 - delta) * n_last:
+        raise AssertionError("too many last-part vertices dropped as incorrect")
+    for u in iter_bits(surviving):
+        shrunk = []
+        for i in range(1, m):
+            di = parts[i - 1]
+            sub = g.adj[u] & di if pat.label_edge(i, m) else di & ~g.adj[u]
+            if sub.bit_count() < eps * di.bit_count():
+                raise AssertionError("a surviving vertex sees too little of a part")
+            shrunk.append(sub)
+        deep = witness_search_fraction(g, pat, shrunk, params, m - 1)
+        if deep is not None:
+            return deep
+    return None
+
+
+def outcome(call):
+    """A call's result, or the message of the AssertionError it raised."""
+    try:
+        return call()
+    except AssertionError as exc:
+        return ("AssertionError", str(exc))
+
+
+ORACLE_PATTERNS = ["K2", "K3", "P4", "C5"]
+
+
+def oracle_eps(size: int):
+    """Parameters in (0, 1), often with eps |D| an integer for parts of this size."""
+    return st.one_of(
+        st.fractions(Fraction(1, 24), Fraction(23, 24), max_denominator=24),
+        st.builds(lambda j: Fraction(j, size), st.integers(1, size - 1)),
+    )
+
+
+class TestWitnessSearchMatchesFractionComparison:
+    @given(st.sampled_from(ORACLE_PATTERNS), st.integers(0, 10**6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_witness_or_count(self, name, seed, data):
+        pat = named_pattern(name)
+        h = pat.size
+        size = data.draw(st.integers(2, 12 if h <= 3 else 6))
+        g = random_graph(h * size, data.draw(st.floats(0.0, 1.0)), seed)
+        parts = split_parts(g.n, h, data.draw(st.one_of(st.none(), st.integers(0, 99))))
+        params = EmbeddingParams(
+            tuple(data.draw(oracle_eps(size)) for _ in range(h - 1)),
+            tuple(data.draw(oracle_eps(size)) for _ in range(h - 1)),
+        )
+        got = outcome(lambda: witness_or_count(g, pat, parts, params))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embedding, "_witness_search", witness_search_fraction)
+            want = outcome(lambda: witness_or_count(g, pat, parts, params))
+        assert got == want
+
+    @given(st.sampled_from(ORACLE_PATTERNS), st.integers(0, 10**6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_find_tight_pair(self, name, seed, data):
+        pat = named_pattern(name)
+        h = pat.size
+        n = data.draw(st.integers(h, 8 * h if h <= 3 else 30))
+        g = random_graph(n, data.draw(st.floats(0.0, 1.0)), seed)
+        eps = data.draw(oracle_eps(max(n // h, 2)))
+        got = outcome(lambda: find_tight_pair(g, pat, eps))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embedding, "_witness_search", witness_search_fraction)
+            want = outcome(lambda: find_tight_pair(g, pat, eps))
+        assert got == want
+
+    def test_fraction_work_does_not_grow_with_the_parts(self):
+        # one threshold per part, not one Fraction comparison per vertex
+        def ops(size):
+            g = Graph.from_edges(
+                2 * size, [(u, v) for u in range(size) for v in range(size, 2 * size)]
+            )
+            parts = split_parts(g.n, 2)
+            params = EmbeddingParams.uniform(2, Fraction(1, 3), HALF)
+            with count_fraction_ops() as calls:
+                assert embedding._witness_search(g, named_pattern("K2"), parts, params, 2) is None
+            return calls[0]
+
+        assert ops(3) == ops(40)

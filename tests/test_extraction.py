@@ -478,6 +478,27 @@ class TestPeelChain:
         with pytest.raises(ValueError):
             peel_chain(Graph.empty(3), named_pattern("K2"), QUARTER, Fraction(1), Fraction(1, 2))
 
+    def test_extractor_value_error_propagates(self, monkeypatch):
+        # only ExtractionInfeasible means "no candidate"; a broken
+        # precondition inside the extractor must surface
+        def broken(*args):
+            raise ValueError("precondition bug")
+
+        monkeypatch.setattr(extraction, "extract_restricted_exact", broken)
+        with pytest.raises(ValueError, match="precondition bug"):
+            peel_chain(random_graph(20, 0.5, 0), named_pattern("K2"), QUARTER, QUARTER, QUARTER)
+
+    def test_infeasible_extraction_leaves_the_greedy_chunk(self, monkeypatch):
+        g = random_graph(20, 0.5, 0)
+        pat = named_pattern("K2")
+
+        def infeasible(*args):
+            raise ExtractionInfeasible("too small")
+
+        monkeypatch.setattr(extraction, "extract_restricted_exact", infeasible)
+        pc = peel_chain(g, pat, QUARTER, QUARTER, QUARTER)
+        assert pc.peels[0] == greedy_restricted_chunk(g, g.full_mask, QUARTER)
+
     def test_clique_peels_whole(self):
         g = Graph.complete(20)
         pc = peel_chain(g, named_pattern("K2"), Fraction(1, 2), QUARTER, QUARTER)
@@ -505,3 +526,197 @@ class TestPeelChain:
         assert pc.phi_bound == phi(delta, eta)
         if pc.guaranteed:
             assert pc.length <= pc.phi_bound
+
+
+class NodeBudget(int):
+    """A node budget that notes when a search spends it.  The oracle below
+    tests ``nodes >= budget``; Python tries the reflected __le__ of an int
+    subclass on the right first, so every test passes through here."""
+
+    spent = False
+
+    def __le__(self, nodes):
+        reached = int(self) <= nodes
+        self.spent = self.spent or reached
+        return reached
+
+
+# The branch and bound that _independent_set ran before its clique-cover
+# bound and floor, and the best-effort pick that called it without a floor,
+# kept verbatim (bar their names) as oracles.
+_INDEPENDENT_SET_NODES = NodeBudget(extraction._INDEPENDENT_SET_NODES)
+_greedy_independent = extraction._greedy_independent
+_greedy_shrink_to_density = extraction._greedy_shrink_to_density
+
+
+def independent_set_plain(g: Graph) -> int:
+    """Branch-and-bound maximum independent set, seeded by the greedy one.
+
+    Deterministic; gives up (returning the best found so far) once the
+    node budget is spent, so worst-case inputs degrade to the greedy
+    answer instead of stalling.  Beyond desk scale the greedy answer is
+    returned outright: per-node pivot scans on wide bitsets dominate and
+    exactness there buys nothing.
+    """
+    best = _greedy_independent(g)
+    if g.n > 64:
+        return best
+    nodes = 0
+
+    def bnb(cand: int, cur: int, cur_size: int):
+        nonlocal best, nodes
+        if nodes >= _INDEPENDENT_SET_NODES:
+            return
+        nodes += 1
+        if cur_size + cand.bit_count() <= best.bit_count():
+            return
+        if not cand:
+            if cur_size > best.bit_count():
+                best = cur
+            return
+        # branch on the highest-degree candidate (within cand)
+        pivot, pivot_d = -1, -1
+        for v in iter_bits(cand):
+            d = (g.adj[v] & cand).bit_count()
+            if d > pivot_d:
+                pivot, pivot_d = v, d
+        bit = 1 << pivot
+        bnb(cand & ~bit & ~g.adj[pivot], cur | bit, cur_size + 1)
+        bnb(cand & ~bit, cur, cur_size)
+
+    bnb(g.full_mask, 0, 0)
+    return best
+
+
+def greedy_best_effort_plain(g: Graph, eps1: Fraction, eps2: Fraction) -> tuple[int, str]:
+    """Largest qualifying set among four cheap candidates: degree-deletion
+    toward either density target, a greedy independent set (density 0),
+    and a greedy clique (density 1).  Always succeeds: a singleton has
+    density 0."""
+    gc = complement(g)
+    candidates = [
+        (_greedy_shrink_to_density(g, eps1), "low"),
+        (_greedy_shrink_to_density(gc, eps2), "high"),
+        (independent_set_plain(g), "low"),
+        (independent_set_plain(gc), "high"),
+    ]
+    best, best_side = 0, "low"
+    for mask, side in candidates:
+        if not mask:
+            continue
+        dens = edge_density(g, mask)
+        if side == "low" and dens > eps1:
+            continue
+        if side == "high" and dens < 1 - eps2:
+            continue
+        if mask.bit_count() > best.bit_count():
+            best, best_side = mask, side
+    if not best:
+        best = 1  # vertex 0: density 0 qualifies on the low side
+        best_side = "low"
+    return best, best_side
+
+
+def finished_plain(g: Graph) -> int | None:
+    """The oracle's independent set of g, or None if it spent its budget
+    (long cycles and sparse circulants on 40 vertices do)."""
+    _INDEPENDENT_SET_NODES.spent = False
+    best = independent_set_plain(g)
+    return None if _INDEPENDENT_SET_NODES.spent else best
+
+
+def is_independent(g: Graph, s: int) -> bool:
+    return all(not g.adj[v] & s for v in iter_bits(s))
+
+
+BEST_EFFORT_EPS = st.fractions(Fraction(1, 20), Fraction(19, 20), max_denominator=20)
+
+
+class TestIndependentSetMatchesPlainSearch:
+    @given(st.one_of(peeling_graphs(), wide_graphs()))
+    @settings(max_examples=300, deadline=None)
+    def test_same_set_at_floor_zero(self, g):
+        want = finished_plain(g)
+        assume(want is not None)
+        assert extraction._independent_set(g) == want
+        assert extraction._independent_set(g, 0) == want
+
+    @given(peeling_graphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_floor(self, g, data):
+        want = finished_plain(g)
+        assume(want is not None)
+        alpha = want.bit_count()
+        floor = data.draw(st.integers(0, g.n + 1))
+        if data.draw(st.booleans()):
+            floor = max(alpha - data.draw(st.integers(0, 1)), 0)
+        got = extraction._independent_set(g, floor)
+        assert is_independent(g, got)
+        if alpha > floor:
+            assert got == want
+        else:
+            assert got.bit_count() <= floor
+
+    def test_floor_just_below_alpha(self):
+        # the min-degree greedy set here is {0, 3}, and alpha = 3 by {1, 3, 4}
+        g = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (2, 3), (2, 4)])
+        assert extraction._greedy_independent(g) == 0b01001
+        assert finished_plain(g) == 0b11010
+        assert extraction._independent_set(g, 2) == 0b11010
+        assert extraction._independent_set(g, 3).bit_count() <= 3
+        for eps in (Fraction(1, 20), QUARTER):
+            assert extraction._greedy_best_effort(g, eps, eps) == greedy_best_effort_plain(
+                g, eps, eps
+            )
+        # a relabelled C6: the shrink keeps {4, 5}, the greedy set is {0, 1},
+        # and only the search finds alpha = 3, one above the shrink's size
+        c6 = Graph.from_edges(6, [(0, 2), (0, 4), (1, 3), (1, 5), (2, 5), (3, 4)])
+        eps1, eps2 = Fraction(1, 5), Fraction(3, 20)
+        assert extraction._greedy_shrink_to_density(c6, eps1) == 0b110000
+        assert extraction._greedy_best_effort(c6, eps1, eps2) == (0b101001, "low")
+        assert greedy_best_effort_plain(c6, eps1, eps2) == (0b101001, "low")
+
+    @given(st.one_of(peeling_graphs(), wide_graphs()), BEST_EFFORT_EPS, BEST_EFFORT_EPS)
+    @settings(max_examples=200, deadline=None)
+    def test_best_effort_matches(self, g, eps1, eps2):
+        assume(g.n > 0)
+        assume(finished_plain(g) is not None and finished_plain(complement(g)) is not None)
+        assert extraction._greedy_best_effort(g, eps1, eps2) == greedy_best_effort_plain(
+            g, eps1, eps2
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("pattern", ["K2", "K3", "P4"])
+    def test_density_subset_matches_with_the_plain_fallback(self, monkeypatch, seed, pattern):
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(10, 40), rng.uniform(0.1, 0.9), seed)
+        pat = named_pattern(pattern)
+        budget = ExtractionBudget.practical(QUARTER, QUARTER, 5, h=pat.size)
+        res = find_low_or_high_density_subset(g, pat, budget)
+        monkeypatch.setattr(extraction, "_greedy_best_effort", greedy_best_effort_plain)
+        assert find_low_or_high_density_subset(g, pat, budget) == res
+
+
+def low_crossing_core_fraction(g: Graph, a: int, b: int, eps: Fraction, k: int) -> int:
+    # the core loop of _search before it compared integers
+    a0 = 0
+    for v in iter_bits(a):
+        if (g.adj[v] & b).bit_count() <= Fraction(1, 2) * eps * k:
+            a0 |= 1 << v
+    return a0
+
+
+@given(peeling_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_low_crossing_core_matches_fraction_comparison(g, data):
+    a = data.draw(st.integers(0, g.full_mask))
+    b = data.draw(st.integers(0, g.full_mask)) & ~a
+    k = data.draw(st.integers(0, 40))
+    # eps k / 2 is often an integer here: eps = 2j / k
+    eps = data.draw(st.one_of(
+        st.fractions(0, 1, max_denominator=24),
+        st.builds(lambda j: Fraction(2 * j, max(k, 1)), st.integers(0, max(k, 1) // 2)),
+    ))
+    assert extraction._low_crossing_core(g, a, b, eps * k / 2) == low_crossing_core_fraction(
+        g, a, b, eps, k
+    )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from rpt.fullpair import (
+    _well_connected,
     FullPairParams,
     FullPairGuaranteeViolation,
     find_full_pair,
@@ -142,3 +143,27 @@ class TestFindFullPair:
         assert cert.a.bit_count() >= max(1, -((-na) // 8))
         assert cert.b.bit_count() >= max(1, -((-nb) // 8))
         assert cert.a & ~a == 0 and cert.b & ~b == 0
+
+
+def well_connected_fraction(g: Graph, s: int, t: int, eps: Fraction) -> int:
+    # one Phase 1.5 loop of find_full_pair before it compared integers
+    keep = 0
+    for v in mask_to_ids(s):
+        if (g.adj[v] & t).bit_count() >= (1 - eps) * t.bit_count():
+            keep |= 1 << v
+    return keep
+
+
+@given(st.integers(0, 10**6), st.integers(2, 30), st.data())
+@settings(max_examples=300, deadline=None)
+def test_well_connected_matches_fraction_comparison(seed, n, data):
+    g = random_graph(n, data.draw(st.floats(0.0, 1.0)), seed)
+    s = data.draw(st.integers(0, g.full_mask))
+    t = data.draw(st.integers(0, g.full_mask)) & ~s
+    k = max(t.bit_count(), 1)
+    # (1 - eps)|T| is an integer in the second strategy
+    eps = data.draw(st.one_of(
+        st.fractions(0, Fraction(1, 4), max_denominator=30),
+        st.builds(lambda j: Fraction(j, k), st.integers(0, k // 4)),
+    ))
+    assert _well_connected(g, s, t, eps) == well_connected_fraction(g, s, t, eps)

@@ -632,6 +632,35 @@ def test_peel_order_rejects_vertices_beyond_the_graph():
     assert list(peel_order(Graph.empty(0), 0, "high")) == []
 
 
+# The vertex-by-vertex loop that Graph.edges_inside ran before it zipped
+# the rows with the mask's binary digits, kept verbatim as an oracle.
+def edges_inside_loop(self, mask: int) -> int:
+    total = 0
+    for v in iter_bits(mask):
+        total += (self.adj[v] & mask).bit_count()
+    return total // 2
+
+
+@given(st.one_of(peeling_graphs(), wide_graphs()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_edges_inside_matches_vertex_loop(g, data):
+    mask = data.draw(st.integers(0, g.full_mask))
+    kind = data.draw(st.sampled_from(["any", "full", "high ids", "empty"]))
+    if kind == "full":
+        mask = g.full_mask
+    elif kind == "high ids":
+        mask &= -(1 << data.draw(st.integers(0, g.n)))
+    elif kind == "empty":
+        mask = 0
+    assert g.edges_inside(mask) == edges_inside_loop(g, mask)
+
+
+def test_edges_inside_rejects_vertices_beyond_the_graph():
+    with pytest.raises(ValueError, match="vertex set out of range"):
+        Graph.path(3).edges_inside(0b1001)
+    assert Graph.empty(0).edges_inside(0) == 0
+
+
 # Six vertices, trivial automorphism group: a triangle 0-1-2 with a
 # pendant 4 on 1 and a pendant path 3-5 on 0.
 ASYMMETRIC = Pattern.of(

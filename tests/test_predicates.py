@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import count_fraction_ops, random_graph
 from rpt.graph import (
     Graph,
     Pattern,
@@ -20,8 +20,10 @@ from rpt.graph import (
     named_pattern,
 )
 from rpt.predicates import (
+    TIGHTNESS_MODES,
     BlowupCertificate,
     CheckPreconditionError,
+    Verdict,
     FullPairCertificate,
     extract_restricted_from_weak,
     is_full_pair,
@@ -535,3 +537,85 @@ class TestBlowup:
         )
         res = verify_blowup(g, cert)
         assert not res.ok and res.witness == (1, 2)
+
+
+# is_tight_to as it compared each count with the Fraction eps |A|, kept
+# verbatim (bar its name) as the oracle for its verdicts and witnesses.
+def is_tight_to_fraction(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> Verdict:
+    """Is B eps-sparse / eps-dense / eps-tight to A (strict bounds)?
+
+    A failed verdict's witness is a vertex of B that breaks the mode's
+    bound; under "tight", one that breaks both bounds if there is one,
+    else the first that breaks the sparse bound.
+    """
+    if mode not in TIGHTNESS_MODES:
+        raise ValueError(f"unknown tightness mode {mode!r}")
+    if not a:
+        raise CheckPreconditionError("tightness target A must be nonempty")
+    if a & b:
+        raise CheckPreconditionError("A and B must be disjoint")
+    na = a.bit_count()
+    threshold = eps * na
+    sparse_bad = dense_bad = both_bad = None
+    for v in iter_bits(b):
+        nbrs = (g.adj[v] & a).bit_count()
+        viol_sparse = not nbrs < threshold
+        viol_dense = not (na - nbrs) < threshold
+        if viol_sparse and sparse_bad is None:
+            sparse_bad = v
+        if viol_dense and dense_bad is None:
+            dense_bad = v
+        if viol_sparse and viol_dense and both_bad is None:
+            both_bad = v
+    if mode == "sparse":
+        bad = sparse_bad
+    elif mode == "dense":
+        bad = dense_bad
+    elif sparse_bad is None or dense_bad is None:
+        bad = None
+    else:
+        bad = sparse_bad if both_bad is None else both_bad
+    if bad is None:
+        return Verdict(True)
+    return Verdict(False, detail=f"vertex {bad} of B breaks the {mode} bound", witness=bad)
+
+
+class TestTightnessMatchesFractionComparison:
+    @given(st.integers(0, 10**6), st.integers(2, 24), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_same_verdicts_and_witnesses(self, seed, n, data):
+        g = random_graph(n, data.draw(st.floats(0.0, 1.0)), seed)
+        a = data.draw(st.integers(1, g.full_mask))
+        b = data.draw(st.integers(0, g.full_mask)) & ~a
+        na = a.bit_count()
+        # eps |A| is an integer in the second strategy
+        eps = data.draw(st.one_of(
+            st.fractions(0, 1, max_denominator=24),
+            st.builds(lambda j: Fraction(j, na), st.integers(0, na)),
+        ))
+        for mode in TIGHTNESS_MODES:
+            assert is_tight_to(g, a, b, eps, mode) == is_tight_to_fraction(g, a, b, eps, mode)
+
+    def test_boundary_count_equal_to_eps_a(self):
+        # each vertex of B has exactly eps |A| = 2 neighbours and 2
+        # non-neighbours in A, which breaks both strict bounds
+        g = Graph.from_edges(6, [(4, 0), (4, 1), (5, 2), (5, 3)])
+        a, b = 0b001111, 0b110000
+        for mode in TIGHTNESS_MODES:
+            got = is_tight_to(g, a, b, HALF, mode)
+            assert got == is_tight_to_fraction(g, a, b, HALF, mode)
+        assert not is_tight_to(g, a, b, HALF, "sparse").ok
+        assert not is_tight_to(g, a, b, HALF, "dense").ok
+
+    def test_fraction_work_does_not_grow_with_b(self):
+        # one threshold per call, not one Fraction comparison per vertex
+        def ops(size):
+            g = Graph.from_edges(
+                2 * size, [(u, v) for u in range(size) for v in range(size, 2 * size)]
+            )
+            a, b = (1 << size) - 1, ((1 << size) - 1) << size
+            with count_fraction_ops() as calls:
+                assert is_tight_to(g, a, b, Fraction(1, 3), "tight").ok
+            return calls[0]
+
+        assert ops(3) == ops(40)
