@@ -18,21 +18,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .graph import (
     Graph,
     Pattern,
-    complement,
+    degree_range,
     induced_subgraph,
-    iter_bits,
     lift,
     mask_from_ids,
 )
 from .predicates import is_restricted, is_weakly_restricted
-from .values import ceil_frac
+from .values import ceil_frac, floor_frac
 
 
 class OracleBudgetError(RuntimeError):
@@ -73,18 +72,9 @@ def _block_can_become_restricted(g: Graph, block: int, eps: Fraction, n_total: i
     size = block.bit_count()
     if size <= 1:
         return True
-    cap = eps * n_total
-    graph_alive = True
-    comp_alive = True
-    for v in iter_bits(block):
-        d = (g.adj[v] & block).bit_count()
-        if d > cap:
-            graph_alive = False
-        if size - 1 - d > cap:
-            comp_alive = False
-        if not (graph_alive or comp_alive):
-            return False
-    return True
+    low, high = degree_range(g, block)
+    cap = floor_frac(eps * n_total)  # a degree d has d > eps n_total iff d > cap
+    return high <= cap or size - 1 - low <= cap
 
 
 EXHAUSTIVE_LIMIT = 12  # default vertex budget of exact_n_restricted
@@ -218,7 +208,6 @@ class HardInstance:
     spec: HardInstanceSpec
     resamples: int
     core_exactly_verified: bool
-    verified_clauses: list[str] = field(default_factory=list)
 
 
 def _attach_dominating_independents(f: Graph, n: int) -> tuple[Graph, int]:
@@ -302,14 +291,13 @@ def check_partition_against_hard_instance(
         problems.append(f"partition uses {len(parts)} > N = {big_n} parts")
     if not any((p & core).bit_count() >= min_core for p in parts):
         problems.append("pigeonhole failed: no part meets the core in m/N vertices")
-    gc = complement(g)
     for idx, p in enumerate(parts):
         t_part = p & core
         s_part = p & ~core
         if t_part.bit_count() >= min_core and s_part:
             size = p.bit_count()
-            gmax = g.max_degree(p)
-            cmax = gc.max_degree(p)
+            low, gmax = degree_range(g, p)
+            cmax = size - 1 - low  # the largest degree in the complement of G[p]
             if not gmax > eps * size:
                 problems.append(f"part {idx}: graph-side degree bound not exceeded")
             if not cmax > eps * size:
@@ -357,8 +345,8 @@ def verify_hard_graph(inst: HardInstance, count_fn) -> dict:
     else:
         if spec.restriction_budget == 1:
             size = n
-            gmax = g.max_degree(g.full_mask)
-            cmax = complement(g).max_degree(g.full_mask)
+            low, gmax = degree_range(g, g.full_mask)
+            cmax = size - 1 - low
             clause(
                 "whole-graph-not-restricted",
                 gmax > spec.eps * size and cmax > spec.eps * size,

@@ -50,6 +50,7 @@ from .graph import (
     count_induced_copies,
     edge_density,
     load_graph_text,
+    mask_to_ids,
     named_pattern,
     to_edge_list,
 )
@@ -62,7 +63,7 @@ from .keypartition import (
 )
 from .ledger import build_ledger
 from .predicates import is_full_pair, verify_blowup
-from .values import parse_fraction
+from .values import format_fraction, parse_fraction
 
 
 @dataclass
@@ -254,10 +255,10 @@ def _cmd_extract(plan: CommandPlan) -> int:
         res = find_low_or_high_density_subset(g, pat, budget)
         payload = {
             "kind": "density_subset",
-            "vertices": serialize.ids(res.vertices),
+            "vertices": mask_to_ids(res.vertices),
             "side": res.side,
             "guaranteed": res.guaranteed,
-            "density": serialize.frac(edge_density(g, res.vertices)),
+            "density": format_fraction(edge_density(g, res.vertices)),
         }
         _emit(
             plan,
@@ -275,8 +276,8 @@ def _cmd_extract(plan: CommandPlan) -> int:
         t = extract_restricted_exact(g, pat, args.eps, args.delta, depth=args.depth)
         payload = {
             "kind": "restricted_set",
-            "vertices": serialize.ids(t),
-            "eps": serialize.frac(args.eps),
+            "vertices": mask_to_ids(t),
+            "eps": format_fraction(args.eps),
             "size": t.bit_count(),
         }
         _emit(plan, payload, f"eps-restricted set of size {t.bit_count()}")
@@ -374,12 +375,12 @@ def _cmd_counterexample(plan: CommandPlan) -> int:
             fh.write(edge_list)
     payload = {
         "kind": "hard_instance",
-        "core": serialize.ids(inst.core),
+        "core": mask_to_ids(inst.core),
         "spec": {
             "N": args.big_n,
             "m": args.m,
             "n": args.n,
-            "eps": serialize.frac(args.eps),
+            "eps": format_fraction(args.eps),
             "pattern": args.pattern,
             "seed": plan.seed,
         },
@@ -449,7 +450,7 @@ def _cmd_oracle(plan: CommandPlan) -> int:
         payload = {
             "kind": "oracle_n_restricted",
             "ok": ok,
-            "parts": None if parts is None else [serialize.ids(p) for p in parts],
+            "parts": None if parts is None else [mask_to_ids(p) for p in parts],
         }
         _emit(plan, payload, f"({args.n_parts}, {args.eps})-restricted: {ok}")
         return 0
@@ -457,8 +458,8 @@ def _cmd_oracle(plan: CommandPlan) -> int:
     payload = {
         "kind": "oracle_min_removal",
         "size": size,
-        "removed": serialize.ids(removed),
-        "parts": [serialize.ids(p) for p in parts],
+        "removed": mask_to_ids(removed),
+        "parts": [mask_to_ids(p) for p in parts],
     }
     _emit(plan, payload, f"minimum removal = {size}")
     return 0

@@ -25,7 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .graph import Graph, Pattern, count_embeddings_into_parts, iter_bits, mask_from_ids
+from .graph import (
+    Graph,
+    Pattern,
+    count_embeddings_into_parts,
+    iter_bits,
+    mask_from_ids,
+    with_at_least,
+)
 from .predicates import is_tight_to
 from .values import Scalar, ceil_frac
 
@@ -105,14 +112,12 @@ def _witness_search(
         di = parts[i - 1]
         ni = di.bit_count()
         edge = pat.label_edge(i, m)
-        need_i = need[i - 1]
-        p_i = 0
-        for u in iter_bits(d_last):
-            correct = (g.adj[u] & di).bit_count()
-            if not edge:
-                correct = ni - correct
-            if correct < need_i:
-                p_i |= 1 << u
+        # P_i: the vertices of D_m with fewer than need correct vertices in D_i,
+        # neighbours for a pattern edge and non-neighbours otherwise
+        if edge:
+            p_i = d_last & ~with_at_least(g, d_last, di, need[i - 1])
+        else:
+            p_i = with_at_least(g, d_last, di, ni - need[i - 1] + 1)
         if p_i.bit_count() * (m - 1) > delta * n_last:
             return TightPairWitness(
                 i=i, j=m, a=di, b=p_i, mode="sparse" if edge else "dense"

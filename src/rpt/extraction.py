@@ -3,16 +3,16 @@
 The central routine finds an induced subgraph whose edge density is at
 most eps1 or at least 1-eps2, by the recursive scheme: locate a tight
 pair at min(eps1,eps2)/4, recurse into the sparse side at a relaxed
-(3/2)*eps1 target, build the low-crossing core of the other side,
-recurse again, and merge two equal-size pieces whose union then meets
-the original target exactly (the merge arithmetic is asserted with
-rationals on every run).  A depth budget replaces the extremal quantity
-the scheme implicitly optimizes: on the exact schedule the targets'
-product grows by 3/2 per level, so after s = ceil(log_{3/2} eps^-2)
-levels every graph qualifies outright and the recursion cannot bottom
-out.  Whenever a step cannot honor the guarantee (copy count too high,
-depth exhausted), the routine degrades to a flagged best-effort subset
-that still satisfies the density claim.
+(3/2)*eps1 target, keep the vertices of the other side with few
+neighbours in what came back, recurse again, and merge two equal-size
+pieces whose union then meets the original target exactly (the merge
+arithmetic is asserted with rationals on every run).  A depth budget
+replaces the extremal quantity the scheme implicitly optimizes: on the
+exact schedule the targets' product grows by 3/2 per level, so after s =
+ceil(log_{3/2} eps^-2) levels every graph qualifies outright and the
+recursion cannot bottom out.  Whenever a step cannot honor the guarantee
+(copy count too high, depth exhausted), the routine degrades to a
+flagged best-effort subset that still satisfies the density claim.
 
 On top of that sit: greedy density-monotone trimming to exact sizes, the
 exact-size eps-restricted extractor (density subset -> trim -> weak-to-
@@ -34,9 +34,10 @@ maximum clique, from one branch and bound (``_independent_set``, on G and
 on its complement) for n <= 64.  Each node is bounded by a greedy clique
 cover of its candidates, and the search only looks for sets larger than
 the best candidate already held; the answer is the plain search's
-whenever that search finishes within the node budget.  Per-vertex tests
-against eps-scaled thresholds (the low-crossing core of the recursion)
-compare integers: a count c has c <= x iff c <= floor(x).
+whenever that search finishes within the node budget.  The recursion's
+per-vertex test (at most eps k / 2 neighbours in the trimmed piece) is one
+``graph.with_at_least`` call, with its bound rounded once: a count c has
+c <= x iff c <= floor(x).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .graph import (
     iter_bits,
     lift,
     peel_order,
+    with_at_least,
 )
 from .predicates import Verdict, extract_restricted_from_weak, is_restricted
 from .values import (
@@ -261,12 +263,8 @@ def _independent_set(g: Graph, floor: int = 0) -> int:
         if not cand:
             best, incumbent = cur, cur_size
             return
-        # branch on the highest-degree candidate (within cand)
-        pivot, pivot_d = -1, -1
-        for v in iter_bits(cand):
-            d = (adj[v] & cand).bit_count()
-            if d > pivot_d:
-                pivot, pivot_d = v, d
+        # branch on the highest-degree candidate (within cand); max keeps the first
+        pivot = max(iter_bits(cand), key=lambda v: (adj[v] & cand).bit_count())
         bit = 1 << pivot
         bnb(cand & ~bit & ~adj[pivot], cur | bit, cur_size + 1)
         bnb(cand & ~bit, cur, cur_size)
@@ -332,17 +330,6 @@ def _assert_merge_arithmetic(
         raise AssertionError("merge arithmetic failed")
 
 
-def _low_crossing_core(g: Graph, a: int, b: int, cap: Fraction) -> int:
-    """The vertices of A with at most ``cap`` neighbours in B.  An integer
-    count c has c <= cap iff c <= floor(cap), so the loop compares ints."""
-    most = floor_frac(cap)
-    core = 0
-    for v in iter_bits(a):
-        if (g.adj[v] & b).bit_count() <= most:
-            core |= 1 << v
-    return core
-
-
 _MAX_RESIZE_ROUNDS = 32
 
 
@@ -398,9 +385,10 @@ def _search(
     b1 = trim_to_size(work, s_b, k, "low")
     flag_a = True
     for _ in range(_MAX_RESIZE_ROUNDS):
-        a0 = _low_crossing_core(work, a_mask, b1, eps * k / 2)
+        # the vertices of A with at most eps k / 2 neighbours in B1
+        a0 = a_mask & ~with_at_least(work, a_mask, b1, floor_frac(eps * k / 2) + 1)
         if 2 * a0.bit_count() <= a_mask.bit_count():
-            raise AssertionError("low-crossing core too small")
+            raise AssertionError("too few vertices of A stay sparse to B1")
         s_a, side_a, fa = sub(a0, depth - 1)
         flag_a = flag_a and fa
         if side_a == "high":

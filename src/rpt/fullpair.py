@@ -23,7 +23,7 @@ from math import comb
 
 import mpmath
 
-from .graph import Graph, complement, iter_bits, mask_from_ids, mask_to_ids
+from .graph import Graph, complement, mask_from_ids, mask_to_ids, with_at_least
 from .predicates import (
     CheckPreconditionError,
     EnumerationBudgetError,
@@ -101,17 +101,6 @@ def _certify(
     return None
 
 
-def _well_connected(g: Graph, s: int, t: int, eps: Fraction) -> int:
-    """The vertices of S with at least (1 - eps)|T| neighbours in T.  An
-    integer count c has c >= x iff c >= ceil(x), so the loop compares ints."""
-    need = ceil_frac((1 - eps) * t.bit_count())
-    keep = 0
-    for v in iter_bits(s):
-        if (g.adj[v] & t).bit_count() >= need:
-            keep |= 1 << v
-    return keep
-
-
 def find_full_pair(
     g: Graph,
     a: int,
@@ -150,15 +139,15 @@ def find_full_pair(
             break
 
     # Phase 1.5: alternating high-degree cores — keep only vertices well
-    # connected across the pair, then re-check.  Catches the common case
-    # where one side is small and the other should shrink to its joint
-    # neighborhood.
+    # connected across the pair (at least (1 - eps)|other side| neighbours
+    # there), then re-check.  Catches the common case where one side is
+    # small and the other should shrink to its joint neighborhood.
     cur_a, cur_b = a, b
     for _ in range(4):
-        keep_b = _well_connected(work, cur_b, cur_a, params.eps)
+        keep_b = with_at_least(work, cur_b, cur_a, ceil_frac((1 - params.eps) * cur_a.bit_count()))
         if keep_b.bit_count() >= floor_b:
             cur_b = keep_b
-        keep_a = _well_connected(work, cur_a, cur_b, params.eps)
+        keep_a = with_at_least(work, cur_a, cur_b, ceil_frac((1 - params.eps) * cur_b.bit_count()))
         if keep_a.bit_count() >= floor_a:
             cur_a = keep_a
         if cur_a.bit_count() >= floor_a and cur_b.bit_count() >= floor_b:

@@ -57,12 +57,7 @@ def mask_from_ids(ids) -> int:
 
 
 def mask_to_ids(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return list(iter_bits(mask))
 
 
 def iter_bits(mask: int):
@@ -212,17 +207,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def degree_in(self, v: int, mask: int | None = None) -> int:
-        row = self.adj[v]
-        if mask is not None:
-            row &= mask
-        return row.bit_count()
-
-    def max_degree(self, mask: int | None = None) -> int:
-        if mask is None:
-            mask = self.full_mask
-        return max((self.degree_in(v, mask) for v in iter_bits(mask)), default=0)
-
     def edges_inside(self, mask: int) -> int:
         # bin(mask)[:1:-1] spells the mask from vertex 0 up, one digit each
         if mask >> self.n:
@@ -237,6 +221,24 @@ class Graph:
         if a & b:
             raise ValueError("edges_between requires disjoint sets")
         return sum((self.adj[v] & b).bit_count() for v in iter_bits(a))
+
+
+def with_at_least(g: Graph, s: int, t: int, k: int) -> int:
+    """The vertices of s that have at least k neighbours in t.
+
+    This is the one per-vertex count of neighbours in a set: a caller with
+    a rational bound rounds it to the integer k once (a count c has c >= x
+    iff c >= ceil(x)), and reads a bound on non-neighbours as |t| - c.
+    """
+    adj = g.adj
+    return mask_from_ids(v for v in iter_bits(s) if (adj[v] & t).bit_count() >= k)
+
+
+def degree_range(g: Graph, s: int) -> tuple[int, int]:
+    """The least and the largest degree in G[s], over a nonempty s."""
+    adj = g.adj
+    degrees = [(adj[v] & s).bit_count() for v in iter_bits(s)]
+    return min(degrees), max(degrees)
 
 
 def complement(g: Graph) -> Graph:
@@ -503,7 +505,8 @@ def to_edge_list(g: Graph) -> str:
 
 
 def from_graph6(line: str) -> Graph:
-    """Decode a single graph6 line (short or long size header)."""
+    """Decode a single graph6 line (short or long size header): a body of
+    exactly ceil(n(n-1)/12) characters whose padding bits are 0."""
     data = [ord(c) - 63 for c in line.strip()]
     if any(not 0 <= x <= 63 for x in data):
         raise GraphParseError("invalid graph6 character")
@@ -517,19 +520,13 @@ def from_graph6(line: str) -> Graph:
     else:
         raise GraphParseError("unsupported graph6 size header")
     need = n * (n - 1) // 2
-    if len(body) * 6 < need:
-        raise GraphParseError("graph6 body too short")
-    bits = []
-    for x in body:
-        bits.extend((x >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph.from_edges(n, edges)
+    if len(body) != -(-need // 6):
+        raise GraphParseError(f"graph6 body has {len(body)} characters, not {-(-need // 6)}")
+    bits = "".join(format(x, "06b") for x in body)
+    if "1" in bits[need:]:
+        raise GraphParseError("graph6 padding bits must be 0")
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return Graph.from_edges(n, [e for e, bit in zip(pairs, bits) if bit == "1"])
 
 
 def to_graph6(g: Graph) -> str:
@@ -602,25 +599,33 @@ def _clean_edge_list(text: str) -> Graph | None:
 
 
 def load_graph_text(text: str) -> Graph:
-    """Edge-list or graph6, detected by whether the first data line is an integer.
+    """Edge-list or graph6, detected by whether the first data line (not
+    blank, not a '#' comment) is an integer.
 
     A clean edge list (one "u v" per "\\n"-ended line, see
     :func:`_clean_edge_list`) is read in one fast pass; the fast pass never
     raises, and any other text goes through :func:`from_edge_list` or
-    :func:`from_graph6`, which alone report errors.  Both ways give the same
-    graph, checked in full by ``Graph``.
+    :func:`from_graph6`, which alone report errors, bar one: graph6 text
+    holds one graph, so a second data line is an error.  Both ways give the
+    same graph, checked in full by ``Graph``.
     """
     g = _clean_edge_list(text)
     if g is not None:
         return g
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    data = (
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    )
+    for _, line in data:
         try:
             int(line.split()[0])
         except ValueError:
-            return from_graph6(line)
+            g = from_graph6(line)
+            extra = next(data, None)
+            if extra is not None:
+                raise GraphParseError("graph6 input holds a second data line", extra[0])
+            return g
         return from_edge_list(text)
     raise GraphParseError("empty graph input")
 

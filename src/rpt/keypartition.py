@@ -47,6 +47,7 @@ from .graph import (
     iter_bits,
     lift,
     mask_from_ids,
+    with_at_least,
 )
 from .ledger import ConstantsLedger, build_ledger
 from .predicates import (
@@ -57,7 +58,7 @@ from .predicates import (
     is_tight_to,
     verify_blowup,
 )
-from .values import Scalar
+from .values import Scalar, ceil_frac
 
 
 class InfeasibleAtScale(RuntimeError):
@@ -428,27 +429,22 @@ class BlowupFound:
 def _correct_adjacency_split(
     g: Graph, pat: Pattern, p: MNTPartition
 ) -> tuple[int, list[int]]:
-    """S = leftover vertices adjacent 'correctly' to every D_i for label t+1;
-    the rest lands in L_i for the least i whose condition it fails."""
-    pr = p.params
-    t = p.t
-    s_mask = 0
-    l_parts = [0] * t
-    for u in iter_bits(p.leftover):
-        fail_at = None
-        for i in range(1, t + 1):
-            di = p.d_sets[i - 1]
-            ni = di.bit_count()
-            deg = (g.adj[u] & di).bit_count()
-            correct = deg if pat.label_edge(i, t + 1) else ni - deg
-            if not correct >= 2 * pr.xi * ni:
-                fail_at = i
-                break
-        if fail_at is None:
-            s_mask |= 1 << u
+    """S = leftover vertices adjacent 'correctly' to every D_i for label t+1
+    (at least 2 xi |D_i| neighbours in D_i for a pattern edge, non-neighbours
+    otherwise); the rest lands in L_i for the least i whose condition it
+    fails.  The parts are tried in label order, each on what is left."""
+    rest = p.leftover
+    l_parts = []
+    for i, di in enumerate(p.d_sets, start=1):
+        ni = di.bit_count()
+        need = ceil_frac(2 * p.params.xi * ni)
+        if pat.label_edge(i, p.t + 1):
+            ok = with_at_least(g, rest, di, need)
         else:
-            l_parts[fail_at - 1] |= 1 << u
-    return s_mask, l_parts
+            ok = rest & ~with_at_least(g, rest, di, ni - need + 1)
+        l_parts.append(rest & ~ok)
+        rest = ok
+    return rest, l_parts
 
 
 def _finish(

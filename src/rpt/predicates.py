@@ -35,13 +35,14 @@ from .graph import (
     Graph,
     Pattern,
     complement,
+    degree_range,
     edge_density,
-    iter_bits,
     mask_from_ids,
     mask_to_ids,
     peel_order,
+    with_at_least,
 )
-from .values import ceil_frac
+from .values import ceil_frac, floor_frac
 
 TIGHTNESS_MODES = ("sparse", "dense", "tight")
 
@@ -90,28 +91,16 @@ def is_tight_to(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> Verdict:
         raise CheckPreconditionError("A and B must be disjoint")
     na = a.bit_count()
     need = ceil_frac(eps * na)  # a count c has c < eps |A| iff c < need
-    sparse_bad = dense_bad = both_bad = None
-    for v in iter_bits(b):
-        nbrs = (g.adj[v] & a).bit_count()
-        viol_sparse = nbrs >= need
-        viol_dense = na - nbrs >= need
-        if viol_sparse and sparse_bad is None:
-            sparse_bad = v
-        if viol_dense and dense_bad is None:
-            dense_bad = v
-        if viol_sparse and viol_dense and both_bad is None:
-            both_bad = v
-    if mode == "sparse":
-        bad = sparse_bad
-    elif mode == "dense":
-        bad = dense_bad
-    elif sparse_bad is None or dense_bad is None:
-        bad = None
+    sparse_bad = with_at_least(g, b, a, need)
+    dense_bad = b & ~with_at_least(g, b, a, na - need + 1)  # na - c >= need
+    if mode == "tight":  # fails only when both fail; witness breaks both if any vertex does
+        bad = sparse_bad and dense_bad and ((sparse_bad & dense_bad) or sparse_bad)
     else:
-        bad = sparse_bad if both_bad is None else both_bad
-    if bad is None:
+        bad = sparse_bad if mode == "sparse" else dense_bad
+    if not bad:
         return Verdict(True)
-    return Verdict(False, detail=f"vertex {bad} of B breaks the {mode} bound", witness=bad)
+    v = (bad & -bad).bit_length() - 1
+    return Verdict(False, detail=f"vertex {v} of B breaks the {mode} bound", witness=v)
 
 
 def is_restricted(g: Graph, s: int, eps: Fraction) -> bool:
@@ -119,9 +108,9 @@ def is_restricted(g: Graph, s: int, eps: Fraction) -> bool:
     size = s.bit_count()
     if size <= 1:
         return True
-    degs = [(g.adj[v] & s).bit_count() for v in iter_bits(s)]
-    threshold = eps * size
-    return max(degs) <= threshold or size - 1 - min(degs) <= threshold
+    low, high = degree_range(g, s)
+    most = floor_frac(eps * size)  # a degree d has d <= eps |S| iff d <= most
+    return high <= most or size - 1 - low <= most
 
 
 def is_weakly_restricted(g: Graph, s: int, eps: Fraction) -> bool:

@@ -24,12 +24,19 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def ids(mask: int) -> list[int]:
-    return mask_to_ids(mask)
-
-
-def frac(x: Fraction) -> str:
-    return format_fraction(x)
+def _integer(obj: dict, key: str) -> int:
+    """The integer field ``key`` of a certificate: a JSON integer (not a
+    bool or a float), or for copy_count, which travels as a decimal string,
+    a string in canonical decimal ("12", not "012", " 12" or "1_2")."""
+    v = obj[key]
+    if key == "copy_count":
+        digits = type(v) is str and v.isascii() and v.removeprefix("-").isdigit()
+        if not (digits and str(int(v)) == v):
+            raise ValueError(f"{key} must be a canonical decimal string, got {v!r}")
+        return int(v)
+    if type(v) is not int:
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return v
 
 
 def _mask(vertex_ids, n: int | None = None) -> int:
@@ -69,10 +76,10 @@ def pattern_from_json(obj: dict) -> Pattern:
 def full_pair_to_json(cert: FullPairCertificate) -> dict:
     return {
         "kind": "full_pair",
-        "a": ids(cert.a),
-        "b": ids(cert.b),
-        "c": frac(cert.c),
-        "eps": frac(cert.eps),
+        "a": mask_to_ids(cert.a),
+        "b": mask_to_ids(cert.b),
+        "c": format_fraction(cert.c),
+        "eps": format_fraction(cert.eps),
         "polarity": cert.polarity,
     }
 
@@ -90,9 +97,9 @@ def full_pair_from_json(obj: dict, n: int | None = None) -> FullPairCertificate:
 def blowup_to_json(cert: BlowupCertificate) -> dict:
     return {
         "kind": "blowup",
-        "parts": [ids(p) for p in cert.parts],
-        "c": frac(cert.c),
-        "eps": frac(cert.eps),
+        "parts": [mask_to_ids(p) for p in cert.parts],
+        "c": format_fraction(cert.c),
+        "eps": format_fraction(cert.eps),
         "pattern": pattern_to_json(cert.pattern),
     }
 
@@ -109,11 +116,11 @@ def blowup_from_json(obj: dict, n: int | None = None) -> BlowupCertificate:
 def peel_chain_to_json(pc: PeelChain) -> dict:
     return {
         "kind": "peel_chain",
-        "peels": [ids(p) for p in pc.peels],
-        "leftover": ids(pc.leftover),
-        "eps": frac(pc.eps),
-        "eta": frac(pc.eta),
-        "delta": frac(pc.delta),
+        "peels": [mask_to_ids(p) for p in pc.peels],
+        "leftover": mask_to_ids(pc.leftover),
+        "eps": format_fraction(pc.eps),
+        "eta": format_fraction(pc.eta),
+        "delta": format_fraction(pc.delta),
         "phi_bound": pc.phi_bound,
         "guaranteed": pc.guaranteed,
     }
@@ -128,7 +135,7 @@ def peel_chain_from_json(obj: dict, n: int | None = None) -> dict:
         "eps": parse_fraction(obj["eps"]),
         "eta": parse_fraction(obj["eta"]),
         "delta": parse_fraction(obj["delta"]),
-        "phi_bound": obj["phi_bound"],
+        "phi_bound": _integer(obj, "phi_bound"),
         "guaranteed": obj.get("guaranteed", True) is not False,
     }
 
@@ -136,21 +143,21 @@ def peel_chain_from_json(obj: dict, n: int | None = None) -> dict:
 def key_result_to_json(res: KeyLemmaResult) -> dict:
     out = {
         "kind": "key_lemma_result",
-        "S": ids(res.removed),
-        "A": [ids(a) for a, _ in res.pairs],
-        "B": [ids(b) for _, b in res.pairs],
-        "C": [ids(c) for c in res.singles],
+        "S": mask_to_ids(res.removed),
+        "A": [mask_to_ids(a) for a, _ in res.pairs],
+        "B": [mask_to_ids(b) for _, b in res.pairs],
+        "C": [mask_to_ids(c) for c in res.singles],
         "d": res.d_budget,
         "h": res.params.h,
-        "eps": frac(res.params.eps),
-        "eta": frac(res.params.eta),
-        "theta": frac(res.params.theta),
+        "eps": format_fraction(res.params.eps),
+        "eta": format_fraction(res.params.eta),
+        "theta": format_fraction(res.params.theta),
     }
     if isinstance(res.params.delta_prime, Fraction) and isinstance(
         res.params.eta_prime, Fraction
     ):
-        out["delta_prime"] = frac(res.params.delta_prime)
-        out["eta_prime"] = frac(res.params.eta_prime)
+        out["delta_prime"] = format_fraction(res.params.delta_prime)
+        out["eta_prime"] = format_fraction(res.params.eta_prime)
     return out
 
 
@@ -164,8 +171,8 @@ def key_result_from_json(obj: dict, n: int | None = None) -> KeyCertificate:
         sets("A"),
         sets("B"),
         sets("C"),
-        int(obj["d"]),
-        int(obj["h"]),
+        _integer(obj, "d"),
+        _integer(obj, "h"),
         parse_fraction(obj["eps"]),
         parse_fraction(obj["eta"]),
         parse_fraction(obj["theta"]),
@@ -179,7 +186,7 @@ def blowup_found_to_json(found: BlowupFound) -> dict:
         "kind": "blowup_found",
         "certificate": blowup_to_json(found.certificate),
         "copy_count": str(found.copy_count),
-        "copy_bound": frac(found.copy_bound),
+        "copy_bound": format_fraction(found.copy_bound),
         "contradiction_checked": found.contradiction_checked,
     }
 
@@ -187,7 +194,7 @@ def blowup_found_to_json(found: BlowupFound) -> dict:
 def blowup_found_from_json(obj: dict, n: int | None = None) -> BlowupFound:
     return BlowupFound(
         blowup_from_json(obj["certificate"], n),
-        int(obj["copy_count"]),
+        _integer(obj, "copy_count"),
         parse_fraction(obj["copy_bound"]),
         bool(obj.get("contradiction_checked", False)),
     )
@@ -197,23 +204,23 @@ def step_record_to_json(rec: StepRecord) -> dict:
     return {
         "kind": "step_record",
         "t": rec.t,
-        "S": ids(rec.correct_set),
+        "S": mask_to_ids(rec.correct_set),
         "finished": rec.finished,
-        "L_parts": [ids(x) for x in rec.l_parts],
-        "core": ids(rec.core),
-        "chain": [ids(x) for x in rec.chain],
-        "D_primes": [ids(x) for x in rec.d_primes],
-        "P_sets": [ids(x) for x in rec.p_sets],
-        "peels": [ids(x) for x in rec.peel_sets],
-        "peel_leftover": ids(rec.peel_leftover),
+        "L_parts": [mask_to_ids(x) for x in rec.l_parts],
+        "core": mask_to_ids(rec.core),
+        "chain": [mask_to_ids(x) for x in rec.chain],
+        "D_primes": [mask_to_ids(x) for x in rec.d_primes],
+        "P_sets": [mask_to_ids(x) for x in rec.p_sets],
+        "peels": [mask_to_ids(x) for x in rec.peel_sets],
+        "peel_leftover": mask_to_ids(rec.peel_leftover),
     }
 
 
 def restricted_partition_to_json(p: RestrictedPartition) -> dict:
     return {
         "kind": "restricted_partition",
-        "parts": [ids(x) for x in p.parts],
-        "eps": frac(p.eps),
+        "parts": [mask_to_ids(x) for x in p.parts],
+        "eps": format_fraction(p.eps),
         "N": p.bound,
     }
 
@@ -222,15 +229,15 @@ def restricted_partition_from_json(obj: dict, n: int | None = None) -> Restricte
     return RestrictedPartition(
         tuple(_mask(x, n) for x in obj["parts"]),
         parse_fraction(obj["eps"]),
-        int(obj["N"]),
+        _integer(obj, "N"),
     )
 
 
 def path_partition_to_json(p: PathPartition) -> dict:
     return {
         "kind": "path_partition",
-        "blocks": [ids(x) for x in p.blocks],
-        "eps": frac(p.eps),
+        "blocks": [mask_to_ids(x) for x in p.blocks],
+        "eps": format_fraction(p.eps),
     }
 
 
@@ -243,9 +250,9 @@ def path_partition_from_json(obj: dict, n: int | None = None) -> PathPartition:
 def removal_result_to_json(r: RemovalResult) -> dict:
     return {
         "kind": "removal_result",
-        "removed": ids(r.removed),
-        "parts": [ids(x) for x in r.partition.parts],
-        "eps": frac(r.partition.eps),
+        "removed": mask_to_ids(r.removed),
+        "parts": [mask_to_ids(x) for x in r.partition.parts],
+        "eps": format_fraction(r.partition.eps),
         "N": r.partition.bound,
         "d": r.d_budget,
         "verified": True,
@@ -256,6 +263,6 @@ def removal_result_from_json(obj: dict, n: int | None = None) -> RemovalResult:
     partition = RestrictedPartition(
         tuple(_mask(x, n) for x in obj["parts"]),
         parse_fraction(obj["eps"]),
-        int(obj["N"]),
+        _integer(obj, "N"),
     )
-    return RemovalResult(_mask(obj["removed"], n), partition, int(obj["d"]))
+    return RemovalResult(_mask(obj["removed"], n), partition, _integer(obj, "d"))

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, random_pattern
+from conftest import peeling_graphs, random_graph, random_pattern
 from rpt.adversarial import (
+    _block_can_become_restricted,
     HardInstanceSpec,
     OracleBudgetError,
     check_partition_against_hard_instance,
@@ -23,6 +24,7 @@ from rpt.graph import (
     complement,
     count_induced_copies,
     induced_subgraph,
+    iter_bits,
     mask_from_ids,
     named_pattern,
 )
@@ -130,7 +132,7 @@ class TestHardInstances:
         g = inst.graph
         added = [v for v in range(20, 40)]
         for v in added:
-            assert g.degree_in(v) == 20
+            assert g.adj[v].bit_count() == 20
             for u in added:
                 if u != v:
                     assert not g.has_edge(u, v)
@@ -186,3 +188,87 @@ class TestHardInstances:
         for n in (80, 100, 200):
             assert h * m * n ** (h - 1) <= kappa * n**2
         assert h * m * 79 ** (h - 1) > kappa * 79**2
+
+
+# _block_can_become_restricted as it was before it read graph.degree_range,
+# kept verbatim (bar its name) as an oracle.
+def block_can_become_restricted_loop(g: Graph, block: int, eps: Fraction, n_total: int) -> bool:
+    """Necessary condition for a partial block to extend to a restricted one.
+
+    Degrees only grow as vertices join a block and the final size is at
+    most n_total, so a side is dead once some current degree on it
+    exceeds eps * n_total.
+    """
+    size = block.bit_count()
+    if size <= 1:
+        return True
+    cap = eps * n_total
+    graph_alive = True
+    comp_alive = True
+    for v in iter_bits(block):
+        d = (g.adj[v] & block).bit_count()
+        if d > cap:
+            graph_alive = False
+        if size - 1 - d > cap:
+            comp_alive = False
+        if not (graph_alive or comp_alive):
+            return False
+    return True
+
+
+@given(peeling_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_block_can_become_restricted_matches_loop(g, data):
+    block = data.draw(st.integers(0, g.full_mask))
+    n_total = data.draw(st.integers(max(block.bit_count(), 1), g.n + 5))
+    # eps n_total is an integer in the second strategy
+    eps = data.draw(st.one_of(
+        st.fractions(0, Fraction(1, 2), max_denominator=24),
+        st.builds(lambda j: Fraction(j, n_total), st.integers(0, n_total)),
+    ))
+    assert _block_can_become_restricted(g, block, eps, n_total) == (
+        block_can_become_restricted_loop(g, block, eps, n_total))
+
+
+def check_partition_loop(g: Graph, core: int, spec: HardInstanceSpec, parts: list[int]) -> list[str]:
+    # check_partition_against_hard_instance with each largest degree in G[p]
+    # and in its complement counted vertex by vertex
+    problems = []
+    m, big_n, eps = spec.core_size, spec.restriction_budget, spec.eps
+    min_core = Fraction(m, big_n)
+    if len(parts) > big_n:
+        problems.append(f"partition uses {len(parts)} > N = {big_n} parts")
+    if not any((p & core).bit_count() >= min_core for p in parts):
+        problems.append("pigeonhole failed: no part meets the core in m/N vertices")
+    gc = complement(g)
+    for idx, p in enumerate(parts):
+        if (p & core).bit_count() >= min_core and p & ~core:
+            size = p.bit_count()
+            gmax = max((g.adj[v] & p).bit_count() for v in iter_bits(p))
+            cmax = max((gc.adj[v] & p).bit_count() for v in iter_bits(p))
+            if not gmax > eps * size:
+                problems.append(f"part {idx}: graph-side degree bound not exceeded")
+            if not cmax > eps * size:
+                problems.append(f"part {idx}: complement-side degree bound not exceeded")
+            if is_restricted(g, p, eps):
+                problems.append(f"part {idx}: unexpectedly eps-restricted")
+    return problems
+
+
+@given(peeling_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_check_partition_matches_degree_loops(g, data):
+    core = data.draw(st.integers(0, g.full_mask))
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    parts = [p for p in (mask_from_ids(v for v in range(g.n) if labels[v] == i)
+                         for i in range(3)) if p]
+    m = max(core.bit_count(), 1)
+    big_n = data.draw(st.integers(1, 3))
+    # eps |p| is an integer for some part sizes in the second strategy
+    eps = data.draw(st.one_of(
+        st.fractions(Fraction(1, 100), Fraction(1, 19), max_denominator=100),
+        st.builds(lambda j: Fraction(1, j), st.integers(19, 40)),
+    ))
+    spec = HardInstanceSpec(big_n, m, max(g.n, m), eps, K2, seed=0, allow_small_core=True)
+    assert check_partition_against_hard_instance(g, core, spec, parts) == (
+        check_partition_loop(g, core, spec, parts))

@@ -1,4 +1,4 @@
-import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -340,20 +340,27 @@ class TestCommands:
         for name in ("phi(delta_prime,eta_prime)", "N"):
             assert entries[name]["exact"] is None and not entries[name]["saturated"], name
 
-    def test_constants_match_the_benchmark_record(self, capsys):
-        """Every `rpt constants --json` op of the benchmark prints the bytes
-        recorded in perfbench/expected.json (read only, never written)."""
-        expected = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
-        recorded = json.loads(expected.read_text())["constants"]["1"]
-        assert len(recorded) == 6
-        for op_id, (want_code, want_digest) in recorded.items():
-            _, h, eps, eta, theta = op_id.split(":")
-            argv = ["constants", "--h", h.removeprefix("h"), "--eps", eps.removeprefix("eps"),
-                    "--eta", eta.removeprefix("eta"), "--theta", theta.removeprefix("theta"),
-                    "--json"]
-            code, out = run_cli(capsys, argv)
-            assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (
-                want_code, want_digest), op_id
+    @pytest.mark.parametrize("workload", ["count", "pipeline", "check", "constants"])
+    def test_workload_outputs_match_the_benchmark_record(self, workload, tmp_path, monkeypatch):
+        """Every operation of the benchmark's workload at seed 1, built with
+        perfbench/workloads.py in a scratch directory, gives the exit code and
+        stdout sha256 recorded in perfbench/expected.json.  Files under
+        perfbench/ are only read: no bytecode is written there either."""
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        modules = {}
+        for name in ("workloads", "run"):
+            spec = importlib.util.spec_from_file_location(f"perfbench_{name}", bench / f"{name}.py")
+            modules[name] = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, spec.name, modules[name])  # dataclasses look it up
+            spec.loader.exec_module(modules[name])
+        workloads, run = modules["workloads"], modules["run"]
+        recorded = json.loads((bench / "expected.json").read_text())[workload]["1"]
+        work = workloads.BUILDERS[workload](workloads.Builder(rpt, workload, 1, str(tmp_path)))
+        assert sorted(op.op_id for op in work.ops) == sorted(recorded)
+        for op in work.ops:
+            code, out, _ = run.run_op(rpt, op)
+            assert [code, run.digest(out)] == recorded[op.op_id], op.op_id
 
     def test_oracle_sweep_csv(self, capsys):
         code, out = run_cli(
@@ -604,3 +611,52 @@ class TestMalformedIds:
         code = main(["check", "--graph", str(g_path), "--cert", str(cert_path), "--json"])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
+class TestMalformedIntegers:
+    """Integer fields are JSON integers (no bool, no float, no string), and
+    copy_count is a string in canonical decimal; anything else exits 1."""
+
+    @pytest.mark.parametrize(
+        "kind, field, bad, message",
+        [
+            ("restricted_partition", "N", 3.9, "N must be an integer, got 3.9"),
+            ("restricted_partition", "N", True, "N must be an integer, got True"),
+            ("removal_result", "N", "1", "N must be an integer, got '1'"),
+            ("removal_result", "d", 0.0, "d must be an integer, got 0.0"),
+            ("key_lemma_result", "d", True, "d must be an integer, got True"),
+            ("key_lemma_result", "h", 2.0, "h must be an integer, got 2.0"),
+            ("peel_chain", "phi_bound", "11", "phi_bound must be an integer, got '11'"),
+            ("peel_chain", "phi_bound", False, "phi_bound must be an integer, got False"),
+            ("peel_chain", "phi_bound", None, "phi_bound must be an integer, got None"),
+        ] + [
+            ("blowup_found", "copy_count", bad,
+             f"copy_count must be a canonical decimal string, got {bad!r}")
+            for bad in ("1_6", " 16 ", "016", "+16", "16.0", "", 16, True, 16.0, None)
+        ],
+    )
+    def test_rejected_with_exit_1(self, capsys, tmp_path, kind, field, bad, message):
+        (n, edges), cert, _, _ = CHECK_CASES[kind]
+        g_path = tmp_path / "g.el"
+        g_path.write_text(to_edge_list(Graph.from_edges(n, edges)))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({**cert, field: bad}))
+        code = main(["check", "--graph", str(g_path), "--cert", str(cert_path), "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Dhczzzz\n", "graph6 body has 6 characters, not 2"),
+        ("A" + chr(94) + "\n", "graph6 padding bits must be 0"),
+        ("Dhc\n\nextra line\n", "line 3: graph6 input holds a second data line"),
+    ],
+)
+def test_count_rejects_malformed_graph6_with_exit_1(capsys, tmp_path, text, message):
+    path = tmp_path / "g.g6"
+    path.write_text(text)
+    code = main(["count", "--graph", str(path), "--pattern", "K2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")

@@ -30,10 +30,11 @@ from rpt.graph import (
     iter_bits,
     mask_from_ids,
     named_pattern,
+    with_at_least,
 )
 from rpt.ledger import build_ledger
 from rpt.predicates import is_restricted
-from rpt.values import LogValue
+from rpt.values import LogValue, floor_frac
 
 QUARTER = Fraction(1, 4)
 
@@ -617,6 +618,60 @@ def greedy_best_effort_plain(g: Graph, eps1: Fraction, eps2: Fraction) -> tuple[
     return best, best_side
 
 
+# _independent_set as it was before it picked its pivot with max(), kept
+# verbatim (bar its name) as the oracle of that pivot.
+def independent_set_pivot_loop(g: Graph, floor: int = 0) -> int:
+    best = _greedy_independent(g)
+    if g.n > 64:
+        return best
+    adj = g.adj
+    incumbent = max(best.bit_count(), floor)
+    nodes = 0
+
+    def bnb(cand: int, cur: int, cur_size: int):
+        nonlocal best, incumbent, nodes
+        if nodes >= _INDEPENDENT_SET_NODES:
+            return
+        nodes += 1
+        room = incumbent - cur_size
+        cover, rest = 0, cand
+        while rest and cover <= room:
+            cover += 1
+            clique = rest
+            while clique:
+                low = clique & -clique
+                rest ^= low
+                clique &= adj[low.bit_length() - 1]
+        if cover <= room:
+            return
+        if not cand:
+            best, incumbent = cur, cur_size
+            return
+        # branch on the highest-degree candidate (within cand)
+        pivot, pivot_d = -1, -1
+        for v in iter_bits(cand):
+            d = (adj[v] & cand).bit_count()
+            if d > pivot_d:
+                pivot, pivot_d = v, d
+        bit = 1 << pivot
+        bnb(cand & ~bit & ~adj[pivot], cur | bit, cur_size + 1)
+        bnb(cand & ~bit, cur, cur_size)
+
+    bnb(g.full_mask, 0, 0)
+    return best
+
+
+@given(peeling_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_independent_set_matches_the_pivot_loop(g, data):
+    # the same node order, so the same set even when the node budget runs out
+    floor = data.draw(st.integers(0, g.n + 1))
+    assert extraction._independent_set(g, floor) == independent_set_pivot_loop(g, floor)
+    assert extraction._independent_set(complement(g), floor) == independent_set_pivot_loop(
+        complement(g), floor
+    )
+
+
 def finished_plain(g: Graph) -> int | None:
     """The oracle's independent set of g, or None if it spent its budget
     (long cycles and sparse circulants on 40 vertices do)."""
@@ -706,6 +761,37 @@ def low_crossing_core_fraction(g: Graph, a: int, b: int, eps: Fraction, k: int) 
     return a0
 
 
+def test_search_keeps_the_fraction_core(monkeypatch):
+    # _search's one with_at_least call keeps the same vertices of A as the
+    # Fraction comparison, and its k is the least integer above eps |B1| / 2
+    # (few vertices of A ever sit at that bound, so the sets alone would not
+    # show a k one too high); eps is min(eps1, eps2) of the level making the call
+    levels, calls = [], []
+    search, count = extraction._search, extraction.with_at_least
+
+    def tracked_search(g, pat, eps1, eps2, depth):
+        levels.append(min(eps1, eps2))
+        try:
+            return search(g, pat, eps1, eps2, depth)
+        finally:
+            levels.pop()
+
+    def spy(g, a, b, k):
+        calls.append((g, a, b, k, levels[-1], count(g, a, b, k)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(extraction, "_search", tracked_search)
+    monkeypatch.setattr(extraction, "with_at_least", spy)
+    p4 = named_pattern("P4")
+    for seed in range(6):
+        g = random_graph(40, (0.3, 0.5, 0.7)[seed % 3], seed)
+        find_low_or_high_density_subset(g, p4, ExtractionBudget.practical(QUARTER, QUARTER, 5, h=4))
+    assert calls
+    for work, a, b, k, eps, kept in calls:
+        assert k - 1 <= eps * b.bit_count() / 2 < k
+        assert a & ~kept == low_crossing_core_fraction(work, a, b, eps, b.bit_count())
+
+
 @given(peeling_graphs(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_low_crossing_core_matches_fraction_comparison(g, data):
@@ -717,6 +803,6 @@ def test_low_crossing_core_matches_fraction_comparison(g, data):
         st.fractions(0, 1, max_denominator=24),
         st.builds(lambda j: Fraction(2 * j, max(k, 1)), st.integers(0, max(k, 1) // 2)),
     ))
-    assert extraction._low_crossing_core(g, a, b, eps * k / 2) == low_crossing_core_fraction(
-        g, a, b, eps, k
-    )
+    # the core as _search computes it
+    core = a & ~with_at_least(g, a, b, floor_frac(eps * k / 2) + 1)
+    assert core == low_crossing_core_fraction(g, a, b, eps, k)

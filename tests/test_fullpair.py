@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from rpt.fullpair import (
-    _well_connected,
     FullPairParams,
     FullPairGuaranteeViolation,
     find_full_pair,
     gamma,
 )
-from rpt.graph import Graph, mask_from_ids, mask_to_ids
+from rpt.graph import Graph, mask_from_ids, mask_to_ids, with_at_least
 from rpt.predicates import CheckPreconditionError, FullPairCertificate, is_full_pair
-from rpt.values import LogValue, UndecidableAtScale
+from rpt.values import LogValue, UndecidableAtScale, ceil_frac
 
 EIGHTH = Fraction(1, 8)
 
@@ -166,4 +165,6 @@ def test_well_connected_matches_fraction_comparison(seed, n, data):
         st.fractions(0, Fraction(1, 4), max_denominator=30),
         st.builds(lambda j: Fraction(j, k), st.integers(0, k // 4)),
     ))
-    assert _well_connected(g, s, t, eps) == well_connected_fraction(g, s, t, eps)
+    # the Phase 1.5 call of find_full_pair
+    keep = with_at_least(g, s, t, ceil_frac((1 - eps) * t.bit_count()))
+    assert keep == well_connected_fraction(g, s, t, eps)

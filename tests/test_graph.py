@@ -21,6 +21,7 @@ from rpt.graph import (
     complement,
     count_embeddings_into_parts,
     count_induced_copies,
+    degree_range,
     edge_density,
     from_edge_list,
     from_graph6,
@@ -33,6 +34,7 @@ from rpt.graph import (
     peel_order,
     to_edge_list,
     to_graph6,
+    with_at_least,
 )
 
 
@@ -50,7 +52,7 @@ def test_edge_list_singleton_and_comments():
 def test_edge_list_k4():
     g = from_edge_list("4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3")
     assert g.edge_count() == 6
-    assert all(g.degree_in(v) == 3 for v in range(4))
+    assert degree_range(g, g.full_mask) == (3, 3)
 
 
 @pytest.mark.parametrize(
@@ -416,6 +418,34 @@ def test_load_graph_text_detects_format():
     assert load_graph_text(to_graph6(c5) + "\n") == c5
 
 
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("Dhczzzz", "graph6 body has 6 characters, not 2"),  # trailing characters
+        ("Dh", "graph6 body has 1 characters, not 2"),
+        ("?" + "?", "graph6 body has 1 characters, not 0"),
+        ("A" + chr(94), "graph6 padding bits must be 0"),  # K1 + K1 with all 5 padding bits set
+        ("Dhd", "graph6 padding bits must be 0"),  # C5 with its last padding bit set
+        ("Dhe", "graph6 padding bits must be 0"),  # C5 with its first padding bit set
+        ("Dhc\n\nextra line\n", "line 3: graph6 input holds a second data line"),
+        ("Dhc\nDhc\n", "line 2: graph6 input holds a second data line"),
+    ],
+)
+def test_graph6_input_is_strict(text, fragment):
+    with pytest.raises(GraphParseError, match=fragment):
+        load_graph_text(text)
+
+
+def test_graph6_allows_blank_and_comment_lines_around_its_one_line():
+    c5 = Graph.cycle(5)
+    assert to_graph6(c5) == "Dhc"
+    for text in ("Dhc", "Dhc\n", "Dhc\n\n", "# c5\nDhc\n# done\n", "A_", "A?", "?"):
+        g = load_graph_text(text)
+        assert g == {"A_": Graph.complete(2), "A?": Graph.empty(2), "?": Graph.empty(0)}.get(
+            text, c5
+        )
+
+
 def _oracle_load(text):
     """load_graph_text as it was before the fast pass: detect, then parse."""
     for raw in text.splitlines():
@@ -767,3 +797,43 @@ def test_count_matches_networkx_graph_matcher(name):
             g = random_graph(n, 0.5, seed)
             oracle = sum(1 for _ in GraphMatcher(to_nx(g), hx).subgraph_isomorphisms_iter())
             assert count_induced_copies(g, pat) == oracle, (n, seed)
+
+
+def with_at_least_brute(g: Graph, s: int, t: int, k: int) -> int:
+    return mask_from_ids(
+        v for v in mask_to_ids(s) if sum(g.has_edge(v, u) for u in mask_to_ids(t)) >= k
+    )
+
+
+def degree_range_brute(g: Graph, s: int) -> tuple[int, int]:
+    ids = mask_to_ids(s)
+    degrees = [sum(g.has_edge(v, u) for u in ids) for v in ids]
+    return min(degrees), max(degrees)
+
+
+@given(st.one_of(peeling_graphs(), wide_graphs()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_with_at_least_matches_brute_force(g, data):
+    s = data.draw(st.integers(0, g.full_mask), label="s")  # empty or overlapping t at times
+    t = data.draw(st.integers(0, g.full_mask), label="t")
+    if data.draw(st.booleans(), label="t holds s"):
+        t |= s
+    k = data.draw(st.integers(-2, t.bit_count() + 2), label="k")  # k <= 0 and k > |t| too
+    assert with_at_least(g, s, t, k) == with_at_least_brute(g, s, t, k)
+    assert with_at_least(g, s, t, 0) == s
+    assert with_at_least(g, s, t, t.bit_count() + 1) == 0
+    assert with_at_least(g, 0, t, k) == 0
+
+
+@given(st.one_of(peeling_graphs(), wide_graphs()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_degree_range_matches_brute_force(g, data):
+    if g.n == 0:
+        with pytest.raises(ValueError):
+            degree_range(g, 0)
+        return
+    s = data.draw(st.integers(1, g.full_mask), label="s")
+    assert degree_range(g, s) == degree_range_brute(g, s)
+    lo, hi = degree_range(complement(g), s)
+    assert (lo, hi) == (s.bit_count() - 1 - degree_range(g, s)[1],
+                        s.bit_count() - 1 - degree_range(g, s)[0])

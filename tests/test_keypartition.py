@@ -4,14 +4,16 @@ from math import comb
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import random_graph, random_pattern
 import rpt.keypartition
 from rpt.adversarial import HardInstanceSpec, generate_hard_graph
 from rpt.embedding import blowup_copy_bound
 from rpt.extraction import phi
 from rpt.fullpair import gamma
-from rpt.graph import Graph, Pattern, complement, mask_from_ids, named_pattern
+from rpt.graph import Graph, Pattern, complement, iter_bits, mask_from_ids, named_pattern
 from rpt.keypartition import (
     BlowupFound,
     InfeasibleAtScale,
@@ -335,3 +337,49 @@ class TestRunKeyLemma:
         params = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
         with pytest.raises(InfeasibleAtScale):
             run_key_lemma(Graph.complete(6), K2, params, 3)
+
+
+# _correct_adjacency_split as it was before it filtered whole sets with
+# graph.with_at_least, kept verbatim (bar its name) as an oracle.
+def correct_adjacency_split_loop(
+    g: Graph, pat: Pattern, p: MNTPartition
+) -> tuple[int, list[int]]:
+    """S = leftover vertices adjacent 'correctly' to every D_i for label t+1;
+    the rest lands in L_i for the least i whose condition it fails."""
+    pr = p.params
+    t = p.t
+    s_mask = 0
+    l_parts = [0] * t
+    for u in iter_bits(p.leftover):
+        fail_at = None
+        for i in range(1, t + 1):
+            di = p.d_sets[i - 1]
+            ni = di.bit_count()
+            deg = (g.adj[u] & di).bit_count()
+            correct = deg if pat.label_edge(i, t + 1) else ni - deg
+            if not correct >= 2 * pr.xi * ni:
+                fail_at = i
+                break
+        if fail_at is None:
+            s_mask |= 1 << u
+        else:
+            l_parts[fail_at - 1] |= 1 << u
+    return s_mask, l_parts
+
+
+@given(st.integers(0, 10**6), st.integers(2, 40), st.data())
+@settings(max_examples=200, deadline=None)
+def test_correct_adjacency_split_matches_loop(seed, n, data):
+    g = random_graph(n, data.draw(st.floats(0.0, 1.0)), seed)
+    pat = random_pattern(data.draw(st.integers(2, 5)), seed)
+    t = data.draw(st.integers(1, pat.size - 1))
+    # each vertex joins D_1..D_t, the leftover (label t) or no set (t + 1)
+    labels = data.draw(st.lists(st.integers(0, t + 1), min_size=n, max_size=n))
+    d_sets = tuple(mask_from_ids(v for v in range(n) if labels[v] == i) for i in range(t))
+    leftover = mask_from_ids(v for v in range(n) if labels[v] == t)
+    # 2 xi |D_i| = theta |D_i| / 2 is often an integer for small denominators
+    theta = data.draw(st.fractions(Fraction(1, 12), Fraction(5, 12), max_denominator=12))
+    params = KeyParams.practical(pat, QUARTER, theta=theta)
+    p = MNTPartition((), (), (), d_sets, leftover, params, 0)
+    assert rpt.keypartition._correct_adjacency_split(g, pat, p) == (
+        correct_adjacency_split_loop(g, pat, p))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_fraction_ops, random_graph
+from conftest import count_fraction_ops, peeling_graphs, random_graph, wide_graphs
 from rpt.graph import (
     Graph,
     Pattern,
@@ -197,6 +197,31 @@ class TestRestricted:
         s = 0b01111110
         for eps in (Fraction(1, 4), Fraction(1, 2)):
             assert is_restricted(g, s, eps) == is_restricted(complement(g), s, eps)
+
+
+# is_restricted as it was before it read graph.degree_range, kept verbatim
+# (bar its name) as an oracle.
+def is_restricted_loop(g: Graph, s: int, eps: Fraction) -> bool:
+    """Max degree at most eps*|S| in G[S] or in its complement."""
+    size = s.bit_count()
+    if size <= 1:
+        return True
+    degs = [(g.adj[v] & s).bit_count() for v in iter_bits(s)]
+    threshold = eps * size
+    return max(degs) <= threshold or size - 1 - min(degs) <= threshold
+
+
+@given(st.one_of(peeling_graphs(), wide_graphs()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_is_restricted_matches_loop(g, data):
+    s = data.draw(st.integers(0, g.full_mask))
+    size = max(s.bit_count(), 1)
+    # eps |S| is an integer in the second strategy
+    eps = data.draw(st.one_of(
+        st.fractions(0, 1, max_denominator=24),
+        st.builds(lambda j: Fraction(j, size), st.integers(0, size)),
+    ))
+    assert is_restricted(g, s, eps) == is_restricted_loop(g, s, eps)
 
 
 class TestWeaklyRestricted:

@@ -123,3 +123,47 @@ def test_fast_edge_list_pass_never_raises():
     found = [f"graph.py:{node.lineno}" for node in ast.walk(fast)
              if isinstance(node, (ast.Raise, ast.Assert))]
     assert not found, f"raise or assert in the fast pass: {', '.join(found)}"
+
+
+def _loops_over_iter_bits(node) -> list[tuple[ast.AST, set[str]]]:
+    """(loop, names it binds) for a for loop or comprehension over iter_bits(...)."""
+    if isinstance(node, ast.For):
+        gens = [(node.target, node.iter)]
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        gens = [(gen.target, gen.iter) for gen in node.generators]
+    else:
+        return []
+    names = {
+        name.id
+        for target, it in gens
+        if isinstance(it, ast.Call) and ast.unparse(it.func).endswith("iter_bits")
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+    }
+    return [(node, names)] if names else []
+
+
+def _counts_a_row(call, names: set[str]) -> bool:
+    """``(... adj[v] & ...).bit_count()`` with v one of ``names``."""
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "bit_count" and isinstance(call.func.value, ast.BinOp)
+            and isinstance(call.func.value.op, ast.BitAnd)):
+        return False
+    return any(isinstance(sub, ast.Subscript) and ast.unparse(sub.value).endswith("adj")
+               and isinstance(sub.slice, ast.Name) and sub.slice.id in names
+               for sub in ast.walk(call.func.value))
+
+
+def test_neighbours_in_a_set_are_counted_in_graph():
+    # how many neighbours each vertex of one set has in another is counted by
+    # graph.with_at_least or graph.degree_range, not by a loop at each call site
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            for loop, names in _loops_over_iter_bits(node):
+                if any(_counts_a_row(call, names) for call in ast.walk(loop)):
+                    found.append(f"{path.name}:{loop.lineno}")
+    assert not found, f"per-vertex neighbour counts (use graph.with_at_least): {', '.join(found)}"
