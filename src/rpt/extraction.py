@@ -415,18 +415,19 @@ def find_low_or_high_density_subset(
     Returns the larger of the recursive search's answer and the cheap
     greedy candidates (the recursion certifies its own size only through
     the guarantee machinery; a plain greedy clique or independent set is
-    sometimes bigger and equally valid).  The guarantee flag is set only
+    sometimes bigger and equally valid).  Only a strictly larger greedy
+    set replaces the search's answer, so the greedy candidates are not
+    built when that answer is all of G.  The guarantee flag is set only
     when every recursion step confirmed its preconditions AND the final
     size meets eta^depth * |G|.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     found = _search(g, pat, budget.eps1, budget.eps2, budget.depth)
-    alt_mask, alt_side = _greedy_best_effort(g, budget.eps1, budget.eps2)
-    if found is None:
-        mask, side, flag = alt_mask, alt_side, False
-    else:
-        mask, side, flag = found
+    # with no answer from the search, the greedy set (never empty) wins
+    mask, side, flag = found if found is not None else (0, "low", False)
+    if mask != g.full_mask:
+        alt_mask, alt_side = _greedy_best_effort(g, budget.eps1, budget.eps2)
         if alt_mask.bit_count() > mask.bit_count():
             mask, side = alt_mask, alt_side
     dens = edge_density(g, mask)
@@ -553,25 +554,29 @@ def peel_chain(
     """Repeatedly peel eps-restricted sets of fractional size >= delta until
     at most an eta fraction of the vertices remains.
 
-    Each peel is the larger of a greedy restricted chunk and the pipeline
-    extractor's set.  When neither reaches the delta fraction the chain is
-    flagged: its length may then exceed phi(delta, eta).
+    Each peel is a greedy restricted chunk of the remaining set U.  The
+    pipeline extractor returns exactly ceil(min(delta, 1/4) |U|) vertices
+    or raises, and its set replaces the chunk only when strictly larger;
+    so it is called only while the chunk is below that size.  When a peel
+    falls short of the delta fraction the chain is flagged: its length may
+    then exceed phi(delta, eta).
     """
     if not (0 < eta < 1 and 0 < delta < 1):
         raise ValueError("eta and delta must lie in (0,1)")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     u = g.full_mask
     total = g.n
     peels: list[int] = []
     guaranteed = True
+    extract_delta = min(delta, Fraction(1, 4))
     while u.bit_count() > eta * total:
         need = ceil_frac(delta * u.bit_count())
         peel = greedy_restricted_chunk(g, u, eps)
-        if peel.bit_count() < u.bit_count():
+        if peel.bit_count() < ceil_frac(extract_delta * u.bit_count()):
             sub, ids = induced_subgraph(g, u)
             try:
-                local = extract_restricted_exact(
-                    sub, pat, eps, min(delta, Fraction(1, 4))
-                )
+                local = extract_restricted_exact(sub, pat, eps, extract_delta)
                 candidate = lift(ids, local)
                 if candidate.bit_count() > peel.bit_count():
                     peel = candidate

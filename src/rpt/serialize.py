@@ -68,9 +68,25 @@ def pattern_to_json(pat: Pattern) -> dict:
     }
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """A list of JSON integers (not bools or floats) as a tuple."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} entry {v!r} is not an integer")
+    return tuple(values)
+
+
 def pattern_from_json(obj: dict) -> Pattern:
-    g = Graph.from_edges(obj["n"], [tuple(e) for e in obj["edges"]])
-    return Pattern(g, tuple(obj.get("order", range(obj["n"]))))
+    """The pattern's vertex count, edge endpoints and order entries are read
+    as JSON integers and each edge as two endpoints; Graph.from_edges and
+    Pattern check their ranges."""
+    n = _integer(obj, "n")
+    edges = [_integers(e, "pattern edge") for e in obj["edges"]]
+    for e in edges:
+        if len(e) != 2:
+            raise ValueError(f"pattern edge {list(e)} does not have two endpoints")
+    order = _integers(obj["order"], "pattern order") if "order" in obj else tuple(range(n))
+    return Pattern(Graph.from_edges(n, edges), order)
 
 
 def full_pair_to_json(cert: FullPairCertificate) -> dict:

@@ -646,6 +646,52 @@ class TestMalformedIntegers:
         assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
+class TestMalformedPatterns:
+    """A certificate's pattern has a JSON integer vertex count, edge
+    endpoints and order entries (no bool, no float); anything else exits 1
+    with a one-line error, for blowup and blowup_found alike."""
+
+    @pytest.mark.parametrize("kind", ["blowup", "blowup_found"])
+    @pytest.mark.parametrize(
+        "pattern, message",
+        [
+            ({**K2_JSON, "edges": [[0, True]]}, "pattern edge entry True is not an integer"),
+            ({**K2_JSON, "edges": [[False, 1]]}, "pattern edge entry False is not an integer"),
+            ({**K2_JSON, "edges": [[0, 1.0]]}, "pattern edge entry 1.0 is not an integer"),
+            ({**K2_JSON, "edges": [["0", 1]]}, "pattern edge entry '0' is not an integer"),
+            ({**K2_JSON, "edges": [[0]]}, "pattern edge [0] does not have two endpoints"),
+            ({**K2_JSON, "edges": [[0, 1, 1]]}, "pattern edge [0, 1, 1] does not have two endpoints"),
+            ({**K2_JSON, "order": [False, True]}, "pattern order entry False is not an integer"),
+            ({**K2_JSON, "order": [0, 1.0]}, "pattern order entry 1.0 is not an integer"),
+            ({**K2_JSON, "n": True}, "n must be an integer, got True"),
+            ({**K2_JSON, "n": 2.0}, "n must be an integer, got 2.0"),
+        ],
+    )
+    def test_rejected_with_exit_1(self, capsys, tmp_path, kind, pattern, message):
+        (n, edges), cert, _, _ = CHECK_CASES[kind]
+        if kind == "blowup":
+            cert = {**cert, "pattern": pattern}
+        else:
+            cert = {**cert, "certificate": {**cert["certificate"], "pattern": pattern}}
+        g_path = tmp_path / "g.el"
+        g_path.write_text(to_edge_list(Graph.from_edges(n, edges)))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code = main(["check", "--graph", str(g_path), "--cert", str(cert_path), "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+    def test_pattern_without_order_reads_in_id_order(self, capsys, tmp_path):
+        (n, edges), cert, _, _ = CHECK_CASES["blowup"]
+        pattern = {k: v for k, v in K2_JSON.items() if k != "order"}
+        g_path = tmp_path / "g.el"
+        g_path.write_text(to_edge_list(Graph.from_edges(n, edges)))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({**cert, "pattern": pattern}))
+        code = main(["check", "--graph", str(g_path), "--cert", str(cert_path)])
+        assert code == 0
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import peeling_graphs, random_graph, wide_graphs
@@ -11,8 +12,10 @@ from rpt import assembly, extraction
 from rpt.assembly import PathPartition, base_partition
 from rpt.embedding import tight_pair_copy_threshold
 from rpt.extraction import (
+    DensitySubsetResult,
     ExtractionBudget,
     ExtractionInfeasible,
+    PeelChain,
     depth_for,
     extract_restricted_exact,
     find_low_or_high_density_subset,
@@ -22,19 +25,24 @@ from rpt.extraction import (
     phi_lower_bound,
     shrink_fraction,
     trim_to_size,
+    verify_peel_chain,
 )
+from rpt.extraction import _greedy_best_effort, _meets_size_floor, _search
 from rpt.graph import (
     Graph,
+    Pattern,
     complement,
     edge_density,
+    induced_subgraph,
     iter_bits,
+    lift,
     mask_from_ids,
     named_pattern,
     with_at_least,
 )
 from rpt.ledger import build_ledger
 from rpt.predicates import is_restricted
-from rpt.values import LogValue, floor_frac
+from rpt.values import LogValue, ceil_frac, floor_frac
 
 QUARTER = Fraction(1, 4)
 
@@ -271,6 +279,40 @@ class TestPeelingMatchesRescan:
         assert extraction._greedy_shrink_to_density(Graph.complete(6), Fraction(0)) == 0b100000
 
 
+# find_low_or_high_density_subset as it was when it built the greedy
+# candidates even when the search's answer was all of G, kept verbatim
+# (bar its name) as the oracle for skipping them there.
+def find_low_or_high_density_subset_always_greedy(
+    g: Graph, pat: Pattern, budget: ExtractionBudget
+) -> DensitySubsetResult:
+    """Subset with density <= eps1 or >= 1-eps2, never empty.
+
+    Returns the larger of the recursive search's answer and the cheap
+    greedy candidates (the recursion certifies its own size only through
+    the guarantee machinery; a plain greedy clique or independent set is
+    sometimes bigger and equally valid).  The guarantee flag is set only
+    when every recursion step confirmed its preconditions AND the final
+    size meets eta^depth * |G|.
+    """
+    if g.n == 0:
+        raise ValueError("empty graph")
+    found = _search(g, pat, budget.eps1, budget.eps2, budget.depth)
+    alt_mask, alt_side = _greedy_best_effort(g, budget.eps1, budget.eps2)
+    if found is None:
+        mask, side, flag = alt_mask, alt_side, False
+    else:
+        mask, side, flag = found
+        if alt_mask.bit_count() > mask.bit_count():
+            mask, side = alt_mask, alt_side
+    dens = edge_density(g, mask)
+    if side == "low" and dens > budget.eps1:
+        raise AssertionError("low-side result misses its density claim")
+    if side == "high" and dens < 1 - budget.eps2:
+        raise AssertionError("high-side result misses its density claim")
+    guaranteed = flag and _meets_size_floor(mask.bit_count(), budget, g.n)
+    return DensitySubsetResult(mask, side, guaranteed)
+
+
 class TestDensitySubset:
     def test_edgeless_immediate(self):
         g = Graph.empty(9)
@@ -361,6 +403,42 @@ class TestDensitySubset:
         res = find_low_or_high_density_subset(g, pat, budget)
         assert (res.vertices, res.side, res.guaranteed) == (*expected, False)
         assert calls and len(set(calls)) == len(calls)
+
+    def test_greedy_skipped_when_the_search_covers_the_graph(self, monkeypatch):
+        calls = []
+        build = extraction._greedy_best_effort
+
+        def counted(graph, eps1, eps2):
+            calls.append(graph)
+            return build(graph, eps1, eps2)
+
+        monkeypatch.setattr(extraction, "_greedy_best_effort", counted)
+        budget = ExtractionBudget.practical(QUARTER, QUARTER, 3)
+        for g in (Graph.empty(9), Graph.complete(9), Graph.cycle(12)):
+            res = find_low_or_high_density_subset(g, named_pattern("K2"), budget)
+            assert res.vertices == g.full_mask
+        assert calls == []
+        g = random_graph(20, 0.5, 0)
+        assert find_low_or_high_density_subset(g, named_pattern("K2"), budget) == (
+            find_low_or_high_density_subset_always_greedy(g, named_pattern("K2"), budget)
+        )
+        assert calls
+
+    @given(
+        st.one_of(peeling_graphs(), wide_graphs()),
+        st.sampled_from(["K2", "K3", "P3"]),
+        st.sampled_from([Fraction(1, 32), Fraction(1, 8), QUARTER]),
+        st.sampled_from([Fraction(1, 32), Fraction(1, 8), QUARTER]),
+        st.integers(1, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_always_greedy(self, g, pattern, eps1, eps2, depth):
+        assume(g.n > 0)
+        pat = named_pattern(pattern)
+        budget = ExtractionBudget.practical(eps1, eps2, depth, h=pat.size)
+        assert find_low_or_high_density_subset(g, pat, budget) == (
+            find_low_or_high_density_subset_always_greedy(g, pat, budget)
+        )
 
     def test_exact_schedule_budget_fields(self):
         b = ExtractionBudget.exact_schedule(2, QUARTER, QUARTER)
@@ -479,26 +557,41 @@ class TestPeelChain:
         with pytest.raises(ValueError):
             peel_chain(Graph.empty(3), named_pattern("K2"), QUARTER, Fraction(1), Fraction(1, 2))
 
+    # random_graph(20, 0.5, 6) is the input below: its first greedy chunk
+    # has 4 vertices against an extractor target of ceil(20 / 4) = 5, so
+    # peel_chain still calls the extractor there
     def test_extractor_value_error_propagates(self, monkeypatch):
         # only ExtractionInfeasible means "no candidate"; a broken
         # precondition inside the extractor must surface
+        calls = []
+
         def broken(*args):
+            calls.append(args)
             raise ValueError("precondition bug")
 
         monkeypatch.setattr(extraction, "extract_restricted_exact", broken)
         with pytest.raises(ValueError, match="precondition bug"):
-            peel_chain(random_graph(20, 0.5, 0), named_pattern("K2"), QUARTER, QUARTER, QUARTER)
+            peel_chain(random_graph(20, 0.5, 6), named_pattern("K2"), QUARTER, QUARTER, QUARTER)
+        assert len(calls) == 1
 
     def test_infeasible_extraction_leaves_the_greedy_chunk(self, monkeypatch):
-        g = random_graph(20, 0.5, 0)
+        g = random_graph(20, 0.5, 6)
         pat = named_pattern("K2")
+        calls = []
 
         def infeasible(*args):
+            calls.append(args)
             raise ExtractionInfeasible("too small")
 
         monkeypatch.setattr(extraction, "extract_restricted_exact", infeasible)
         pc = peel_chain(g, pat, QUARTER, QUARTER, QUARTER)
         assert pc.peels[0] == greedy_restricted_chunk(g, g.full_mask, QUARTER)
+        assert calls
+
+    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1, 4)])
+    def test_nonpositive_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            peel_chain(Graph.complete(5), named_pattern("K2"), eps, QUARTER, QUARTER)
 
     def test_clique_peels_whole(self):
         g = Graph.complete(20)
@@ -527,6 +620,125 @@ class TestPeelChain:
         assert pc.phi_bound == phi(delta, eta)
         if pc.guaranteed:
             assert pc.length <= pc.phi_bound
+
+
+# peel_chain as it was when it called the extractor whenever the greedy
+# chunk left part of U, kept verbatim (bar its name) as the oracle for the
+# guard that calls it only while the chunk is below the extractor's size.
+def peel_chain_always_extract(
+    g: Graph,
+    pat: Pattern,
+    eps: Fraction,
+    eta: Fraction,
+    delta: Fraction,
+) -> PeelChain:
+    """Repeatedly peel eps-restricted sets of fractional size >= delta until
+    at most an eta fraction of the vertices remains.
+
+    Each peel is the larger of a greedy restricted chunk and the pipeline
+    extractor's set.  When neither reaches the delta fraction the chain is
+    flagged: its length may then exceed phi(delta, eta).
+    """
+    if not (0 < eta < 1 and 0 < delta < 1):
+        raise ValueError("eta and delta must lie in (0,1)")
+    u = g.full_mask
+    total = g.n
+    peels: list[int] = []
+    guaranteed = True
+    while u.bit_count() > eta * total:
+        need = ceil_frac(delta * u.bit_count())
+        peel = greedy_restricted_chunk(g, u, eps)
+        if peel.bit_count() < u.bit_count():
+            sub, ids = induced_subgraph(g, u)
+            try:
+                local = extract_restricted_exact(
+                    sub, pat, eps, min(delta, Fraction(1, 4))
+                )
+                candidate = lift(ids, local)
+                if candidate.bit_count() > peel.bit_count():
+                    peel = candidate
+            except ExtractionInfeasible:
+                pass
+        if peel.bit_count() < need:
+            guaranteed = False
+        peels.append(peel)
+        u &= ~peel
+    chain = PeelChain(tuple(peels), u, eps, eta, delta, phi(delta, eta), guaranteed)
+    v = verify_peel_chain(g, chain)
+    if not v.ok:
+        raise AssertionError(v.detail)
+    return chain
+
+
+def extractor_wins(g: Graph, pc: PeelChain) -> int:
+    """How many peels of the chain are not the greedy chunk of what was
+    left before them, that is, came from the extractor."""
+    wins, u = 0, g.full_mask
+    for peel in pc.peels:
+        wins += peel != greedy_restricted_chunk(g, u, pc.eps)
+        u &= ~peel
+    return wins
+
+
+# G(12, 0.3) with seed 3: at eps = eta = delta = 1/4 the extractor's set
+# beats the greedy chunk
+EXTRACTOR_WINS = random_graph(12, 0.3, 3)
+PEEL_DELTAS = st.sampled_from([None, Fraction(1, 8), QUARTER, Fraction(1, 2)])  # None: 1/n
+PEEL_ETAS = st.sampled_from([QUARTER, Fraction(1, 2), Fraction(3, 4)])
+PEEL_EPS = st.sampled_from([Fraction(1, 8), QUARTER, Fraction(1, 2)])
+PEEL_PATTERNS = st.sampled_from(["K2", "K3"])
+
+
+class TestPeelChainGuard:
+    """peel_chain skips the extractor once the greedy chunk has the
+    extractor's exact size; it must peel exactly as the unconditional call
+    did."""
+
+    def check(self, g, pattern, eps, eta, delta):
+        pat = named_pattern(pattern)
+        delta = delta if delta is not None else Fraction(1, max(2, g.n))
+        pc = peel_chain(g, pat, eps, eta, delta)
+        assert pc == peel_chain_always_extract(g, pat, eps, eta, delta)
+        return pc
+
+    @given(peeling_graphs(), PEEL_PATTERNS, PEEL_EPS, PEEL_ETAS, PEEL_DELTAS)
+    @example(EXTRACTOR_WINS, "K2", QUARTER, QUARTER, QUARTER)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_always_extract(self, g, pattern, eps, eta, delta):
+        self.check(g, pattern, eps, eta, delta)
+
+    @given(wide_graphs(), PEEL_PATTERNS, PEEL_EPS, PEEL_ETAS, PEEL_DELTAS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_always_extract_wide(self, g, pattern, eps, eta, delta):
+        self.check(g, pattern, eps, eta, delta)
+
+    def test_example_is_won_by_the_extractor(self):
+        pc = self.check(EXTRACTOR_WINS, "K2", QUARTER, QUARTER, QUARTER)
+        assert extractor_wins(EXTRACTOR_WINS, pc) >= 1
+
+    def test_extractor_wins_on_sparse_graphs(self):
+        # on G(n, 0.3) the greedy chunks often fall short of the
+        # extractor's size; count the peels the extractor won
+        wins = 0
+        for n, seed, delta in itertools.product(
+            (12, 16, 20), range(6), (Fraction(1, 8), QUARTER, Fraction(1, 2))
+        ):
+            g = random_graph(n, 0.3, seed)
+            wins += extractor_wins(g, self.check(g, "K2", QUARTER, QUARTER, delta))
+        assert wins >= 5
+
+    @given(peeling_graphs(), PEEL_PATTERNS, PEEL_EPS, st.sampled_from([None, Fraction(1, 8), QUARTER]))
+    @settings(max_examples=150, deadline=None)
+    def test_extractor_returns_exactly_its_target(self, g, pattern, eps, delta):
+        # the guard's premise: the extractor's set has exactly
+        # ceil(delta |G|) vertices whenever it does not raise
+        assume(g.n > 0)
+        delta = delta if delta is not None else Fraction(1, max(4, g.n))
+        try:
+            t = extract_restricted_exact(g, named_pattern(pattern), eps, delta)
+        except ExtractionInfeasible:
+            return
+        assert t.bit_count() == ceil_frac(delta * g.n)
 
 
 class NodeBudget(int):
