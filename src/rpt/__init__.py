@@ -10,7 +10,6 @@ from .adversarial import (
     verify_hard_graph,
 )
 from .assembly import (
-    LengthenParams,
     PathPartition,
     RemovalResult,
     RestrictedPartition,

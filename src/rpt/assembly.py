@@ -206,31 +206,16 @@ def verify_removal_result(g: Graph, r: RemovalResult) -> Verdict:
     return v if v.ok else v._replace(detail=f"removal result failed recheck: {v.detail}")
 
 
-@dataclass(frozen=True)
-class LengthenParams:
-    """Everything the backward induction needs besides the graph."""
-
-    eps: Fraction  # final restrictedness target
-    big_k: int  # ceil(4/eps)
-    key: KeyParams  # parameters for the working-partition runs
-    part_target: int  # bound for the base-case search
-
-    @staticmethod
-    def practical(
-        pat: Pattern,
-        eps: Fraction,
-        key: KeyParams | None = None,
-    ) -> "LengthenParams":
-        if not Fraction(0) < eps < Fraction(1, 3):
-            raise ValueError("eps must lie in (0, 1/3)")
-        if key is None:
-            key = KeyParams.practical(pat, eps)
-        return LengthenParams(eps, ceil_frac(4 / eps), key, default_part_bound(eps))
+def path_length(eps: Fraction) -> int:
+    """K = ceil(4/eps), the length of a full path-partition for target eps."""
+    if not Fraction(0) < eps < Fraction(1, 3):
+        raise ValueError("eps must lie in (0, 1/3)")
+    return ceil_frac(4 / eps)
 
 
-def level_eps(params: LengthenParams, h: int, k: int) -> Fraction:
+def level_eps(eps: Fraction, h: int, k: int) -> Fraction:
     """Restrictedness level of a depth-k path-partition: h^(2(k-K)) * eps."""
-    return Fraction(h ** (2 * k), h ** (2 * params.big_k)) * params.eps
+    return Fraction(h ** (2 * k), h ** (2 * path_length(eps))) * eps
 
 
 def _split_round_robin(mask: int, ways: int) -> list[int]:
@@ -240,20 +225,21 @@ def _split_round_robin(mask: int, ways: int) -> list[int]:
     return parts
 
 
-def part_count_target(params: LengthenParams, h: int, k: int) -> int | None:
+def part_count_target(eps: Fraction, key: KeyParams, h: int, k: int) -> int | None:
     """h^(2(K-k)) * (2400 eps^-2 + N) - N, the level-k part budget."""
-    n_bound = params.key.part_bound()
+    n_bound = key.part_bound()
     if n_bound is None:
         return None
-    scale = h ** (2 * (params.big_k - k))
-    return scale * (params.part_target + n_bound) - n_bound
+    scale = h ** (2 * (path_length(eps) - k))
+    return scale * (default_part_bound(eps) + n_bound) - n_bound
 
 
 def lengthen(
     g: Graph,
     pat: Pattern,
     p: PathPartition,
-    params: LengthenParams,
+    eps: Fraction,
+    key: KeyParams,
     d_budget: Fraction,
     k: int,
 ) -> RemovalResult:
@@ -268,17 +254,18 @@ def lengthen(
     bound on the way out.
     """
     h = pat.size
-    if not 0 <= k <= params.big_k:
+    big_k = path_length(eps)
+    if not 0 <= k <= big_k:
         raise ValueError("depth k out of range")
     rep = verify_path_partition(g, p)
     if not rep.ok:
         raise PathPartitionError(f"level-{k} path-partition invalid: {rep.clause}")
-    if p.eps != level_eps(params, h, k):
+    if p.eps != level_eps(eps, h, k):
         raise PathPartitionError("path-partition level does not match its depth")
-    target = part_count_target(params, h, k)
+    target = part_count_target(eps, key, h, k)
 
-    if k == params.big_k:
-        part = base_partition(g, p, params.eps, bound=params.part_target)
+    if k == big_k:
+        part = base_partition(g, p, eps)
         result = RemovalResult(0, part, floor_frac(d_budget))
         result.verify(g)
         return result
@@ -286,7 +273,7 @@ def lengthen(
     w_last = p.blocks[-1]
     sub, ids = induced_subgraph(g, w_last)
     sub_budget = d_budget / h ** (2 * (k + 1))
-    key_res = run_key_lemma(sub, pat, params.key, floor_frac(sub_budget))
+    key_res = run_key_lemma(sub, pat, key, floor_frac(sub_budget))
     if isinstance(key_res, BlowupFound):
         raise CopyBudgetExceeded(
             f"last block exhibits a full pattern blowup at depth {k}; "
@@ -297,7 +284,7 @@ def lengthen(
     removed_core = lift(ids, key_res.removed)
     pairs = [(lift(ids, a), lift(ids, b)) for a, b in key_res.pairs]
     singles = [lift(ids, c) for c in key_res.singles]
-    n_bound = params.key.part_bound()
+    n_bound = key.part_bound()
     m = len(pairs)
 
     if m == 0:
@@ -312,13 +299,13 @@ def lengthen(
                     f"level budget {target} cannot absorb k + N = {k + n_bound}"
                 )
         bound = target if target is not None else len(parts)
-        partition = RestrictedPartition(tuple(parts), params.eps, bound)
+        partition = RestrictedPartition(tuple(parts), eps, bound)
         result = RemovalResult(removed_core, partition, floor_frac(d_budget))
         result.verify(g)
         return result
 
     # refined path-partitions, one per pair
-    next_eps = level_eps(params, h, k + 1)
+    next_eps = level_eps(eps, h, k + 1)
     splits = [_split_round_robin(p.blocks[i], m) for i in range(k)]
     for i in range(k):
         if p.blocks[i].bit_count() < 24 * m:
@@ -346,7 +333,7 @@ def lengthen(
             raise AssertionError(
                 f"refined path-partition {j} failed clause {rep_j.clause}: {rep_j.detail}"
             )
-        res_j = lengthen(sub_j, pat, pp_j, params, d_budget, k + 1)
+        res_j = lengthen(sub_j, pat, pp_j, eps, key, d_budget, k + 1)
         removed_total |= lift(ids_j, res_j.removed)
         all_parts += [lift(ids_j, part) for part in res_j.partition.parts]
     all_parts += singles
@@ -359,7 +346,7 @@ def lengthen(
     if target is not None and len(all_parts) > target:
         raise PartBoundViolation(f"{len(all_parts)} parts exceed the level budget {target}")
     bound = target if target is not None else len(all_parts)
-    partition = RestrictedPartition(tuple(all_parts), params.eps, bound)
+    partition = RestrictedPartition(tuple(all_parts), eps, bound)
     result = RemovalResult(removed_total, partition, floor_frac(d_budget))
     result.verify(g)
     return result
@@ -370,22 +357,24 @@ def run_main_theorem(
     pat: Pattern,
     eps: Fraction,
     d_budget: int,
-    params: LengthenParams | None = None,
+    key: KeyParams | None = None,
 ) -> RemovalResult:
     """Remove at most d vertices so the rest is boundedly eps-restricted.
 
     Wraps the lengthening induction at depth 0 on the trivial one-block
     path-partition; the result is fully re-verified before returning.
+    ``key`` defaults to KeyParams.practical(pat, eps).
     """
+    path_length(eps)  # eps is checked before anything else
     h = pat.size
     if h < 2:
         raise ValueError("the pipeline needs patterns on at least two vertices")
     if g.n == 0:
         return RemovalResult(0, RestrictedPartition((), eps, 1), d_budget)
-    if params is None:
-        params = LengthenParams.practical(pat, eps)
-    pp = PathPartition.trivial(g, level_eps(params, h, 0))
-    result = lengthen(g, pat, pp, params, Fraction(d_budget), 0)
+    if key is None:
+        key = KeyParams.practical(pat, eps)
+    pp = PathPartition.trivial(g, level_eps(eps, h, 0))
+    result = lengthen(g, pat, pp, eps, key, Fraction(d_budget), 0)
     final = RemovalResult(result.removed, result.partition, d_budget)
     final.verify(g)
     return final

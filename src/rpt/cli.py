@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import serialize
@@ -29,7 +28,6 @@ from .adversarial import (
     verify_hard_graph,
 )
 from .assembly import (
-    LengthenParams,
     run_main_theorem,
     verify_path_partition,
     verify_removal_result,
@@ -66,15 +64,6 @@ from .predicates import is_full_pair, verify_blowup
 from .values import format_fraction, parse_fraction
 
 
-@dataclass
-class CommandPlan:
-    subcommand: str
-    args: argparse.Namespace
-    seed: int
-    json_mode: bool
-    mode: str
-
-
 def _fraction(text: str) -> Fraction:
     try:
         return parse_fraction(text)
@@ -100,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     changes it, and building it costs more than most checks."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--mode", choices=["paper", "practical"], default="practical")
+    moded = argparse.ArgumentParser(add_help=False)
+    moded.add_argument("--mode", choices=["paper", "practical"], default="practical")
     top = argparse.ArgumentParser(
         prog="rpt",
         description="count induced copies, verify certificates, and run the "
@@ -109,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add(name: str, help_text: str, *parents) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help_text, parents=[common, *parents])
 
     c = add("count", "number of induced copies of a pattern")
     c.add_argument("--graph", required=True)
@@ -120,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--graph", required=True)
     k.add_argument("--cert", required=True)
 
-    e = add("extract", "density / restricted / peel extraction")
+    e = add("extract", "density / restricted / peel extraction", moded)
     e.add_argument("--graph", required=True)
     e.add_argument("--pattern", required=True)
     e.add_argument("--op", choices=["density", "restricted", "peel"], required=True)
@@ -130,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--eta", type=_fraction, default=Fraction(1, 4))
     e.add_argument("--depth", type=int, default=None)
 
-    kl = add("keylemma", "run the working-partition iteration")
+    kl = add("keylemma", "run the working-partition iteration", moded)
     kl.add_argument("--graph", required=True)
     kl.add_argument("--pattern", required=True)
     kl.add_argument("--eps", type=_fraction, default=Fraction(1, 4))
@@ -140,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     kl.add_argument("--delta-prime", type=_fraction, default=None)
     kl.add_argument("--transcript", action="store_true", help="emit step records")
 
-    t = add("theorem", "remove <= d vertices, partition the rest")
+    t = add("theorem", "remove <= d vertices, partition the rest", moded)
     t.add_argument("--graph", required=True)
     t.add_argument("--pattern", required=True)
     t.add_argument("--eps", type=_fraction, default=Fraction(1, 4))
@@ -148,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--delta-prime", type=_fraction, default=None)
 
     x = add("counterexample", "generate a verified hard instance")
+    x.add_argument("--seed", type=int, default=0)
     x.add_argument("--big-n", type=int, default=1, help="restriction budget N")
     x.add_argument("--m", type=int, required=True)
     x.add_argument("--n", type=int, required=True)
@@ -176,27 +166,27 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def parse_args(argv) -> CommandPlan:
+def parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.mode == "paper" and getattr(args, "delta_prime", None) is not None:
+    if getattr(args, "delta_prime", None) is not None and args.mode == "paper":
         parser.error("paper mode forbids overriding ledger-defined parameters")
-    return CommandPlan(args.subcommand, args, args.seed, args.json, args.mode)
+    return args
 
 
-def _emit(plan: CommandPlan, payload: dict, human: str) -> None:
-    if plan.json_mode:
+def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
+    if args.json:
         print(serialize.dumps(payload))
     else:
         print(human)
 
 
-def _cmd_count(plan: CommandPlan) -> int:
-    g = _load_graph(plan.args.graph)
-    pat = _load_pattern(plan.args.pattern)
+def _cmd_count(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
+    pat = _load_pattern(args.pattern)
     value = count_induced_copies(g, pat)
     _emit(
-        plan,
+        args,
         {"kind": "count", "value": str(value), "n": g.n, "h": pat.size},
         f"ind = {value} (graph on {g.n} vertices, pattern on {pat.size})",
     )
@@ -223,9 +213,9 @@ _CHECKS = {
 }
 
 
-def _cmd_check(plan: CommandPlan) -> int:
-    g = _load_graph(plan.args.graph)
-    with open(plan.args.cert, "r", encoding="utf-8") as fh:
+def _cmd_check(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
+    with open(args.cert, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     kind = obj.get("kind")
     if kind not in _CHECKS:
@@ -234,20 +224,19 @@ def _cmd_check(plan: CommandPlan) -> int:
     v = globals().get(verify.__name__, verify)(g, getattr(serialize, loader)(obj, g.n))
     detail = v.clause or v.detail
     _emit(
-        plan,
+        args,
         {"kind": "check_result", "certificate": kind, "ok": v.ok, "detail": detail},
         f"{kind}: {'VERIFIED' if v.ok else 'FAILED'}" + (f" ({detail})" if detail else ""),
     )
     return 0 if v.ok else 2
 
 
-def _cmd_extract(plan: CommandPlan) -> int:
-    args = plan.args
+def _cmd_extract(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     pat = _load_pattern(args.pattern)
     if args.op == "density":
         eps2 = args.eps2 if args.eps2 is not None else args.eps
-        if plan.mode == "paper":
+        if args.mode == "paper":
             budget = ExtractionBudget.exact_schedule(pat.size, args.eps, eps2)
         else:
             depth = args.depth if args.depth is not None else depth_for(min(args.eps, eps2))
@@ -261,18 +250,18 @@ def _cmd_extract(plan: CommandPlan) -> int:
             "density": format_fraction(edge_density(g, res.vertices)),
         }
         _emit(
-            plan,
+            args,
             payload,
             f"{res.side}-density subset of size {res.vertices.bit_count()} "
             f"(guaranteed: {res.guaranteed})",
         )
         return 0
+    if args.mode == "paper":
+        raise RuntimeError(
+            "exact-schedule sizes are below one vertex at this scale; "
+            "use practical mode with --delta"
+        )
     if args.op == "restricted":
-        if plan.mode == "paper":
-            raise RuntimeError(
-                "exact-schedule sizes are below one vertex at this scale; "
-                "use practical mode with --delta"
-            )
         t = extract_restricted_exact(g, pat, args.eps, args.delta, depth=args.depth)
         payload = {
             "kind": "restricted_set",
@@ -280,11 +269,11 @@ def _cmd_extract(plan: CommandPlan) -> int:
             "eps": format_fraction(args.eps),
             "size": t.bit_count(),
         }
-        _emit(plan, payload, f"eps-restricted set of size {t.bit_count()}")
+        _emit(args, payload, f"eps-restricted set of size {t.bit_count()}")
         return 0
     pc = peel_chain(g, pat, args.eps, args.eta, args.delta)
     _emit(
-        plan,
+        args,
         serialize.peel_chain_to_json(pc),
         f"{pc.length} peels, leftover {pc.leftover.bit_count()} "
         f"(phi bound {pc.phi_bound}, guaranteed: {pc.guaranteed})",
@@ -297,25 +286,23 @@ def _delta_prime(args, g: Graph) -> Fraction:
     return Fraction(1, max(8, g.n)) if args.delta_prime is None else args.delta_prime
 
 
-def _key_params(plan: CommandPlan, pat: Pattern, g: Graph) -> KeyParams:
-    args = plan.args
-    if plan.mode == "paper":
+def _key_params(args: argparse.Namespace, pat: Pattern, g: Graph) -> KeyParams:
+    if args.mode == "paper":
         return KeyParams.paper(pat, args.eps, args.eta, args.theta)
     return KeyParams.practical(
         pat, args.eps, eta=args.eta, theta=args.theta, delta_prime=_delta_prime(args, g)
     )
 
 
-def _cmd_keylemma(plan: CommandPlan) -> int:
-    args = plan.args
+def _cmd_keylemma(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     pat = _load_pattern(args.pattern)
-    params = _key_params(plan, pat, g)
+    params = _key_params(args, pat, g)
     res = run_key_lemma(g, pat, params, args.d)
     if isinstance(res, BlowupFound):
         payload = serialize.blowup_found_to_json(res)
         _emit(
-            plan,
+            args,
             payload,
             f"blowup found: {res.copy_count} labeled copies (bound {res.copy_bound})",
         )
@@ -327,28 +314,25 @@ def _cmd_keylemma(plan: CommandPlan) -> int:
         f"removed {res.removed.bit_count()} <= d={args.d}; "
         f"{len(res.pairs)} pairs, {len(res.singles)} singles"
     )
-    if args.transcript and not plan.json_mode:
+    if args.transcript and not args.json:
         # one JSON line per step so the run can be re-verified externally
         human += "\n" + "\n".join(
             serialize.dumps(serialize.step_record_to_json(r)) for r in res.transcript
         )
-    _emit(plan, payload, human)
+    _emit(args, payload, human)
     return 0
 
 
-def _cmd_theorem(plan: CommandPlan) -> int:
-    args = plan.args
+def _cmd_theorem(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     pat = _load_pattern(args.pattern)
-    if plan.mode == "paper":
+    if args.mode == "paper":
         key = KeyParams.paper(pat, args.eps, Fraction(1, pat.size**2), args.eps / 12)
-        params = LengthenParams.practical(pat, args.eps, key=key)
     else:
         key = KeyParams.practical(pat, args.eps, delta_prime=_delta_prime(args, g))
-        params = LengthenParams.practical(pat, args.eps, key=key)
-    res = run_main_theorem(g, pat, args.eps, args.d, params)
+    res = run_main_theorem(g, pat, args.eps, args.d, key)
     _emit(
-        plan,
+        args,
         serialize.removal_result_to_json(res),
         f"removed {res.removed.bit_count()} <= d={args.d}; "
         f"{len(res.partition.parts)} eps-restricted parts (bound {res.partition.bound})",
@@ -356,15 +340,14 @@ def _cmd_theorem(plan: CommandPlan) -> int:
     return 0
 
 
-def _cmd_counterexample(plan: CommandPlan) -> int:
-    args = plan.args
+def _cmd_counterexample(args: argparse.Namespace) -> int:
     spec = HardInstanceSpec(
         restriction_budget=args.big_n,
         core_size=args.m,
         total_size=args.n,
         eps=args.eps,
         pattern=_load_pattern(args.pattern),
-        seed=plan.seed,
+        seed=args.seed,
         allow_small_core=args.allow_small_core,
     )
     inst = generate_hard_graph(spec)
@@ -382,7 +365,7 @@ def _cmd_counterexample(plan: CommandPlan) -> int:
             "n": args.n,
             "eps": format_fraction(args.eps),
             "pattern": args.pattern,
-            "seed": plan.seed,
+            "seed": args.seed,
         },
         "resamples": inst.resamples,
         "core_exactly_verified": inst.core_exactly_verified,
@@ -392,7 +375,7 @@ def _cmd_counterexample(plan: CommandPlan) -> int:
     if not args.out:
         payload["edge_list"] = edge_list
     _emit(
-        plan,
+        args,
         payload,
         f"hard instance on {args.n} vertices (core {args.m}), "
         f"verification {'OK' if report['ok'] else 'FAILED'}",
@@ -400,17 +383,15 @@ def _cmd_counterexample(plan: CommandPlan) -> int:
     return 0 if report["ok"] else 2
 
 
-def _cmd_constants(plan: CommandPlan) -> int:
-    args = plan.args
+def _cmd_constants(args: argparse.Namespace) -> int:
     led = build_ledger(args.h, args.eps, args.eta, args.theta)
     payload = {"kind": "constants", "h": args.h, "entries": led.as_dict()}
     lines = [f"{name}: {entry.describe()}" for name, entry in led.entries.items()]
-    _emit(plan, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
-def _cmd_oracle(plan: CommandPlan) -> int:
-    args = plan.args
+def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.sweep is not None:
         rows = ["seed,n,value"]
         for seed in range(args.sweep):
@@ -433,17 +414,14 @@ def _cmd_oracle(plan: CommandPlan) -> int:
                 value = min_removal_oracle(g, args.n_parts, args.eps)[0]
             rows.append(f"{seed},{n},{value}")
         body = "\n".join(rows)
-        if plan.json_mode:
-            print(serialize.dumps({"kind": "oracle_sweep", "csv": body}))
-        else:
-            print(body)
+        _emit(args, {"kind": "oracle_sweep", "csv": body}, body)
         return 0
     if not args.graph:
         raise ValueError("oracle needs --graph (or --sweep)")
     g = _load_graph(args.graph)
     if args.op == "count":
         value = naive_count(g, _load_pattern(args.pattern or "K2"))
-        _emit(plan, {"kind": "oracle_count", "value": str(value)}, f"naive count = {value}")
+        _emit(args, {"kind": "oracle_count", "value": str(value)}, f"naive count = {value}")
         return 0
     if args.op == "n-restricted":
         ok, parts = exact_n_restricted(g, args.n_parts, args.eps)
@@ -452,7 +430,7 @@ def _cmd_oracle(plan: CommandPlan) -> int:
             "ok": ok,
             "parts": None if parts is None else [mask_to_ids(p) for p in parts],
         }
-        _emit(plan, payload, f"({args.n_parts}, {args.eps})-restricted: {ok}")
+        _emit(args, payload, f"({args.n_parts}, {args.eps})-restricted: {ok}")
         return 0
     size, removed, parts = min_removal_oracle(g, args.n_parts, args.eps)
     payload = {
@@ -461,7 +439,7 @@ def _cmd_oracle(plan: CommandPlan) -> int:
         "removed": mask_to_ids(removed),
         "parts": [mask_to_ids(p) for p in parts],
     }
-    _emit(plan, payload, f"minimum removal = {size}")
+    _emit(args, payload, f"minimum removal = {size}")
     return 0
 
 
@@ -477,17 +455,13 @@ _DISPATCH = {
 }
 
 
-def execute_plan(plan: CommandPlan) -> int:
-    return _DISPATCH[plan.subcommand](plan)
-
-
 def main(argv=None) -> int:
     try:
-        plan = parse_args(argv if argv is not None else sys.argv[1:])
+        args = parse_args(argv if argv is not None else sys.argv[1:])
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return execute_plan(plan)
+        return _DISPATCH[args.subcommand](args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

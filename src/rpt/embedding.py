@@ -73,16 +73,6 @@ class CopyCount:
     bound: Fraction
 
 
-@dataclass(frozen=True)
-class WitnessOrCount:
-    witness: TightPairWitness | None
-    copies: CopyCount | None
-
-    @property
-    def is_witness(self) -> bool:
-        return self.witness is not None
-
-
 def witness_thresholds(
     params: EmbeddingParams, h: int, j: int, di_size: int, dj_size: int
 ) -> tuple[Fraction, Fraction]:
@@ -182,7 +172,7 @@ def validate_witness(
 
 def witness_or_count(
     g: Graph, pat: Pattern, parts, params: EmbeddingParams
-) -> WitnessOrCount:
+) -> TightPairWitness | CopyCount:
     """Either a verified TightPairWitness or the exact copy count with its
     certified lower bound (count >= bound always holds on that arm)."""
     parts = list(parts)
@@ -203,7 +193,7 @@ def witness_or_count(
     w = _witness_search(g, pat, parts, params, h)
     if w is not None:
         validate_witness(g, pat, parts, params, w)
-        return WitnessOrCount(witness=w, copies=None)
+        return w
     count = count_embeddings_into_parts(g, pat, parts)
     bound = copy_count_bound(params, [p.bit_count() for p in parts])
     if count < bound:
@@ -211,7 +201,7 @@ def witness_or_count(
             "no witness found yet the certified lower bound fails; "
             "this contradicts the counting dichotomy"
         )
-    return WitnessOrCount(witness=None, copies=CopyCount(count, bound))
+    return CopyCount(count, bound)
 
 
 def tight_pair_copy_threshold(h: int, eps: Scalar) -> Scalar:
@@ -236,43 +226,34 @@ class ManyCopiesResult:
     exceeds: bool  # count > threshold (guaranteed once |G| >= 2h)
 
 
-def split_into_label_parts(g: Graph, h: int, shuffle_seed: int | None = None) -> list[int]:
-    """h parts of size floor(|G|/h) in id order; remainder unassigned.
-
-    A seeded shuffled variant exists for property tests.
-    """
+def split_into_label_parts(g: Graph, h: int) -> list[int]:
+    """h parts of size floor(|G|/h) in id order; remainder unassigned."""
     size = g.n // h
-    ids = list(range(g.n))
-    if shuffle_seed is not None:
-        import random
-
-        random.Random(shuffle_seed).shuffle(ids)
-    return [mask_from_ids(ids[t * size : (t + 1) * size]) for t in range(h)]
+    return [mask_from_ids(range(t * size, (t + 1) * size)) for t in range(h)]
 
 
 def find_tight_pair(
-    g: Graph, pat: Pattern, eps: Fraction, shuffle_seed: int | None = None
+    g: Graph, pat: Pattern, eps: Fraction
 ) -> TightPairResult | ManyCopiesResult:
     """Either disjoint (A,B), both of size >= (2h)^-2 eps^(h-1) |G|, with B
     eps-tight to A, or an exact copy count exceeding the kappa threshold."""
     h = pat.size
     if g.n < h:
         raise ValueError(f"graph on {g.n} vertices is smaller than the pattern ({h})")
-    parts = split_into_label_parts(g, h, shuffle_seed)
+    parts = split_into_label_parts(g, h)
     params = EmbeddingParams.uniform(h, eps, Fraction(1, 2))
     res = witness_or_count(g, pat, parts, params)
-    if res.is_witness:
-        w = res.witness
+    if isinstance(res, TightPairWitness):
         floor = Fraction(1, (2 * h) ** 2) * eps ** (h - 1) * g.n
-        ok = w.a.bit_count() >= floor and w.b.bit_count() >= floor
+        ok = res.a.bit_count() >= floor and res.b.bit_count() >= floor
         if g.n >= 2 * h and not ok:
             raise AssertionError("size guarantee failed despite |G| >= 2h")
-        return TightPairResult(w.a, w.b, w.mode, ok, w)
+        return TightPairResult(res.a, res.b, res.mode, ok, res)
     threshold = tight_pair_copy_threshold(h, eps) * Fraction(g.n) ** h
-    exceeds = res.copies.count > threshold
+    exceeds = res.count > threshold
     if g.n >= 2 * h and not exceeds:
         raise AssertionError("count arm fails the kappa threshold despite |G| >= 2h")
-    return ManyCopiesResult(res.copies.count, threshold, exceeds)
+    return ManyCopiesResult(res.count, threshold, exceeds)
 
 
 def blowup_copy_bound(h: int, eps: Fraction, sizes, exponent_form: str = "h-1") -> Scalar:

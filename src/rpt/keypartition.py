@@ -113,8 +113,8 @@ def _eta_prime_cap(h: int, eta: Fraction, delta_prime: Fraction, lam: Fraction) 
 class KeyParams(_PartBound):
     """Parameter schedule for the iteration.
 
-    eps/eta/theta bound the output rows; xi (at most theta/4) is the
-    blowup density; eps_schedule[t] is the restrictedness level of the
+    eps/eta/theta bound the output rows; xi = theta/4 is the blowup
+    density; eps_schedule[t] is the restrictedness level of the
     t-part blowup row; lam is the per-step size fraction the chain must
     achieve; delta_prime sizes the restricted core pulled out of S;
     eta_prime caps the peel leftover.  Coherence conditions validated
@@ -126,20 +126,16 @@ class KeyParams(_PartBound):
     eps: Fraction
     eta: Fraction
     theta: Fraction
-    xi: Fraction
     eps_schedule: tuple[Fraction, ...]  # index t = 0..h
     lam: Fraction
     delta_prime: Scalar
     eta_prime: Scalar
-    mode: str = "practical"
-    ledger: ConstantsLedger | None = field(default=None, compare=False)
+    ledger: ConstantsLedger | None = field(default=None, compare=False)  # set in paper mode
 
     def __post_init__(self):
         for name, val in (("eps", self.eps), ("eta", self.eta), ("theta", self.theta)):
             if not Fraction(0) < val < Fraction(1, 2):
                 raise ValueError(f"{name} must lie in (0, 1/2)")
-        if not Fraction(0) < self.xi <= self.theta / 4:
-            raise ValueError("xi must lie in (0, theta/4]")
         if len(self.eps_schedule) != self.h + 1:
             raise ValueError("eps_schedule must list eps_0..eps_h")
         if self.eps_schedule[self.h] > self.eps:
@@ -161,6 +157,10 @@ class KeyParams(_PartBound):
                 )
             if self.eta_prime > self.lam:
                 raise ValueError("eta_prime must be at most lam")
+
+    @property
+    def xi(self) -> Fraction:
+        return self.theta / 4
 
     @staticmethod
     def practical(
@@ -184,9 +184,7 @@ class KeyParams(_PartBound):
         schedule.reverse()
         if eta_prime is None:
             eta_prime = _eta_prime_cap(h, eta, delta_prime, lam)
-        return KeyParams(
-            h, eps, eta, theta, xi, tuple(schedule), lam, delta_prime, eta_prime
-        )
+        return KeyParams(h, eps, eta, theta, tuple(schedule), lam, delta_prime, eta_prime)
 
     @staticmethod
     def paper(
@@ -200,7 +198,6 @@ class KeyParams(_PartBound):
         """
         h = pat.size
         led = build_ledger(h, eps, eta, theta)
-        xi = theta / 4
         schedule = []
         for t in range(h + 1):
             entry = led.get(f"eps[{t}]")
@@ -225,12 +222,10 @@ class KeyParams(_PartBound):
             eps,
             eta,
             theta,
-            xi,
             tuple(schedule),
             min(lam, Fraction(1, 3)),
             delta_prime,
             eta_prime,
-            mode="paper",
             ledger=led,
         )
 
@@ -402,7 +397,8 @@ class KeyLemmaResult:
 class KeyCertificate(_PartBound):
     """A key-lemma result as exported: the rows plus the values their check
     reads.  delta_prime/eta_prime are None when not stated (paper-mode
-    exports omit them); the single-count clause is then skipped."""
+    exports omit them); the single-count clause is then not checked, and
+    the verdict says so."""
 
     removed: int
     a_sets: tuple[int, ...]
@@ -623,7 +619,10 @@ def verify_key_certificate(g: Graph, c: KeyCertificate) -> Verdict:
             return Verdict(False, detail=f"single {idx} not eps-restricted")
     if union != g.full_mask:
         return Verdict(False, detail="sets do not cover V(G)")
-    if c.delta_prime is not None and not c.part_bound_holds(len(c.singles)):
+    if c.delta_prime is None:
+        detail = "single-count clause not checked: delta_prime and eta_prime not stated"
+        return Verdict(True, detail=detail, exact=False)
+    if not c.part_bound_holds(len(c.singles)):
         n_bound = c.part_bound()
         bound = "" if n_bound is None else f" = {n_bound}"
         return Verdict(False, detail=f"single count exceeds N{bound}")
@@ -631,7 +630,9 @@ def verify_key_certificate(g: Graph, c: KeyCertificate) -> Verdict:
 
 
 def verify_blowup_found(g: Graph, found: BlowupFound) -> Verdict:
-    """Recheck a reported blowup and its copy count."""
+    """Recheck a reported blowup and its copy count.  A claimed
+    contradiction with the copy budget kappa * d^h is not re-checked: the
+    certificate carries no kappa and no d, and the verdict says so."""
     cert = found.certificate
     chk = verify_blowup(g, cert)
     if not chk.ok:
@@ -641,6 +642,9 @@ def verify_blowup_found(g: Graph, found: BlowupFound) -> Verdict:
         return Verdict(False, detail="copy count does not match a recount")
     if count < found.copy_bound:
         return Verdict(False, detail="copy count below the stated bound")
+    if found.contradiction_checked:
+        detail = "contradiction not re-checked: the certificate carries no kappa and no d"
+        return Verdict(True, detail=detail, exact=False)
     return Verdict(True)
 
 
@@ -660,7 +664,7 @@ def run_key_lemma(
     if d_budget < 0:
         raise ValueError("removal budget must be nonnegative")
     h = pat.size
-    if params.mode == "paper":
+    if params.ledger is not None:
         _paper_precheck(g, pat, params, d_budget)
     p = start if start is not None else MNTPartition.trivial(g, params, d_budget)
     transcript: list[StepRecord] = []
@@ -693,7 +697,7 @@ def _blowup_found(
     count = count_embeddings_into_parts(g, pat, p.d_sets)
     sizes = [d.bit_count() for d in p.d_sets]
     bound = blowup_copy_bound(h, params.xi, sizes, exponent_form="h")
-    contradiction = params.mode == "paper" and params.ledger is not None
+    contradiction = params.ledger is not None
     found = BlowupFound(cert, count, bound, contradiction, tuple(transcript))
     v = verify_blowup_found(g, found)
     if not v.ok:
@@ -717,8 +721,6 @@ def _log2_count_and_budget(
 def _paper_precheck(g: Graph, pat: Pattern, params: KeyParams, d_budget: int) -> None:
     from .graph import count_induced_copies
 
-    if params.ledger is None:
-        raise AssertionError("paper-mode parameters carry no ledger")
     ind = count_induced_copies(g, pat)
     if ind == 0:
         return

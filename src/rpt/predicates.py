@@ -261,7 +261,6 @@ def is_full_pair(
     cert: FullPairCertificate,
     method: str = "exact",
     budget: int = 10**7,
-    rng: random.Random | None = None,
 ) -> Verdict:
     """Check a fullness certificate.
 
@@ -281,7 +280,7 @@ def is_full_pair(
         bad = _violating_subpair(work, cert.a, cert.b, ka, kb, cert.eps)
         return Verdict(True) if bad is None else _refuted(*bad)
     if method == "sampled":
-        rng = rng or random.Random(0)
+        rng = random.Random(0)
         a_ids = mask_to_ids(cert.a)
         b_ids = mask_to_ids(cert.b)
         for _ in range(_FULLNESS_SAMPLES):

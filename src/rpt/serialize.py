@@ -39,6 +39,15 @@ def _integer(obj: dict, key: str) -> int:
     return v
 
 
+def _boolean(obj: dict, key: str, default: bool) -> bool:
+    """The boolean field ``key`` of a certificate, or ``default`` when it is
+    absent: a JSON true or false, not a string, a number or null."""
+    v = obj.get(key, default)
+    if type(v) is not bool:
+        raise ValueError(f"{key} must be true or false, got {v!r}")
+    return v
+
+
 def _mask(vertex_ids, n: int | None = None) -> int:
     """The vertex set of a sorted id list, rejecting ids that are not
     nonnegative integers (booleans included), repeated ids, ids out of
@@ -143,8 +152,8 @@ def peel_chain_to_json(pc: PeelChain) -> dict:
 
 
 def peel_chain_from_json(obj: dict, n: int | None = None) -> dict:
-    """The PeelChain fields by name.  Only an explicit "guaranteed": false
-    frees the chain from the phi(delta, eta) length bound."""
+    """The PeelChain fields by name.  A chain that does not state
+    "guaranteed" is held to the phi(delta, eta) length bound."""
     return {
         "peels": tuple(_mask(p, n) for p in obj["peels"]),
         "leftover": _mask(obj["leftover"], n),
@@ -152,7 +161,7 @@ def peel_chain_from_json(obj: dict, n: int | None = None) -> dict:
         "eta": parse_fraction(obj["eta"]),
         "delta": parse_fraction(obj["delta"]),
         "phi_bound": _integer(obj, "phi_bound"),
-        "guaranteed": obj.get("guaranteed", True) is not False,
+        "guaranteed": _boolean(obj, "guaranteed", True),
     }
 
 
@@ -181,7 +190,9 @@ def key_result_from_json(obj: dict, n: int | None = None) -> KeyCertificate:
     def sets(key: str) -> tuple[int, ...]:
         return tuple(_mask(x, n) for x in obj[key])
 
-    stated = "delta_prime" in obj and "eta_prime" in obj
+    stated = "delta_prime" in obj
+    if stated != ("eta_prime" in obj):
+        raise ValueError("delta_prime and eta_prime must be stated together")
     return KeyCertificate(
         _mask(obj["S"], n),
         sets("A"),
@@ -212,7 +223,7 @@ def blowup_found_from_json(obj: dict, n: int | None = None) -> BlowupFound:
         blowup_from_json(obj["certificate"], n),
         _integer(obj, "copy_count"),
         parse_fraction(obj["copy_bound"]),
-        bool(obj.get("contradiction_checked", False)),
+        _boolean(obj, "contradiction_checked", False),
     )
 
 

@@ -24,10 +24,11 @@ from rpt.adversarial import (
     min_removal_oracle,
     naive_count,
 )
-from rpt.assembly import LengthenParams, run_main_theorem
+from rpt.assembly import run_main_theorem
 from rpt.cli import main as cli_main
 from rpt.embedding import (
     EmbeddingParams,
+    TightPairWitness,
     blowup_copy_bound,
     tight_pair_copy_threshold,
     validate_witness,
@@ -128,12 +129,12 @@ def test_c02_dichotomy_soundness():
         )
         res = witness_or_count(g, pat, masks, params)
         try:
-            if res.is_witness:
-                validate_witness(g, pat, masks, params, res.witness)
+            if isinstance(res, TightPairWitness):
+                validate_witness(g, pat, masks, params, res)
             else:
-                if res.copies.count != count_embeddings_into_parts(g, pat, masks):
+                if res.count != count_embeddings_into_parts(g, pat, masks):
                     violations.append((seed, "count mismatch"))
-                if res.copies.count < res.copies.bound:
+                if res.count < res.bound:
                     violations.append((seed, "bound failed"))
         except AssertionError as exc:
             violations.append((seed, str(exc)))
@@ -371,10 +372,9 @@ def test_c08_pipeline_vs_oracle():
         n = rng.randint(2, 9)
         g = random_graph(n, rng.uniform(0.1, 0.9), seed)
         key = KeyParams.practical(K2, QUARTER, delta_prime=Fraction(1, max(8, n)))
-        params = LengthenParams.practical(K2, QUARTER, key=key)
         d = rng.choice([1, 2, n])
         try:
-            res = run_main_theorem(g, K2, QUARTER, d, params)
+            res = run_main_theorem(g, K2, QUARTER, d, key)
             res.verify(g)
         except Exception as exc:
             violations.append((seed, f"pipeline failed: {exc}"))
@@ -426,7 +426,8 @@ def test_c09_constants_ledger():
 
 
 def test_c10_cli_determinism(tmp_path, capsys):
-    """Every subcommand with a fixed seed emits byte-identical JSON."""
+    """Every subcommand (counterexample with a fixed seed) emits
+    byte-identical JSON."""
     g_path = tmp_path / "g.el"
     g_path.write_text(to_edge_list(Graph.cycle(5)))
     cert_path = tmp_path / "cert.json"
@@ -434,20 +435,19 @@ def test_c10_cli_determinism(tmp_path, capsys):
         '{"kind":"restricted_partition","parts":[[0,1],[2,3],[4]],"eps":"1/4","N":3}'
     )
     commands = [
-        ["count", "--graph", str(g_path), "--pattern", "P3", "--json", "--seed", "1"],
+        ["count", "--graph", str(g_path), "--pattern", "P3", "--json"],
         ["check", "--graph", str(g_path), "--cert", str(cert_path), "--json"],
         ["extract", "--graph", str(g_path), "--pattern", "K2", "--op", "density",
-         "--eps", "1/4", "--json", "--seed", "1"],
-        ["keylemma", "--graph", str(g_path), "--pattern", "K2", "--d", "1",
-         "--json", "--seed", "1"],
+         "--eps", "1/4", "--json"],
+        ["keylemma", "--graph", str(g_path), "--pattern", "K2", "--d", "1", "--json"],
         ["theorem", "--graph", str(g_path), "--pattern", "K2", "--eps", "1/4",
-         "--d", "2", "--json", "--seed", "1"],
+         "--d", "2", "--json"],
         ["counterexample", "--m", "20", "--n", "22", "--big-n", "1", "--eps",
          "1/20", "--seed", "5", "--json"],
         ["constants", "--h", "2", "--eps", "1/4", "--eta", "1/4", "--theta",
          "1/4", "--json"],
         ["oracle", "--op", "min-removal", "--graph", str(g_path), "--n-parts",
-         "2", "--eps", "0", "--json", "--seed", "1"],
+         "2", "--eps", "0", "--json"],
     ]
     violations = []
     for argv in commands:

@@ -11,7 +11,6 @@ from rpt.adversarial import (
     min_removal_oracle,
 )
 from rpt.assembly import (
-    LengthenParams,
     PartBoundViolation,
     PathPartition,
     PathPartitionError,
@@ -21,6 +20,7 @@ from rpt.assembly import (
     default_part_bound,
     lengthen,
     level_eps,
+    path_length,
     run_main_theorem,
     verify_path_partition,
     verify_restricted_partition,
@@ -137,46 +137,45 @@ class TestBasePartition:
 
 
 class TestLengthen:
-    def params_for(self, g, eps=QUARTER):
-        key = KeyParams.practical(K2, eps, delta_prime=Fraction(1, max(8, g.n)))
-        return LengthenParams.practical(K2, eps, key=key)
+    def key_for(self, g, eps=QUARTER):
+        return KeyParams.practical(K2, eps, delta_prime=Fraction(1, max(8, g.n)))
 
     def test_m0_direct_branch(self):
         g = Graph.empty(10)
-        params = self.params_for(g)
-        pp = PathPartition.trivial(g, level_eps(params, 2, 0))
-        res = lengthen(g, K2, pp, params, Fraction(4), 0)
+        key = self.key_for(g)
+        pp = PathPartition.trivial(g, level_eps(QUARTER, 2, 0))
+        res = lengthen(g, K2, pp, QUARTER, key, Fraction(4), 0)
         assert res.removed == 0
-        n_bound = params.key.part_bound()
+        n_bound = key.part_bound()
         assert len(res.partition.parts) <= 0 + n_bound
         res.verify(g)
 
     def test_depth_budget_arithmetic(self):
         g = random_graph(9, 0.4, 2)
-        params = self.params_for(g)
-        pp = PathPartition.trivial(g, level_eps(params, 2, 0))
-        res = lengthen(g, K2, pp, params, Fraction(8), 0)
+        key = self.key_for(g)
+        pp = PathPartition.trivial(g, level_eps(QUARTER, 2, 0))
+        res = lengthen(g, K2, pp, QUARTER, key, Fraction(8), 0)
         assert res.removed.bit_count() <= 8  # h^0 * d
         res.verify(g)
 
     def test_wrong_level_rejected(self):
         g = Graph.empty(10)
-        params = self.params_for(g)
+        key = self.key_for(g)
         pp = PathPartition.trivial(g, QUARTER)
         with pytest.raises(PathPartitionError):
-            lengthen(g, K2, pp, params, Fraction(4), 0)
+            lengthen(g, K2, pp, QUARTER, key, Fraction(4), 0)
 
     def test_full_depth_base_case(self):
         # a full-length path-partition on an edgeless graph: lengthen at
         # k = K delegates to the bounded base partition with S empty
         g = Graph.empty(16 * 12 + 1)
-        params = self.params_for(g)
-        assert params.big_k == 16
+        key = self.key_for(g)
+        assert path_length(QUARTER) == 16
         blocks = [mask_from_ids(range(i * 12, (i + 1) * 12)) for i in range(16)]
         blocks.append(mask_from_ids([192]))
-        pp = PathPartition(tuple(blocks), level_eps(params, 2, 16))
+        pp = PathPartition(tuple(blocks), level_eps(QUARTER, 2, 16))
         assert verify_path_partition(g, pp).ok
-        res = lengthen(g, K2, pp, params, Fraction(5), 16)
+        res = lengthen(g, K2, pp, QUARTER, key, Fraction(5), 16)
         assert res.removed == 0
         assert len(res.partition.parts) <= default_part_bound(QUARTER)
         res.verify(g)
@@ -197,7 +196,6 @@ class TestLengthenPairBranch:
         edges = [(24, 25)]
         g = Graph.from_edges(27, edges)
         key = KeyParams.practical(K2, QUARTER, delta_prime=Fraction(1, 8))
-        params = LengthenParams.practical(K2, QUARTER, key=key)
         a1 = mask_from_ids(range(24))
         b1 = mask_from_ids([24, 25])
         fake = KeyLemmaResult(
@@ -211,8 +209,8 @@ class TestLengthenPairBranch:
             return real(sub, pat, key_params, budget, **kw)
 
         monkeypatch.setattr(assembly, "run_key_lemma", dispatch)
-        pp = PathPartition.trivial(g, level_eps(params, 2, 0))
-        res = assembly.lengthen(g, K2, pp, params, Fraction(16), 0)
+        pp = PathPartition.trivial(g, level_eps(QUARTER, 2, 0))
+        res = assembly.lengthen(g, K2, pp, QUARTER, key, Fraction(16), 0)
         res.verify(g)
         assert res.removed & (1 << 26)
         assert res.removed.bit_count() <= 2  # (m+1) * h^-2 * d / ...
@@ -235,8 +233,7 @@ class TestRunMainTheorem:
     def test_budget_dominates(self):
         g = random_graph(9, 0.5, 5)
         key = KeyParams.practical(K2, QUARTER, delta_prime=Fraction(1, 9))
-        params = LengthenParams.practical(K2, QUARTER, key=key)
-        res = run_main_theorem(g, K2, QUARTER, 9, params)
+        res = run_main_theorem(g, K2, QUARTER, 9, key)
         assert res.removed.bit_count() <= 9
         res.verify(g)
 
@@ -255,8 +252,7 @@ class TestRunMainTheorem:
         spec = HardInstanceSpec(1, 20, 40, Fraction(1, 20), K2, seed=7)
         inst = generate_hard_graph(spec)
         key = KeyParams.practical(K2, QUARTER, delta_prime=Fraction(1, 8))
-        params = LengthenParams.practical(K2, QUARTER, key=key)
-        res = run_main_theorem(inst.graph, K2, QUARTER, 20, params)
+        res = run_main_theorem(inst.graph, K2, QUARTER, 20, key)
         res.verify(inst.graph)
 
     def test_oracle_never_beaten(self):
@@ -265,8 +261,7 @@ class TestRunMainTheorem:
             n = rng.randint(4, 9)
             g = random_graph(n, rng.uniform(0.2, 0.8), trial + 100)
             key = KeyParams.practical(K2, QUARTER, delta_prime=Fraction(1, max(8, n)))
-            params = LengthenParams.practical(K2, QUARTER, key=key)
-            res = run_main_theorem(g, K2, QUARTER, rng.randint(1, n), params)
+            res = run_main_theorem(g, K2, QUARTER, rng.randint(1, n), key)
             res.verify(g)
             best, _, _ = min_removal_oracle(
                 g, max(len(res.partition.parts), 1), QUARTER

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import rpt
 from conftest import random_graph
+from rpt import serialize
 from rpt.cli import main, parse_args
 from rpt.graph import Graph, to_edge_list, to_graph6
 
@@ -35,12 +37,12 @@ def run_cli(capsys, argv):
 
 class TestParse:
     def test_count_plan(self, c5_file):
-        plan = parse_args(["count", "--graph", c5_file, "--pattern", "K3"])
-        assert plan.subcommand == "count"
-        assert plan.mode == "practical" and not plan.json_mode
+        args = parse_args(["count", "--graph", c5_file, "--pattern", "K3"])
+        assert args.subcommand == "count" and not args.json
+        assert not hasattr(args, "mode") and not hasattr(args, "seed")
 
     def test_theorem_plan_with_globals_after_subcommand(self, c5_file):
-        plan = parse_args(
+        args = parse_args(
             [
                 "theorem",
                 "--graph",
@@ -53,18 +55,16 @@ class TestParse:
                 "10",
                 "--mode",
                 "practical",
-                "--seed",
-                "1",
                 "--json",
             ]
         )
-        assert plan.subcommand == "theorem" and plan.json_mode and plan.seed == 1
+        assert args.subcommand == "theorem" and args.json and args.mode == "practical"
 
     def test_constants_plan(self):
-        plan = parse_args(
+        args = parse_args(
             ["constants", "--h", "3", "--eps", "1/4", "--eta", "1/4", "--theta", "1/4"]
         )
-        assert plan.subcommand == "constants"
+        assert args.subcommand == "constants"
 
     def test_malformed_fraction_rejected(self, c5_file):
         code = main(["extract", "--graph", c5_file, "--pattern", "K2",
@@ -383,9 +383,8 @@ class TestDeterminism:
         [
             ["count", "--graph", "{c5}", "--pattern", "P3", "--json"],
             ["theorem", "--graph", "{c5}", "--pattern", "K2", "--eps", "1/4",
-             "--d", "2", "--json", "--seed", "3"],
-            ["keylemma", "--graph", "{c5}", "--pattern", "K2", "--d", "1",
-             "--json", "--seed", "3"],
+             "--d", "2", "--json"],
+            ["keylemma", "--graph", "{c5}", "--pattern", "K2", "--d", "1", "--json"],
             ["extract", "--graph", "{c5}", "--pattern", "K2", "--op", "density",
              "--eps", "1/4", "--json"],
             ["counterexample", "--m", "20", "--n", "22", "--big-n", "1",
@@ -472,7 +471,8 @@ CHECK_CASES = {
     "key_lemma_result": (
         (5, Graph.cycle(5).edges()),
         {"kind": "key_lemma_result", "S": [], "A": [], "B": [], "C": [[0, 1, 2, 3, 4]],
-         "d": 0, "h": 2, "eps": "2/5", "eta": "1/4", "theta": "1/4"},
+         "d": 0, "h": 2, "eps": "2/5", "eta": "1/4", "theta": "1/4",
+         "delta_prime": "1/8", "eta_prime": "1/512"},
         ("eps", "1/4"),
         "single 0 not eps-restricted",
     ),
@@ -706,3 +706,228 @@ def test_count_rejects_malformed_graph6_with_exit_1(capsys, tmp_path, text, mess
     code = main(["count", "--graph", str(path), "--pattern", "K2"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
+def _check(capsys, tmp_path, n, edges, cert):
+    """`rpt check --json` on a certificate dict: (exit code, stdout, stderr)."""
+    g_path = tmp_path / "g.el"
+    g_path.write_text(to_edge_list(Graph.from_edges(n, edges)))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    code = main(["check", "--graph", str(g_path), "--cert", str(cert_path), "--json"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _check_line(kind: str, ok: bool, detail: str) -> str:
+    return serialize.dumps(
+        {"certificate": kind, "detail": detail, "kind": "check_result", "ok": ok}
+    ) + "\n"
+
+
+class TestOptionScopes:
+    """Each option is registered only on the subcommands that read it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--graph", "{c5}", "--pattern", "K2", "--seed", "1"],
+            ["check", "--graph", "{c5}", "--cert", "{c5}", "--mode", "paper"],
+            ["constants", "--h", "2", "--eps", "1/4", "--eta", "1/4", "--theta", "1/4",
+             "--mode", "paper"],
+        ],
+    )
+    def test_foreign_option_is_a_usage_error(self, capsys, c5_file, argv):
+        code = main([a.format(c5=c5_file) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+
+    def test_seed_and_mode_still_parse_where_read(self, c5_file):
+        args = parse_args(["counterexample", "--m", "20", "--n", "22", "--seed", "7"])
+        assert args.seed == 7
+        for sub in ("extract", "keylemma", "theorem"):
+            extra = ["--op", "peel"] if sub == "extract" else ["--d", "1"]
+            argv = [sub, "--graph", c5_file, "--pattern", "K2", *extra, "--mode", "paper"]
+            assert parse_args(argv).mode == "paper"
+
+    @pytest.mark.parametrize("op", ["restricted", "peel"])
+    def test_extract_paper_mode_runs_density_only(self, capsys, c5_file, op):
+        code = main(["extract", "--graph", c5_file, "--pattern", "K2", "--op", op,
+                     "--mode", "paper"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            "error: exact-schedule sizes are below one vertex at this scale; "
+            "use practical mode with --delta\n"
+        )
+
+
+class _Reads:
+    """An argparse namespace that records the names read from it."""
+
+    def __init__(self, args, reads: set):
+        self._args, self._reads = args, reads
+
+    def __getattr__(self, name):
+        self._reads.add(name)
+        return getattr(self._args, name)
+
+
+# One run per subcommand, per extract op and per oracle path (one graph,
+# one sweep); each subcommand's handler must read every option it registers.
+OPTION_RUNS = [
+    ["count", "--graph", "{c5}", "--pattern", "P3"],
+    ["check", "--graph", "{c5}", "--cert", "{cert}"],
+    ["extract", "--graph", "{c5}", "--pattern", "K2", "--op", "density"],
+    ["extract", "--graph", "{c5}", "--pattern", "K2", "--op", "restricted"],
+    ["extract", "--graph", "{c5}", "--pattern", "K2", "--op", "peel"],
+    ["keylemma", "--graph", "{c5}", "--pattern", "K2", "--d", "2"],
+    ["theorem", "--graph", "{c5}", "--pattern", "K2", "--d", "2"],
+    ["counterexample", "--m", "20", "--n", "22", "--out", "{out}"],
+    ["constants", "--h", "2", "--eps", "1/4", "--eta", "1/4", "--theta", "1/4"],
+    ["oracle", "--op", "count", "--graph", "{c5}"],
+    ["oracle", "--op", "min-removal", "--sweep", "2", "--sweep-n", "4"],
+]
+
+
+def test_every_registered_option_is_read(capsys, tmp_path, c5_file):
+    from rpt import cli
+
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(CHECK_CASES["restricted_partition"][1]))
+    registered: dict[str, set] = {}
+    read: dict[str, set] = {}
+    for argv in OPTION_RUNS:
+        argv = [a.format(c5=c5_file, cert=cert, out=tmp_path / "hard.el") for a in argv]
+        args = parse_args(argv)
+        sub = args.subcommand
+        registered[sub] = set(vars(args)) - {"subcommand"}
+        assert cli._DISPATCH[sub](_Reads(args, read.setdefault(sub, set()))) == 0, argv
+    capsys.readouterr()
+    assert sorted(registered) == sorted(cli._DISPATCH)
+    unread = {sub: sorted(registered[sub] - read[sub]) for sub in sorted(registered)}
+    assert unread == {sub: [] for sub in unread}
+
+
+def _singletons_certificate(**bounds) -> dict:
+    return {"kind": "key_lemma_result", "S": [], "A": [], "B": [],
+            "C": [[v] for v in range(60)], "d": 0, "h": 2, "eps": "1/4",
+            "eta": "1/4", "theta": "1/4", **bounds}
+
+
+class TestKeySingleCountClause:
+    """60 singletons against N = C(2,2) + phi(1/8, 1/512) = 48."""
+
+    def test_stated_bounds_are_checked(self, capsys, tmp_path):
+        cert = _singletons_certificate(delta_prime="1/8", eta_prime="1/512")
+        assert _check(capsys, tmp_path, 60, [], cert) == (
+            2, _check_line("key_lemma_result", False, "single count exceeds N = 48"), "")
+
+    @pytest.mark.parametrize("field, value", [("delta_prime", "1/8"), ("eta_prime", "1/512")])
+    def test_one_bound_alone_is_malformed(self, capsys, tmp_path, field, value):
+        cert = _singletons_certificate(**{field: value})
+        assert _check(capsys, tmp_path, 60, [], cert) == (
+            1, "", "error: delta_prime and eta_prime must be stated together\n")
+
+    def test_unstated_bounds_say_the_clause_is_not_checked(self, capsys, tmp_path):
+        detail = "single-count clause not checked: delta_prime and eta_prime not stated"
+        assert _check(capsys, tmp_path, 60, [], _singletons_certificate()) == (
+            0, _check_line("key_lemma_result", True, detail), "")
+
+
+class TestStrictBooleans:
+    @pytest.mark.parametrize("bad", ["false", 0, None, "yes", 1])
+    def test_guaranteed_must_be_a_boolean(self, capsys, tmp_path, bad):
+        (n, edges), cert, _, _ = CHECK_CASES["peel_chain"]
+        assert _check(capsys, tmp_path, n, edges, {**cert, "guaranteed": bad}) == (
+            1, "", f"error: guaranteed must be true or false, got {bad!r}\n")
+
+    def test_missing_guaranteed_is_held_to_the_bound(self, capsys, tmp_path):
+        (n, edges), cert, _, _ = CHECK_CASES["peel_chain"]
+        cert = {k: v for k, v in cert.items() if k != "guaranteed"}
+        cert = {**cert, "peels": [[0], [1], [2], [3], [4]]}  # 5 > phi(1/2, 1/4) = 2
+        assert _check(capsys, tmp_path, n, edges, cert) == (
+            2, _check_line("peel_chain", False, "more peels than phi(delta, eta)"), "")
+
+    @pytest.mark.parametrize("bad", ["no", "true", 1, None])
+    def test_contradiction_checked_must_be_a_boolean(self, capsys, tmp_path, bad):
+        (n, edges), cert, _, _ = CHECK_CASES["blowup_found"]
+        cert = {**cert, "contradiction_checked": bad}
+        assert _check(capsys, tmp_path, n, edges, cert) == (
+            1, "", f"error: contradiction_checked must be true or false, got {bad!r}\n")
+
+    def test_claimed_contradiction_is_reported_unchecked(self, capsys, tmp_path):
+        (n, edges), cert, _, _ = CHECK_CASES["blowup_found"]
+        cert = {**cert, "contradiction_checked": True}
+        detail = "contradiction not re-checked: the certificate carries no kappa and no d"
+        assert _check(capsys, tmp_path, n, edges, cert) == (
+            0, _check_line("blowup_found", True, detail), "")
+
+
+C5 = (5, Graph.cycle(5).edges())
+E5 = (5, [])
+KEY_ROWS = {"kind": "key_lemma_result", "S": [], "A": [], "B": [], "C": [], "d": 0, "h": 2,
+            "eps": "1/4", "eta": "1/4", "theta": "1/4"}
+
+# (graph, certificate, the clause or detail `rpt check` prints): one refutation
+# per clause of the certificate verifiers that the other tests do not reach
+REFUTATIONS = {
+    "path:shape": (C5, {"kind": "path_partition", "blocks": [], "eps": "1/4"}, "shape"),
+    "path:nonempty": (C5, {"kind": "path_partition", "blocks": [[0, 1, 2, 3, 4], []],
+                           "eps": "1/4"}, "nonempty:1"),
+    "path:disjoint": (C5, {"kind": "path_partition", "blocks": [[0, 1, 2], [2, 3, 4]],
+                           "eps": "1/4"}, "disjoint"),
+    "restricted:empty": (C5, {"kind": "restricted_partition", "parts": [[], [0, 1, 2, 3, 4]],
+                              "eps": "1/2", "N": 2}, "empty part 0"),
+    "restricted:overlap": (C5, {"kind": "restricted_partition", "parts": [[0, 1, 2], [2, 3, 4]],
+                                "eps": "1/2", "N": 2}, "part 1 overlaps"),
+    "removal:budget": (C5, {"kind": "removal_result", "removed": [0], "parts": [[1, 2, 3, 4]],
+                            "eps": "1/2", "N": 1, "d": 0}, "removed more than the budget"),
+    "removal:intersect": (C5, {"kind": "removal_result", "removed": [0],
+                               "parts": [[0, 1, 2, 3, 4]], "eps": "1/2", "N": 1, "d": 1},
+                          "parts intersect the removed set"),
+    "peel:leftover": (C5, {"kind": "peel_chain", "peels": [], "leftover": [0, 1, 2, 3, 4],
+                           "eps": "1/2", "eta": "1/4", "delta": "1/2", "phi_bound": 2},
+                      "leftover exceeds eta |G|"),
+    "peel:phi": (C5, {"kind": "peel_chain", "peels": [[0, 1, 2, 3, 4]], "leftover": [],
+                      "eps": "1/2", "eta": "1/4", "delta": "1/2", "phi_bound": 3},
+                 "phi bound does not match its parameters"),
+    "key:removed": (C5, {**KEY_ROWS, "S": [0]}, "removed set exceeds d"),
+    "key:rows": (C5, {**KEY_ROWS, "A": [[0, 1]]}, "pair rows have unequal lengths"),
+    "key:pairs": (C5, {**KEY_ROWS, "A": [[0], [2]], "B": [[1], [3]]},
+                  "more pairs than C(h,2)"),
+    "key:empty-side": (E5, {**KEY_ROWS, "A": [[0, 1, 2, 3]], "B": [[]]},
+                       "pair 0 has an empty side"),
+    "key:overlap": (E5, {**KEY_ROWS, "S": [0], "d": 1, "A": [[0, 1, 2, 3]], "B": [[4]]},
+                    "pair 0 overlaps earlier sets"),
+    "key:restricted": (C5, {**KEY_ROWS, "A": [[0, 1, 2, 3]], "B": [[4]]},
+                       "pair 0: A not eps-restricted"),
+    "key:b-size": (E5, {**KEY_ROWS, "A": [[0, 1, 2]], "B": [[3, 4]]},
+                   "pair 0: B larger than eta*|A|"),
+    "key:tight": ((5, [(0, 4), (1, 4)]), {**KEY_ROWS, "A": [[0, 1, 2, 3]], "B": [[4]]},
+                  "pair 0: B not theta-tight to A"),
+    "key:single-count": ((60, []), _singletons_certificate(delta_prime="1/8",
+                                                           eta_prime="1/512"),
+                         "single count exceeds N = 48"),
+    "blowup_found:blowup": ((8, K44), {**CHECK_CASES["blowup_found"][1], "certificate": {
+        **BLOWUP_K44, "pattern": {"n": 2, "edges": [], "order": [0, 1]}}},
+                            "failing pair (1, 2)"),
+    "blowup_found:bound": ((8, K44), {**CHECK_CASES["blowup_found"][1], "copy_bound": "17"},
+                           "copy count below the stated bound"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUTATIONS))
+def test_every_refutation_clause_is_reached(capsys, tmp_path, case):
+    (n, edges), cert, detail = REFUTATIONS[case]
+    assert _check(capsys, tmp_path, n, edges, cert) == (
+        2, _check_line(cert["kind"], False, detail), "")
+
+
+def test_removed_set_out_of_range_is_refuted():
+    # the loader rejects such ids first, so only the library reaches the clause
+    from rpt.assembly import RemovalResult, RestrictedPartition, verify_removal_result
+
+    r = RemovalResult(1 << 5, RestrictedPartition((0b11111,), Fraction(1, 2), 1), 1)
+    assert verify_removal_result(Graph.cycle(5), r).detail == "removed set out of range"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import count_fraction_ops, random_graph, random_pattern
 from rpt import embedding
 from rpt.embedding import (
+    CopyCount,
     EmbeddingParams,
     ManyCopiesResult,
     TightPairResult,
@@ -41,21 +42,20 @@ def split_parts(n: int, h: int, seed: int | None = None):
     return [mask_from_ids(ids[t * size : (t + 1) * size]) for t in range(h)]
 
 
-class TestWitnessOrCount:
+class TestCountingDichotomy:
     def test_complete_bipartite_counts(self):
         g = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
         params = EmbeddingParams.uniform(2, HALF, HALF)
         res = witness_or_count(g, named_pattern("K2"), [0b000111, 0b111000], params)
-        assert not res.is_witness
-        assert res.copies.count == 9
-        assert res.copies.count >= res.copies.bound
+        assert isinstance(res, CopyCount)
+        assert res.count == 9
+        assert res.count >= res.bound
 
     def test_edgeless_yields_sparse_witness(self):
         g = Graph.empty(6)
         params = EmbeddingParams.uniform(2, HALF, HALF)
-        res = witness_or_count(g, named_pattern("K2"), [0b000111, 0b111000], params)
-        w = res.witness
-        assert w is not None and w.mode == "sparse"
+        w = witness_or_count(g, named_pattern("K2"), [0b000111, 0b111000], params)
+        assert isinstance(w, TightPairWitness) and w.mode == "sparse"
         assert (w.i, w.j) == (1, 2)
         assert w.a == 0b000111 and w.b == 0b111000
 
@@ -90,11 +90,11 @@ class TestWitnessOrCount:
             tuple(Fraction(rng.randint(1, 3), 4) for _ in range(h - 1)),
         )
         res = witness_or_count(g, pat, masks, params)
-        if res.is_witness:
-            validate_witness(g, pat, masks, params, res.witness)
+        if isinstance(res, TightPairWitness):
+            validate_witness(g, pat, masks, params, res)
         else:
-            assert res.copies.count == count_embeddings_into_parts(g, pat, masks)
-            assert res.copies.count >= res.copies.bound
+            assert res.count == count_embeddings_into_parts(g, pat, masks)
+            assert res.count >= res.bound
 
 
 class TestFindTightPair:
@@ -123,12 +123,17 @@ class TestFindTightPair:
     @given(st.integers(0, 500))
     @settings(max_examples=60, deadline=None)
     def test_shuffled_variant_still_sound(self, seed):
+        # find_tight_pair's dichotomy on a shuffled split of the vertices
         g = random_graph(12, 0.5, seed)
-        res = find_tight_pair(g, named_pattern("K3"), Fraction(1, 4), shuffle_seed=seed)
-        if isinstance(res, TightPairResult):
+        pat = named_pattern("K3")
+        parts = split_parts(g.n, 3, seed)
+        params = EmbeddingParams.uniform(3, Fraction(1, 4), HALF)
+        res = witness_or_count(g, pat, parts, params)
+        if isinstance(res, TightPairWitness):
             assert res.a & res.b == 0
+            validate_witness(g, pat, parts, params, res)
         else:
-            assert res.count >= 0
+            assert res.count >= res.bound
 
 
 class TestBlowupCopyBound:

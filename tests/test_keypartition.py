@@ -101,7 +101,7 @@ class TestKeyParams:
 
     def test_paper_mode_h2_materializes(self):
         p = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
-        assert p.mode == "paper"
+        assert p.ledger is not None
         assert p.eps_schedule[2] == Fraction(1, 256)
         assert p.eps_schedule[1].denominator.bit_length() > 10_000
 
