@@ -463,7 +463,7 @@ def main(argv=None) -> int:
     try:
         return _DISPATCH[args.subcommand](args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

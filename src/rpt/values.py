@@ -10,7 +10,10 @@ holds, an exact rational rides along while it stays below a size cap, and
 a saturation flag marks a ``log2`` that is only an upper bound.  The few
 decisions that must be made about one (is ``v * k`` below 1, what is
 ``ceil(v * k)``) are only answered when the log-scale bound makes the
-answer unambiguous.
+answer unambiguous.  :func:`least_power` decides each test q^p <= x with
+integer brackets of the two sides at a precision that doubles while they
+overlap, and builds the exact powers only once that precision would hold
+them whole.
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ def floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def log2_fraction(x: Fraction) -> mpmath.mpf:
-    if x <= 0:
-        raise ValueError("log2 of a nonpositive rational")
+def _top_bits_ratio(x: Fraction) -> tuple[int, mpmath.mpf]:
+    """(shift, r) with x = 2^shift * r and r in (1/2, 2), r rounded to an mpf
+    from the top bits of the aligned numerator and denominator."""
     # Split into exponent + mantissa so huge numerators/denominators
     # (tens of thousands of bits) do not overflow the mpf conversion.
     num, den = x.numerator, x.denominator
@@ -81,7 +84,14 @@ def log2_fraction(x: Fraction) -> mpmath.mpf:
         low = (1 << drop) - 1
         num = (num >> drop) | bool(num & low)
         den = (den >> drop) | bool(den & low)
-    return mpmath.mpf(shift) + mpmath.log(mpmath.mpf(num) / mpmath.mpf(den), 2)
+    return shift, mpmath.mpf(num) / mpmath.mpf(den)
+
+
+def log2_fraction(x: Fraction) -> mpmath.mpf:
+    if x <= 0:
+        raise ValueError("log2 of a nonpositive rational")
+    shift, r = _top_bits_ratio(x)
+    return mpmath.mpf(shift) + mpmath.log(r, 2)
 
 
 def _bits(x: Fraction) -> int:
@@ -221,16 +231,112 @@ def scalar_ceil_mul(x: Scalar, k: int) -> int:
 def least_power(q: Fraction, x: Fraction) -> int:
     """Least integer p >= 1 with q^p <= x, for q and x in (0, 1).
 
-    The log-scale quotient log(x)/log(q) is only a guess; the exact
-    rational comparisons that adjust it decide the answer, so it never
-    depends on rounding.  One power per step keeps the cost near that of
-    the final power, where a factor-at-a-time product would be quadratic.
+    The log-scale quotient ln(x)/ln(q) is only a guess; exact integer
+    tests of q^p <= x adjust it and decide the answer, so it never
+    depends on rounding.  Each test brackets both sides with fixed-precision
+    powers (:func:`_power_bracket`) and doubles the precision while the
+    brackets overlap; the exact powers are built only once that precision
+    would hold them whole.  A tie q^p = x can only be decided by exact
+    values; any other test is settled by brackets of about
+    log2(p) + log2(1/gap) bits, gap being the relative distance of q^p from x.
     """
     if not (0 < q < 1 and 0 < x < 1):
         raise ValueError("least_power needs q, x in (0,1)")
-    p = max(int(mpmath.ceil(log2_fraction(x) / log2_fraction(q))), 1)
-    while q**p > x:
+    a, b, c, d = q.numerator, q.denominator, x.numerator, x.denominator
+    p = _guess_power(q, x)
+    if _power_le(a, b, c, d, p):
+        while p > 1 and _power_le(a, b, c, d, p - 1):
+            p -= 1
+        return p
+    p += 1
+    while not _power_le(a, b, c, d, p):
         p += 1
-    while p > 1 and q ** (p - 1) <= x:
-        p -= 1
     return p
+
+
+def _guess_power(q: Fraction, x: Fraction) -> int:
+    """ceil(ln(x) / ln(q)) on the log scale, at least 1.
+
+    A guess too long for the working precision is recomputed with enough
+    bits to land within one of the least power.
+    """
+    prec = mpmath.mp.prec
+    while True:
+        with mpmath.workprec(prec):
+            guess = max(int(mpmath.ceil(_ln(x) / _ln(q))), 1)
+        if guess.bit_length() + 64 <= prec:
+            return guess
+        prec = guess.bit_length() + 64
+
+
+def _ln(y: Fraction) -> mpmath.mpf:
+    """ln(y) for y in (0, 1).  Above 1/2 it is log1p(-(1-y)), which stays
+    nonzero and accurate when y is closer to 1 than the working precision."""
+    if y <= Fraction(1, 2):
+        return log2_fraction(y) * mpmath.ln2
+    shift, r = _top_bits_ratio(1 - y)
+    return mpmath.log1p(-mpmath.ldexp(r, shift))
+
+
+def _power_le(a: int, b: int, c: int, d: int, p: int) -> bool:
+    """a^p * d <= c * b^p for positive integers with a < b, decided exactly.
+
+    Fixed-precision brackets decide it while they do not overlap, starting
+    at twice p's bit length plus a margin and doubling.  Once the precision
+    would hold every factor uncut, the exact integers decide instead.
+    """
+    exact_bits = max(p * b.bit_length(), c.bit_length(), d.bit_length())
+    k = 2 * p.bit_length() + 64
+    while k < exact_bits:
+        a_lo, a_hi, a_e = _power_bracket(a, p, k)
+        b_lo, b_hi, b_e = _power_bracket(b, p, k)
+        c_lo, c_hi, c_e = _cut(c, c, 0, k)
+        d_lo, d_hi, d_e = _cut(d, d, 0, k)
+        if _scaled_le(a_hi * d_hi, a_e + d_e, c_lo * b_lo, c_e + b_e):
+            return True
+        if not _scaled_le(a_lo * d_lo, a_e + d_e, c_hi * b_hi, c_e + b_e):
+            return False
+        k *= 2
+    return _exact_power_le(a, b, c, d, p)
+
+
+def _exact_power_le(a: int, b: int, c: int, d: int, p: int) -> bool:
+    return a**p * d <= c * b**p
+
+
+def _power_bracket(n: int, p: int, k: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2^e <= n^p <= hi * 2^e, for n >= 1 and p >= 1.
+
+    Exponentiation by squaring on mantissas cut to k bits after every
+    product, lo rounded down and hi rounded up, so the bracket's relative
+    width grows about linearly in p * 2^-k.  No cut happens while n^p fits
+    in k bits, so then lo == hi == n^p.
+    """
+    lo, hi, e = 1, 1, 0
+    base_lo, base_hi, base_e = _cut(n, n, 0, k)
+    while True:
+        if p & 1:
+            lo, hi, e = _cut(lo * base_lo, hi * base_hi, e + base_e, k)
+        p >>= 1
+        if not p:
+            return lo, hi, e
+        base_lo, base_hi, base_e = _cut(base_lo * base_lo, base_hi * base_hi, 2 * base_e, k)
+
+
+def _cut(lo: int, hi: int, e: int, k: int) -> tuple[int, int, int]:
+    """The bracket [lo, hi] * 2^e with hi cut to k bits: lo floored, hi ceiled."""
+    s = hi.bit_length() - k
+    if s <= 0:
+        return lo, hi, e
+    return lo >> s, -(-hi >> s), e + s
+
+
+def _scaled_le(m1: int, e1: int, m2: int, e2: int) -> bool:
+    """m1 * 2^e1 <= m2 * 2^e2 for positive integers m1, m2."""
+    top1, top2 = m1.bit_length() + e1, m2.bit_length() + e2
+    if top1 != top2:
+        return top1 < top2
+    # equal tops: the shift is at most the longer mantissa's length
+    if e1 >= e2:
+        return m1 << (e1 - e2) <= m2
+    return m1 <= m2 << (e2 - e1)

@@ -931,3 +931,37 @@ def test_removed_set_out_of_range_is_refuted():
 
     r = RemovalResult(1 << 5, RestrictedPartition((0b11111,), Fraction(1, 2), 1), 1)
     assert verify_removal_result(Graph.cycle(5), r).detail == "removed set out of range"
+
+
+class TestHostilePhiParameters:
+    """A peel chain whose delta makes phi(delta, eta) enormous is refuted
+    at once: the check never builds (1 - delta)^phi exactly."""
+
+    @pytest.mark.parametrize("delta", ["1/10000000", f"1/{2**300}"], ids=["1e-7", "2^-300"])
+    def test_refuted_within_a_second(self, capsys, tmp_path, delta):
+        import time
+
+        g = random_graph(80, 0.9, 5)
+        g_path = tmp_path / "g.el"
+        g_path.write_text(to_edge_list(g))
+        code, out = run_cli(capsys, ["extract", "--graph", str(g_path), "--pattern", "K2",
+                                     "--op", "peel", "--json"])
+        assert code == 0
+        cert = {**json.loads(out), "delta": delta}
+        start = time.perf_counter()
+        result = _check(capsys, tmp_path, g.n, g.edges(), cert)
+        assert time.perf_counter() - start < 1.0
+        assert result == (
+            2, _check_line("peel_chain", False, "phi bound does not match its parameters"), "")
+
+
+def test_blank_exception_message_names_its_type(capsys, monkeypatch, c5_file):
+    from rpt import cli
+
+    def raise_bare(args):
+        raise ZeroDivisionError()
+
+    monkeypatch.setitem(cli._DISPATCH, "count", raise_bare)
+    code = main(["count", "--graph", c5_file, "--pattern", "K2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: ZeroDivisionError\n")

@@ -96,6 +96,14 @@ class TestPhi:
                 assert phi(delta, eta) == by_iteration(delta, eta), (delta, eta)
         assert phi(Fraction(1, 120), Fraction(1, 61440)) == 1318
 
+    def test_delta_far_below_the_working_precision(self):
+        # ceil(ln 2 / -ln(1 - 10^-30)); (1 - delta)^phi has about 10^32 bits
+        import time
+
+        start = time.perf_counter()
+        assert phi(Fraction(1, 10**30), Fraction(1, 2)) == 693147180559945309417232121458
+        assert time.perf_counter() - start < 1.0
+
     def test_lower_bound_is_sound_and_within_a_factor_of_two(self):
         # phi_lower_bound is what the ledger and n_bound_holds use once
         # delta and eta are known only on the log scale
