@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peeling_graphs, random_graph, random_pattern
+import rpt.adversarial
 from rpt.adversarial import (
     _block_can_become_restricted,
+    _draw_subset,
+    _sampled_core_ok,
+    _weak_edge_bounds,
     HardInstanceSpec,
     OracleBudgetError,
     check_partition_against_hard_instance,
@@ -28,7 +32,7 @@ from rpt.graph import (
     mask_from_ids,
     named_pattern,
 )
-from rpt.predicates import is_restricted
+from rpt.predicates import is_restricted, is_weakly_restricted
 
 K2 = named_pattern("K2")
 EPS20 = Fraction(1, 20)
@@ -272,3 +276,108 @@ def test_check_partition_matches_degree_loops(g, data):
     spec = HardInstanceSpec(big_n, m, max(g.n, m), eps, K2, seed=0, allow_small_core=True)
     assert check_partition_against_hard_instance(g, core, spec, parts) == (
         check_partition_loop(g, core, spec, parts))
+
+
+# generate_hard_graph's sampled acceptance as it was before it drew its
+# subsets inline, kept verbatim as an oracle; ``tried`` is added so that a
+# test can tell a rejection at the first sample from a later one.
+def sampled_acceptance_loop(f: Graph, eps: Fraction, min_size: int, m: int,
+                            rng: random.Random) -> tuple[bool, int]:
+    tried = 0
+    ok = True
+    for _ in range(2000):
+        tried += 1
+        k = rng.randint(min_size, m)
+        mask = mask_from_ids(rng.sample(range(m), k))
+        if is_weakly_restricted(f, mask, 6 * eps):
+            ok = False
+            break
+    return ok, tried
+
+
+def _agree_with_loop(f: Graph, eps: Fraction, min_size: int, seed: int) -> tuple[bool, int]:
+    """Run the oracle and ``_sampled_core_ok`` from the same seed; both give the
+    same verdict and leave the generator in the same state."""
+    old_rng, new_rng = random.Random(seed), random.Random(seed)
+    ok, tried = sampled_acceptance_loop(f, eps, min_size, f.n, old_rng)
+    assert _sampled_core_ok(f, 6 * eps, min_size, new_rng) == ok
+    assert new_rng.getstate() == old_rng.getstate()
+    return ok, tried
+
+
+class TestSampledAcceptance:
+    # 81 = 21 + 3*20 and 82 sit at the edge of the inline rule
+    @pytest.mark.parametrize("m", [1, 21, 22, 36, 80, 81, 82, 200, 320])
+    def test_draw_is_random_sample(self, m):
+        # pins the inline draw to the stdlib: a Random.sample that drew
+        # otherwise would fail here rather than change the hard instances
+        f = random_graph(m, 0.5, m)
+        for seed in (0, 1, 2):
+            for k in range(m + 1):
+                mine, theirs = random.Random(seed * 1000 + k), random.Random(seed * 1000 + k)
+                sampled = []
+                mine.sample = lambda pop, kk, s=mine.sample: sampled.append(kk) or s(pop, kk)
+                mask, edges = _draw_subset(mine, f, k)
+                assert mask == mask_from_ids(theirs.sample(range(m), k)), (m, k, seed)
+                assert mine.getstate() == theirs.getstate(), (m, k, seed)
+                assert edges == f.edges_inside(mask)
+                # the inline draw runs exactly where the pool branch is sure
+                assert bool(sampled) == (not (m <= 21 or (k > 5 and m <= 21 + 3 * k))), (m, k)
+
+
+    @pytest.mark.parametrize("core, min_size, seed, outcome", [
+        (Graph.empty(40), 20, 1, "first"),
+        (Graph.complete(30), 1, 2, "first"),
+        (random_graph(20, 0.6, 0), 10, 100, "later"),
+        (random_graph(20, 0.55, 1), 5, 101, "later"),
+        (random_graph(40, 0.5, 3), 20, 4, "accept"),
+        (random_graph(20, 0.5, 5), 20, 6, "accept"),
+    ])
+    def test_each_outcome_matches_the_loop(self, core, min_size, seed, outcome):
+        ok, tried = _agree_with_loop(core, EPS20, min_size, seed)
+        assert outcome == ("accept" if ok else "first" if tried == 1 else "later")
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_loop(self, data):
+        m = data.draw(st.integers(20, 120))
+        eps = data.draw(st.sampled_from([EPS20, Fraction(1, 19), Fraction(1, 30), Fraction(1, 100)]))
+        kind = data.draw(st.sampled_from(["gnp", "near-threshold", "empty", "complete"]))
+        if kind == "gnp":
+            f = random_graph(m, data.draw(st.floats(0.05, 0.95)), data.draw(st.integers(0, 10**6)))
+        elif kind == "near-threshold":
+            edge = float(1 - 6 * eps)
+            f = random_graph(m, data.draw(st.floats(edge - 0.1, edge + 0.02)),
+                             data.draw(st.integers(0, 10**6)))
+        else:
+            f = Graph.empty(m) if kind == "empty" else Graph.complete(m)
+        # min_size = ceil(m/N) is what generate_hard_graph passes
+        min_size = data.draw(st.one_of(st.integers(1, m),
+                                       st.builds(lambda n: -(-m // n), st.integers(1, 4))))
+        _agree_with_loop(f, eps, min_size, data.draw(st.integers(0, 2**32)))
+
+    @pytest.mark.parametrize("k", range(0, 40))
+    def test_edge_bounds_decide_as_the_density(self, k):
+        # 6 eps C(k, 2) is an integer for some k at each eps here
+        pairs = k * (k - 1) // 2
+        for eps6 in (Fraction(3, 10), Fraction(6, 19), Fraction(1, 5), Fraction(6, 100)):
+            lo, hi = _weak_edge_bounds(k, eps6)
+            for e in range(pairs + 1):
+                d = Fraction(e, pairs) if pairs else Fraction(0)
+                assert (e <= lo or e >= hi) == (d <= eps6 or d >= 1 - eps6), (k, eps6, e)
+
+
+@pytest.mark.parametrize("m, n, big_n, seed", [
+    (80, 160, 2, 1), (80, 160, 2, 2), (80, 160, 2, 3), (80, 160, 2, 4),
+    (320, 320, 4, 1),  # k < 100 takes the rng.sample fallback
+])
+def test_hard_graph_matches_the_loop(monkeypatch, m, n, big_n, seed):
+    spec = HardInstanceSpec(big_n, m, n, EPS20, K2, seed)
+    new = generate_hard_graph(spec)
+    monkeypatch.setattr(
+        rpt.adversarial, "_sampled_core_ok",
+        lambda f, eps6, min_size, rng: sampled_acceptance_loop(f, eps6 / 6, min_size, f.n, rng)[0])
+    old = generate_hard_graph(spec)
+    assert (new.graph, new.core, new.resamples, new.core_exactly_verified) == (
+        old.graph, old.core, old.resamples, old.core_exactly_verified)
+    assert not new.core_exactly_verified

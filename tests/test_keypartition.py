@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -17,6 +18,7 @@ from rpt.graph import Graph, Pattern, complement, iter_bits, mask_from_ids, name
 from rpt.keypartition import (
     BlowupFound,
     InfeasibleAtScale,
+    KeyCertificate,
     KeyLemmaResult,
     KeyParams,
     MNTPartition,
@@ -108,6 +110,39 @@ class TestKeyParams:
     def test_paper_mode_h3_refuses(self):
         with pytest.raises(InfeasibleAtScale):
             KeyParams.paper(K3, QUARTER, QUARTER, QUARTER)
+
+    def test_phi_runs_once_per_instance(self, monkeypatch):
+        calls = []
+
+        def spy(delta, eta):
+            calls.append((delta, eta))
+            return phi(delta, eta)
+
+        monkeypatch.setattr(rpt.keypartition, "phi", spy)
+        params = KeyParams.practical(K3, QUARTER)
+        cert = KeyCertificate(0, (), (), (), 2, 3, QUARTER, QUARTER, QUARTER,
+                              Fraction(1, 8), Fraction(1, 1000))
+        for obj in (params, cert):
+            calls.clear()
+            want = phi(obj.delta_prime, obj.eta_prime)
+            for _ in range(3):
+                assert obj.phi_bound() == want
+                assert obj.part_bound() == 3 + 2 * want
+                assert obj.n_bound_holds(want, 1) and not obj.n_bound_holds(want + 1, 1)
+                assert obj.part_bound_holds(3 + 2 * want)
+                assert not obj.part_bound_holds(4 + 2 * want)
+            assert calls == [(obj.delta_prime, obj.eta_prime)]
+        # a copy is a new instance with its own value
+        calls.clear()
+        eta_half = params.eta_prime / 2
+        assert replace(params, eta_prime=eta_half).phi_bound() == phi(params.delta_prime, eta_half)
+        assert calls == [(params.delta_prime, eta_half)]
+
+    def test_phi_is_not_computed_on_the_log_scale(self, monkeypatch):
+        monkeypatch.setattr(rpt.keypartition, "phi", None)  # any call would raise
+        p = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
+        assert p.phi_bound() is None and p.part_bound() is None
+        assert p.n_bound_holds(10**6, 1)
 
 
 def prop16_graph(seed=7, n=40):
