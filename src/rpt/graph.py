@@ -7,16 +7,17 @@ ids, translating through the index map returned by :func:`induced_subgraph`
 with :func:`lift`.
 
 Every :class:`Graph` is checked in full when it is built: after the
-per-row self-loop and range checks, rows 0..k-1 are packed into one w x w
-bit matrix and compared with its transpose, which :func:`_transpose`
-computes in log2 w delta swaps.  Here k is 1 + the highest vertex that has,
-or is, a neighbour, and w is a power of two >= max(8, k); the rows from k
-on are zero.  Only when the two differ does a per-edge scan run, to name
-the first asymmetric pair.  So an edgeless graph, or one with an isolated
-tail, costs time and memory linear in n, but the matrix is quadratic in
-k: the two-line edge list "16000\\n0 15999\\n" still packs a 16384 x 16384
-bit matrix.  :func:`induced_subgraph` relabels through the same transpose,
-at the width of the highest kept vertex, instead of a loop over edges.
+per-row self-loop and range checks, rows 0..k-1 are compared with their
+transpose.  Here k is 1 + the highest vertex that has, or is, a neighbour;
+the rows from k on are zero.  The rows are packed into one w x w bit matrix
+(w a power of two >= max(8, k)) and transposed in log2 w delta swaps by
+:func:`_transpose` only while the matrix stays within a fixed multiple of
+the rows' own bits (:func:`_packs`); past that, and whenever the two differ,
+a per-edge scan runs, which also names the first asymmetric pair.  So a
+graph costs time and memory linear in n plus its rows' bits: the two-line
+edge list "16000\\n0 15999\\n" takes one step per edge and packs no 16384 x
+16384 matrix.  :func:`induced_subgraph` relabels through the same
+transpose, at the width of the highest kept vertex, under the same rule.
 
 Edge lists are read by :func:`load_graph_text`, which tries one fast pass
 for clean text (:func:`_clean_edge_list`) and otherwise leaves the text to
@@ -35,10 +36,11 @@ with no order constraints.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 
 
 class GraphParseError(ValueError):
@@ -67,6 +69,16 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+# bin() digits "0"/"1" as the false/true selector bytes of itertools.compress
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _above(row: int, u: int, n: int):
+    """The vertices v > u of ``row`` (v < n), in increasing order: one
+    ``compress`` over the reversed binary digits, no Python step per bit."""
+    return compress(range(u + 1, n), bin(row >> (u + 1))[:1:-1].encode().translate(_SELECTORS))
+
+
 def _width(n: int) -> int:
     """Side of the packed bit matrix for n vertices: a power of two >= max(8, n)."""
     return max(8, 1 << (n - 1).bit_length())
@@ -78,20 +90,19 @@ def _pack(rows, w: int) -> int:
 
 
 # The masks of one width take w**2 log2(w) / 8 bytes: 1.25 MiB at w = 1024,
-# 24 MiB at 4096.  Only widths up to this one stay cached between calls.
+# 24 MiB at 4096.  Only widths up to this one stay cached between calls;
+# a wider transpose builds each mask as its swap needs it.
 _CACHED_WIDTH = 1024
 
 
-@lru_cache(maxsize=8)
-def _swap_masks(w: int) -> tuple[tuple[int, int], ...]:
-    """The (shift, mask) of each delta swap of :func:`_transpose` at width w.
+def _swap_mask_iter(w: int):
+    """Yield the (shift, mask) of each delta swap of :func:`_transpose` at width w.
 
     Swap j exchanges bit (r, c) with bit (r + j, c - j), which sits
     s = j*(w-1) places higher, wherever bit j of r is 0 and bit j of c is 1;
     the mask marks those (r, c).  Rows are byte-aligned because w >= 8.
     """
     step = w // 8
-    out = []
     j = 1
     while j < w:
         if j < 8:
@@ -99,9 +110,13 @@ def _swap_masks(w: int) -> tuple[tuple[int, int], ...]:
         else:
             row = (bytes(j // 8) + b"\xff" * (j // 8)) * (w // (2 * j))
         block = row * j + bytes(step * j)
-        out.append((j * (w - 1), int.from_bytes(block * (w // (2 * j)), "little")))
+        yield j * (w - 1), int.from_bytes(block * (w // (2 * j)), "little")
         j *= 2
-    return tuple(out)
+
+
+@lru_cache(maxsize=8)
+def _swap_masks(w: int) -> tuple[tuple[int, int], ...]:
+    return tuple(_swap_mask_iter(w))
 
 
 def _transpose(x: int, w: int) -> int:
@@ -112,20 +127,43 @@ def _transpose(x: int, w: int) -> int:
     the off-diagonal j x j blocks of every 2j x 2j diagonal block; together
     they move (r, c) to (c, r).
     """
-    masks = _swap_masks(w) if w <= _CACHED_WIDTH else _swap_masks.__wrapped__(w)
+    masks = _swap_masks(w) if w <= _CACHED_WIDTH else _swap_mask_iter(w)
     for s, m in masks:
         t = ((x >> s) ^ x) & m
         x ^= t ^ (t << s)
     return x
 
 
-def _transposed_rows(rows, w: int, ids) -> list[int]:
+# The packed matrix is used only while its w**2 bits are at most this many
+# times the bits of the rows it packs.  Past that, a step per edge costs
+# less memory, and, since there are no more edges than the rows have bits,
+# at most about eight times the time: on a 2-CPU x86-64 host with CPython
+# 3.11, one step takes about 400 ns, and the swaps about 3 ns per matrix
+# bit at w >= 256.
+_PACK_RATIO = 16
+
+
+def _packs(rows, w: int) -> bool:
+    """Does the w x w matrix of ``rows`` stay within :data:`_PACK_RATIO`
+    times the rows' own bits?  The one rule between packing and a step per
+    edge, for the symmetry check, the loader's mirror and relabelling."""
+    return w * w <= _PACK_RATIO * sum(map(int.bit_length, rows))
+
+
+def _transposed_rows(rows: list[int], w: int, ids) -> list[int]:
     """Rows ``ids`` of the transpose of the w x w bit matrix whose first
     rows are ``rows`` (the rest zero): row v holds bit r wherever rows[r]
-    holds bit v."""
-    step = w // 8
-    data = _transpose(_pack(rows, w), w).to_bytes(w * step, "little")
-    return [int.from_bytes(data[v * step : v * step + step], "little") for v in ids]
+    holds bit v.  Packed and transposed when :func:`_packs` allows it, else
+    one step per set bit."""
+    if _packs(rows, w):
+        step = w // 8
+        data = _transpose(_pack(rows, w), w).to_bytes(w * step, "little")
+        return [int.from_bytes(data[v * step : v * step + step], "little") for v in ids]
+    cols = [0] * w
+    for r in compress(range(len(rows)), rows):
+        for v in iter_bits(rows[r]):
+            cols[v] |= 1 << r
+    return [cols[v] for v in ids]
 
 
 @dataclass(frozen=True)
@@ -150,16 +188,20 @@ class Graph:
                 raise ValueError(f"adjacency row {v} mentions out-of-range vertices")
         # k is 1 + the highest vertex that has, or is, a neighbour.
         k = max(last, max(map(int.bit_length, islice(adj, last)), default=0))
-        # Symmetric iff the packed matrix equals its transpose; the full scan
-        # below runs only to name the first asymmetric pair.  Rows from k on
-        # are zero and no row has a bit at k or above, so rows[:k] suffice.
+        # Symmetric iff the packed matrix equals its transpose.  The scan
+        # below runs when they differ, to name the first asymmetric pair, and
+        # in place of the matrix when :func:`_packs` refuses it.  Rows from k
+        # on are zero and no row has a bit at k or above, so rows[:k] suffice.
+        rows = adj[:k]
         w = _width(k)
-        packed = _pack(adj[:k], w)
-        if _transpose(packed, w) != packed:
-            for v in range(k):
-                for u in iter_bits(adj[v]):
-                    if not adj[u] >> v & 1:
-                        raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        if _packs(rows, w):
+            packed = _pack(rows, w)
+            if _transpose(packed, w) == packed:
+                return
+        for v in range(k):
+            for u in iter_bits(adj[v]):
+                if not adj[u] >> v & 1:
+                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @property
     def full_mask(self) -> int:
@@ -202,7 +244,8 @@ class Graph:
         return bool(self.adj[u] & (1 << v))
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in iter_bits(self.adj[u]) if u < v]
+        adj, n = self.adj, self.n
+        return [(u, v) for u in compress(range(n), adj) for v in _above(adj[u], u, n)]
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -499,8 +542,16 @@ def from_edge_list(text: str) -> Graph:
 
 
 def to_edge_list(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines += [f"{u} {v}" for u, v in g.edges()]
+    """The vertex count, then "u v" for each edge u < v, in the order of
+    :meth:`Graph.edges`; a row's edges are written by one join over the
+    names of its upper neighbours."""
+    adj, n = g.adj, g.n
+    names = list(map(str, range(max(map(int.bit_length, adj), default=0))))
+    lines = [str(n)]
+    for u in compress(range(n), adj):
+        upper = list(map(names.__getitem__, _above(adj[u], u, n)))
+        if upper:
+            lines.append(f"{u} " + f"\n{u} ".join(upper))
     return "\n".join(lines) + "\n"
 
 
@@ -547,6 +598,10 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+# Both separators of an edge list, as the commas of one JSON array.
+_COMMAS = str.maketrans(" \n", ",,")
+
+
 def _clean_edge_list(text: str) -> Graph | None:
     """The graph of a clean edge list, or None for :func:`from_edge_list` to parse.
 
@@ -555,36 +610,58 @@ def _clean_edge_list(text: str) -> Graph | None:
     a single space between the two ids, each id in canonical decimal, lines
     separated by "\\n", and at most one final "\\n".  On such text the two
     parsers agree.  Anything else returns None, so the line parser stays
-    the one source of error messages.  A blank line, a comment, other
-    whitespace (a tab, "\\r", "\\x0b", ...), a sign or a leading zero puts a
-    token that is not a key of ``ids`` or breaks the two-way unpack; an id
-    at or above n (or len(text)) is no key either.  An edge with v <= u
-    leaves a row whose lowest bit is at or below its own vertex, and a
-    repeated edge leaves fewer bits than lines.  The upper triangle is
-    mirrored by one :func:`_transpose`, and the result is checked in full
-    by ``Graph``.
+    the one source of error messages.  The count line must read back as
+    ``str(int(...))``.  The edge lines are then checked and parsed as a
+    whole, and an edge costs one Python step only to set its bit.  Each
+    malformed form fails one step:
+
+    * the skeleton: with the digits deleted, the edge lines must read
+      " \\n" per line, without the final "\\n".  This rejects every other
+      character (a sign, a letter, ",", "[", ".", a tab, "\\r", a non-ASCII
+      digit), a blank line or a comment, a line without exactly one space,
+      and a second final "\\n";
+    * JSON: the ids, joined by commas into one array, must parse as JSON
+      integers, which rejects an empty id and a leading zero (and an id of
+      more digits than ``int`` reads);
+    * the max check: an id at or above n, or at or above len(text), which
+      is left to the line parser so that a short text costs no shift wider
+      than itself;
+    * the popcount: a repeated edge leaves fewer bits than lines;
+    * the lowest bit: an edge with v <= u leaves a row whose lowest bit is
+      at or below its own vertex.
+
+    The upper triangle is mirrored by :func:`_transposed_rows`, and the
+    result is checked in full by ``Graph``.
     """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
-        return None
+    # The count line, and the edge lines without at most one final "\n".
+    end = len(text) - text.endswith("\n")
+    cut = text.find("\n", 0, end)
+    if cut < 0:
+        head, body, lines = text[:end], "", 0
+    else:
+        head, body = text[:cut], text[cut + 1 : end]
+        lines = body.count("\n") + 1
     try:
-        n = int(lines[0])
-        if n < 0 or str(n) != lines[0]:
+        n = int(head)
+        if n < 0 or str(n) != head:
             return None
-        # At most len(text) keys, so a huge n costs no more than its rows;
-        # a text that names a higher id is left to the line parser.
-        ids = {str(v): v for v in range(min(n, len(text)))}
+        if body.encode("ascii").translate(None, b"0123456789") != (b" \n" * lines)[:-1]:
+            return None
+        array = "[" + body.translate(_COMMAS) + "]"
+        del body  # each large string is freed before the next is made
+        ids = json.loads(array)
+        del array
+        if max(ids, default=-1) >= min(n, len(text)):
+            return None
         rows = [0] * n
-        for line in islice(lines, 1, None):
-            u, v = line.split(" ")
-            rows[ids[u]] |= 1 << ids[v]
-    except (ValueError, KeyError, OverflowError, MemoryError):
+        pairs = iter(ids)
+        for u, v in zip(pairs, pairs):
+            rows[u] |= 1 << v
+    except (ValueError, OverflowError, MemoryError):
         return None
-    if sum(map(int.bit_count, rows)) != len(lines) - 1:
+    del ids, pairs  # freed before the matrix work, so the two peaks do not add up
+    if sum(map(int.bit_count, rows)) != lines:
         return None
-    del lines  # freed before the matrix work, so the two peaks do not add up
     # Every edge has u < v: no row from k on holds a bit, and the lowest bit
     # of each row lies above the row's own vertex.
     k = max(map(int.bit_length, rows), default=0)

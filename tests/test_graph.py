@@ -2,18 +2,23 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_small_patterns, peeling_graphs, random_graph, random_pattern, wide_graphs
+import rpt.graph
 from rpt.adversarial import naive_count
 from rpt.graph import (
     _clean_edge_list,
+    _packs,
     _swap_masks,
     _symmetry,
     _transpose,
+    _transposed_rows,
+    _width,
     Graph,
     GraphParseError,
     mask_to_ids,
@@ -460,6 +465,56 @@ def _oracle_load(text):
     raise GraphParseError("empty graph input")
 
 
+# The fast pass, Graph.edges and to_edge_list as they were before the fast
+# pass read its ids as one JSON array and the writers used compress, kept
+# verbatim as oracles (only the names differ).
+def _oracle_clean_edge_list(text: str) -> Graph | None:
+    """The fast pass that split the text into lines and looked each id up
+    in a dict of canonical decimals."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return None
+    try:
+        n = int(lines[0])
+        if n < 0 or str(n) != lines[0]:
+            return None
+        # At most len(text) keys, so a huge n costs no more than its rows;
+        # a text that names a higher id is left to the line parser.
+        ids = {str(v): v for v in range(min(n, len(text)))}
+        rows = [0] * n
+        for line in islice(lines, 1, None):
+            u, v = line.split(" ")
+            rows[ids[u]] |= 1 << ids[v]
+    except (ValueError, KeyError, OverflowError, MemoryError):
+        return None
+    if sum(map(int.bit_count, rows)) != len(lines) - 1:
+        return None
+    del lines  # freed before the matrix work, so the two peaks do not add up
+    # Every edge has u < v: no row from k on holds a bit, and the lowest bit
+    # of each row lies above the row's own vertex.
+    k = max(map(int.bit_length, rows), default=0)
+    if any(islice(rows, k, None)):
+        return None
+    for u, row in enumerate(islice(rows, k)):
+        if row and (row & -row).bit_length() <= u + 1:
+            return None
+    for v, lower in enumerate(_transposed_rows(rows[:k], _width(k), range(k))):
+        rows[v] |= lower
+    return Graph(n, tuple(rows))
+
+
+def _oracle_edges(g):
+    return [(u, v) for u in range(g.n) for v in iter_bits(g.adj[u]) if u < v]
+
+
+def _oracle_to_edge_list(g: Graph) -> str:
+    lines = [str(g.n)]
+    lines += [f"{u} {v}" for u, v in _oracle_edges(g)]
+    return "\n".join(lines) + "\n"
+
+
 def _outcome(load, text):
     """The graph ``load`` gives, or the type and text of what it raised."""
     try:
@@ -490,14 +545,39 @@ def test_clean_edge_lists_take_the_fast_pass(n, p, seed, newline):
         assert fast == g if keyed else fast in (None, g)
 
 
+@given(st.integers(0, 40), st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(0, 10**6),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_fast_pass_and_writers_match_their_old_code(n, p, seed, newline):
+    g, text = _edge_list_text(n, p, seed, newline)
+    assert g.edges() == _oracle_edges(g)
+    assert to_edge_list(g) == _oracle_to_edge_list(g)
+    for clean in [text, to_edge_list(g), text + "\n", text.replace("\n", "\n\n", 1)]:
+        assert _clean_edge_list(clean) == _oracle_clean_edge_list(clean)
+
+
+@given(wide_graphs())
+@settings(max_examples=40, deadline=None)
+def test_writers_match_their_old_code_on_wide_rows(g):
+    assert g.edges() == _oracle_edges(g)
+    assert to_edge_list(g) == _oracle_to_edge_list(g)
+    text = to_edge_list(g)
+    assert _clean_edge_list(text) == _oracle_clean_edge_list(text)
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_fast_pass_tiny_graphs(n):
     for text in [f"{n}", f"{n}\n"]:
         assert _clean_edge_list(text) == Graph.empty(n) == from_edge_list(text)
 
 
+# Text that only a JSON tokenizer could misread: put at a random place in
+# a line, or in place of one of its ids.
+JSON_INSERTS = {"comma": ",", "open": "[", "close": "]"}
+JSON_TOKENS = {"exponent": "1e2", "negzero": "-0", "float": "1.0", "plus": "+1",
+               "true": "true", "nan": "NaN", "long": "1" * 5000, "arabic": "\u0661"}
 EDITS = ["letter", "space", "tab", "cr", "vtab", "blank", "comment", "zero", "swap",
-         "duplicate", "range", "huge"]
+         "duplicate", "range", "huge", *JSON_INSERTS, *JSON_TOKENS]
 
 
 def _edit(text, kind, rng):
@@ -513,9 +593,14 @@ def _edit(text, kind, rng):
         c = rng.randrange(len(line))
         if line[c].isdigit():
             line = line[:c] + rng.choice("xlO") + line[c + 1 :]
-    elif kind in ("space", "tab", "cr", "vtab"):
+    elif kind in ("space", "tab", "cr", "vtab", *JSON_INSERTS):
         c = rng.randrange(len(line) + 1)
-        line = line[:c] + {"space": " ", "tab": "\t", "cr": "\r", "vtab": "\x0b"}[kind] + line[c:]
+        inserts = {"space": " ", "tab": "\t", "cr": "\r", "vtab": "\x0b", **JSON_INSERTS}
+        line = line[:c] + inserts[kind] + line[c:]
+    elif kind in JSON_TOKENS:
+        tokens = line.split(" ")
+        tokens[rng.randrange(len(tokens))] = JSON_TOKENS[kind]
+        line = " ".join(tokens)
     elif kind == "blank":
         lines.insert(i, "")
     elif kind == "comment":
@@ -548,15 +633,27 @@ def test_one_edit_corruptions_match_the_line_parser(n, p, seed, kind):
     assert _outcome(load_graph_text, bad) == _outcome(_oracle_load, bad)
 
 
+@given(st.integers(0, 24), st.sampled_from([0.1, 0.5]), st.integers(0, 10**6),
+       st.sampled_from(EDITS))
+@settings(max_examples=400, deadline=None)
+def test_one_edit_corruptions_match_the_old_fast_pass(n, p, seed, kind):
+    _, text = _edge_list_text(n, p, seed, True)
+    bad = _edit(text, kind, random.Random(seed))
+    assert _clean_edge_list(bad) == _oracle_clean_edge_list(bad)
+
+
 @pytest.mark.parametrize(
     "text",
     ["", "\n", "3\n\n", "3\n0 1\n\n", "03\n0 1\n", "+3\n0 1\n", "-1\n", " 3\n", "3 \n",
      "3\r\n0 1\r\n", "3\n0 1\r\n", "3\n0 1\x0c", "3\n0\t1\n", "3\n0 1 2\n", "3\n0 1\n0 1\n",
      "3\n1 0\n", "3\n1 1\n", "3\n0 3\n", "3\n0 -1\n", "3\n00 1\n", "3\n0 ١\n", "3\n0 ²\n",
-     "٣\n0 1\n", "²\n", "1" * 5000 + "\n", "16\n0 15\n", "1000\n0 999\n", "# c\n3\n0 1\n"],
+     "٣\n0 1\n", "²\n", "1" * 5000 + "\n", "16\n0 15\n", "1000\n0 999\n", "# c\n3\n0 1\n",
+     "3\n0,1\n", "3\n[0 1]\n", "3\n0 1,\n", "3\n0 1e0\n", "3\n0 1.0\n", "3\n-0 1\n",
+     "3\n0 true\n", "3\n0 NaN\n", "3\n 1\n", "3\n0 \n", "3\n0 1\n1 2\n\n"],
 )
 def test_fast_pass_falls_back_or_agrees(text):
     fast = _clean_edge_list(text)
+    assert fast == _oracle_clean_edge_list(text)
     assert fast is None or fast == from_edge_list(text)
     assert _outcome(load_graph_text, text) == _outcome(_oracle_load, text)
 
@@ -586,21 +683,86 @@ def test_small_induced_subgraph_of_a_large_host_costs_its_rows():
     assert induced_subgraph(host, 0b111) == (Graph.from_edges(3, [(0, 1)]), [0, 1, 2])
 
 
+def test_fast_pass_peak_is_no_higher_than_the_old_pass():
+    # count's G(500, 1/2) file has 62k lines; the JSON array of its ids must
+    # not cost more than the old pass's list of line strings did
+    text = to_edge_list(random_graph(500, 0.5, 1))
+    assert text.count("\n") > 62000
+    assert _clean_edge_list(text) == _oracle_clean_edge_list(text)  # caches the w = 512 masks
+    assert _peak_mib(lambda: _clean_edge_list(text)) <= _peak_mib(
+        lambda: _oracle_clean_edge_list(text))
+
+
+def test_wide_sparse_graphs_cost_their_edges():
+    # one edge at vertex 15999 packed a 16384 x 16384 matrix: 3.1 s at a
+    # 611 MiB peak, both in Graph's symmetry check and in the loader's mirror
+    assert _peak_mib(lambda: load_graph_text("16000\n0 15999\n")) < 64
+    assert load_graph_text("16000\n0 15999\n").edges() == [(0, 15999)]
+    # long enough for the fast pass to read ids up to 15999
+    text = "16000\n0 15999\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 3000))
+    assert _peak_mib(lambda: _clean_edge_list(text)) < 64
+    assert _clean_edge_list(text) == from_edge_list(text)
+    host = Graph.from_edges(16000, [(0, 15999), (1, 15999)])
+    assert _peak_mib(lambda: induced_subgraph(host, host.full_mask)) < 64
+    assert induced_subgraph(host, 1 | 1 << 15999)[0] == Graph.complete(2)
+    adj = [0] * 16000
+    adj[0] = 1 << 15999
+    with pytest.raises(ValueError, match=r"^asymmetric adjacency between 15999 and 0$"):
+        _peak_mib(lambda: Graph(16000, tuple(adj)))
+
+
+@given(st.sampled_from(WIDTH_EDGES), st.sampled_from([0.05, 0.5]), st.integers(0, 10**6),
+       st.sampled_from([0, 10**9]))
+@settings(max_examples=120, deadline=None)
+def test_packed_and_per_edge_paths_agree(n, p, seed, ratio):
+    # _PACK_RATIO 0 sends every matrix to the per-edge path, 10**9 packs
+    # every one that has a bit
+    g, text = _edge_list_text(n, p, seed, True)
+    rng = random.Random(seed)
+    masks = [g.full_mask, rng.getrandbits(n) if n else 0]
+    bad = _corrupt(g.adj, "flip", rng) if n >= 2 else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rpt.graph, "_PACK_RATIO", ratio)
+        fast = _clean_edge_list(text)
+        assert fast == _oracle_clean_edge_list(text)
+        assert fast == g or any(v >= len(text) for _, v in g.edges())
+        for mask in masks:
+            sub, ids = induced_subgraph(g, mask)
+            assert (sub.adj, ids) == _oracle_induced_subgraph(g, mask)
+        if bad is not None:
+            with pytest.raises(ValueError) as want:
+                _oracle_check(n, bad)
+            with pytest.raises(ValueError) as got:
+                Graph(n, bad)
+            assert str(got.value) == str(want.value)
+
+
 def test_wide_transpose_masks_are_not_kept():
     # the delta-swap masks of w = 4096 take 24 MiB; only widths up to 1024
     # stay cached, among them w = 512 for count's G(500, 1/2)
-    _swap_masks.cache_clear()
-    tracemalloc.start()
-    try:
-        load_graph_text("4000\n0 3999\n")
-        gc.collect()
-        kept_mib = tracemalloc.get_traced_memory()[0] / 2**20
-    finally:
-        tracemalloc.stop()
-    assert kept_mib < 2
+    # (one edge packs no matrix at all; 300 edges to vertex 3999 pack one)
+    star = [(v, 3999) for v in range(300)]
+    assert _packs(Graph.from_edges(4000, star).adj, 4096)
+    for build in [lambda: load_graph_text("4000\n0 3999\n"), lambda: Graph.from_edges(4000, star)]:
+        _swap_masks.cache_clear()
+        tracemalloc.start()
+        try:
+            build()
+            gc.collect()
+            kept_mib = tracemalloc.get_traced_memory()[0] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert kept_mib < 2
     Graph.path(500)
     Graph.path(500)
     assert _swap_masks.cache_info().hits == 1
+
+
+def test_wide_transpose_builds_one_mask_at_a_time():
+    # the 12 masks of w = 4096 take 2 MiB each; built all at once they put
+    # this 2 MiB matrix's check at a 34 MiB peak
+    star = [(v, 3999) for v in range(300)]
+    assert _peak_mib(lambda: Graph.from_edges(4000, star)) < 20
 
 
 # The Matula-Beck bucket queue that peel_order ran before it kept its
