@@ -206,11 +206,17 @@ def verify_removal_result(g: Graph, r: RemovalResult) -> Verdict:
     return v if v.ok else v._replace(detail=f"removal result failed recheck: {v.detail}")
 
 
-def path_length(eps: Fraction) -> int:
-    """K = ceil(4/eps), the length of a full path-partition for target eps."""
+def theorem_eps(eps: Fraction) -> Fraction:
+    """eps itself, once checked to lie in (0, 1/3), the main theorem's
+    domain: the one check for the pipeline and for removal certificates."""
     if not Fraction(0) < eps < Fraction(1, 3):
         raise ValueError("eps must lie in (0, 1/3)")
-    return ceil_frac(4 / eps)
+    return eps
+
+
+def path_length(eps: Fraction) -> int:
+    """K = ceil(4/eps), the length of a full path-partition for target eps."""
+    return ceil_frac(4 / theorem_eps(eps))
 
 
 def level_eps(eps: Fraction, h: int, k: int) -> Fraction:
@@ -365,7 +371,7 @@ def run_main_theorem(
     path-partition; the result is fully re-verified before returning.
     ``key`` defaults to KeyParams.practical(pat, eps).
     """
-    path_length(eps)  # eps is checked before anything else
+    theorem_eps(eps)  # checked before anything else
     h = pat.size
     if h < 2:
         raise ValueError("the pipeline needs patterns on at least two vertices")

@@ -30,8 +30,10 @@ induced-isomorphic vertex subset contributes |Aut(H)| to the total).  It
 computes that number as |Aut(H)| times the count of maps that also meet
 symmetry-breaking order constraints (phi(v) < phi(u)) read off a stabilizer
 chain of Aut(H), which enumerate each such vertex subset exactly once.
-:func:`count_embeddings_into_parts` shares the same backtracking routine
-with no order constraints.
+A 4-vertex H other than K4 and the empty graph is counted instead from
+codegrees and one backtracked K4 count, in :mod:`rpt.fourvertex`.
+:func:`count_embeddings_into_parts` shares the backtracking routine with
+no order constraints.
 """
 
 from __future__ import annotations
@@ -820,7 +822,7 @@ def _count_backtrack(g: Graph, links, parts: list[int] | None) -> int:
     if hn > g.n:
         return 0
     full = g.full_mask
-    masks = [full] * hn if parts is None else [p & full for p in parts]
+    masks = [full] * hn if parts is None else parts
     if hn == 1:
         return masks[0].bit_count()
     tables: dict[tuple[bool, int], list[int]] = {}
@@ -861,18 +863,33 @@ def _count_backtrack(g: Graph, links, parts: list[int] | None) -> int:
     return rec(0, masks)
 
 
+def induced_sets(g: Graph, h: Graph, within: int | None = None) -> int:
+    """Vertex sets of G (inside ``within``, if given) that induce a copy of
+    H, by the backtracker: each is enumerated once under the order
+    constraints of :func:`_symmetry`, with the position order set by the
+    host's edge density (:func:`_greedy_order`)."""
+    _, breaks, less = _symmetry(h)
+    order = _greedy_order(h, float(edge_density(g)), breaks, less)
+    return _count_backtrack(g, _links(h, order, less), None if within is None else [within] * h.n)
+
+
 def count_induced_copies(g: Graph, pat: Pattern) -> int:
     """Number of injective maps preserving adjacency and non-adjacency.
 
-    Each induced copy is enumerated once, under the order constraints of
-    :func:`_symmetry`, and the count is multiplied by |Aut(H)|; the result
-    is still the number of labelled maps.  The position order follows the
-    host's edge density (:func:`_greedy_order`).
+    The vertex sets that induce a copy of H are counted, and the count is
+    multiplied by |Aut(H)|; the result is still the number of labelled
+    maps.  A 4-vertex H other than K4 and the empty graph is counted from
+    codegrees (:func:`rpt.fourvertex.induced_four_sets`); every other H
+    goes to the backtracker (:func:`induced_sets`).
     """
     h = pat.graph
-    aut, breaks, less = _symmetry(h)
-    order = _greedy_order(h, float(edge_density(g)), breaks, less)
-    return aut * _count_backtrack(g, _links(h, order, less), None)
+    aut = _symmetry(h)[0]
+    if h.n == 4 and 0 < h.edge_count() < 6:
+        # imported here: a run that counts no 4-vertex pattern never compiles it
+        from .fourvertex import induced_four_sets
+
+        return aut * induced_four_sets(g, h)
+    return aut * induced_sets(g, h)
 
 
 def count_embeddings_into_parts(g: Graph, pat: Pattern, parts) -> int:
@@ -882,6 +899,8 @@ def count_embeddings_into_parts(g: Graph, pat: Pattern, parts) -> int:
         raise ValueError("need exactly one part per pattern label")
     union = 0
     for p in parts:
+        if p & ~g.full_mask:
+            raise ValueError("parts must hold only vertices of the graph")
         if p & union:
             raise ValueError("parts must be pairwise disjoint")
         union |= p

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .assembly import PathPartition, RemovalResult, RestrictedPartition
+from .assembly import PathPartition, RemovalResult, RestrictedPartition, theorem_eps
 from .extraction import PeelChain
 from .graph import Graph, Pattern, mask_to_ids
 from .keypartition import BlowupFound, KeyCertificate, KeyLemmaResult, StepRecord
@@ -287,9 +287,10 @@ def removal_result_to_json(r: RemovalResult) -> dict:
 
 
 def removal_result_from_json(obj: dict, n: int | None = None) -> RemovalResult:
+    """A removal certificate; its eps must lie in the theorem's domain."""
     partition = RestrictedPartition(
         tuple(_mask(x, n) for x in obj["parts"]),
-        parse_fraction(obj["eps"]),
+        theorem_eps(parse_fraction(obj["eps"])),
         _integer(obj, "N"),
     )
     return RemovalResult(_mask(obj["removed"], n), partition, _integer(obj, "d"))

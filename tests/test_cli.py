@@ -462,10 +462,10 @@ CHECK_CASES = {
         "cover",
     ),
     "removal_result": (
-        (5, Graph.cycle(5).edges()),
+        (5, [(0, 1)]),
         {"kind": "removal_result", "removed": [], "parts": [[0, 1, 2, 3, 4]],
-         "eps": "1/2", "N": 1, "d": 0, "verified": True},
-        ("eps", "1/4"),
+         "eps": "3/10", "N": 1, "d": 0, "verified": True},
+        ("eps", "1/10"),
         "removal result failed recheck: part 0 not restricted",
     ),
     "key_lemma_result": (
@@ -883,9 +883,9 @@ REFUTATIONS = {
     "restricted:overlap": (C5, {"kind": "restricted_partition", "parts": [[0, 1, 2], [2, 3, 4]],
                                 "eps": "1/2", "N": 2}, "part 1 overlaps"),
     "removal:budget": (C5, {"kind": "removal_result", "removed": [0], "parts": [[1, 2, 3, 4]],
-                            "eps": "1/2", "N": 1, "d": 0}, "removed more than the budget"),
+                            "eps": "1/4", "N": 1, "d": 0}, "removed more than the budget"),
     "removal:intersect": (C5, {"kind": "removal_result", "removed": [0],
-                               "parts": [[0, 1, 2, 3, 4]], "eps": "1/2", "N": 1, "d": 1},
+                               "parts": [[0, 1, 2, 3, 4]], "eps": "1/4", "N": 1, "d": 1},
                           "parts intersect the removed set"),
     "peel:leftover": (C5, {"kind": "peel_chain", "peels": [], "leftover": [0, 1, 2, 3, 4],
                            "eps": "1/2", "eta": "1/4", "delta": "1/2", "phi_bound": 2},
@@ -931,6 +931,24 @@ def test_removed_set_out_of_range_is_refuted():
 
     r = RemovalResult(1 << 5, RestrictedPartition((0b11111,), Fraction(1, 2), 1), 1)
     assert verify_removal_result(Graph.cycle(5), r).detail == "removed set out of range"
+
+
+@pytest.mark.parametrize("bad", ["2", "0", "-1/2", "1/3"])
+def test_removal_eps_outside_the_theorem_domain_exits_1(capsys, tmp_path, bad):
+    """A removal certificate from `rpt theorem` verifies at its own eps = 1/4.
+    With eps outside (0, 1/3) it is malformed, even where every part would
+    pass at that eps (at eps = 2 every set is restricted)."""
+    g = random_graph(60, 0.5, 60)
+    g_path = tmp_path / "g.el"
+    g_path.write_text(to_edge_list(g))
+    assert main(["theorem", "--graph", str(g_path), "--pattern", "K3", "--eps", "1/4",
+                 "--d", "2", "--json"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["eps"] == "1/4"
+    assert _check(capsys, tmp_path, g.n, g.edges(), cert) == (
+        0, _check_line("removal_result", True, ""), "")
+    assert _check(capsys, tmp_path, g.n, g.edges(), {**cert, "eps": bad}) == (
+        1, "", "error: eps must lie in (0, 1/3)\n")
 
 
 class TestHostilePhiParameters:

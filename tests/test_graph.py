@@ -2,7 +2,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import all_small_patterns, peeling_graphs, random_graph, random_pattern, wide_graphs
 import rpt.graph
 from rpt.adversarial import naive_count
+from rpt.fourvertex import _degree_key, _four_vertex_inclusion, _ids, _spanning_counts
 from rpt.graph import (
     _clean_edge_list,
     _packs,
@@ -30,6 +31,7 @@ from rpt.graph import (
     edge_density,
     from_edge_list,
     from_graph6,
+    induced_sets,
     induced_subgraph,
     iter_bits,
     lift,
@@ -348,6 +350,13 @@ def test_embeddings_into_parts_bipartite():
 def test_embeddings_into_parts_rejects_overlap():
     with pytest.raises(ValueError):
         count_embeddings_into_parts(Graph.empty(4), named_pattern("K2"), [0b0011, 0b0110])
+
+
+def test_embeddings_into_parts_rejects_vertices_outside_the_graph():
+    # a part is not cut to the graph: the copy bound of a blowup counts its size
+    for part in (0b10000, 0b11000, -1):
+        with pytest.raises(ValueError, match="only vertices of the graph"):
+            count_embeddings_into_parts(Graph.complete(4), named_pattern("K2"), [0b0011, part])
 
 
 @given(st.integers(0, 300))
@@ -999,3 +1008,86 @@ def test_degree_range_matches_brute_force(g, data):
     lo, hi = degree_range(complement(g), s)
     assert (lo, hi) == (s.bit_count() - 1 - degree_range(g, s)[1],
                         s.bit_count() - 1 - degree_range(g, s)[0])
+
+
+# ---------------------------------------------------------- 4-vertex counts
+
+FOUR_VERTEX = [pat.graph for pat in all_small_patterns(4) if pat.size == 4]
+
+
+def backtrack_copies(g: Graph, h: Graph) -> int:
+    return _symmetry(h)[0] * induced_sets(g, h)
+
+
+def test_inclusion_matrix_matches_brute_force():
+    """M[i][j] is the number of spanning subgraphs of class i in class j:
+    the edge-preserving injections of H_i into H_j, one per automorphism of
+    H_i.  The degree key tells the eleven classes apart, M is unitriangular
+    and the cached inverse is its inverse."""
+    classes, m, inv = _four_vertex_inclusion()
+    assert _four_vertex_inclusion() is _four_vertex_inclusion()
+    reps = {_degree_key(h): h for h in FOUR_VERTEX}
+    assert len(reps) == 11 and sorted(reps) == sorted(classes)
+    for i, ki in enumerate(classes):
+        hi = reps[ki]
+        for j, kj in enumerate(classes):
+            maps = sum(
+                all(reps[kj].has_edge(perm[u], perm[v]) for u, v in hi.edges())
+                for perm in permutations(range(4))
+            )
+            assert maps % _symmetry(hi)[0] == 0
+            assert m[i][j] == maps // _symmetry(hi)[0], (ki, kj)
+            if i >= j:
+                assert m[i][j] == (i == j)
+    size = len(classes)
+    for i in range(size):
+        for j in range(size):
+            assert sum(m[i][k] * inv[k][j] for k in range(size)) == (i == j)
+
+
+@given(
+    st.integers(0, 14),
+    st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    st.integers(0, 10**6),
+    st.integers(0, 10),
+    st.permutations(range(4)),
+)
+@settings(max_examples=300, deadline=None)
+def test_four_vertex_counts_match_the_oracles(n, p, seed, which, perm):
+    """Every 4-vertex class, in a shuffled labelling, on hosts with n < 4 up
+    to 14: count_induced_copies equals the backtracker and naive_count, on
+    G and on its complement.  The spanning counts of either side, through
+    the inverse inclusion matrix, give every class's count, so the route is
+    checked on the side with more edges as well."""
+    g = random_graph(n, p, seed)
+    h = Graph.from_edges(4, [(perm[u], perm[v]) for u, v in FOUR_VERTEX[which].edges()])
+    want = backtrack_copies(g, h)
+    assert count_induced_copies(g, Pattern.of(h)) == want == naive_count(g, Pattern.of(h))
+    assert count_induced_copies(complement(g), Pattern.of(complement(h))) == want
+    classes, _, inv = _four_vertex_inclusion()
+    for side in (g, complement(g)):
+        s = _spanning_counts(side)
+        for row, k in zip(inv, classes):
+            hk = next(x for x in FOUR_VERTEX if _degree_key(x) == k)
+            sets = sum(c * s[kk] for c, kk in zip(row, classes))
+            assert sets * _symmetry(hk)[0] == backtrack_copies(side, hk), k
+
+
+def test_four_vertex_counts_on_a_wide_sparse_host():
+    """n = 5000 and m = 10000: the distance-two pairs, not all pairs, are read."""
+    rng = random.Random(5000)
+    edges = set()
+    while len(edges) < 10000:
+        edges.add(tuple(sorted(rng.sample(range(5000), 2))))
+    g = Graph.from_edges(5000, sorted(edges))
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    claw = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    for h in (Graph.path(4), Graph.cycle(4), paw, claw):
+        assert count_induced_copies(g, Pattern.of(h)) == backtrack_copies(g, h) > 0
+
+
+@given(st.integers(0, 2**300), st.integers(0, 400))
+@settings(max_examples=200, deadline=None)
+def test_ids_lists_every_vertex_of_a_mask(mask, shift):
+    for m in (mask, mask << shift, 1 << shift | 1):
+        assert sorted(_ids(m)) == mask_to_ids(m)
