@@ -20,7 +20,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, compress
 from operator import and_, mul, or_
 
-from .graph import Graph, _above, complement, induced_sets, mask_from_ids
+from .graph import Graph, _ids, complement, induced_sets, mask_from_ids
 
 
 def _degree_key(h: Graph) -> tuple[int, ...]:
@@ -61,22 +61,6 @@ def _four_vertex_inclusion():
     inv = [[x if (sum(kj) - sum(ki)) % 4 == 0 else -x for kj, x in zip(classes, row)]
            for ki, row in zip(classes, m)]
     return tuple(classes), tuple(map(tuple, m)), tuple(map(tuple, inv))
-
-
-def _ids(mask: int) -> list[int]:
-    """The vertices of ``mask``, in no set order.  A dense mask is read by
-    one ``compress`` over its binary digits (:func:`_above`); a sparse one
-    a bit at a time from the top.  Each such step drops the top bit, so the
-    int shrinks as it goes, where a step from the bottom would copy all of
-    a wide row."""
-    if mask.bit_count() << 4 > mask.bit_length():
-        return list(_above(mask, -1, mask.bit_length()))
-    out = []
-    while mask:
-        top = mask.bit_length() - 1
-        out.append(top)
-        mask ^= 1 << top
-    return out
 
 
 def _spanning_counts(g: Graph) -> dict[tuple[int, ...], int]:

@@ -12,12 +12,14 @@ transpose.  Here k is 1 + the highest vertex that has, or is, a neighbour;
 the rows from k on are zero.  The rows are packed into one w x w bit matrix
 (w a power of two >= max(8, k)) and transposed in log2 w delta swaps by
 :func:`_transpose` only while the matrix stays within a fixed multiple of
-the rows' own bits (:func:`_packs`); past that, and whenever the two differ,
-a per-edge scan runs, which also names the first asymmetric pair.  So a
-graph costs time and memory linear in n plus its rows' bits: the two-line
-edge list "16000\\n0 15999\\n" takes one step per edge and packs no 16384 x
-16384 matrix.  :func:`induced_subgraph` relabels through the same
-transpose, at the width of the highest kept vertex, under the same rule.
+the rows' own bits and of their edges (:func:`_packs`); past that, and
+whenever the two differ, a per-edge scan runs, which also names the first
+asymmetric pair.  So a graph costs time and memory linear in n plus its
+rows' bits: the two-line edge list "16000\\n0 15999\\n" takes one step per
+edge and packs no 16384 x 16384 matrix, and neither does a wide sparse
+graph whose rows reach high vertices.  :func:`induced_subgraph` relabels
+through the same transpose, at the width of the highest kept vertex, under
+the same rule.
 
 Edge lists are read by :func:`load_graph_text`, which tries one fast pass
 for clean text (:func:`_clean_edge_list`) and otherwise leaves the text to
@@ -30,8 +32,13 @@ induced-isomorphic vertex subset contributes |Aut(H)| to the total).  It
 computes that number as |Aut(H)| times the count of maps that also meet
 symmetry-breaking order constraints (phi(v) < phi(u)) read off a stabilizer
 chain of Aut(H), which enumerate each such vertex subset exactly once.
-A 4-vertex H other than K4 and the empty graph is counted instead from
-codegrees and one backtracked K4 count, in :mod:`rpt.fourvertex`.
+Some patterns take other routes.  K3 is counted by :func:`triangles`, one
+pass over the upper rows, and the empty graph on three vertices as K3 in
+the complement.  A 4-vertex H other than K4 and the empty graph is counted
+from codegrees and one backtracked K4 count, in :mod:`rpt.fourvertex`.  P5
+on a host with at most half the pairs as edges, and the house on one with
+at least half, are counted from induced cherries and one backtracked C5
+count, in :mod:`rpt.fivepath`.
 :func:`count_embeddings_into_parts` shares the backtracking routine with
 no order constraints.
 """
@@ -79,6 +86,22 @@ def _above(row: int, u: int, n: int):
     """The vertices v > u of ``row`` (v < n), in increasing order: one
     ``compress`` over the reversed binary digits, no Python step per bit."""
     return compress(range(u + 1, n), bin(row >> (u + 1))[:1:-1].encode().translate(_SELECTORS))
+
+
+def _ids(mask: int) -> list[int]:
+    """The vertices of ``mask``, in no set order.  A dense mask is read by
+    one ``compress`` over its binary digits (:func:`_above`); a sparse one
+    a bit at a time from the top.  Each such step drops the top bit, so the
+    int shrinks as it goes, where a step from the bottom would copy all of
+    a wide row."""
+    if mask.bit_count() << 4 > mask.bit_length():
+        return list(_above(mask, -1, mask.bit_length()))
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    return out
 
 
 def _width(n: int) -> int:
@@ -137,19 +160,24 @@ def _transpose(x: int, w: int) -> int:
 
 
 # The packed matrix is used only while its w**2 bits are at most this many
-# times the bits of the rows it packs.  Past that, a step per edge costs
-# less memory, and, since there are no more edges than the rows have bits,
-# at most about eight times the time: on a 2-CPU x86-64 host with CPython
-# 3.11, one step takes about 400 ns, and the swaps about 3 ns per matrix
-# bit at w >= 256.
+# times the bits of the rows it packs, and at most 8 times this many times
+# the rows' set bits (their edges).  On a 2-CPU x86-64 host with CPython
+# 3.11, a step per edge takes about 400 ns and the swaps about 3 ns per
+# matrix bit at w >= 256, so the second bound, 128 matrix bits per edge, is
+# where the two cost about the same; the first keeps memory linear in the
+# rows' bits.  A sparse row with one high neighbour has a long bit length
+# and few set bits: only the second bound sends such graphs to the steps.
 _PACK_RATIO = 16
 
 
 def _packs(rows, w: int) -> bool:
     """Does the w x w matrix of ``rows`` stay within :data:`_PACK_RATIO`
-    times the rows' own bits?  The one rule between packing and a step per
-    edge, for the symmetry check, the loader's mirror and relabelling."""
-    return w * w <= _PACK_RATIO * sum(map(int.bit_length, rows))
+    times the rows' own bits, and within 8 times that ratio per set bit?
+    The one rule between packing and a step per edge, for the symmetry
+    check, the loader's mirror and relabelling."""
+    return w * w <= _PACK_RATIO * min(
+        sum(map(int.bit_length, rows)), 8 * sum(map(int.bit_count, rows))
+    )
 
 
 def _transposed_rows(rows: list[int], w: int, ids) -> list[int]:
@@ -873,22 +901,44 @@ def induced_sets(g: Graph, h: Graph, within: int | None = None) -> int:
     return _count_backtrack(g, _links(h, order, less), None if within is None else [within] * h.n)
 
 
+def triangles(g: Graph) -> int:
+    """The triangles of G, in one pass over the upper rows N+(u) (the
+    neighbours above u): each is found once, from its lowest vertex u and its
+    middle vertex v, as a bit of N+(u) & N+(v)."""
+    up = [row & -(2 << u) for u, row in enumerate(g.adj)]
+    return sum(
+        sum(map(int.bit_count, map(a.__and__, map(up.__getitem__, _ids(a))))) for a in up if a
+    )
+
+
 def count_induced_copies(g: Graph, pat: Pattern) -> int:
     """Number of injective maps preserving adjacency and non-adjacency.
 
     The vertex sets that induce a copy of H are counted, and the count is
     multiplied by |Aut(H)|; the result is still the number of labelled
-    maps.  A 4-vertex H other than K4 and the empty graph is counted from
-    codegrees (:func:`rpt.fourvertex.induced_four_sets`); every other H
+    maps.  K3 and the empty graph on three vertices are counted by
+    :func:`triangles` on G and on its complement; a 4-vertex H other than K4
+    and the empty graph from codegrees
+    (:func:`rpt.fourvertex.induced_four_sets`); a 5-vertex H with four or
+    six edges by :func:`rpt.fivepath.induced_five_sets`, which counts P5
+    and the house from induced cherries on the sparser side; every other H
     goes to the backtracker (:func:`induced_sets`).
     """
     h = pat.graph
     aut = _symmetry(h)[0]
-    if h.n == 4 and 0 < h.edge_count() < 6:
+    e = h.edge_count()
+    if h.n == 3 and e in (0, 3):
+        return aut * triangles(g if e else complement(g))
+    if h.n == 4 and 0 < e < 6:
         # imported here: a run that counts no 4-vertex pattern never compiles it
         from .fourvertex import induced_four_sets
 
         return aut * induced_four_sets(g, h)
+    if h.n == 5 and e in (4, 6):
+        # P5 and the house have four and six edges; the module tells them apart
+        from .fivepath import induced_five_sets
+
+        return aut * induced_five_sets(g, h)
     return aut * induced_sets(g, h)
 
 

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 from conftest import all_small_patterns, peeling_graphs, random_graph, random_pattern, wide_graphs
 import rpt.graph
 from rpt.adversarial import naive_count
-from rpt.fourvertex import _degree_key, _four_vertex_inclusion, _ids, _spanning_counts
+import rpt.fivepath
+from rpt.fivepath import is_path, path_sets
+from rpt.fourvertex import _degree_key, _four_vertex_inclusion, _spanning_counts
 from rpt.graph import (
     _clean_edge_list,
+    _ids,
     _packs,
     _swap_masks,
     _symmetry,
@@ -41,6 +44,7 @@ from rpt.graph import (
     peel_order,
     to_edge_list,
     to_graph6,
+    triangles,
     with_at_least,
 )
 
@@ -746,13 +750,20 @@ def test_packed_and_per_edge_paths_agree(n, p, seed, ratio):
             assert str(got.value) == str(want.value)
 
 
+# Vertices 0..299 joined to 3700..3999: 90,000 edges, which pack a 4096 x
+# 4096 matrix under both bounds of _packs (a 300-edge star at vertex 3999
+# has the bit lengths for it, but too few edges).
+WIDE_PACKED = [(u, v) for u in range(300) for v in range(3700, 4000)]
+
+
 def test_wide_transpose_masks_are_not_kept():
     # the delta-swap masks of w = 4096 take 24 MiB; only widths up to 1024
     # stay cached, among them w = 512 for count's G(500, 1/2)
-    # (one edge packs no matrix at all; 300 edges to vertex 3999 pack one)
-    star = [(v, 3999) for v in range(300)]
-    assert _packs(Graph.from_edges(4000, star).adj, 4096)
-    for build in [lambda: load_graph_text("4000\n0 3999\n"), lambda: Graph.from_edges(4000, star)]:
+    # (one edge packs no matrix at all; WIDE_PACKED packs one)
+    assert _packs(Graph.from_edges(4000, WIDE_PACKED).adj, 4096)
+    assert not _packs(Graph.from_edges(4000, [(v, 3999) for v in range(300)]).adj, 4096)
+    for build in [lambda: load_graph_text("4000\n0 3999\n"),
+                  lambda: Graph.from_edges(4000, WIDE_PACKED)]:
         _swap_masks.cache_clear()
         tracemalloc.start()
         try:
@@ -762,16 +773,16 @@ def test_wide_transpose_masks_are_not_kept():
         finally:
             tracemalloc.stop()
         assert kept_mib < 2
-    Graph.path(500)
-    Graph.path(500)
+    # a 500-vertex path now takes the per-edge steps; the complete graph packs
+    Graph.complete(500)
+    Graph.complete(500)
     assert _swap_masks.cache_info().hits == 1
 
 
 def test_wide_transpose_builds_one_mask_at_a_time():
     # the 12 masks of w = 4096 take 2 MiB each; built all at once they put
     # this 2 MiB matrix's check at a 34 MiB peak
-    star = [(v, 3999) for v in range(300)]
-    assert _peak_mib(lambda: Graph.from_edges(4000, star)) < 20
+    assert _peak_mib(lambda: Graph.from_edges(4000, WIDE_PACKED)) < 20
 
 
 # The Matula-Beck bucket queue that peel_order ran before it kept its
@@ -869,6 +880,8 @@ ASYMMETRIC = Pattern.of(
 )
 
 
+P5 = Graph.path(5)
+HOUSE = complement(P5)
 TWO_K2 = Pattern.of(Graph.from_edges(4, [(0, 1), (2, 3)]))
 K1_K3 = Pattern.of(Graph.from_edges(4, [(1, 2), (1, 3), (2, 3)]))
 
@@ -946,7 +959,7 @@ def test_count_edge_cases():
     assert count_induced_copies(g, relabelled) == want == count_induced_copies(g, Pattern.of(c5))
 
 
-@pytest.mark.parametrize("name", ["K3", "P4", "C4", "C5", "2K2", "asymmetric"])
+@pytest.mark.parametrize("name", ["K3", "P4", "C4", "C5", "P5", "house", "2K2", "asymmetric"])
 def test_count_matches_networkx_graph_matcher(name):
     """A third, independent counting oracle: networkx's node-induced
     subgraph isomorphisms, each one a labelled induced copy."""
@@ -959,7 +972,8 @@ def test_count_matches_networkx_graph_matcher(name):
         out.add_edges_from(g.edges())
         return out
 
-    pat = {"asymmetric": ASYMMETRIC, "2K2": TWO_K2}.get(name) or named_pattern(name)
+    pat = {"asymmetric": ASYMMETRIC, "2K2": TWO_K2, "house": Pattern.of(HOUSE)}.get(
+        name) or named_pattern(name)
     hx = to_nx(pat.graph)
     if name == "asymmetric":
         assert sum(1 for _ in GraphMatcher(hx, hx).isomorphisms_iter()) == 1
@@ -1091,3 +1105,106 @@ def test_four_vertex_counts_on_a_wide_sparse_host():
 def test_ids_lists_every_vertex_of_a_mask(mask, shift):
     for m in (mask, mask << shift, 1 << shift | 1):
         assert sorted(_ids(m)) == mask_to_ids(m)
+
+
+# ------------------------------------------------- P5, the house and triangles
+
+# Same degree sequences as P5 and the house, and not isomorphic to either.
+K3_K2 = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+K2_3 = Graph.from_edges(5, [(u, v) for u in range(2) for v in range(2, 5)])
+
+
+def test_path_test_is_exact():
+    """is_path holds for P5 in every labelling and for no other of the 34
+    classes on five vertices, K3 + K2 (P5's degree sequence) among them."""
+    assert _degree_key(K3_K2) == _degree_key(P5) and _degree_key(K2_3) == _degree_key(HOUSE)
+    five = [pat.graph for pat in all_small_patterns(5) if pat.size == 5]
+    assert len(five) == 34 and sum(map(is_path, five)) == 1
+    for perm in permutations(range(5)):
+        assert is_path(Graph.from_edges(5, [(perm[u], perm[v]) for u, v in P5.edges()]))
+    assert not is_path(K3_K2) and not is_path(HOUSE) and not is_path(Graph.path(4))
+
+
+@given(
+    st.integers(0, 14),
+    st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]),
+    st.integers(0, 10**6),
+    st.sampled_from([P5, HOUSE]),
+    st.permutations(range(5)),
+)
+@settings(max_examples=80, deadline=None)
+def test_path_and_house_counts_match_the_oracles(n, p, seed, base, perm):
+    """P5 or the house, in a shuffled labelling, on hosts with n < 5 up to
+    14: count_induced_copies equals the backtracker and naive_count, on G
+    and, as the complement pattern, on its complement.  The cherry identity
+    called directly holds on both sides, the denser one included."""
+    g = random_graph(n, p, seed)
+    h = Graph.from_edges(5, [(perm[u], perm[v]) for u, v in base.edges()])
+    want = backtrack_copies(g, h)
+    assert count_induced_copies(g, Pattern.of(h)) == want == naive_count(g, Pattern.of(h))
+    assert count_induced_copies(complement(g), Pattern.of(complement(h))) == want
+    for side in (g, complement(g)):
+        assert path_sets(side) == induced_sets(side, P5)
+
+
+@pytest.mark.parametrize("n,p", [(30, 0.8), (40, 0.6), (25, 0.95)])
+def test_path_identity_holds_on_dense_hosts(n, p):
+    for seed in range(2):
+        g = random_graph(n, p, seed)
+        assert path_sets(g) == induced_sets(g, P5)
+
+
+def test_the_path_route_runs_on_the_sparser_side_only():
+    """P5 takes the route on a host with at most half the pairs as edges,
+    the house on one with at least half (as P5 on the complement); P5 on a
+    denser host, the house on a sparser one, and their degree twins K3 + K2
+    and K2,3 stay on the backtracker."""
+    seen = []
+    sparse, dense = random_graph(12, 0.3, 1), random_graph(12, 0.7, 1)
+    half = Graph.cycle(5)  # five edges of ten pairs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rpt.fivepath, "path_sets", lambda g: seen.append(g.edge_count()) or 0)
+        for g, h, routed in [(sparse, P5, True), (dense, HOUSE, True), (dense, P5, False),
+                             (sparse, HOUSE, False), (half, P5, True), (half, HOUSE, True),
+                             (sparse, K3_K2, False), (dense, K2_3, False)]:
+            seen.clear()
+            count_induced_copies(g, Pattern.of(h))
+            m, pairs = g.edge_count(), g.n * (g.n - 1) // 2
+            assert seen == ([min(m, pairs - m)] if routed else []), (m, h.edges())
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_degree_twins_of_the_path_and_the_house_count_exactly(p):
+    """K3 + K2 and K2,3 share the degrees of P5 and the house; on either side
+    of density 1/2 their counts still match naive_count."""
+    total = 0
+    for seed in range(3):
+        g = random_graph(10, p, seed)
+        for h in (K3_K2, K2_3):
+            got = count_induced_copies(g, Pattern.of(h))
+            assert got == naive_count(g, Pattern.of(h)), (seed, h.edges())
+            total += got
+    assert total > 0
+
+
+@given(st.one_of(peeling_graphs(), wide_graphs()))
+@settings(max_examples=100, deadline=None)
+def test_triangle_pass_matches_the_backtracker(g):
+    k3, e3 = Graph.complete(3), Graph.empty(3)
+    assert triangles(g) == induced_sets(g, k3)
+    assert count_induced_copies(g, Pattern.of(k3)) == 6 * induced_sets(g, k3)
+    assert count_induced_copies(g, Pattern.of(e3)) == 6 * induced_sets(g, e3)
+
+
+def test_wide_sparse_random_graphs_take_the_per_edge_steps():
+    """8,000 vertices and 16,000 random edges: the rows' bit lengths allow an
+    8192 x 8192 matrix (8 MiB), their edges do not, so the symmetry check
+    takes a step per edge.  count's sparsest host, G(80, 1/10), still packs."""
+    rng = random.Random(8000)
+    edges = set()
+    while len(edges) < 16000:
+        edges.add(tuple(sorted(rng.sample(range(8000), 2))))
+    rows = list(Graph.from_edges(8000, sorted(edges)).adj)
+    assert not _packs(rows, 8192)
+    assert _peak_mib(lambda: Graph(8000, tuple(rows))) < 2
+    assert _packs(random_graph(80, 0.1, 1).adj, 128)
