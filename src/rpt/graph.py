@@ -844,7 +844,14 @@ def _count_backtrack(g: Graph, links, parts: list[int] | None) -> int:
     neighbours of x, or its non-neighbours other than x, cut to the ids
     above x (``& -(2 << x)``) or below it (``& (1 << x) - 1``) when an order
     constraint ties the two positions.  Both rows exclude x, so injectivity
-    needs no used set.  The last position is counted with ``bit_count``.
+    needs no used set.
+
+    The last three positions a, b, c run as one flat loop nest over plain
+    ints, with no call or list per node: each x open to a gives b's
+    candidates ``mb & rab[x]`` and c's mask ``mc & rac[x]`` (x is skipped
+    when either is empty), and each y among b's candidates adds
+    ``(m & rbc[y]).bit_count()``.  Two positions are one such inner loop;
+    every position above the last three is a recursive step.
     """
     hn = len(links)
     if hn > g.n:
@@ -866,19 +873,37 @@ def _count_backtrack(g: Graph, links, parts: list[int] | None) -> int:
         return tables[edge, order]
 
     later = [[table(*link) for link in row] for row in links]
-    last = hn - 1
+    (rbc,) = later[-2]
+    if hn == 2:
+        cand, mc = masks
+        total = 0
+        while cand:
+            low = cand & -cand
+            total += (mc & rbc[low.bit_length() - 1]).bit_count()
+            cand ^= low
+        return total
+    a = hn - 3
+    rab, rac = later[a]
 
     def rec(k: int, masks: list[int]) -> int:
         cand, rest = masks[0], masks[1:]
-        rows = later[k]
         total = 0
-        if k + 1 == last:
-            (row,), (mask,) = rows, rest
+        if k == a:
+            mb, mc = rest
             while cand:
                 low = cand & -cand
-                total += (mask & row[low.bit_length() - 1]).bit_count()
+                x = low.bit_length() - 1
                 cand ^= low
+                cb = mb & rab[x]
+                if cb:
+                    m = mc & rac[x]
+                    if m:
+                        while cb:
+                            low = cb & -cb
+                            total += (m & rbc[low.bit_length() - 1]).bit_count()
+                            cb ^= low
             return total
+        rows = later[k]
         while cand:
             low = cand & -cand
             x = low.bit_length() - 1

@@ -2,7 +2,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,9 @@ from rpt.fivepath import is_path, path_sets
 from rpt.fourvertex import _degree_key, _four_vertex_inclusion, _spanning_counts
 from rpt.graph import (
     _clean_edge_list,
+    _count_backtrack,
     _ids,
+    _links,
     _packs,
     _swap_masks,
     _symmetry,
@@ -1208,3 +1210,179 @@ def test_wide_sparse_random_graphs_take_the_per_edge_steps():
     assert not _packs(rows, 8192)
     assert _peak_mib(lambda: Graph(8000, tuple(rows))) < 2
     assert _packs(random_graph(80, 0.1, 1).adj, 128)
+
+
+# ------------------------------------------------- the backtracker's loop nest
+
+
+def reference_backtrack(g: Graph, links, parts: list[int] | None) -> int:
+    """Injective maps phi meeting ``links``, placed one position at a time.
+
+    ``masks[m]`` holds the images still open to a later position m (capped
+    by ``parts[m]`` when parts are given).  Placing x at position k ANDs
+    each of them with the row of x in the table for the (k, m) link: the
+    neighbours of x, or its non-neighbours other than x, cut to the ids
+    above x (``& -(2 << x)``) or below it (``& (1 << x) - 1``) when an order
+    constraint ties the two positions.  Both rows exclude x, so injectivity
+    needs no used set.  The last position is counted with ``bit_count``.
+    """
+    # The recursive kernel that graph._count_backtrack replaced: one call and
+    # one list per node above the last position.  Kept as its oracle.
+    hn = len(links)
+    if hn > g.n:
+        return 0
+    full = g.full_mask
+    masks = [full] * hn if parts is None else parts
+    if hn == 1:
+        return masks[0].bit_count()
+    tables: dict[tuple[bool, int], list[int]] = {}
+
+    def table(edge: bool, order: int) -> list[int]:
+        if (edge, order) not in tables:
+            rows = g.adj if edge else [full ^ row ^ 1 << v for v, row in enumerate(g.adj)]
+            if order > 0:
+                rows = [row & -(2 << v) for v, row in enumerate(rows)]
+            elif order < 0:
+                rows = [row & (1 << v) - 1 for v, row in enumerate(rows)]
+            tables[edge, order] = rows
+        return tables[edge, order]
+
+    later = [[table(*link) for link in row] for row in links]
+    last = hn - 1
+
+    def rec(k: int, masks: list[int]) -> int:
+        cand, rest = masks[0], masks[1:]
+        rows = later[k]
+        total = 0
+        if k + 1 == last:
+            (row,), (mask,) = rows, rest
+            while cand:
+                low = cand & -cand
+                total += (mask & row[low.bit_length() - 1]).bit_count()
+                cand ^= low
+            return total
+        while cand:
+            low = cand & -cand
+            x = low.bit_length() - 1
+            new = [mask & row[x] for row, mask in zip(rows, rest)]
+            if all(new):
+                total += rec(k + 1, new)
+            cand ^= low
+        return total
+
+    return rec(0, masks)
+
+
+def maps_into_parts(g: Graph, pat: Pattern, parts) -> int:
+    """Labelled induced copies with phi(v_i) in parts[i-1], by enumerating
+    every tuple of the parts' product."""
+    order = pat.order
+    return sum(
+        len(set(phi)) == len(phi)
+        and all(
+            g.has_edge(phi[i], phi[j]) == pat.graph.has_edge(order[i], order[j])
+            for i, j in combinations(range(len(phi)), 2)
+        )
+        for phi in product(*map(mask_to_ids, parts))
+    )
+
+
+@given(st.integers(1, 6), st.integers(0, 16), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+       st.integers(0, 10**6), st.sampled_from(["none", "disjoint", "within"]), st.data())
+@settings(max_examples=400, deadline=None)
+def test_loop_nest_matches_the_recursive_backtracker(h, n, p, seed, kind, data):
+    """Any pattern on 1 to 6 vertices, placed in any position order with the
+    symmetry-breaking constraints of :func:`_symmetry`, on hosts with n = 0
+    to 16: the loop nest counts what the recursive kernel counts, without
+    parts, with random disjoint parts (some of them empty) and with one
+    shared ``within`` mask."""
+    pairs = list(combinations(range(h), 2))
+    bits = data.draw(st.integers(0, (1 << len(pairs)) - 1), label="edges")
+    pattern = Graph.from_edges(h, [e for i, e in enumerate(pairs) if bits >> i & 1])
+    order = data.draw(st.permutations(range(h)), label="order")
+    links = _links(pattern, order, _symmetry(pattern)[2])
+    g = random_graph(n, p, seed)
+    if kind == "none":
+        parts = None
+    elif kind == "disjoint":
+        labels = data.draw(st.lists(st.integers(-1, h - 1), min_size=n, max_size=n), label="labels")
+        parts = [mask_from_ids(v for v, i in enumerate(labels) if i == k) for k in range(h)]
+    else:
+        parts = [data.draw(st.integers(0, g.full_mask), label="within")] * h
+    want = reference_backtrack(g, links, None if parts is None else list(parts))
+    assert _count_backtrack(g, links, None if parts is None else list(parts)) == want
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_backtracker_at_one_two_and_three_positions(h):
+    """Three positions are the fewest that reach the loop nest; one and two
+    are counted before it.  Every pattern of each size, on hosts of 0 to 9
+    vertices, whole and cut into disjoint parts."""
+    for pat in [q for q in all_small_patterns(3) if q.size == h]:
+        for n, p, seed in ((0, 0.5, 0), (1, 0.5, 0), (2, 1.0, 0), (3, 0.0, 0), (7, 0.5, 1),
+                           (9, 0.3, 2), (9, 0.8, 3)):
+            g = random_graph(n, p, seed)
+            assert _symmetry(pat.graph)[0] * induced_sets(g, pat.graph) == naive_count(g, pat)
+            rng = random.Random(seed)
+            labels = [rng.randrange(-1, h) for _ in range(n)]
+            parts = [mask_from_ids(v for v, i in enumerate(labels) if i == k) for k in range(h)]
+            assert count_embeddings_into_parts(g, pat, parts) == maps_into_parts(g, pat, parts)
+
+
+def test_backtracker_with_more_positions_than_vertices():
+    for pat in all_small_patterns(5):
+        for n in range(pat.size):
+            g = random_graph(n, 0.5, n)
+            assert induced_sets(g, pat.graph) == 0 == naive_count(g, pat)
+            parts = [1 << k if k < n else 0 for k in range(pat.size)]
+            assert count_embeddings_into_parts(g, pat, parts) == 0
+
+
+def test_backtracker_with_an_empty_part():
+    """An empty part at any position gives no copy; refilled with one
+    vertex, the same parts give one copy per choice from the others."""
+    g = Graph.complete(12)
+    for size in (2, 3, 4, 5):
+        pat = Pattern.of(Graph.complete(size))
+        for k in range(size):
+            parts = [0 if i == k else 1 << i | 1 << (i + size) for i in range(size)]
+            assert count_embeddings_into_parts(g, pat, parts) == 0 == maps_into_parts(g, pat, parts)
+            parts[k] = 1 << (2 * size)
+            assert count_embeddings_into_parts(g, pat, parts) == 2 ** (size - 1)
+
+
+def test_backtracker_with_a_part_that_empties_at_the_last_position():
+    """The last position's part keeps a candidate until the position before
+    it is placed, and only then runs empty."""
+    k3 = Pattern.of(Graph.complete(3))
+    g = Graph.from_edges(4, [(0, 1), (0, 3)])
+    parts = [0b0001, 0b0010, 0b1100]
+    assert count_embeddings_into_parts(g, k3, parts) == 0 == maps_into_parts(g, k3, parts)
+    # K4: vertex 3 drops out at vertex 2, vertex 4 at vertex 1; vertex 5 stays
+    k4 = Pattern.of(Graph.complete(4))
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (2, 4)]
+    g = Graph.from_edges(6, edges)
+    parts = [0b0001, 0b0010, 0b0100, 0b11000]
+    assert count_embeddings_into_parts(g, k4, parts) == 0 == maps_into_parts(g, k4, parts)
+    g = Graph.from_edges(6, edges + [(0, 5), (1, 5), (2, 5)])
+    parts[3] |= 1 << 5
+    assert count_embeddings_into_parts(g, k4, parts) == 1 == maps_into_parts(g, k4, parts)
+
+
+def test_within_that_cuts_every_candidate_at_the_second_to_last_position():
+    """K3 inside an independent set, and K4 inside a perfect matching: each
+    first vertex leaves the next position open, and every candidate there
+    leaves the second-to-last position nothing.  The clique outside the
+    mask is still counted without it."""
+    matching = [(2 * i, 2 * i + 1) for i in range(4)]
+    clique = [(u, v) for u in range(8, 12) for v in range(u + 1, 12)]
+    g = Graph.from_edges(12, matching + clique)
+    k3, k4 = Graph.complete(3), Graph.complete(4)
+    evens = mask_from_ids(range(0, 8, 2))
+    assert induced_sets(g, k3, within=evens) == 0 == induced_sets(g, Graph.complete(2), within=evens)
+    assert induced_sets(g, k4, within=0xFF) == 0 and induced_sets(g, Graph.complete(2), within=0xFF) == 4
+    assert induced_sets(g, k3) == 4 and induced_sets(g, k4) == 1
+    for h, within in ((k3, evens), (k4, 0xFF), (k4, 0xFFF)):
+        pat = Pattern.of(h)
+        sub, _ = induced_subgraph(g, within)
+        assert _symmetry(h)[0] * induced_sets(g, h, within=within) == naive_count(sub, pat)
