@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import serialize
@@ -174,11 +175,10 @@ def parse_args(argv) -> argparse.Namespace:
     return args
 
 
-def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
-    if args.json:
-        print(serialize.dumps(payload))
-    else:
-        print(human)
+def _emit(args: argparse.Namespace, payload: Callable[[], dict], human: Callable[[], str]) -> None:
+    """Print the JSON payload under --json, else the human text.  Both are
+    zero-argument builders, and only the one printed is called."""
+    print(serialize.dumps(payload()) if args.json else human())
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -187,8 +187,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     value = count_induced_copies(g, pat)
     _emit(
         args,
-        {"kind": "count", "value": str(value), "n": g.n, "h": pat.size},
-        f"ind = {value} (graph on {g.n} vertices, pattern on {pat.size})",
+        lambda: {"kind": "count", "value": str(value), "n": g.n, "h": pat.size},
+        lambda: f"ind = {value} (graph on {g.n} vertices, pattern on {pat.size})",
     )
     return 0
 
@@ -225,8 +225,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     detail = v.clause or v.detail
     _emit(
         args,
-        {"kind": "check_result", "certificate": kind, "ok": v.ok, "detail": detail},
-        f"{kind}: {'VERIFIED' if v.ok else 'FAILED'}" + (f" ({detail})" if detail else ""),
+        lambda: {"kind": "check_result", "certificate": kind, "ok": v.ok, "detail": detail},
+        lambda: f"{kind}: {'VERIFIED' if v.ok else 'FAILED'}"
+        + (f" ({detail})" if detail else ""),
     )
     return 0 if v.ok else 2
 
@@ -242,17 +243,16 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             depth = args.depth if args.depth is not None else depth_for(min(args.eps, eps2))
             budget = ExtractionBudget.practical(args.eps, eps2, depth, h=pat.size)
         res = find_low_or_high_density_subset(g, pat, budget)
-        payload = {
-            "kind": "density_subset",
-            "vertices": mask_to_ids(res.vertices),
-            "side": res.side,
-            "guaranteed": res.guaranteed,
-            "density": format_fraction(edge_density(g, res.vertices)),
-        }
         _emit(
             args,
-            payload,
-            f"{res.side}-density subset of size {res.vertices.bit_count()} "
+            lambda: {
+                "kind": "density_subset",
+                "vertices": mask_to_ids(res.vertices),
+                "side": res.side,
+                "guaranteed": res.guaranteed,
+                "density": format_fraction(edge_density(g, res.vertices)),
+            },
+            lambda: f"{res.side}-density subset of size {res.vertices.bit_count()} "
             f"(guaranteed: {res.guaranteed})",
         )
         return 0
@@ -263,19 +263,22 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         )
     if args.op == "restricted":
         t = extract_restricted_exact(g, pat, args.eps, args.delta, depth=args.depth)
-        payload = {
-            "kind": "restricted_set",
-            "vertices": mask_to_ids(t),
-            "eps": format_fraction(args.eps),
-            "size": t.bit_count(),
-        }
-        _emit(args, payload, f"eps-restricted set of size {t.bit_count()}")
+        _emit(
+            args,
+            lambda: {
+                "kind": "restricted_set",
+                "vertices": mask_to_ids(t),
+                "eps": format_fraction(args.eps),
+                "size": t.bit_count(),
+            },
+            lambda: f"eps-restricted set of size {t.bit_count()}",
+        )
         return 0
     pc = peel_chain(g, pat, args.eps, args.eta, args.delta)
     _emit(
         args,
-        serialize.peel_chain_to_json(pc),
-        f"{pc.length} peels, leftover {pc.leftover.bit_count()} "
+        lambda: serialize.peel_chain_to_json(pc),
+        lambda: f"{pc.length} peels, leftover {pc.leftover.bit_count()} "
         f"(phi bound {pc.phi_bound}, guaranteed: {pc.guaranteed})",
     )
     return 0
@@ -300,25 +303,31 @@ def _cmd_keylemma(args: argparse.Namespace) -> int:
     params = _key_params(args, pat, g)
     res = run_key_lemma(g, pat, params, args.d)
     if isinstance(res, BlowupFound):
-        payload = serialize.blowup_found_to_json(res)
         _emit(
             args,
-            payload,
-            f"blowup found: {res.copy_count} labeled copies (bound {res.copy_bound})",
+            lambda: serialize.blowup_found_to_json(res),
+            lambda: f"blowup found: {res.copy_count} labeled copies (bound {res.copy_bound})",
         )
         return 0
-    payload = serialize.key_result_to_json(res)
-    if args.transcript:
-        payload["transcript"] = [serialize.step_record_to_json(r) for r in res.transcript]
-    human = (
-        f"removed {res.removed.bit_count()} <= d={args.d}; "
-        f"{len(res.pairs)} pairs, {len(res.singles)} singles"
-    )
-    if args.transcript and not args.json:
-        # one JSON line per step so the run can be re-verified externally
-        human += "\n" + "\n".join(
-            serialize.dumps(serialize.step_record_to_json(r)) for r in res.transcript
+
+    def payload() -> dict:
+        out = serialize.key_result_to_json(res)
+        if args.transcript:
+            out["transcript"] = [serialize.step_record_to_json(r) for r in res.transcript]
+        return out
+
+    def human() -> str:
+        text = (
+            f"removed {res.removed.bit_count()} <= d={args.d}; "
+            f"{len(res.pairs)} pairs, {len(res.singles)} singles"
         )
+        if args.transcript:
+            # one JSON line per step so the run can be re-verified externally
+            text += "\n" + "\n".join(
+                serialize.dumps(serialize.step_record_to_json(r)) for r in res.transcript
+            )
+        return text
+
     _emit(args, payload, human)
     return 0
 
@@ -333,8 +342,8 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
     res = run_main_theorem(g, pat, args.eps, args.d, key)
     _emit(
         args,
-        serialize.removal_result_to_json(res),
-        f"removed {res.removed.bit_count()} <= d={args.d}; "
+        lambda: serialize.removal_result_to_json(res),
+        lambda: f"removed {res.removed.bit_count()} <= d={args.d}; "
         f"{len(res.partition.parts)} eps-restricted parts (bound {res.partition.bound})",
     )
     return 0
@@ -356,28 +365,32 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(edge_list)
-    payload = {
-        "kind": "hard_instance",
-        "core": mask_to_ids(inst.core),
-        "spec": {
-            "N": args.big_n,
-            "m": args.m,
-            "n": args.n,
-            "eps": format_fraction(args.eps),
-            "pattern": args.pattern,
-            "seed": args.seed,
-        },
-        "resamples": inst.resamples,
-        "core_exactly_verified": inst.core_exactly_verified,
-        "verified_clauses": report["clauses"],
-        "ok": report["ok"],
-    }
-    if not args.out:
-        payload["edge_list"] = edge_list
+
+    def payload() -> dict:
+        out = {
+            "kind": "hard_instance",
+            "core": mask_to_ids(inst.core),
+            "spec": {
+                "N": args.big_n,
+                "m": args.m,
+                "n": args.n,
+                "eps": format_fraction(args.eps),
+                "pattern": args.pattern,
+                "seed": args.seed,
+            },
+            "resamples": inst.resamples,
+            "core_exactly_verified": inst.core_exactly_verified,
+            "verified_clauses": report["clauses"],
+            "ok": report["ok"],
+        }
+        if not args.out:
+            out["edge_list"] = edge_list
+        return out
+
     _emit(
         args,
         payload,
-        f"hard instance on {args.n} vertices (core {args.m}), "
+        lambda: f"hard instance on {args.n} vertices (core {args.m}), "
         f"verification {'OK' if report['ok'] else 'FAILED'}",
     )
     return 0 if report["ok"] else 2
@@ -385,9 +398,11 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 def _cmd_constants(args: argparse.Namespace) -> int:
     led = build_ledger(args.h, args.eps, args.eta, args.theta)
-    payload = {"kind": "constants", "h": args.h, "entries": led.as_dict()}
-    lines = [f"{name}: {entry.describe()}" for name, entry in led.entries.items()]
-    _emit(args, payload, "\n".join(lines))
+    _emit(
+        args,
+        lambda: {"kind": "constants", "h": args.h, "entries": led.as_dict()},
+        lambda: "\n".join(f"{name}: {entry.describe()}" for name, entry in led.entries.items()),
+    )
     return 0
 
 
@@ -414,32 +429,42 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 value = min_removal_oracle(g, args.n_parts, args.eps)[0]
             rows.append(f"{seed},{n},{value}")
         body = "\n".join(rows)
-        _emit(args, {"kind": "oracle_sweep", "csv": body}, body)
+        _emit(args, lambda: {"kind": "oracle_sweep", "csv": body}, lambda: body)
         return 0
     if not args.graph:
         raise ValueError("oracle needs --graph (or --sweep)")
     g = _load_graph(args.graph)
     if args.op == "count":
         value = naive_count(g, _load_pattern(args.pattern or "K2"))
-        _emit(args, {"kind": "oracle_count", "value": str(value)}, f"naive count = {value}")
+        _emit(
+            args,
+            lambda: {"kind": "oracle_count", "value": str(value)},
+            lambda: f"naive count = {value}",
+        )
         return 0
     if args.op == "n-restricted":
         ok, parts = exact_n_restricted(g, args.n_parts, args.eps)
-        payload = {
-            "kind": "oracle_n_restricted",
-            "ok": ok,
-            "parts": None if parts is None else [mask_to_ids(p) for p in parts],
-        }
-        _emit(args, payload, f"({args.n_parts}, {args.eps})-restricted: {ok}")
+        _emit(
+            args,
+            lambda: {
+                "kind": "oracle_n_restricted",
+                "ok": ok,
+                "parts": None if parts is None else [mask_to_ids(p) for p in parts],
+            },
+            lambda: f"({args.n_parts}, {args.eps})-restricted: {ok}",
+        )
         return 0
     size, removed, parts = min_removal_oracle(g, args.n_parts, args.eps)
-    payload = {
-        "kind": "oracle_min_removal",
-        "size": size,
-        "removed": mask_to_ids(removed),
-        "parts": [mask_to_ids(p) for p in parts],
-    }
-    _emit(args, payload, f"minimum removal = {size}")
+    _emit(
+        args,
+        lambda: {
+            "kind": "oracle_min_removal",
+            "size": size,
+            "removed": mask_to_ids(removed),
+            "parts": [mask_to_ids(p) for p in parts],
+        },
+        lambda: f"minimum removal = {size}",
+    )
     return 0
 
 

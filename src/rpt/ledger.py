@@ -15,6 +15,9 @@ bound and ``saturated`` is set.  Upper bounds are sound for every use the
 runtime makes of these constants (all are of the form "is v * size below
 1").  phi(delta', eta') and N are the exceptions: without an exact value
 their ``log2`` is a lower bound, which is what count comparisons need.
+phi's denominator -ln(1-delta') skips log1p when delta' < 2^-(prec+2): the
+series' tail is then below rounding, so the answer is delta' itself,
+exactly (see :func:`phi_entry`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,12 @@ from .fullpair import gamma
 from .values import LogValue, ceil_frac, scalar_min
 
 
+def _minus_ln_one_minus(log2: mpmath.mpf) -> mpmath.mpf:
+    """-ln(1 - 2^log2) at the working precision (see :func:`phi_entry`)."""
+    x = mpmath.power(2, log2)
+    return x if log2 < -(mpmath.mp.prec + 2) else -mpmath.log1p(-x)
+
+
 def phi_entry(delta: LogValue, eta: LogValue) -> LogValue:
     """phi(delta, eta): least p >= 1 with (1-delta)^p <= eta.
 
@@ -38,12 +47,17 @@ def phi_entry(delta: LogValue, eta: LogValue) -> LogValue:
     that reach this path is accurate far beyond the ledger's tolerance, or,
     when delta or eta is saturated (only an upper bound), phi_lower_bound.
     Neither is marked saturated, since neither is an upper bound.
+
+    The denominator -ln(1-delta) is x(1 + x/2 + x^2/3 + ...) for
+    x = 2^delta.log2.  Once x < 2^-(prec+2) the tail is below a quarter of
+    a unit in the last place of x, so the result rounds to x itself and
+    x is used without calling log1p: the same mpf, not an approximation.
     """
     if delta.exact is not None and eta.exact is not None and delta.exact >= Fraction(1, 10**6):
         return LogValue.of(phi(delta.exact, eta.exact))
     if delta.saturated or eta.saturated:
         return phi_lower_bound(delta, eta)
-    denom = -mpmath.log1p(-mpmath.power(2, delta.log2))  # -ln(1-delta) at mpf scale
+    denom = _minus_ln_one_minus(delta.log2)
     return LogValue(mpmath.log(-eta.log2 * mpmath.log(2) / denom, 2))
 
 
