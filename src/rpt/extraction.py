@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import comb
 
@@ -79,8 +80,12 @@ class ExtractionInfeasible(RuntimeError):
     """Requested size/parameter combination cannot be met at this scale."""
 
 
+@lru_cache(maxsize=16)
 def phi(delta: Fraction, eta: Fraction) -> int:
-    """Least integer p >= 1 with (1-delta)^p <= eta, decided exactly."""
+    """Least integer p >= 1 with (1-delta)^p <= eta, decided exactly.
+
+    Cached: one run asks for the same (delta', eta') in the peel chain, its
+    self-check and each key-lemma bound."""
     if not (0 < delta < 1 and 0 < eta < 1):
         raise ValueError("phi needs delta, eta in (0,1)")
     return least_power(1 - delta, eta)

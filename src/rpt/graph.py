@@ -24,6 +24,9 @@ the same rule.
 Edge lists are read by :func:`load_graph_text`, which tries one fast pass
 for clean text (:func:`_clean_edge_list`) and otherwise leaves the text to
 the line parser :func:`from_edge_list`, the one source of parse errors.
+The fast pass reads the edge lines in windows of a fixed number of
+characters, so a load holds the text plus one window's ids, then the
+rows' bits.
 
 A *copy* of a pattern H in G is an injective map phi from the pattern
 vertices into V(G) that preserves both adjacency and non-adjacency; the
@@ -33,7 +36,7 @@ computes that number as |Aut(H)| times the count of maps that also meet
 symmetry-breaking order constraints (phi(v) < phi(u)) read off a stabilizer
 chain of Aut(H), which enumerate each such vertex subset exactly once.
 Some patterns take other routes.  K3 is counted by :func:`triangles`, one
-pass over the upper rows, and the empty graph on three vertices as K3 in
+pass over the lower rows, and the empty graph on three vertices as K3 in
 the complement.  A 4-vertex H other than K4 and the empty graph is counted
 from codegrees and one backtracked K4 count, in :mod:`rpt.fourvertex`.  P5
 on a host with at most half the pairs as edges, and the house on one with
@@ -631,6 +634,26 @@ def to_graph6(g: Graph) -> str:
 # Both separators of an edge list, as the commas of one JSON array.
 _COMMAS = str.maketrans(" \n", ",,")
 
+# The edge lines are read in windows of at least this many characters, each
+# cut at a "\n", so a load holds the text and one window's ids at a time.
+_WINDOW = 1 << 17
+
+
+def _read_window(rows: list[int], body: str, top: int) -> int:
+    """Set the bits of the edge lines ``body`` (no final "\\n") in ``rows``;
+    return their number, or 0 if the skeleton or an id >= ``top`` rejects
+    them.  The ids are freed on return, before the next window is read."""
+    k = body.count("\n") + 1
+    if body.encode("ascii").translate(None, b"0123456789") != (b" \n" * k)[:-1]:
+        return 0
+    ids = json.loads("[" + body.translate(_COMMAS) + "]")
+    if max(ids) >= top:
+        return 0
+    pairs = iter(ids)
+    for u, v in zip(pairs, pairs):
+        rows[u] |= 1 << v
+    return k
+
 
 def _clean_edge_list(text: str) -> Graph | None:
     """The graph of a clean edge list, or None for :func:`from_edge_list` to parse.
@@ -641,18 +664,21 @@ def _clean_edge_list(text: str) -> Graph | None:
     separated by "\\n", and at most one final "\\n".  On such text the two
     parsers agree.  Anything else returns None, so the line parser stays
     the one source of error messages.  The count line must read back as
-    ``str(int(...))``.  The edge lines are then checked and parsed as a
-    whole, and an edge costs one Python step only to set its bit.  Each
-    malformed form fails one step:
+    ``str(int(...))``.  The edge lines are then read in windows of whole
+    lines by :func:`_read_window`, each :data:`_WINDOW` characters and on to
+    the next "\\n", which it drops.  So besides the text a load holds its
+    rows and one window's ids at a time, and an edge costs one Python step
+    only to set its bit.  Each malformed form fails one step, the first
+    three in the window that holds it and the last two after the last one:
 
-    * the skeleton: with the digits deleted, the edge lines must read
-      " \\n" per line, without the final "\\n".  This rejects every other
-      character (a sign, a letter, ",", "[", ".", a tab, "\\r", a non-ASCII
-      digit), a blank line or a comment, a line without exactly one space,
-      and a second final "\\n";
-    * JSON: the ids, joined by commas into one array, must parse as JSON
-      integers, which rejects an empty id and a leading zero (and an id of
-      more digits than ``int`` reads);
+    * the skeleton: with the digits deleted, the window must read " \\n"
+      per line, without the last "\\n".  This rejects every other character
+      (a sign, a letter, ",", "[", ".", a tab, "\\r", a non-ASCII digit), a
+      blank line or a comment, a line without exactly one space, and a
+      second final "\\n";
+    * JSON: the window's ids, joined by commas into one array, must parse
+      as JSON integers, which rejects an empty id and a leading zero (and
+      an id of more digits than ``int`` reads);
     * the max check: an id at or above n, or at or above len(text), which
       is left to the line parser so that a short text costs no shift wider
       than itself;
@@ -665,31 +691,31 @@ def _clean_edge_list(text: str) -> Graph | None:
     """
     # The count line, and the edge lines without at most one final "\n".
     end = len(text) - text.endswith("\n")
+    # A "\n" before ``end`` ends the count line and starts at least one edge
+    # line, maybe empty; without one there are no edge lines.
     cut = text.find("\n", 0, end)
     if cut < 0:
-        head, body, lines = text[:end], "", 0
-    else:
-        head, body = text[:cut], text[cut + 1 : end]
-        lines = body.count("\n") + 1
+        cut = end
+    head = text[:cut]
+    lines = 0
     try:
         n = int(head)
         if n < 0 or str(n) != head:
             return None
-        if body.encode("ascii").translate(None, b"0123456789") != (b" \n" * lines)[:-1]:
-            return None
-        array = "[" + body.translate(_COMMAS) + "]"
-        del body  # each large string is freed before the next is made
-        ids = json.loads(array)
-        del array
-        if max(ids, default=-1) >= min(n, len(text)):
-            return None
+        top = min(n, len(text))
         rows = [0] * n
-        pairs = iter(ids)
-        for u, v in zip(pairs, pairs):
-            rows[u] |= 1 << v
+        start = cut + 1
+        while start <= end:
+            stop = text.find("\n", start + _WINDOW - 1, end)
+            if stop < 0:
+                stop = end
+            k = _read_window(rows, text[start:stop], top)
+            if not k:
+                return None
+            lines += k
+            start = stop + 1
     except (ValueError, OverflowError, MemoryError):
         return None
-    del ids, pairs  # freed before the matrix work, so the two peaks do not add up
     if sum(map(int.bit_count, rows)) != lines:
         return None
     # Every edge has u < v: no row from k on holds a bit, and the lowest bit
@@ -927,13 +953,20 @@ def induced_sets(g: Graph, h: Graph, within: int | None = None) -> int:
 
 
 def triangles(g: Graph) -> int:
-    """The triangles of G, in one pass over the upper rows N+(u) (the
-    neighbours above u): each is found once, from its lowest vertex u and its
-    middle vertex v, as a bit of N+(u) & N+(v)."""
-    up = [row & -(2 << u) for u, row in enumerate(g.adj)]
-    return sum(
-        sum(map(int.bit_count, map(a.__and__, map(up.__getitem__, _ids(a))))) for a in up if a
-    )
+    """The triangles of G, in one pass over the lower rows N-(u) (the
+    neighbours below u): each is found once, from its highest vertex u and
+    its middle vertex v, as a bit of N-(u) & N-(v).  The rows N-(v) of a
+    dense N-(u) are read by one ``compress`` over its digits, of a sparse
+    one through :func:`_ids`, under the rule :func:`_ids` uses."""
+    low = [row & (1 << u) - 1 for u, row in enumerate(g.adj)]
+    total = 0
+    for a in filter(None, low):
+        if a.bit_count() << 4 > a.bit_length():
+            rows = compress(low, bin(a)[:1:-1].encode().translate(_SELECTORS))
+        else:
+            rows = map(low.__getitem__, _ids(a))
+        total += sum(map(int.bit_count, map(a.__and__, rows)))
+    return total
 
 
 def count_induced_copies(g: Graph, pat: Pattern) -> int:

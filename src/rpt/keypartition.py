@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 from math import comb
 
@@ -75,16 +74,11 @@ class _PartBound:
     soundly also when delta'/eta' are known only on the log scale.  Mixed
     into the frozen dataclasses with fields h, delta_prime and eta_prime."""
 
-    @cached_property
-    def _phi(self) -> int | None:
-        # computed once per instance: the fields it reads are frozen
+    def phi_bound(self) -> int | None:
+        """phi(delta', eta') when exactly computable, else None (astronomical)."""
         if isinstance(self.delta_prime, Fraction) and isinstance(self.eta_prime, Fraction):
             return phi(self.delta_prime, self.eta_prime)
         return None
-
-    def phi_bound(self) -> int | None:
-        """phi(delta', eta') when exactly computable, else None (astronomical)."""
-        return self._phi
 
     def part_bound(self) -> int | None:
         """N = C(h,2) + (h-1)*phi(delta', eta') when exactly computable, else None."""

@@ -951,6 +951,26 @@ def test_removal_eps_outside_the_theorem_domain_exits_1(capsys, tmp_path, bad):
         1, "", "error: eps must lie in (0, 1/3)\n")
 
 
+@pytest.mark.parametrize("subcommand", ["theorem", "keylemma"])
+def test_one_run_decides_each_power_once(capsys, tmp_path, monkeypatch, subcommand):
+    """phi is cached, so one run calls least_power once per distinct (q, x):
+    the peel chain, its self-check and both key-lemma bounds used to decide
+    the same phi(delta', eta') again, five calls for two pairs."""
+    import rpt.extraction
+
+    g_path = tmp_path / "g.el"
+    g_path.write_text(to_edge_list(random_graph(80, 0.5, 1)))
+    calls = []
+    least_power = rpt.extraction.least_power
+    monkeypatch.setattr(rpt.extraction, "least_power",
+                        lambda q, x: calls.append((q, x)) or least_power(q, x))
+    rpt.extraction.phi.cache_clear()
+    assert main([subcommand, "--graph", str(g_path), "--pattern", "K3", "--d", "10",
+                 "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) >= 2
+
+
 class TestHostilePhiParameters:
     """A peel chain whose delta makes phi(delta, eta) enormous is refuted
     at once: the check never builds (1 - delta)^phi exactly."""

@@ -1,6 +1,8 @@
 import gc
+import json
 import random
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 
@@ -15,6 +17,8 @@ import rpt.fivepath
 from rpt.fivepath import is_path, path_sets
 from rpt.fourvertex import _degree_key, _four_vertex_inclusion, _spanning_counts
 from rpt.graph import (
+    _COMMAS,
+    _WINDOW,
     _clean_edge_list,
     _count_backtrack,
     _ids,
@@ -480,6 +484,66 @@ def _oracle_load(text):
     raise GraphParseError("empty graph input")
 
 
+# The fast pass as it was before it read its edge lines in windows, kept
+# verbatim as an oracle (only the name and the docstring differ).
+def _oracle_json_clean_edge_list(text: str) -> Graph | None:
+    """The fast pass that read all its edge lines as one JSON array,
+    before it read them in windows."""
+    # The count line, and the edge lines without at most one final "\n".
+    end = len(text) - text.endswith("\n")
+    cut = text.find("\n", 0, end)
+    if cut < 0:
+        head, body, lines = text[:end], "", 0
+    else:
+        head, body = text[:cut], text[cut + 1 : end]
+        lines = body.count("\n") + 1
+    try:
+        n = int(head)
+        if n < 0 or str(n) != head:
+            return None
+        if body.encode("ascii").translate(None, b"0123456789") != (b" \n" * lines)[:-1]:
+            return None
+        array = "[" + body.translate(_COMMAS) + "]"
+        del body  # each large string is freed before the next is made
+        ids = json.loads(array)
+        del array
+        if max(ids, default=-1) >= min(n, len(text)):
+            return None
+        rows = [0] * n
+        pairs = iter(ids)
+        for u, v in zip(pairs, pairs):
+            rows[u] |= 1 << v
+    except (ValueError, OverflowError, MemoryError):
+        return None
+    del ids, pairs  # freed before the matrix work, so the two peaks do not add up
+    if sum(map(int.bit_count, rows)) != lines:
+        return None
+    # Every edge has u < v: no row from k on holds a bit, and the lowest bit
+    # of each row lies above the row's own vertex.
+    k = max(map(int.bit_length, rows), default=0)
+    if any(islice(rows, k, None)):
+        return None
+    for u, row in enumerate(islice(rows, k)):
+        if row and (row & -row).bit_length() <= u + 1:
+            return None
+    for v, lower in enumerate(_transposed_rows(rows[:k], _width(k), range(k))):
+        rows[v] |= lower
+    return Graph(n, tuple(rows))
+
+
+# The default window, one that ends at every "\n", and one that ends at
+# every "\n" of a line of three or more characters.
+WINDOWS = [_WINDOW, 1, 3]
+
+
+@contextmanager
+def _window(size):
+    """The fast pass with windows of ``size`` characters."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rpt.graph, "_WINDOW", size)
+        yield
+
+
 # The fast pass, Graph.edges and to_edge_list as they were before the fast
 # pass read its ids as one JSON array and the writers used compress, kept
 # verbatim as oracles (only the names differ).
@@ -560,15 +624,19 @@ def test_clean_edge_lists_take_the_fast_pass(n, p, seed, newline):
         assert fast == g if keyed else fast in (None, g)
 
 
+@pytest.mark.parametrize("window", WINDOWS)
 @given(st.integers(0, 40), st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(0, 10**6),
        st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_fast_pass_and_writers_match_their_old_code(n, p, seed, newline):
+def test_fast_pass_and_writers_match_their_old_code(window, n, p, seed, newline):
     g, text = _edge_list_text(n, p, seed, newline)
     assert g.edges() == _oracle_edges(g)
     assert to_edge_list(g) == _oracle_to_edge_list(g)
-    for clean in [text, to_edge_list(g), text + "\n", text.replace("\n", "\n\n", 1)]:
-        assert _clean_edge_list(clean) == _oracle_clean_edge_list(clean)
+    for clean in [text, to_edge_list(g), text + "\n", text.replace("\n", "\n\n", 1),
+                  text.replace("\n", "\n\n", 2), text + "\n\n"]:
+        with _window(window):
+            fast = _clean_edge_list(clean)
+        assert fast == _oracle_json_clean_edge_list(clean) == _oracle_clean_edge_list(clean)
 
 
 @given(wide_graphs())
@@ -639,22 +707,28 @@ def _edit(text, kind, rng):
     return "\n".join(lines) + rng.choice(["", "\n"])
 
 
+@pytest.mark.parametrize("window", WINDOWS)
 @given(st.integers(0, 24), st.sampled_from([0.1, 0.5]), st.integers(0, 10**6),
        st.sampled_from(EDITS))
 @settings(max_examples=400, deadline=None)
-def test_one_edit_corruptions_match_the_line_parser(n, p, seed, kind):
+def test_one_edit_corruptions_match_the_line_parser(window, n, p, seed, kind):
     _, text = _edge_list_text(n, p, seed, True)
     bad = _edit(text, kind, random.Random(seed))
-    assert _outcome(load_graph_text, bad) == _outcome(_oracle_load, bad)
+    with _window(window):
+        got = _outcome(load_graph_text, bad)
+    assert got == _outcome(_oracle_load, bad)
 
 
+@pytest.mark.parametrize("window", WINDOWS)
 @given(st.integers(0, 24), st.sampled_from([0.1, 0.5]), st.integers(0, 10**6),
        st.sampled_from(EDITS))
 @settings(max_examples=400, deadline=None)
-def test_one_edit_corruptions_match_the_old_fast_pass(n, p, seed, kind):
+def test_one_edit_corruptions_match_the_old_fast_pass(window, n, p, seed, kind):
     _, text = _edge_list_text(n, p, seed, True)
     bad = _edit(text, kind, random.Random(seed))
-    assert _clean_edge_list(bad) == _oracle_clean_edge_list(bad)
+    with _window(window):
+        fast = _clean_edge_list(bad)
+    assert fast == _oracle_json_clean_edge_list(bad) == _oracle_clean_edge_list(bad)
 
 
 @pytest.mark.parametrize(
@@ -664,13 +738,17 @@ def test_one_edit_corruptions_match_the_old_fast_pass(n, p, seed, kind):
      "3\n1 0\n", "3\n1 1\n", "3\n0 3\n", "3\n0 -1\n", "3\n00 1\n", "3\n0 ١\n", "3\n0 ²\n",
      "٣\n0 1\n", "²\n", "1" * 5000 + "\n", "16\n0 15\n", "1000\n0 999\n", "# c\n3\n0 1\n",
      "3\n0,1\n", "3\n[0 1]\n", "3\n0 1,\n", "3\n0 1e0\n", "3\n0 1.0\n", "3\n-0 1\n",
-     "3\n0 true\n", "3\n0 NaN\n", "3\n 1\n", "3\n0 \n", "3\n0 1\n1 2\n\n"],
+     "3\n0 true\n", "3\n0 NaN\n", "3\n 1\n", "3\n0 \n", "3\n0 1\n1 2\n\n", "0\n\n",
+     "3\n\n0 1\n", "3\n0 1\n\n1 2\n", "3\n0 1\n1 2\n\n\n", "3\n0 1\n1 2", "3\n0 1\n0"],
 )
-def test_fast_pass_falls_back_or_agrees(text):
-    fast = _clean_edge_list(text)
-    assert fast == _oracle_clean_edge_list(text)
+@pytest.mark.parametrize("window", WINDOWS)
+def test_fast_pass_falls_back_or_agrees(window, text):
+    with _window(window):
+        fast = _clean_edge_list(text)
+        loaded = _outcome(load_graph_text, text)
+    assert fast == _oracle_json_clean_edge_list(text) == _oracle_clean_edge_list(text)
     assert fast is None or fast == from_edge_list(text)
-    assert _outcome(load_graph_text, text) == _outcome(_oracle_load, text)
+    assert loaded == _outcome(_oracle_load, text)
 
 
 def _peak_mib(build):
@@ -706,6 +784,17 @@ def test_fast_pass_peak_is_no_higher_than_the_old_pass():
     assert _clean_edge_list(text) == _oracle_clean_edge_list(text)  # caches the w = 512 masks
     assert _peak_mib(lambda: _clean_edge_list(text)) <= _peak_mib(
         lambda: _oracle_clean_edge_list(text))
+
+
+def test_clean_load_peak_does_not_grow_with_the_edges():
+    # G(1024, 1/2): 262k edges in 2 MiB of text, read in 16 windows.  One
+    # JSON array of all its ids peaked at 17 MiB, about 65 bytes an edge;
+    # one window's ids and the 1024-wide matrix work stay under a fixed bound
+    g = random_graph(1024, 0.5, 1)
+    text = to_edge_list(g)
+    assert g.edge_count() >= 250_000
+    assert _clean_edge_list(text) == _oracle_json_clean_edge_list(text) == g  # caches the masks
+    assert _peak_mib(lambda: load_graph_text(text)) < 4
 
 
 def test_wide_sparse_graphs_cost_their_edges():
@@ -1189,13 +1278,37 @@ def test_degree_twins_of_the_path_and_the_house_count_exactly(p):
     assert total > 0
 
 
+def upper_row_triangles(g: Graph) -> int:
+    """triangles as it was before it read the lower rows: one pass over the
+    upper rows N+(u), each triangle a bit of N+(u) & N+(v) for its lowest
+    vertex u and its middle vertex v."""
+    up = [row & -(2 << u) for u, row in enumerate(g.adj)]
+    return sum(
+        sum(map(int.bit_count, map(a.__and__, map(up.__getitem__, _ids(a))))) for a in up if a
+    )
+
+
 @given(st.one_of(peeling_graphs(), wide_graphs()))
 @settings(max_examples=100, deadline=None)
 def test_triangle_pass_matches_the_backtracker(g):
     k3, e3 = Graph.complete(3), Graph.empty(3)
-    assert triangles(g) == induced_sets(g, k3)
+    assert triangles(g) == induced_sets(g, k3) == upper_row_triangles(g)
     assert count_induced_copies(g, Pattern.of(k3)) == 6 * induced_sets(g, k3)
     assert count_induced_copies(g, Pattern.of(e3)) == 6 * induced_sets(g, e3)
+
+
+def test_triangles_on_a_wide_sparse_host():
+    """n = 20000 and m = 40000: the lower rows are sparse and read through
+    _ids; a dense one is read by compress."""
+    rng = random.Random(20000)
+    edges = set()
+    while len(edges) < 40000:
+        edges.add(tuple(sorted(rng.sample(range(20000), 2))))
+    # one dense lower row: vertex 200 joined to every vertex below it
+    edges |= {(v, 200) for v in range(200)}
+    g = Graph.from_edges(20000, sorted(edges))
+    assert g.adj[200] & (1 << 200) - 1 == (1 << 200) - 1
+    assert triangles(g) == upper_row_triangles(g) > 0
 
 
 def test_wide_sparse_random_graphs_take_the_per_edge_steps():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_pattern
+import rpt.extraction
 import rpt.keypartition
 from rpt.adversarial import HardInstanceSpec, generate_hard_graph
 from rpt.embedding import blowup_copy_bound
@@ -111,32 +112,32 @@ class TestKeyParams:
         with pytest.raises(InfeasibleAtScale):
             KeyParams.paper(K3, QUARTER, QUARTER, QUARTER)
 
-    def test_phi_runs_once_per_instance(self, monkeypatch):
+    def test_phi_is_decided_once_per_pair(self, monkeypatch):
+        # phi is cached: every bound of every instance with the same
+        # (delta', eta'), a new equal instance too, shares one least_power
+        # call, and a copy with a new eta' makes one more
         calls = []
-
-        def spy(delta, eta):
-            calls.append((delta, eta))
-            return phi(delta, eta)
-
-        monkeypatch.setattr(rpt.keypartition, "phi", spy)
+        least_power = rpt.extraction.least_power
+        monkeypatch.setattr(rpt.extraction, "least_power",
+                            lambda q, x: calls.append((q, x)) or least_power(q, x))
+        phi.cache_clear()
         params = KeyParams.practical(K3, QUARTER)
         cert = KeyCertificate(0, (), (), (), 2, 3, QUARTER, QUARTER, QUARTER,
                               Fraction(1, 8), Fraction(1, 1000))
-        for obj in (params, cert):
-            calls.clear()
+        objs = [params, cert, KeyParams.practical(K3, QUARTER),
+                replace(params, eta_prime=params.eta_prime / 2),
+                params, cert]
+        for obj in objs:
             want = phi(obj.delta_prime, obj.eta_prime)
             for _ in range(3):
                 assert obj.phi_bound() == want
-                assert obj.part_bound() == 3 + 2 * want
+                assert obj.part_bound() == comb(obj.h, 2) + (obj.h - 1) * want
                 assert obj.n_bound_holds(want, 1) and not obj.n_bound_holds(want + 1, 1)
-                assert obj.part_bound_holds(3 + 2 * want)
-                assert not obj.part_bound_holds(4 + 2 * want)
-            assert calls == [(obj.delta_prime, obj.eta_prime)]
-        # a copy is a new instance with its own value
-        calls.clear()
-        eta_half = params.eta_prime / 2
-        assert replace(params, eta_prime=eta_half).phi_bound() == phi(params.delta_prime, eta_half)
-        assert calls == [(params.delta_prime, eta_half)]
+                assert obj.part_bound_holds(comb(obj.h, 2) + (obj.h - 1) * want)
+                assert not obj.part_bound_holds(comb(obj.h, 2) + 1 + (obj.h - 1) * want)
+        pairs = [(1 - obj.delta_prime, obj.eta_prime) for obj in objs]
+        assert len(set(pairs)) == 3
+        assert calls == list(dict.fromkeys(pairs))
 
     def test_phi_is_not_computed_on_the_log_scale(self, monkeypatch):
         monkeypatch.setattr(rpt.keypartition, "phi", None)  # any call would raise
