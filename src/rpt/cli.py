@@ -217,7 +217,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     with open(args.cert, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("a certificate must be a JSON object")
     kind = obj.get("kind")
+    if not isinstance(kind, str):
+        raise ValueError('the certificate field "kind" must be a string')
     if kind not in _CHECKS:
         raise ValueError(f"unknown certificate kind {kind!r}")
     loader, verify = _CHECKS[kind]
@@ -486,7 +490,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return _DISPATCH[args.subcommand](args)
+        code = _DISPATCH[args.subcommand](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone (`rpt ... | head -1`).  As the signal module's
+        # note on SIGPIPE shows, point stdout at devnull so that the flush at
+        # exit raises no second error, and exit as a shell reports a program
+        # ended by SIGPIPE: 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -9,29 +9,19 @@ a C5 has five, so
     ind(P5) = sum over induced cherries of |A| * |E|  -  5 * ind(C5),
 
 with A and E those two sets.  The sum is one pass over the cherries; the
-backtracker of :mod:`rpt.graph` counts the C5s.  The route runs on the
-side of G and its complement that has at most half the pairs as edges: P5
-on G, or the house (the complement of P5) as P5 on the complement.  The
-identity, its proof and the side rule are in docs/five-vertex-paths.md.
-
-:func:`rpt.graph.count_induced_copies` imports this module on its first
-count of a 5-vertex pattern with four or six edges.
+backtracker of :mod:`rpt.graph` counts the C5s.  :func:`rpt.graph.plan`
+picks the route, for P5 on G or the house as P5 on the complement, by
+predicted cost, and :func:`rpt.graph.sets_by_plan` imports this module
+when a plan takes it.  Identity, proof and cost terms are in
+docs/five-vertex-paths.md.
 """
 
 from __future__ import annotations
 
-from itertools import compress, permutations, repeat
+from itertools import compress, repeat
 from operator import mul, sub
 
-from .graph import Graph, _ids, complement, induced_sets
-
-
-def is_path(h: Graph) -> bool:
-    """Is H the path on five vertices?  Exactly: four edges along some
-    ordering of the vertices, and no others.  (K3 + K2 has P5's degrees.)"""
-    return h.n == 5 and h.edge_count() == 4 and any(
-        all(map(h.has_edge, p, p[1:])) for p in permutations(range(5))
-    )
+from .graph import Graph, _ids, induced_sets
 
 
 def cherry_sum(g: Graph) -> int:
@@ -70,19 +60,3 @@ def cherry_sum(g: Graph) -> int:
 def path_sets(g: Graph) -> int:
     """Vertex sets of G inducing P5, by the cherry identity, on any host."""
     return cherry_sum(g) - 5 * induced_sets(g, Graph.cycle(5))
-
-
-def induced_five_sets(g: Graph, h: Graph) -> int:
-    """Vertex sets of G inducing the 5-vertex graph H.
-
-    P5 on a host with at most half the pairs as edges, and the house on a
-    host with at least half, go through :func:`path_sets` (the house as P5
-    on the complement); every other H, and P5 or the house on the other
-    side, goes to the backtracker.
-    """
-    twice, pairs = 2 * g.edge_count(), g.n * (g.n - 1) // 2
-    if twice <= pairs and is_path(h):
-        return path_sets(g)
-    if twice >= pairs and is_path(complement(h)):
-        return path_sets(complement(g))
-    return induced_sets(g, h)

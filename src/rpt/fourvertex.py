@@ -6,12 +6,10 @@ number of K4s (Kloks, Kratsch & Mueller, Inf. Process. Lett. 74, 2000).
 One pass over G gives S(H'), the spanning-subgraph count of every
 4-vertex class H'; the backtracker of :mod:`rpt.graph` counts the K4s;
 and the inverse of the classes' unitriangular inclusion matrix turns the
-S(H') into induced counts.  The pass runs on whichever of G and its
-complement has fewer edges, counting the complement class there.  The
-formulas and proofs are in docs/four-vertex-counts.md.
-
-:func:`rpt.graph.count_induced_copies` imports this module on its first
-4-vertex count.
+S(H') into induced counts.  :func:`rpt.graph.plan` picks by predicted
+cost whether the pass runs on G, on its complement (for the complement
+class) or not at all, and :func:`rpt.graph.sets_by_plan` imports this
+module when a plan takes it.  Formulas and proofs: docs/four-vertex-counts.md.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, compress
 from operator import and_, mul, or_
 
-from .graph import Graph, _ids, complement, induced_sets, mask_from_ids
+from .graph import Graph, _ids, induced_sets, mask_from_ids
 
 
 def _degree_key(h: Graph) -> tuple[int, ...]:
@@ -122,12 +120,7 @@ def _spanning_counts(g: Graph) -> dict[tuple[int, ...], int]:
 
 def induced_four_sets(g: Graph, h: Graph) -> int:
     """Vertex sets of G inducing the 4-vertex graph H: the row of H's class
-    in the inverse inclusion matrix applied to the spanning counts S(H').
-    It runs on whichever of G and its complement has fewer edges, as the
-    complement class on the complement."""
-    key = _degree_key(h)
-    if 2 * g.edge_count() > g.n * (g.n - 1) // 2:
-        g, key = complement(g), tuple(3 - d for d in reversed(key))
+    in the inverse inclusion matrix applied to the spanning counts S(H')."""
     classes, _, inv = _four_vertex_inclusion()
     s = _spanning_counts(g)
-    return sum(c * s[k] for c, k in zip(inv[classes.index(key)], classes))
+    return sum(c * s[k] for c, k in zip(inv[classes.index(_degree_key(h))], classes))

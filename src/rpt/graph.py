@@ -29,21 +29,16 @@ characters, so a load holds the text plus one window's ids, then the
 rows' bits.
 
 A *copy* of a pattern H in G is an injective map phi from the pattern
-vertices into V(G) that preserves both adjacency and non-adjacency; the
-count of such maps is what :func:`count_induced_copies` returns (so each
-induced-isomorphic vertex subset contributes |Aut(H)| to the total).  It
-computes that number as |Aut(H)| times the count of maps that also meet
-symmetry-breaking order constraints (phi(v) < phi(u)) read off a stabilizer
-chain of Aut(H), which enumerate each such vertex subset exactly once.
-Some patterns take other routes.  K3 is counted by :func:`triangles`, one
-pass over the lower rows, and the empty graph on three vertices as K3 in
-the complement.  A 4-vertex H other than K4 and the empty graph is counted
-from codegrees and one backtracked K4 count, in :mod:`rpt.fourvertex`.  P5
-on a host with at most half the pairs as edges, and the house on one with
-at least half, are counted from induced cherries and one backtracked C5
-count, in :mod:`rpt.fivepath`.
-:func:`count_embeddings_into_parts` shares the backtracking routine with
-no order constraints.
+vertices into V(G) that preserves both adjacency and non-adjacency;
+:func:`count_induced_copies` counts them as |Aut(H)| times the vertex
+sets inducing H.  One cost model, :func:`plan`, decides how those sets
+are counted: in closed form for H on at most three vertices, from
+codegrees (:mod:`rpt.fourvertex`) or induced cherries (:mod:`rpt.fivepath`)
+on G or its complement, or by the backtracker, which meets symmetry-breaking
+order constraints phi(v) < phi(u) read off a stabilizer chain of Aut(H),
+in the position order of least predicted work.
+:func:`count_embeddings_into_parts` shares the backtracker with no order
+constraints.
 """
 
 from __future__ import annotations
@@ -750,17 +745,18 @@ def load_graph_text(text: str) -> Graph:
         for lineno, raw in enumerate(text.splitlines(), start=1)
         if (line := raw.strip()) and not line.startswith("#")
     )
-    for _, line in data:
-        try:
-            int(line.split()[0])
-        except ValueError:
-            g = from_graph6(line)
-            extra = next(data, None)
-            if extra is not None:
-                raise GraphParseError("graph6 input holds a second data line", extra[0])
-            return g
-        return from_edge_list(text)
-    raise GraphParseError("empty graph input")
+    # two data lines are kept: the line list is freed before a parser splits the text
+    data = list(islice(data, 2))
+    if not data:
+        raise GraphParseError("empty graph input")
+    try:
+        int(data[0][1].split()[0])
+    except ValueError:
+        g = from_graph6(data[0][1])
+        if len(data) > 1:
+            raise GraphParseError("graph6 input holds a second data line", data[1][0])
+        return g
+    return from_edge_list(text)
 
 
 def _extends_to_automorphism(adj: tuple[int, ...], forced: dict[int, int]) -> bool:
@@ -797,20 +793,19 @@ def _extends_to_automorphism(adj: tuple[int, ...], forced: dict[int, int]) -> bo
 
 
 @lru_cache(maxsize=256)
-def _symmetry(h: Graph) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """|Aut(H)|, the break vertices and the symmetry-breaking constraints of H.
+def _symmetry(h: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """|Aut(H)| and the symmetry-breaking constraints of H.
 
     Walks a stabilizer chain of Aut(H) with the vertices 0..n-1 as its base:
     at vertex v, the group is the pointwise stabilizer of 0..v-1, and the
     orbit of v under it is found by one automorphism search per candidate
-    image.  A nontrivial orbit makes v a break vertex and adds the
-    constraints phi(v) < phi(u), written ``(v, u)``, for every other u in it.
+    image.  A nontrivial orbit of v adds the constraints phi(v) < phi(u),
+    written ``(v, u)``, for every other u in it.
     |Aut(H)| is the product of the orbit sizes.  Of the |Aut(H)| labelled
     maps onto one induced copy, exactly one meets every constraint: level by
     level, the constraints pick the coset whose image of v is least.
     """
     aut = 1
-    breaks: list[int] = []
     less: list[tuple[int, int]] = []
     fixed: dict[int, int] = {}
     for v in range(h.n):
@@ -819,33 +814,9 @@ def _symmetry(h: Graph) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ..
         ]
         if len(orbit) > 1:
             aut *= len(orbit)
-            breaks.append(v)
             less += [(v, u) for u in orbit[1:]]
         fixed[v] = v
-    return aut, tuple(breaks), tuple(less)
-
-
-def _greedy_order(h: Graph, p: float, breaks, less) -> list[int]:
-    """Pattern vertices in the order they are placed.
-
-    The first break vertex goes first.  Each later vertex is the one with
-    the smallest expected candidate set: a factor p per placed neighbour,
-    1 - p per placed non-neighbour (p is the host's edge density) and 1/2
-    per order constraint to a placed vertex; ties go to the lower id.
-    """
-    order = list(breaks[:1])
-    rest = [v for v in range(h.n) if v not in order]
-
-    def estimate(w: int) -> float:
-        edges = sum(h.adj[w] >> y & 1 for y in order)
-        pinned = sum((a == w and b in order) or (b == w and a in order) for a, b in less)
-        return p**edges * (1 - p) ** (len(order) - edges) / 2**pinned
-
-    while rest:
-        w = min(rest, key=lambda v: (estimate(v), v))
-        order.append(w)
-        rest.remove(w)
-    return order
+    return aut, tuple(less)
 
 
 def _links(h: Graph, order, less) -> list[list[tuple[bool, int]]]:
@@ -874,10 +845,13 @@ def _count_backtrack(g: Graph, links, parts: list[int] | None) -> int:
 
     The last three positions a, b, c run as one flat loop nest over plain
     ints, with no call or list per node: each x open to a gives b's
-    candidates ``mb & rab[x]`` and c's mask ``mc & rac[x]`` (x is skipped
-    when either is empty), and each y among b's candidates adds
-    ``(m & rbc[y]).bit_count()``.  Two positions are one such inner loop;
-    every position above the last three is a recursive step.
+    candidates cb = ``mb & rab[x]`` and c's mask m = ``mc & rac[x]`` (x is
+    skipped when either is empty), and the pairs of the last two number the
+    sum over y in cb of
+    ``(m & rbc[y]).bit_count()``, or over z in m of ``(cb &
+    rcb[z]).bit_count()`` (``rcb`` reverses the last link's order
+    constraint): the smaller of cb and m is walked.  Two positions are one
+    walk; each position above the last three is a recursive step.
     """
     hn = len(links)
     if hn > g.n:
@@ -900,12 +874,17 @@ def _count_backtrack(g: Graph, links, parts: list[int] | None) -> int:
 
     later = [[table(*link) for link in row] for row in links]
     (rbc,) = later[-2]
+    ((edge, order),) = links[-2]
+    rcb = table(edge, -order)
     if hn == 2:
         cand, mc = masks
+        rows = rbc
+        if cand.bit_count() > mc.bit_count():
+            cand, mc, rows = mc, cand, rcb
         total = 0
         while cand:
             low = cand & -cand
-            total += (mc & rbc[low.bit_length() - 1]).bit_count()
+            total += (mc & rows[low.bit_length() - 1]).bit_count()
             cand ^= low
         return total
     a = hn - 3
@@ -924,9 +903,12 @@ def _count_backtrack(g: Graph, links, parts: list[int] | None) -> int:
                 if cb:
                     m = mc & rac[x]
                     if m:
+                        rows = rbc
+                        if cb.bit_count() > m.bit_count():
+                            cb, m, rows = m, cb, rcb
                         while cb:
                             low = cb & -cb
-                            total += (m & rbc[low.bit_length() - 1]).bit_count()
+                            total += (m & rows[low.bit_length() - 1]).bit_count()
                             cb ^= low
             return total
         rows = later[k]
@@ -942,14 +924,51 @@ def _count_backtrack(g: Graph, links, parts: list[int] | None) -> int:
     return rec(0, masks)
 
 
+def plan(
+    g: Graph, h: Graph, within: int | None = None
+) -> tuple[float, str, bool, tuple[int, ...]]:
+    """How to count the vertex sets of G (inside ``within``, if given) that
+    induce H: ``(work, route, flip, order)``, the plan of least work as
+    :mod:`rpt.costmodel` predicts it.  The routes: ``"closed"`` for H on at
+    most three vertices (:func:`small_sets`, work n + m), ``"four"`` for a
+    4-vertex H other than K4 and the empty graph (:mod:`rpt.fourvertex`)
+    and ``"five"`` for P5 and the house (:mod:`rpt.fivepath`), on the
+    complements of G and H with ``flip``; or ``"backtrack"`` in the position
+    ``order``, the only one inside ``within``."""
+    n, m, pairs = g.n, g.edge_count(), g.n * (g.n - 1) // 2
+    if within is None and h.n <= 3:
+        return float(n + m), "closed", False, ()
+    # imported here: a run that plans no order never compiles the cost model
+    from .costmodel import best_order, route_work
+
+    size = n if within is None else within.bit_count()
+    work, order = best_order(h, size, m / pairs if pairs else 0.0)
+    best = (work, "backtrack", False, order)
+    four = within is None and h.n == 4 and 0 < h.edge_count() < 6
+    five = within is None and (is_path(h) or is_path(complement(h)))
+    routes = ([("four", False), ("four", True)] if four
+              else [("five", not is_path(h))] if five else [])
+    deg = list(map(int.bit_count, g.adj)) if routes else []
+    for route, flip in routes:
+        side = (pairs - m, [n - 1 - d for d in deg]) if flip else (m, deg)
+        best = min(best, (route_work(route, n, *side), route, flip, order))
+    return best
+
+
+def is_path(h: Graph) -> bool:
+    """Is H the path on five vertices?  Exactly: degrees 1, 1, 2, 2, 2 and no
+    triangle, which K3 + K2, the one other such graph, has."""
+    return h.n == 5 and sorted(map(int.bit_count, h.adj)) == [1, 1, 2, 2, 2] and not triangles(h)
+
+
 def induced_sets(g: Graph, h: Graph, within: int | None = None) -> int:
     """Vertex sets of G (inside ``within``, if given) that induce a copy of
     H, by the backtracker: each is enumerated once under the order
-    constraints of :func:`_symmetry`, with the position order set by the
-    host's edge density (:func:`_greedy_order`)."""
-    _, breaks, less = _symmetry(h)
-    order = _greedy_order(h, float(edge_density(g)), breaks, less)
-    return _count_backtrack(g, _links(h, order, less), None if within is None else [within] * h.n)
+    constraints of :func:`_symmetry`, in the position order of its plan
+    (:func:`plan`)."""
+    order = plan(g, h, g.full_mask if within is None else within)[3]
+    parts = None if within is None else [within] * h.n
+    return _count_backtrack(g, _links(h, order, _symmetry(h)[1]), parts)
 
 
 def triangles(g: Graph) -> int:
@@ -957,8 +976,9 @@ def triangles(g: Graph) -> int:
     neighbours below u): each is found once, from its highest vertex u and
     its middle vertex v, as a bit of N-(u) & N-(v).  The rows N-(v) of a
     dense N-(u) are read by one ``compress`` over its digits, of a sparse
-    one through :func:`_ids`, under the rule :func:`_ids` uses."""
-    low = [row & (1 << u) - 1 for u, row in enumerate(g.adj)]
+    one through :func:`_ids`, under the rule :func:`_ids` uses.  An empty
+    row is skipped before it is cut."""
+    low = [row and row & (1 << u) - 1 for u, row in enumerate(g.adj)]
     total = 0
     for a in filter(None, low):
         if a.bit_count() << 4 > a.bit_length():
@@ -969,35 +989,46 @@ def triangles(g: Graph) -> int:
     return total
 
 
-def count_induced_copies(g: Graph, pat: Pattern) -> int:
-    """Number of injective maps preserving adjacency and non-adjacency.
+def small_sets(g: Graph, h: Graph) -> int:
+    """Vertex sets of G inducing H on at most three vertices, in closed form.
+    With S the sum of C(d_v, 2) and t the triangles: m(n - 2), the pairs of
+    an edge and a third vertex, counts a 3-set once per edge, and S counts
+    one with two edges once and a triangle three times.  So t, S - 3t and
+    m(n - 2) - 2S + 3t 3-sets have 3, 2 and 1 edges, and the rest none."""
+    n, m, e = g.n, g.edge_count(), h.edge_count()
+    if h.n < 3:
+        return [n, n * (n - 1) // 2 - m, m][h.n - 1 + e]
+    s = sum(d * (d - 1) for d in map(int.bit_count, g.adj)) // 2
+    t = triangles(g)
+    sets = [0, m * (n - 2) - 2 * s + 3 * t, s - 3 * t, t]
+    return n * (n - 1) * (n - 2) // 6 - sum(sets) if e == 0 else sets[e]
 
-    The vertex sets that induce a copy of H are counted, and the count is
-    multiplied by |Aut(H)|; the result is still the number of labelled
-    maps.  K3 and the empty graph on three vertices are counted by
-    :func:`triangles` on G and on its complement; a 4-vertex H other than K4
-    and the empty graph from codegrees
-    (:func:`rpt.fourvertex.induced_four_sets`); a 5-vertex H with four or
-    six edges by :func:`rpt.fivepath.induced_five_sets`, which counts P5
-    and the house from induced cherries on the sparser side; every other H
-    goes to the backtracker (:func:`induced_sets`).
-    """
-    h = pat.graph
-    aut = _symmetry(h)[0]
-    e = h.edge_count()
-    if h.n == 3 and e in (0, 3):
-        return aut * triangles(g if e else complement(g))
-    if h.n == 4 and 0 < e < 6:
-        # imported here: a run that counts no 4-vertex pattern never compiles it
+
+def sets_by_plan(g: Graph, h: Graph, route: str, flip: bool, order) -> int:
+    """Vertex sets of G inducing H, by the route, side and position order of
+    a plan (:func:`plan`).  Every plan gives the same count."""
+    if flip:
+        g, h = complement(g), complement(h)
+    if route == "closed":
+        return small_sets(g, h)
+    if route == "four":
+        # imported here: a run that takes no route never compiles one
         from .fourvertex import induced_four_sets
 
-        return aut * induced_four_sets(g, h)
-    if h.n == 5 and e in (4, 6):
-        # P5 and the house have four and six edges; the module tells them apart
-        from .fivepath import induced_five_sets
+        return induced_four_sets(g, h)
+    if route == "five":
+        from .fivepath import path_sets
 
-        return aut * induced_five_sets(g, h)
-    return aut * induced_sets(g, h)
+        return path_sets(g)
+    return _count_backtrack(g, _links(h, order, _symmetry(h)[1]), None)
+
+
+def count_induced_copies(g: Graph, pat: Pattern) -> int:
+    """Number of injective maps preserving adjacency and non-adjacency: the
+    vertex sets inducing H, counted by the plan of least predicted work
+    (:func:`plan`), times |Aut(H)|."""
+    h = pat.graph
+    return _symmetry(h)[0] * sets_by_plan(g, h, *plan(g, h)[1:])
 
 
 def count_embeddings_into_parts(g: Graph, pat: Pattern, parts) -> int:

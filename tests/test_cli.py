@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -553,6 +554,43 @@ class TestCheckKinds:
             2,
             f'{{"certificate":"{kind}","detail":"{detail}","kind":"check_result","ok":false}}\n',
         )
+
+
+    @pytest.mark.parametrize("kind", sorted(CHECK_CASES))
+    def test_non_object_and_non_string_kind_are_malformed(self, capsys, tmp_path, kind):
+        """Each certificate as the one element of a top-level JSON list, and
+        with its kind as a list: malformed (exit 1), and the message says
+        what was expected, without a Python type name."""
+        (n, edges), cert, _, _ = CHECK_CASES[kind]
+        g_path = tmp_path / "g.el"
+        g_path.write_text(to_edge_list(Graph.from_edges(n, edges)))
+        cert_path = tmp_path / "cert.json"
+        argv = ["check", "--graph", str(g_path), "--cert", str(cert_path), "--json"]
+        for bad, message in (([cert], "a certificate must be a JSON object"),
+                             ({**cert, "kind": [kind]},
+                              'the certificate field "kind" must be a string')):
+            cert_path.write_text(json.dumps(bad))
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+            assert not re.search(r"\b(list|dict|str|int|NoneType|unhashable|attribute)\b",
+                                 captured.err)
+
+
+def test_a_closed_pipe_ends_the_run_quietly():
+    """`rpt constants ... | head -1`: once the reader has gone, the run
+    exits 141 (128 + SIGPIPE, as a shell reports a program that SIGPIPE
+    ended) with nothing on stderr.  The read end is closed before the
+    child's first write, so its write meets a pipe without a reader."""
+    src = str(Path(rpt.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = ["constants", "--h", "3", "--eps", "1/4", "--eta", "1/4", "--theta", "1/4"]
+    proc = subprocess.Popen([sys.executable, "-m", "rpt.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 # kind -> the path to a vertex id list starting with 0 in its CHECK_CASES certificate

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
@@ -14,8 +15,9 @@ from conftest import all_small_patterns, peeling_graphs, random_graph, random_pa
 import rpt.graph
 from rpt.adversarial import naive_count
 import rpt.fivepath
-from rpt.fivepath import is_path, path_sets
+from rpt.fivepath import path_sets
 from rpt.fourvertex import _degree_key, _four_vertex_inclusion, _spanning_counts
+from rpt.costmodel import _AND, _FIVE, _FOUR, _LAST, _NODE, _ROW, best_order
 from rpt.graph import (
     _COMMAS,
     _WINDOW,
@@ -42,12 +44,16 @@ from rpt.graph import (
     from_graph6,
     induced_sets,
     induced_subgraph,
+    is_path,
     iter_bits,
     lift,
     load_graph_text,
     mask_from_ids,
     named_pattern,
     peel_order,
+    plan,
+    sets_by_plan,
+    small_sets,
     to_edge_list,
     to_graph6,
     triangles,
@@ -995,11 +1001,11 @@ def test_automorphism_count_matches_brute_force():
             for perm in itertools.permutations(range(h.n))
             if {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
         ]
-        aut, _, less = _symmetry(h)
+        aut, less = _symmetry(h)
         assert aut == len(auts), h
         kept = [perm for perm in auts if all(perm[a] < perm[b] for a, b in less)]
         assert len(kept) == 1, h
-    assert _symmetry(ASYMMETRIC.graph) == (1, (), ())
+    assert _symmetry(ASYMMETRIC.graph) == (1, ())
 
 
 def test_automorphism_count_does_not_list_the_group():
@@ -1245,23 +1251,22 @@ def test_path_identity_holds_on_dense_hosts(n, p):
         assert path_sets(g) == induced_sets(g, P5)
 
 
-def test_the_path_route_runs_on_the_sparser_side_only():
-    """P5 takes the route on a host with at most half the pairs as edges,
-    the house on one with at least half (as P5 on the complement); P5 on a
-    denser host, the house on a sparser one, and their degree twins K3 + K2
-    and K2,3 stay on the backtracker."""
+def test_routes_are_taken_as_planned():
+    """count_induced_copies runs the plan's route on the plan's side: the
+    four-vertex pass and the cherry pass see the host, or its complement,
+    exactly when :func:`plan` says so, and are skipped when it backtracks."""
     seen = []
-    sparse, dense = random_graph(12, 0.3, 1), random_graph(12, 0.7, 1)
-    half = Graph.cycle(5)  # five edges of ten pairs
+    hosts = [random_graph(n, p, 1) for n, p in ((12, 0.3), (12, 0.7), (60, 0.5), (80, 0.2))]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rpt.fivepath, "path_sets", lambda g: seen.append(g.edge_count()) or 0)
-        for g, h, routed in [(sparse, P5, True), (dense, HOUSE, True), (dense, P5, False),
-                             (sparse, HOUSE, False), (half, P5, True), (half, HOUSE, True),
-                             (sparse, K3_K2, False), (dense, K2_3, False)]:
-            seen.clear()
-            count_induced_copies(g, Pattern.of(h))
-            m, pairs = g.edge_count(), g.n * (g.n - 1) // 2
-            assert seen == ([min(m, pairs - m)] if routed else []), (m, h.edges())
+        mp.setattr(rpt.fivepath, "path_sets", lambda g: seen.append(g) or 0)
+        mp.setattr(rpt.fourvertex, "induced_four_sets", lambda g, h: seen.append(g) or 0)
+        for g in hosts:
+            for h in (P5, HOUSE, K3_K2, K2_3, Graph.path(4), Graph.cycle(4), Graph.complete(4)):
+                seen.clear()
+                count_induced_copies(g, Pattern.of(h))
+                _, route, flip, _ = plan(g, h)
+                assert seen == ([] if route == "backtrack" else [complement(g) if flip else g])
+                assert route != "five" or (is_path(h) and not flip or is_path(complement(h)) and flip)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])
@@ -1413,7 +1418,7 @@ def test_loop_nest_matches_the_recursive_backtracker(h, n, p, seed, kind, data):
     bits = data.draw(st.integers(0, (1 << len(pairs)) - 1), label="edges")
     pattern = Graph.from_edges(h, [e for i, e in enumerate(pairs) if bits >> i & 1])
     order = data.draw(st.permutations(range(h)), label="order")
-    links = _links(pattern, order, _symmetry(pattern)[2])
+    links = _links(pattern, order, _symmetry(pattern)[1])
     g = random_graph(n, p, seed)
     if kind == "none":
         parts = None
@@ -1499,3 +1504,249 @@ def test_within_that_cuts_every_candidate_at_the_second_to_last_position():
         pat = Pattern.of(h)
         sub, _ = induced_subgraph(g, within)
         assert _symmetry(h)[0] * induced_sets(g, h, within=within) == naive_count(sub, pat)
+
+
+# ------------------------------------------------------------------ the plan
+
+ROUTE_PATTERNS = FOUR_VERTEX + [P5, HOUSE, K3_K2, K2_3]
+
+
+def counted_work(g: Graph, links, parts: list[int] | None = None) -> float:
+    """The work that costmodel.best_order predicts, counted on G by an
+    instrumented copy of graph._count_backtrack: each node above the last three
+    positions and its ANDs, each candidate at the third from the end, the
+    bits of the smaller of its last two masks (the side the walk takes),
+    and a row of each table built."""
+    hn = len(links)
+    full = g.full_mask
+    masks = [full] * hn if parts is None else parts
+    tables: dict[tuple[bool, int], list[int]] = {}
+
+    def table(edge: bool, order: int) -> list[int]:
+        if (edge, order) not in tables:
+            rows = g.adj if edge else [full ^ row ^ 1 << v for v, row in enumerate(g.adj)]
+            if order > 0:
+                rows = [row & -(2 << v) for v, row in enumerate(rows)]
+            elif order < 0:
+                rows = [row & (1 << v) - 1 for v, row in enumerate(rows)]
+            tables[edge, order] = rows
+        return tables[edge, order]
+
+    later = [[table(*link) for link in row] for row in links]
+    work = _ROW * g.n * len(tables)
+    a = hn - 3
+
+    def rec(k: int, masks: list[int]) -> None:
+        nonlocal work
+        cand, rest = masks[0], masks[1:]
+        for x in iter_bits(cand):
+            if k == a:
+                work += _LAST
+                cb, m = rest[0] & later[a][0][x], rest[1] & later[a][1][x]
+                if cb and m:
+                    work += min(cb.bit_count(), m.bit_count())
+                continue
+            work += _NODE + _AND * len(rest)
+            new = [mask & row[x] for row, mask in zip(later[k], rest)]
+            if all(new):
+                rec(k + 1, new)
+
+    rec(0, masks)
+    return work
+
+
+def counted_route_work(route: str, g: Graph) -> float:
+    """A route's work counted on G in the units of costmodel.route_work: its
+    passes' events, exactly, plus the counted work of the K4 or C5 count it
+    backtracks in its planned order."""
+    adj, n, m = g.adj, g.n, g.edge_count()
+    if route == "four":
+        far, rich = 0, 0
+        for u in range(n):
+            once = twice = 0
+            for v in _ids(adj[u]):
+                twice |= once & adj[v]
+                once |= adj[v]
+            far += (twice & ~adj[u] & -(2 << u)).bit_count()
+            if sum((adj[u] & adj[v]).bit_count() for v in _ids(adj[u])) >= 6:
+                rich |= 1 << u
+        passes = _FOUR[0] * sum(map(bool, adj)) + _FOUR[1] * 2 * m + _FOUR[2] * far
+        h, parts = Graph.complete(4), [rich] * 4
+        order = plan(g, h, rich)[3]
+    else:
+        cherries = 0
+        for c in range(n):
+            live = mask_from_ids(b for b in _ids(adj[c]) if adj[b] & ~(adj[c] | 1 << c))
+            cherries += sum((live & ~adj[b] & -(2 << b)).bit_count() for b in _ids(live))
+        passes = _FIVE[0] * n + _FIVE[1] * 2 * m + _FIVE[2] * cherries
+        h, parts = Graph.cycle(5), None
+        order = plan(g, h, g.full_mask)[3]
+    return passes + counted_work(g, _links(h, order, _symmetry(h)[1]), parts)
+
+
+def all_plans(g: Graph, h: Graph, orders) -> list[tuple[str, bool, tuple[int, ...]]]:
+    """Every plan for H: the backtracker in each of ``orders``, and each
+    route, on each side, that H can take."""
+    plans = [("backtrack", False, tuple(order)) for order in orders]
+    if h.n <= 3:
+        plans.append(("closed", False, ()))
+    if h.n == 4 and 0 < h.edge_count() < 6:
+        plans += [("four", False, ()), ("four", True, ())]
+    plans += [("five", flip, ()) for flip in (False, True)
+              if is_path(complement(h) if flip else h)]
+    return plans
+
+
+@given(st.integers(1, 6), st.integers(0, 14), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+       st.integers(0, 10**6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_plan_gives_the_backtracked_count(h, n, p, seed, data):
+    """Every plan, forced: the routes on either side they apply to, the
+    closed forms, and the backtracker in any position order, count what the
+    recursive kernel counts, on patterns of 1 to 6 vertices (a route's
+    pattern in a shuffled labelling, or any graph) and hosts of 0 to 14
+    vertices.  With ``within``, and with any mask per position, the loop
+    nest matches the kernel too, its last link's order constraint walked
+    from whichever side is smaller."""
+    if h in (4, 5) and data.draw(st.booleans(), label="route pattern"):
+        base = data.draw(st.sampled_from([x for x in ROUTE_PATTERNS if x.n == h]), label="base")
+        perm = data.draw(st.permutations(range(h)), label="perm")
+        pattern = Graph.from_edges(h, [(perm[u], perm[v]) for u, v in base.edges()])
+    else:
+        pairs = list(combinations(range(h), 2))
+        bits = data.draw(st.integers(0, (1 << len(pairs)) - 1), label="edges")
+        pattern = Graph.from_edges(h, [e for i, e in enumerate(pairs) if bits >> i & 1])
+    g = random_graph(n, p, seed)
+    less = _symmetry(pattern)[1]
+    want = reference_backtrack(g, _links(pattern, range(h), less), None)
+    order = data.draw(st.permutations(range(h)), label="order")
+    for route, flip, o in all_plans(g, pattern, [order]):
+        assert sets_by_plan(g, pattern, route, flip, o) == want, (route, flip, o)
+    assert count_induced_copies(g, Pattern.of(pattern)) == _symmetry(pattern)[0] * want
+    within = data.draw(st.integers(0, g.full_mask), label="within")
+    links = _links(pattern, plan(g, pattern, within)[3], less)
+    assert induced_sets(g, pattern, within) == reference_backtrack(g, links, [within] * h)
+    links = _links(pattern, order, less)
+    masks = data.draw(st.lists(st.integers(0, g.full_mask), min_size=h, max_size=h), label="masks")
+    assert _count_backtrack(g, links, list(masks)) == reference_backtrack(g, links, list(masks))
+
+
+def test_the_last_link_is_walked_from_either_side():
+    """The last two masks are walked on their smaller side, the last one
+    through the table that reverses the last link's order constraint.
+    Orders of K2, K3, P3 and their complements whose last link carries a
+    constraint, with masks that make either side the smaller."""
+    constrained = 0
+    for h in (Graph.complete(2), Graph.empty(2), Graph.complete(3), Graph.empty(3), Graph.path(3),
+              complement(Graph.path(3))):
+        less = _symmetry(h)[1]
+        for order in permutations(range(h.n)):
+            links = _links(h, order, less)
+            constrained += links[-2][0][1] != 0
+            for seed in range(3):
+                g = random_graph(16, 0.5, seed)
+                wide, narrow = g.full_mask ^ 0b111, 0b110001001
+                for last in ([wide, narrow], [narrow, wide]):
+                    masks = [g.full_mask] * (h.n - 2) + last
+                    assert _count_backtrack(g, links, list(masks)) == reference_backtrack(
+                        g, links, list(masks))
+    assert constrained >= 8
+
+
+@given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_closed_forms_match_the_backtracker(n, p, seed):
+    """Every pattern on at most three vertices, on hosts of 0 to 40 vertices
+    at densities 0 to 1: the closed forms count what the backtracker does."""
+    g = random_graph(n, p, seed)
+    for pat in all_small_patterns(3):
+        assert small_sets(g, pat.graph) == induced_sets(g, pat.graph), pat.graph.edges()
+        assert plan(g, pat.graph)[1] == "closed"
+
+
+def test_small_patterns_cost_the_rows_on_a_large_edgeless_host(tmp_path):
+    """Every pattern on at most three vertices, named or read from a file,
+    counted on the edgeless host of 10**6 vertices: no table of n-bit
+    non-neighbour rows (a P3 count on 40,000 vertices peaked at 431 MB)."""
+    from rpt.cli import _load_pattern
+
+    g = load_graph_text("1000000\n")
+    pats = [named_pattern(name) for name in ("K1", "K2", "K3", "P2", "P3")]
+    for k, edges in enumerate(([], [(0, 1)])):
+        path = tmp_path / f"h{k}.el"
+        path.write_text(to_edge_list(Graph.from_edges(3, edges)))
+        pats.append(_load_pattern(str(path)))
+    n = 10**6
+    want = {(1, 0): n, (2, 0): 0, (2, 1): 0, (3, 0): n * (n - 1) * (n - 2), (3, 1): 0, (3, 2): 0,
+            (3, 3): 0}
+    for pat in pats:
+        assert _peak_mib(lambda: count_induced_copies(g, pat)) < 64
+        assert count_induced_copies(g, pat) == want.get((pat.size, pat.graph.edge_count()))
+
+
+def test_commented_text_holds_one_line_list():
+    """A commented G(1024, 1/2) goes to the line parser, which splits the
+    text once; the format detection frees its own split before then.  The
+    load peaks at the size of one list of the text's lines, the peak of
+    from_edge_list alone (16.3 MiB); holding two peaked at 32.5 MiB."""
+    g = random_graph(1024, 0.5, 1)
+    text = "# a comment\n" + to_edge_list(g)
+    assert load_graph_text(text) == g
+    lines = text.splitlines()
+    one_list = (sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))) / 2**20
+    del lines
+    assert _peak_mib(lambda: load_graph_text(text)) < 1.1 * one_list
+
+
+NAMED_ROUTED = ["P4", "C4", "K4", "P5", "C5", "K5"]  # the named patterns on more than 3 vertices
+
+
+@pytest.mark.parametrize("name", NAMED_ROUTED)
+def test_predicted_work_matches_counted_work(name):
+    """best_order's predicted work for its order is within a few tens of
+    percent of the work counted on G(60, p) by the instrumented copy."""
+    h = named_pattern(name).graph
+    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+        g = random_graph(60, p, 2)
+        work, order = best_order(h, g.n, float(edge_density(g)))
+        counted = counted_work(g, _links(h, order, _symmetry(h)[1]))
+        assert 0.8 <= work / counted <= 1.3, (p, work, counted)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+def test_plan_does_near_the_least_counted_work(p):
+    """On G(60, p), each named pattern on more than three vertices: the
+    plan's counted work is within 1.25 times the least over every plan,
+    every position order of the backtracker (the last two taken in either
+    order walk alike) and every route and side."""
+    g = random_graph(60, p, 1)
+    for name in NAMED_ROUTED:
+        h = named_pattern(name).graph
+        less = _symmetry(h)[1]
+        orders = [o for o in permutations(range(h.n)) if o[-2] < o[-1]]
+        work = {}
+        for route, flip, order in all_plans(g, h, orders):
+            if route == "backtrack":
+                work[route, flip, order] = counted_work(g, _links(h, order, less))
+            else:
+                work[route, flip, order] = counted_route_work(route, complement(g) if flip else g)
+        _, route, flip, order = plan(g, h)
+        key = (route, flip, order if route == "backtrack" else ())
+        assert work[key] <= 1.25 * min(work.values()), (name, key)
+
+
+def test_plan_keeps_the_measured_choices():
+    """The choices measured on the count benchmark's kind of host: C4 on
+    G(100, 1/2) backtracks, whose route's K4 count costs as much as C4
+    itself; P4 there and on G(150, 1/5), and P5 on G(60, 1/2), take their
+    routes; C5 on 70 vertices at densities 0.49, 0.5 and 0.51 places vertex 0
+    and its two neighbours first, where the greedy order it replaced took
+    [0, 2, 3, 1, 4], twice as slow, past density 1/2."""
+    for seed in (1, 2):
+        assert plan(random_graph(100, 0.5, seed), Graph.cycle(4))[1] == "backtrack"
+        assert plan(random_graph(100, 0.5, seed), Graph.path(4))[1] == "four"
+        assert plan(random_graph(150, 0.2, seed), Graph.path(4))[1:3] == ("four", False)
+        assert plan(random_graph(60, 0.5, seed), P5)[1:3] == ("five", False)
+    for p in (0.49, 0.5, 0.51):
+        work, order = best_order(Graph.cycle(5), 70, p)
+        assert order[:3] in ((0, 1, 4), (1, 0, 4), (0, 4, 1), (4, 0, 1), (1, 4, 0), (4, 1, 0))

@@ -172,19 +172,24 @@ def test_neighbours_in_a_set_are_counted_in_graph():
     assert not found, f"per-vertex neighbour counts (use graph.with_at_least): {', '.join(found)}"
 
 
-LAZY_ROUTES = ("rpt.fourvertex", "rpt.fivepath")
+LAZY_ROUTES = ("rpt.fourvertex", "rpt.fivepath", "rpt.costmodel")
 
 
 def test_counting_routes_are_imported_on_first_use():
     # compiling a counting route on every import of the package raised
-    # peak_rss_mb by about 0.5 MB; count_induced_copies imports each one on
-    # its first count, so a fresh `import rpt, rpt.cli` loads neither
+    # peak_rss_mb by about 0.5 MB; a route is imported the first time a plan
+    # takes it, and the plan's cost model the first time a count needs it,
+    # so a fresh `import rpt, rpt.cli` loads none of them.  The plan takes
+    # both routes on the Paley graph on 61 vertices (on a path of six
+    # vertices it backtracks, which costs less there)
     code = ("import sys, rpt, rpt.cli\n"
             f"print(*[m in sys.modules for m in {LAZY_ROUTES!r}])\n"
+            "g = rpt.Graph.from_edges(61, [(u, v) for v in range(61) for u in range(v)\n"
+            "                              if pow(v - u, 30, 61) == 1])\n"
             "for name in ('P4', 'P5'):\n"
-            "    rpt.count_induced_copies(rpt.Graph.path(6), rpt.named_pattern(name))\n"
+            "    rpt.count_induced_copies(g, rpt.named_pattern(name))\n"
             f"print(*[m in sys.modules for m in {LAZY_ROUTES!r}])\n")
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
-    assert out.split("\n")[:2] == ["False False", "True True"]
+    assert out.split("\n")[:2] == ["False False False", "True True True"]
