@@ -6,6 +6,11 @@ strings); graph inputs are edge-list or graph6 (auto-detected); output
 is human-readable by default and deterministic JSON with --json.
 
 Exit codes: 0 verified success, 2 a check that verified false, 1 errors.
+
+The module itself imports only ``serialize``, ``graph`` and ``values``; each
+``_cmd_*`` imports the rest of the package it runs at its top, so a command
+compiles only its own modules (``rpt constants`` compiles ``ledger``, not
+the pipeline).
 """
 
 from __future__ import annotations
@@ -18,31 +23,9 @@ import random
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from importlib import import_module
 
 from . import serialize
-from .adversarial import (
-    HardInstanceSpec,
-    exact_n_restricted,
-    generate_hard_graph,
-    min_removal_oracle,
-    naive_count,
-    verify_hard_graph,
-)
-from .assembly import (
-    run_main_theorem,
-    verify_path_partition,
-    verify_removal_result,
-    verify_restricted_partition,
-)
-from .extraction import (
-    ExtractionBudget,
-    PeelChain,
-    depth_for,
-    extract_restricted_exact,
-    find_low_or_high_density_subset,
-    peel_chain,
-    verify_peel_chain,
-)
 from .graph import (
     Graph,
     Pattern,
@@ -53,15 +36,6 @@ from .graph import (
     named_pattern,
     to_edge_list,
 )
-from .keypartition import (
-    BlowupFound,
-    KeyParams,
-    run_key_lemma,
-    verify_blowup_found,
-    verify_key_certificate,
-)
-from .ledger import build_ledger
-from .predicates import is_full_pair, verify_blowup
 from .values import format_fraction, parse_fraction
 
 
@@ -193,23 +167,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-# certificate kind -> (its JSON loader in rpt.serialize, the library's
-# verifier returning a Verdict).  When a check runs, the loader is looked
-# up by name in rpt.serialize and the verifier by name in this module, so
-# a wrapped or patched function is honoured; the peel chain's lambda has
-# no module-level name and is called as it is.
+# certificate kind -> (its JSON loader in rpt.serialize, the module and name
+# of the library's verifier returning a Verdict).  Both are looked up when
+# the check runs, so only that verifier's modules are imported, and a
+# wrapped or patched function is honoured.
 _CHECKS = {
-    "full_pair": ("full_pair_from_json", is_full_pair),
-    "blowup": ("blowup_from_json", verify_blowup),
-    "restricted_partition": ("restricted_partition_from_json", verify_restricted_partition),
-    "path_partition": ("path_partition_from_json", verify_path_partition),
-    "removal_result": ("removal_result_from_json", verify_removal_result),
-    "key_lemma_result": ("key_result_from_json", verify_key_certificate),
-    "blowup_found": ("blowup_found_from_json", verify_blowup_found),
-    "peel_chain": (
-        "peel_chain_from_json",
-        lambda g, fields: verify_peel_chain(g, PeelChain(**fields)),
+    "full_pair": ("full_pair_from_json", "predicates", "is_full_pair"),
+    "blowup": ("blowup_from_json", "predicates", "verify_blowup"),
+    "restricted_partition": (
+        "restricted_partition_from_json", "assembly", "verify_restricted_partition",
     ),
+    "path_partition": ("path_partition_from_json", "assembly", "verify_path_partition"),
+    "removal_result": ("removal_result_from_json", "assembly", "verify_removal_result"),
+    "key_lemma_result": ("key_result_from_json", "keypartition", "verify_key_certificate"),
+    "blowup_found": ("blowup_found_from_json", "keypartition", "verify_blowup_found"),
+    "peel_chain": ("peel_chain_from_json", "extraction", "verify_peel_chain"),
 }
 
 
@@ -219,13 +191,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("a certificate must be a JSON object")
-    kind = obj.get("kind")
+    kind = serialize.required_field(obj, "kind")
     if not isinstance(kind, str):
         raise ValueError('the certificate field "kind" must be a string')
     if kind not in _CHECKS:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    loader, verify = _CHECKS[kind]
-    v = globals().get(verify.__name__, verify)(g, getattr(serialize, loader)(obj, g.n))
+    loader, module_name, verifier = _CHECKS[kind]
+    cert = getattr(serialize, loader)(obj, g.n)
+    module = import_module(f"{__package__}.{module_name}")
+    if kind == "peel_chain":  # its loader returns the chain's fields by name
+        cert = module.PeelChain(**cert)
+    v = getattr(module, verifier)(g, cert)
     detail = v.clause or v.detail
     _emit(
         args,
@@ -237,6 +213,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    from .extraction import (
+        ExtractionBudget,
+        extract_restricted_exact,
+        find_low_or_high_density_subset,
+        peel_chain,
+    )
+    from .ledger import depth_for
+
     g = _load_graph(args.graph)
     pat = _load_pattern(args.pattern)
     if args.op == "density":
@@ -293,7 +277,9 @@ def _delta_prime(args, g: Graph) -> Fraction:
     return Fraction(1, max(8, g.n)) if args.delta_prime is None else args.delta_prime
 
 
-def _key_params(args: argparse.Namespace, pat: Pattern, g: Graph) -> KeyParams:
+def _key_params(args: argparse.Namespace, pat: Pattern, g: Graph):
+    from .keypartition import KeyParams
+
     if args.mode == "paper":
         return KeyParams.paper(pat, args.eps, args.eta, args.theta)
     return KeyParams.practical(
@@ -302,6 +288,8 @@ def _key_params(args: argparse.Namespace, pat: Pattern, g: Graph) -> KeyParams:
 
 
 def _cmd_keylemma(args: argparse.Namespace) -> int:
+    from .keypartition import BlowupFound, run_key_lemma
+
     g = _load_graph(args.graph)
     pat = _load_pattern(args.pattern)
     params = _key_params(args, pat, g)
@@ -337,6 +325,9 @@ def _cmd_keylemma(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem(args: argparse.Namespace) -> int:
+    from .assembly import run_main_theorem
+    from .keypartition import KeyParams
+
     g = _load_graph(args.graph)
     pat = _load_pattern(args.pattern)
     if args.mode == "paper":
@@ -354,6 +345,8 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
+    from .adversarial import HardInstanceSpec, generate_hard_graph, verify_hard_graph
+
     spec = HardInstanceSpec(
         restriction_budget=args.big_n,
         core_size=args.m,
@@ -401,6 +394,8 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
+    from .ledger import build_ledger
+
     led = build_ledger(args.h, args.eps, args.eta, args.theta)
     _emit(
         args,
@@ -411,6 +406,8 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .adversarial import exact_n_restricted, min_removal_oracle, naive_count
+
     if args.sweep is not None:
         rows = ["seed,n,value"]
         for seed in range(args.sweep):

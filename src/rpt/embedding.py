@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .graph import (
     Graph,
@@ -33,8 +32,9 @@ from .graph import (
     mask_from_ids,
     with_at_least,
 )
+from .ledger import blowup_copy_bound, tight_pair_copy_threshold
 from .predicates import is_tight_to
-from .values import Scalar, ceil_frac
+from .values import ceil_frac
 
 
 @dataclass(frozen=True)
@@ -204,12 +204,6 @@ def witness_or_count(
     return CopyCount(count, bound)
 
 
-def tight_pair_copy_threshold(h: int, eps: Scalar) -> Scalar:
-    """(4h)^-h * eps^C(h,2): the copy density below which a tight pair must
-    exist.  A LogValue eps (as in the constants ledger) gives a LogValue."""
-    return Fraction(1, (4 * h) ** h) * eps ** comb(h, 2)
-
-
 @dataclass(frozen=True)
 class TightPairResult:
     a: int
@@ -254,24 +248,6 @@ def find_tight_pair(
     if g.n >= 2 * h and not exceeds:
         raise AssertionError("count arm fails the kappa threshold despite |G| >= 2h")
     return ManyCopiesResult(res.count, threshold, exceeds)
-
-
-def blowup_copy_bound(h: int, eps: Fraction, sizes, exponent_form: str = "h-1") -> Scalar:
-    """(1-eps)^(h-1) * eps^C(h,2) * prod |D_i|.  Sizes may be LogValues, as
-    the constants ledger's Lambda rows are; the bound is then one too.
-
-    exponent_form="h" uses the weaker (1-eps)^h variant employed by the
-    contradiction test in the key-partition runner; both forms hold.  Any
-    other exponent_form raises ValueError.
-    """
-    exponents = {"h-1": h - 1, "h": h}
-    if exponent_form not in exponents:
-        raise ValueError(f"exponent_form must be 'h-1' or 'h', not {exponent_form!r}")
-    e = exponents[exponent_form]
-    bound = (1 - eps) ** e * eps ** comb(h, 2)
-    for s in sizes:
-        bound *= s
-    return bound
 
 
 def blowup_copy_bound_check(g: Graph, pat: Pattern, cert) -> bool:

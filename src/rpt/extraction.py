@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import comb
 
@@ -64,66 +63,13 @@ from .graph import (
     peel_order,
     with_at_least,
 )
+from .ledger import depth_for, phi, shrink_fraction
 from .predicates import Verdict, extract_restricted_from_weak, is_restricted
-from .values import (
-    LogValue,
-    Scalar,
-    ceil_frac,
-    floor_frac,
-    least_power,
-    log2_fraction,
-    scalar_log2,
-)
+from .values import ceil_frac, floor_frac, log2_fraction
 
 
 class ExtractionInfeasible(RuntimeError):
     """Requested size/parameter combination cannot be met at this scale."""
-
-
-@lru_cache(maxsize=16)
-def phi(delta: Fraction, eta: Fraction) -> int:
-    """Least integer p >= 1 with (1-delta)^p <= eta, decided exactly.
-
-    Cached: one run asks for the same (delta', eta') in the peel chain, its
-    self-check and each key-lemma bound."""
-    if not (0 < delta < 1 and 0 < eta < 1):
-        raise ValueError("phi needs delta, eta in (0,1)")
-    return least_power(1 - delta, eta)
-
-
-def phi_lower_bound(delta: Scalar, eta: Scalar) -> LogValue:
-    """A lower bound on phi(delta, eta) from upper bounds on delta <= 1/2
-    and eta: phi >= ln(1/eta) / -ln(1-delta) >= ln(1/eta) / (delta (1+delta)),
-    and 1 + delta <= 2 costs one bit."""
-    return LogValue(
-        mpmath.log(-scalar_log2(eta) * mpmath.log(2), 2) - scalar_log2(delta) - 1
-    )
-
-
-def part_bound(h: int, p: int | LogValue) -> int | LogValue:
-    """N = C(h,2) + (h-1) * p for p = phi(delta', eta'), an int or a LogValue."""
-    return comb(h, 2) + (h - 1) * p
-
-
-def depth_for(eps: Scalar) -> int:
-    """ceil(log_{3/2}(eps^-2)): least s >= 1 with (3/2)^s >= eps^-2.
-
-    Exact for a rational eps or a LogValue that keeps one; otherwise the
-    log-scale quotient rounded up, which on an exact power of 2/3 may
-    exceed the exact answer by one.
-    """
-    if isinstance(eps, LogValue):
-        if eps.exact is None:
-            return max(int(mpmath.ceil(-2 * eps.log2 / mpmath.log(mpmath.mpf(3) / 2, 2))), 1)
-        eps = eps.exact
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0,1)")
-    return least_power(Fraction(2, 3), eps**2)
-
-
-def shrink_fraction(h: int, eps: Scalar) -> Scalar:
-    """Per-level size shrink at density target eps: 1/2 * (2h)^-2 * (eps/4)^(h-1)."""
-    return Fraction(1, 2) * Fraction(1, (2 * h) ** 2) * (eps / 4) ** (h - 1)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import mpmath
-
 from .graph import Graph, complement, mask_from_ids, mask_to_ids, with_at_least
 from .predicates import (
     CheckPreconditionError,
@@ -30,12 +28,8 @@ from .predicates import (
     FullPairCertificate,
     is_full_pair,
 )
-from .values import EXACT_BITS_CAP, LogValue, Scalar, ceil_frac, log2_fraction, scalar_ceil_mul
-
-# |log2 c| above this would make gamma's logarithm exponent
-# unrepresentable; saturate instead.
-_LOG_INPUT_CAP = mpmath.mpf(2) ** 46
-_SATURATED_LOG2 = -(mpmath.mpf(2) ** 46)
+from .ledger import gamma
+from .values import ceil_frac, scalar_ceil_mul
 
 
 class FullPairSearchError(RuntimeError):
@@ -44,31 +38,6 @@ class FullPairSearchError(RuntimeError):
 
 class FullPairGuaranteeViolation(RuntimeError):
     """No subpair at the guaranteed sizes: impossible for valid inputs."""
-
-
-def gamma(c: Scalar, eps: Fraction) -> LogValue:
-    """gamma(c, eps) = (1/2) * (2*eps)^(12/c) on the log scale.
-
-    Exact when c is exact and 12/c is an integer, within the exactness
-    cap.  A saturated c, or one so small that the result's logarithm would
-    overflow, gives a saturated value whose log2 is only an upper bound.
-    """
-    if not (c.log2 < 0 if isinstance(c, LogValue) else 0 < c < 1):
-        raise ValueError("c must lie in (0,1)")
-    if not Fraction(0) < eps < Fraction(1, 4):
-        raise ValueError("eps must lie in (0,1/4)")
-    c = LogValue.of(c)
-    if c.saturated or -c.log2 > _LOG_INPUT_CAP:
-        return LogValue(_SATURATED_LOG2, saturated=True)
-    base = 2 * eps
-    log2 = mpmath.mpf(-1) + mpmath.mpf(12) * mpmath.power(2, -c.log2) * log2_fraction(base)
-    exact = None
-    exponent = None if c.exact is None else 12 / c.exact
-    if exponent is not None and exponent.denominator == 1:
-        k = exponent.numerator
-        if k * max(base.numerator.bit_length(), base.denominator.bit_length()) <= EXACT_BITS_CAP:
-            exact = base**k / 2
-    return LogValue(log2, exact)
 
 
 @dataclass(frozen=True)

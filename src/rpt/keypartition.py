@@ -29,15 +29,7 @@ from math import comb
 
 import mpmath
 
-from .embedding import blowup_copy_bound
-from .extraction import (
-    ExtractionInfeasible,
-    extract_restricted_exact,
-    part_bound,
-    peel_chain,
-    phi,
-    phi_lower_bound,
-)
+from .extraction import ExtractionInfeasible, extract_restricted_exact, peel_chain
 from .fullpair import FullPairParams, find_full_pair
 from .graph import (
     Graph,
@@ -49,7 +41,14 @@ from .graph import (
     mask_from_ids,
     with_at_least,
 )
-from .ledger import ConstantsLedger, build_ledger
+from .ledger import (
+    ConstantsLedger,
+    blowup_copy_bound,
+    build_ledger,
+    part_bound,
+    phi,
+    phi_lower_bound,
+)
 from .predicates import (
     BlowupCertificate,
     EnumerationBudgetError,

@@ -1,36 +1,152 @@
-"""Log-scale evaluation of every constant recursion in the pipeline.
+"""The paper's constant formulas, and their log-scale evaluation.
+
+This module owns every constant formula the pipeline uses: phi(delta, eta)
+(cached, with its log-scale lower bound ``phi_lower_bound``), the part bound
+N = C(h,2) + (h-1) phi, the extractor's depth ``depth_for`` and shrink
+``shrink_fraction``, the copy thresholds ``tight_pair_copy_threshold`` and
+``blowup_copy_bound``, and gamma(c, xi) = (1/2)(2 xi)^(12/c).  The algorithm
+modules (``extraction``, ``embedding``, ``fullpair``, ``keypartition``)
+import them from here, and ``ledger`` itself imports only ``values``, so
+building a ledger (``rpt constants``) compiles none of the algorithm
+modules.
 
 The guarantee constants are towers of exponentials: each row of the
-lambda/Gamma recursion feeds the previous row's product through
-gamma(c, xi) = (1/2)(2 xi)^(12/c), which exponentiates the running
-logarithm.  Every entry is a :class:`~rpt.values.LogValue`: a base-2
+lambda/Gamma recursion feeds the previous row's product through gamma,
+which exponentiates the running logarithm.  Every entry of
+:func:`build_ledger` is a :class:`~rpt.values.LogValue`: a base-2
 logarithm (mpmath, 240-bit mantissas) with the exact rational kept
 alongside while its binary representation stays within the size cap.
-Each entry comes from the runtime's own function for its constant
-(``gamma``, ``shrink_fraction``, ``depth_for``, ``phi``, ``phi_lower_bound``,
-``part_bound``, ``tight_pair_copy_threshold``, ``blowup_copy_bound``)
-called with LogValue arguments.  Once even the logarithm's exponent would
-stop fitting in memory an entry saturates: its ``log2`` becomes an upper
-bound and ``saturated`` is set.  Upper bounds are sound for every use the
-runtime makes of these constants (all are of the form "is v * size below
-1").  phi(delta', eta') and N are the exceptions: without an exact value
-their ``log2`` is a lower bound, which is what count comparisons need.
-phi's denominator -ln(1-delta') skips log1p when delta' < 2^-(prec+2): the
-series' tail is then below rounding, so the answer is delta' itself,
-exactly (see :func:`phi_entry`).
+Each entry comes from the runtime's own function for its constant, the
+one defined here, called with LogValue arguments.  Once even the
+logarithm's exponent would stop fitting in memory an entry saturates: its
+``log2`` becomes an upper bound and ``saturated`` is set.  Upper bounds
+are sound for every use the runtime makes of these constants (all are of
+the form "is v * size below 1").  phi(delta', eta') and N are the
+exceptions: without an exact value their ``log2`` is a lower bound, which
+is what count comparisons need.  phi's denominator -ln(1-delta') skips
+log1p when delta' < 2^-(prec+2): the series' tail is then below rounding,
+so the answer is delta' itself, exactly (see :func:`phi_entry`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import mpmath
 
-from .embedding import blowup_copy_bound, tight_pair_copy_threshold
-from .extraction import depth_for, part_bound, phi, phi_lower_bound, shrink_fraction
-from .fullpair import gamma
-from .values import LogValue, ceil_frac, scalar_min
+from .values import (
+    EXACT_BITS_CAP,
+    LogValue,
+    Scalar,
+    ceil_frac,
+    least_power,
+    log2_fraction,
+    scalar_log2,
+    scalar_min,
+)
+
+# |log2 c| above this would make gamma's logarithm exponent
+# unrepresentable; saturate instead.
+_LOG_INPUT_CAP = mpmath.mpf(2) ** 46
+_SATURATED_LOG2 = -(mpmath.mpf(2) ** 46)
+
+
+@lru_cache(maxsize=16)
+def phi(delta: Fraction, eta: Fraction) -> int:
+    """Least integer p >= 1 with (1-delta)^p <= eta, decided exactly.
+
+    Cached: one run asks for the same (delta', eta') in the peel chain, its
+    self-check and each key-lemma bound."""
+    if not (0 < delta < 1 and 0 < eta < 1):
+        raise ValueError("phi needs delta, eta in (0,1)")
+    return least_power(1 - delta, eta)
+
+
+def phi_lower_bound(delta: Scalar, eta: Scalar) -> LogValue:
+    """A lower bound on phi(delta, eta) from upper bounds on delta <= 1/2
+    and eta: phi >= ln(1/eta) / -ln(1-delta) >= ln(1/eta) / (delta (1+delta)),
+    and 1 + delta <= 2 costs one bit."""
+    return LogValue(
+        mpmath.log(-scalar_log2(eta) * mpmath.log(2), 2) - scalar_log2(delta) - 1
+    )
+
+
+def part_bound(h: int, p: int | LogValue) -> int | LogValue:
+    """N = C(h,2) + (h-1) * p for p = phi(delta', eta'), an int or a LogValue."""
+    return comb(h, 2) + (h - 1) * p
+
+
+def depth_for(eps: Scalar) -> int:
+    """ceil(log_{3/2}(eps^-2)): least s >= 1 with (3/2)^s >= eps^-2.
+
+    Exact for a rational eps or a LogValue that keeps one; otherwise the
+    log-scale quotient rounded up, which on an exact power of 2/3 may
+    exceed the exact answer by one.
+    """
+    if isinstance(eps, LogValue):
+        if eps.exact is None:
+            return max(int(mpmath.ceil(-2 * eps.log2 / mpmath.log(mpmath.mpf(3) / 2, 2))), 1)
+        eps = eps.exact
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0,1)")
+    return least_power(Fraction(2, 3), eps**2)
+
+
+def shrink_fraction(h: int, eps: Scalar) -> Scalar:
+    """Per-level size shrink at density target eps: 1/2 * (2h)^-2 * (eps/4)^(h-1)."""
+    return Fraction(1, 2) * Fraction(1, (2 * h) ** 2) * (eps / 4) ** (h - 1)
+
+
+def tight_pair_copy_threshold(h: int, eps: Scalar) -> Scalar:
+    """(4h)^-h * eps^C(h,2): the copy density below which a tight pair must
+    exist.  A LogValue eps (as in the constants ledger) gives a LogValue."""
+    return Fraction(1, (4 * h) ** h) * eps ** comb(h, 2)
+
+
+def blowup_copy_bound(h: int, eps: Fraction, sizes, exponent_form: str = "h-1") -> Scalar:
+    """(1-eps)^(h-1) * eps^C(h,2) * prod |D_i|.  Sizes may be LogValues, as
+    the constants ledger's Lambda rows are; the bound is then one too.
+
+    exponent_form="h" uses the weaker (1-eps)^h variant employed by the
+    contradiction test in the key-partition runner; both forms hold.  Any
+    other exponent_form raises ValueError.
+    """
+    exponents = {"h-1": h - 1, "h": h}
+    if exponent_form not in exponents:
+        raise ValueError(f"exponent_form must be 'h-1' or 'h', not {exponent_form!r}")
+    e = exponents[exponent_form]
+    bound = (1 - eps) ** e * eps ** comb(h, 2)
+    for s in sizes:
+        bound *= s
+    return bound
+
+
+def gamma(c: Scalar, eps: Fraction) -> LogValue:
+    """gamma(c, eps) = (1/2) * (2*eps)^(12/c) on the log scale.
+
+    Exact when c is exact and 12/c is an integer, within the exactness
+    cap.  A saturated c, or one so small that the result's logarithm would
+    overflow, gives a saturated value whose log2 is only an upper bound.
+    """
+    if not (c.log2 < 0 if isinstance(c, LogValue) else 0 < c < 1):
+        raise ValueError("c must lie in (0,1)")
+    if not Fraction(0) < eps < Fraction(1, 4):
+        raise ValueError("eps must lie in (0,1/4)")
+    c = LogValue.of(c)
+    if c.saturated or -c.log2 > _LOG_INPUT_CAP:
+        return LogValue(_SATURATED_LOG2, saturated=True)
+    base = 2 * eps
+    log2 = mpmath.mpf(-1) + mpmath.mpf(12) * mpmath.power(2, -c.log2) * log2_fraction(base)
+    exact = None
+    exponent = None if c.exact is None else 12 / c.exact
+    if exponent is not None and exponent.denominator == 1:
+        k = exponent.numerator
+        if k * max(base.numerator.bit_length(), base.denominator.bit_length()) <= EXACT_BITS_CAP:
+            exact = base**k / 2
+    return LogValue(log2, exact)
 
 
 def _minus_ln_one_minus(log2: mpmath.mpf) -> mpmath.mpf:

@@ -4,31 +4,58 @@ Fractions travel as exact "p/q" strings, vertex sets as sorted id lists,
 counts as decimal strings (they outgrow doubles quickly).  Emission is
 deterministic: sorted keys, fixed separators, no timestamps.  Every
 ``*_from_json`` loader takes the host graph's vertex count ``n`` when it is
-known, and then rejects vertex ids outside the graph.
+known, and then rejects vertex ids outside the graph.  A missing field, or
+a fraction field that is not a string, is named in a ValueError.
+
+The certificate types are imported inside the loaders that build them, so
+a command that writes or reads no certificate compiles none of their
+modules.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .assembly import PathPartition, RemovalResult, RestrictedPartition, theorem_eps
-from .extraction import PeelChain
 from .graph import Graph, Pattern, mask_to_ids
-from .keypartition import BlowupFound, KeyCertificate, KeyLemmaResult, StepRecord
-from .predicates import BlowupCertificate, FullPairCertificate
 from .values import format_fraction, parse_fraction
+
+if TYPE_CHECKING:
+    from .assembly import PathPartition, RemovalResult, RestrictedPartition
+    from .extraction import PeelChain
+    from .keypartition import BlowupFound, KeyCertificate, KeyLemmaResult, StepRecord
+    from .predicates import BlowupCertificate, FullPairCertificate
 
 
 def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def required_field(obj: dict, key: str):
+    """The required field ``key`` of a certificate."""
+    if key not in obj:
+        raise ValueError(f'the certificate field "{key}" is missing')
+    return obj[key]
+
+
+def _fraction(obj: dict, key: str) -> Fraction:
+    """The fraction field ``key`` of a certificate: a string that
+    parse_fraction reads ("1/4", "0.25"), not a JSON number."""
+    v = required_field(obj, key)
+    if type(v) is not str:
+        raise ValueError(f'{key} must be a fraction string such as "1/4", got {v!r}')
+    try:
+        return parse_fraction(v)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _integer(obj: dict, key: str) -> int:
     """The integer field ``key`` of a certificate: a JSON integer (not a
     bool or a float), or for copy_count, which travels as a decimal string,
     a string in canonical decimal ("12", not "012", " 12" or "1_2")."""
-    v = obj[key]
+    v = required_field(obj, key)
     if key == "copy_count":
         digits = type(v) is str and v.isascii() and v.removeprefix("-").isdigit()
         if not (digits and str(int(v)) == v):
@@ -90,7 +117,7 @@ def pattern_from_json(obj: dict) -> Pattern:
     as JSON integers and each edge as two endpoints; Graph.from_edges and
     Pattern check their ranges."""
     n = _integer(obj, "n")
-    edges = [_integers(e, "pattern edge") for e in obj["edges"]]
+    edges = [_integers(e, "pattern edge") for e in required_field(obj, "edges")]
     for e in edges:
         if len(e) != 2:
             raise ValueError(f"pattern edge {list(e)} does not have two endpoints")
@@ -110,12 +137,14 @@ def full_pair_to_json(cert: FullPairCertificate) -> dict:
 
 
 def full_pair_from_json(obj: dict, n: int | None = None) -> FullPairCertificate:
+    from .predicates import FullPairCertificate
+
     return FullPairCertificate(
-        _mask(obj["a"], n),
-        _mask(obj["b"], n),
-        parse_fraction(obj["c"]),
-        parse_fraction(obj["eps"]),
-        obj["polarity"],
+        _mask(required_field(obj, "a"), n),
+        _mask(required_field(obj, "b"), n),
+        _fraction(obj, "c"),
+        _fraction(obj, "eps"),
+        required_field(obj, "polarity"),
     )
 
 
@@ -130,11 +159,13 @@ def blowup_to_json(cert: BlowupCertificate) -> dict:
 
 
 def blowup_from_json(obj: dict, n: int | None = None) -> BlowupCertificate:
+    from .predicates import BlowupCertificate
+
     return BlowupCertificate(
-        tuple(_mask(p, n) for p in obj["parts"]),
-        parse_fraction(obj["c"]),
-        parse_fraction(obj["eps"]),
-        pattern_from_json(obj["pattern"]),
+        tuple(_mask(p, n) for p in required_field(obj, "parts")),
+        _fraction(obj, "c"),
+        _fraction(obj, "eps"),
+        pattern_from_json(required_field(obj, "pattern")),
     )
 
 
@@ -155,11 +186,11 @@ def peel_chain_from_json(obj: dict, n: int | None = None) -> dict:
     """The PeelChain fields by name.  A chain that does not state
     "guaranteed" is held to the phi(delta, eta) length bound."""
     return {
-        "peels": tuple(_mask(p, n) for p in obj["peels"]),
-        "leftover": _mask(obj["leftover"], n),
-        "eps": parse_fraction(obj["eps"]),
-        "eta": parse_fraction(obj["eta"]),
-        "delta": parse_fraction(obj["delta"]),
+        "peels": tuple(_mask(p, n) for p in required_field(obj, "peels")),
+        "leftover": _mask(required_field(obj, "leftover"), n),
+        "eps": _fraction(obj, "eps"),
+        "eta": _fraction(obj, "eta"),
+        "delta": _fraction(obj, "delta"),
         "phi_bound": _integer(obj, "phi_bound"),
         "guaranteed": _boolean(obj, "guaranteed", True),
     }
@@ -187,24 +218,26 @@ def key_result_to_json(res: KeyLemmaResult) -> dict:
 
 
 def key_result_from_json(obj: dict, n: int | None = None) -> KeyCertificate:
+    from .keypartition import KeyCertificate
+
     def sets(key: str) -> tuple[int, ...]:
-        return tuple(_mask(x, n) for x in obj[key])
+        return tuple(_mask(x, n) for x in required_field(obj, key))
 
     stated = "delta_prime" in obj
     if stated != ("eta_prime" in obj):
         raise ValueError("delta_prime and eta_prime must be stated together")
     return KeyCertificate(
-        _mask(obj["S"], n),
+        _mask(required_field(obj, "S"), n),
         sets("A"),
         sets("B"),
         sets("C"),
         _integer(obj, "d"),
         _integer(obj, "h"),
-        parse_fraction(obj["eps"]),
-        parse_fraction(obj["eta"]),
-        parse_fraction(obj["theta"]),
-        parse_fraction(obj["delta_prime"]) if stated else None,
-        parse_fraction(obj["eta_prime"]) if stated else None,
+        _fraction(obj, "eps"),
+        _fraction(obj, "eta"),
+        _fraction(obj, "theta"),
+        _fraction(obj, "delta_prime") if stated else None,
+        _fraction(obj, "eta_prime") if stated else None,
     )
 
 
@@ -219,10 +252,12 @@ def blowup_found_to_json(found: BlowupFound) -> dict:
 
 
 def blowup_found_from_json(obj: dict, n: int | None = None) -> BlowupFound:
+    from .keypartition import BlowupFound
+
     return BlowupFound(
-        blowup_from_json(obj["certificate"], n),
+        blowup_from_json(required_field(obj, "certificate"), n),
         _integer(obj, "copy_count"),
-        parse_fraction(obj["copy_bound"]),
+        _fraction(obj, "copy_bound"),
         _boolean(obj, "contradiction_checked", False),
     )
 
@@ -253,9 +288,11 @@ def restricted_partition_to_json(p: RestrictedPartition) -> dict:
 
 
 def restricted_partition_from_json(obj: dict, n: int | None = None) -> RestrictedPartition:
+    from .assembly import RestrictedPartition
+
     return RestrictedPartition(
-        tuple(_mask(x, n) for x in obj["parts"]),
-        parse_fraction(obj["eps"]),
+        tuple(_mask(x, n) for x in required_field(obj, "parts")),
+        _fraction(obj, "eps"),
         _integer(obj, "N"),
     )
 
@@ -269,9 +306,9 @@ def path_partition_to_json(p: PathPartition) -> dict:
 
 
 def path_partition_from_json(obj: dict, n: int | None = None) -> PathPartition:
-    return PathPartition(
-        tuple(_mask(x, n) for x in obj["blocks"]), parse_fraction(obj["eps"])
-    )
+    from .assembly import PathPartition
+
+    return PathPartition(tuple(_mask(x, n) for x in required_field(obj, "blocks")), _fraction(obj, "eps"))
 
 
 def removal_result_to_json(r: RemovalResult) -> dict:
@@ -288,9 +325,11 @@ def removal_result_to_json(r: RemovalResult) -> dict:
 
 def removal_result_from_json(obj: dict, n: int | None = None) -> RemovalResult:
     """A removal certificate; its eps must lie in the theorem's domain."""
+    from .assembly import RemovalResult, RestrictedPartition, theorem_eps
+
     partition = RestrictedPartition(
-        tuple(_mask(x, n) for x in obj["parts"]),
-        theorem_eps(parse_fraction(obj["eps"])),
+        tuple(_mask(x, n) for x in required_field(obj, "parts")),
+        theorem_eps(_fraction(obj, "eps")),
         _integer(obj, "N"),
     )
-    return RemovalResult(_mask(obj["removed"], n), partition, _integer(obj, "d"))
+    return RemovalResult(_mask(required_field(obj, "removed"), n), partition, _integer(obj, "d"))

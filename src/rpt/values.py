@@ -18,6 +18,8 @@ them whole.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +48,12 @@ def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        digits = max(map(len, re.findall("[0-9]+", text)), default=0)
+        if limit and digits > limit:
+            raise ValueError(
+                f"an integer of {digits} digits exceeds Python's limit of {limit} integer digits"
+            ) from None
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 

@@ -39,9 +39,7 @@ from rpt.extraction import (
     extract_restricted_exact,
     find_low_or_high_density_subset,
     peel_chain,
-    phi,
 )
-from rpt.fullpair import gamma
 from rpt.graph import (
     Graph,
     Pattern,
@@ -64,7 +62,7 @@ from rpt.keypartition import (
     verify_key_result,
     verify_mnt_partition,
 )
-from rpt.ledger import build_ledger
+from rpt.ledger import build_ledger, gamma, phi
 from rpt.predicates import (
     BlowupCertificate,
     is_restricted,

@@ -577,6 +577,91 @@ class TestCheckKinds:
                                  captured.err)
 
 
+def _field_paths(obj: dict, path: tuple = ()):
+    """The path to every field of a certificate, nested objects' fields too."""
+    for key, value in obj.items():
+        yield (*path, key)
+        if isinstance(value, dict):
+            yield from _field_paths(value, (*path, key))
+
+
+def _edited(cert: dict, path: tuple, *value) -> dict:
+    """A copy of ``cert`` with the field at ``path`` set to ``value``, or
+    deleted when no value is given."""
+    out = json.loads(json.dumps(cert))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if value:
+        parent[path[-1]] = value[0]
+    else:
+        del parent[path[-1]]
+    return out
+
+
+# fields a certificate may leave out: each has a default (a pattern's order
+# is its labels in order), or is not read ("verified", and the kind of a
+# nested certificate)
+OPTIONAL_FIELDS = {"guaranteed", "contradiction_checked", "verified", "order"}
+FRACTION_FIELDS = {"c", "eps", "eta", "theta", "delta", "delta_prime", "eta_prime", "copy_bound"}
+
+
+class TestMalformedFields:
+    """A certificate with a field missing, or a fraction field that is not
+    a string, is malformed (exit 1), and the message names the field; it
+    used to print only the field's name in quotes, or a Python error."""
+
+    def run(self, capsys, tmp_path, kind, cert):
+        (n, edges), _, _, _ = CHECK_CASES[kind]
+        g_path = tmp_path / "g.el"
+        g_path.write_text(to_edge_list(Graph.from_edges(n, edges)))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code = main(["check", "--graph", str(g_path), "--cert", str(cert_path), "--json"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("kind", sorted(CHECK_CASES))
+    def test_each_missing_field_is_named(self, capsys, tmp_path, kind):
+        cert = CHECK_CASES[kind][1]
+        valid = self.run(capsys, tmp_path, kind, cert)
+        assert valid[0] == 0
+        for path in _field_paths(cert):
+            field = path[-1]
+            got = self.run(capsys, tmp_path, kind, _edited(cert, path))
+            if field in OPTIONAL_FIELDS or (field == "kind" and len(path) > 1):
+                assert got == valid, path
+            elif field in ("delta_prime", "eta_prime"):
+                assert got == (1, "", "error: delta_prime and eta_prime must be stated together\n")
+            else:
+                assert got == (1, "", f'error: the certificate field "{field}" is missing\n'), path
+
+    @pytest.mark.parametrize("kind", sorted(CHECK_CASES))
+    def test_a_fraction_field_must_be_a_string(self, capsys, tmp_path, kind):
+        cert = CHECK_CASES[kind][1]
+        paths = [p for p in _field_paths(cert) if p[-1] in FRACTION_FIELDS]
+        assert paths
+        for path in paths:
+            field = path[-1]
+            for value in (float("nan"), 0.25, None, [1, 4]):
+                got = self.run(capsys, tmp_path, kind, _edited(cert, path, value))
+                assert got == (
+                    1, "", f'error: {field} must be a fraction string such as "1/4", got {value!r}\n'
+                ), path
+
+    @pytest.mark.parametrize("kind", ["full_pair", "peel_chain", "key_lemma_result"])
+    def test_a_fraction_over_the_digit_limit_is_named(self, capsys, tmp_path, kind):
+        cert = {**CHECK_CASES[kind][1], "eps": "1/" + "3" * 5000}
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        try:
+            got = self.run(capsys, tmp_path, kind, cert)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert got == (1, "", "error: eps: an integer of 5000 digits exceeds Python's limit "
+                       "of 4300 integer digits\n")
+
+
 def test_a_closed_pipe_ends_the_run_quietly():
     """`rpt constants ... | head -1`: once the reader has gone, the run
     exits 141 (128 + SIGPIPE, as a shell reports a program that SIGPIPE
@@ -994,15 +1079,15 @@ def test_one_run_decides_each_power_once(capsys, tmp_path, monkeypatch, subcomma
     """phi is cached, so one run calls least_power once per distinct (q, x):
     the peel chain, its self-check and both key-lemma bounds used to decide
     the same phi(delta', eta') again, five calls for two pairs."""
-    import rpt.extraction
+    import rpt.ledger
 
     g_path = tmp_path / "g.el"
     g_path.write_text(to_edge_list(random_graph(80, 0.5, 1)))
     calls = []
-    least_power = rpt.extraction.least_power
-    monkeypatch.setattr(rpt.extraction, "least_power",
+    least_power = rpt.ledger.least_power
+    monkeypatch.setattr(rpt.ledger, "least_power",
                         lambda q, x: calls.append((q, x)) or least_power(q, x))
-    rpt.extraction.phi.cache_clear()
+    rpt.ledger.phi.cache_clear()
     assert main([subcommand, "--graph", str(g_path), "--pattern", "K3", "--d", "10",
                  "--json"]) == 0
     capsys.readouterr()

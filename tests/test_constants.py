@@ -13,8 +13,14 @@ import pytest
 import rpt.ledger
 from rpt import serialize
 from rpt.cli import main
-from rpt.extraction import phi, phi_lower_bound
-from rpt.ledger import ConstantsLedger, _minus_ln_one_minus, build_ledger, phi_entry
+from rpt.ledger import (
+    ConstantsLedger,
+    _minus_ln_one_minus,
+    build_ledger,
+    phi,
+    phi_entry,
+    phi_lower_bound,
+)
 from rpt.values import LogValue
 
 # the benchmark's six constants cases, then a saturated ledger (h = 4) and

@@ -10,20 +10,15 @@ from hypothesis import strategies as st
 from conftest import peeling_graphs, random_graph, wide_graphs
 from rpt import assembly, extraction
 from rpt.assembly import PathPartition, base_partition
-from rpt.embedding import tight_pair_copy_threshold
 from rpt.extraction import (
     DensitySubsetResult,
     ExtractionBudget,
     ExtractionInfeasible,
     PeelChain,
-    depth_for,
     extract_restricted_exact,
     find_low_or_high_density_subset,
     greedy_restricted_chunk,
     peel_chain,
-    phi,
-    phi_lower_bound,
-    shrink_fraction,
     trim_to_size,
     verify_peel_chain,
 )
@@ -40,7 +35,14 @@ from rpt.graph import (
     named_pattern,
     with_at_least,
 )
-from rpt.ledger import build_ledger
+from rpt.ledger import (
+    build_ledger,
+    depth_for,
+    phi,
+    phi_lower_bound,
+    shrink_fraction,
+    tight_pair_copy_threshold,
+)
 from rpt.predicates import is_restricted
 from rpt.values import LogValue, ceil_frac, floor_frac
 

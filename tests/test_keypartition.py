@@ -9,12 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_pattern
-import rpt.extraction
 import rpt.keypartition
+import rpt.ledger
 from rpt.adversarial import HardInstanceSpec, generate_hard_graph
-from rpt.embedding import blowup_copy_bound
-from rpt.extraction import phi
-from rpt.fullpair import gamma
 from rpt.graph import Graph, Pattern, complement, iter_bits, mask_from_ids, named_pattern
 from rpt.keypartition import (
     BlowupFound,
@@ -29,7 +26,7 @@ from rpt.keypartition import (
     verify_key_result,
     verify_mnt_partition,
 )
-from rpt.ledger import build_ledger
+from rpt.ledger import blowup_copy_bound, build_ledger, gamma, phi
 from rpt.predicates import Verdict, is_restricted, is_tight_to
 
 QUARTER = Fraction(1, 4)
@@ -65,7 +62,7 @@ class TestLedger:
         # the (h=2, eps=1/2) closed form lives outside the ledger's open
         # (0,1/2) domain; check the generator directly and the ledger at
         # an in-domain point
-        from rpt.embedding import tight_pair_copy_threshold
+        from rpt.ledger import tight_pair_copy_threshold
 
         assert tight_pair_copy_threshold(2, Fraction(1, 2)) == Fraction(1, 128)
         led = build_ledger(2, QUARTER, QUARTER, QUARTER)
@@ -117,8 +114,8 @@ class TestKeyParams:
         # (delta', eta'), a new equal instance too, shares one least_power
         # call, and a copy with a new eta' makes one more
         calls = []
-        least_power = rpt.extraction.least_power
-        monkeypatch.setattr(rpt.extraction, "least_power",
+        least_power = rpt.ledger.least_power
+        monkeypatch.setattr(rpt.ledger, "least_power",
                             lambda q, x: calls.append((q, x)) or least_power(q, x))
         phi.cache_clear()
         params = KeyParams.practical(K3, QUARTER)

@@ -5,8 +5,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import pytest
 
 import rpt
+from conftest import random_graph
+from rpt.graph import to_edge_list
 
 SRC = Path(rpt.__file__).parent
 
@@ -193,3 +198,72 @@ def test_counting_routes_are_imported_on_first_use():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
     assert out.split("\n")[:2] == ["False False False", "True True True"]
+
+
+def _run(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a fresh interpreter on this package."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    return out.splitlines()
+
+
+# the modules only the pipeline runs (extraction, the key lemma, assembly, ...)
+PIPELINE = ("adversarial", "assembly", "embedding", "extraction", "fullpair", "keypartition",
+            "predicates")
+
+
+def test_each_entry_point_loads_only_the_modules_it_runs(tmp_path):
+    # the package and the CLI used to import every module eagerly, so each
+    # `rpt` process compiled all of them before it ran anything: most of
+    # `rpt constants`' start-up, and half of `rpt count`'s
+    graph = tmp_path / "g.el"
+    graph.write_text(to_edge_list(random_graph(60, 0.5, 1)))
+    loaded = ("def loaded():\n"
+              "    return ' '.join(sorted(m.removeprefix('rpt.') for m in sys.modules\n"
+              "                           if m == 'rpt' or m.startswith('rpt.')))\n")
+    quiet = "import contextlib, io\nrun = contextlib.redirect_stdout(io.StringIO())\n"
+    lines = _run("import sys\n" + loaded + "import rpt\nprint(loaded())\n"
+                 "for sub in ('cli', 'serialize', 'values', 'ledger', 'graph'):\n"
+                 "    __import__(f'rpt.{sub}')\n"
+                 "print(loaded())\n")
+    assert lines == ["rpt", "cli graph ledger rpt serialize values"]
+    argv = ["constants", "--h", "3", "--eps", "1/4", "--eta", "1/4", "--theta", "1/4"]
+    lines = _run("import sys, rpt.cli\n" + loaded + quiet
+                 + f"with run:\n    code = rpt.cli.main({argv!r})\nprint(code, loaded())\n")
+    assert lines == ["0 cli graph ledger rpt serialize values"]
+    for pattern in ("K3", "C4", "P5"):
+        argv = ["count", "--graph", str(graph), "--pattern", pattern]
+        code, *names = _run("import sys, rpt.cli\n" + loaded + quiet
+                            + f"with run:\n    code = rpt.cli.main({argv!r})\n"
+                            "print(code, loaded())\n")[0].split()
+        assert code == "0" and not set(PIPELINE) & set(names), (pattern, names)
+
+
+def test_the_package_resolves_its_names_lazily():
+    """Every exported name is its defining module's object, read on first
+    use and then cached; an unknown name is an AttributeError, and an
+    ImportError raised inside a real submodule reaches the caller unchanged."""
+    for name in rpt.__all__:
+        value = getattr(rpt, name)
+        if isinstance(value, ModuleType):
+            assert value is sys.modules[f"rpt.{name}"]
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    assert not hasattr(rpt, "nosuch")
+    with pytest.raises(AttributeError, match="'nosuch'"):
+        rpt.nosuch  # noqa: B018
+    lines = _run("import rpt\n"
+                 "print(set(rpt.__all__) <= set(dir(rpt)), 'build_ledger' in vars(rpt))\n"
+                 "build = rpt.build_ledger\n"
+                 "print('build_ledger' in vars(rpt), rpt.build_ledger is build)\n")
+    assert lines == ["True False", "True True"]
+    # mpmath made unimportable: the ledger, and values under it, cannot load
+    lines = _run("import sys, rpt\n"
+                 "sys.modules['mpmath'] = None\n"
+                 "for name in ('build_ledger', 'values'):\n"
+                 "    try:\n"
+                 "        getattr(rpt, name)\n"
+                 "    except ImportError as exc:\n"
+                 "        print(type(exc).__name__, exc.name)\n")
+    assert lines == ["ModuleNotFoundError mpmath"] * 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rpt import extraction, values
+from rpt import ledger, values
 from rpt.ledger import build_ledger
 from rpt.values import (
     EXACT_BITS_CAP,
@@ -230,7 +230,7 @@ def _ledger_scale_pair() -> tuple[Fraction, Fraction]:
         return p
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extraction, "least_power", recording)
+        mp.setattr(ledger, "least_power", recording)
         build_ledger(2, Fraction(1, 4), Fraction(1, 4), Fraction(1, 8))
     p, q, x = max(seen, key=lambda t: t[0])
     assert p == 504_204 and q == Fraction(2, 3)
