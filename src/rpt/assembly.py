@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .adversarial import EXHAUSTIVE_LIMIT, exact_n_restricted
 from .extraction import greedy_restricted_chunk
-from .graph import Graph, Pattern, induced_subgraph, iter_bits, lift, mask_from_ids
+from .graph import Graph, Pattern, induced_subgraph, iter_bits, lift, mask_from_ids, mask_to_ids
 from .keypartition import BlowupFound, KeyParams, run_key_lemma
 from .predicates import Verdict, is_restricted, is_tight_to
 from .values import ceil_frac, floor_frac
@@ -225,10 +225,8 @@ def level_eps(eps: Fraction, h: int, k: int) -> Fraction:
 
 
 def _split_round_robin(mask: int, ways: int) -> list[int]:
-    parts = [0] * ways
-    for pos, v in enumerate(iter_bits(mask)):
-        parts[pos % ways] |= 1 << v
-    return parts
+    ids = mask_to_ids(mask)
+    return [mask_from_ids(ids[i::ways]) for i in range(ways)]
 
 
 def part_count_target(eps: Fraction, key: KeyParams, h: int, k: int) -> int | None:

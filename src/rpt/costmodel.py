@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import exp, inf, prod
 
-from .graph import Graph, _ids, _links, _symmetry, mask_from_ids
+from .graph import Graph, _links, _symmetry, iter_bits, mask_from_ids
 
 _NODE, _AND, _LAST, _ROW = 2.7, 0.95, 1.3, 0.9
 _FOUR, _FIVE = (15.0, 1.6, 1.3), (3.4, 8.4, 1.5)
@@ -63,7 +63,7 @@ def best_order(h: Graph, n: int, p: float) -> tuple[float, tuple[int, ...]]:
     share, big = [1.0] * (1 << hn), [1.0] * (1 << hn)
     for s in range(1, 1 << hn):
         # the last vertex of an order of S meeting the constraints precedes none of S
-        share[s] = sum(share[s ^ 1 << w] for w in _ids(s) if not after[w] & s) / s.bit_count()
+        share[s] = sum(share[s ^ 1 << w] for w in iter_bits(s) if not after[w] & s) / s.bit_count()
         w = (s & -s).bit_length() - 1
         r, k = s ^ 1 << w, s.bit_count() - 1
         e = (h.adj[w] & r).bit_count()

@@ -34,7 +34,7 @@ from .graph import (
 )
 from .ledger import blowup_copy_bound, tight_pair_copy_threshold
 from .predicates import is_tight_to
-from .values import ceil_frac
+from .values import ceil_frac, floor_frac
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def _witness_search(
     n_last = d_last.bit_count()
     surviving = d_last
     # an integer count c has c < eps |D_i| iff c < ceil(eps |D_i|)
-    need = [ceil_frac(eps * di.bit_count()) for di in parts[: m - 1]]
+    need = [ceil_frac(eps, di.bit_count()) for di in parts[: m - 1]]
     for i in range(1, m):
         di = parts[i - 1]
         ni = di.bit_count()
@@ -108,12 +108,12 @@ def _witness_search(
             p_i = d_last & ~with_at_least(g, d_last, di, need[i - 1])
         else:
             p_i = with_at_least(g, d_last, di, ni - need[i - 1] + 1)
-        if p_i.bit_count() * (m - 1) > delta * n_last:
+        if p_i.bit_count() * (m - 1) > floor_frac(delta, n_last):
             return TightPairWitness(
                 i=i, j=m, a=di, b=p_i, mode="sparse" if edge else "dense"
             )
         surviving &= ~p_i
-    if surviving.bit_count() < (1 - delta) * n_last:
+    if surviving.bit_count() < n_last - floor_frac(delta, n_last):
         raise AssertionError("too many last-part vertices dropped as incorrect")
     for u in iter_bits(surviving):
         shrunk = []

@@ -31,10 +31,7 @@ counters and tests each pool vertex against integer thresholds.
 
 The best-effort fallback also offers a maximum independent set and a
 maximum clique, from one branch and bound (``_independent_set``, on G and
-on its complement) for n <= 64.  Each node is bounded by a greedy clique
-cover of its candidates, and the search only looks for sets larger than
-the best candidate already held; the answer is the plain search's
-whenever that search finishes within the node budget.  The recursion's
+on its complement) for n <= 64.  The recursion's
 per-vertex test (at most eps k / 2 neighbours in the trimmed piece) is one
 ``graph.with_at_least`` call, with its bound rounded once: a count c has
 c <= x iff c <= floor(x).
@@ -521,10 +518,10 @@ def peel_chain(
     peels: list[int] = []
     guaranteed = True
     extract_delta = min(delta, Fraction(1, 4))
-    while u.bit_count() > eta * total:
-        need = ceil_frac(delta * u.bit_count())
+    while u.bit_count() > floor_frac(eta, total):  # c > eta n iff c > floor(eta n)
+        need = ceil_frac(delta, u.bit_count())
         peel = greedy_restricted_chunk(g, u, eps)
-        if peel.bit_count() < ceil_frac(extract_delta * u.bit_count()):
+        if peel.bit_count() < ceil_frac(extract_delta, u.bit_count()):
             sub, ids = induced_subgraph(g, u)
             try:
                 local = extract_restricted_exact(sub, pat, eps, extract_delta)

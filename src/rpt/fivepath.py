@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import compress, repeat
 from operator import mul, sub
 
-from .graph import Graph, _ids, induced_sets
+from .graph import Graph, induced_sets, mask_to_ids
 
 
 def cherry_sum(g: Graph) -> int:
@@ -42,14 +42,14 @@ def cherry_sum(g: Graph) -> int:
         a = adj[c]
         keep = ~(a | 1 << c)
         live = 0
-        for b in _ids(a):
+        for b in mask_to_ids(a):
             row = adj[b] & keep
             if row:
                 out[b] = row
                 size[b] = row.bit_count()
                 live |= 1 << b
-        for b in _ids(live):
-            ds = _ids(live & ~adj[b] & -(2 << b))
+        for b in mask_to_ids(live):
+            ds = mask_to_ids(live & ~adj[b] & -(2 << b))
             rb = out[b]
             ks = list(map(int.bit_count, map(rb.__and__, map(out.__getitem__, ds))))
             total += sum(map(mul, map(sub, repeat(size[b]), ks),

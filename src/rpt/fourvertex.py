@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, compress
 from operator import and_, mul, or_
 
-from .graph import Graph, _ids, induced_sets, mask_from_ids
+from .graph import Graph, induced_sets, mask_from_ids, mask_to_ids
 
 
 def _degree_key(h: Graph) -> tuple[int, ...]:
@@ -83,12 +83,12 @@ def _spanning_counts(g: Graph) -> dict[tuple[int, ...], int]:
     rich = []
     for u in compress(range(n), adj):
         a, d = adj[u], deg[u]
-        ids = _ids(a)
+        ids = mask_to_ids(a)
         paths2 += (d - 1) * (sum(map(deg.__getitem__, ids)) - d)
         rows = list(map(adj.__getitem__, ids))
         before = list(accumulate(rows, or_))  # before[i]: the union of rows[:i + 1]
         tri = a & before[-1]  # the neighbours v with c_uv > 0
-        tri_rows = rows if tri == a else map(adj.__getitem__, _ids(tri))
+        tri_rows = rows if tri == a else map(adj.__getitem__, mask_to_ids(tri))
         cs = list(map(int.bit_count, map(a.__and__, tri_rows)))
         t2 = sum(cs)  # twice the triangles at u
         if t2 >= 6:
@@ -98,7 +98,7 @@ def _spanning_counts(g: Graph) -> dict[tuple[int, ...], int]:
         diamonds4 += sum(map(mul, cs, cs)) - t2
         twos = reduce(or_, map(and_, rows[1:], before), 0) & ~a & -(2 << u)
         if twos:
-            cs = list(map(int.bit_count, map(a.__and__, map(adj.__getitem__, _ids(twos)))))
+            cs = list(map(int.bit_count, map(a.__and__, map(adj.__getitem__, mask_to_ids(twos)))))
             far2 += sum(map(mul, cs, cs)) - sum(cs)
     t = triangles6 // 6
     diamonds = diamonds4 // 4

@@ -6,48 +6,40 @@ id lists.  Certificates elsewhere in the package always speak host-graph
 ids, translating through the index map returned by :func:`induced_subgraph`
 with :func:`lift`.
 
-Every :class:`Graph` is checked in full when it is built: after the
-per-row self-loop and range checks, rows 0..k-1 are compared with their
-transpose.  Here k is 1 + the highest vertex that has, or is, a neighbour;
-the rows from k on are zero.  The rows are packed into one w x w bit matrix
-(w a power of two >= max(8, k)) and transposed in log2 w delta swaps by
-:func:`_transpose` only while the matrix stays within a fixed multiple of
-the rows' own bits and of their edges (:func:`_packs`); past that, and
-whenever the two differ, a per-edge scan runs, which also names the first
-asymmetric pair.  So a graph costs time and memory linear in n plus its
-rows' bits: the two-line edge list "16000\\n0 15999\\n" takes one step per
-edge and packs no 16384 x 16384 matrix, and neither does a wide sparse
-graph whose rows reach high vertices.  :func:`induced_subgraph` relabels
-through the same transpose, at the width of the highest kept vertex, under
-the same rule.
-
-Edge lists are read by :func:`load_graph_text`, which tries one fast pass
-for clean text (:func:`_clean_edge_list`) and otherwise leaves the text to
-the line parser :func:`from_edge_list`, the one source of parse errors.
-The fast pass reads the edge lines in windows of a fixed number of
-characters, so a load holds the text plus one window's ids, then the
+A graph is checked once, where it enters: ``Graph(n, adj)`` checks its
+rows in full, and the three builders whose rows are valid by construction
+(:func:`complement`, :func:`induced_subgraph`, the clean loader
+:func:`_clean_edge_list`) skip the check through :func:`_derived`, each
+proving its rows in its docstring.  The symmetry check, and the
+relabelling of :func:`induced_subgraph`, transpose the rows as one packed
+bit matrix (:func:`_transpose`) while :func:`_packs` allows it, else take
+one step per edge; so a graph costs time and memory linear in n plus its
 rows' bits.
+
+Edge lists are read by :func:`load_graph_text`: one fast pass for clean
+text, in windows of a fixed number of characters, and otherwise the line
+parser :func:`from_edge_list`, one line at a time and the one source of
+parse errors.  The per-vertex counts (:func:`with_at_least`,
+:func:`degree_range`) and :func:`mask_to_ids` on a dense mask run as C-level
+``compress`` and ``map`` kernels, with no Python step per vertex.
 
 A *copy* of a pattern H in G is an injective map phi from the pattern
 vertices into V(G) that preserves both adjacency and non-adjacency;
 :func:`count_induced_copies` counts them as |Aut(H)| times the vertex
-sets inducing H.  One cost model, :func:`plan`, decides how those sets
-are counted: in closed form for H on at most three vertices, from
-codegrees (:mod:`rpt.fourvertex`) or induced cherries (:mod:`rpt.fivepath`)
-on G or its complement, or by the backtracker, which meets symmetry-breaking
-order constraints phi(v) < phi(u) read off a stabilizer chain of Aut(H),
-in the position order of least predicted work.
-:func:`count_embeddings_into_parts` shares the backtracker with no order
-constraints.
+sets inducing H, by the way of least predicted work (:func:`plan`): a
+closed form, :mod:`rpt.fourvertex` or :mod:`rpt.fivepath` on G or its
+complement, or the backtracker under symmetry-breaking order constraints,
+which :func:`count_embeddings_into_parts` shares without constraints.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 
 
 class GraphParseError(ValueError):
@@ -66,32 +58,11 @@ def mask_from_ids(ids) -> int:
 
 
 def mask_to_ids(mask: int) -> list[int]:
-    return list(iter_bits(mask))
-
-
-def iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-# bin() digits "0"/"1" as the false/true selector bytes of itertools.compress
-_SELECTORS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _above(row: int, u: int, n: int):
-    """The vertices v > u of ``row`` (v < n), in increasing order: one
-    ``compress`` over the reversed binary digits, no Python step per bit."""
-    return compress(range(u + 1, n), bin(row >> (u + 1))[:1:-1].encode().translate(_SELECTORS))
-
-
-def _ids(mask: int) -> list[int]:
-    """The vertices of ``mask``, in no set order.  A dense mask is read by
-    one ``compress`` over its binary digits (:func:`_above`); a sparse one
-    a bit at a time from the top.  Each such step drops the top bit, so the
-    int shrinks as it goes, where a step from the bottom would copy all of
-    a wide row."""
+    """The vertices of ``mask``, in increasing order.  A dense mask is read
+    by one ``compress`` over its binary digits (:func:`_above`); a sparse
+    one a bit at a time from the top, then reversed.  Each such step drops
+    the top bit, so the int shrinks as it goes, where a step from the
+    bottom would copy all of a wide row."""
     if mask.bit_count() << 4 > mask.bit_length():
         return list(_above(mask, -1, mask.bit_length()))
     out = []
@@ -99,7 +70,27 @@ def _ids(mask: int) -> list[int]:
         top = mask.bit_length() - 1
         out.append(top)
         mask ^= 1 << top
+    out.reverse()
     return out
+
+
+def iter_bits(mask: int):
+    return iter(mask_to_ids(mask))
+
+
+# bin() digits "0"/"1" as the false/true selector bytes of itertools.compress
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digits(mask: int) -> bytes:
+    """One ``compress`` selector byte per vertex 0..bit_length-1 of ``mask``."""
+    return bin(mask)[:1:-1].encode().translate(_SELECTORS)
+
+
+def _above(row: int, u: int, n: int):
+    """The vertices v > u of ``row`` (v < n), in increasing order: one
+    ``compress`` over the reversed binary digits, no Python step per bit."""
+    return compress(range(u + 1, n), _digits(row >> (u + 1)))
 
 
 def _width(n: int) -> int:
@@ -109,7 +100,8 @@ def _width(n: int) -> int:
 
 def _pack(rows, w: int) -> int:
     """Rows of at most w bits each, packed row-major: row r at bits [r*w, (r+1)*w)."""
-    return int.from_bytes(b"".join(row.to_bytes(w // 8, "little") for row in rows), "little")
+    data = b"".join(map(int.to_bytes, rows, repeat(w // 8), repeat("little")))
+    return int.from_bytes(data, "little")
 
 
 # The masks of one width take w**2 log2(w) / 8 bytes: 1.25 MiB at w = 1024,
@@ -276,22 +268,31 @@ class Graph:
         return [(u, v) for u in compress(range(n), adj) for v in _above(adj[u], u, n)]
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def edges_inside(self, mask: int) -> int:
-        # bin(mask)[:1:-1] spells the mask from vertex 0 up, one digit each
-        if mask >> self.n:
-            raise ValueError("vertex set out of range")
-        return sum(
-            (row & mask).bit_count()
-            for row, bit in zip(self.adj, bin(mask)[:1:-1])
-            if bit == "1"
-        ) // 2
+        return sum(_counts(self.adj, mask, mask)) // 2
 
     def edges_between(self, a: int, b: int) -> int:
         if a & b:
             raise ValueError("edges_between requires disjoint sets")
-        return sum((self.adj[v] & b).bit_count() for v in iter_bits(a))
+        return sum(_counts(self.adj, a, b))
+
+
+def _derived(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph on rows valid by construction, without ``Graph.__post_init__``'s
+    check: only for :func:`complement`, :func:`induced_subgraph`, :func:`_clean_edge_list`."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
+def _counts(adj, s: int, t: int):
+    """The neighbours in t of each vertex of s, in increasing order, by C-level maps."""
+    if s >> len(adj):
+        raise ValueError("vertex set out of range")
+    return map(int.bit_count, map(t.__and__, compress(adj, _digits(s))))
 
 
 def with_at_least(g: Graph, s: int, t: int, k: int) -> int:
@@ -301,20 +302,20 @@ def with_at_least(g: Graph, s: int, t: int, k: int) -> int:
     a rational bound rounds it to the integer k once (a count c has c >= x
     iff c >= ceil(x)), and reads a bound on non-neighbours as |t| - c.
     """
-    adj = g.adj
-    return mask_from_ids(v for v in iter_bits(s) if (adj[v] & t).bit_count() >= k)
+    return mask_from_ids(compress(iter_bits(s), map(k.__le__, _counts(g.adj, s, t))))
 
 
 def degree_range(g: Graph, s: int) -> tuple[int, int]:
     """The least and the largest degree in G[s], over a nonempty s."""
-    adj = g.adj
-    degrees = [(adj[v] & s).bit_count() for v in iter_bits(s)]
+    degrees = list(_counts(g.adj, s, s))
     return min(degrees), max(degrees)
 
 
 def complement(g: Graph) -> Graph:
+    """The complement of G, valid because G is: row v holds the u != v
+    below n that G's row v misses, and u misses v iff v misses u."""
     full = g.full_mask
-    return Graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
+    return _derived(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
 def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
@@ -324,21 +325,20 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     transposed once: row v of the transpose holds the new ids of v's kept
     neighbours, so by symmetry the transpose's rows at the kept ids are the
     relabelled rows.  The matrix is as wide as the highest kept id, not n.
+    They need no check: new row i holds bit r iff ids[r] ~ ids[i], which is
+    symmetric in i and r, never holds i, and holds no r >= len(ids).
     """
     if mask & ~g.full_mask:
         raise ValueError("vertex set out of range")
     ids = mask_to_ids(mask)
     rows = _transposed_rows([g.adj[v] & mask for v in ids], _width(mask.bit_length()), ids)
-    return Graph(len(ids), tuple(rows)), ids
+    return _derived(len(ids), tuple(rows)), ids
 
 
 def lift(ids: list[int], mask: int) -> int:
     """The host-graph mask of ``mask``, a vertex set of the subgraph whose
     new-id -> host-id map ``ids`` came from :func:`induced_subgraph`."""
-    out = 0
-    for v in iter_bits(mask):
-        out |= 1 << ids[v]
-    return out
+    return mask_from_ids(compress(ids, _digits(mask)))
 
 
 def degree_planes(adj, mask: int) -> list[int]:
@@ -351,7 +351,7 @@ def degree_planes(adj, mask: int) -> list[int]:
     digit: one Python step per vertex of ``mask``, and no w x w matrix.
     """
     ids = mask_to_ids(mask)
-    degs = [(adj[v] & mask).bit_count() for v in ids]
+    degs = list(_counts(adj, mask, mask))
     nb = max(degs, default=0).bit_length()
     if not nb:
         return []
@@ -520,6 +520,20 @@ def named_pattern(name: str) -> Pattern:
         ) from None
 
 
+# A line and its break (every break of str.splitlines, "\r\n" as one), compiled on
+# first use by re's cache: a run on clean text skips the 0.4 MB compile peak.
+_LINE = r"(?s)([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)(?:\r\n|.|\Z)"
+
+
+def _data_lines(text: str):
+    """(line number, stripped line) for each line that is not blank or a '#'
+    comment, one at a time, numbered as by :meth:`str.splitlines`."""
+    for lineno, match in enumerate(re.finditer(_LINE, text), start=1):
+        line = match[1].strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def from_edge_list(text: str) -> Graph:
     """Parse the edge-list format.
 
@@ -532,10 +546,7 @@ def from_edge_list(text: str) -> Graph:
     """
     n = None
     rows: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         parts = line.split()
         if n is None:
             if len(parts) != 1:
@@ -611,19 +622,10 @@ def from_graph6(line: str) -> Graph:
 def to_graph6(g: Graph) -> str:
     if g.n > 62:
         raise ValueError("only short-form graph6 encoding is supported")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    bits = "".join("01"[g.has_edge(i, j)] for j in range(1, g.n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    return chr(g.n + 63) + "".join(chr(int(bits[k : k + 6], 2) + 63)
+                                   for k in range(0, len(bits), 6))
 
 
 # Both separators of an edge list, as the commas of one JSON array.
@@ -656,33 +658,28 @@ def _clean_edge_list(text: str) -> Graph | None:
     Clean means: the vertex count alone on the first line, in canonical
     decimal, then one "u v" per line with 0 <= u < v < n, no edge twice,
     a single space between the two ids, each id in canonical decimal, lines
-    separated by "\\n", and at most one final "\\n".  On such text the two
-    parsers agree.  Anything else returns None, so the line parser stays
-    the one source of error messages.  The count line must read back as
-    ``str(int(...))``.  The edge lines are then read in windows of whole
-    lines by :func:`_read_window`, each :data:`_WINDOW` characters and on to
-    the next "\\n", which it drops.  So besides the text a load holds its
-    rows and one window's ids at a time, and an edge costs one Python step
-    only to set its bit.  Each malformed form fails one step, the first
-    three in the window that holds it and the last two after the last one:
+    separated by "\\n", and at most one final "\\n".  Anything else returns
+    None, so the line parser stays the one source of error messages.  The
+    edge lines are read in windows of whole lines by :func:`_read_window`,
+    each :data:`_WINDOW` characters and on to the next "\\n".  Each
+    malformed form fails one step, the first three in its window:
 
     * the skeleton: with the digits deleted, the window must read " \\n"
-      per line, without the last "\\n".  This rejects every other character
-      (a sign, a letter, ",", "[", ".", a tab, "\\r", a non-ASCII digit), a
-      blank line or a comment, a line without exactly one space, and a
-      second final "\\n";
-    * JSON: the window's ids, joined by commas into one array, must parse
-      as JSON integers, which rejects an empty id and a leading zero (and
-      an id of more digits than ``int`` reads);
-    * the max check: an id at or above n, or at or above len(text), which
-      is left to the line parser so that a short text costs no shift wider
-      than itself;
+      per line, without the last "\\n", which rejects every other character,
+      blank or comment line, line without exactly one space, and a second
+      final "\\n";
+    * JSON: the window's ids, joined by commas, must parse as JSON integers
+      (no empty id, no leading zero);
+    * the max check: an id at or above n, or at or above len(text), so that
+      a short text costs no shift wider than itself;
     * the popcount: a repeated edge leaves fewer bits than lines;
     * the lowest bit: an edge with v <= u leaves a row whose lowest bit is
       at or below its own vertex.
 
-    The upper triangle is mirrored by :func:`_transposed_rows`, and the
-    result is checked in full by ``Graph``.
+    The rows U so read are strictly upper triangular and in range, by the
+    max check and the lowest bits; with no edge twice, by the popcount.  So
+    U | U^T, mirrored by :func:`_transposed_rows`, is symmetric, loopless
+    and in range, and needs no check by ``Graph``.
     """
     # The count line, and the edge lines without at most one final "\n".
     end = len(text) - text.endswith("\n")
@@ -723,7 +720,7 @@ def _clean_edge_list(text: str) -> Graph | None:
             return None
     for v, lower in enumerate(_transposed_rows(rows[:k], _width(k), range(k))):
         rows[v] |= lower
-    return Graph(n, tuple(rows))
+    return _derived(n, tuple(rows))
 
 
 def load_graph_text(text: str) -> Graph:
@@ -735,18 +732,12 @@ def load_graph_text(text: str) -> Graph:
     raises, and any other text goes through :func:`from_edge_list` or
     :func:`from_graph6`, which alone report errors, bar one: graph6 text
     holds one graph, so a second data line is an error.  Both ways give the
-    same graph, checked in full by ``Graph``.
+    same graph.
     """
     g = _clean_edge_list(text)
     if g is not None:
         return g
-    data = (
-        (lineno, line)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.strip()) and not line.startswith("#")
-    )
-    # two data lines are kept: the line list is freed before a parser splits the text
-    data = list(islice(data, 2))
+    data = list(islice(_data_lines(text), 2))
     if not data:
         raise GraphParseError("empty graph input")
     try:
@@ -843,15 +834,11 @@ def _count_backtrack(g: Graph, links, parts: list[int] | None) -> int:
     constraint ties the two positions.  Both rows exclude x, so injectivity
     needs no used set.
 
-    The last three positions a, b, c run as one flat loop nest over plain
-    ints, with no call or list per node: each x open to a gives b's
-    candidates cb = ``mb & rab[x]`` and c's mask m = ``mc & rac[x]`` (x is
-    skipped when either is empty), and the pairs of the last two number the
-    sum over y in cb of
-    ``(m & rbc[y]).bit_count()``, or over z in m of ``(cb &
-    rcb[z]).bit_count()`` (``rcb`` reverses the last link's order
-    constraint): the smaller of cb and m is walked.  Two positions are one
-    walk; each position above the last three is a recursive step.
+    The last three positions a, b, c run as one flat loop nest over ints:
+    each x open to a gives b's candidates cb = ``mb & rab[x]`` and c's mask
+    m = ``mc & rac[x]``, and the pairs of the last two are summed as one
+    ``bit_count`` per bit of the smaller of the two (``rcb`` reverses the
+    last link's order constraint).  Each position above is a recursive step.
     """
     hn = len(links)
     if hn > g.n:
@@ -976,15 +963,15 @@ def triangles(g: Graph) -> int:
     neighbours below u): each is found once, from its highest vertex u and
     its middle vertex v, as a bit of N-(u) & N-(v).  The rows N-(v) of a
     dense N-(u) are read by one ``compress`` over its digits, of a sparse
-    one through :func:`_ids`, under the rule :func:`_ids` uses.  An empty
+    one through :func:`mask_to_ids`, under its rule.  An empty
     row is skipped before it is cut."""
     low = [row and row & (1 << u) - 1 for u, row in enumerate(g.adj)]
     total = 0
     for a in filter(None, low):
         if a.bit_count() << 4 > a.bit_length():
-            rows = compress(low, bin(a)[:1:-1].encode().translate(_SELECTORS))
+            rows = compress(low, _digits(a))
         else:
-            rows = map(low.__getitem__, _ids(a))
+            rows = map(low.__getitem__, mask_to_ids(a))
         total += sum(map(int.bit_count, map(a.__and__, rows)))
     return total
 

@@ -79,8 +79,11 @@ def part_bound(h: int, p: int | LogValue) -> int | LogValue:
     return comb(h, 2) + (h - 1) * p
 
 
+@lru_cache(maxsize=16)
 def depth_for(eps: Scalar) -> int:
     """ceil(log_{3/2}(eps^-2)): least s >= 1 with (3/2)^s >= eps^-2.
+
+    Cached, as phi is: a run asks for the same eps's depth several times.
 
     Exact for a rational eps or a LogValue that keeps one; otherwise the
     log-scale quotient rounded up, which on an exact power of 2/3 may

@@ -90,7 +90,7 @@ def is_tight_to(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> Verdict:
     if a & b:
         raise CheckPreconditionError("A and B must be disjoint")
     na = a.bit_count()
-    need = ceil_frac(eps * na)  # a count c has c < eps |A| iff c < need
+    need = ceil_frac(eps, na)  # a count c has c < eps |A| iff c < need
     sparse_bad = with_at_least(g, b, a, need)
     dense_bad = b & ~with_at_least(g, b, a, na - need + 1)  # na - c >= need
     if mode == "tight":  # fails only when both fail; witness breaks both if any vertex does
@@ -109,7 +109,7 @@ def is_restricted(g: Graph, s: int, eps: Fraction) -> bool:
     if size <= 1:
         return True
     low, high = degree_range(g, s)
-    most = floor_frac(eps * size)  # a degree d has d <= eps |S| iff d <= most
+    most = floor_frac(eps, size)  # a degree d has d <= eps |S| iff d <= most
     return high <= most or size - 1 - low <= most
 
 

@@ -4,8 +4,9 @@ Fractions travel as exact "p/q" strings, vertex sets as sorted id lists,
 counts as decimal strings (they outgrow doubles quickly).  Emission is
 deterministic: sorted keys, fixed separators, no timestamps.  Every
 ``*_from_json`` loader takes the host graph's vertex count ``n`` when it is
-known, and then rejects vertex ids outside the graph.  A missing field, or
-a fraction field that is not a string, is named in a ValueError.
+known, and then rejects vertex ids outside the graph.  A missing field, a
+fraction field that is not a string, and a list or object field of another
+JSON type are named in a ValueError.
 
 The certificate types are imported inside the loaders that build them, so
 a command that writes or reads no certificate compiles none of their
@@ -32,11 +33,26 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def required_field(obj: dict, key: str):
-    """The required field ``key`` of a certificate."""
+_JSON_TYPES = {list: "a JSON array", dict: "a JSON object"}
+
+
+def required_field(obj: dict, key: str, kind: type | None = None):
+    """The required field ``key`` of a certificate, of JSON type ``kind`` if given."""
     if key not in obj:
         raise ValueError(f'the certificate field "{key}" is missing')
-    return obj[key]
+    return obj[key] if kind is None else _typed(obj[key], kind, key)
+
+
+def _typed(v, kind: type, what: str):
+    if type(v) is not kind:
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {v!r}")
+    return v
+
+
+def _vertex_sets(obj: dict, key: str, n: int | None) -> tuple[int, ...]:
+    """The field ``key`` of a certificate: a JSON array of id lists."""
+    entries = required_field(obj, key, list)
+    return tuple(_mask(_typed(x, list, f"an entry of {key}"), n) for x in entries)
 
 
 def _fraction(obj: dict, key: str) -> Fraction:
@@ -99,14 +115,14 @@ def _mask(vertex_ids, n: int | None = None) -> int:
 def pattern_to_json(pat: Pattern) -> dict:
     return {
         "n": pat.size,
-        "edges": sorted(pat.graph.edges()),
+        "edges": sorted(map(list, pat.graph.edges())),
         "order": list(pat.order),
     }
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
     """A list of JSON integers (not bools or floats) as a tuple."""
-    for v in values:
+    for v in _typed(values, list, what):
         if type(v) is not int:
             raise ValueError(f"{what} entry {v!r} is not an integer")
     return tuple(values)
@@ -117,7 +133,7 @@ def pattern_from_json(obj: dict) -> Pattern:
     as JSON integers and each edge as two endpoints; Graph.from_edges and
     Pattern check their ranges."""
     n = _integer(obj, "n")
-    edges = [_integers(e, "pattern edge") for e in required_field(obj, "edges")]
+    edges = [_integers(e, "pattern edge") for e in required_field(obj, "edges", list)]
     for e in edges:
         if len(e) != 2:
             raise ValueError(f"pattern edge {list(e)} does not have two endpoints")
@@ -140,8 +156,8 @@ def full_pair_from_json(obj: dict, n: int | None = None) -> FullPairCertificate:
     from .predicates import FullPairCertificate
 
     return FullPairCertificate(
-        _mask(required_field(obj, "a"), n),
-        _mask(required_field(obj, "b"), n),
+        _mask(required_field(obj, "a", list), n),
+        _mask(required_field(obj, "b", list), n),
         _fraction(obj, "c"),
         _fraction(obj, "eps"),
         required_field(obj, "polarity"),
@@ -162,10 +178,10 @@ def blowup_from_json(obj: dict, n: int | None = None) -> BlowupCertificate:
     from .predicates import BlowupCertificate
 
     return BlowupCertificate(
-        tuple(_mask(p, n) for p in required_field(obj, "parts")),
+        _vertex_sets(obj, "parts", n),
         _fraction(obj, "c"),
         _fraction(obj, "eps"),
-        pattern_from_json(required_field(obj, "pattern")),
+        pattern_from_json(required_field(obj, "pattern", dict)),
     )
 
 
@@ -186,8 +202,8 @@ def peel_chain_from_json(obj: dict, n: int | None = None) -> dict:
     """The PeelChain fields by name.  A chain that does not state
     "guaranteed" is held to the phi(delta, eta) length bound."""
     return {
-        "peels": tuple(_mask(p, n) for p in required_field(obj, "peels")),
-        "leftover": _mask(required_field(obj, "leftover"), n),
+        "peels": _vertex_sets(obj, "peels", n),
+        "leftover": _mask(required_field(obj, "leftover", list), n),
         "eps": _fraction(obj, "eps"),
         "eta": _fraction(obj, "eta"),
         "delta": _fraction(obj, "delta"),
@@ -220,17 +236,14 @@ def key_result_to_json(res: KeyLemmaResult) -> dict:
 def key_result_from_json(obj: dict, n: int | None = None) -> KeyCertificate:
     from .keypartition import KeyCertificate
 
-    def sets(key: str) -> tuple[int, ...]:
-        return tuple(_mask(x, n) for x in required_field(obj, key))
-
     stated = "delta_prime" in obj
     if stated != ("eta_prime" in obj):
         raise ValueError("delta_prime and eta_prime must be stated together")
     return KeyCertificate(
-        _mask(required_field(obj, "S"), n),
-        sets("A"),
-        sets("B"),
-        sets("C"),
+        _mask(required_field(obj, "S", list), n),
+        _vertex_sets(obj, "A", n),
+        _vertex_sets(obj, "B", n),
+        _vertex_sets(obj, "C", n),
         _integer(obj, "d"),
         _integer(obj, "h"),
         _fraction(obj, "eps"),
@@ -255,7 +268,7 @@ def blowup_found_from_json(obj: dict, n: int | None = None) -> BlowupFound:
     from .keypartition import BlowupFound
 
     return BlowupFound(
-        blowup_from_json(required_field(obj, "certificate"), n),
+        blowup_from_json(required_field(obj, "certificate", dict), n),
         _integer(obj, "copy_count"),
         _fraction(obj, "copy_bound"),
         _boolean(obj, "contradiction_checked", False),
@@ -291,7 +304,7 @@ def restricted_partition_from_json(obj: dict, n: int | None = None) -> Restricte
     from .assembly import RestrictedPartition
 
     return RestrictedPartition(
-        tuple(_mask(x, n) for x in required_field(obj, "parts")),
+        _vertex_sets(obj, "parts", n),
         _fraction(obj, "eps"),
         _integer(obj, "N"),
     )
@@ -308,7 +321,7 @@ def path_partition_to_json(p: PathPartition) -> dict:
 def path_partition_from_json(obj: dict, n: int | None = None) -> PathPartition:
     from .assembly import PathPartition
 
-    return PathPartition(tuple(_mask(x, n) for x in required_field(obj, "blocks")), _fraction(obj, "eps"))
+    return PathPartition(_vertex_sets(obj, "blocks", n), _fraction(obj, "eps"))
 
 
 def removal_result_to_json(r: RemovalResult) -> dict:
@@ -328,8 +341,9 @@ def removal_result_from_json(obj: dict, n: int | None = None) -> RemovalResult:
     from .assembly import RemovalResult, RestrictedPartition, theorem_eps
 
     partition = RestrictedPartition(
-        tuple(_mask(x, n) for x in required_field(obj, "parts")),
+        _vertex_sets(obj, "parts", n),
         theorem_eps(_fraction(obj, "eps")),
         _integer(obj, "N"),
     )
-    return RemovalResult(_mask(required_field(obj, "removed"), n), partition, _integer(obj, "d"))
+    removed = _mask(required_field(obj, "removed", list), n)
+    return RemovalResult(removed, partition, _integer(obj, "d"))

@@ -61,12 +61,13 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+# ceil(x * k) and floor(x * k), on integers: no Fraction is built for the product
+def ceil_frac(x: Fraction, k: int = 1) -> int:
+    return -((-x.numerator * k) // x.denominator)
 
 
-def floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
+def floor_frac(x: Fraction, k: int = 1) -> int:
+    return x.numerator * k // x.denominator
 
 
 def _top_bits_ratio(x: Fraction) -> tuple[int, mpmath.mpf]:

@@ -649,6 +649,32 @@ class TestMalformedFields:
                     1, "", f'error: {field} must be a fraction string such as "1/4", got {value!r}\n'
                 ), path
 
+    @pytest.mark.parametrize("kind", sorted(CHECK_CASES))
+    def test_a_list_or_object_field_of_another_type_is_named(self, capsys, tmp_path, kind):
+        """Each list or object field, and each id list inside a list field,
+        given a number, a string or the other container: the message names
+        the field and its JSON type.  "parts": 5 used to print "'int' object
+        is not iterable", and a "certificate" of [] a missing "parts"."""
+        cert = CHECK_CASES[kind][1]
+        checked = 0
+        for path in _field_paths(cert):
+            value = cert
+            for key in path:
+                value = value[key]
+            if type(value) not in (list, dict):
+                continue
+            name = "pattern order" if path[-1] == "order" else path[-1]
+            want = "a JSON array" if type(value) is list else "a JSON object"
+            for bad in (5, "x", {} if type(value) is list else []):
+                got = self.run(capsys, tmp_path, kind, _edited(cert, path, bad))
+                assert got == (1, "", f"error: {name} must be {want}, got {bad!r}\n"), path
+            if type(value) is list and value and type(value[0]) is list:
+                entry = "pattern edge" if name == "edges" else f"an entry of {name}"
+                got = self.run(capsys, tmp_path, kind, _edited(cert, path, [5]))
+                assert got == (1, "", f"error: {entry} must be a JSON array, got 5\n"), path
+            checked += 1
+        assert checked
+
     @pytest.mark.parametrize("kind", ["full_pair", "peel_chain", "key_lemma_result"])
     def test_a_fraction_over_the_digit_limit_is_named(self, capsys, tmp_path, kind):
         cert = {**CHECK_CASES[kind][1], "eps": "1/" + "3" * 5000}
@@ -1076,9 +1102,10 @@ def test_removal_eps_outside_the_theorem_domain_exits_1(capsys, tmp_path, bad):
 
 @pytest.mark.parametrize("subcommand", ["theorem", "keylemma"])
 def test_one_run_decides_each_power_once(capsys, tmp_path, monkeypatch, subcommand):
-    """phi is cached, so one run calls least_power once per distinct (q, x):
-    the peel chain, its self-check and both key-lemma bounds used to decide
-    the same phi(delta', eta') again, five calls for two pairs."""
+    """phi and depth_for are cached, so one run calls least_power once per
+    distinct (q, x): the peel chain, its self-check and both key-lemma
+    bounds used to decide the same phi(delta', eta') again, five calls for
+    two pairs."""
     import rpt.ledger
 
     g_path = tmp_path / "g.el"
@@ -1088,10 +1115,32 @@ def test_one_run_decides_each_power_once(capsys, tmp_path, monkeypatch, subcomma
     monkeypatch.setattr(rpt.ledger, "least_power",
                         lambda q, x: calls.append((q, x)) or least_power(q, x))
     rpt.ledger.phi.cache_clear()
+    rpt.ledger.depth_for.cache_clear()
     assert main([subcommand, "--graph", str(g_path), "--pattern", "K3", "--d", "10",
                  "--json"]) == 0
     capsys.readouterr()
     assert len(calls) == len(set(calls)) >= 2
+
+
+def test_one_peel_run_decides_each_depth_once(capsys, tmp_path, monkeypatch):
+    """depth_for is cached as phi is: on G(60, 1/2) the peel chain's exact
+    extractor asks for the depth of one eps more than once, and one
+    `rpt extract --op peel` run calls least_power once per distinct (q, x)
+    (three calls for two pairs before the cache)."""
+    import rpt.ledger
+
+    g_path = tmp_path / "g.el"
+    g_path.write_text(to_edge_list(random_graph(60, 0.5, 1)))
+    calls = []
+    least_power = rpt.ledger.least_power
+    monkeypatch.setattr(rpt.ledger, "least_power",
+                        lambda q, x: calls.append((q, x)) or least_power(q, x))
+    rpt.ledger.phi.cache_clear()
+    rpt.ledger.depth_for.cache_clear()
+    assert main(["extract", "--graph", str(g_path), "--pattern", "K3", "--op", "peel",
+                 "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == 2
 
 
 class TestHostilePhiParameters:

@@ -133,6 +133,31 @@ def test_fast_edge_list_pass_never_raises():
     assert not found, f"raise or assert in the fast pass: {', '.join(found)}"
 
 
+UNCHECKED_BUILDERS = {"graph.complement", "graph.induced_subgraph", "graph._clean_edge_list"}
+
+
+def test_only_the_proven_builders_skip_the_graph_check():
+    # graph._derived builds a Graph without Graph.__post_init__'s check; each
+    # of its callers proves its rows valid in its docstring, so no other
+    # function may name it, and none but _derived may build a Graph through
+    # object.__new__
+    callers, bypasses = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else (
+                    node.attr if isinstance(node, ast.Attribute) else None)
+                if name == "_derived":
+                    callers.add(scope)
+                if (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"
+                        and scope != "graph._derived"):
+                    bypasses.append(f"{path.name}:{node.lineno}")
+    assert callers == UNCHECKED_BUILDERS, f"unchecked Graph builders: {sorted(callers)}"
+    assert not bypasses, f"Graphs built around the check: {', '.join(bypasses)}"
+
+
 def _loops_over_iter_bits(node) -> list[tuple[ast.AST, set[str]]]:
     """(loop, names it binds) for a for loop or comprehension over iter_bits(...)."""
     if isinstance(node, ast.For):

@@ -231,6 +231,8 @@ def _ledger_scale_pair() -> tuple[Fraction, Fraction]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ledger, "least_power", recording)
+        # depth_for is cached: an earlier ledger would leave nothing to record
+        ledger.depth_for.cache_clear()
         build_ledger(2, Fraction(1, 4), Fraction(1, 4), Fraction(1, 8))
     p, q, x = max(seen, key=lambda t: t[0])
     assert p == 504_204 and q == Fraction(2, 3)
