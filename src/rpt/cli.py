@@ -19,9 +19,9 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 from collections.abc import Callable
+from dataclasses import replace
 from fractions import Fraction
 from importlib import import_module
 
@@ -128,16 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--theta", type=_fraction, required=True)
 
     o = add("oracle", "exhaustive baselines on small graphs")
-    o.add_argument("--graph", default=None)
+    o.add_argument("--graph", required=True)
     o.add_argument("--pattern", default=None)
     o.add_argument(
         "--op", choices=["count", "n-restricted", "min-removal"], required=True
     )
     o.add_argument("--n-parts", type=int, default=2)
     o.add_argument("--eps", type=_fraction, default=Fraction(1, 4))
-    o.add_argument("--sweep", type=int, default=None, help="CSV over this many seeds")
-    o.add_argument("--sweep-n", type=int, default=7)
-    o.add_argument("--sweep-p", type=_fraction, default=Fraction(1, 2))
     return top
 
 
@@ -303,10 +300,8 @@ def _cmd_keylemma(args: argparse.Namespace) -> int:
         return 0
 
     def payload() -> dict:
-        out = serialize.key_result_to_json(res)
-        if args.transcript:
-            out["transcript"] = [serialize.step_record_to_json(r) for r in res.transcript]
-        return out
+        shown = res if args.transcript else replace(res, transcript=())
+        return serialize.key_result_to_json(shown)
 
     def human() -> str:
         text = (
@@ -408,32 +403,6 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     from .adversarial import exact_n_restricted, min_removal_oracle, naive_count
 
-    if args.sweep is not None:
-        rows = ["seed,n,value"]
-        for seed in range(args.sweep):
-            rng = random.Random(seed)
-            n = args.sweep_n
-            g = Graph.from_edges(
-                n,
-                [
-                    (u, v)
-                    for u in range(n)
-                    for v in range(u + 1, n)
-                    if rng.random() < args.sweep_p
-                ],
-            )
-            if args.op == "count":
-                value = naive_count(g, _load_pattern(args.pattern or "K2"))
-            elif args.op == "n-restricted":
-                value = int(exact_n_restricted(g, args.n_parts, args.eps)[0])
-            else:
-                value = min_removal_oracle(g, args.n_parts, args.eps)[0]
-            rows.append(f"{seed},{n},{value}")
-        body = "\n".join(rows)
-        _emit(args, lambda: {"kind": "oracle_sweep", "csv": body}, lambda: body)
-        return 0
-    if not args.graph:
-        raise ValueError("oracle needs --graph (or --sweep)")
     g = _load_graph(args.graph)
     if args.op == "count":
         value = naive_count(g, _load_pattern(args.pattern or "K2"))

@@ -108,6 +108,17 @@ def _eta_prime_cap(h: int, eta: Fraction, delta_prime: Fraction, lam: Fraction) 
     return Fraction(1, 2) * eta * delta_prime * lam ** (h - 1)
 
 
+def key_domain(eps: Fraction, eta: Fraction, theta: Fraction, delta_prime: Scalar | None) -> None:
+    """Reject key-lemma parameters outside the lemma's domain: eps, eta and
+    theta in (0, 1/2), and an exact delta' in (0, 1/4].  The one check for
+    KeyParams and for key-lemma certificates."""
+    for name, val in (("eps", eps), ("eta", eta), ("theta", theta)):
+        if not Fraction(0) < val < Fraction(1, 2):
+            raise ValueError(f"{name} must lie in (0, 1/2)")
+    if isinstance(delta_prime, Fraction) and not Fraction(0) < delta_prime <= Fraction(1, 4):
+        raise ValueError("delta_prime must lie in (0, 1/4]")
+
+
 @dataclass(frozen=True)
 class KeyParams(_PartBound):
     """Parameter schedule for the iteration.
@@ -132,9 +143,7 @@ class KeyParams(_PartBound):
     ledger: ConstantsLedger | None = field(default=None, compare=False)  # set in paper mode
 
     def __post_init__(self):
-        for name, val in (("eps", self.eps), ("eta", self.eta), ("theta", self.theta)):
-            if not Fraction(0) < val < Fraction(1, 2):
-                raise ValueError(f"{name} must lie in (0, 1/2)")
+        key_domain(self.eps, self.eta, self.theta, self.delta_prime)
         if len(self.eps_schedule) != self.h + 1:
             raise ValueError("eps_schedule must list eps_0..eps_h")
         if self.eps_schedule[self.h] > self.eps:
@@ -144,10 +153,6 @@ class KeyParams(_PartBound):
                 raise ValueError("eps_schedule must be nondecreasing in t")
         if not Fraction(0) < self.lam <= Fraction(1, 3):
             raise ValueError("lam must lie in (0, 1/3]")
-        if isinstance(self.delta_prime, Fraction) and not (
-            Fraction(0) < self.delta_prime <= Fraction(1, 4)
-        ):
-            raise ValueError("delta_prime must lie in (0, 1/4]")
         if isinstance(self.eta_prime, Fraction) and isinstance(self.delta_prime, Fraction):
             cap = _eta_prime_cap(self.h, self.eta, self.delta_prime, self.lam)
             if self.eta_prime > cap:

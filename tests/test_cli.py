@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -363,16 +365,6 @@ class TestCommands:
             code, out, _ = run.run_op(rpt, op)
             assert [code, run.digest(out)] == recorded[op.op_id], op.op_id
 
-    def test_oracle_sweep_csv(self, capsys):
-        code, out = run_cli(
-            capsys,
-            ["oracle", "--op", "min-removal", "--n-parts", "2", "--eps", "0",
-             "--sweep", "3", "--sweep-n", "5"],
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "seed,n,value" and len(lines) == 4
-
     def test_missing_file_is_error(self, capsys):
         code, _ = run_cli(capsys, ["count", "--graph", "/nonexistent", "--pattern", "K2"])
         assert code == 1
@@ -600,8 +592,8 @@ def _edited(cert: dict, path: tuple, *value) -> dict:
 
 
 # fields a certificate may leave out: each has a default (a pattern's order
-# is its labels in order), or is not read ("verified", and the kind of a
-# nested certificate)
+# is its labels in order; "verified" is read for its form only), or is the
+# kind of a nested certificate
 OPTIONAL_FIELDS = {"guaranteed", "contradiction_checked", "verified", "order"}
 FRACTION_FIELDS = {"c", "eps", "eta", "theta", "delta", "delta_prime", "eta_prime", "copy_bound"}
 
@@ -674,6 +666,42 @@ class TestMalformedFields:
                 assert got == (1, "", f"error: {entry} must be a JSON array, got 5\n"), path
             checked += 1
         assert checked
+
+    @pytest.mark.parametrize("kind", sorted(CHECK_CASES))
+    def test_an_unknown_key_is_named(self, capsys, tmp_path, kind):
+        """A key the kind's table does not list, at the top and in each
+        nested object, is malformed: no field is accepted unread."""
+        cert = CHECK_CASES[kind][1]
+        nested = {"certificate": "blowup", "pattern": "pattern"}
+        for path in [(), *(p for p in _field_paths(cert) if p[-1] in nested)]:
+            got = self.run(capsys, tmp_path, kind, _edited(cert, (*path, "extra"), 1))
+            owner = nested[path[-1]] if path else kind
+            assert got == (1, "", f'error: {owner} has no field "extra"\n'), path
+
+    def test_a_nested_certificate_of_another_kind_is_named(self, capsys, tmp_path):
+        cert = _edited(CHECK_CASES["blowup_found"][1], ("certificate", "kind"), "full_pair")
+        assert self.run(capsys, tmp_path, "blowup_found", cert) == (
+            1, "", """error: the "kind" of a blowup must be "blowup", got 'full_pair'\n""")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("eps", "1/2", "eps must lie in (0, 1/2)"),
+            ("eta", "3/2", "eta must lie in (0, 1/2)"),
+            ("eta", "0", "eta must lie in (0, 1/2)"),
+            ("theta", "0", "theta must lie in (0, 1/2)"),
+            ("theta", "-1/4", "theta must lie in (0, 1/2)"),
+            ("delta_prime", "1/3", "delta_prime must lie in (0, 1/4]"),
+            ("delta_prime", "0", "delta_prime must lie in (0, 1/4]"),
+        ],
+    )
+    def test_a_key_parameter_outside_its_domain_is_named(self, capsys, tmp_path, field, value,
+                                                         message):
+        """The key-lemma certificate is held to KeyParams' own domain, with
+        KeyParams' own message."""
+        cert = {**CHECK_CASES["key_lemma_result"][1], field: value}
+        assert self.run(capsys, tmp_path, "key_lemma_result", cert) == (
+            1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("kind", ["full_pair", "peel_chain", "key_lemma_result"])
     def test_a_fraction_over_the_digit_limit_is_named(self, capsys, tmp_path, kind):
@@ -778,6 +806,12 @@ class TestMalformedIntegers:
             ("peel_chain", "phi_bound", "11", "phi_bound must be an integer, got '11'"),
             ("peel_chain", "phi_bound", False, "phi_bound must be an integer, got False"),
             ("peel_chain", "phi_bound", None, "phi_bound must be an integer, got None"),
+            ("restricted_partition", "N", 0, "N must be at least 1, got 0"),
+            ("removal_result", "N", 0, "N must be at least 1, got 0"),
+            ("removal_result", "N", -1, "N must be at least 1, got -1"),
+            ("removal_result", "d", -5, "d must be at least 0, got -5"),
+            ("key_lemma_result", "d", -1, "d must be at least 0, got -1"),
+            ("key_lemma_result", "h", 0, "h must be at least 1, got 0"),
         ] + [
             ("blowup_found", "copy_count", bad,
              f"copy_count must be a canonical decimal string, got {bad!r}")
@@ -923,8 +957,8 @@ class _Reads:
         return getattr(self._args, name)
 
 
-# One run per subcommand, per extract op and per oracle path (one graph,
-# one sweep); each subcommand's handler must read every option it registers.
+# One run per subcommand, per extract op and per oracle path that reads its
+# own options; each subcommand's handler must read every option it registers.
 OPTION_RUNS = [
     ["count", "--graph", "{c5}", "--pattern", "P3"],
     ["check", "--graph", "{c5}", "--cert", "{cert}"],
@@ -936,7 +970,7 @@ OPTION_RUNS = [
     ["counterexample", "--m", "20", "--n", "22", "--out", "{out}"],
     ["constants", "--h", "2", "--eps", "1/4", "--eta", "1/4", "--theta", "1/4"],
     ["oracle", "--op", "count", "--graph", "{c5}"],
-    ["oracle", "--op", "min-removal", "--sweep", "2", "--sweep-n", "4"],
+    ["oracle", "--op", "min-removal", "--graph", "{c5}"],
 ]
 
 
@@ -998,6 +1032,12 @@ class TestStrictBooleans:
         cert = {**cert, "peels": [[0], [1], [2], [3], [4]]}  # 5 > phi(1/2, 1/4) = 2
         assert _check(capsys, tmp_path, n, edges, cert) == (
             2, _check_line("peel_chain", False, "more peels than phi(delta, eta)"), "")
+
+    @pytest.mark.parametrize("bad", ["no", "true", 1, None])
+    def test_verified_must_be_a_boolean(self, capsys, tmp_path, bad):
+        (n, edges), cert, _, _ = CHECK_CASES["removal_result"]
+        assert _check(capsys, tmp_path, n, edges, {**cert, "verified": bad}) == (
+            1, "", f"error: verified must be true or false, got {bad!r}\n")
 
     @pytest.mark.parametrize("bad", ["no", "true", 1, None])
     def test_contradiction_checked_must_be_a_boolean(self, capsys, tmp_path, bad):
@@ -1098,6 +1138,104 @@ def test_removal_eps_outside_the_theorem_domain_exits_1(capsys, tmp_path, bad):
         0, _check_line("removal_result", True, ""), "")
     assert _check(capsys, tmp_path, g.n, g.edges(), {**cert, "eps": bad}) == (
         1, "", "error: eps must lie in (0, 1/3)\n")
+
+
+@pytest.fixture(scope="module")
+def g60_certificates(tmp_path_factory):
+    """G(60, 1/2) and the certificates that `rpt theorem` (K3, eps 1/4, d 2),
+    `rpt keylemma --transcript` (K2, d 2) and `rpt extract --op peel` (K3)
+    produce on it."""
+    g = random_graph(60, 0.5, 60)
+    g_path = tmp_path_factory.mktemp("g60") / "g.el"
+    g_path.write_text(to_edge_list(g))
+    runs = {
+        "removal_result": ["theorem", "--pattern", "K3", "--eps", "1/4", "--d", "2"],
+        "key_lemma_result": ["keylemma", "--pattern", "K2", "--d", "2", "--transcript"],
+        "peel_chain": ["extract", "--pattern", "K3", "--op", "peel"],
+    }
+    certs = {}
+    for kind, argv in runs.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--graph", str(g_path), "--json"]) == 0
+        certs[kind] = json.loads(out.getvalue())
+    return g, certs
+
+
+@pytest.mark.parametrize(
+    "kind, field, value, message",
+    [
+        ("removal_result", "extra", 1, 'removal_result has no field "extra"'),
+        ("removal_result", "verified", "no", "verified must be true or false, got 'no'"),
+        ("removal_result", "N", 0, "N must be at least 1, got 0"),
+        ("removal_result", "d", -5, "d must be at least 0, got -5"),
+        ("key_lemma_result", "extra", 1, 'key_lemma_result has no field "extra"'),
+        ("key_lemma_result", "verified", "no", 'key_lemma_result has no field "verified"'),
+        ("key_lemma_result", "eta", "3/2", "eta must lie in (0, 1/2)"),
+        ("key_lemma_result", "theta", "0", "theta must lie in (0, 1/2)"),
+        ("key_lemma_result", "h", 0, "h must be at least 1, got 0"),
+        ("key_lemma_result", "d", -5, "d must be at least 0, got -5"),
+    ],
+)
+def test_a_produced_certificate_with_a_field_out_of_domain_exits_1(
+        capsys, tmp_path, g60_certificates, kind, field, value, message):
+    """Each edit used to read VERIFIED (exit 0), or, for N, d and h, to be
+    refuted (exit 2, h = 0 with "N = -492"); each is malformed, and the
+    message names the field."""
+    g, certs = g60_certificates
+    assert _check(capsys, tmp_path, g.n, g.edges(), certs[kind]) == (
+        0, _check_line(kind, True, ""), "")
+    assert _check(capsys, tmp_path, g.n, g.edges(), {**certs[kind], field: value}) == (
+        1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("extra", 1, 'step_record has no field "extra"'),
+        ("kind", "blowup", """the "kind" of a step_record must be "step_record", got 'blowup'"""),
+        ("finished", "yes", "finished must be true or false, got 'yes'"),
+        ("t", 1.0, "t must be an integer, got 1.0"),
+        ("S", [60], "vertex id 60 out of range for a graph on 60 vertices"),
+        ("chain", [5], "an entry of chain must be a JSON array, got 5"),
+    ],
+)
+def test_a_malformed_transcript_step_exits_1(capsys, tmp_path, g60_certificates, field, value,
+                                             message):
+    """Step records are read for their form (they are not verified): a
+    wrongly formed step makes the key-lemma certificate malformed."""
+    g, certs = g60_certificates
+    cert = json.loads(json.dumps(certs["key_lemma_result"]))
+    cert["transcript"][0][field] = value
+    assert _check(capsys, tmp_path, g.n, g.edges(), cert) == (1, "", f"error: {message}\n")
+    for bad, message in (({}, "transcript must be a JSON array, got {}"),
+                         ([5], "an entry of transcript must be a JSON object, got 5")):
+        assert _check(capsys, tmp_path, g.n, g.edges(), {**cert, "transcript": bad}) == (
+            1, "", f"error: {message}\n")
+
+
+def test_every_certificate_round_trips_byte_for_byte(g60_certificates):
+    """Writer, loader, writer: the JSON of every certificate the CLI
+    produces here and of every CHECK_CASES certificate comes back byte for
+    byte, through the table and through the public loader and writer."""
+    from rpt import cli
+    from rpt.extraction import PeelChain
+
+    g, certs = g60_certificates
+    cases = [(kind, g.n, cert) for kind, cert in certs.items()]
+    cases += [(kind, n, cert) for kind, ((n, _), cert, _, _) in CHECK_CASES.items()]
+    for kind, n, cert in cases:
+        want = serialize.dumps(cert)
+        assert serialize.dumps(serialize._write(kind, *serialize._read(kind, cert, n))) == want
+        if kind == "key_lemma_result":  # its loader builds a KeyCertificate
+            continue
+        loader = cli._CHECKS[kind][0]
+        loaded = getattr(serialize, loader)(cert, n)
+        if kind == "peel_chain":
+            loaded = PeelChain(**loaded)
+        writer = getattr(serialize, loader.replace("_from_json", "_to_json"))
+        assert serialize.dumps(writer(loaded)) == want, kind
+    assert certs["key_lemma_result"]["transcript"]
 
 
 @pytest.mark.parametrize("subcommand", ["theorem", "keylemma"])

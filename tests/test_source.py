@@ -187,6 +187,47 @@ def _counts_a_row(call, names: set[str]) -> bool:
                for sub in ast.walk(call.func.value))
 
 
+def _calls(node, name: str) -> list[ast.Call]:
+    return [c for c in ast.walk(node) if isinstance(c, ast.Call) and ast.unparse(c.func) == name]
+
+
+def test_certificate_fields_go_through_the_schema_table():
+    """Each ``*_from_json`` loader touches its object only as the argument
+    of its one ``_read`` call, and each ``*_to_json`` writer returns one
+    ``_write`` call whose values fill its kind's table; a loader and a
+    writer of one name share a kind, and every kind is both read and
+    written.  So a field can be neither written nor accepted unless the
+    table lists it, and every field written is read back."""
+    from rpt.serialize import SCHEMAS
+
+    tree = ast.parse((SRC / "serialize.py").read_text())
+    loaded, written, problems = {}, {}, []
+    for fn in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+        if fn.name.endswith("_from_json"):
+            obj = fn.args.args[0].arg
+            reads = _calls(fn, "_read")
+            uses = [n for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == obj]
+            if len(reads) != 1 or len(uses) != 1 or reads[0].args[1] is not uses[0]:
+                problems.append(f"{fn.name} reads {obj} outside one _read call")
+                continue
+            loaded[fn.name.removesuffix("_from_json")] = reads[0].args[0].value
+        elif fn.name.endswith("_to_json"):
+            returns = [n for n in ast.walk(fn) if isinstance(n, ast.Return)]
+            call = returns[0].value if len(returns) == 1 else None
+            if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "_write"):
+                problems.append(f"{fn.name} does not return one _write call")
+                continue
+            kind = call.args[0].value
+            if len(call.args) - 1 != len(SCHEMAS[kind]) or any(
+                    isinstance(a, ast.Starred) for a in call.args):
+                problems.append(f"{fn.name} does not give each {kind} field one value")
+            written[fn.name.removesuffix("_to_json")] = kind
+    assert not problems, problems
+    assert {stem: written[stem] for stem in loaded} == loaded
+    assert {c.args[0].value for c in _calls(tree, "_read")} == set(SCHEMAS)
+    assert set(written.values()) == set(SCHEMAS)
+
+
 def test_neighbours_in_a_set_are_counted_in_graph():
     # how many neighbours each vertex of one set has in another is counted by
     # graph.with_at_least or graph.degree_range, not by a loop at each call site
