@@ -12,9 +12,9 @@ most d vertices whose deletion leaves a partition into boundedly many
 eps-restricted parts.
 
 The bounded-partition step for full-length path-partitions is realized
-as a verified search (greedy refinement with an exhaustive fallback at
-tiny scale): the cited bound 2400/eps^2 is used as the alarm threshold,
-and failing it is reported as a hard diagnostic, never absorbed.
+as a verified greedy refinement: the cited bound 2400/eps^2 is used as
+the alarm threshold, and failing it is reported as a hard diagnostic,
+never absorbed.
 
 Each result is checked by the verifier that ``rpt check`` runs for its
 kind before it is returned: a base partition by
@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversarial import EXHAUSTIVE_LIMIT, exact_n_restricted
 from .extraction import greedy_restricted_chunk
 from .graph import Graph, Pattern, induced_subgraph, iter_bits, lift, mask_from_ids, mask_to_ids
 from .keypartition import BlowupFound, KeyParams, run_key_lemma
@@ -128,30 +127,36 @@ def default_part_bound(eps: Fraction) -> int:
     return floor_frac(2400 / eps**2)
 
 
-def base_partition(
-    g: Graph,
-    p: PathPartition,
-    eps: Fraction,
-    bound: int | None = None,
-) -> RestrictedPartition:
-    """A verified eps-restricted partition of V(G) from a path-partition.
+def base_partition(g: Graph, p: PathPartition, eps: Fraction) -> RestrictedPartition:
+    """A verified partition of V(G) into at most N = floor(2400/eps^2)
+    eps-restricted parts, from a path-partition.
 
     Strategy: the blocks before the last are already restricted at the
     partition's level (which must not exceed eps) and are kept whole; the
     last block is appended if restricted, otherwise split into greedy
-    restricted chunks (``extraction.greedy_restricted_chunk``).  If that
-    overshoots the bound, an exhaustive search runs at tiny scale
-    (``adversarial.EXHAUSTIVE_LIMIT`` vertices); a final failure
-    contradicts the guarantee and raises.  Either partition is checked by
-    verify_restricted_partition, the verifier ``rpt check`` runs for it.
+    restricted chunks (``extraction.greedy_restricted_chunk``).  More than
+    N parts contradicts the guarantee and raises PartBoundViolation.  The
+    partition is checked by verify_restricted_partition, the verifier
+    ``rpt check`` runs for it.
+
+    An exhaustive search for at most N parts, feasible only on n <= 12
+    vertices, could never turn that failure into a partition:
+    - the parts are nonempty and disjoint, so there are at most n of them,
+      and the search would need n <= 12 and more than N parts;
+    - for 0 < eps < 1, N >= 2400 > 12;
+    - for eps >= 1 every set is restricted, and a path-partition on at
+      most 12 vertices has one block (a W_0 before the last block W_k
+      would need 12|W_k| vertices of its own), so there is one part, and
+      no partition of n >= 1 vertices into N = 0 parts exists;
+    - for eps < 0 only sets of at most one vertex are restricted, so every
+      partition has n parts, as the greedy one does.
     """
     if p.eps > eps:
         raise PathPartitionError("path-partition level exceeds the target eps")
     rep = verify_path_partition(g, p)
     if not rep.ok:
         raise PathPartitionError(f"unverified path-partition: {rep.clause}")
-    if bound is None:
-        bound = default_part_bound(eps)
+    bound = default_part_bound(eps)
     parts = list(p.blocks[:-1])
     last = p.blocks[-1]
     if is_restricted(g, last, eps):
@@ -163,19 +168,12 @@ def base_partition(
             parts.append(chunk)
             pool &= ~chunk
     if len(parts) > bound:
-        ok, witness = False, None
-        if g.n <= EXHAUSTIVE_LIMIT:
-            ok, witness = exact_n_restricted(g, bound, eps)
-        if not ok:
-            raise PartBoundViolation(
-                f"could not partition into {bound} eps-restricted parts "
-                f"(greedy reached {len(parts)}); this contradicts the guarantee"
-            )
-        parts = witness
+        raise PartBoundViolation(
+            f"could not partition into {bound} eps-restricted parts "
+            f"(greedy reached {len(parts)}); this contradicts the guarantee"
+        )
     result = RestrictedPartition(tuple(parts), eps, bound)
-    v = verify_restricted_partition(g, result)
-    if not v.ok:
-        raise AssertionError(f"base partition failed recheck: {v.detail}")
+    verify_restricted_partition(g, result).require("base partition failed recheck: ")
     return result
 
 
@@ -187,9 +185,7 @@ class RemovalResult:
 
     def verify(self, g: Graph) -> None:
         """verify_removal_result, raising AssertionError on a failed verdict."""
-        v = verify_removal_result(g, self)
-        if not v.ok:
-            raise AssertionError(v.detail)
+        verify_removal_result(g, self).require()
 
 
 def verify_removal_result(g: Graph, r: RemovalResult) -> Verdict:
@@ -253,9 +249,9 @@ def lengthen(
     The working-partition run on the last block either hands back a
     no-pairs row set (done: combine with the earlier blocks) or pairs
     (A_j, B_j) out of which m refined path-partitions one block longer
-    are built and recursed into; the claim making those path-partitions
-    valid is re-verified for every branch, as is every size and count
-    bound on the way out.
+    are built and recursed into.  Each call verifies its own path-partition
+    first, so every refined one is checked once, by the call it enters;
+    every size and count bound is checked on the way out.
     """
     h = pat.size
     big_k = path_length(eps)
@@ -332,11 +328,6 @@ def lengthen(
             mask_from_ids(pos[v] for v in iter_bits(blk)) for blk in blocks_j
         )
         pp_j = PathPartition(local_blocks, next_eps)
-        rep_j = verify_path_partition(sub_j, pp_j)
-        if not rep_j.ok:
-            raise AssertionError(
-                f"refined path-partition {j} failed clause {rep_j.clause}: {rep_j.detail}"
-            )
         res_j = lengthen(sub_j, pat, pp_j, eps, key, d_budget, k + 1)
         removed_total |= lift(ids_j, res_j.removed)
         all_parts += [lift(ids_j, part) for part in res_j.partition.parts]
@@ -366,7 +357,7 @@ def run_main_theorem(
     """Remove at most d vertices so the rest is boundedly eps-restricted.
 
     Wraps the lengthening induction at depth 0 on the trivial one-block
-    path-partition; the result is fully re-verified before returning.
+    path-partition, which verifies the result before returning it.
     ``key`` defaults to KeyParams.practical(pat, eps).
     """
     theorem_eps(eps)  # checked before anything else
@@ -378,7 +369,4 @@ def run_main_theorem(
     if key is None:
         key = KeyParams.practical(pat, eps)
     pp = PathPartition.trivial(g, level_eps(eps, h, 0))
-    result = lengthen(g, pat, pp, eps, key, Fraction(d_budget), 0)
-    final = RemovalResult(result.removed, result.partition, d_budget)
-    final.verify(g)
-    return final
+    return lengthen(g, pat, pp, eps, key, Fraction(d_budget), 0)

@@ -166,8 +166,7 @@ def validate_witness(
     if w.mode != expected_mode:
         raise AssertionError("witness mode contradicts the pattern edge")
     eps = params.eps_seq[w.j - 2]
-    if not is_tight_to(g, w.a, w.b, eps, w.mode).ok:
-        raise AssertionError("witness pair fails its tightness recheck")
+    is_tight_to(g, w.a, w.b, eps, w.mode).require("witness pair fails its tightness recheck: ")
 
 
 def witness_or_count(

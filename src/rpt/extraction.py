@@ -344,10 +344,7 @@ def _search(
         if s_a.bit_count() >= k:
             a1 = trim_to_size(work, s_a, k, "low")
             _assert_merge_arithmetic(work, a1, b1, we1, eps)
-            merged = a1 | b1
-            if edge_density(work, merged) > we1:
-                raise AssertionError("merged piece misses its density target")
-            return unflip(merged, "low", flag_b and flag_a)
+            return unflip(a1 | b1, "low", flag_b and flag_a)
         k = s_a.bit_count()
         if k == 0:
             break
@@ -433,8 +430,6 @@ def extract_restricted_exact(
     t = extract_restricted_from_weak(g, trimmed, eps)
     if t.bit_count() != ceil_frac(delta * g.n):
         raise AssertionError("exact-size extraction missed its target size")
-    if not is_restricted(g, t, eps):
-        raise AssertionError("extracted set fails its restrictedness recheck")
     if g.n == 1 and t.bit_count() != 1:
         raise AssertionError("singleton graph must yield a singleton")
     if g.n >= 2 and (g.n - t.bit_count()) * 2 < g.n:
@@ -535,9 +530,7 @@ def peel_chain(
         peels.append(peel)
         u &= ~peel
     chain = PeelChain(tuple(peels), u, eps, eta, delta, phi(delta, eta), guaranteed)
-    v = verify_peel_chain(g, chain)
-    if not v.ok:
-        raise AssertionError(v.detail)
+    verify_peel_chain(g, chain).require()
     return chain
 
 

@@ -492,9 +492,6 @@ class Pattern:
         ]
         return Pattern.of(Graph.from_edges(t, edges))
 
-    def complement_pattern(self) -> "Pattern":
-        return Pattern(complement(self.graph), self.order)
-
 
 NAMED_PATTERNS = {
     "K1": lambda: Graph.empty(1),

@@ -108,15 +108,23 @@ def _eta_prime_cap(h: int, eta: Fraction, delta_prime: Fraction, lam: Fraction) 
     return Fraction(1, 2) * eta * delta_prime * lam ** (h - 1)
 
 
-def key_domain(eps: Fraction, eta: Fraction, theta: Fraction, delta_prime: Scalar | None) -> None:
+def key_domain(
+    eps: Fraction,
+    eta: Fraction,
+    theta: Fraction,
+    delta_prime: Scalar | None,
+    eta_prime: Scalar | None,
+) -> None:
     """Reject key-lemma parameters outside the lemma's domain: eps, eta and
-    theta in (0, 1/2), and an exact delta' in (0, 1/4].  The one check for
-    KeyParams and for key-lemma certificates."""
+    theta in (0, 1/2), an exact delta' in (0, 1/4] and an exact eta' in
+    (0, 1).  The one check for KeyParams and for key-lemma certificates."""
     for name, val in (("eps", eps), ("eta", eta), ("theta", theta)):
         if not Fraction(0) < val < Fraction(1, 2):
             raise ValueError(f"{name} must lie in (0, 1/2)")
     if isinstance(delta_prime, Fraction) and not Fraction(0) < delta_prime <= Fraction(1, 4):
         raise ValueError("delta_prime must lie in (0, 1/4]")
+    if isinstance(eta_prime, Fraction) and not Fraction(0) < eta_prime < 1:
+        raise ValueError("eta_prime must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -143,7 +151,7 @@ class KeyParams(_PartBound):
     ledger: ConstantsLedger | None = field(default=None, compare=False)  # set in paper mode
 
     def __post_init__(self):
-        key_domain(self.eps, self.eta, self.theta, self.delta_prime)
+        key_domain(self.eps, self.eta, self.theta, self.delta_prime, self.eta_prime)
         if len(self.eps_schedule) != self.h + 1:
             raise ValueError("eps_schedule must list eps_0..eps_h")
         if self.eps_schedule[self.h] > self.eps:
@@ -251,8 +259,8 @@ class KeyParams(_PartBound):
         """Fullness parameter for chain step i at level t -> t+1."""
         return Fraction(1, 3) * self.eps_schedule[t + 1] * self.gamma_chain(t, i)
 
-    def big_lambda(self, t: int, i: int) -> Scalar:
-        """Lambda(t,i): D_i must exceed Lambda(t,i) * d.
+    def big_lambda(self, t: int) -> Scalar:
+        """Lambda(t,i), one value for every i: each D_i must exceed it times d.
 
         With a uniform per-step fraction the table collapses:
         Lambda(i,i) = delta' * lam^(i-1) and each later level multiplies
@@ -355,15 +363,12 @@ def verify_mnt_partition(g: Graph, pat: Pattern, p: MNTPartition) -> Verdict:
         if not chk.ok:
             return Verdict(False, f"blowup:{chk.witness}", exact=exact)
         ell = p.leftover.bit_count()
+        lam = pr.big_lambda(p.t)
         for i, dset in enumerate(p.d_sets, start=1):
             size = dset.bit_count()
-            lam_d = pr.big_lambda(p.t, i)
-            if isinstance(lam_d, Fraction):
-                if p.d_budget and not size > lam_d * p.d_budget:
-                    return Verdict(False, f"d-threshold:{i}", "Lambda*d bound")
-            else:
-                if p.d_budget and not lam_d * p.d_budget < Fraction(size):
-                    return Verdict(False, f"d-threshold:{i}", "Lambda*d bound (log)")
+            # exact for a Fraction; a LogValue raises UndecidableAtScale when too close
+            if p.d_budget and not lam * p.d_budget < size:
+                return Verdict(False, f"d-threshold:{i}", "Lambda*d bound")
             if not size * pr.eta > 2 * ell:
                 return Verdict(False, f"d-threshold:{i}", "2/eta * |L| bound")
             if not is_restricted(g, dset, eps_t):
@@ -540,8 +545,6 @@ def advance_or_finish(
             raise StepFailure(f"peeling failed at t={t}: {exc}") from exc
         peels = tuple(lift(ids_r, q) for q in pc.peels)
         new_leftover = lift(ids_r, pc.leftover)
-        if new_leftover.bit_count() > eta_p * rest.bit_count():
-            raise AssertionError("peel leftover exceeds its eta' bound")
         if not pr.n_bound_holds(len(peels), 1):
             raise StepFailure(
                 f"peeling produced {len(peels)} > phi(delta',eta') sets at t={t}"
@@ -588,9 +591,7 @@ def verify_key_result(g: Graph, pat: Pattern, res: KeyLemmaResult) -> None:
     a_sets, b_sets = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
     rows = (res.removed, a_sets, b_sets, res.singles, res.d_budget, pat.size)
     bounds = (pr.eps, pr.eta, pr.theta, pr.delta_prime, pr.eta_prime)
-    v = verify_key_certificate(g, KeyCertificate(*rows, *bounds))
-    if not v.ok:
-        raise AssertionError(v.detail)
+    verify_key_certificate(g, KeyCertificate(*rows, *bounds)).require()
 
 
 def verify_key_certificate(g: Graph, c: KeyCertificate) -> Verdict:
@@ -703,9 +704,7 @@ def _blowup_found(
     bound = blowup_copy_bound(h, params.xi, sizes, exponent_form="h")
     contradiction = params.ledger is not None
     found = BlowupFound(cert, count, bound, contradiction, tuple(transcript))
-    v = verify_blowup_found(g, found)
-    if not v.ok:
-        raise AssertionError(v.detail)
+    verify_blowup_found(g, found).require()
     if contradiction and d_budget:
         lhs, rhs = _log2_count_and_budget(count, params, h, d_budget)
         if lhs <= rhs:

@@ -75,6 +75,12 @@ class Verdict(NamedTuple):
         # a non-empty tuple is truthy, so `if verdict:` would pass a failure
         raise TypeError("a Verdict has no truth value; read .ok")
 
+    def require(self, prefix: str = "") -> None:
+        """Raise AssertionError(prefix + detail) unless the verdict holds:
+        how a producer refuses to return a result its verifier rejects."""
+        if not self.ok:
+            raise AssertionError(prefix + self.detail)
+
 
 def is_tight_to(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> Verdict:
     """Is B eps-sparse / eps-dense / eps-tight to A (strict bounds)?
@@ -125,9 +131,13 @@ def extract_restricted_from_weak(g: Graph, s: int, eps: Fraction) -> int:
 
     Works on whichever side has density at most eps/4 and deletes the
     first floor(|S|/2) vertices of ``peel_order`` (a maximum-degree vertex
-    each time, ties to the lowest id): the density never increases, and
-    once every remaining degree is at most eps*ceil(|S|/2) it can never
-    rise again.  The postcondition is rechecked before returning.
+    of that side each time, ties to the lowest id): the density never
+    increases, and once every remaining degree is at most eps*ceil(|S|/2)
+    it can never rise again.  On the dense side this peels G itself on its
+    "high" side, without building the complement: a vertex's degree in the
+    complement of what is left is |left| - 1 minus its degree in G, so a
+    minimum-degree vertex of G is a maximum-degree one of the complement.
+    The postcondition is rechecked before returning.
     """
     size = s.bit_count()
     if size == 0:
@@ -135,15 +145,15 @@ def extract_restricted_from_weak(g: Graph, s: int, eps: Fraction) -> int:
     quarter = eps / 4
     dens = edge_density(g, s)
     if dens <= quarter:
-        work = g
+        side = "low"
     elif dens >= 1 - quarter:
-        work = complement(g)
+        side = "high"
     else:
         raise CheckPreconditionError(
             f"set is not weakly {quarter}-restricted (density {dens})"
         )
     current = s
-    for v, _ in islice(peel_order(work, s, "low"), size // 2):
+    for v, _ in islice(peel_order(g, s, side), size // 2):
         current ^= 1 << v
     if not is_restricted(g, current, eps):
         raise AssertionError("greedy extraction missed its postcondition")
@@ -313,9 +323,7 @@ class BlowupCertificate:
             union |= p
 
 
-def verify_blowup(
-    g: Graph, cert: BlowupCertificate, method: str = "exact", budget: int = 10**7
-) -> Verdict:
+def verify_blowup(g: Graph, cert: BlowupCertificate, method: str = "exact") -> Verdict:
     """Every label pair must be full where the pattern has an edge, empty
     where not; a failed verdict's witness is the first failing label pair
     (1-based)."""
@@ -327,7 +335,7 @@ def verify_blowup(
             pair = FullPairCertificate(
                 cert.parts[i - 1], cert.parts[j - 1], cert.c, cert.eps, polarity
             )
-            res = is_full_pair(g, pair, method=method, budget=budget)
+            res = is_full_pair(g, pair, method=method)
             exact = exact and res.exact
             if not res.ok:
                 detail = f"failing pair {(i, j)}"

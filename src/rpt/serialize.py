@@ -292,7 +292,7 @@ def key_result_from_json(obj: dict, n: int | None = None) -> KeyCertificate:
     eps, eta, theta, delta_prime, eta_prime = fields[-5:]
     if (delta_prime is None) != (eta_prime is None):
         raise ValueError("delta_prime and eta_prime must be stated together")
-    key_domain(eps, eta, theta, delta_prime)
+    key_domain(eps, eta, theta, delta_prime, eta_prime)
     return KeyCertificate(*fields)
 
 

@@ -101,39 +101,23 @@ class TestBasePartition:
         with pytest.raises(PathPartitionError):
             base_partition(g, pp, QUARTER)
 
-    def test_greedy_exit_tiny(self, monkeypatch):
-        # C5 is not 0-restricted, but the greedy split already meets the
-        # bound of 3 parts, so the exhaustive search never runs; the test
-        # below covers that fallback
+    def test_more_parts_than_the_bound_raises(self):
+        # at eps = 50 every set is restricted, so the one block is one part,
+        # and floor(2400/eps^2) = 0 admits none
+        g = Graph.empty(3)
+        pp = PathPartition.trivial(g, Fraction(50))
+        with pytest.raises(PartBoundViolation, match="into 0 eps-restricted parts"):
+            base_partition(g, pp, Fraction(50))
+
+    def test_the_partition_goes_through_the_verifier(self, monkeypatch):
         import rpt.assembly
 
-        searched = []
-        monkeypatch.setattr(rpt.assembly, "exact_n_restricted",
-                            lambda *a: searched.append(a) or exact_n_restricted(*a))
-        g = Graph.cycle(5)
-        pp = PathPartition.trivial(g, Fraction(0))
-        part = base_partition(g, pp, Fraction(0), bound=3)
-        v = verify_restricted_partition(g, part)
-        assert v.ok, v.detail
-        assert len(part.parts) <= 3
-        assert searched == []
-
-    def test_exhaustive_fallback_goes_through_the_verifier(self, monkeypatch):
-        # greedy splits this graph into 3 independent sets or cliques, the
-        # exhaustive search into 2; its partition is rechecked like the greedy one
-        import rpt.assembly
-
-        searched = []
-        monkeypatch.setattr(rpt.assembly, "exact_n_restricted",
-                            lambda *a: searched.append(a) or exact_n_restricted(*a))
         g = random_graph(5, 0.5, 1)
         pp = PathPartition.trivial(g, Fraction(0))
-        assert len(base_partition(g, pp, Fraction(0), bound=2).parts) == 2
-        assert len(searched) == 1
         monkeypatch.setattr(rpt.assembly, "verify_restricted_partition",
                             lambda g, p, universe=None: Verdict(False, detail="refuted"))
-        with pytest.raises(AssertionError, match="refuted"):
-            base_partition(g, pp, Fraction(0), bound=2)
+        with pytest.raises(AssertionError, match="^base partition failed recheck: refuted$"):
+            base_partition(g, pp, QUARTER)
 
 
 class TestLengthen:
@@ -215,6 +199,23 @@ class TestLengthenPairBranch:
         assert res.removed & (1 << 26)
         assert res.removed.bit_count() <= 2  # (m+1) * h^-2 * d / ...
 
+    def test_an_invalid_refined_path_partition_is_refused(self, monkeypatch):
+        # |B_1| = 3 needs |A_1| >= 36, so the refined (A_1, B_1) fails its
+        # size clause; the depth-1 call refuses it before running anything
+        import rpt.assembly as assembly
+        from rpt.keypartition import KeyLemmaResult
+
+        g = Graph.from_edges(28, [(24, 25)])
+        key = KeyParams.practical(K2, QUARTER, delta_prime=Fraction(1, 8))
+        fake = KeyLemmaResult(removed=1 << 27, pairs=((mask_from_ids(range(24)), 0b111 << 24),),
+                              singles=(), params=key, d_budget=1)
+        real = assembly.run_key_lemma
+        monkeypatch.setattr(assembly, "run_key_lemma",
+                            lambda sub, *a, **kw: fake if sub.n == 28 else real(sub, *a, **kw))
+        pp = PathPartition.trivial(g, level_eps(QUARTER, 2, 0))
+        with pytest.raises(PathPartitionError, match="^level-1 path-partition invalid: size:0$"):
+            assembly.lengthen(g, K2, pp, QUARTER, key, Fraction(16), 0)
+
     def test_round_robin_split_floor(self):
         from rpt.assembly import _split_round_robin
 
@@ -243,6 +244,14 @@ class TestRunMainTheorem:
         res = run_main_theorem(g, K2, QUARTER, 0)
         assert res.removed == 0
         res.verify(g)
+
+    def test_the_result_goes_through_the_verifier(self, monkeypatch):
+        import rpt.assembly
+
+        monkeypatch.setattr(rpt.assembly, "verify_removal_result",
+                            lambda g, r: Verdict(False, detail="refuted"))
+        with pytest.raises(AssertionError, match="^refuted$"):
+            run_main_theorem(random_graph(9, 0.5, 5), K2, QUARTER, 9)
 
     def test_rejects_single_vertex_patterns(self):
         with pytest.raises(ValueError):

@@ -693,6 +693,10 @@ class TestMalformedFields:
             ("theta", "-1/4", "theta must lie in (0, 1/2)"),
             ("delta_prime", "1/3", "delta_prime must lie in (0, 1/4]"),
             ("delta_prime", "0", "delta_prime must lie in (0, 1/4]"),
+            ("eta_prime", "0", "eta_prime must lie in (0, 1)"),
+            ("eta_prime", "-1/2", "eta_prime must lie in (0, 1)"),
+            ("eta_prime", "1", "eta_prime must lie in (0, 1)"),
+            ("eta_prime", "2", "eta_prime must lie in (0, 1)"),
         ],
     )
     def test_a_key_parameter_outside_its_domain_is_named(self, capsys, tmp_path, field, value,

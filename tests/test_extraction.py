@@ -22,7 +22,12 @@ from rpt.extraction import (
     trim_to_size,
     verify_peel_chain,
 )
-from rpt.extraction import _greedy_best_effort, _meets_size_floor, _search
+from rpt.extraction import (
+    _assert_merge_arithmetic,
+    _greedy_best_effort,
+    _meets_size_floor,
+    _search,
+)
 from rpt.graph import (
     Graph,
     Pattern,
@@ -450,6 +455,15 @@ class TestDensitySubset:
             find_low_or_high_density_subset_always_greedy(g, pat, budget)
         )
 
+    def test_merge_arithmetic_checks_the_union_density(self):
+        # the merged piece's density is checked by the arithmetic's last
+        # clause alone: K_{2,2} across two empty sides meets the side and
+        # crossing caps at eps = 2, but its density 4/6 exceeds eps1 = 1/2
+        g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        _assert_merge_arithmetic(g, 0b0011, 0b1100, Fraction(2, 3), Fraction(2))
+        with pytest.raises(AssertionError, match="merge arithmetic failed"):
+            _assert_merge_arithmetic(g, 0b0011, 0b1100, Fraction(1, 2), Fraction(2))
+
     def test_exact_schedule_budget_fields(self):
         b = ExtractionBudget.exact_schedule(2, QUARTER, QUARTER)
         assert b.depth == 7
@@ -533,17 +547,19 @@ class TestGreedyRestrictedChunk:
         pool = data.draw(st.one_of(st.integers(0, g.full_mask), st.just(g.full_mask)))
         assert greedy_restricted_chunk(g, pool, eps) == greedy_restricted_chunk_rescan(g, pool, eps)
 
+    # on 70 vertices eps = 1/71 restricts exactly the sets eps = 0 does, and
+    # keeps the part bound floor(2400/eps^2) finite
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 20), QUARTER])
+    @pytest.mark.parametrize("eps", [Fraction(1, 71), Fraction(1, 20), QUARTER])
     def test_base_partition_split_matches_rescan(self, monkeypatch, seed, eps):
         # G(70, 1/2) is not eps-restricted here, so base_partition splits the
         # one block of the trivial path partition into greedy chunks
         g = random_graph(70, 0.5, seed)
         pp = PathPartition.trivial(g, Fraction(0))
-        split = base_partition(g, pp, eps, bound=g.n)
+        split = base_partition(g, pp, eps)
         assert len(split.parts) > 1
         monkeypatch.setattr(assembly, "greedy_restricted_chunk", greedy_restricted_chunk_rescan)
-        assert base_partition(g, pp, eps, bound=g.n) == split
+        assert base_partition(g, pp, eps) == split
 
     def test_rejects_vertices_beyond_the_graph(self):
         with pytest.raises(ValueError, match="vertex set out of range"):
@@ -597,6 +613,13 @@ class TestPeelChain:
         pc = peel_chain(g, pat, QUARTER, QUARTER, QUARTER)
         assert pc.peels[0] == greedy_restricted_chunk(g, g.full_mask, QUARTER)
         assert calls
+
+    def test_a_leftover_over_eta_is_refused(self, monkeypatch):
+        # a loop that stops before peeling anything leaves all of G over, more
+        # than eta |G|; the chain's own verifier refuses it
+        monkeypatch.setattr(extraction, "floor_frac", lambda x, k=1: k)
+        with pytest.raises(AssertionError, match=r"^leftover exceeds eta \|G\|$"):
+            peel_chain(random_graph(12, 0.5, 1), named_pattern("K2"), QUARTER, QUARTER, QUARTER)
 
     @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1, 4)])
     def test_nonpositive_eps_rejected(self, eps):

@@ -423,7 +423,7 @@ def test_count_complement_duality(seed, h):
     g = random_graph(6, 0.5, seed)
     pat = random_pattern(h, seed + 7)
     assert count_induced_copies(g, pat) == count_induced_copies(
-        complement(g), pat.complement_pattern()
+        complement(g), Pattern(complement(pat.graph), pat.order)
     )
 
 

@@ -92,6 +92,10 @@ class TestKeyParams:
             KeyParams.practical(K2, QUARTER, eta_prime=Fraction(1, 2))
         with pytest.raises(ValueError):
             KeyParams.practical(K2, QUARTER, lam=Fraction(1, 2))
+        # eta' outside (0, 1) is named before the cap, which 1 and 2 also break
+        for eta_prime in ("0", "-1/2", "1", "2"):
+            with pytest.raises(ValueError, match=r"^eta_prime must lie in \(0, 1\)$"):
+                KeyParams.practical(K2, QUARTER, eta_prime=Fraction(eta_prime))
 
     def test_eps_prime_is_schedule_tail(self):
         p = KeyParams.practical(K2, QUARTER)

@@ -18,6 +18,7 @@ from rpt.graph import (
     mask_from_ids,
     mask_to_ids,
     named_pattern,
+    peel_order,
 )
 from rpt.predicates import (
     TIGHTNESS_MODES,
@@ -258,6 +259,18 @@ class TestExtractFromWeak:
         assert out.bit_count() == 6
         assert is_restricted(g, out, eps)
 
+    def test_postcondition_catches_a_wrong_peeling(self, monkeypatch):
+        # deleting minimum-degree vertices keeps the hub of a 21-vertex star,
+        # and hub plus 10 leaves is not 2/5-restricted; the recheck refuses it
+        import rpt.predicates
+
+        g = Graph.from_edges(21, [(0, i) for i in range(1, 21)])
+        flipped = {"low": "high", "high": "low"}
+        monkeypatch.setattr(rpt.predicates, "peel_order",
+                            lambda g, s, side: peel_order(g, s, flipped[side]))
+        with pytest.raises(AssertionError, match="greedy extraction missed its postcondition"):
+            extract_restricted_from_weak(g, g.full_mask, Fraction(2, 5))
+
     def test_precondition_enforced(self):
         c5 = Graph.cycle(5)
         with pytest.raises(CheckPreconditionError):
@@ -298,6 +311,42 @@ class TestExtractFromWeak:
         sparse_side = dens if polarity == "low" else 1 - dens
         eps = max(4 * sparse_side, data.draw(st.sampled_from([Fraction(1, 40), Fraction(1, 2)])))
         assert extract_restricted_from_weak(g, s, eps) == extract_from_weak_rescan(g, s, eps)
+
+    @given(st.integers(1, 40), st.floats(0.7, 1.0), st.integers(0, 10**6),
+           st.sampled_from([Fraction(1, 40), Fraction(1, 2)]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_dense_side_matches_the_complement(self, n, p, seed, eps, data):
+        # a dense S: peeling G on its "high" side deletes what peeling the
+        # complement on its "low" side does
+        g = random_graph(n, p, seed)
+        s = data.draw(st.integers(1, g.full_mask))
+        eps = max(4 * (1 - edge_density(g, s)), eps)
+        assert extract_restricted_from_weak(g, s, eps) == extract_from_weak_complement(g, s, eps)
+
+
+# extract_restricted_from_weak as it ran before it peeled G on its "high"
+# side for a dense S: it built the complement and peeled that on its "low"
+# side.  Kept verbatim as an oracle.
+def extract_from_weak_complement(g: Graph, s: int, eps: Fraction) -> int:
+    size = s.bit_count()
+    if size == 0:
+        raise CheckPreconditionError("cannot extract from an empty set")
+    quarter = eps / 4
+    dens = edge_density(g, s)
+    if dens <= quarter:
+        work = g
+    elif dens >= 1 - quarter:
+        work = complement(g)
+    else:
+        raise CheckPreconditionError(
+            f"set is not weakly {quarter}-restricted (density {dens})"
+        )
+    current = s
+    for v, _ in itertools.islice(peel_order(work, s, "low"), size // 2):
+        current ^= 1 << v
+    if not is_restricted(g, current, eps):
+        raise AssertionError("greedy extraction missed its postcondition")
+    return current
 
 
 # The rescanning loop that extract_restricted_from_weak ran before it took

@@ -59,6 +59,27 @@ def test_verifiers_return_verdicts():
     assert not wrong, f"verifiers not annotated -> Verdict: {', '.join(wrong)}"
 
 
+def _raises_assertion_on_a_failed_verdict(node) -> bool:
+    """`if not <x>.ok:` with a `raise AssertionError(...)` in its body."""
+    test = node.test if isinstance(node, ast.If) else None
+    return (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
+            and isinstance(test.operand, ast.Attribute) and test.operand.attr == "ok"
+            and any(isinstance(s, ast.Raise) and isinstance(s.exc, ast.Call)
+                    and getattr(s.exc.func, "id", None) == "AssertionError" for s in node.body))
+
+
+def test_a_failed_verdict_is_raised_through_require():
+    # Verdict.require is the one way a producer refuses a result its verifier rejects
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = {id(node) for f in ast.walk(tree) if getattr(f, "name", None) == "require"
+               for node in ast.walk(f)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in own and _raises_assertion_on_a_failed_verdict(node)]
+    assert not found, f"hand-rolled raises on a failed verdict: {', '.join(found)}"
+
+
 def _id_maps(tree) -> set[str]:
     """Names bound to the id map of ``sub, ids = induced_subgraph(...)``."""
     return {
@@ -298,12 +319,16 @@ def test_each_entry_point_loads_only_the_modules_it_runs(tmp_path):
     lines = _run("import sys, rpt.cli\n" + loaded + quiet
                  + f"with run:\n    code = rpt.cli.main({argv!r})\nprint(code, loaded())\n")
     assert lines == ["0 cli graph ledger rpt serialize values"]
-    for pattern in ("K3", "C4", "P5"):
-        argv = ["count", "--graph", str(graph), "--pattern", pattern]
+    # counting loads no pipeline module, and the removal pipeline no brute-force oracle
+    runs = [(["count", "--graph", str(graph), "--pattern", pattern], set(PIPELINE))
+            for pattern in ("K3", "C4", "P5")]
+    runs.append((["theorem", "--graph", str(graph), "--pattern", "K3", "--eps", "1/4", "--d", "5"],
+                 {"adversarial"}))
+    for argv, unused in runs:
         code, *names = _run("import sys, rpt.cli\n" + loaded + quiet
                             + f"with run:\n    code = rpt.cli.main({argv!r})\n"
                             "print(code, loaded())\n")[0].split()
-        assert code == "0" and not set(PIPELINE) & set(names), (pattern, names)
+        assert code == "0" and not unused & set(names), (argv, names)
 
 
 def test_the_package_resolves_its_names_lazily():
