@@ -147,10 +147,12 @@ def base_partition(g: Graph, p: PathPartition, eps: Fraction) -> RestrictedParti
     - for eps >= 1 every set is restricted, and a path-partition on at
       most 12 vertices has one block (a W_0 before the last block W_k
       would need 12|W_k| vertices of its own), so there is one part, and
-      no partition of n >= 1 vertices into N = 0 parts exists;
-    - for eps < 0 only sets of at most one vertex are restricted, so every
-      partition has n parts, as the greedy one does.
+      no partition of n >= 1 vertices into N = 0 parts exists.
+
+    An eps <= 0 has no bound N and raises ValueError.
     """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     if p.eps > eps:
         raise PathPartitionError("path-partition level exceeds the target eps")
     rep = verify_path_partition(g, p)

@@ -1,7 +1,7 @@
 """Induced counts of 4-vertex patterns from codegrees and one clique count.
 
-For a 4-vertex H other than K4 and the empty graph, the number of vertex
-sets of G inducing H follows from degree and codegree sums plus the
+For every 4-vertex H, K4 and the empty graph included, the number of
+vertex sets of G inducing H follows from degree and codegree sums plus the
 number of K4s (Kloks, Kratsch & Mueller, Inf. Process. Lett. 74, 2000).
 One pass over G gives S(H'), the spanning-subgraph count of every
 4-vertex class H'; the backtracker of :mod:`rpt.graph` counts the K4s;

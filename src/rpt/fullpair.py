@@ -65,7 +65,7 @@ def _certify(
     g: Graph, a: int, b: int, params: FullPairParams, polarity: str
 ) -> FullPairCertificate | None:
     cert = FullPairCertificate(a, b, params.c, params.eps, polarity)
-    if is_full_pair(g, cert, method="exact").ok:
+    if is_full_pair(g, cert).ok:
         return cert
     return None
 
@@ -99,7 +99,7 @@ def find_full_pair(
     cur_a, cur_b = a, b
     while cur_a and cur_b:
         cert = FullPairCertificate(cur_a, cur_b, params.c, params.eps, polarity)
-        res = is_full_pair(g, cert, method="exact")
+        res = is_full_pair(g, cert)
         if res.ok:
             return cert
         cur_a &= ~res.witness[0]

@@ -914,11 +914,11 @@ def plan(
     """How to count the vertex sets of G (inside ``within``, if given) that
     induce H: ``(work, route, flip, order)``, the plan of least work as
     :mod:`rpt.costmodel` predicts it.  The routes: ``"closed"`` for H on at
-    most three vertices (:func:`small_sets`, work n + m), ``"four"`` for a
-    4-vertex H other than K4 and the empty graph (:mod:`rpt.fourvertex`)
-    and ``"five"`` for P5 and the house (:mod:`rpt.fivepath`), on the
-    complements of G and H with ``flip``; or ``"backtrack"`` in the position
-    ``order``, the only one inside ``within``."""
+    most three vertices (:func:`small_sets`, work n + m), ``"four"`` for
+    any 4-vertex H (:mod:`rpt.fourvertex`) and ``"five"`` for P5 and the
+    house (:mod:`rpt.fivepath`), on the complements of G and H with
+    ``flip``; or ``"backtrack"`` in the position ``order``, the only one
+    inside ``within``."""
     n, m, pairs = g.n, g.edge_count(), g.n * (g.n - 1) // 2
     if within is None and h.n <= 3:
         return float(n + m), "closed", False, ()
@@ -928,7 +928,7 @@ def plan(
     size = n if within is None else within.bit_count()
     work, order = best_order(h, size, m / pairs if pairs else 0.0)
     best = (work, "backtrack", False, order)
-    four = within is None and h.n == 4 and 0 < h.edge_count() < 6
+    four = within is None and h.n == 4
     five = within is None and (is_path(h) or is_path(complement(h)))
     routes = ([("four", False), ("four", True)] if four
               else [("five", not is_path(h))] if five else [])

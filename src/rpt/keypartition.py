@@ -13,11 +13,14 @@ h steps or the graph exhibits a full blowup of the pattern, which forces
 many copies; under the exact constant schedule that contradicts the copy
 budget, and in practical runs it is a legitimate reported outcome.
 
-Every assembled partition is re-verified clause by clause before the
-iteration continues, and every result is checked by the verifier that
-``rpt check`` runs for its kind: key-lemma rows by verify_key_certificate
-(through verify_key_result), a blowup found by verify_blowup_found.
-Nothing downstream trusts the construction.
+Each partition is verified clause by clause, exactly and once: a
+caller's start when the run begins (the trivial start holds every clause
+by construction), and each assembled partition before the iteration
+continues.  Every result is checked by the verifier that ``rpt check``
+runs for its kind: key-lemma rows by verify_key_certificate (through
+verify_key_result), a blowup found by verify_blowup_found.  No check
+samples: exact=False marks only a clause not checked, and nothing
+downstream trusts the construction.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .ledger import (
 )
 from .predicates import (
     BlowupCertificate,
-    EnumerationBudgetError,
     Verdict,
     is_restricted,
     is_tight_to,
@@ -314,7 +316,9 @@ class MNTPartition:
 
 def verify_mnt_partition(g: Graph, pat: Pattern, p: MNTPartition) -> Verdict:
     """Check all six invariant groups; returns the first violated clause.
-    The verdict is not exact when a blowup pair was only sample-checked."""
+    Every clause is checked exactly, so the verdict is always exact; a
+    blowup whose fullness check would exceed its enumeration budget raises
+    EnumerationBudgetError, as ``rpt check`` does on the same blowup."""
     pr = p.params
     if len(p.b_sets) != len(p.a_sets):
         return Verdict(False, "shape", "one B per A required")
@@ -351,17 +355,11 @@ def verify_mnt_partition(g: Graph, pat: Pattern, p: MNTPartition) -> Verdict:
         if b and not is_tight_to(g, a, b, pr.theta, "tight").ok:
             return Verdict(False, f"b-tight:{i}")
 
-    exact = True
     if p.t > 0:
         eps_t = pr.eps_schedule[p.t]
-        cert = BlowupCertificate(p.d_sets, eps_t, pr.xi, pat.prefix(p.t))
-        try:
-            chk = verify_blowup(g, cert, method="exact")
-        except EnumerationBudgetError:
-            chk = verify_blowup(g, cert, method="sampled")
-            exact = False
+        chk = verify_blowup(g, BlowupCertificate(p.d_sets, eps_t, pr.xi, pat.prefix(p.t)))
         if not chk.ok:
-            return Verdict(False, f"blowup:{chk.witness}", exact=exact)
+            return Verdict(False, f"blowup:{chk.witness}")
         ell = p.leftover.bit_count()
         lam = pr.big_lambda(p.t)
         for i, dset in enumerate(p.d_sets, start=1):
@@ -373,7 +371,7 @@ def verify_mnt_partition(g: Graph, pat: Pattern, p: MNTPartition) -> Verdict:
                 return Verdict(False, f"d-threshold:{i}", "2/eta * |L| bound")
             if not is_restricted(g, dset, eps_t):
                 return Verdict(False, f"d-restricted:{i}")
-    return Verdict(True, exact=exact)
+    return Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -470,22 +468,22 @@ def advance_or_finish(
     g: Graph, pat: Pattern, p: MNTPartition
 ) -> tuple[KeyLemmaResult | MNTPartition, StepRecord]:
     """One iteration: finish (|S| <= d) or assemble the (m+t, n+s, t+1)-partition.
-    Both the input and the assembled partition are verified, and a finished
-    result goes through verify_key_result."""
+    The input is not re-checked (run_key_lemma verifies a caller's start);
+    the assembled partition goes through verify_mnt_partition, and a
+    finished result through verify_key_result."""
     pr = p.params
     t = p.t
     if t >= pat.size:
         raise ValueError("cannot advance a partition that already reached t = h")
-    rep = verify_mnt_partition(g, pat, p)
-    if not rep.ok:
-        raise StepFailure(f"input partition invalid at clause {rep.clause}")
 
     s_mask, l_parts = _correct_adjacency_split(g, pat, p)
     s_size = s_mask.bit_count()
     if s_size <= p.d_budget:
         for i, (dset, l) in enumerate(zip(p.d_sets, l_parts), start=1):
-            if l and not is_tight_to(g, dset, l, 2 * pr.xi, "tight").ok:
-                raise AssertionError(f"leftover residue not 2xi-tight to D_{i}")
+            if l:
+                is_tight_to(g, dset, l, 2 * pr.xi, "tight").require(
+                    f"leftover residue not 2xi-tight to D_{i}: "
+                )
         rec = StepRecord(t=t, correct_set=s_mask, finished=True, l_parts=tuple(l_parts))
         return _finish(g, pat, p, s_mask, l_parts), rec
 
@@ -660,8 +658,15 @@ def run_key_lemma(
     d_budget: int,
     start: MNTPartition | None = None,
 ) -> KeyLemmaResult | BlowupFound:
-    """Iterate from the trivial partition (or a verified resume state);
-    see module docstring.
+    """Iterate from the trivial partition or a caller's start; see module
+    docstring.
+
+    A caller's start is verified once, here, and refused with StepFailure
+    naming the failed clause, unless t = h: that one goes straight to the
+    blowup check.  The trivial start needs no check: it has no A, B, C
+    or D sets and t = 0, so the shape, count (m = n = 0), restrictedness,
+    tightness and blowup clauses hold vacuously, and its leftover is V(G),
+    so the disjoint-union clause holds.
 
     Exact-schedule runs first check the copy budget ind <= kappa * d^h
     and refuse when the constants cannot decide it at this scale.
@@ -675,6 +680,10 @@ def run_key_lemma(
     transcript: list[StepRecord] = []
     if p.t == h:
         return _blowup_found(g, pat, params, p, d_budget, transcript)
+    if start is not None:
+        rep = verify_mnt_partition(g, pat, p)
+        if not rep.ok:
+            raise StepFailure(f"input partition invalid at clause {rep.clause}")
     for _ in range(h + 1):
         outcome, rec = advance_or_finish(g, pat, p)
         transcript.append(rec)

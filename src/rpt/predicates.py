@@ -12,7 +12,10 @@ Conventions pinned here once and relied on everywhere else:
   both sides spans at least eps*|A1|*|B1| edges, and (c,eps)-empty when
   it is full in the complement.
 
-The exact fullness check only examines subpairs at the minimum sizes
+Every checker here is exact: none samples, so a verdict's ``exact`` is
+False only where a clause was not checked, and a check whose enumeration
+would exceed its budget raises EnumerationBudgetError rather than
+answering.  The fullness check only examines subpairs at the minimum sizes
 ceil(c|A|) x ceil(c|B|); docs/fullness-reduction.md proves this
 equivalent to the all-sizes definition by an averaging argument.  It
 enumerates one side by a depth-first search in lexicographic order that
@@ -24,7 +27,6 @@ enumeration.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -59,8 +61,8 @@ class Verdict(NamedTuple):
     """What every certificate verifier returns.
 
     ``clause`` names the first violated clause where the verifier has
-    clause names, ``detail`` says what went wrong, ``exact`` is False when
-    the verdict rests on sampling rather than a complete check, and
+    clause names, ``detail`` says what went wrong, ``exact`` is False only
+    when a clause was not checked (no verifier samples), and
     ``witness`` carries the object that refutes the certificate (a
     violating subpair, a failing label pair) where there is one.
     """
@@ -263,45 +265,29 @@ def _first_violation(
     return None
 
 
-_FULLNESS_SAMPLES = 2000
-
-
 def is_full_pair(
     g: Graph,
     cert: FullPairCertificate,
     method: str = "exact",
     budget: int = 10**7,
 ) -> Verdict:
-    """Check a fullness certificate.
+    """Decide the (c,eps)-full property exactly, via the minimum-size
+    reduction; a failed verdict's witness is a violating subpair (A1, B1).
+    Raises EnumerationBudgetError when the enumeration would exceed budget.
 
-    exact: decides the (c,eps)-full property (via the minimum-size
-    reduction); a failed verdict's witness is a violating subpair (A1, B1).
-    sampled: probabilistic refutation only; a failure carries a verified
-    violating subpair, a pass is not exact.
+    "exact" is the only method, and any other is a ValueError; the keyword
+    stays only because perfbench/workloads.py still passes it.
     """
-    work = g if cert.polarity == "full" else complement(g)
+    if method != "exact":
+        raise ValueError(f"unknown method {method!r}")
     ka, kb = min_subpair_sizes(cert)
-    na, nb = cert.a.bit_count(), cert.b.bit_count()
-    if method == "exact":
-        if min(comb(na, ka), comb(nb, kb)) > budget:
-            raise EnumerationBudgetError(
-                f"exact fullness check needs more than {budget} subset evaluations"
-            )
-        bad = _violating_subpair(work, cert.a, cert.b, ka, kb, cert.eps)
-        return Verdict(True) if bad is None else _refuted(*bad)
-    if method == "sampled":
-        rng = random.Random(0)
-        a_ids = mask_to_ids(cert.a)
-        b_ids = mask_to_ids(cert.b)
-        for _ in range(_FULLNESS_SAMPLES):
-            a1 = rng.sample(a_ids, ka)
-            b1 = rng.sample(b_ids, kb)
-            am = mask_from_ids(a1)
-            bm = mask_from_ids(b1)
-            if work.edges_between(am, bm) < cert.eps * ka * kb:
-                return _refuted(am, bm)
-        return Verdict(True, exact=False)
-    raise ValueError(f"unknown method {method!r}")
+    if min(comb(cert.a.bit_count(), ka), comb(cert.b.bit_count(), kb)) > budget:
+        raise EnumerationBudgetError(
+            f"exact fullness check needs more than {budget} subset evaluations"
+        )
+    work = g if cert.polarity == "full" else complement(g)
+    bad = _violating_subpair(work, cert.a, cert.b, ka, kb, cert.eps)
+    return Verdict(True) if bad is None else _refuted(*bad)
 
 
 @dataclass(frozen=True)
@@ -323,21 +309,17 @@ class BlowupCertificate:
             union |= p
 
 
-def verify_blowup(g: Graph, cert: BlowupCertificate, method: str = "exact") -> Verdict:
+def verify_blowup(g: Graph, cert: BlowupCertificate) -> Verdict:
     """Every label pair must be full where the pattern has an edge, empty
     where not; a failed verdict's witness is the first failing label pair
     (1-based)."""
     t = len(cert.parts)
-    exact = True
     for i in range(1, t + 1):
         for j in range(i + 1, t + 1):
             polarity = "full" if cert.pattern.label_edge(i, j) else "empty"
             pair = FullPairCertificate(
                 cert.parts[i - 1], cert.parts[j - 1], cert.c, cert.eps, polarity
             )
-            res = is_full_pair(g, pair, method=method)
-            exact = exact and res.exact
-            if not res.ok:
-                detail = f"failing pair {(i, j)}"
-                return Verdict(False, detail=detail, exact=res.exact, witness=(i, j))
-    return Verdict(True, exact=exact)
+            if not is_full_pair(g, pair).ok:
+                return Verdict(False, detail=f"failing pair {(i, j)}", witness=(i, j))
+    return Verdict(True)

@@ -339,7 +339,7 @@ def test_c07_key_lemma_structural_soundness():
                 cert = BlowupCertificate(
                     p.d_sets, params.eps_schedule[h], params.xi, pat.prefix(h)
                 )
-                chk = verify_blowup(g, cert, method="exact")
+                chk = verify_blowup(g, cert)
                 if not chk.ok or not chk.exact:
                     violations.append((idx, "blowup certificate not exactly verified"))
             elif isinstance(outcome, KeyLemmaResult):

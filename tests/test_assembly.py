@@ -95,6 +95,14 @@ class TestBasePartition:
         v = verify_restricted_partition(g, part)
         assert v.ok, v.detail
 
+    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1, 4)], ids=["zero", "negative"])
+    def test_nonpositive_eps_rejected(self, eps):
+        # N = floor(2400/eps^2) is no bound at eps <= 0
+        g = Graph.empty(4)
+        pp = PathPartition.trivial(g, Fraction(0))
+        with pytest.raises(ValueError, match=f"eps must be positive, got {eps}"):
+            base_partition(g, pp, eps)
+
     def test_level_mismatch_rejected(self):
         g = Graph.empty(4)
         pp = PathPartition.trivial(g, Fraction(1, 2))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_graph, random_pattern
 import rpt.keypartition
 import rpt.ledger
+import rpt.predicates
 from rpt.adversarial import HardInstanceSpec, generate_hard_graph
 from rpt.graph import Graph, Pattern, complement, iter_bits, mask_from_ids, named_pattern
 from rpt.keypartition import (
@@ -20,6 +21,7 @@ from rpt.keypartition import (
     KeyLemmaResult,
     KeyParams,
     MNTPartition,
+    StepFailure,
     advance_or_finish,
     run_key_lemma,
     verify_blowup_found,
@@ -27,7 +29,7 @@ from rpt.keypartition import (
     verify_mnt_partition,
 )
 from rpt.ledger import blowup_copy_bound, build_ledger, gamma, phi
-from rpt.predicates import Verdict, is_restricted, is_tight_to
+from rpt.predicates import EnumerationBudgetError, Verdict, is_restricted, is_tight_to
 
 QUARTER = Fraction(1, 4)
 K2 = named_pattern("K2")
@@ -310,6 +312,34 @@ class TestRunKeyLemma:
         sizes = [d.bit_count() for d in res.certificate.parts]
         assert res.copy_bound == blowup_copy_bound(pat.size, params.xi, sizes, "h")
         assert verify_blowup_found(g, res).ok
+
+    def test_invalid_start_is_refused_naming_its_clause(self):
+        params = KeyParams.practical(K2, QUARTER)
+        g, start = crafted_blowup_start(params)
+        start = replace(start, leftover=0)  # vertex 10 is now in no set
+        with pytest.raises(StepFailure, match="input partition invalid at clause disjoint-union"):
+            run_key_lemma(g, K2, params, 0, start=start)
+
+    def test_each_assembled_state_is_verified_once(self, monkeypatch):
+        # the trivial start needs no check, and a step does not re-check
+        # the state the step before it assembled and verified
+        calls = []
+        verify = rpt.keypartition.verify_mnt_partition
+        monkeypatch.setattr(rpt.keypartition, "verify_mnt_partition",
+                            lambda g, pat, p: calls.append(p.t) or verify(g, pat, p))
+        g = prop16_graph()
+        params = KeyParams.practical(K2, QUARTER, delta_prime=Fraction(1, 8))
+        res = run_key_lemma(g, K2, params, 5)
+        assembled = [rec.t + 1 for rec in res.transcript if not rec.finished]
+        assert assembled and calls == assembled
+
+    def test_blowup_over_budget_raises_rather_than_sampling(self, monkeypatch):
+        # a fullness check too large to enumerate is no verdict at all
+        params = KeyParams.practical(K3, QUARTER)
+        g, start = crafted_k3_start(params)
+        monkeypatch.setattr(rpt.predicates.is_full_pair, "__defaults__", ("exact", 1))
+        with pytest.raises(EnumerationBudgetError):
+            verify_mnt_partition(g, K3, start)
 
     def test_two_step_chain_reaches_h3_blowup(self):
         # the chain must run two densification steps and assemble a

@@ -545,11 +545,11 @@ class TestFullPair:
         cert = FullPairCertificate(a, b, HALF, Fraction(1, 4), "full")
         assert is_full_pair(g, cert).ok == brute_force_full(g, cert)
 
-    def test_sampled_refutation_is_verified(self):
+    def test_exact_is_the_only_method(self):
         g = Graph.empty(8)
         cert = FullPairCertificate(0b00001111, 0b11110000, HALF, Fraction(1, 4), "full")
-        res = is_full_pair(g, cert, method="sampled")
-        assert not res.ok and res.exact
+        with pytest.raises(ValueError, match="unknown method 'sampled'"):
+            is_full_pair(g, cert, method="sampled")
 
     def test_exact_budget_enforced(self):
         from rpt.predicates import EnumerationBudgetError

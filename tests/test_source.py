@@ -59,11 +59,18 @@ def test_verifiers_return_verdicts():
     assert not wrong, f"verifiers not annotated -> Verdict: {', '.join(wrong)}"
 
 
-def _raises_assertion_on_a_failed_verdict(node) -> bool:
-    """`if not <x>.ok:` with a `raise AssertionError(...)` in its body."""
-    test = node.test if isinstance(node, ast.If) else None
+def _is_not_ok(test) -> bool:
+    """`not <x>.ok`."""
     return (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
-            and isinstance(test.operand, ast.Attribute) and test.operand.attr == "ok"
+            and isinstance(test.operand, ast.Attribute) and test.operand.attr == "ok")
+
+
+def _raises_assertion_on_a_failed_verdict(node) -> bool:
+    """`if not <x>.ok:` or `if <y> and not <x>.ok:` with a
+    `raise AssertionError(...)` in its body."""
+    test = node.test if isinstance(node, ast.If) else None
+    tests = test.values if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And) else [test]
+    return (any(map(_is_not_ok, tests))
             and any(isinstance(s, ast.Raise) and isinstance(s.exc, ast.Call)
                     and getattr(s.exc.func, "id", None) == "AssertionError" for s in node.body))
 
@@ -92,6 +99,21 @@ def _id_maps(tree) -> set[str]:
         and len(node.targets[0].elts) == 2
         and isinstance(node.targets[0].elts[1], ast.Name)
     }
+
+
+def test_no_verifier_samples():
+    # a sampled check must never count as verified: only the hard-instance
+    # generator and its oracles, in rpt.adversarial, draw random numbers
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "adversarial":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name and name.split(".")[0] == "random"]
+    assert not found, f"modules importing random: {', '.join(found)}"
 
 
 def test_subgraph_masks_lift_through_graph_lift():
