@@ -253,7 +253,18 @@ def lengthen(
     (A_j, B_j) out of which m refined path-partitions one block longer
     are built and recursed into.  Each call verifies its own path-partition
     first, so every refined one is checked once, by the call it enters;
-    every size and count bound is checked on the way out.
+    the result goes through verify_removal_result on the way out.
+
+    The bounds below need no check.  run_key_lemma's result passed
+    verify_key_certificate: it removes at most floor(h^(-2(k+1)) d)
+    vertices, and has at most N singles and m <= C(h, 2) nonempty disjoint
+    pairs inside W_k.  So with no pairs there are at most k + N parts.
+    With pairs, |W_i| >= 12|W_k| >= 24m, so each round-robin part has at
+    least q = floor(|W_i|/m) >= 24 ids, and q h^2 >= 2qm >= qm + m > |W_i|.
+    By induction on K - k a call removes at most h^(-2k) d vertices: none
+    at depth K, the key lemma's set with no pairs, and with pairs that set
+    and h^(-2(k+1)) d per recursive call, (m + 1) h^(-2(k+1)) d <= h^(-2k) d
+    in all, since m + 1 <= C(h, 2) + 1 <= h^2.
     """
     h = pat.size
     big_k = path_length(eps)
@@ -290,16 +301,13 @@ def lengthen(
     m = len(pairs)
 
     if m == 0:
-        # the combined partition has at most k + N parts, which the level
-        # budget dominates (recomputed here rather than assumed)
+        # at most k + N parts (see the docstring), which the level budget
+        # must absorb
         parts = list(p.blocks[:-1]) + singles
-        if n_bound is not None:
-            if len(parts) > k + n_bound:
-                raise AssertionError("no-pairs branch exceeded k + N parts")
-            if target is not None and k + n_bound > target:
-                raise PartBoundViolation(
-                    f"level budget {target} cannot absorb k + N = {k + n_bound}"
-                )
+        if target is not None and k + n_bound > target:  # N is known when the budget is
+            raise PartBoundViolation(
+                f"level budget {target} cannot absorb k + N = {k + n_bound}"
+            )
         bound = target if target is not None else len(parts)
         partition = RestrictedPartition(tuple(parts), eps, bound)
         result = RemovalResult(removed_core, partition, floor_frac(d_budget))
@@ -309,12 +317,6 @@ def lengthen(
     # refined path-partitions, one per pair
     next_eps = level_eps(eps, h, k + 1)
     splits = [_split_round_robin(p.blocks[i], m) for i in range(k)]
-    for i in range(k):
-        if p.blocks[i].bit_count() < 24 * m:
-            raise AssertionError("block too small to split: |W_i| < 24m")
-        for j in range(m):
-            if splits[i][j].bit_count() * h**2 < p.blocks[i].bit_count():
-                raise AssertionError("round-robin split violated the h^-2 floor")
 
     removed_total = removed_core
     all_parts: list[int] = []
@@ -334,12 +336,6 @@ def lengthen(
         removed_total |= lift(ids_j, res_j.removed)
         all_parts += [lift(ids_j, part) for part in res_j.partition.parts]
     all_parts += singles
-
-    # removal bookkeeping: |S| <= (m+1) h^(-2(k+1)) d <= h^(-2k) d
-    if removed_total.bit_count() > (m + 1) * sub_budget:
-        raise AssertionError("removal exceeded (m+1) times the branch budget")
-    if removed_total.bit_count() > d_budget / h ** (2 * k):
-        raise AssertionError("removal exceeded its depth budget")
     if target is not None and len(all_parts) > target:
         raise PartBoundViolation(f"{len(all_parts)} parts exceed the level budget {target}")
     bound = target if target is not None else len(all_parts)
@@ -363,6 +359,8 @@ def run_main_theorem(
     ``key`` defaults to KeyParams.practical(pat, eps).
     """
     theorem_eps(eps)  # checked before anything else
+    if d_budget < 0:
+        raise ValueError("removal budget must be nonnegative")
     h = pat.size
     if h < 2:
         raise ValueError("the pipeline needs patterns on at least two vertices")

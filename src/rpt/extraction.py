@@ -6,7 +6,7 @@ pair at min(eps1,eps2)/4, recurse into the sparse side at a relaxed
 (3/2)*eps1 target, keep the vertices of the other side with few
 neighbours in what came back, recurse again, and merge two equal-size
 pieces whose union then meets the original target exactly (the merge
-arithmetic is asserted with rationals on every run).  A depth budget
+arithmetic is proved in ``_search``'s docstring).  A depth budget
 replaces the extremal quantity the scheme implicitly optimizes: on the
 exact schedule the targets' product grows by 3/2 per level, so after s =
 ceil(log_{3/2} eps^-2) levels every graph qualifies outright and the
@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb
 
 import mpmath
 
@@ -105,6 +104,11 @@ def trim_to_size(g: Graph, s: int, k: int, side: str) -> int:
     side="low": delete maximum-degree vertices (density never increases);
     side="high": delete minimum-degree vertices (never decreases).
     Ties go to the lowest vertex id (the deletion order of ``peel_order``).
+
+    The density is never re-measured: a maximum degree d among s >= 3
+    vertices with e edges has d*s >= 2e, so deleting its vertex leaves
+    2(e-d)/((s-1)(s-2)) <= 2e/(s(s-1)).  ``peel_order`` deletes such a
+    vertex on the "low" side, and "high" is the same on the complement.
     """
     if s & ~g.full_mask:
         raise ValueError("vertex set out of range")
@@ -113,16 +117,9 @@ def trim_to_size(g: Graph, s: int, k: int, side: str) -> int:
         raise ValueError(f"cannot trim {size} vertices down to {k}")
     if side not in ("low", "high"):
         raise ValueError("side must be 'low' or 'high'")
-    before = edge_density(g, s)
     current = s
     for v, _ in islice(peel_order(g, s, side), size - k):
         current ^= 1 << v
-    after = edge_density(g, current)
-    if current.bit_count() >= 2:
-        if side == "low" and after > before:
-            raise AssertionError("low-side trim increased density")
-        if side == "high" and after < before:
-            raise AssertionError("high-side trim decreased density")
     return current
 
 
@@ -255,29 +252,6 @@ def _greedy_best_effort(g: Graph, eps1: Fraction, eps2: Fraction) -> tuple[int, 
     return best, best_side
 
 
-def _assert_merge_arithmetic(
-    work: Graph, a1: int, b1: int, eps1: Fraction, eps: Fraction
-) -> None:
-    """The two-piece merge inequality, with exact rationals.
-
-    |A1| = |B1| = k, both sides at density <= (3/2) eps1, at most
-    (1/2) eps k^2 crossing edges  =>  the union has density <= eps1.
-    """
-    k = a1.bit_count()
-    ea = work.edges_inside(a1)
-    eb = work.edges_inside(b1)
-    cross = work.edges_between(a1, b1)
-    side_cap = Fraction(3, 2) * eps1 * comb(k, 2)
-    if (
-        k != b1.bit_count()
-        or ea > side_cap
-        or eb > side_cap
-        or cross > Fraction(1, 2) * eps * k * k
-        or ea + eb + cross > eps1 * comb(2 * k, 2)
-    ):
-        raise AssertionError("merge arithmetic failed")
-
-
 _MAX_RESIZE_ROUNDS = 32
 
 
@@ -287,7 +261,21 @@ def _search(
     """(mask, side, flag) from the recursive scheme, or None when a step
     cannot honor the guarantee; the caller then falls back to
     ``_greedy_best_effort(g, eps1, eps2)`` with the flag cleared, so that
-    fallback is built once per graph and not again by the caller."""
+    fallback is built once per graph and not again by the caller.
+
+    A "low" answer has density <= eps1 and a "high" one >= 1 - eps2 (by
+    induction; find_low_or_high_density_subset checks its answer).  In
+    ``work``, B is eps/4-sparse to A (validate_witness checked it inside
+    find_tight_pair), with eps = min(eps1, eps2) <= we1, so two facts need
+    no check:
+    - more than |A|/2 vertices of A have at most eps k / 2 neighbours in
+      B1, a k-subset of B: fewer than k eps|A|/4 edges join A to B1;
+    - the merged A1 | B1 has density <= we1: |A1| = |B1| = k; each side
+      has at most (3/2) we1 C(k, 2) edges (its call answered "low", and a
+      low trim never raises density); at most eps k^2 / 2 edges cross (A1
+      lies in the A0 of this B1 and k); and the sum is at most
+      we1 (2k^2 - 3k/2) <= we1 C(2k, 2).
+    """
     d = edge_density(g)
     if d <= eps1:
         return g.full_mask, "low", True
@@ -335,15 +323,12 @@ def _search(
     for _ in range(_MAX_RESIZE_ROUNDS):
         # the vertices of A with at most eps k / 2 neighbours in B1
         a0 = a_mask & ~with_at_least(work, a_mask, b1, floor_frac(eps * k / 2) + 1)
-        if 2 * a0.bit_count() <= a_mask.bit_count():
-            raise AssertionError("too few vertices of A stay sparse to B1")
         s_a, side_a, fa = sub(a0, depth - 1)
         flag_a = flag_a and fa
         if side_a == "high":
             return unflip(s_a, "high", fa)
         if s_a.bit_count() >= k:
             a1 = trim_to_size(work, s_a, k, "low")
-            _assert_merge_arithmetic(work, a1, b1, we1, eps)
             return unflip(a1 | b1, "low", flag_b and flag_a)
         k = s_a.bit_count()
         if k == 0:
@@ -410,6 +395,12 @@ def extract_restricted_exact(
     on ceil(delta |G|)).  delta must be at most 1/4 so that the removal
     consequences hold: |T| = 1 when |G| = 1, and |G - T| >= |G|/2 when
     |G| >= 2.
+
+    None of the three is re-checked, because each follows from the
+    sizes.  The trim is exact, and ``extract_restricted_from_weak`` keeps
+    ceil(|S|/2) of its S, so |T| = ceil(ceil(2 delta n)/2) = ceil(delta n).
+    With 0 < delta <= 1/4 that is 1 at n = 1, and at most ceil(n/4) <= n/2
+    at n >= 2.
     """
     if g.n < 1:
         raise ValueError("empty graph")
@@ -427,14 +418,7 @@ def extract_restricted_exact(
             f"need {target2}; lower delta or eps"
         )
     trimmed = trim_to_size(g, res.vertices, target2, res.side)
-    t = extract_restricted_from_weak(g, trimmed, eps)
-    if t.bit_count() != ceil_frac(delta * g.n):
-        raise AssertionError("exact-size extraction missed its target size")
-    if g.n == 1 and t.bit_count() != 1:
-        raise AssertionError("singleton graph must yield a singleton")
-    if g.n >= 2 and (g.n - t.bit_count()) * 2 < g.n:
-        raise AssertionError("extraction removed more than half the graph")
-    return t
+    return extract_restricted_from_weak(g, trimmed, eps)
 
 
 def greedy_restricted_chunk(g: Graph, pool: int, eps: Fraction) -> int:

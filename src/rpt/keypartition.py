@@ -48,6 +48,7 @@ from .ledger import (
     ConstantsLedger,
     blowup_copy_bound,
     build_ledger,
+    key_domain,
     part_bound,
     phi,
     phi_lower_bound,
@@ -108,25 +109,6 @@ class _PartBound:
 def _eta_prime_cap(h: int, eta: Fraction, delta_prime: Fraction, lam: Fraction) -> Fraction:
     """eta*delta'*lam^(h-1)/2: the largest leftover fraction eta' may be."""
     return Fraction(1, 2) * eta * delta_prime * lam ** (h - 1)
-
-
-def key_domain(
-    eps: Fraction,
-    eta: Fraction,
-    theta: Fraction,
-    delta_prime: Scalar | None,
-    eta_prime: Scalar | None,
-) -> None:
-    """Reject key-lemma parameters outside the lemma's domain: eps, eta and
-    theta in (0, 1/2), an exact delta' in (0, 1/4] and an exact eta' in
-    (0, 1).  The one check for KeyParams and for key-lemma certificates."""
-    for name, val in (("eps", eps), ("eta", eta), ("theta", theta)):
-        if not Fraction(0) < val < Fraction(1, 2):
-            raise ValueError(f"{name} must lie in (0, 1/2)")
-    if isinstance(delta_prime, Fraction) and not Fraction(0) < delta_prime <= Fraction(1, 4):
-        raise ValueError("delta_prime must lie in (0, 1/4]")
-    if isinstance(eta_prime, Fraction) and not Fraction(0) < eta_prime < 1:
-        raise ValueError("eta_prime must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -470,7 +452,17 @@ def advance_or_finish(
     """One iteration: finish (|S| <= d) or assemble the (m+t, n+s, t+1)-partition.
     The input is not re-checked (run_key_lemma verifies a caller's start);
     the assembled partition goes through verify_mnt_partition, and a
-    finished result through verify_key_result."""
+    finished result through verify_key_result.
+
+    Each P_i of a full step is nonempty, leaves half of D_i, and holds at
+    least lam |D_i| and a third of D'_i, without a check.  A full step has
+    |S| > d >= 0 (run_key_lemma refuses d < 0) with S inside L, so the
+    input's verified clause |D_i| eta > 2|L| >= 2, with eta < 1/2, gives
+    |D_i| >= 5.  D'_i lies in D_i (``find_full_pair`` returns a subpair),
+    |D'_i| >= lam |D_i| > 0 (checked below), and P_i is the first
+    min(|D'_i|, floor(|D_i|/2)) ids of D'_i; floor(|D_i|/2) >= |D_i|/3 >=
+    lam |D_i| (lam <= 1/3) and 3 floor(|D_i|/2) >= |D_i| >= |D'_i|.
+    """
     pr = p.params
     t = p.t
     if t >= pat.size:
@@ -516,13 +508,6 @@ def advance_or_finish(
         if d_i_prime.bit_count() < pr.lam * di.bit_count():
             raise StepFailure(f"chain step {i}: D side shrank below lam fraction")
         p_i = mask_from_ids(islice(iter_bits(d_i_prime), di.bit_count() // 2))
-        if not p_i or 2 * (di & ~p_i).bit_count() < di.bit_count():
-            raise AssertionError("P_i must leave at least half of D_i")
-        # the next level's blowup scaling needs both of these
-        if p_i.bit_count() < pr.lam * di.bit_count():
-            raise AssertionError("P_i fell below the lam fraction of D_i")
-        if 3 * p_i.bit_count() < d_i_prime.bit_count():
-            raise AssertionError("P_i fell below a third of the certified side")
         chain.append(s_i)
         d_primes.append(d_i_prime)
         p_sets.append(p_i)

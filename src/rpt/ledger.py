@@ -212,6 +212,26 @@ def weak_restricted_entries(h: int, eps: LogValue) -> tuple[LogValue, LogValue, 
     return eta, eta**s, s, kappa
 
 
+def key_domain(
+    eps: Fraction,
+    eta: Fraction,
+    theta: Fraction,
+    delta_prime: Scalar | None,
+    eta_prime: Scalar | None,
+) -> None:
+    """Reject key-lemma parameters outside the lemma's domain: eps, eta and
+    theta in (0, 1/2), an exact delta' in (0, 1/4] and an exact eta' in
+    (0, 1).  The one check for the ledger, for KeyParams and for key-lemma
+    certificates."""
+    for name, val in (("eps", eps), ("eta", eta), ("theta", theta)):
+        if not Fraction(0) < val < Fraction(1, 2):
+            raise ValueError(f"{name} must lie in (0, 1/2)")
+    if isinstance(delta_prime, Fraction) and not Fraction(0) < delta_prime <= Fraction(1, 4):
+        raise ValueError("delta_prime must lie in (0, 1/4]")
+    if isinstance(eta_prime, Fraction) and not Fraction(0) < eta_prime < 1:
+        raise ValueError("eta_prime must lie in (0, 1)")
+
+
 def build_ledger(h: int, eps: Fraction, eta: Fraction, theta: Fraction) -> ConstantsLedger:
     """Evaluate the full constant recursion for an h-vertex pattern.
 
@@ -219,11 +239,11 @@ def build_ledger(h: int, eps: Fraction, eta: Fraction, theta: Fraction) -> Const
     for t = h-1 .. 0 the Gamma/lambda row (i = t-1 .. 0) and eps_t, then
     the derived eps', delta', eta', N, the Lambda table, and kappa; the
     section-2 and section-4 constants the surrounding pipeline quotes are
-    appended under role names.
+    appended under role names.  The recursion needs h >= 2.
     """
-    for name, val in (("eps", eps), ("eta", eta), ("theta", theta)):
-        if not Fraction(0) < val < Fraction(1, 2):
-            raise ValueError(f"{name} must lie in (0, 1/2)")
+    if h < 2:
+        raise ValueError(f"h must be at least 2, got {h}")
+    key_domain(eps, eta, theta, None, None)
     e: dict[str, LogValue] = {}
     xi = theta / 4
     e["xi"] = LogValue.of(xi)

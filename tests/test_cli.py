@@ -1317,3 +1317,62 @@ def test_blank_exception_message_names_its_type(capsys, monkeypatch, c5_file):
     code = main(["count", "--graph", c5_file, "--pattern", "K2"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", "error: ZeroDivisionError\n")
+
+
+@pytest.mark.parametrize("n, edges", [(0, []), (5, [(0, 1), (1, 2)])], ids=["empty", "path5"])
+@pytest.mark.parametrize("command", [["theorem", "--eps", "1/4"], ["keylemma"]])
+def test_a_negative_d_is_refused(capsys, tmp_path, n, edges, command):
+    # `theorem` on the 0-vertex graph used to take its shortcut first and
+    # print "d": -1
+    g_path = tmp_path / "g.el"
+    g_path.write_text(to_edge_list(Graph.from_edges(n, edges)))
+    code = main([*command, "--graph", str(g_path), "--pattern", "K2", "--d", "-1", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", "error: removal budget must be nonnegative\n")
+
+
+@pytest.mark.parametrize("h", ["0", "-3", "1"])
+def test_the_ledger_refuses_h_below_2(capsys, c5_file, h):
+    # these used to exit 1 with "min() arg is an empty sequence" (h <= 0)
+    # and "log2 of a nonpositive rational" (h = 1)
+    runs = [["constants", "--h", h, "--eps", "1/4", "--eta", "1/4", "--theta", "1/4"]]
+    if h == "1":
+        runs.append(["keylemma", "--graph", c5_file, "--pattern", "K1", "--mode", "paper",
+                     "--eps", "1/4", "--d", "1"])
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            1, "", f"error: h must be at least 2, got {h}\n")
+
+
+# Each producer on the 0-vertex graph `0\n`: its exit code, and for each
+# certificate it emits the exit code of `rpt check` on it.  A density
+# subset is promised nonempty and a 0-vertex graph has none, so
+# `extract --op density` and `--op restricted` refuse it.
+EMPTY_GRAPH_RUNS = {
+    "count": (["count", "--pattern", "K2"], 0, None),
+    "extract-density": (["extract", "--pattern", "K2", "--op", "density"], 1, None),
+    "extract-restricted": (["extract", "--pattern", "K2", "--op", "restricted"], 1, None),
+    "extract-peel": (["extract", "--pattern", "K2", "--op", "peel"], 0, 0),
+    "keylemma": (["keylemma", "--pattern", "K2", "--d", "0", "--transcript"], 0, 0),
+    "theorem": (["theorem", "--pattern", "K3", "--eps", "1/4", "--d", "0"], 0, 0),
+}
+
+
+@pytest.mark.parametrize("run", EMPTY_GRAPH_RUNS)
+def test_every_producer_on_the_empty_graph(capsys, tmp_path, run):
+    argv, code, check_code = EMPTY_GRAPH_RUNS[run]
+    g_path = tmp_path / "e0.txt"
+    g_path.write_text("0\n")
+    got = main([*argv, "--graph", str(g_path), "--json"])
+    captured = capsys.readouterr()
+    if code:
+        assert (got, captured.out, captured.err) == (code, "", "error: empty graph\n")
+        return
+    assert (got, captured.err) == (0, "")
+    if check_code is None:
+        assert json.loads(captured.out)["value"] == "0"
+        return
+    assert _check(capsys, tmp_path, 0, [], json.loads(captured.out))[0] == check_code

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -69,6 +70,27 @@ class TestCountingDichotomy:
             )
         with pytest.raises(ValueError):
             witness_or_count(Graph.empty(4), named_pattern("K2"), [0b0011, 0], params)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(i=2, j=1), "witness labels out of order"),
+            (dict(b=0b000011), "witness sets leak outside their parts"),
+            (dict(a=0b000001), "witness a-side below threshold"),
+            (dict(b=0b001000), "witness b-side below threshold"),
+            (dict(mode="dense"), "witness mode contradicts the pattern edge"),
+        ],
+    )
+    def test_validate_witness_refuses_each_clause(self, change, message):
+        # on the edgeless graph (D_1, D_2) is a sparse witness for K2, with
+        # thresholds |A| >= 3 and |B| >= 3/2; each change breaks one clause
+        g, pat = Graph.empty(6), named_pattern("K2")
+        parts = [0b000111, 0b111000]
+        params = EmbeddingParams.uniform(2, HALF, HALF)
+        w = TightPairWitness(i=1, j=2, a=0b000111, b=0b111000, mode="sparse")
+        validate_witness(g, pat, parts, params, w)
+        with pytest.raises(AssertionError, match=message):
+            validate_witness(g, pat, parts, params, replace(w, **change))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=500, deadline=None)

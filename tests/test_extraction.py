@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import floor
 
 import mpmath
 import pytest
@@ -23,7 +24,6 @@ from rpt.extraction import (
     verify_peel_chain,
 )
 from rpt.extraction import (
-    _assert_merge_arithmetic,
     _greedy_best_effort,
     _meets_size_floor,
     _search,
@@ -341,6 +341,65 @@ class TestDensitySubset:
         res = find_low_or_high_density_subset(g, named_pattern("K2"), budget)
         assert res.vertices == g.full_mask and res.side == "high" and res.guaranteed
 
+    @pytest.mark.parametrize(
+        "g, side",
+        [(Graph.complete(6), "low"), (Graph.empty(6), "high")],
+        ids=["low", "high"],
+    )
+    def test_a_wrong_side_from_the_search_is_refused(self, monkeypatch, g, side):
+        # a search that labels all of K6 "low" (or the edgeless graph
+        # "high") breaks its density claim, and the result check says so
+        monkeypatch.setattr(extraction, "_search", lambda g, *rest: (g.full_mask, side, True))
+        budget = ExtractionBudget.practical(QUARTER, QUARTER, 3)
+        with pytest.raises(AssertionError, match=f"{side}-side result misses its density claim"):
+            find_low_or_high_density_subset(g, named_pattern("K2"), budget)
+
+    def test_the_recursion_keeps_the_constants_its_proof_uses(self, monkeypatch):
+        # _search's docstring proves its two unchecked facts from three
+        # constants: the pair is min(eps1, eps2)/4-tight, each piece is
+        # searched at (3/2) we1, and A0 keeps the vertices of A with at most
+        # eps k / 2 neighbours in B1.  On K20 beside C20 the pair is
+        # (K20, C20), C20 comes back whole, and A0 is taken against ten of
+        # its vertices, where eps k / 2 and eps k round differently.
+        search = extraction._search
+        tight = extraction.find_tight_pair
+        at_least = extraction.with_at_least
+        frames = []  # per open _search call: [eps1, eps2, mode of its pair]
+        seen = []
+
+        def spy_search(g, pat, eps1, eps2, depth):
+            if frames:
+                e1, e2, mode = frames[-1]
+                we1, we2 = (e2, e1) if mode == "dense" else (e1, e2)
+                assert (eps1, eps2) == (Fraction(3, 2) * we1, we2)
+                seen.append("piece")
+            frames.append([eps1, eps2, None])
+            try:
+                return search(g, pat, eps1, eps2, depth)
+            finally:
+                frames.pop()
+
+        def spy_tight(g, pat, eps):
+            assert eps == min(frames[-1][:2]) / 4
+            found = tight(g, pat, eps)
+            frames[-1][2] = found.mode
+            return found
+
+        def spy_at_least(g, s, t, k):
+            eps = min(frames[-1][:2])
+            assert k == floor(eps * t.bit_count() / 2) + 1
+            seen.append(eps * t.bit_count() >= 1)
+            return at_least(g, s, t, k)
+
+        monkeypatch.setattr(extraction, "_search", spy_search)
+        monkeypatch.setattr(extraction, "find_tight_pair", spy_tight)
+        monkeypatch.setattr(extraction, "with_at_least", spy_at_least)
+        k20 = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+        c20 = [(20 + v, 20 + (v + 1) % 20) for v in range(20)]
+        g = Graph.from_edges(40, k20 + c20)
+        extraction._search(g, named_pattern("K2"), QUARTER, QUARTER, 3)
+        assert "piece" in seen and True in seen
+
     @given(st.integers(0, 300))
     @settings(max_examples=100, deadline=None)
     def test_postconditions_on_random_corpus(self, seed):
@@ -454,15 +513,6 @@ class TestDensitySubset:
         assert find_low_or_high_density_subset(g, pat, budget) == (
             find_low_or_high_density_subset_always_greedy(g, pat, budget)
         )
-
-    def test_merge_arithmetic_checks_the_union_density(self):
-        # the merged piece's density is checked by the arithmetic's last
-        # clause alone: K_{2,2} across two empty sides meets the side and
-        # crossing caps at eps = 2, but its density 4/6 exceeds eps1 = 1/2
-        g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        _assert_merge_arithmetic(g, 0b0011, 0b1100, Fraction(2, 3), Fraction(2))
-        with pytest.raises(AssertionError, match="merge arithmetic failed"):
-            _assert_merge_arithmetic(g, 0b0011, 0b1100, Fraction(1, 2), Fraction(2))
 
     def test_exact_schedule_budget_fields(self):
         b = ExtractionBudget.exact_schedule(2, QUARTER, QUARTER)

@@ -87,6 +87,111 @@ def test_a_failed_verdict_is_raised_through_require():
     assert not found, f"hand-rolled raises on a failed verdict: {', '.join(found)}"
 
 
+def raise_sites(path: Path) -> list[tuple[str, int, int, str, str]]:
+    """(module.function, first line, last line, exception, message) of each
+    ``raise`` in one module.  The function is named through its enclosing
+    classes and defs; the message is the text of the first argument, ""
+    when there is none."""
+    sites = []
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise):
+                exc = child.exc
+                call = exc if isinstance(exc, ast.Call) else None
+                name = ast.unparse(call.func if call else exc) if exc else ""
+                arg = call.args[0] if call and call.args else None
+                message = (arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                           else ast.unparse(arg) if arg else "")
+                sites.append((scope, child.lineno, child.end_lineno, name, message))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return sites
+
+
+def assertion_guards() -> list[tuple[str, str]]:
+    """(module.function, message) of each ``raise AssertionError`` in
+    src/rpt outside ``Verdict.require``."""
+    return [(function, message) for path in sorted(SRC.glob("*.py"))
+            for function, _, _, name, message in raise_sites(path)
+            if name == "AssertionError" and function != "predicates.Verdict.require"]
+
+
+# Every `raise AssertionError` left in src/rpt outside Verdict.require.  A
+# guard that re-checks a fact its own call path has established is deleted,
+# and its function's docstring proves the fact.  Those left check a result,
+# or a guarantee of the paper on the run.  Each row names the test that
+# reaches its guard, or says `guarantee:` (what the paper promises there)
+# or `unreachable:` (why no input gets there).  `tests/guard_census.py`
+# checks this column against a traced Tier-1 run.
+GUARDS = {
+    ("adversarial.min_removal_oracle", "unreachable: removing everything always succeeds"):
+        "unreachable: at r = n the graph left is empty, and exact_n_restricted accepts it",
+    ("embedding.validate_witness", "witness labels out of order"):
+        "tests/test_embedding.py::TestCountingDichotomy::test_validate_witness_refuses_each_clause",
+    ("embedding.validate_witness", "witness sets leak outside their parts"):
+        "tests/test_embedding.py::TestCountingDichotomy::test_validate_witness_refuses_each_clause",
+    ("embedding.validate_witness", "witness a-side below threshold"):
+        "tests/test_embedding.py::TestCountingDichotomy::test_validate_witness_refuses_each_clause",
+    ("embedding.validate_witness", "witness b-side below threshold"):
+        "tests/test_embedding.py::TestCountingDichotomy::test_validate_witness_refuses_each_clause",
+    ("embedding.validate_witness", "witness mode contradicts the pattern edge"):
+        "tests/test_embedding.py::TestCountingDichotomy::test_validate_witness_refuses_each_clause",
+    ("embedding.witness_or_count",
+     "no witness found yet the certified lower bound fails; this contradicts the counting dichotomy"):
+        "guarantee: with no tight pair the parts hold at least "
+        "prod (1 - delta_t) eps_t^t prod |D_i| labelled copies",
+    ("embedding.find_tight_pair", "size guarantee failed despite |G| >= 2h"):
+        "guarantee: once |G| >= 2h both sides of the tight pair hold "
+        "(2h)^-2 eps^(h-1) |G| vertices",
+    ("embedding.find_tight_pair", "count arm fails the kappa threshold despite |G| >= 2h"):
+        "guarantee: once |G| >= 2h a split with no tight pair has more than "
+        "kappa |G|^h labelled copies",
+    ("extraction.find_low_or_high_density_subset", "low-side result misses its density claim"):
+        "tests/test_extraction.py::TestDensitySubset::test_a_wrong_side_from_the_search_is_refused",
+    ("extraction.find_low_or_high_density_subset", "high-side result misses its density claim"):
+        "tests/test_extraction.py::TestDensitySubset::test_a_wrong_side_from_the_search_is_refused",
+    ("keypartition.run_key_lemma", "iteration exceeded h steps without finishing"):
+        "unreachable: a step that does not finish raises t by one and t = h returns, "
+        "so the h + 1 rounds from t >= 0 end in a return",
+    ("keypartition._blowup_found", "exact-schedule contradiction failed: count within kappa*d^h"):
+        "guarantee: under the exact schedule a full blowup has more than kappa d^h copies, "
+        "while the precheck found ind(G) <= kappa d^h",
+    ("predicates.extract_restricted_from_weak", "greedy extraction missed its postcondition"):
+        "tests/test_predicates.py::TestExtractFromWeak::test_postcondition_catches_a_wrong_peeling",
+}
+
+
+def suite_test_ids() -> set[str]:
+    """``tests/<file>::<name>`` and ``tests/<file>::<Class>::<name>`` for
+    every test function of the suite."""
+    ids = set()
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        prefix = f"tests/{path.name}::"
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+                ids.add(prefix + node.name)
+            elif isinstance(node, ast.ClassDef) and node.name.startswith("Test"):
+                ids |= {f"{prefix}{node.name}::{f.name}" for f in node.body
+                        if isinstance(f, ast.FunctionDef) and f.name.startswith("test")}
+    return ids
+
+
+def test_every_assertion_guard_has_its_row():
+    sites = assertion_guards()
+    assert len(set(sites)) == len(sites), "two guards share a function and a message"
+    assert not set(sites) - set(GUARDS), f"guards with no row: {sorted(set(sites) - set(GUARDS))}"
+    assert not set(GUARDS) - set(sites), f"rows with no guard: {sorted(set(GUARDS) - set(sites))}"
+    known = suite_test_ids()
+    unsupported = [key for key, why in GUARDS.items()
+                   if why not in known and not why.startswith(("guarantee: ", "unreachable: "))]
+    assert not unsupported, f"rows naming no test and no reason: {unsupported}"
+
+
 def _id_maps(tree) -> set[str]:
     """Names bound to the id map of ``sub, ids = induced_subgraph(...)``."""
     return {
