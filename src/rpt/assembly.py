@@ -258,7 +258,12 @@ def lengthen(
     The bounds below need no check.  run_key_lemma's result passed
     verify_key_certificate: it removes at most floor(h^(-2(k+1)) d)
     vertices, and has at most N singles and m <= C(h, 2) nonempty disjoint
-    pairs inside W_k.  So with no pairs there are at most k + N parts.
+    pairs inside W_k.  So with no pairs there are at most k + N parts, and
+    the level budget absorbs them: that branch has k < K = ceil(4/eps), so
+    k < 4/eps <= 2400/eps^2 - 1 < F = floor(2400/eps^2) as eps < 1/3; for
+    h >= 2 the budget is h^(2(K-k)) (F + N) - N >= 4F + 3N > k + N, and
+    for h = 1 it is F > k with N = C(1, 2) + 0 = 0 (run_key_lemma returns
+    a blowup at once for h = 0, where the trivial partition has t = h).
     With pairs, |W_i| >= 12|W_k| >= 24m, so each round-robin part has at
     least q = floor(|W_i|/m) >= 24 ids, and q h^2 >= 2qm >= qm + m > |W_i|.
     By induction on K - k a call removes at most h^(-2k) d vertices: none
@@ -297,17 +302,11 @@ def lengthen(
     removed_core = lift(ids, key_res.removed)
     pairs = [(lift(ids, a), lift(ids, b)) for a, b in key_res.pairs]
     singles = [lift(ids, c) for c in key_res.singles]
-    n_bound = key.part_bound()
     m = len(pairs)
 
     if m == 0:
-        # at most k + N parts (see the docstring), which the level budget
-        # must absorb
+        # at most k + N parts, within the level budget (see the docstring)
         parts = list(p.blocks[:-1]) + singles
-        if target is not None and k + n_bound > target:  # N is known when the budget is
-            raise PartBoundViolation(
-                f"level budget {target} cannot absorb k + N = {k + n_bound}"
-            )
         bound = target if target is not None else len(parts)
         partition = RestrictedPartition(tuple(parts), eps, bound)
         result = RemovalResult(removed_core, partition, floor_frac(d_budget))

@@ -212,7 +212,6 @@ class TightPairResult:
     a: int
     b: int
     mode: str
-    size_guarantee: bool  # both sides >= (2h)^-2 eps^(h-1) |G| (needs |G| >= 2h)
     witness: TightPairWitness
 
 
@@ -233,7 +232,14 @@ def find_tight_pair(
     g: Graph, pat: Pattern, eps: Fraction
 ) -> TightPairResult | ManyCopiesResult:
     """Either disjoint (A,B), both of size >= (2h)^-2 eps^(h-1) |G|, with B
-    eps-tight to A, or an exact copy count exceeding the kappa threshold."""
+    eps-tight to A, or an exact copy count exceeding the kappa threshold.
+
+    The sizes need no check.  validate_witness has shown |A| >= eps^(h-j) |D|
+    and |B| >= eps^(h-j) |D| / (2(j-1)) for labels 2 <= j <= h, where
+    |D| = floor(|G|/h) >= |G|/(2h) as |G| >= h.  With eps^(h-j) >= eps^(h-1)
+    (eps < 1) and 2(j-1) < 2h, both sides hold at least
+    eps^(h-1) (|G|/(2h)) / (2h) = (2h)^-2 eps^(h-1) |G| vertices.
+    """
     h = pat.size
     if g.n < h:
         raise ValueError(f"graph on {g.n} vertices is smaller than the pattern ({h})")
@@ -241,11 +247,7 @@ def find_tight_pair(
     params = EmbeddingParams.uniform(h, eps, Fraction(1, 2))
     res = witness_or_count(g, pat, parts, params)
     if isinstance(res, TightPairWitness):
-        floor = Fraction(1, (2 * h) ** 2) * eps ** (h - 1) * g.n
-        ok = res.a.bit_count() >= floor and res.b.bit_count() >= floor
-        if g.n >= 2 * h and not ok:
-            raise AssertionError("size guarantee failed despite |G| >= 2h")
-        return TightPairResult(res.a, res.b, res.mode, ok, res)
+        return TightPairResult(res.a, res.b, res.mode, res)
     threshold = tight_pair_copy_threshold(h, eps) * Fraction(g.n) ** h
     exceeds = res.count > threshold
     if g.n >= 2 * h and not exceeds:

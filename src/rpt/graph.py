@@ -17,9 +17,11 @@ one step per edge; so a graph costs time and memory linear in n plus its
 rows' bits.
 
 Edge lists are read by :func:`load_graph_text`: one fast pass for clean
-text, in windows of a fixed number of characters, and otherwise the line
-parser :func:`from_edge_list`, one line at a time and the one source of
-parse errors.  The per-vertex counts (:func:`with_at_least`,
+text, in windows of a fixed number of characters, with one table lookup
+per edge (a window with an id past the table runs the range check and
+shifts; the table holds about as many bytes as the text at most), and
+otherwise the line parser :func:`from_edge_list`, one line at a time and
+the one source of parse errors.  The per-vertex counts (:func:`with_at_least`,
 :func:`degree_range`) and :func:`mask_to_ids` on a dense mask run as C-level
 ``compress`` and ``map`` kernels, with no Python step per vertex.
 
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice, repeat
+from math import isqrt
 
 
 class GraphParseError(ValueError):
@@ -633,19 +636,28 @@ _COMMAS = str.maketrans(" \n", ",,")
 _WINDOW = 1 << 17
 
 
-def _read_window(rows: list[int], body: str, top: int) -> int:
+def _read_window(rows: list[int], body: str, bits: list[int], top: int) -> int:
     """Set the bits of the edge lines ``body`` (no final "\\n") in ``rows``;
     return their number, or 0 if the skeleton or an id >= ``top`` rejects
-    them.  The ids are freed on return, before the next window is read."""
+    them.  Each edge is one lookup in the shift table ``bits``, which is
+    also its range check: an id past the table, or a u past ``rows``,
+    raises IndexError, and only then does the window check its max and
+    shift its ids (a bit set twice is set once).  The ids are freed on
+    return, before the next window is read."""
     k = body.count("\n") + 1
     if body.encode("ascii").translate(None, b"0123456789") != (b" \n" * k)[:-1]:
         return 0
     ids = json.loads("[" + body.translate(_COMMAS) + "]")
-    if max(ids) >= top:
-        return 0
     pairs = iter(ids)
-    for u, v in zip(pairs, pairs):
-        rows[u] |= 1 << v
+    try:
+        for u, v in zip(pairs, pairs):
+            rows[u] |= bits[v]
+    except IndexError:
+        if max(ids) >= top:
+            return 0
+        pairs = iter(ids)
+        for u, v in zip(pairs, pairs):
+            rows[u] |= 1 << v
     return k
 
 
@@ -667,14 +679,22 @@ def _clean_edge_list(text: str) -> Graph | None:
       final "\\n";
     * JSON: the window's ids, joined by commas, must parse as JSON integers
       (no empty id, no leading zero);
-    * the max check: an id at or above n, or at or above len(text), so that
-      a short text costs no shift wider than itself;
+    * the table lookup: each edge sets its bit by one lookup in a table of
+      1 << v for v below min(n, len(text), isqrt(16 len(text))), so the
+      table holds about len(text) bytes at most and covers every id of a
+      dense or narrow graph; an id past the table, as in a wide sparse
+      graph, or a u at or above n, misses it, and only that window runs
+      the max check, which refuses an id at or above n or len(text), so
+      that a short text costs no shift wider than itself, and shifts its
+      ids (a u at or above len(text) with v in the table fails the lowest
+      bit);
     * the popcount: a repeated edge leaves fewer bits than lines;
     * the lowest bit: an edge with v <= u leaves a row whose lowest bit is
       at or below its own vertex.
 
-    The rows U so read are strictly upper triangular and in range, by the
-    max check and the lowest bits; with no edge twice, by the popcount.  So
+    The rows U so read are strictly upper triangular and in range, since
+    each v lies in the table or passed the max check and each u < v by the
+    lowest bits; with no edge twice, by the popcount.  So
     U | U^T, mirrored by :func:`_transposed_rows`, is symmetric, loopless
     and in range, and needs no check by ``Graph``.
     """
@@ -693,12 +713,15 @@ def _clean_edge_list(text: str) -> Graph | None:
             return None
         top = min(n, len(text))
         rows = [0] * n
+        # 1 << v for each v below the cap: about isqrt(16 L)^2 / 16 = L bytes
+        # for a text of L characters
+        bits = [1 << v for v in range(min(top, isqrt(16 * len(text))))]
         start = cut + 1
         while start <= end:
             stop = text.find("\n", start + _WINDOW - 1, end)
             if stop < 0:
                 stop = end
-            k = _read_window(rows, text[start:stop], top)
+            k = _read_window(rows, text[start:stop], bits, top)
             if not k:
                 return None
             lines += k

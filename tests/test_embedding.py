@@ -127,8 +127,7 @@ class TestFindTightPair:
         res = find_tight_pair(Graph.empty(10), named_pattern("K2"), HALF)
         assert isinstance(res, TightPairResult)
         assert res.mode == "sparse"
-        assert res.size_guarantee
-        floor = Fraction(1, 16) * HALF * 10
+        floor = Fraction(1, (2 * 2) ** 2) * HALF ** (2 - 1) * 10  # (2h)^-2 eps^(h-1) |G|
         assert res.a.bit_count() >= floor and res.b.bit_count() >= floor
 
     def test_complete_graph_hits_count_arm(self):
@@ -327,6 +326,10 @@ class TestWitnessSearchMatchesFractionComparison:
             mp.setattr(embedding, "_witness_search", witness_search_fraction)
             want = outcome(lambda: find_tight_pair(g, pat, eps))
         assert got == want
+        if isinstance(got, TightPairResult):
+            # the size promise of find_tight_pair's docstring, for every n >= h
+            floor = Fraction(1, (2 * h) ** 2) * eps ** (h - 1) * n
+            assert got.a.bit_count() >= floor and got.b.bit_count() >= floor
 
     def test_fraction_work_does_not_grow_with_the_parts(self):
         # one threshold per part, not one Fraction comparison per vertex

@@ -7,6 +7,7 @@ import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -544,10 +545,73 @@ WINDOWS = [_WINDOW, 1, 3]
 
 @contextmanager
 def _window(size):
-    """The fast pass with windows of ``size`` characters."""
+    """The fast pass, and the windowed oracle below, with windows of
+    ``size`` characters."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rpt.graph, "_WINDOW", size)
+        mp.setitem(globals(), "_WINDOW", size)
         yield
+
+
+# The windowed fast pass as it was before it set its bits from a shift
+# table, kept verbatim as an oracle (only the names, the docstrings, and
+# Graph in place of _derived, so that its rows get the full check, differ).
+def _oracle_read_window(rows: list[int], body: str, top: int) -> int:
+    """One window of the windowed pass: a max check, then one shift per edge."""
+    k = body.count("\n") + 1
+    if body.encode("ascii").translate(None, b"0123456789") != (b" \n" * k)[:-1]:
+        return 0
+    ids = json.loads("[" + body.translate(_COMMAS) + "]")
+    if max(ids) >= top:
+        return 0
+    pairs = iter(ids)
+    for u, v in zip(pairs, pairs):
+        rows[u] |= 1 << v
+    return k
+
+
+def _oracle_window_clean_edge_list(text: str) -> Graph | None:
+    """The windowed fast pass that shifted each edge's bit in place."""
+    # The count line, and the edge lines without at most one final "\n".
+    end = len(text) - text.endswith("\n")
+    # A "\n" before ``end`` ends the count line and starts at least one edge
+    # line, maybe empty; without one there are no edge lines.
+    cut = text.find("\n", 0, end)
+    if cut < 0:
+        cut = end
+    head = text[:cut]
+    lines = 0
+    try:
+        n = int(head)
+        if n < 0 or str(n) != head:
+            return None
+        top = min(n, len(text))
+        rows = [0] * n
+        start = cut + 1
+        while start <= end:
+            stop = text.find("\n", start + _WINDOW - 1, end)
+            if stop < 0:
+                stop = end
+            k = _oracle_read_window(rows, text[start:stop], top)
+            if not k:
+                return None
+            lines += k
+            start = stop + 1
+    except (ValueError, OverflowError, MemoryError):
+        return None
+    if sum(map(int.bit_count, rows)) != lines:
+        return None
+    # Every edge has u < v: no row from k on holds a bit, and the lowest bit
+    # of each row lies above the row's own vertex.
+    k = max(map(int.bit_length, rows), default=0)
+    if any(islice(rows, k, None)):
+        return None
+    for u, row in enumerate(islice(rows, k)):
+        if row and (row & -row).bit_length() <= u + 1:
+            return None
+    for v, lower in enumerate(_transposed_rows(rows[:k], _width(k), range(k))):
+        rows[v] |= lower
+    return Graph(n, tuple(rows))
 
 
 # The fast pass, Graph.edges and to_edge_list as they were before the fast
@@ -642,6 +706,7 @@ def test_fast_pass_and_writers_match_their_old_code(window, n, p, seed, newline)
                   text.replace("\n", "\n\n", 2), text + "\n\n"]:
         with _window(window):
             fast = _clean_edge_list(clean)
+            assert fast == _oracle_window_clean_edge_list(clean)
         assert fast == _oracle_json_clean_edge_list(clean) == _oracle_clean_edge_list(clean)
 
 
@@ -734,6 +799,7 @@ def test_one_edit_corruptions_match_the_old_fast_pass(window, n, p, seed, kind):
     bad = _edit(text, kind, random.Random(seed))
     with _window(window):
         fast = _clean_edge_list(bad)
+        assert fast == _oracle_window_clean_edge_list(bad)
     assert fast == _oracle_json_clean_edge_list(bad) == _oracle_clean_edge_list(bad)
 
 
@@ -752,9 +818,118 @@ def test_fast_pass_falls_back_or_agrees(window, text):
     with _window(window):
         fast = _clean_edge_list(text)
         loaded = _outcome(load_graph_text, text)
+        assert fast == _oracle_window_clean_edge_list(text)
     assert fast == _oracle_json_clean_edge_list(text) == _oracle_clean_edge_list(text)
     assert fast is None or fast == from_edge_list(text)
     assert loaded == _outcome(_oracle_load, text)
+
+
+# Ids placed at the edges of the shift table and of the max check, each
+# worked out from the vertex count and the length of the finished text.
+BOUNDARIES = {
+    "cap-1": lambda n, size: _table_size(n, size) - 1,
+    "cap": lambda n, size: _table_size(n, size),
+    "cap+1": lambda n, size: _table_size(n, size) + 1,
+    "top-1": lambda n, size: min(n, size) - 1,
+    "top": lambda n, size: min(n, size),
+    "n-1": lambda n, size: n - 1,
+    "n": lambda n, size: n,
+    "len": lambda n, size: size,
+    "len+1": lambda n, size: size + 1,
+}
+
+
+def _table_size(n, size):
+    """The fast pass's shift table length for a text of ``size`` characters."""
+    return min(n, size, isqrt(16 * size))
+
+
+def _render(n, lines, newline):
+    """The edge list of ``lines``, each id an int, a string kept as written,
+    or a BOUNDARIES name, resolved against the final length of the text."""
+    size = 0
+    for _ in range(8):
+        ids = [[max(BOUNDARIES[v](n, size), 0) if v in BOUNDARIES else v for v in line]
+               for line in lines]
+        text = "\n".join([str(n)] + [" ".join(map(str, line)) for line in ids])
+        text += "\n" if newline else ""
+        if len(text) == size:
+            break
+        size = len(text)
+    return text
+
+
+@st.composite
+def table_edge_lists(draw):
+    """An edge list with ids at the table's cap, at min(n, len(text)), at n
+    and at len(text), perhaps with a repeated edge, an edge with v <= u and
+    an id with a leading zero, each line at a random place."""
+    # a large n puts the cap below n and len(text) once the text has 16 characters
+    n = draw(st.sampled_from([10**5, 10**6]) if draw(st.booleans()) else st.integers(0, 80))
+    edges = draw(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=80))
+    lines = [[u, v] for u, v in sorted({(min(e), max(e)) for e in edges})
+             if u != v and max(u, v) < n]
+    for kind in draw(st.lists(st.sampled_from(sorted(BOUNDARIES)), max_size=3)):
+        line = [draw(st.integers(0, 3)), kind]
+        if not draw(st.integers(0, 3)):  # the boundary id as u
+            line.reverse()
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    for edit in draw(st.lists(st.sampled_from(["repeat", "swap", "zero"]), max_size=2)):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), list(lines[i]))
+        elif edit == "swap":
+            lines[i] = lines[i][::-1]
+        elif isinstance(lines[i][1], int):
+            lines[i] = [lines[i][0], f"0{lines[i][1]}"]
+    return _render(n, lines, draw(st.booleans()))
+
+
+@contextmanager
+def _table_sizes(sizes):
+    """Record the length of the shift table each window of the fast pass reads."""
+    read = rpt.graph._read_window
+
+    def spy(rows, body, bits, top):
+        sizes.append(len(bits))
+        return read(rows, body, bits, top)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rpt.graph, "_read_window", spy)
+        yield
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@given(table_edge_lists())
+@settings(max_examples=150, deadline=None)
+def test_table_pass_matches_the_window_pass(window, text):
+    sizes = []
+    with _window(window), _table_sizes(sizes):
+        fast = _clean_edge_list(text)
+        old = _oracle_window_clean_edge_list(text)
+    assert fast == old
+    assert all(size <= isqrt(16 * len(text)) for size in sizes)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("kind", sorted(BOUNDARIES))
+def test_a_table_miss_in_a_middle_window(window, kind):
+    # the text is long enough that the cap lies below n and len(text), so a
+    # miss at the cap runs the max check and the shifts in that window alone
+    n = 10**5
+    lines = [[u, u + 1] for u in range(60)]
+    lines.insert(30, [0, kind])
+    text = _render(n, lines, True)
+    assert _table_size(n, len(text)) < min(n, len(text))
+    with _window(window):
+        fast = _clean_edge_list(text)
+        assert fast == _oracle_window_clean_edge_list(text)
+    v = int(text.split("\n")[31].split(" ")[1])
+    assert (fast is not None) == (v < len(text))
+    if fast is not None:
+        assert fast == from_edge_list(text) and fast.has_edge(0, v)
 
 
 def _peak_mib(build):
@@ -801,6 +976,16 @@ def test_clean_load_peak_does_not_grow_with_the_edges():
     assert g.edge_count() >= 250_000
     assert _clean_edge_list(text) == _oracle_json_clean_edge_list(text) == g  # caches the masks
     assert _peak_mib(lambda: load_graph_text(text)) < 4
+
+
+def test_shift_table_stays_within_its_cap():
+    # K60 under n = 10**5: a 10 KB text whose table, capped at isqrt(16 * 10**4)
+    # = 400 shifts, holds about 20 KB; a table up to min(n, len(text)) would
+    # hold about 6.7 MB
+    text = "100000\n" + "".join(f"{u} {v}\n" for u, v in combinations(range(60), 2))
+    assert 10_000 < len(text) < 11_000
+    assert _clean_edge_list(text) == from_edge_list(text)
+    assert _peak_mib(lambda: _clean_edge_list(text)) * 2**20 < 3_000_000
 
 
 def test_wide_sparse_graphs_cost_their_edges():

@@ -145,9 +145,6 @@ GUARDS = {
      "no witness found yet the certified lower bound fails; this contradicts the counting dichotomy"):
         "guarantee: with no tight pair the parts hold at least "
         "prod (1 - delta_t) eps_t^t prod |D_i| labelled copies",
-    ("embedding.find_tight_pair", "size guarantee failed despite |G| >= 2h"):
-        "guarantee: once |G| >= 2h both sides of the tight pair hold "
-        "(2h)^-2 eps^(h-1) |G| vertices",
     ("embedding.find_tight_pair", "count arm fails the kappa threshold despite |G| >= 2h"):
         "guarantee: once |G| >= 2h a split with no tight pair has more than "
         "kappa |G|^h labelled copies",
