@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .extraction import greedy_restricted_chunk
-from .graph import Graph, Pattern, induced_subgraph, iter_bits, lift, mask_from_ids, mask_to_ids
+from .graph import Graph, Pattern, induced_subgraph, lift, mask_from_ids, mask_to_ids
 from .keypartition import BlowupFound, KeyParams, run_key_lemma
 from .predicates import Verdict, is_restricted, is_tight_to
 from .values import ceil_frac, floor_frac
@@ -269,24 +269,31 @@ def lengthen(
     By induction on K - k a call removes at most h^(-2k) d vertices: none
     at depth K, the key lemma's set with no pairs, and with pairs that set
     and h^(-2(k+1)) d per recursive call, (m + 1) h^(-2(k+1)) d <= h^(-2k) d
-    in all, since m + 1 <= C(h, 2) + 1 <= h^2.
+    in all, since m + 1 <= C(h, 2) + 1 <= h^2.  With pairs the parts fit the
+    level budget too: write X = h^(2(K-k-1)) (F + N), so the budgets are
+    h^2 X - N at level k and X - N at level k + 1.  Each recursive result
+    passed verify_removal_result against X - N parts and the singles number
+    at most N, while m <= C(h, 2) <= h^2 - 1 and pairs need h >= 2, so there
+    are at most m (X - N) + N <= (h^2 - 1)(X - N) + N
+    = h^2 X - N - (X + (h^2 - 3) N) <= h^2 X - N parts.
+
+    A depth-K partition goes straight to base_partition, which verifies it.
     """
     h = pat.size
     big_k = path_length(eps)
     if not 0 <= k <= big_k:
         raise ValueError("depth k out of range")
-    rep = verify_path_partition(g, p)
-    if not rep.ok:
-        raise PathPartitionError(f"level-{k} path-partition invalid: {rep.clause}")
     if p.eps != level_eps(eps, h, k):
         raise PathPartitionError("path-partition level does not match its depth")
-    target = part_count_target(eps, key, h, k)
-
     if k == big_k:
         part = base_partition(g, p, eps)
         result = RemovalResult(0, part, floor_frac(d_budget))
         result.verify(g)
         return result
+    rep = verify_path_partition(g, p)
+    if not rep.ok:
+        raise PathPartitionError(f"level-{k} path-partition invalid: {rep.clause}")
+    target = part_count_target(eps, key, h, k)
 
     w_last = p.blocks[-1]
     sub, ids = induced_subgraph(g, w_last)
@@ -328,15 +335,13 @@ def lengthen(
         sub_j, ids_j = induced_subgraph(g, u_j)
         pos = {v: i for i, v in enumerate(ids_j)}
         local_blocks = tuple(
-            mask_from_ids(pos[v] for v in iter_bits(blk)) for blk in blocks_j
+            mask_from_ids(pos[v] for v in mask_to_ids(blk)) for blk in blocks_j
         )
         pp_j = PathPartition(local_blocks, next_eps)
         res_j = lengthen(sub_j, pat, pp_j, eps, key, d_budget, k + 1)
         removed_total |= lift(ids_j, res_j.removed)
         all_parts += [lift(ids_j, part) for part in res_j.partition.parts]
     all_parts += singles
-    if target is not None and len(all_parts) > target:
-        raise PartBoundViolation(f"{len(all_parts)} parts exceed the level budget {target}")
     bound = target if target is not None else len(all_parts)
     partition = RestrictedPartition(tuple(all_parts), eps, bound)
     result = RemovalResult(removed_total, partition, floor_frac(d_budget))

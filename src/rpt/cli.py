@@ -222,12 +222,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     pat = _load_pattern(args.pattern)
     if args.op == "density":
         eps2 = args.eps2 if args.eps2 is not None else args.eps
-        if args.mode == "paper":
-            budget = ExtractionBudget.exact_schedule(pat.size, args.eps, eps2)
+        if args.mode == "paper" or args.depth is None:
+            depth = depth_for(min(args.eps, eps2))
         else:
-            depth = args.depth if args.depth is not None else depth_for(min(args.eps, eps2))
-            budget = ExtractionBudget.practical(args.eps, eps2, depth, h=pat.size)
-        res = find_low_or_high_density_subset(g, pat, budget)
+            depth = args.depth
+        res = find_low_or_high_density_subset(g, pat, ExtractionBudget(args.eps, eps2, depth))
         _emit(
             args,
             lambda: {

@@ -28,8 +28,8 @@ from .graph import (
     Graph,
     Pattern,
     count_embeddings_into_parts,
-    iter_bits,
     mask_from_ids,
+    mask_to_ids,
     with_at_least,
 )
 from .ledger import blowup_copy_bound, tight_pair_copy_threshold
@@ -122,7 +122,7 @@ def _witness_search(
                 i=i, j=m, a=di, b=p_i, mode="sparse" if edge else "dense"
             )
         surviving &= ~p_i
-    for u in iter_bits(surviving):
+    for u in mask_to_ids(surviving):
         shrunk = []
         for i in range(1, m):
             di = parts[i - 1]
@@ -177,14 +177,16 @@ def witness_or_count(
     g: Graph, pat: Pattern, parts, params: EmbeddingParams
 ) -> TightPairWitness | CopyCount:
     """Either a verified TightPairWitness or the exact copy count with its
-    certified lower bound (count >= bound always holds on that arm)."""
+    certified lower bound (count >= bound always holds on that arm).
+
+    The pattern is never empty: Pattern.__post_init__ refuses a pattern
+    with no vertex, so h = pat.size >= 1 and h - 1 is a length.
+    """
     parts = list(parts)
     h = pat.size
-    if h == 0:
-        raise ValueError("empty pattern")
     if len(parts) != h:
         raise ValueError("need one part per pattern label")
-    if len(params.eps_seq) != max(h - 1, 0):
+    if len(params.eps_seq) != h - 1:
         raise ValueError("parameter sequences must have length h-1")
     union = 0
     for p in parts:

@@ -54,8 +54,8 @@ from .graph import (
     edge_density,
     extreme_degree,
     induced_subgraph,
-    iter_bits,
     lift,
+    mask_to_ids,
     peel_order,
     with_at_least,
 )
@@ -72,23 +72,13 @@ class ExtractionInfeasible(RuntimeError):
 class ExtractionBudget:
     eps1: Fraction
     eps2: Fraction
-    depth: int  # recursion budget s
-    eta: Fraction  # per-level shrink fraction
+    depth: int  # recursion budget s; the exact schedule's is depth_for(min(eps1, eps2))
 
     def __post_init__(self):
         if not (0 < self.eps1 < 1 and 0 < self.eps2 < 1):
             raise ValueError("density targets must lie in (0,1)")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-
-    @staticmethod
-    def exact_schedule(h: int, eps1: Fraction, eps2: Fraction) -> "ExtractionBudget":
-        eps = min(eps1, eps2)
-        return ExtractionBudget(eps1, eps2, depth_for(eps), shrink_fraction(h, eps))
-
-    @staticmethod
-    def practical(eps1: Fraction, eps2: Fraction, depth: int, h: int = 2) -> "ExtractionBudget":
-        return ExtractionBudget(eps1, eps2, depth, shrink_fraction(h, min(eps1, eps2)))
 
 
 @dataclass(frozen=True)
@@ -209,7 +199,7 @@ def _independent_set(g: Graph, floor: int = 0) -> int:
             best, incumbent = cur, cur_size
             return
         # branch on the highest-degree candidate (within cand); max keeps the first
-        pivot = max(iter_bits(cand), key=lambda v: (adj[v] & cand).bit_count())
+        pivot = max(mask_to_ids(cand), key=lambda v: (adj[v] & cand).bit_count())
         bit = 1 << pivot
         bnb(cand & ~bit & ~adj[pivot], cur | bit, cur_size + 1)
         bnb(cand & ~bit, cur, cur_size)
@@ -365,20 +355,22 @@ def find_low_or_high_density_subset(
         raise AssertionError("low-side result misses its density claim")
     if side == "high" and dens < 1 - budget.eps2:
         raise AssertionError("high-side result misses its density claim")
-    guaranteed = flag and _meets_size_floor(mask.bit_count(), budget, g.n)
+    guaranteed = flag and _meets_size_floor(mask.bit_count(), pat.size, budget, g.n)
     return DensitySubsetResult(mask, side, guaranteed)
 
 
-def _meets_size_floor(size: int, budget: ExtractionBudget, n: int) -> bool:
-    """size >= eta^depth * n, without materialising astronomical powers.
+def _meets_size_floor(size: int, h: int, budget: ExtractionBudget, n: int) -> bool:
+    """size >= eta^depth * n, with eta = shrink_fraction(h, min(eps1, eps2))
+    the per-level shrink fraction, without materialising astronomical powers.
 
     When the floor is provably below one vertex (decided on the log
     scale) any nonempty result passes; otherwise compare exactly.
     """
-    floor_log2 = budget.depth * log2_fraction(budget.eta) + mpmath.log(max(n, 1), 2)
+    eta = shrink_fraction(h, min(budget.eps1, budget.eps2))
+    floor_log2 = budget.depth * log2_fraction(eta) + mpmath.log(max(n, 1), 2)
     if floor_log2 < -1:
         return size >= 1
-    return size >= budget.eta**budget.depth * n
+    return size >= eta**budget.depth * n
 
 
 def extract_restricted_exact(
@@ -408,9 +400,7 @@ def extract_restricted_exact(
         raise ValueError("delta must lie in (0, 1/4]")
     target2 = ceil_frac(2 * delta * g.n)
     eighth = eps / 8
-    budget = ExtractionBudget.practical(
-        eighth, eighth, depth if depth is not None else depth_for(eighth), h=pat.size
-    )
+    budget = ExtractionBudget(eighth, eighth, depth if depth is not None else depth_for(eighth))
     res = find_low_or_high_density_subset(g, pat, budget)
     if res.vertices.bit_count() < target2:
         raise ExtractionInfeasible(
@@ -439,7 +429,7 @@ def greedy_restricted_chunk(g: Graph, pool: int, eps: Fraction) -> int:
     num, den = eps.numerator, eps.denominator
     planes: list[int] = []  # per pool vertex, its number of chunk neighbours
     chunk = k = 0
-    for v in iter_bits(pool):
+    for v in mask_to_ids(pool):
         row = adj[v]
         if k:
             dv = (row & chunk).bit_count()

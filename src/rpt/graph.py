@@ -77,10 +77,6 @@ def mask_to_ids(mask: int) -> list[int]:
     return out
 
 
-def iter_bits(mask: int):
-    return iter(mask_to_ids(mask))
-
-
 # bin() digits "0"/"1" as the false/true selector bytes of itertools.compress
 _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
@@ -184,7 +180,7 @@ def _transposed_rows(rows: list[int], w: int, ids) -> list[int]:
         return [int.from_bytes(data[v * step : v * step + step], "little") for v in ids]
     cols = [0] * w
     for r in compress(range(len(rows)), rows):
-        for v in iter_bits(rows[r]):
+        for v in mask_to_ids(rows[r]):
             cols[v] |= 1 << r
     return [cols[v] for v in ids]
 
@@ -222,7 +218,7 @@ class Graph:
             if _transpose(packed, w) == packed:
                 return
         for v in range(k):
-            for u in iter_bits(adj[v]):
+            for u in mask_to_ids(adj[v]):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
@@ -305,7 +301,7 @@ def with_at_least(g: Graph, s: int, t: int, k: int) -> int:
     a rational bound rounds it to the integer k once (a count c has c >= x
     iff c >= ceil(x)), and reads a bound on non-neighbours as |t| - c.
     """
-    return mask_from_ids(compress(iter_bits(s), map(k.__le__, _counts(g.adj, s, t))))
+    return mask_from_ids(compress(mask_to_ids(s), map(k.__le__, _counts(g.adj, s, t))))
 
 
 def degree_range(g: Graph, s: int) -> tuple[int, int]:
@@ -790,7 +786,7 @@ def _extends_to_automorphism(adj: tuple[int, ...], forced: dict[int, int]) -> bo
         if not domain:
             return True
         w = min(domain, key=lambda v: (domain[v].bit_count(), v))
-        for x in iter_bits(domain[w]):
+        for x in mask_to_ids(domain[w]):
             rest = {
                 v: d & ~(1 << x) & (adj[x] if adj[w] >> v & 1 else ~adj[x])
                 for v, d in domain.items()

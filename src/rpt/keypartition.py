@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import islice
 from math import comb
 
 import mpmath
@@ -39,9 +38,9 @@ from .graph import (
     Pattern,
     count_embeddings_into_parts,
     induced_subgraph,
-    iter_bits,
     lift,
     mask_from_ids,
+    mask_to_ids,
     with_at_least,
 )
 from .ledger import (
@@ -459,9 +458,18 @@ def advance_or_finish(
     |S| > d >= 0 (run_key_lemma refuses d < 0) with S inside L, so the
     input's verified clause |D_i| eta > 2|L| >= 2, with eta < 1/2, gives
     |D_i| >= 5.  D'_i lies in D_i (``find_full_pair`` returns a subpair),
-    |D'_i| >= lam |D_i| > 0 (checked below), and P_i is the first
+    |D'_i| >= lam |D_i| > 0 (proved next), and P_i is the first
     min(|D'_i|, floor(|D_i|/2)) ids of D'_i; floor(|D_i|/2) >= |D_i|/3 >=
     lam |D_i| (lam <= 1/3) and 3 floor(|D_i|/2) >= |D_i| >= |D'_i|.
+
+    Each chain step keeps a lam fraction of both sides, without a check.
+    ``find_full_pair`` runs with min_frac = lam, so its floors are
+    max(1, ceil(lam |S_(i-1)|)) and max(1, ceil(lam |D_i|)), and it returns
+    only a pair at or above both: phase 1 certifies the whole pair or a
+    pair its last round left at or above the floors (it breaks before
+    certifying below one), phase 1.5 certifies only at or above both, and
+    phase 2 enumerates sizes from the floors up.  Its sides are subsets of
+    S_(i-1) and D_i, so |S_i| >= lam |S_(i-1)| and |D'_i| >= lam |D_i|.
     """
     pr = p.params
     t = p.t
@@ -503,11 +511,7 @@ def advance_or_finish(
         except Exception as exc:
             raise StepFailure(f"chain step {i} at t={t} failed: {exc}") from exc
         s_i, d_i_prime = cert.a, cert.b
-        if s_i.bit_count() < pr.lam * s_prev.bit_count():
-            raise StepFailure(f"chain step {i}: core shrank below lam fraction")
-        if d_i_prime.bit_count() < pr.lam * di.bit_count():
-            raise StepFailure(f"chain step {i}: D side shrank below lam fraction")
-        p_i = mask_from_ids(islice(iter_bits(d_i_prime), di.bit_count() // 2))
+        p_i = mask_from_ids(mask_to_ids(d_i_prime)[: di.bit_count() // 2])
         chain.append(s_i)
         d_primes.append(d_i_prime)
         p_sets.append(p_i)

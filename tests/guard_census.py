@@ -1,24 +1,27 @@
-"""Guard census: which ``raise`` statements of src/rpt the Tier-1 suite reaches.
+"""Guard census: which refusals of src/rpt the Tier-1 suite reaches.
 
-Runs the suite once under a ``sys.settrace`` tracer and prints every
-``raise`` in ``src/rpt/*.py`` that ran, with its exception, its message
-and a test that reached it, then the sites that no test reaches, counted
-by module.  A ``sitecustomize`` module on the child ``PYTHONPATH``
-installs the same tracer in every Python process the suite starts, so the
-``rpt`` subprocesses of the CLI tests are counted too, each hit under the
-test that was running (``PYTEST_CURRENT_TEST``, which the subprocesses
-inherit).
+A refusal is a ``raise`` statement or a ``return Verdict(False, ...)``.
+The script runs the suite once under a ``sys.settrace`` tracer and prints
+every refusal in ``src/rpt/*.py`` that ran, with its exception (``Verdict``
+for a refuted verdict), its message and a test that reached it, then the
+sites that no test reaches, counted by module.  A ``sitecustomize`` module
+on the child ``PYTHONPATH`` installs the same tracer in every Python
+process the suite starts, so the ``rpt`` subprocesses of the CLI tests are
+counted too, each hit under the test that was running
+(``PYTEST_CURRENT_TEST``, which the subprocesses inherit).
 
-Last, it checks the ``GUARDS`` table of ``tests/test_source.py``, one row
-per ``raise AssertionError`` outside ``Verdict.require``: a row that names
-a test must be reached by that test, and a ``guarantee:`` or
-``unreachable:`` row by none.
+Last, it checks every site against the ``GUARDS`` table of
+``tests/test_source.py``.  Each ``raise AssertionError`` outside
+``Verdict.require`` has a row, and so does each other site that no input
+can reach.  A row that names a test must be reached by that test, a
+``guarantee:`` or ``unreachable:`` row by none, and a site with no row
+by some test.
 
     python tests/guard_census.py [pytest arguments]
 
-It is a script, not a Tier-1 test, because tracing about doubles the
-suite's time.  It exits 0 when the suite passes and the table agrees with
-the run, and 1 otherwise.
+It is a script, not a Tier-1 test, because tracing takes about two and a
+half times the suite's time.  It exits 0 when the suite passes and every site agrees
+with the table, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rpt"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from test_source import GUARDS, raise_sites  # noqa: E402
+from test_source import GUARDS, refusal_sites  # noqa: E402
 
 # Installed in every process of the run: a global trace function that
 # follows only the code objects holding a wanted line, and records each
@@ -95,7 +98,7 @@ def _test_name(current: str) -> str:
 def main(pytest_args: list[str]) -> int:
     sites = []  # (path, function, first line, last line, exception, message)
     for path in sorted(SRC.glob("*.py")):
-        sites += [(str(path), *site) for site in raise_sites(path)]
+        sites += [(str(path), *site) for site in refusal_sites(path)]
     where = {}  # (path, line) -> index into sites
     for idx, (path, _, first, last, _, _) in enumerate(sites):
         for line in range(first, last + 1):
@@ -123,7 +126,7 @@ def main(pytest_args: list[str]) -> int:
         _, function, first, _, name, message = sites[idx]
         return f"{function}:{first}  {name}  {message!r}"
 
-    print(f"\nraise sites reached ({len(reached)} of {len(sites)}):")
+    print(f"\nrefusal sites reached ({len(reached)} of {len(sites)}):")
     for idx in sorted(reached):
         tests = sorted(reached[idx])
         print(f"  {label(idx)}  <- {tests[0] or '(outside a test)'}"
@@ -132,7 +135,7 @@ def main(pytest_args: list[str]) -> int:
     for idx, site in enumerate(sites):
         if idx not in reached:
             unreached[site[1].split(".")[0]].append(idx)
-    print(f"\nraise sites no test reaches ({len(sites) - len(reached)}):")
+    print(f"\nrefusal sites no test reaches ({len(sites) - len(reached)}):")
     for module in sorted(unreached):
         print(f"  {module}: {len(unreached[module])}")
         for idx in unreached[module]:
@@ -140,18 +143,19 @@ def main(pytest_args: list[str]) -> int:
 
     disagree = []
     for idx, (_, function, _, _, name, message) in enumerate(sites):
-        if name != "AssertionError" or function == "predicates.Verdict.require":
-            continue
         why = GUARDS.get((function, message))
         if why is None:
-            disagree.append(f"{label(idx)}: no row in GUARDS")
+            if name == "AssertionError" and function != "predicates.Verdict.require":
+                disagree.append(f"{label(idx)}: no row in GUARDS")
+            elif not reached[idx]:
+                disagree.append(f"{label(idx)}: reached by no test, and no row in GUARDS")
         elif why.startswith(("guarantee: ", "unreachable: ")):
             if reached[idx]:
                 disagree.append(f"{label(idx)}: reached by {sorted(reached[idx])[0]}, "
                                 f"but its row says {why.split(':')[0]}")
         elif why not in reached[idx]:
             disagree.append(f"{label(idx)}: its row names {why}, which does not reach it")
-    print(f"\nGUARDS: {len(GUARDS)} rows, {len(disagree)} disagreeing with the run")
+    print(f"\nGUARDS: {len(GUARDS)} rows; {len(disagree)} sites disagree with the run")
     for line in disagree:
         print(f"  {line}")
     print(f"suite exit {suite.returncode}, {elapsed:.1f} s traced")

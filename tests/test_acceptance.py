@@ -62,7 +62,7 @@ from rpt.keypartition import (
     verify_key_result,
     verify_mnt_partition,
 )
-from rpt.ledger import build_ledger, gamma, phi
+from rpt.ledger import build_ledger, gamma, phi, shrink_fraction
 from rpt.predicates import (
     BlowupCertificate,
     is_restricted,
@@ -184,14 +184,15 @@ def test_c04_extraction_postconditions():
         pat = named_pattern(rng.choice(["K2", "K3"]))
         if n < pat.size:
             pat = K2
-        budget = ExtractionBudget.practical(QUARTER, QUARTER, 7, h=pat.size)
+        budget = ExtractionBudget(QUARTER, QUARTER, 7)
         res = find_low_or_high_density_subset(g, pat, budget)
         dens = edge_density(g, res.vertices)
         if res.side == "low" and dens > QUARTER:
             violations.append((seed, "low density claim"))
         if res.side == "high" and dens < 1 - QUARTER:
             violations.append((seed, "high density claim"))
-        if res.guaranteed and res.vertices.bit_count() < budget.eta**7 * n:
+        floor = shrink_fraction(pat.size, QUARTER) ** 7 * n
+        if res.guaranteed and res.vertices.bit_count() < floor:
             violations.append((seed, "size guarantee"))
         delta = Fraction(2, max(16, n))
         eps = Fraction(1, 2)

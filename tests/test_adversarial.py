@@ -28,8 +28,8 @@ from rpt.graph import (
     complement,
     count_induced_copies,
     induced_subgraph,
-    iter_bits,
     mask_from_ids,
+    mask_to_ids,
     named_pattern,
 )
 from rpt.predicates import is_restricted, is_weakly_restricted
@@ -209,7 +209,7 @@ def block_can_become_restricted_loop(g: Graph, block: int, eps: Fraction, n_tota
     cap = eps * n_total
     graph_alive = True
     comp_alive = True
-    for v in iter_bits(block):
+    for v in mask_to_ids(block):
         d = (g.adj[v] & block).bit_count()
         if d > cap:
             graph_alive = False
@@ -248,8 +248,8 @@ def check_partition_loop(g: Graph, core: int, spec: HardInstanceSpec, parts: lis
     for idx, p in enumerate(parts):
         if (p & core).bit_count() >= min_core and p & ~core:
             size = p.bit_count()
-            gmax = max((g.adj[v] & p).bit_count() for v in iter_bits(p))
-            cmax = max((gc.adj[v] & p).bit_count() for v in iter_bits(p))
+            gmax = max((g.adj[v] & p).bit_count() for v in mask_to_ids(p))
+            cmax = max((gc.adj[v] & p).bit_count() for v in mask_to_ids(p))
             if not gmax > eps * size:
                 problems.append(f"part {idx}: graph-side degree bound not exceeded")
             if not cmax > eps * size:

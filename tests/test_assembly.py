@@ -11,6 +11,7 @@ from rpt.adversarial import (
     min_removal_oracle,
 )
 from rpt.assembly import (
+    CopyBudgetExceeded,
     PartBoundViolation,
     PathPartition,
     PathPartitionError,
@@ -173,6 +174,23 @@ class TestLengthen:
         res.verify(g)
 
 
+    def test_full_depth_partition_is_verified_once(self, monkeypatch):
+        # at k = K base_partition verifies the partition, and lengthen does
+        # not verify it first; an invalid one gets base_partition's refusal
+        import rpt.assembly
+
+        calls = []
+        verify = rpt.assembly.verify_path_partition
+        monkeypatch.setattr(rpt.assembly, "verify_path_partition",
+                            lambda g, p: calls.append(p) or verify(g, p))
+        g = Graph.empty(4)
+        pp = PathPartition.trivial(g, level_eps(QUARTER, 2, 16))
+        lengthen(g, K2, pp, QUARTER, self.key_for(g), Fraction(0), 16)
+        assert calls == [pp]
+        with pytest.raises(PathPartitionError, match="^unverified path-partition: cover$"):
+            lengthen(g, K2, PathPartition((0b0011,), pp.eps), QUARTER, self.key_for(g),
+                     Fraction(0), 16)
+
 class TestLengthenPairBranch:
     """The refined-path-partition recursion is unreachable on desk-scale
     random graphs (the working partition always ends with no pairs), so
@@ -260,6 +278,22 @@ class TestRunMainTheorem:
                             lambda g, r: Verdict(False, detail="refuted"))
         with pytest.raises(AssertionError, match="^refuted$"):
             run_main_theorem(random_graph(9, 0.5, 5), K2, QUARTER, 9)
+
+    def test_a_blowup_in_the_last_block_exceeds_the_copy_budget(self, monkeypatch):
+        # the key lemma's other outcome: a verified full blowup, which no
+        # removal of d vertices can follow, is handed to the caller
+        import rpt.assembly
+        from rpt.keypartition import BlowupFound, MNTPartition, run_key_lemma
+
+        g = Graph.complete(11)
+        key = KeyParams.practical(K2, QUARTER)
+        start = MNTPartition((), (), (), (mask_from_ids(range(10)),), 1 << 10, key, 0)
+        found = run_key_lemma(g, K2, key, 0, start=start)
+        assert isinstance(found, BlowupFound)
+        monkeypatch.setattr(rpt.assembly, "run_key_lemma", lambda *args: found)
+        with pytest.raises(CopyBudgetExceeded, match="full pattern blowup at depth 0") as info:
+            run_main_theorem(g, K2, QUARTER, 0, key)
+        assert info.value.blowup is found
 
     def test_rejects_single_vertex_patterns(self):
         with pytest.raises(ValueError):

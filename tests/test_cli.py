@@ -15,7 +15,7 @@ import rpt
 from conftest import random_graph
 from rpt import serialize
 from rpt.cli import main, parse_args
-from rpt.graph import Graph, to_edge_list, to_graph6
+from rpt.graph import NAMED_PATTERNS, Graph, to_edge_list, to_graph6
 
 
 @pytest.fixture
@@ -550,9 +550,10 @@ class TestCheckKinds:
 
     @pytest.mark.parametrize("kind", sorted(CHECK_CASES))
     def test_non_object_and_non_string_kind_are_malformed(self, capsys, tmp_path, kind):
-        """Each certificate as the one element of a top-level JSON list, and
-        with its kind as a list: malformed (exit 1), and the message says
-        what was expected, without a Python type name."""
+        """Each certificate as the one element of a top-level JSON list,
+        with its kind as a list, and with a kind no loader has: malformed
+        (exit 1), and the message says what was expected, without a Python
+        type name."""
         (n, edges), cert, _, _ = CHECK_CASES[kind]
         g_path = tmp_path / "g.el"
         g_path.write_text(to_edge_list(Graph.from_edges(n, edges)))
@@ -560,7 +561,8 @@ class TestCheckKinds:
         argv = ["check", "--graph", str(g_path), "--cert", str(cert_path), "--json"]
         for bad, message in (([cert], "a certificate must be a JSON object"),
                              ({**cert, "kind": [kind]},
-                              'the certificate field "kind" must be a string')):
+                              'the certificate field "kind" must be a string'),
+                             ({**cert, "kind": "nosuch"}, "unknown certificate kind 'nosuch'")):
             cert_path.write_text(json.dumps(bad))
             code = main(argv)
             captured = capsys.readouterr()
@@ -852,6 +854,9 @@ class TestMalformedPatterns:
             ({**K2_JSON, "order": [0, 1.0]}, "pattern order entry 1.0 is not an integer"),
             ({**K2_JSON, "n": True}, "n must be an integer, got True"),
             ({**K2_JSON, "n": 2.0}, "n must be an integer, got 2.0"),
+            ({"n": 0, "edges": [], "order": []}, "patterns need at least one vertex"),
+            ({**K2_JSON, "order": [0, 0]}, "order must be a permutation of the pattern vertices"),
+            ({**K2_JSON, "edges": [[0, 0]]}, "self-loop edge (0,0)"),
         ],
     )
     def test_rejected_with_exit_1(self, capsys, tmp_path, kind, pattern, message):
@@ -885,12 +890,69 @@ class TestMalformedPatterns:
         ("Dhczzzz\n", "graph6 body has 6 characters, not 2"),
         ("A" + chr(94) + "\n", "graph6 padding bits must be 0"),
         ("Dhc\n\nextra line\n", "line 3: graph6 input holds a second data line"),
+        ("~\n", "unsupported graph6 size header"),
     ],
 )
 def test_count_rejects_malformed_graph6_with_exit_1(capsys, tmp_path, text, message):
     path = tmp_path / "g.g6"
     path.write_text(text)
     code = main(["count", "--graph", str(path), "--pattern", "K2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
+FULL_PAIR_K44 = CHECK_CASES["full_pair"][1]
+
+# Certificates that a full pair's or a blowup's own constructor refuses:
+# rpt check on K_{4,4} exits 1 naming the refusal
+HOSTILE_CERTIFICATES = {
+    "polarity": ({**FULL_PAIR_K44, "polarity": "both"}, "polarity must be 'full' or 'empty'"),
+    "c-zero": ({**FULL_PAIR_K44, "c": "0"}, "c must lie in (0,1]"),
+    "eps-one": ({**FULL_PAIR_K44, "eps": "1"}, "eps must lie in (0,1)"),
+    "empty-side": ({**FULL_PAIR_K44, "a": []}, "both sides must be nonempty"),
+    "shared-side": ({**FULL_PAIR_K44, "b": [3, 4, 5, 6, 7]}, "sides must be disjoint"),
+    "pattern-size": ({**BLOWUP_K44, "pattern": {"n": 3, "edges": [], "order": [0, 1, 2]}},
+                     "pattern size must match the number of parts"),
+    "empty-part": ({**BLOWUP_K44, "parts": [[], [4, 5, 6, 7]]}, "blowup parts must be nonempty"),
+    "shared-part": ({**BLOWUP_K44, "parts": [[0, 1, 2, 3], [3, 4, 5]]},
+                    "blowup parts must be disjoint"),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_CERTIFICATES)
+def test_a_hostile_certificate_exits_1(capsys, tmp_path, case):
+    cert, message = HOSTILE_CERTIFICATES[case]
+    assert _check(capsys, tmp_path, 8, K44, cert) == (1, "", f"error: {message}\n")
+
+
+# Arguments and inputs that a library check refuses, with the graph file's
+# text where the command reads one: each run exits 1 naming the refusal
+SMALL_CORE = ["counterexample", "--allow-small-core", "--m", "3"]
+HOSTILE_RUNS = {
+    "unknown-pattern": (["count", "--pattern", "nosuch"], "3\n0 1\n",
+                        f"unknown pattern 'nosuch'; known: {', '.join(sorted(NAMED_PATTERNS))}"),
+    "big-n-0": (["counterexample", "--big-n", "0", "--m", "3", "--n", "4"], None,
+                "restriction budget must be >= 1"),
+    "n-below-m": ([*SMALL_CORE, "--n", "2"], None, "total size must be at least the core size"),
+    "pattern-k1": ([*SMALL_CORE, "--n", "4", "--pattern", "K1"], None,
+                   "pattern must have at least two vertices"),
+    # with N >= n every graph is (N, eps)-restricted, so no resample is kept
+    "no-hard-core": ([*SMALL_CORE, "--n", "4", "--big-n", "5"], None,
+                     "resampling budget exhausted; raise the core size or lower the "
+                     "restriction budget"),
+    "oracle-budget": (["oracle", "--op", "min-removal"], "11\n0 1\n",
+                      "graph on 11 vertices exceeds the oracle budget 10"),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_RUNS)
+def test_a_hostile_run_exits_1(capsys, tmp_path, case):
+    argv, text, message = HOSTILE_RUNS[case]
+    if text is not None:
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        argv = [*argv, "--graph", str(path)]
+    code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 

@@ -26,8 +26,8 @@ from rpt.graph import (
     Graph,
     Pattern,
     count_embeddings_into_parts,
-    iter_bits,
     mask_from_ids,
+    mask_to_ids,
     named_pattern,
 )
 from rpt.predicates import BlowupCertificate, verify_blowup
@@ -248,7 +248,7 @@ def witness_search_fraction(
         edge = pat.label_edge(i, m)
         threshold = eps * ni
         p_i = 0
-        for u in iter_bits(d_last):
+        for u in mask_to_ids(d_last):
             correct = (g.adj[u] & di).bit_count()
             if not edge:
                 correct = ni - correct
@@ -261,7 +261,7 @@ def witness_search_fraction(
         surviving &= ~p_i
     if surviving.bit_count() < (1 - delta) * n_last:
         raise AssertionError("too many last-part vertices dropped as incorrect")
-    for u in iter_bits(surviving):
+    for u in mask_to_ids(surviving):
         shrunk = []
         for i in range(1, m):
             di = parts[i - 1]

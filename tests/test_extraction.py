@@ -34,9 +34,9 @@ from rpt.graph import (
     complement,
     edge_density,
     induced_subgraph,
-    iter_bits,
     lift,
     mask_from_ids,
+    mask_to_ids,
     named_pattern,
     with_at_least,
 )
@@ -162,9 +162,12 @@ class TestDepth:
         h = 3
         val = shrink_fraction(h, QUARTER)
         assert val == Fraction(1, 2) * Fraction(1, 36) * (QUARTER / 4) ** 2
-        # a budget shrinks at the smaller of its two density targets
-        budget = ExtractionBudget.practical(QUARTER, Fraction(1, 2), 3, h=h)
-        assert budget.eta == val
+        # a budget shrinks at the smaller of its two density targets: one
+        # level's floor is val * n, which eps 1/2 would put at 4 vertices
+        budget = ExtractionBudget(QUARTER, Fraction(1, 2), 1)
+        n = val.denominator
+        assert _meets_size_floor(val.numerator, h, budget, n)
+        assert not _meets_size_floor(val.numerator - 1, h, budget, n)
 
 
 class TestTrim:
@@ -239,7 +242,7 @@ def trim_to_size_rescan(g: Graph, s: int, k: int, side: str) -> int:
     current = s
     while current.bit_count() > k:
         best_v, best_d = None, None
-        for v in iter_bits(current):
+        for v in mask_to_ids(current):
             d = (g.adj[v] & current).bit_count()
             if best_d is None or (d > best_d if side == "low" else d < best_d):
                 best_v, best_d = v, d
@@ -258,7 +261,7 @@ def greedy_shrink_rescan(g: Graph, target: Fraction) -> int:
     cur = g.full_mask
     while cur and edge_density(g, cur) > target:
         worst, worst_d = None, -1
-        for v in iter_bits(cur):
+        for v in mask_to_ids(cur):
             d = (g.adj[v] & cur).bit_count()
             if d > worst_d:
                 worst, worst_d = v, d
@@ -324,20 +327,20 @@ def find_low_or_high_density_subset_always_greedy(
         raise AssertionError("low-side result misses its density claim")
     if side == "high" and dens < 1 - budget.eps2:
         raise AssertionError("high-side result misses its density claim")
-    guaranteed = flag and _meets_size_floor(mask.bit_count(), budget, g.n)
+    guaranteed = flag and _meets_size_floor(mask.bit_count(), pat.size, budget, g.n)
     return DensitySubsetResult(mask, side, guaranteed)
 
 
 class TestDensitySubset:
     def test_edgeless_immediate(self):
         g = Graph.empty(9)
-        budget = ExtractionBudget.practical(QUARTER, QUARTER, 3)
+        budget = ExtractionBudget(QUARTER, QUARTER, 3)
         res = find_low_or_high_density_subset(g, named_pattern("K2"), budget)
         assert res.vertices == g.full_mask and res.side == "low" and res.guaranteed
 
     def test_complete_immediate(self):
         g = Graph.complete(9)
-        budget = ExtractionBudget.practical(QUARTER, QUARTER, 3)
+        budget = ExtractionBudget(QUARTER, QUARTER, 3)
         res = find_low_or_high_density_subset(g, named_pattern("K2"), budget)
         assert res.vertices == g.full_mask and res.side == "high" and res.guaranteed
 
@@ -350,7 +353,7 @@ class TestDensitySubset:
         # a search that labels all of K6 "low" (or the edgeless graph
         # "high") breaks its density claim, and the result check says so
         monkeypatch.setattr(extraction, "_search", lambda g, *rest: (g.full_mask, side, True))
-        budget = ExtractionBudget.practical(QUARTER, QUARTER, 3)
+        budget = ExtractionBudget(QUARTER, QUARTER, 3)
         with pytest.raises(AssertionError, match=f"{side}-side result misses its density claim"):
             find_low_or_high_density_subset(g, named_pattern("K2"), budget)
 
@@ -409,7 +412,7 @@ class TestDensitySubset:
         pat = named_pattern(rng.choice(["K2", "K3"]))
         if g.n < pat.size:
             return
-        budget = ExtractionBudget.practical(QUARTER, QUARTER, 7, h=pat.size)
+        budget = ExtractionBudget(QUARTER, QUARTER, 7)
         res = find_low_or_high_density_subset(g, pat, budget)
         dens = edge_density(g, res.vertices)
         assert res.vertices.bit_count() >= 1
@@ -418,7 +421,8 @@ class TestDensitySubset:
         else:
             assert dens >= 1 - QUARTER
         if res.guaranteed:
-            assert res.vertices.bit_count() >= budget.eta**budget.depth * g.n
+            eta = shrink_fraction(pat.size, QUARTER)
+            assert res.vertices.bit_count() >= eta**budget.depth * g.n
 
     def test_dense_witness_complement_flip(self):
         # patterns with a non-edge can return dense witnesses; the search
@@ -441,7 +445,7 @@ class TestDensitySubset:
         assert edge_density(g, mask) <= QUARTER
         # the public wrapper may return something even larger; either way
         # the density claim must hold
-        budget = ExtractionBudget.practical(QUARTER, QUARTER, 5, h=3)
+        budget = ExtractionBudget(QUARTER, QUARTER, 5)
         res = find_low_or_high_density_subset(g, p3, budget)
         assert res.vertices.bit_count() >= mask.bit_count()
         dens = edge_density(g, res.vertices)
@@ -473,7 +477,7 @@ class TestDensitySubset:
             return build(graph, eps1, eps2)
 
         monkeypatch.setattr(extraction, "_greedy_best_effort", counted)
-        budget = ExtractionBudget.practical(QUARTER, QUARTER, 7, h=pat.size)
+        budget = ExtractionBudget(QUARTER, QUARTER, 7)
         res = find_low_or_high_density_subset(g, pat, budget)
         assert (res.vertices, res.side, res.guaranteed) == (*expected, False)
         assert calls and len(set(calls)) == len(calls)
@@ -487,7 +491,7 @@ class TestDensitySubset:
             return build(graph, eps1, eps2)
 
         monkeypatch.setattr(extraction, "_greedy_best_effort", counted)
-        budget = ExtractionBudget.practical(QUARTER, QUARTER, 3)
+        budget = ExtractionBudget(QUARTER, QUARTER, 3)
         for g in (Graph.empty(9), Graph.complete(9), Graph.cycle(12)):
             res = find_low_or_high_density_subset(g, named_pattern("K2"), budget)
             assert res.vertices == g.full_mask
@@ -509,18 +513,19 @@ class TestDensitySubset:
     def test_matches_always_greedy(self, g, pattern, eps1, eps2, depth):
         assume(g.n > 0)
         pat = named_pattern(pattern)
-        budget = ExtractionBudget.practical(eps1, eps2, depth, h=pat.size)
+        budget = ExtractionBudget(eps1, eps2, depth)
         assert find_low_or_high_density_subset(g, pat, budget) == (
             find_low_or_high_density_subset_always_greedy(g, pat, budget)
         )
 
     def test_exact_schedule_budget_fields(self):
-        b = ExtractionBudget.exact_schedule(2, QUARTER, QUARTER)
+        # the exact schedule: depth_for(min(eps1, eps2)) levels, each
+        # shrinking by shrink_fraction(h, min(eps1, eps2))
+        b = ExtractionBudget(QUARTER, QUARTER, depth_for(QUARTER))
         assert b.depth == 7
-        assert b.eta == shrink_fraction(2, QUARTER)
         # the constants ledger's section-2 entries are these same values
         led = build_ledger(2, QUARTER, QUARTER, QUARTER)
-        assert led.get("density_shrink").exact == b.eta
+        assert led.get("density_shrink").exact == shrink_fraction(2, QUARTER)
         assert led.get("density_depth").exact == b.depth == depth_for(QUARTER)
         assert led.get("tight_copy_threshold").exact == tight_pair_copy_threshold(2, QUARTER)
 
@@ -565,7 +570,7 @@ class TestExtractExact:
 # as bit-planes, kept verbatim as an oracle.
 def greedy_restricted_chunk_rescan(g: Graph, pool: int, eps: Fraction) -> int:
     chunk = 0
-    for v in iter_bits(pool):
+    for v in mask_to_ids(pool):
         cand = chunk | (1 << v)
         if is_restricted(g, cand, eps):
             chunk = cand
@@ -872,7 +877,7 @@ def independent_set_plain(g: Graph) -> int:
             return
         # branch on the highest-degree candidate (within cand)
         pivot, pivot_d = -1, -1
-        for v in iter_bits(cand):
+        for v in mask_to_ids(cand):
             d = (g.adj[v] & cand).bit_count()
             if d > pivot_d:
                 pivot, pivot_d = v, d
@@ -944,7 +949,7 @@ def independent_set_pivot_loop(g: Graph, floor: int = 0) -> int:
             return
         # branch on the highest-degree candidate (within cand)
         pivot, pivot_d = -1, -1
-        for v in iter_bits(cand):
+        for v in mask_to_ids(cand):
             d = (adj[v] & cand).bit_count()
             if d > pivot_d:
                 pivot, pivot_d = v, d
@@ -976,7 +981,7 @@ def finished_plain(g: Graph) -> int | None:
 
 
 def is_independent(g: Graph, s: int) -> bool:
-    return all(not g.adj[v] & s for v in iter_bits(s))
+    return all(not g.adj[v] & s for v in mask_to_ids(s))
 
 
 BEST_EFFORT_EPS = st.fractions(Fraction(1, 20), Fraction(19, 20), max_denominator=20)
@@ -1041,7 +1046,7 @@ class TestIndependentSetMatchesPlainSearch:
         rng = random.Random(seed)
         g = random_graph(rng.randint(10, 40), rng.uniform(0.1, 0.9), seed)
         pat = named_pattern(pattern)
-        budget = ExtractionBudget.practical(QUARTER, QUARTER, 5, h=pat.size)
+        budget = ExtractionBudget(QUARTER, QUARTER, 5)
         res = find_low_or_high_density_subset(g, pat, budget)
         monkeypatch.setattr(extraction, "_greedy_best_effort", greedy_best_effort_plain)
         assert find_low_or_high_density_subset(g, pat, budget) == res
@@ -1050,7 +1055,7 @@ class TestIndependentSetMatchesPlainSearch:
 def low_crossing_core_fraction(g: Graph, a: int, b: int, eps: Fraction, k: int) -> int:
     # the core loop of _search before it compared integers
     a0 = 0
-    for v in iter_bits(a):
+    for v in mask_to_ids(a):
         if (g.adj[v] & b).bit_count() <= Fraction(1, 2) * eps * k:
             a0 |= 1 << v
     return a0
@@ -1080,7 +1085,7 @@ def test_search_keeps_the_fraction_core(monkeypatch):
     p4 = named_pattern("P4")
     for seed in range(6):
         g = random_graph(40, (0.3, 0.5, 0.7)[seed % 3], seed)
-        find_low_or_high_density_subset(g, p4, ExtractionBudget.practical(QUARTER, QUARTER, 5, h=4))
+        find_low_or_high_density_subset(g, p4, ExtractionBudget(QUARTER, QUARTER, 5))
     assert calls
     for work, a, b, k, eps, kept in calls:
         assert k - 1 <= eps * b.bit_count() / 2 < k

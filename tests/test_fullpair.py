@@ -10,6 +10,7 @@ from conftest import random_graph
 from rpt.fullpair import (
     FullPairParams,
     FullPairGuaranteeViolation,
+    FullPairSearchError,
     find_full_pair,
     gamma,
 )
@@ -122,6 +123,19 @@ class TestFindFullPair:
         g = Graph.from_edges(8, edges)
         params = FullPairParams(Fraction(1, 2), Fraction(6, 25), min_frac=Fraction(1))
         with pytest.raises(FullPairGuaranteeViolation):
+            find_full_pair(g, 0b00001111, 0b11110000, params)
+
+    def test_an_exhausted_work_budget_is_reported(self, monkeypatch):
+        # the same pair with no work budget: every size of the exhaustive
+        # phase is skipped, so the search cannot claim no subpair exists
+        import rpt.fullpair
+
+        monkeypatch.setattr(rpt.fullpair, "_WORK_BUDGET", 0)
+        edges = [(u, v) for u in range(2) for v in range(4, 6)]
+        edges += [(u, v) for u in range(2, 4) for v in range(6, 8)]
+        g = Graph.from_edges(8, edges)
+        params = FullPairParams(Fraction(1, 2), Fraction(6, 25), min_frac=Fraction(1))
+        with pytest.raises(FullPairSearchError, match="^work budget 0 exhausted"):
             find_full_pair(g, 0b00001111, 0b11110000, params)
 
     @given(st.integers(0, 3000))

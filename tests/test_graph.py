@@ -46,7 +46,6 @@ from rpt.graph import (
     induced_sets,
     induced_subgraph,
     is_path,
-    iter_bits,
     lift,
     load_graph_text,
     mask_from_ids,
@@ -198,7 +197,7 @@ def _oracle_check(n, adj):
             below ^= low
     if not mirrored or lower != upper:
         for v in range(n):
-            for u in iter_bits(adj[v]):
+            for u in mask_to_ids(adj[v]):
                 if not adj[u] & (1 << v):
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
@@ -211,7 +210,7 @@ def _oracle_induced_subgraph(g, mask):
     pos = {v: i for i, v in enumerate(ids)}
     rows = [0] * len(ids)
     for i, v in enumerate(ids):
-        for u in iter_bits(g.adj[v] & mask):
+        for u in mask_to_ids(g.adj[v] & mask):
             rows[i] |= 1 << pos[u]
     return tuple(rows), ids
 
@@ -249,7 +248,7 @@ def test_lift_matches_comprehension(n, seed, data):
     mask = data.draw(st.integers(0, g.full_mask))
     sub, ids = induced_subgraph(g, mask)
     local = data.draw(st.integers(0, sub.full_mask))
-    assert lift(ids, local) == mask_from_ids(ids[v] for v in iter_bits(local))
+    assert lift(ids, local) == mask_from_ids(ids[v] for v in mask_to_ids(local))
     assert lift(ids, sub.full_mask) == mask
 
 
@@ -655,7 +654,7 @@ def _oracle_clean_edge_list(text: str) -> Graph | None:
 
 
 def _oracle_edges(g):
-    return [(u, v) for u in range(g.n) for v in iter_bits(g.adj[u]) if u < v]
+    return [(u, v) for u in range(g.n) for v in mask_to_ids(g.adj[u]) if u < v]
 
 
 def _oracle_to_edge_list(g: Graph) -> str:
@@ -1073,7 +1072,7 @@ def peel_order_buckets(g: Graph, mask: int, side: str):
     adj = g.adj
     deg = [0] * g.n
     buckets = [0] * mask.bit_count()
-    for v in iter_bits(mask):
+    for v in mask_to_ids(mask):
         d = (adj[v] & mask).bit_count()
         deg[v] = d
         buckets[d] |= 1 << v
@@ -1130,7 +1129,7 @@ def test_peel_order_rejects_vertices_beyond_the_graph():
 # the rows with the mask's binary digits, kept verbatim as an oracle.
 def edges_inside_loop(self, mask: int) -> int:
     total = 0
-    for v in iter_bits(mask):
+    for v in mask_to_ids(mask):
         total += (self.adj[v] & mask).bit_count()
     return total // 2
 
@@ -1740,7 +1739,7 @@ def counted_work(g: Graph, links, parts: list[int] | None = None) -> float:
     def rec(k: int, masks: list[int]) -> None:
         nonlocal work
         cand, rest = masks[0], masks[1:]
-        for x in iter_bits(cand):
+        for x in mask_to_ids(cand):
             if k == a:
                 work += _LAST
                 cb, m = rest[0] & later[a][0][x], rest[1] & later[a][1][x]

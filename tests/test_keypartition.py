@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -13,7 +14,7 @@ import rpt.keypartition
 import rpt.ledger
 import rpt.predicates
 from rpt.adversarial import HardInstanceSpec, generate_hard_graph
-from rpt.graph import Graph, Pattern, complement, iter_bits, mask_from_ids, named_pattern
+from rpt.graph import Graph, Pattern, complement, mask_from_ids, mask_to_ids, named_pattern
 from rpt.keypartition import (
     BlowupFound,
     InfeasibleAtScale,
@@ -266,6 +267,126 @@ def crafted_k3_start(params):
     return g, p
 
 
+def _without(g: Graph, *pairs) -> Graph:
+    """g with the edges of ``pairs`` removed."""
+    drop = {frozenset(e) for e in pairs}
+    return Graph.from_edges(g.n, [e for e in g.edges() if frozenset(e) not in drop])
+
+
+def _ids(*vs) -> int:
+    return mask_from_ids(vs)
+
+
+D1, D2 = mask_from_ids(range(10)), mask_from_ids(range(10, 20))
+
+
+# One mutant of a crafted start per refutation of verify_mnt_partition:
+# (start, graph edit, state edit, clause, detail).  The K2 start is K11 with
+# D_1 = 0..9 and leftover {10}; the K3 start is K21 with D_1 = 0..9,
+# D_2 = 10..19 and leftover {20}.  Every state is disjoint and covers V(G)
+# unless that is the clause refuted.
+MNT_MUTANTS = {
+    "b-row-missing": ("K2", (), dict(a_sets=(_ids(9),), d_sets=(D1 & ~_ids(9),)),
+                      "shape", "one B per A required"),
+    "three-parts": ("K2", (), dict(d_sets=(_ids(0, 1, 2), _ids(3, 4, 5), _ids(6, 7, 8, 9))),
+                    "shape", "more blowup parts than pattern labels"),
+    "overlap": ("K2", (), dict(leftover=_ids(0, 10)), "disjoint-union", "sets overlap"),
+    "uncovered": ("K2", (), dict(leftover=0), "disjoint-union", "sets do not cover V(G)"),
+    "pair-at-t1": ("K2", (), dict(a_sets=(_ids(9),), b_sets=(0,), d_sets=(D1 & ~_ids(9),)),
+                   "counts", "m=1 exceeds C(t,2)=0"),
+    "single-at-t0": ("K2", (), dict(c_sets=(D1,), d_sets=()),
+                     "counts", "n=1 exceeds t*phi(delta',eta')"),
+    "empty-a": ("K3", (), dict(a_sets=(0,), b_sets=(0,)), "a-nonempty:1", ""),
+    "path-a": ("K3", ((0, 2),), dict(a_sets=(_ids(0, 1, 2),), b_sets=(0,),
+                                     d_sets=(D1 & ~_ids(0, 1, 2), D2)),
+               "a-restricted:1", ""),
+    "empty-c": ("K3", (), dict(c_sets=(0,)), "c-nonempty:1", ""),
+    "path-c": ("K3", ((0, 2),), dict(c_sets=(_ids(0, 1, 2),), d_sets=(D1 & ~_ids(0, 1, 2), D2)),
+               "c-restricted:1", ""),
+    "large-b": ("K3", (), dict(a_sets=(_ids(0),), b_sets=(_ids(1),), d_sets=(D1 & ~_ids(0, 1), D2)),
+                "b-size:1", ""),
+    "half-joined-b": ("K3", ((4, 0), (4, 1)),
+                      dict(a_sets=(_ids(0, 1, 2, 3),), b_sets=(_ids(4),),
+                           d_sets=(D1 & ~_ids(0, 1, 2, 3, 4), D2)),
+                      "b-tight:1", ""),
+    "unjoined-parts": ("K3", tuple((u, v) for u in range(10) for v in range(10, 20)), {},
+                       "blowup:(1, 2)", ""),
+    "large-d": ("K2", (), dict(d_budget=100), "d-threshold:1", "Lambda*d bound"),
+    "large-leftover": ("K2", (), dict(d_sets=(D1 & ~_ids(9),), leftover=_ids(9, 10)),
+                       "d-threshold:1", "2/eta * |L| bound"),
+    "broken-clique": ("K2", ((0, 1),), {}, "d-restricted:1", ""),
+}
+
+
+@pytest.mark.parametrize("mutant", MNT_MUTANTS)
+def test_each_refutation_is_reached_by_a_mutant_of_a_crafted_start(mutant):
+    name, removed, edits, clause, detail = MNT_MUTANTS[mutant]
+    pat, crafted = {"K2": (K2, crafted_blowup_start), "K3": (K3, crafted_k3_start)}[name]
+    g, start = crafted(KeyParams.practical(pat, QUARTER))
+    assert verify_mnt_partition(g, pat, start).ok
+    rep = verify_mnt_partition(_without(g, *removed), pat, replace(start, **edits))
+    assert (rep.ok, rep.clause, rep.detail) == (False, clause, detail)
+
+
+def _fail(message):
+    def raise_it(*args, **kwargs):
+        raise RuntimeError(message)
+
+    return raise_it
+
+
+class TestStepFailures:
+    """Each StepFailure of advance_or_finish, with its callee made to fail:
+    a full step from the trivial start of prop16_graph (t = 0), and the
+    chain step of the crafted K2 start (t = 1)."""
+
+    @staticmethod
+    def _prop16(delta_prime=Fraction(1, 8)):
+        g = prop16_graph()
+        params = KeyParams.practical(K2, QUARTER, delta_prime=delta_prime)
+        return g, MNTPartition.trivial(g, params, 5)
+
+    def test_core_extraction(self, monkeypatch):
+        from rpt.extraction import ExtractionInfeasible
+
+        def infeasible(*args):
+            raise ExtractionInfeasible("refused for the test")
+
+        monkeypatch.setattr(rpt.keypartition, "extract_restricted_exact", infeasible)
+        g, p = self._prop16()
+        with pytest.raises(StepFailure, match="^core extraction failed at t=0: refused for"):
+            advance_or_finish(g, K2, p)
+
+    def test_chain_step(self, monkeypatch):
+        monkeypatch.setattr(rpt.keypartition, "find_full_pair", _fail("refused for the test"))
+        g, start = crafted_blowup_start(KeyParams.practical(K2, QUARTER))
+        with pytest.raises(StepFailure, match="^chain step 1 at t=1 failed: refused for"):
+            advance_or_finish(g, K2, start)
+
+    def test_peeling(self, monkeypatch):
+        monkeypatch.setattr(rpt.keypartition, "peel_chain", _fail("refused for the test"))
+        g, p = self._prop16()
+        with pytest.raises(StepFailure, match="^peeling failed at t=0: refused for the test"):
+            advance_or_finish(g, K2, p)
+
+    def test_more_peels_than_phi(self, monkeypatch):
+        # a peel chain of singletons: with delta' = 1/4, phi(delta', eta') = 20
+        # is below the 30 vertices left once the core of 10 is out
+        monkeypatch.setattr(rpt.keypartition, "peel_chain", lambda sub, *rest: SimpleNamespace(
+            peels=tuple(1 << v for v in range(sub.n)), leftover=0))
+        g, p = self._prop16(delta_prime=QUARTER)
+        assert p.params.phi_bound() == 20
+        with pytest.raises(StepFailure, match=r"^peeling produced 30 > phi\(delta',eta'\) sets"):
+            advance_or_finish(g, K2, p)
+
+    def test_assembled_state(self, monkeypatch):
+        monkeypatch.setattr(rpt.keypartition, "verify_mnt_partition",
+                            lambda g, pat, p: Verdict(False, "shape", "refuted for the test"))
+        g, p = self._prop16()
+        with pytest.raises(StepFailure, match=r"-partition fails clause shape: refuted for the"):
+            advance_or_finish(g, K2, p)
+
+
 class TestRunKeyLemma:
     def test_edgeless_d0(self):
         g = Graph.empty(12)
@@ -417,7 +538,7 @@ def correct_adjacency_split_loop(
     t = p.t
     s_mask = 0
     l_parts = [0] * t
-    for u in iter_bits(p.leftover):
+    for u in mask_to_ids(p.leftover):
         fail_at = None
         for i in range(1, t + 1):
             di = p.d_sets[i - 1]

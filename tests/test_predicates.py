@@ -14,7 +14,6 @@ from rpt.graph import (
     Pattern,
     complement,
     edge_density,
-    iter_bits,
     mask_from_ids,
     mask_to_ids,
     named_pattern,
@@ -138,7 +137,7 @@ def tightness_check(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> Tight
     threshold = eps * na
     sparse_bad = dense_bad = None
     both_bad = None
-    for v in iter_bits(b):
+    for v in mask_to_ids(b):
         nbrs = (g.adj[v] & a).bit_count()
         viol_sparse = not nbrs < threshold
         viol_dense = not (na - nbrs) < threshold
@@ -207,7 +206,7 @@ def is_restricted_loop(g: Graph, s: int, eps: Fraction) -> bool:
     size = s.bit_count()
     if size <= 1:
         return True
-    degs = [(g.adj[v] & s).bit_count() for v in iter_bits(s)]
+    degs = [(g.adj[v] & s).bit_count() for v in mask_to_ids(s)]
     threshold = eps * size
     return max(degs) <= threshold or size - 1 - min(degs) <= threshold
 
@@ -369,7 +368,7 @@ def extract_from_weak_rescan(g: Graph, s: int, eps: Fraction) -> int:
     current = s
     while current.bit_count() > target:
         worst, worst_deg = None, -1
-        for v in iter_bits(current):
+        for v in mask_to_ids(current):
             d = (work.adj[v] & current).bit_count()
             if d > worst_deg:
                 worst, worst_deg = v, d
@@ -631,7 +630,7 @@ def is_tight_to_fraction(g: Graph, a: int, b: int, eps: Fraction, mode: str) -> 
     na = a.bit_count()
     threshold = eps * na
     sparse_bad = dense_bad = both_bad = None
-    for v in iter_bits(b):
+    for v in mask_to_ids(b):
         nbrs = (g.adj[v] & a).bit_count()
         viol_sparse = not nbrs < threshold
         viol_dense = not (na - nbrs) < threshold

@@ -87,11 +87,28 @@ def test_a_failed_verdict_is_raised_through_require():
     assert not found, f"hand-rolled raises on a failed verdict: {', '.join(found)}"
 
 
-def raise_sites(path: Path) -> list[tuple[str, int, int, str, str]]:
+def _text(arg) -> str:
+    """A message argument as written: a plain string's value, else its source."""
+    return (arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            else ast.unparse(arg) if arg else "")
+
+
+def _refuted_verdict(node) -> ast.Call | None:
+    """The call of ``return Verdict(False, ...)``, else None."""
+    call = node.value if isinstance(node, ast.Return) else None
+    if (isinstance(call, ast.Call) and ast.unparse(call.func) == "Verdict" and call.args
+            and isinstance(call.args[0], ast.Constant) and call.args[0].value is False):
+        return call
+    return None
+
+
+def refusal_sites(path: Path) -> list[tuple[str, int, int, str, str]]:
     """(module.function, first line, last line, exception, message) of each
-    ``raise`` in one module.  The function is named through its enclosing
-    classes and defs; the message is the text of the first argument, ""
-    when there is none."""
+    refusal in one module: a ``raise``, or a ``return Verdict(False, ...)``
+    with exception ``Verdict``.  The function is named through its
+    enclosing classes and defs.  A raise's message is the text of its first
+    argument, "" when there is none; a verdict's is its clause and detail,
+    joined by " | " when it has both."""
     sites = []
 
     def visit(node, scope: str) -> None:
@@ -103,31 +120,33 @@ def raise_sites(path: Path) -> list[tuple[str, int, int, str, str]]:
                 exc = child.exc
                 call = exc if isinstance(exc, ast.Call) else None
                 name = ast.unparse(call.func if call else exc) if exc else ""
-                arg = call.args[0] if call and call.args else None
-                message = (arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-                           else ast.unparse(arg) if arg else "")
+                message = _text(call.args[0] if call and call.args else None)
                 sites.append((scope, child.lineno, child.end_lineno, name, message))
+            elif (verdict := _refuted_verdict(child)) is not None:
+                words = verdict.args[1:] + [k.value for k in verdict.keywords if k.arg == "detail"]
+                message = " | ".join(_text(arg) for arg in words)
+                sites.append((scope, child.lineno, child.end_lineno, "Verdict", message))
             visit(child, scope)
 
     visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
     return sites
 
 
-def assertion_guards() -> list[tuple[str, str]]:
-    """(module.function, message) of each ``raise AssertionError`` in
-    src/rpt outside ``Verdict.require``."""
-    return [(function, message) for path in sorted(SRC.glob("*.py"))
-            for function, _, _, name, message in raise_sites(path)
-            if name == "AssertionError" and function != "predicates.Verdict.require"]
+def all_refusal_sites() -> list[tuple[str, str, str]]:
+    """(module.function, exception, message) of each refusal in src/rpt."""
+    return [(function, name, message) for path in sorted(SRC.glob("*.py"))
+            for function, _, _, name, message in refusal_sites(path)]
 
 
-# Every `raise AssertionError` left in src/rpt outside Verdict.require.  A
-# guard that re-checks a fact its own call path has established is deleted,
-# and its function's docstring proves the fact.  Those left check a result,
-# or a guarantee of the paper on the run.  Each row names the test that
-# reaches its guard, or says `guarantee:` (what the paper promises there)
-# or `unreachable:` (why no input gets there).  `tests/guard_census.py`
-# checks this column against a traced Tier-1 run.
+# Every `raise AssertionError` left in src/rpt outside Verdict.require, and
+# every other refusal that no input can reach.  A refusal that re-checks a
+# fact its own call path has established is deleted, and its function's
+# docstring proves the fact.  The guards left check a result, or a
+# guarantee of the paper on the run.  Each row names the test that reaches
+# its guard, or says `guarantee:` (what the paper promises there) or
+# `unreachable:` (why no input gets there).  Every other refusal, a `raise`
+# or a `return Verdict(False, ...)`, has no row: some test reaches it.
+# `tests/guard_census.py` checks all of this against a traced Tier-1 run.
 GUARDS = {
     ("adversarial.min_removal_oracle", "unreachable: removing everything always succeeds"):
         "unreachable: at r = n the graph left is empty, and exact_n_restricted accepts it",
@@ -179,10 +198,13 @@ def suite_test_ids() -> set[str]:
 
 
 def test_every_assertion_guard_has_its_row():
-    sites = assertion_guards()
-    assert len(set(sites)) == len(sites), "two guards share a function and a message"
-    assert not set(sites) - set(GUARDS), f"guards with no row: {sorted(set(sites) - set(GUARDS))}"
-    assert not set(GUARDS) - set(sites), f"rows with no guard: {sorted(set(GUARDS) - set(sites))}"
+    sites = all_refusal_sites()
+    guards = [(function, message) for function, name, message in sites
+              if name == "AssertionError" and function != "predicates.Verdict.require"]
+    assert len(set(guards)) == len(guards), "two guards share a function and a message"
+    assert not set(guards) - set(GUARDS), f"guards with no row: {sorted(set(guards) - set(GUARDS))}"
+    named = {(function, message) for function, _, message in sites}
+    assert not set(GUARDS) - named, f"rows with no refusal: {sorted(set(GUARDS) - named)}"
     known = suite_test_ids()
     unsupported = [key for key, why in GUARDS.items()
                    if why not in known and not why.startswith(("guarantee: ", "unreachable: "))]
@@ -303,8 +325,8 @@ def test_only_the_proven_builders_skip_the_graph_check():
     assert not bypasses, f"Graphs built around the check: {', '.join(bypasses)}"
 
 
-def _loops_over_iter_bits(node) -> list[tuple[ast.AST, set[str]]]:
-    """(loop, names it binds) for a for loop or comprehension over iter_bits(...)."""
+def _loops_over_ids(node) -> list[tuple[ast.AST, set[str]]]:
+    """(loop, names it binds) for a for loop or comprehension over mask_to_ids(...)."""
     if isinstance(node, ast.For):
         gens = [(node.target, node.iter)]
     elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
@@ -314,7 +336,7 @@ def _loops_over_iter_bits(node) -> list[tuple[ast.AST, set[str]]]:
     names = {
         name.id
         for target, it in gens
-        if isinstance(it, ast.Call) and ast.unparse(it.func).endswith("iter_bits")
+        if isinstance(it, ast.Call) and ast.unparse(it.func).endswith("mask_to_ids")
         for name in ast.walk(target)
         if isinstance(name, ast.Name)
     }
@@ -382,7 +404,7 @@ def test_neighbours_in_a_set_are_counted_in_graph():
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            for loop, names in _loops_over_iter_bits(node):
+            for loop, names in _loops_over_ids(node):
                 if any(_counts_a_row(call, names) for call in ast.walk(loop)):
                     found.append(f"{path.name}:{loop.lineno}")
     assert not found, f"per-vertex neighbour counts (use graph.with_at_least): {', '.join(found)}"
