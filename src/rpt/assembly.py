@@ -277,19 +277,20 @@ def lengthen(
     are at most m (X - N) + N <= (h^2 - 1)(X - N) + N
     = h^2 X - N - (X + (h^2 - 3) N) <= h^2 X - N parts.
 
-    A depth-K partition goes straight to base_partition, which verifies it.
+    A depth-K partition goes straight to base_partition, which verifies it;
+    verify_removal_result would add only "removed 0 <= floor(d)", which the
+    refusal of a negative d above settles.
     """
     h = pat.size
     big_k = path_length(eps)
     if not 0 <= k <= big_k:
         raise ValueError("depth k out of range")
+    if d_budget < 0:
+        raise ValueError("removal budget must be nonnegative")
     if p.eps != level_eps(eps, h, k):
         raise PathPartitionError("path-partition level does not match its depth")
     if k == big_k:
-        part = base_partition(g, p, eps)
-        result = RemovalResult(0, part, floor_frac(d_budget))
-        result.verify(g)
-        return result
+        return RemovalResult(0, base_partition(g, p, eps), floor_frac(d_budget))
     rep = verify_path_partition(g, p)
     if not rep.ok:
         raise PathPartitionError(f"level-{k} path-partition invalid: {rep.clause}")

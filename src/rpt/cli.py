@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     changes it, and building it costs more than most checks."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    moded = argparse.ArgumentParser(add_help=False)
-    moded.add_argument("--mode", choices=["paper", "practical"], default="practical")
     top = argparse.ArgumentParser(
         prog="rpt",
         description="count induced copies, verify certificates, and run the "
@@ -84,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--graph", required=True)
     k.add_argument("--cert", required=True)
 
-    e = add("extract", "density / restricted / peel extraction", moded)
+    e = add("extract", "density / restricted / peel extraction")
     e.add_argument("--graph", required=True)
     e.add_argument("--pattern", required=True)
     e.add_argument("--op", choices=["density", "restricted", "peel"], required=True)
@@ -94,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--eta", type=_fraction, default=Fraction(1, 4))
     e.add_argument("--depth", type=int, default=None)
 
-    kl = add("keylemma", "run the working-partition iteration", moded)
+    kl = add("keylemma", "run the working-partition iteration")
+    kl.add_argument("--mode", choices=["paper", "practical"], default="practical")
     kl.add_argument("--graph", required=True)
     kl.add_argument("--pattern", required=True)
     kl.add_argument("--eps", type=_fraction, default=Fraction(1, 4))
@@ -104,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     kl.add_argument("--delta-prime", type=_fraction, default=None)
     kl.add_argument("--transcript", action="store_true", help="emit step records")
 
-    t = add("theorem", "remove <= d vertices, partition the rest", moded)
+    t = add("theorem", "remove <= d vertices, partition the rest")
     t.add_argument("--graph", required=True)
     t.add_argument("--pattern", required=True)
     t.add_argument("--eps", type=_fraction, default=Fraction(1, 4))
@@ -141,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "delta_prime", None) is not None and args.mode == "paper":
+    if getattr(args, "mode", None) == "paper" and args.delta_prime is not None:
         parser.error("paper mode forbids overriding ledger-defined parameters")
     return args
 
@@ -222,10 +221,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     pat = _load_pattern(args.pattern)
     if args.op == "density":
         eps2 = args.eps2 if args.eps2 is not None else args.eps
-        if args.mode == "paper" or args.depth is None:
-            depth = depth_for(min(args.eps, eps2))
-        else:
-            depth = args.depth
+        depth = depth_for(min(args.eps, eps2)) if args.depth is None else args.depth
         res = find_low_or_high_density_subset(g, pat, ExtractionBudget(args.eps, eps2, depth))
         _emit(
             args,
@@ -240,11 +236,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             f"(guaranteed: {res.guaranteed})",
         )
         return 0
-    if args.mode == "paper":
-        raise RuntimeError(
-            "exact-schedule sizes are below one vertex at this scale; "
-            "use practical mode with --delta"
-        )
     if args.op == "restricted":
         t = extract_restricted_exact(g, pat, args.eps, args.delta, depth=args.depth)
         _emit(
@@ -273,22 +264,16 @@ def _delta_prime(args, g: Graph) -> Fraction:
     return Fraction(1, max(8, g.n)) if args.delta_prime is None else args.delta_prime
 
 
-def _key_params(args: argparse.Namespace, pat: Pattern, g: Graph):
-    from .keypartition import KeyParams
-
-    if args.mode == "paper":
-        return KeyParams.paper(pat, args.eps, args.eta, args.theta)
-    return KeyParams.practical(
-        pat, args.eps, eta=args.eta, theta=args.theta, delta_prime=_delta_prime(args, g)
-    )
-
-
 def _cmd_keylemma(args: argparse.Namespace) -> int:
-    from .keypartition import BlowupFound, run_key_lemma
+    from .keypartition import BlowupFound, KeyParams, run_key_lemma
 
     g = _load_graph(args.graph)
     pat = _load_pattern(args.pattern)
-    params = _key_params(args, pat, g)
+    if args.mode == "paper":
+        params = KeyParams.paper(pat, args.eps, args.eta, args.theta)
+    else:
+        params = KeyParams.practical(pat, args.eps, eta=args.eta, theta=args.theta,
+                                     delta_prime=_delta_prime(args, g))
     res = run_key_lemma(g, pat, params, args.d)
     if isinstance(res, BlowupFound):
         _emit(
@@ -319,15 +304,15 @@ def _cmd_keylemma(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem(args: argparse.Namespace) -> int:
+    """Practical parameters only: the exact schedule (theta = eps/12, so xi <
+    1/144) needs 12/c >= 746,496 factors in its first lambda row, past
+    EXACT_BITS_CAP, and KeyParams.paper refuses eps[0] at every input."""
     from .assembly import run_main_theorem
     from .keypartition import KeyParams
 
     g = _load_graph(args.graph)
     pat = _load_pattern(args.pattern)
-    if args.mode == "paper":
-        key = KeyParams.paper(pat, args.eps, Fraction(1, pat.size**2), args.eps / 12)
-    else:
-        key = KeyParams.practical(pat, args.eps, delta_prime=_delta_prime(args, g))
+    key = KeyParams.practical(pat, args.eps, delta_prime=_delta_prime(args, g))
     res = run_main_theorem(g, pat, args.eps, args.d, key)
     _emit(
         args,

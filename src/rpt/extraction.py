@@ -216,29 +216,29 @@ def _greedy_best_effort(g: Graph, eps1: Fraction, eps2: Fraction) -> tuple[int, 
     ``_independent_set`` (on G and on its complement), which stops at its
     node budget; beyond that they are the greedy min-degree answers.  Each
     search gets the size of the best candidate so far as its floor, since
-    only a strictly larger set can replace it.  Always succeeds: a
-    singleton has density 0."""
+    only a strictly larger set can replace it.
+
+    Every candidate qualifies without a check.  Degree deletion stops only
+    once the density is at most its target (on the complement for "high"),
+    and an independent set or a clique of two or more vertices has density
+    0 or 1.  A one-vertex set has density 0, which misses "high", but it
+    never beats the first candidate, which is never empty on a graph with a
+    vertex: deletion toward eps1 stops at one vertex at the latest.  The
+    callers pass a graph of density strictly between eps1 and 1 - eps2, so
+    n >= 2.
+    """
     gc = complement(g)
     best, best_side = 0, "low"
 
     def offer(mask: int, side: str) -> None:
         nonlocal best, best_side
-        if not mask or mask.bit_count() <= best.bit_count():
-            return
-        dens = edge_density(g, mask)
-        if side == "low" and dens > eps1:
-            return
-        if side == "high" and dens < 1 - eps2:
-            return
-        best, best_side = mask, side
+        if mask.bit_count() > best.bit_count():
+            best, best_side = mask, side
 
     offer(_greedy_shrink_to_density(g, eps1), "low")
     offer(_greedy_shrink_to_density(gc, eps2), "high")
     offer(_independent_set(g, best.bit_count()), "low")
     offer(_independent_set(gc, best.bit_count()), "high")
-    if not best:
-        best = 1  # vertex 0: density 0 qualifies on the low side
-        best_side = "low"
     return best, best_side
 
 
@@ -265,6 +265,11 @@ def _search(
       low trim never raises density); at most eps k^2 / 2 edges cross (A1
       lies in the A0 of this B1 and k); and the sum is at most
       we1 (2k^2 - 3k/2) <= we1 C(2k, 2).
+    So k >= 1 in every resize round: ``sub`` gets a nonempty set (B, or
+    A0, which holds more than |A|/2 >= 1/2 vertices by the first fact) and
+    never returns an empty one, since each answer of a nonempty graph is
+    all of it, a nonempty answer of a recursion, a union with k >= 1 or a
+    greedy set that is never empty.
     """
     d = edge_density(g)
     if d <= eps1:
@@ -321,8 +326,6 @@ def _search(
             a1 = trim_to_size(work, s_a, k, "low")
             return unflip(a1 | b1, "low", flag_b and flag_a)
         k = s_a.bit_count()
-        if k == 0:
-            break
         b1 = trim_to_size(work, b1, k, "low")
     return None
 

@@ -22,12 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .graph import Graph, complement, mask_from_ids, mask_to_ids, with_at_least
-from .predicates import (
-    CheckPreconditionError,
-    EnumerationBudgetError,
-    FullPairCertificate,
-    is_full_pair,
-)
+from .predicates import CheckPreconditionError, FullPairCertificate, is_full_pair
 from .ledger import gamma
 from .values import ceil_frac, scalar_ceil_mul
 
@@ -83,6 +78,13 @@ def find_full_pair(
     complement for polarity="empty").  Returned sizes respect the gamma
     floor (or the practical min_frac override); exhausting the search
     below those sizes raises a hard diagnostic.
+
+    Only phase 1's first check can raise EnumerationBudgetError.  It checks
+    the whole pair, and is_full_pair's cost, min(C(|A|, ceil(c|A|)),
+    C(|B|, ceil(c|B|))), never grows as the sides shrink: going from n to
+    n + 1 either keeps k = ceil(cn) or raises it by one, and C(n + 1, k + 1)
+    = C(n, k) (n + 1)/(k + 1) >= C(n, k).  Every later check is of a
+    subpair, so it fits the budget the first one fit.
     """
     if not a or not b or a & b:
         raise CheckPreconditionError("sides must be nonempty and disjoint")
@@ -147,10 +149,7 @@ def find_full_pair(
             am = mask_from_ids(combo_a)
             for combo_b in itertools.combinations(b_ids, sb):
                 bm = mask_from_ids(combo_b)
-                try:
-                    cert = _certify(g, am, bm, params, polarity)
-                except EnumerationBudgetError:
-                    cert = None
+                cert = _certify(g, am, bm, params, polarity)
                 if cert is not None:
                     return cert
     if skipped_any:

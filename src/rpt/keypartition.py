@@ -470,6 +470,13 @@ def advance_or_finish(
     certifying below one), phase 1.5 certifies only at or above both, and
     phase 2 enumerates sizes from the floors up.  Its sides are subsets of
     S_(i-1) and D_i, so |S_i| >= lam |S_(i-1)| and |D'_i| >= lam |D_i|.
+
+    A finished step's L_i is 2 xi-tight to D_i without a check:
+    ``_correct_adjacency_split`` puts a vertex in L_i only when it has
+    fewer than ceil(2 xi |D_i|) neighbours in D_i (a pattern edge), so all
+    of L_i is 2 xi-sparse to D_i, or more than |D_i| - ceil(2 xi |D_i|)
+    (a non-edge), so all of it is 2 xi-dense; is_tight_to rounds its bound
+    to the same ceil(2 xi |D_i|).
     """
     pr = p.params
     t = p.t
@@ -479,11 +486,6 @@ def advance_or_finish(
     s_mask, l_parts = _correct_adjacency_split(g, pat, p)
     s_size = s_mask.bit_count()
     if s_size <= p.d_budget:
-        for i, (dset, l) in enumerate(zip(p.d_sets, l_parts), start=1):
-            if l:
-                is_tight_to(g, dset, l, 2 * pr.xi, "tight").require(
-                    f"leftover residue not 2xi-tight to D_{i}: "
-                )
         rec = StepRecord(t=t, correct_set=s_mask, finished=True, l_parts=tuple(l_parts))
         return _finish(g, pat, p, s_mask, l_parts), rec
 
@@ -694,12 +696,14 @@ def _blowup_found(
 ) -> BlowupFound:
     """The t = h partition's blowup row as a result, checked by
     verify_blowup_found; exact-schedule runs also show that its copies
-    exceed the budget kappa * d^h."""
+    exceed the budget kappa * d^h.  The stated bound is (1 - xi)^h
+    xi^C(h,2) prod |D_i|, blowup_copy_bound's (1 - xi)^(h-1) form times
+    one more (1 - xi)."""
     h = pat.size
     cert = BlowupCertificate(p.d_sets, params.eps_schedule[h], params.xi, pat.prefix(h))
     count = count_embeddings_into_parts(g, pat, p.d_sets)
     sizes = [d.bit_count() for d in p.d_sets]
-    bound = blowup_copy_bound(h, params.xi, sizes, exponent_form="h")
+    bound = (1 - params.xi) * blowup_copy_bound(h, params.xi, sizes)
     contradiction = params.ledger is not None
     found = BlowupFound(cert, count, bound, contradiction, tuple(transcript))
     verify_blowup_found(g, found).require()

@@ -22,8 +22,8 @@ logarithm's exponent would stop fitting in memory an entry saturates: its
 ``log2`` becomes an upper bound and ``saturated`` is set.  Upper bounds
 are sound for every use the runtime makes of these constants (all are of
 the form "is v * size below 1").  phi(delta', eta') and N are the
-exceptions: without an exact value their ``log2`` is a lower bound, which
-is what count comparisons need.  phi's denominator -ln(1-delta') skips
+exceptions: their ``log2`` is a lower bound, which is what count
+comparisons need.  phi's denominator -ln(1-delta') skips
 log1p when delta' < 2^-(prec+2): the series' tail is then below rounding,
 so the answer is delta' itself, exactly (see :func:`phi_entry`).
 """
@@ -41,6 +41,7 @@ from .values import (
     EXACT_BITS_CAP,
     LogValue,
     Scalar,
+    UndecidableAtScale,
     ceil_frac,
     least_power,
     log2_fraction,
@@ -52,6 +53,8 @@ from .values import (
 # unrepresentable; saturate instead.
 _LOG_INPUT_CAP = mpmath.mpf(2) ** 46
 _SATURATED_LOG2 = -(mpmath.mpf(2) ** 46)
+# An extraction depth past this many bits is refused, not built.
+_DEPTH_BITS_CAP = 2**26
 
 
 @lru_cache(maxsize=16)
@@ -87,11 +90,20 @@ def depth_for(eps: Scalar) -> int:
 
     Exact for a rational eps or a LogValue that keeps one; otherwise the
     log-scale quotient rounded up, which on an exact power of 2/3 may
-    exceed the exact answer by one.
+    exceed the exact answer by one.  A quotient of more than
+    ``_DEPTH_BITS_CAP`` bits raises UndecidableAtScale instead of building
+    the integer: the ledger would go on to take 2^(delta'.log2), whose
+    exponent has about twice as many bits.
     """
     if isinstance(eps, LogValue):
         if eps.exact is None:
-            return max(int(mpmath.ceil(-2 * eps.log2 / mpmath.log(mpmath.mpf(3) / 2, 2))), 1)
+            depth = -2 * eps.log2 / mpmath.log(mpmath.mpf(3) / 2, 2)
+            if mpmath.mag(depth) > _DEPTH_BITS_CAP:
+                raise UndecidableAtScale(
+                    f"the extraction depth s = ceil(log_(3/2) eps^-2) at eps = {eps} "
+                    f"has more than {_DEPTH_BITS_CAP} bits"
+                )
+            return max(int(mpmath.ceil(depth)), 1)
         eps = eps.exact
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
@@ -109,19 +121,10 @@ def tight_pair_copy_threshold(h: int, eps: Scalar) -> Scalar:
     return Fraction(1, (4 * h) ** h) * eps ** comb(h, 2)
 
 
-def blowup_copy_bound(h: int, eps: Fraction, sizes, exponent_form: str = "h-1") -> Scalar:
+def blowup_copy_bound(h: int, eps: Fraction, sizes) -> Scalar:
     """(1-eps)^(h-1) * eps^C(h,2) * prod |D_i|.  Sizes may be LogValues, as
-    the constants ledger's Lambda rows are; the bound is then one too.
-
-    exponent_form="h" uses the weaker (1-eps)^h variant employed by the
-    contradiction test in the key-partition runner; both forms hold.  Any
-    other exponent_form raises ValueError.
-    """
-    exponents = {"h-1": h - 1, "h": h}
-    if exponent_form not in exponents:
-        raise ValueError(f"exponent_form must be 'h-1' or 'h', not {exponent_form!r}")
-    e = exponents[exponent_form]
-    bound = (1 - eps) ** e * eps ** comb(h, 2)
+    the constants ledger's Lambda rows are; the bound is then one too."""
+    bound = (1 - eps) ** (h - 1) * eps ** comb(h, 2)
     for s in sizes:
         bound *= s
     return bound
@@ -159,21 +162,24 @@ def _minus_ln_one_minus(log2: mpmath.mpf) -> mpmath.mpf:
 
 
 def phi_entry(delta: LogValue, eta: LogValue) -> LogValue:
-    """phi(delta, eta): least p >= 1 with (1-delta)^p <= eta.
+    """phi(delta, eta): least p >= 1 with (1-delta)^p <= eta, as a lower bound.
 
-    Exact when delta is a tame rational.  Otherwise a lower bound: the
-    analytic value ln(1/eta)/(-ln(1-delta)), which for the tiny deltas
-    that reach this path is accurate far beyond the ledger's tolerance, or,
-    when delta or eta is saturated (only an upper bound), phi_lower_bound.
+    The analytic value ln(1/eta)/(-ln(1-delta)), which for the tiny deltas
+    that reach it is accurate far beyond the ledger's tolerance, or, when
+    delta or eta is saturated (only an upper bound), phi_lower_bound.
     Neither is marked saturated, since neither is an upper bound.
+
+    No exact branch is needed: the one caller, build_ledger, passes
+    delta' = eta_w^s / 4 with eta_w = shrink_fraction(h, eps'/8) and
+    s = depth_for(eps'/8).  As eps' <= eps_h <= xi^h < 2^-6, eta_w <=
+    2^-5 (eps'/32)^(h-1) < 2^-16 and s >= log_{3/2} 2^18 > 30, so delta' <
+    2^-498 and phi > ln(1/eta') 2^497 has no affordable exact value.
 
     The denominator -ln(1-delta) is x(1 + x/2 + x^2/3 + ...) for
     x = 2^delta.log2.  Once x < 2^-(prec+2) the tail is below a quarter of
     a unit in the last place of x, so the result rounds to x itself and
     x is used without calling log1p: the same mpf, not an approximation.
     """
-    if delta.exact is not None and eta.exact is not None and delta.exact >= Fraction(1, 10**6):
-        return LogValue.of(phi(delta.exact, eta.exact))
     if delta.saturated or eta.saturated:
         return phi_lower_bound(delta, eta)
     denom = _minus_ln_one_minus(delta.log2)

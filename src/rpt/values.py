@@ -166,7 +166,8 @@ class LogValue:
         return LogValue(self.log2 * k, exact, self.saturated)
 
     # Comparisons against exact rationals go through the log scale with a
-    # small guard band; refusing to answer beats answering wrongly.
+    # small guard band; refusing to answer beats answering wrongly.  Only
+    # the strict ones exist: equality is undecidable on this scale.
     _GUARD = mpmath.mpf("1e-30")
 
     def _cmp(self, other: "Fraction | int | LogValue") -> int:
@@ -182,13 +183,7 @@ class LogValue:
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
 
-    def __le__(self, other) -> bool:
-        return self._cmp(other) < 0  # equality is undecidable on this scale
-
     def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
         return self._cmp(other) > 0
 
     def __str__(self) -> str:

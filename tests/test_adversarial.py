@@ -77,6 +77,13 @@ class TestExactNRestricted:
         with pytest.raises(OracleBudgetError):
             exact_n_restricted(Graph.empty(13), 2, Fraction(0))
 
+    def test_no_parts_or_no_vertices(self):
+        # no part covers only the empty graph, which needs none
+        assert exact_n_restricted(Graph.empty(0), 0, Fraction(0)) == (True, [])
+        assert exact_n_restricted(Graph.empty(0), -1, Fraction(0)) == (True, [])
+        assert exact_n_restricted(Graph.empty(3), 0, Fraction(0)) == (False, None)
+        assert exact_n_restricted(Graph.empty(0), 2, Fraction(0)) == (True, [])
+
     @given(st.integers(0, 300))
     @settings(max_examples=60, deadline=None)
     def test_witness_partitions_verify(self, seed):
@@ -153,6 +160,33 @@ class TestHardInstances:
         inst = generate_hard_graph(spec)
         report = verify_hard_graph(inst, count_induced_copies)
         assert report["ok"], report
+
+    @pytest.mark.parametrize("check, spec", [
+        # m = 20, N = 1: the one subset of size >= m/N is scanned exactly
+        ("core_has_large_weak_subset", HardInstanceSpec(1, 20, 22, EPS20, K2, seed=7)),
+        # m = 80, N = 2: too many subsets to scan, so they are sampled
+        ("_sampled_core_ok", HardInstanceSpec(2, 80, 80, EPS20, K2, seed=1)),
+    ])
+    def test_a_failed_core_check_resamples(self, monkeypatch, check, spec):
+        real, calls = getattr(rpt.adversarial, check), []
+
+        def fail_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                return (True, None) if check == "core_has_large_weak_subset" else False
+            return real(*args)
+
+        monkeypatch.setattr(rpt.adversarial, check, fail_once)
+        inst = generate_hard_graph(spec)
+        assert inst.resamples == len(calls) == 2
+        assert inst.core_exactly_verified == (check == "core_has_large_weak_subset")
+        assert verify_hard_graph(inst, count_induced_copies)["ok"]
+
+    def test_a_small_relaxed_instance_is_checked_exhaustively(self):
+        spec = HardInstanceSpec(2, 10, 12, EPS20, K2, seed=3, allow_small_core=True)
+        report = verify_hard_graph(generate_hard_graph(spec), count_induced_copies)
+        assert report["ok"] and report["clauses"][-1] == {
+            "name": "not-n-restricted-exhaustive", "ok": True, "detail": ""}
 
     def test_relaxed_build_fails_n_restricted_exhaustively(self):
         spec = HardInstanceSpec(

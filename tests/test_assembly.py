@@ -21,9 +21,11 @@ from rpt.assembly import (
     default_part_bound,
     lengthen,
     level_eps,
+    part_count_target,
     path_length,
     run_main_theorem,
     verify_path_partition,
+    verify_removal_result,
     verify_restricted_partition,
 )
 from rpt.graph import Graph, complement, mask_from_ids, named_pattern
@@ -270,6 +272,18 @@ class TestRunMainTheorem:
         res = run_main_theorem(g, K2, QUARTER, 0)
         assert res.removed == 0
         res.verify(g)
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_an_exact_schedule_bounds_the_parts_by_their_count(self, n):
+        # KeyParams.paper keeps delta' on the log scale, so N and the level
+        # budget have no exact value and the partition is bounded by its size
+        key = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
+        assert key.part_bound() is None
+        assert part_count_target(QUARTER, key, 2, 0) is None
+        g = Graph.empty(n)
+        res = run_main_theorem(g, K2, QUARTER, 0, key)
+        assert res.removed == 0 and res.partition.bound == len(res.partition.parts)
+        assert verify_removal_result(g, res).ok
 
     def test_the_result_goes_through_the_verifier(self, monkeypatch):
         import rpt.assembly

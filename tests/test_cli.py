@@ -56,12 +56,10 @@ class TestParse:
                 "1/4",
                 "--d",
                 "10",
-                "--mode",
-                "practical",
                 "--json",
             ]
         )
-        assert args.subcommand == "theorem" and args.json and args.mode == "practical"
+        assert args.subcommand == "theorem" and args.json and not hasattr(args, "mode")
 
     def test_constants_plan(self):
         args = parse_args(
@@ -984,6 +982,10 @@ class TestOptionScopes:
             ["check", "--graph", "{c5}", "--cert", "{c5}", "--mode", "paper"],
             ["constants", "--h", "2", "--eps", "1/4", "--eta", "1/4", "--theta", "1/4",
              "--mode", "paper"],
+            # theorem and extract run practical parameters only
+            ["theorem", "--graph", "{c5}", "--pattern", "K2", "--d", "1", "--mode", "paper"],
+            ["extract", "--graph", "{c5}", "--pattern", "K2", "--op", "density",
+             "--mode", "paper"],
         ],
     )
     def test_foreign_option_is_a_usage_error(self, capsys, c5_file, argv):
@@ -995,21 +997,8 @@ class TestOptionScopes:
     def test_seed_and_mode_still_parse_where_read(self, c5_file):
         args = parse_args(["counterexample", "--m", "20", "--n", "22", "--seed", "7"])
         assert args.seed == 7
-        for sub in ("extract", "keylemma", "theorem"):
-            extra = ["--op", "peel"] if sub == "extract" else ["--d", "1"]
-            argv = [sub, "--graph", c5_file, "--pattern", "K2", *extra, "--mode", "paper"]
-            assert parse_args(argv).mode == "paper"
-
-    @pytest.mark.parametrize("op", ["restricted", "peel"])
-    def test_extract_paper_mode_runs_density_only(self, capsys, c5_file, op):
-        code = main(["extract", "--graph", c5_file, "--pattern", "K2", "--op", op,
-                     "--mode", "paper"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (1, "")
-        assert captured.err == (
-            "error: exact-schedule sizes are below one vertex at this scale; "
-            "use practical mode with --delta\n"
-        )
+        argv = ["keylemma", "--graph", c5_file, "--pattern", "K2", "--d", "1", "--mode", "paper"]
+        assert parse_args(argv).mode == "paper"
 
 
 class _Reads:
@@ -1438,3 +1427,42 @@ def test_every_producer_on_the_empty_graph(capsys, tmp_path, run):
         assert json.loads(captured.out)["value"] == "0"
         return
     assert _check(capsys, tmp_path, 0, [], json.loads(captured.out))[0] == check_code
+
+
+def test_extract_density_runs_at_the_given_depth(capsys, c5_file):
+    from rpt.extraction import ExtractionBudget, find_low_or_high_density_subset
+    from rpt.graph import mask_to_ids, named_pattern
+
+    code, out = run_cli(capsys, ["extract", "--graph", c5_file, "--pattern", "K2",
+                                 "--op", "density", "--depth", "2", "--json"])
+    quarter = Fraction(1, 4)
+    res = find_low_or_high_density_subset(Graph.cycle(5), named_pattern("K2"),
+                                          ExtractionBudget(quarter, quarter, 2))
+    obj = json.loads(out)
+    assert code == 0
+    assert (obj["vertices"], obj["side"], obj["guaranteed"]) == (
+        mask_to_ids(res.vertices), res.side, res.guaranteed)
+
+
+def test_keylemma_blowup_found_passes_check(capsys, tmp_path, c5_file):
+    # K1 on C5: the first step's core is a one-vertex blowup, t = h = 1
+    argv = ["keylemma", "--graph", c5_file, "--pattern", "K1", "--d", "0"]
+    code, out = run_cli(capsys, [*argv, "--json"])
+    obj = json.loads(out)
+    assert code == 0 and obj["kind"] == "blowup_found"
+    cert = tmp_path / "found.json"
+    cert.write_text(out)
+    assert run_cli(capsys, ["check", "--graph", c5_file, "--cert", str(cert), "--json"]) == (
+        0, _check_line("blowup_found", True, ""))
+    assert run_cli(capsys, argv) == (
+        0, f"blowup found: {obj['copy_count']} labeled copies (bound {obj['copy_bound']})\n")
+
+
+def test_keylemma_human_transcript_prints_the_json_steps(capsys, c5_file):
+    argv = ["keylemma", "--graph", c5_file, "--pattern", "K2", "--d", "2", "--transcript"]
+    code, human = run_cli(capsys, argv)
+    assert code == 0
+    first, *steps = human.splitlines()
+    assert first == "removed 0 <= d=2; 0 pairs, 3 singles"
+    assert [json.loads(line) for line in steps] == json.loads(
+        run_cli(capsys, [*argv, "--json"])[1])["transcript"]

@@ -181,23 +181,10 @@ class TestBlowupCopyBound:
         with pytest.raises(ValueError):
             blowup_copy_bound_check(g, named_pattern("K2"), cert)
 
-    def test_weaker_exponent_form_is_smaller(self):
-        eps = Fraction(1, 4)
-        sizes = [5, 6, 7]
-        assert blowup_copy_bound(3, eps, sizes, "h") < blowup_copy_bound(
-            3, eps, sizes, "h-1"
-        )
-
     def test_exponent_forms(self):
-        # (1-eps)^e * eps^C(h,2) * prod sizes with e = h-1 or h
+        # (1-eps)^(h-1) * eps^C(h,2) * prod sizes
         assert blowup_copy_bound(2, Fraction(1, 4), [4, 4]) == 3
-        assert blowup_copy_bound(2, Fraction(1, 4), [4, 4], "h-1") == 3
-        assert blowup_copy_bound(2, Fraction(1, 4), [4, 4], "h") == Fraction(9, 4)
-
-    @pytest.mark.parametrize("form", ["H-1", "h - 1", "", "h-2"])
-    def test_unknown_exponent_form_rejected(self, form):
-        with pytest.raises(ValueError, match="exponent_form"):
-            blowup_copy_bound(2, Fraction(1, 4), [4, 4], form)
+        assert blowup_copy_bound(3, Fraction(1, 4), [5, 6, 7]) == Fraction(945, 512)
 
     @given(st.integers(0, 2000))
     @settings(max_examples=200, deadline=None)

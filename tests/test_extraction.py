@@ -357,6 +357,18 @@ class TestDensitySubset:
         with pytest.raises(AssertionError, match=f"{side}-side result misses its density claim"):
             find_low_or_high_density_subset(g, named_pattern("K2"), budget)
 
+    def test_the_resize_round_cap_falls_back_to_the_greedy_set(self, monkeypatch):
+        # G(32, 1/10) with P4 at eps = 1/16 needs a second resize round; with
+        # one allowed, _search gives up after it and the greedy set answers
+        g, pat, eps = random_graph(32, 0.1, 0), named_pattern("P4"), Fraction(1, 16)
+        budget = ExtractionBudget(eps, eps, depth_for(eps))
+        assert extraction._search(g, pat, eps, eps, budget.depth) is not None
+        monkeypatch.setattr(extraction, "_MAX_RESIZE_ROUNDS", 1)
+        assert extraction._search(g, pat, eps, eps, budget.depth) is None
+        res = find_low_or_high_density_subset(g, pat, budget)
+        assert (res.vertices, res.side) == extraction._greedy_best_effort(g, eps, eps)
+        assert not res.guaranteed
+
     def test_the_recursion_keeps_the_constants_its_proof_uses(self, monkeypatch):
         # _search's docstring proves its two unchecked facts from three
         # constants: the pair is min(eps1, eps2)/4-tight, each piece is
@@ -1011,6 +1023,15 @@ class TestIndependentSetMatchesPlainSearch:
             assert got == want
         else:
             assert got.bit_count() <= floor
+
+    def test_a_spent_node_budget_returns_the_best_so_far(self, monkeypatch):
+        # the greedy set {0, 3} of this graph is not maximum; a budget of one
+        # node stops the search at the root's first branch
+        g = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (2, 3), (2, 4)])
+        monkeypatch.setattr(extraction, "_INDEPENDENT_SET_NODES", 1)
+        assert extraction._independent_set(g) == 0b01001
+        monkeypatch.setattr(extraction, "_INDEPENDENT_SET_NODES", 20_000)
+        assert extraction._independent_set(g) == 0b11010
 
     def test_floor_just_below_alpha(self):
         # the min-degree greedy set here is {0, 3}, and alpha = 3 by {1, 3, 4}

@@ -442,6 +442,27 @@ def test_graph6_round_trip(seed, n):
     assert from_graph6(to_graph6(g)) == g
 
 
+def _graph6_long_form(g: Graph) -> str:
+    """g in graph6 with the four-byte size header (n < 2^18), encoded here
+    from the format's definition: the upper triangle column by column, six
+    bits to a character, padded with 0 bits."""
+    bits = [int(g.has_edge(i, j)) for j in range(1, g.n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    body = [int("".join(map(str, bits[k:k + 6])), 2) for k in range(0, len(bits), 6)]
+    header = [63, g.n >> 12 & 63, g.n >> 6 & 63, g.n & 63]
+    return "".join(chr(63 + x) for x in header + body)
+
+
+@pytest.mark.parametrize("n", [5, 63, 100])
+def test_graph6_long_size_header(n):
+    # n >= 63 needs the long header, which to_graph6 does not write; at n = 5
+    # the long form must decode as the short one does
+    g = random_graph(n, 0.5, n)
+    assert from_graph6(_graph6_long_form(g)) == g
+    if n < 63:
+        assert to_graph6(g)[1:] == _graph6_long_form(g)[4:]
+
+
 def test_load_graph_text_detects_format():
     c5 = Graph.cycle(5)
     assert load_graph_text(to_edge_list(c5)) == c5
@@ -1950,3 +1971,15 @@ def test_plan_keeps_the_measured_choices():
     for p in (0.49, 0.5, 0.51):
         work, order = best_order(Graph.cycle(5), 70, p)
         assert order[:3] in ((0, 1, 4), (1, 0, 4), (0, 4, 1), (4, 0, 1), (1, 4, 0), (4, 1, 0))
+
+
+def test_best_order_past_ten_vertices_is_greedy():
+    # past 10 vertices the order puts next the vertex with most edges to
+    # those placed, lowest id first, and predicts no work; the path P11
+    # has 2n labelled induced copies in the cycle C_n for n >= 13
+    p11 = Graph.path(11)
+    assert best_order(p11, 14, 1 / 7) == (float("inf"), tuple(range(11)))
+    star = Graph.from_edges(11, [(5, v) for v in range(11) if v != 5])
+    assert best_order(star, 20, 0.5)[1] == (0, 5, 1, 2, 3, 4, 6, 7, 8, 9, 10)
+    for n in (13, 14, 20):
+        assert count_induced_copies(Graph.cycle(n), Pattern.of(p11)) == 2 * n

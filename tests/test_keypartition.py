@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from types import SimpleNamespace
 
 import mpmath
@@ -414,6 +414,28 @@ class TestRunKeyLemma:
         assert res.copy_count >= res.copy_bound
         assert len(res.certificate.parts) == 2
 
+    @pytest.mark.parametrize("pat, crafted_start",
+                             [(K2, crafted_blowup_start), (K3, crafted_k3_start)],
+                             ids=["K2", "K3"])
+    def test_a_start_at_t_h_goes_straight_to_the_blowup(self, pat, crafted_start):
+        params = KeyParams.practical(pat, QUARTER)
+        g, start = crafted_start(params)
+        at_h, _ = advance_or_finish(g, pat, start)
+        assert isinstance(at_h, MNTPartition) and at_h.t == pat.size
+        res = run_key_lemma(g, pat, params, 0, start=at_h)
+        assert isinstance(res, BlowupFound) and res.transcript == ()
+        assert res == replace(run_key_lemma(g, pat, params, 0, start=start), transcript=())
+
+    def test_an_exact_schedule_blowup_exceeds_the_copy_budget(self):
+        # D_1, D_2 completely joined: 16 copies, far above kappa * 1^2
+        paper = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
+        g = Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)])
+        parts = (mask_from_ids(range(4)), mask_from_ids(range(4, 8)))
+        p = MNTPartition((), (), (), parts, 0, paper, 1)
+        found = rpt.keypartition._blowup_found(g, K2, paper, p, 1, [])
+        assert (found.copy_count, found.copy_bound) == (16, Fraction(225, 256))
+        assert found.contradiction_checked and verify_blowup_found(g, found).ok
+
     def test_blowup_found_goes_through_the_verifier(self, monkeypatch):
         monkeypatch.setattr(rpt.keypartition, "verify_blowup_found",
                             lambda g, found: Verdict(False, detail="refuted for the test"))
@@ -431,7 +453,10 @@ class TestRunKeyLemma:
         res = run_key_lemma(g, pat, params, 0, start=start)
         assert isinstance(res, BlowupFound)
         sizes = [d.bit_count() for d in res.certificate.parts]
-        assert res.copy_bound == blowup_copy_bound(pat.size, params.xi, sizes, "h")
+        # the (1 - xi)^h form: (1 - xi)^h xi^C(h,2) prod |D_i|
+        assert res.copy_bound == (1 - params.xi) * blowup_copy_bound(pat.size, params.xi, sizes)
+        assert res.copy_bound == (1 - params.xi) ** pat.size * params.xi ** comb(
+            pat.size, 2) * prod(sizes)
         assert verify_blowup_found(g, res).ok
 
     def test_invalid_start_is_refused_naming_its_clause(self):

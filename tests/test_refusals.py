@@ -126,6 +126,11 @@ REFUSALS = {
                          PathPartition.trivial(Graph.empty(4), level_eps(QUARTER, 2, 0)),
                          QUARTER, _key(), Fraction(0), -1),
         ValueError, "depth k out of range"),
+    "lengthen-negative-d": (
+        lambda: lengthen(Graph.empty(4), K2,
+                         PathPartition.trivial(Graph.empty(4), level_eps(QUARTER, 2, 0)),
+                         QUARTER, _key(), Fraction(-1), 0),
+        ValueError, "removal budget must be nonnegative"),
 }
 
 

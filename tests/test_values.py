@@ -190,6 +190,17 @@ class TestLeastPower:
             for x in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 1000), q, q**7, q**7 * (1 + Fraction(1, 10**9))):
                 assert least_power(q, x) == _least_power_by_iteration(q, x), (q, x)
 
+    @pytest.mark.parametrize("low", [1, 2, 3])
+    def test_a_low_guess_walks_up(self, monkeypatch, low):
+        # the log-scale guess is only a guess; one below the answer (here
+        # 1, 2 or 3 below) is corrected by the exact tests, one step at a time
+        cases = [(q, x) for q in (Fraction(1, 2), Fraction(2, 3), Fraction(119, 120))
+                 for x in (Fraction(1, 1000), q**7, q**7 * (1 + Fraction(1, 10**9)))]
+        want = [_least_power_by_iteration(q, x) for q, x in cases]
+        monkeypatch.setattr(values, "_guess_power", lambda q, x: max(
+            _least_power_by_iteration(q, x) - low, 1))
+        assert [least_power(q, x) for q, x in cases] == want
+
     @pytest.mark.parametrize("q,x", [(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2)),
                                      (Fraction(1, 2), Fraction(0)), (Fraction(1, 2), Fraction(1))])
     def test_rejects_bad_domain(self, q, x):
