@@ -227,11 +227,9 @@ def _split_round_robin(mask: int, ways: int) -> list[int]:
     return [mask_from_ids(ids[i::ways]) for i in range(ways)]
 
 
-def part_count_target(eps: Fraction, key: KeyParams, h: int, k: int) -> int | None:
+def part_count_target(eps: Fraction, key: KeyParams, h: int, k: int) -> int:
     """h^(2(K-k)) * (2400 eps^-2 + N) - N, the level-k part budget."""
     n_bound = key.part_bound()
-    if n_bound is None:
-        return None
     scale = h ** (2 * (path_length(eps) - k))
     return scale * (default_part_bound(eps) + n_bound) - n_bound
 
@@ -315,8 +313,7 @@ def lengthen(
     if m == 0:
         # at most k + N parts, within the level budget (see the docstring)
         parts = list(p.blocks[:-1]) + singles
-        bound = target if target is not None else len(parts)
-        partition = RestrictedPartition(tuple(parts), eps, bound)
+        partition = RestrictedPartition(tuple(parts), eps, target)
         result = RemovalResult(removed_core, partition, floor_frac(d_budget))
         result.verify(g)
         return result
@@ -343,8 +340,7 @@ def lengthen(
         removed_total |= lift(ids_j, res_j.removed)
         all_parts += [lift(ids_j, part) for part in res_j.partition.parts]
     all_parts += singles
-    bound = target if target is not None else len(all_parts)
-    partition = RestrictedPartition(tuple(all_parts), eps, bound)
+    partition = RestrictedPartition(tuple(all_parts), eps, target)
     result = RemovalResult(removed_total, partition, floor_frac(d_budget))
     result.verify(g)
     return result

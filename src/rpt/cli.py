@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -93,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--depth", type=int, default=None)
 
     kl = add("keylemma", "run the working-partition iteration")
-    kl.add_argument("--mode", choices=["paper", "practical"], default="practical")
     kl.add_argument("--graph", required=True)
     kl.add_argument("--pattern", required=True)
     kl.add_argument("--eps", type=_fraction, default=Fraction(1, 4))
@@ -138,11 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "mode", None) == "paper" and args.delta_prime is not None:
-        parser.error("paper mode forbids overriding ledger-defined parameters")
-    return args
+    return build_parser().parse_args(argv)
 
 
 def _emit(args: argparse.Namespace, payload: Callable[[], dict], human: Callable[[], str]) -> None:
@@ -269,11 +265,8 @@ def _cmd_keylemma(args: argparse.Namespace) -> int:
 
     g = _load_graph(args.graph)
     pat = _load_pattern(args.pattern)
-    if args.mode == "paper":
-        params = KeyParams.paper(pat, args.eps, args.eta, args.theta)
-    else:
-        params = KeyParams.practical(pat, args.eps, eta=args.eta, theta=args.theta,
-                                     delta_prime=_delta_prime(args, g))
+    params = KeyParams.practical(pat, args.eps, eta=args.eta, theta=args.theta,
+                                 delta_prime=_delta_prime(args, g))
     res = run_key_lemma(g, pat, params, args.d)
     if isinstance(res, BlowupFound):
         _emit(
@@ -303,10 +296,19 @@ def _cmd_keylemma(args: argparse.Namespace) -> int:
     return 0
 
 
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of n >= 1, found without writing n out."""
+    d = int(math.log10(n))  # floor(log10 n), or one off where the float rounds
+    return d + (n >= 10**d) + (n >= 10 ** (d + 1))
+
+
 def _cmd_theorem(args: argparse.Namespace) -> int:
-    """Practical parameters only: the exact schedule (theta = eps/12, so xi <
-    1/144) needs 12/c >= 746,496 factors in its first lambda row, past
-    EXACT_BITS_CAP, and KeyParams.paper refuses eps[0] at every input."""
+    """Practical parameters, as every run of the key lemma takes (see
+    ``rpt.keypartition``); ``rpt constants`` reports the paper's.
+
+    A part bound N of more decimal digits than the interpreter writes out
+    (``sys.get_int_max_str_digits``, 4300 by default; eps = 1/2000 gives
+    N ~ 2^16000) is refused before any output, naming N and its digits."""
     from .assembly import run_main_theorem
     from .keypartition import KeyParams
 
@@ -314,6 +316,11 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
     pat = _load_pattern(args.pattern)
     key = KeyParams.practical(pat, args.eps, delta_prime=_delta_prime(args, g))
     res = run_main_theorem(g, pat, args.eps, args.d, key)
+    limit = sys.get_int_max_str_digits()
+    if limit and res.partition.bound >= 10**limit:
+        digits = _decimal_digits(res.partition.bound)
+        raise ValueError(f"the part bound N has {digits} decimal digits, more than the "
+                         f"{limit} this interpreter writes out")
     _emit(
         args,
         lambda: serialize.removal_result_to_json(res),

@@ -1029,8 +1029,12 @@ def sets_by_plan(g: Graph, h: Graph, route: str, flip: bool, order) -> int:
 def count_induced_copies(g: Graph, pat: Pattern) -> int:
     """Number of injective maps preserving adjacency and non-adjacency: the
     vertex sets inducing H, counted by the plan of least predicted work
-    (:func:`plan`), times |Aut(H)|."""
+    (:func:`plan`), times |Aut(H)|.  An H with more vertices than G has
+    none, answered before any symmetry or planning work: |Aut(E_k)| = k!
+    alone takes seconds to find at k = 50."""
     h = pat.graph
+    if h.n > g.n:
+        return 0
     return _symmetry(h)[0] * sets_by_plan(g, h, *plan(g, h)[1:])
 
 

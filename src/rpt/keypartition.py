@@ -10,8 +10,12 @@ a restricted core of S is densified against each D_i in turn, producing
 a (t+1)-part blowup plus freshly peeled singles, and t increases.  Since
 t is capped by the pattern size, either the rearrangement happens within
 h steps or the graph exhibits a full blowup of the pattern, which forces
-many copies; under the exact constant schedule that contradicts the copy
-budget, and in practical runs it is a legitimate reported outcome.
+many copies.  Under the paper's constants that contradicts the copy budget
+kappa * d^h, but those constants are towers: for K2 the largest kappa is
+about 2^-479,417,090, and for three or more vertices eps_0 has no exact
+value.  So every run takes practical parameters (``rpt constants`` reports
+the paper's), and a full blowup is a reported outcome, checked like any
+other.
 
 Each partition is verified clause by clause, exactly and once: a
 caller's start when the run begins (the trivial start holds every clause
@@ -19,17 +23,14 @@ by construction), and each assembled partition before the iteration
 continues.  Every result is checked by the verifier that ``rpt check``
 runs for its kind: key-lemma rows by verify_key_certificate (through
 verify_key_result), a blowup found by verify_blowup_found.  No check
-samples: exact=False marks only a clause not checked, and nothing
-downstream trusts the construction.
+samples or skips a clause, and nothing downstream trusts the construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
-
-import mpmath
 
 from .extraction import ExtractionInfeasible, extract_restricted_exact, peel_chain
 from .fullpair import FullPairParams, find_full_pair
@@ -43,15 +44,7 @@ from .graph import (
     mask_to_ids,
     with_at_least,
 )
-from .ledger import (
-    ConstantsLedger,
-    blowup_copy_bound,
-    build_ledger,
-    key_domain,
-    part_bound,
-    phi,
-    phi_lower_bound,
-)
+from .ledger import blowup_copy_bound, key_domain, part_bound, phi
 from .predicates import (
     BlowupCertificate,
     Verdict,
@@ -59,11 +52,7 @@ from .predicates import (
     is_tight_to,
     verify_blowup,
 )
-from .values import Scalar, ceil_frac
-
-
-class InfeasibleAtScale(RuntimeError):
-    """Exact-schedule constants cannot drive a run at this graph scale."""
+from .values import ceil_frac
 
 
 class StepFailure(RuntimeError):
@@ -71,38 +60,24 @@ class StepFailure(RuntimeError):
 
 
 class _PartBound:
-    """The single-count bound N = C(h,2) + (h-1)*phi(delta', eta'), decided
-    soundly also when delta'/eta' are known only on the log scale.  Mixed
+    """The single-count bound N = C(h,2) + (h-1)*phi(delta', eta').  Mixed
     into the frozen dataclasses with fields h, delta_prime and eta_prime."""
 
-    def phi_bound(self) -> int | None:
-        """phi(delta', eta') when exactly computable, else None (astronomical)."""
-        if isinstance(self.delta_prime, Fraction) and isinstance(self.eta_prime, Fraction):
-            return phi(self.delta_prime, self.eta_prime)
-        return None
+    def phi_bound(self) -> int:
+        """phi(delta', eta')."""
+        return phi(self.delta_prime, self.eta_prime)
 
-    def part_bound(self) -> int | None:
-        """N = C(h,2) + (h-1)*phi(delta', eta') when exactly computable, else None."""
-        p = self.phi_bound()
-        return None if p is None else part_bound(self.h, p)
+    def part_bound(self) -> int:
+        """N = C(h,2) + (h-1)*phi(delta', eta')."""
+        return part_bound(self.h, self.phi_bound())
 
     def n_bound_holds(self, n: int, multiplier: int) -> bool:
-        """Decide n <= multiplier * phi(delta', eta') soundly."""
-        if multiplier == 0:
-            return n == 0
-        exact = self.phi_bound()
-        if exact is not None:
-            return n <= multiplier * exact
-        # with tiny delta' this lower bound dwarfs any desk-scale n
-        lower = phi_lower_bound(self.delta_prime, self.eta_prime)
-        return mpmath.log(max(n, 1), 2) <= lower.log2 + mpmath.log(multiplier, 2)
+        """Decide n <= multiplier * phi(delta', eta')."""
+        return n <= multiplier * self.phi_bound()
 
     def part_bound_holds(self, n: int) -> bool:
         """Decide n <= N = C(h,2) + (h-1)*phi(delta', eta')."""
-        slack = comb(self.h, 2)
-        if n <= slack:
-            return True
-        return self.n_bound_holds(n - slack, self.h - 1)
+        return n <= self.part_bound()
 
 
 def _eta_prime_cap(h: int, eta: Fraction, delta_prime: Fraction, lam: Fraction) -> Fraction:
@@ -129,9 +104,8 @@ class KeyParams(_PartBound):
     theta: Fraction
     eps_schedule: tuple[Fraction, ...]  # index t = 0..h
     lam: Fraction
-    delta_prime: Scalar
-    eta_prime: Scalar
-    ledger: ConstantsLedger | None = field(default=None, compare=False)  # set in paper mode
+    delta_prime: Fraction
+    eta_prime: Fraction
 
     def __post_init__(self):
         key_domain(self.eps, self.eta, self.theta, self.delta_prime, self.eta_prime)
@@ -144,14 +118,11 @@ class KeyParams(_PartBound):
                 raise ValueError("eps_schedule must be nondecreasing in t")
         if not Fraction(0) < self.lam <= Fraction(1, 3):
             raise ValueError("lam must lie in (0, 1/3]")
-        if isinstance(self.eta_prime, Fraction) and isinstance(self.delta_prime, Fraction):
-            cap = _eta_prime_cap(self.h, self.eta, self.delta_prime, self.lam)
-            if self.eta_prime > cap:
-                raise ValueError(
-                    f"eta_prime must be at most eta*delta_prime*lam^(h-1)/2 = {cap}"
-                )
-            if self.eta_prime > self.lam:
-                raise ValueError("eta_prime must be at most lam")
+        cap = _eta_prime_cap(self.h, self.eta, self.delta_prime, self.lam)
+        if self.eta_prime > cap:
+            raise ValueError(f"eta_prime must be at most eta*delta_prime*lam^(h-1)/2 = {cap}")
+        if self.eta_prime > self.lam:
+            raise ValueError("eta_prime must be at most lam")
 
     @property
     def xi(self) -> Fraction:
@@ -181,59 +152,6 @@ class KeyParams(_PartBound):
             eta_prime = _eta_prime_cap(h, eta, delta_prime, lam)
         return KeyParams(h, eps, eta, theta, tuple(schedule), lam, delta_prime, eta_prime)
 
-    @staticmethod
-    def paper(
-        pat: Pattern, eps: Fraction, eta: Fraction, theta: Fraction
-    ) -> "KeyParams":
-        """Exact-schedule parameters, materialised from the ledger.
-
-        Raises InfeasibleAtScale when the schedule cannot be represented
-        exactly even with surrogates; the diagnostic names the first
-        constant that failed.
-        """
-        h = pat.size
-        led = build_ledger(h, eps, eta, theta)
-        schedule = []
-        for t in range(h + 1):
-            entry = led.get(f"eps[{t}]")
-            if entry.exact is None:
-                raise InfeasibleAtScale(
-                    f"eps[{t}] is not exactly representable at this scale "
-                    f"({entry.describe()}); use practical parameters"
-                )
-            schedule.append(entry.exact)
-        dp = led.get("delta_prime")
-        ep = led.get("eta_prime")
-        delta_prime: Scalar = dp.exact if dp.exact is not None else dp
-        eta_prime: Scalar = ep.exact if ep.exact is not None else ep
-        # the realized chain fractions only matter through size floors;
-        # a saturated lambda row means floor 1, which Fraction(0+) below
-        # cannot express, so pass the smallest representable row value or
-        # a scale surrogate at run time.
-        rows = (led.get(f"lambda[{t},{i}]").exact for t in range(h) for i in range(t + 1))
-        lam = min((x for x in rows if x is not None), default=Fraction(1, 3))
-        return KeyParams(
-            h,
-            eps,
-            eta,
-            theta,
-            tuple(schedule),
-            min(lam, Fraction(1, 3)),
-            delta_prime,
-            eta_prime,
-            ledger=led,
-        )
-
-    # -- scale-aware accessors -------------------------------------------
-
-    def delta_prime_at(self, scale: int) -> Fraction:
-        """delta' as an exact fraction, or a surrogate equivalent at sizes <= scale."""
-        return _at_scale("delta_prime", self.delta_prime, scale)
-
-    def eta_prime_at(self, scale: int) -> Fraction:
-        """eta' as an exact fraction, or a surrogate equivalent at sizes <= scale."""
-        return _at_scale("eta_prime", self.eta_prime, scale)
-
     def gamma_chain(self, t: int, i: int) -> Fraction:
         """Gamma(t,i) = lam^(t-i): required shrink of S_t relative to S_i."""
         return self.lam ** (t - i)
@@ -242,7 +160,7 @@ class KeyParams(_PartBound):
         """Fullness parameter for chain step i at level t -> t+1."""
         return Fraction(1, 3) * self.eps_schedule[t + 1] * self.gamma_chain(t, i)
 
-    def big_lambda(self, t: int) -> Scalar:
+    def big_lambda(self, t: int) -> Fraction:
         """Lambda(t,i), one value for every i: each D_i must exceed it times d.
 
         With a uniform per-step fraction the table collapses:
@@ -256,14 +174,6 @@ class KeyParams(_PartBound):
         return min(
             self.eps_schedule[t + 1] * self.gamma_chain(t, 0) for t in range(self.h)
         )
-
-
-def _at_scale(name: str, value: Scalar, scale: int) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if value * scale < 1:  # LogValue comparison, sound
-        return Fraction(1, 4 * scale)
-    raise InfeasibleAtScale(f"{name} not representable at this scale")
 
 
 @dataclass(frozen=True)
@@ -345,7 +255,6 @@ def verify_mnt_partition(g: Graph, pat: Pattern, p: MNTPartition) -> Verdict:
         lam = pr.big_lambda(p.t)
         for i, dset in enumerate(p.d_sets, start=1):
             size = dset.bit_count()
-            # exact for a Fraction; a LogValue raises UndecidableAtScale when too close
             if p.d_budget and not lam * p.d_budget < size:
                 return Verdict(False, f"d-threshold:{i}", "Lambda*d bound")
             if not size * pr.eta > 2 * ell:
@@ -384,9 +293,7 @@ class KeyLemmaResult:
 @dataclass(frozen=True)
 class KeyCertificate(_PartBound):
     """A key-lemma result as exported: the rows plus the values their check
-    reads.  delta_prime/eta_prime are None when not stated (paper-mode
-    exports omit them); the single-count clause is then not checked, and
-    the verdict says so."""
+    reads."""
 
     removed: int
     a_sets: tuple[int, ...]
@@ -397,8 +304,8 @@ class KeyCertificate(_PartBound):
     eps: Fraction
     eta: Fraction
     theta: Fraction
-    delta_prime: Scalar | None
-    eta_prime: Scalar | None
+    delta_prime: Fraction
+    eta_prime: Fraction
 
 
 @dataclass(frozen=True)
@@ -406,7 +313,6 @@ class BlowupFound:
     certificate: BlowupCertificate
     copy_count: int
     copy_bound: Fraction
-    contradiction_checked: bool
     transcript: tuple[StepRecord, ...] = ()
 
 
@@ -494,7 +400,7 @@ def advance_or_finish(
     sub_s, ids_s = induced_subgraph(g, s_mask)
     try:
         core_local = extract_restricted_exact(
-            sub_s, pat, pr.eps_prime(), pr.delta_prime_at(s_size)
+            sub_s, pat, pr.eps_prime(), pr.delta_prime
         )
     except ExtractionInfeasible as exc:
         raise StepFailure(f"core extraction failed at t={t}: {exc}") from exc
@@ -526,10 +432,8 @@ def advance_or_finish(
         new_leftover = 0
     else:
         sub_r, ids_r = induced_subgraph(g, rest)
-        eta_p = pr.eta_prime_at(rest.bit_count())
-        delta_p = pr.delta_prime_at(rest.bit_count())
         try:
-            pc = peel_chain(sub_r, pat, pr.eps, eta_p, delta_p)
+            pc = peel_chain(sub_r, pat, pr.eps, pr.eta_prime, pr.delta_prime)
         except Exception as exc:
             raise StepFailure(f"peeling failed at t={t}: {exc}") from exc
         peels = tuple(lift(ids_r, q) for q in pc.peels)
@@ -613,20 +517,13 @@ def verify_key_certificate(g: Graph, c: KeyCertificate) -> Verdict:
             return Verdict(False, detail=f"single {idx} not eps-restricted")
     if union != g.full_mask:
         return Verdict(False, detail="sets do not cover V(G)")
-    if c.delta_prime is None:
-        detail = "single-count clause not checked: delta_prime and eta_prime not stated"
-        return Verdict(True, detail=detail, exact=False)
     if not c.part_bound_holds(len(c.singles)):
-        n_bound = c.part_bound()
-        bound = "" if n_bound is None else f" = {n_bound}"
-        return Verdict(False, detail=f"single count exceeds N{bound}")
+        return Verdict(False, detail=f"single count exceeds N = {c.part_bound()}")
     return Verdict(True)
 
 
 def verify_blowup_found(g: Graph, found: BlowupFound) -> Verdict:
-    """Recheck a reported blowup and its copy count.  A claimed
-    contradiction with the copy budget kappa * d^h is not re-checked: the
-    certificate carries no kappa and no d, and the verdict says so."""
+    """Recheck a reported blowup and its copy count."""
     cert = found.certificate
     chk = verify_blowup(g, cert)
     if not chk.ok:
@@ -636,9 +533,6 @@ def verify_blowup_found(g: Graph, found: BlowupFound) -> Verdict:
         return Verdict(False, detail="copy count does not match a recount")
     if count < found.copy_bound:
         return Verdict(False, detail="copy count below the stated bound")
-    if found.contradiction_checked:
-        detail = "contradiction not re-checked: the certificate carries no kappa and no d"
-        return Verdict(True, detail=detail, exact=False)
     return Verdict(True)
 
 
@@ -658,19 +552,14 @@ def run_key_lemma(
     or D sets and t = 0, so the shape, count (m = n = 0), restrictedness,
     tightness and blowup clauses hold vacuously, and its leftover is V(G),
     so the disjoint-union clause holds.
-
-    Exact-schedule runs first check the copy budget ind <= kappa * d^h
-    and refuse when the constants cannot decide it at this scale.
     """
     if d_budget < 0:
         raise ValueError("removal budget must be nonnegative")
     h = pat.size
-    if params.ledger is not None:
-        _paper_precheck(g, pat, params, d_budget)
     p = start if start is not None else MNTPartition.trivial(g, params, d_budget)
     transcript: list[StepRecord] = []
     if p.t == h:
-        return _blowup_found(g, pat, params, p, d_budget, transcript)
+        return _blowup_found(g, pat, params, p, transcript)
     if start is not None:
         rep = verify_mnt_partition(g, pat, p)
         if not rep.ok:
@@ -682,60 +571,24 @@ def run_key_lemma(
             return replace(outcome, transcript=tuple(transcript))
         p = outcome
         if p.t == h:
-            return _blowup_found(g, pat, params, p, d_budget, transcript)
+            return _blowup_found(g, pat, params, p, transcript)
     raise AssertionError("iteration exceeded h steps without finishing")
 
 
 def _blowup_found(
-    g: Graph,
-    pat: Pattern,
-    params: KeyParams,
-    p: MNTPartition,
-    d_budget: int,
-    transcript: list[StepRecord],
+    g: Graph, pat: Pattern, params: KeyParams, p: MNTPartition, transcript: list[StepRecord]
 ) -> BlowupFound:
     """The t = h partition's blowup row as a result, checked by
-    verify_blowup_found; exact-schedule runs also show that its copies
-    exceed the budget kappa * d^h.  The stated bound is (1 - xi)^h
-    xi^C(h,2) prod |D_i|, blowup_copy_bound's (1 - xi)^(h-1) form times
-    one more (1 - xi)."""
+    verify_blowup_found.  The stated bound is (1 - xi)^h xi^C(h,2)
+    prod |D_i|, blowup_copy_bound's (1 - xi)^(h-1) form times one more
+    (1 - xi).  No contradiction with the copy budget kappa * d^h is claimed:
+    that needs the paper's kappa, which no run uses (see the module
+    docstring)."""
     h = pat.size
     cert = BlowupCertificate(p.d_sets, params.eps_schedule[h], params.xi, pat.prefix(h))
     count = count_embeddings_into_parts(g, pat, p.d_sets)
     sizes = [d.bit_count() for d in p.d_sets]
     bound = (1 - params.xi) * blowup_copy_bound(h, params.xi, sizes)
-    contradiction = params.ledger is not None
-    found = BlowupFound(cert, count, bound, contradiction, tuple(transcript))
+    found = BlowupFound(cert, count, bound, tuple(transcript))
     verify_blowup_found(g, found).require()
-    if contradiction and d_budget:
-        lhs, rhs = _log2_count_and_budget(count, params, h, d_budget)
-        if lhs <= rhs:
-            raise AssertionError("exact-schedule contradiction failed: count within kappa*d^h")
     return found
-
-
-def _log2_count_and_budget(
-    count: int, params: KeyParams, h: int, d_budget: int
-) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """log2 of a copy count, and the upper bound log2 kappa + h*log2 d on
-    log2 of the copy budget kappa * d^h."""
-    kap = params.ledger.get("kappa")
-    return mpmath.log(max(count, 1), 2), kap.log2 + h * mpmath.log(max(d_budget, 1), 2)
-
-
-def _paper_precheck(g: Graph, pat: Pattern, params: KeyParams, d_budget: int) -> None:
-    from .graph import count_induced_copies
-
-    ind = count_induced_copies(g, pat)
-    if ind == 0:
-        return
-    # need ind <= kappa * d^h; kappa's log2 is an upper bound, so this
-    # refusal errs on the safe side.
-    if d_budget == 0:
-        raise InfeasibleAtScale("exact schedule needs ind(G) = 0 when d = 0")
-    lhs, rhs = _log2_count_and_budget(ind, params, pat.size, d_budget)
-    if lhs > rhs:
-        raise InfeasibleAtScale(
-            "constants infeasible at this scale: ind(G) exceeds kappa*d^h "
-            f"(log2 ind = {mpmath.nstr(lhs, 8)}, log2 kappa*d^h <= {mpmath.nstr(rhs, 8)})"
-        )

@@ -222,19 +222,19 @@ def key_domain(
     eps: Fraction,
     eta: Fraction,
     theta: Fraction,
-    delta_prime: Scalar | None,
-    eta_prime: Scalar | None,
+    delta_prime: Fraction | None,
+    eta_prime: Fraction | None,
 ) -> None:
     """Reject key-lemma parameters outside the lemma's domain: eps, eta and
-    theta in (0, 1/2), an exact delta' in (0, 1/4] and an exact eta' in
-    (0, 1).  The one check for the ledger, for KeyParams and for key-lemma
-    certificates."""
+    theta in (0, 1/2), delta' in (0, 1/4] and eta' in (0, 1).  The one
+    check for the ledger (which passes no delta' and eta'), for KeyParams
+    and for key-lemma certificates."""
     for name, val in (("eps", eps), ("eta", eta), ("theta", theta)):
         if not Fraction(0) < val < Fraction(1, 2):
             raise ValueError(f"{name} must lie in (0, 1/2)")
-    if isinstance(delta_prime, Fraction) and not Fraction(0) < delta_prime <= Fraction(1, 4):
+    if delta_prime is not None and not Fraction(0) < delta_prime <= Fraction(1, 4):
         raise ValueError("delta_prime must lie in (0, 1/4]")
-    if isinstance(eta_prime, Fraction) and not Fraction(0) < eta_prime < 1:
+    if eta_prime is not None and not Fraction(0) < eta_prime < 1:
         raise ValueError("eta_prime must lie in (0, 1)")
 
 

@@ -179,8 +179,7 @@ SCHEMAS: dict[str, dict[str, Codec]] = {
     "key_lemma_result": {
         "S": _IDS, "A": _ID_LISTS, "B": _ID_LISTS, "C": _ID_LISTS,
         "d": _integer(0), "h": _integer(1), "eps": _FRACTION, "eta": _FRACTION,
-        "theta": _FRACTION, "delta_prime": _FRACTION._replace(default=None),
-        "eta_prime": _FRACTION._replace(default=None),
+        "theta": _FRACTION, "delta_prime": _FRACTION, "eta_prime": _FRACTION,
         "transcript": Codec(_step_records, lambda recs: [step_record_to_json(r) for r in recs],
                             None),
     },
@@ -192,7 +191,6 @@ SCHEMAS: dict[str, dict[str, Codec]] = {
                              lambda cert: blowup_to_json(cert)),
         "copy_count": Codec(_decimal, str),
         "copy_bound": _FRACTION,
-        "contradiction_checked": _BOOLEAN._replace(default=False),
     },
     "restricted_partition": {"parts": _ID_LISTS, "eps": _FRACTION, "N": _integer(1)},
     "path_partition": {"blocks": _ID_LISTS, "eps": _FRACTION},
@@ -273,14 +271,11 @@ def peel_chain_from_json(obj: dict, n: int | None = None) -> dict:
 
 
 def key_result_to_json(res: KeyLemmaResult) -> dict:
-    """delta_prime and eta_prime are stated when both are exact, and the
-    transcript when the result carries one."""
+    """The transcript is stated when the result carries one."""
     p = res.params
-    exact = isinstance(p.delta_prime, Fraction) and isinstance(p.eta_prime, Fraction)
     return _write("key_lemma_result", res.removed, [a for a, _ in res.pairs],
                   [b for _, b in res.pairs], res.singles, res.d_budget, p.h, p.eps, p.eta,
-                  p.theta, p.delta_prime if exact else None, p.eta_prime if exact else None,
-                  res.transcript or None)
+                  p.theta, p.delta_prime, p.eta_prime, res.transcript or None)
 
 
 def key_result_from_json(obj: dict, n: int | None = None) -> KeyCertificate:
@@ -289,16 +284,12 @@ def key_result_from_json(obj: dict, n: int | None = None) -> KeyCertificate:
     from .keypartition import KeyCertificate, key_domain
 
     *fields, _ = _read("key_lemma_result", obj, n)
-    eps, eta, theta, delta_prime, eta_prime = fields[-5:]
-    if (delta_prime is None) != (eta_prime is None):
-        raise ValueError("delta_prime and eta_prime must be stated together")
-    key_domain(eps, eta, theta, delta_prime, eta_prime)
+    key_domain(*fields[-5:])
     return KeyCertificate(*fields)
 
 
 def blowup_found_to_json(found: BlowupFound) -> dict:
-    return _write("blowup_found", found.certificate, found.copy_count, found.copy_bound,
-                  found.contradiction_checked)
+    return _write("blowup_found", found.certificate, found.copy_count, found.copy_bound)
 
 
 def blowup_found_from_json(obj: dict, n: int | None = None) -> BlowupFound:

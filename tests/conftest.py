@@ -1,11 +1,18 @@
 import itertools
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import rpt
 from rpt.graph import Graph, Pattern
 
 
@@ -22,6 +29,41 @@ def count_fraction_ops():
 
             mp.setattr(Fraction, name, counted)
         yield calls
+
+
+_BOUNDED_RUNS = """
+import contextlib, io, json, sys, time, tracemalloc
+from rpt.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    text = io.StringIO()
+    tracemalloc.start()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(text):
+        code = main(argv)
+    out.append([code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1],
+                text.getvalue()])
+    tracemalloc.stop()
+print(json.dumps(out))
+"""
+
+
+def _cap_address_space():
+    gib = 2**30
+    resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+
+def bounded_cli_runs(argvs: list[list[str]]) -> tuple[list, list[str]]:
+    """Run each ``rpt`` argv in turn in one child process under a 1 GiB
+    address-space limit: per run [exit code, seconds, peak traced bytes,
+    stdout], and the child's stderr lines."""
+    src = str(Path(rpt.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    child = subprocess.run([sys.executable, "-c", _BOUNDED_RUNS, json.dumps(argvs)], env=env,
+                           timeout=60, capture_output=True, text=True,
+                           preexec_fn=_cap_address_space)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout), child.stderr.splitlines()
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

@@ -274,15 +274,14 @@ class TestRunMainTheorem:
         res.verify(g)
 
     @pytest.mark.parametrize("n", [1, 4, 8])
-    def test_an_exact_schedule_bounds_the_parts_by_their_count(self, n):
-        # KeyParams.paper keeps delta' on the log scale, so N and the level
-        # budget have no exact value and the partition is bounded by its size
-        key = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
-        assert key.part_bound() is None
-        assert part_count_target(QUARTER, key, 2, 0) is None
+    def test_an_exact_schedule_bounds_the_parts_by_the_level_budget(self, n):
+        # every schedule is exact, so an edgeless graph keeps the level-0
+        # part budget h^(2K) * (2400 eps^-2 + N) - N as its bound
+        key = KeyParams.practical(K2, QUARTER)
         g = Graph.empty(n)
         res = run_main_theorem(g, K2, QUARTER, 0, key)
-        assert res.removed == 0 and res.partition.bound == len(res.partition.parts)
+        assert res.removed == 0
+        assert res.partition.bound == part_count_target(QUARTER, key, 2, 0)
         assert verify_removal_result(g, res).ok
 
     def test_the_result_goes_through_the_verifier(self, monkeypatch):

@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import rpt
-from conftest import random_graph
+from conftest import bounded_cli_runs, random_graph
 from rpt import serialize
 from rpt.cli import main, parse_args
 from rpt.graph import NAMED_PATTERNS, Graph, to_edge_list, to_graph6
@@ -70,24 +71,6 @@ class TestParse:
     def test_malformed_fraction_rejected(self, c5_file):
         code = main(["extract", "--graph", c5_file, "--pattern", "K2",
                      "--op", "density", "--eps", "nonsense"])
-        assert code == 1
-
-    def test_paper_mode_forbids_ledger_overrides(self, c5_file):
-        code = main(
-            [
-                "keylemma",
-                "--graph",
-                c5_file,
-                "--pattern",
-                "K2",
-                "--d",
-                "1",
-                "--mode",
-                "paper",
-                "--delta-prime",
-                "1/8",
-            ]
-        )
         assert code == 1
 
 
@@ -470,7 +453,7 @@ CHECK_CASES = {
     "blowup_found": (
         (8, K44),
         {"kind": "blowup_found", "certificate": BLOWUP_K44, "copy_count": "16",
-         "copy_bound": "1/1", "contradiction_checked": False},
+         "copy_bound": "1/1"},
         ("copy_count", "17"),
         "copy count does not match a recount",
     ),
@@ -594,7 +577,7 @@ def _edited(cert: dict, path: tuple, *value) -> dict:
 # fields a certificate may leave out: each has a default (a pattern's order
 # is its labels in order; "verified" is read for its form only), or is the
 # kind of a nested certificate
-OPTIONAL_FIELDS = {"guaranteed", "contradiction_checked", "verified", "order"}
+OPTIONAL_FIELDS = {"guaranteed", "verified", "order"}
 FRACTION_FIELDS = {"c", "eps", "eta", "theta", "delta", "delta_prime", "eta_prime", "copy_bound"}
 
 
@@ -623,8 +606,6 @@ class TestMalformedFields:
             got = self.run(capsys, tmp_path, kind, _edited(cert, path))
             if field in OPTIONAL_FIELDS or (field == "kind" and len(path) > 1):
                 assert got == valid, path
-            elif field in ("delta_prime", "eta_prime"):
-                assert got == (1, "", "error: delta_prime and eta_prime must be stated together\n")
             else:
                 assert got == (1, "", f'error: the certificate field "{field}" is missing\n'), path
 
@@ -982,10 +963,13 @@ class TestOptionScopes:
             ["check", "--graph", "{c5}", "--cert", "{c5}", "--mode", "paper"],
             ["constants", "--h", "2", "--eps", "1/4", "--eta", "1/4", "--theta", "1/4",
              "--mode", "paper"],
-            # theorem and extract run practical parameters only
+            # every run takes practical parameters, so no subcommand has --mode
             ["theorem", "--graph", "{c5}", "--pattern", "K2", "--d", "1", "--mode", "paper"],
             ["extract", "--graph", "{c5}", "--pattern", "K2", "--op", "density",
              "--mode", "paper"],
+            ["keylemma", "--graph", "{c5}", "--pattern", "K2", "--d", "1", "--mode", "paper"],
+            ["keylemma", "--graph", "{c5}", "--pattern", "K2", "--d", "1",
+             "--mode", "practical"],
         ],
     )
     def test_foreign_option_is_a_usage_error(self, capsys, c5_file, argv):
@@ -994,11 +978,9 @@ class TestOptionScopes:
         assert code == 1 and captured.out == ""
         assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
 
-    def test_seed_and_mode_still_parse_where_read(self, c5_file):
+    def test_seed_still_parses_where_read(self):
         args = parse_args(["counterexample", "--m", "20", "--n", "22", "--seed", "7"])
         assert args.seed == 7
-        argv = ["keylemma", "--graph", c5_file, "--pattern", "K2", "--d", "1", "--mode", "paper"]
-        assert parse_args(argv).mode == "paper"
 
 
 class _Reads:
@@ -1062,16 +1044,20 @@ class TestKeySingleCountClause:
         assert _check(capsys, tmp_path, 60, [], cert) == (
             2, _check_line("key_lemma_result", False, "single count exceeds N = 48"), "")
 
-    @pytest.mark.parametrize("field, value", [("delta_prime", "1/8"), ("eta_prime", "1/512")])
-    def test_one_bound_alone_is_malformed(self, capsys, tmp_path, field, value):
+    @pytest.mark.parametrize("field, value, missing",
+                             [("delta_prime", "1/8", "eta_prime"),
+                              ("eta_prime", "1/512", "delta_prime")],
+                             ids=["delta_prime-1/8", "eta_prime-1/512"])
+    def test_one_bound_alone_is_malformed(self, capsys, tmp_path, field, value, missing):
         cert = _singletons_certificate(**{field: value})
         assert _check(capsys, tmp_path, 60, [], cert) == (
-            1, "", "error: delta_prime and eta_prime must be stated together\n")
+            1, "", f'error: the certificate field "{missing}" is missing\n')
 
-    def test_unstated_bounds_say_the_clause_is_not_checked(self, capsys, tmp_path):
-        detail = "single-count clause not checked: delta_prime and eta_prime not stated"
+    def test_unstated_bounds_are_malformed(self, capsys, tmp_path):
+        # the single-count clause is always checked: a certificate that
+        # states neither bound used to verify with the clause skipped
         assert _check(capsys, tmp_path, 60, [], _singletons_certificate()) == (
-            0, _check_line("key_lemma_result", True, detail), "")
+            1, "", 'error: the certificate field "delta_prime" is missing\n')
 
 
 class TestStrictBooleans:
@@ -1094,25 +1080,21 @@ class TestStrictBooleans:
         assert _check(capsys, tmp_path, n, edges, {**cert, "verified": bad}) == (
             1, "", f"error: verified must be true or false, got {bad!r}\n")
 
-    @pytest.mark.parametrize("bad", ["no", "true", 1, None])
-    def test_contradiction_checked_must_be_a_boolean(self, capsys, tmp_path, bad):
+    @pytest.mark.parametrize("value", [True, False, "no", "true", 1, None])
+    def test_contradiction_checked_is_an_unknown_field(self, capsys, tmp_path, value):
+        # no run claims a contradiction with the copy budget any more, so a
+        # blowup_found that states the old flag is malformed, whatever its value
         (n, edges), cert, _, _ = CHECK_CASES["blowup_found"]
-        cert = {**cert, "contradiction_checked": bad}
+        cert = {**cert, "contradiction_checked": value}
         assert _check(capsys, tmp_path, n, edges, cert) == (
-            1, "", f"error: contradiction_checked must be true or false, got {bad!r}\n")
-
-    def test_claimed_contradiction_is_reported_unchecked(self, capsys, tmp_path):
-        (n, edges), cert, _, _ = CHECK_CASES["blowup_found"]
-        cert = {**cert, "contradiction_checked": True}
-        detail = "contradiction not re-checked: the certificate carries no kappa and no d"
-        assert _check(capsys, tmp_path, n, edges, cert) == (
-            0, _check_line("blowup_found", True, detail), "")
+            1, "", 'error: blowup_found has no field "contradiction_checked"\n')
 
 
 C5 = (5, Graph.cycle(5).edges())
 E5 = (5, [])
 KEY_ROWS = {"kind": "key_lemma_result", "S": [], "A": [], "B": [], "C": [], "d": 0, "h": 2,
-            "eps": "1/4", "eta": "1/4", "theta": "1/4"}
+            "eps": "1/4", "eta": "1/4", "theta": "1/4", "delta_prime": "1/8",
+            "eta_prime": "1/512"}
 
 # (graph, certificate, the clause or detail `rpt check` prints): one refutation
 # per clause of the certificate verifiers that the other tests do not reach
@@ -1384,18 +1366,13 @@ def test_a_negative_d_is_refused(capsys, tmp_path, n, edges, command):
 
 
 @pytest.mark.parametrize("h", ["0", "-3", "1"])
-def test_the_ledger_refuses_h_below_2(capsys, c5_file, h):
+def test_the_ledger_refuses_h_below_2(capsys, h):
     # these used to exit 1 with "min() arg is an empty sequence" (h <= 0)
     # and "log2 of a nonpositive rational" (h = 1)
-    runs = [["constants", "--h", h, "--eps", "1/4", "--eta", "1/4", "--theta", "1/4"]]
-    if h == "1":
-        runs.append(["keylemma", "--graph", c5_file, "--pattern", "K1", "--mode", "paper",
-                     "--eps", "1/4", "--d", "1"])
-    for argv in runs:
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (
-            1, "", f"error: h must be at least 2, got {h}\n")
+    argv = ["constants", "--h", h, "--eps", "1/4", "--eta", "1/4", "--theta", "1/4"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: h must be at least 2, got {h}\n")
 
 
 # Each producer on the 0-vertex graph `0\n`: its exit code, and for each
@@ -1427,6 +1404,78 @@ def test_every_producer_on_the_empty_graph(capsys, tmp_path, run):
         assert json.loads(captured.out)["value"] == "0"
         return
     assert _check(capsys, tmp_path, 0, [], json.loads(captured.out))[0] == check_code
+
+
+# Patterns with more vertices than the host, each a file of a few bytes:
+# `k\n` is the edgeless pattern on k vertices.  The count used to find
+# |Aut(E_k)| = k! first: 1.3 s for `50\n` on five vertices in a fresh
+# `rpt count`, and 16.7 s for `100\n` on G(60, 1/2) in process.
+OVERSIZED_PATTERNS = [(Graph.cycle(5), "50\n"), (random_graph(60, 0.5, 1), "100\n"),
+                      (random_graph(60, 0.5, 1), "100000\n")]
+
+
+def test_a_pattern_larger_than_the_host_counts_zero_at_once(tmp_path):
+    # one child process under a 1 GiB address-space limit runs all three;
+    # each must answer within a second and 64 MB of traced allocations
+    argvs = []
+    for i, (g, pattern) in enumerate(OVERSIZED_PATTERNS):
+        (tmp_path / f"g{i}.el").write_text(to_edge_list(g))
+        (tmp_path / f"h{i}.txt").write_text(pattern)
+        argvs.append(["count", "--graph", str(tmp_path / f"g{i}.el"),
+                      "--pattern", str(tmp_path / f"h{i}.txt"), "--json"])
+    runs, errors = bounded_cli_runs(argvs)
+    assert errors == []
+    for (code, seconds, peak, out), (g, pattern) in zip(runs, OVERSIZED_PATTERNS):
+        assert code == 0 and seconds < 1 and peak < 64 * 2**20, (pattern, seconds, peak)
+        assert json.loads(out) == {"kind": "count", "value": "0", "n": g.n, "h": int(pattern)}
+
+
+def _theorem_bound(eps: Fraction) -> int:
+    """The part bound N of `rpt theorem --pattern K2 --d 0` on five vertices."""
+    from rpt.assembly import part_count_target
+    from rpt.graph import named_pattern
+    from rpt.keypartition import KeyParams
+
+    key = KeyParams.practical(named_pattern("K2"), eps, delta_prime=Fraction(1, 8))
+    return part_count_target(eps, key, 2, 0)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+def test_a_bound_too_long_to_write_is_refused(capsys, c5_file, as_json):
+    # at eps = 1/2000, N ~ 2^16000 has more digits than Python converts to
+    # text, so the verified run used to end in Python's own message about
+    # sys.set_int_max_str_digits; the interpreter's limit stays as it was
+    limit = sys.get_int_max_str_digits()
+    digits = Decimal(_theorem_bound(Fraction(1, 2000))).adjusted() + 1
+    assert digits == 4827 > limit == 4300
+    argv = ["theorem", "--graph", c5_file, "--pattern", "K2", "--eps", "1/2000", "--d", "0"]
+    code = main(argv + ["--json"] * as_json)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", f"error: the part bound N has {digits} decimal digits, more than the "
+               f"{limit} this interpreter writes out\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+def test_a_bound_just_short_of_the_limit_is_written(capsys, c5_file, as_json):
+    n_bound = _theorem_bound(Fraction(1, 1700))
+    assert Decimal(n_bound).adjusted() + 1 == 4104
+    argv = ["theorem", "--graph", c5_file, "--pattern", "K2", "--eps", "1/1700", "--d", "0"]
+    code, out = run_cli(capsys, argv + ["--json"] * as_json)
+    assert code == 0
+    if as_json:
+        assert json.loads(out)["N"] == n_bound
+    else:
+        assert out.endswith(f"(bound {n_bound})\n")
+
+
+def test_decimal_digits_matches_the_decimal_module():
+    from rpt.cli import _decimal_digits
+
+    for k in range(1, 5000, 31):
+        for n in (10 ** (k - 1), 10**k - 1, 2 ** (k * 10 // 3), 3**k):
+            assert _decimal_digits(n) == Decimal(n).adjusted() + 1, (k, n)
 
 
 def test_extract_density_runs_at_the_given_depth(capsys, c5_file):

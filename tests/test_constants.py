@@ -5,18 +5,13 @@ The expressions these replaced are kept here as oracles: the denominator
 ``_cmd_constants``, which built both outputs and printed one.
 """
 
-import json
-import os
-import resource
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import pytest
 
 import rpt.ledger
+from conftest import bounded_cli_runs
 from rpt import serialize
 from rpt.cli import main
 from rpt.ledger import (
@@ -135,37 +130,13 @@ TOWER_CASES = [
     (4, "1/4", "1/16", "1/48"),
 ]
 
-_TIMED_RUNS = """
-import json, sys, time, tracemalloc
-from rpt.cli import main
-out = []
-for argv in json.loads(sys.argv[1]):
-    tracemalloc.start()
-    start = time.perf_counter()
-    code = main(argv)
-    out.append([code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1]])
-    tracemalloc.stop()
-print(json.dumps(out))
-"""
-
-
-def _cap_address_space():
-    gib = 2**30
-    resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
-
 
 def test_tower_depths_are_refused_in_bounded_time_and_memory():
     # one child process under a 1 GiB address-space limit runs all three;
     # each must refuse within a second and 32 MB of traced allocations
-    src = str(Path(rpt.ledger.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    runs = json.dumps([argv(case, False) for case in TOWER_CASES])
-    child = subprocess.run([sys.executable, "-c", _TIMED_RUNS, runs], env=env, timeout=60,
-                           capture_output=True, text=True, preexec_fn=_cap_address_space)
-    assert child.returncode == 0, child.stderr
-    errors = child.stderr.splitlines()
+    runs, errors = bounded_cli_runs([argv(case, False) for case in TOWER_CASES])
     assert len(errors) == len(TOWER_CASES)
-    for (code, seconds, peak), error in zip(json.loads(child.stdout), errors):
+    for (code, seconds, peak, _), error in zip(runs, errors):
         assert code == 1 and seconds < 1 and peak < 32 * 2**20, (code, seconds, peak)
         assert error.startswith("error: the extraction depth s = ceil(log_(3/2) eps^-2) at eps = ")
         assert error.endswith(" has more than 67108864 bits")

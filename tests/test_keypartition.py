@@ -17,7 +17,6 @@ from rpt.adversarial import HardInstanceSpec, generate_hard_graph
 from rpt.graph import Graph, Pattern, complement, mask_from_ids, mask_to_ids, named_pattern
 from rpt.keypartition import (
     BlowupFound,
-    InfeasibleAtScale,
     KeyCertificate,
     KeyLemmaResult,
     KeyParams,
@@ -76,12 +75,6 @@ class TestLedger:
         assert led.get("kappa").saturated
         assert led.get("kappa").log2 < 0
 
-    def test_paper_params_carry_the_ledger_values(self):
-        # delta' and eta' of K2 at 1/4 are known only on the log scale
-        params = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
-        assert params.delta_prime is params.ledger.get("delta_prime")
-        assert params.eta_prime is params.ledger.get("eta_prime")
-
     def test_level_constants(self):
         led = build_ledger(2, QUARTER, QUARTER, QUARTER)
         assert led.get("path_length").exact == 16
@@ -105,16 +98,6 @@ class TestKeyParams:
         assert p.eps_prime() == min(
             p.eps_schedule[t + 1] * p.lam**t for t in range(2)
         )
-
-    def test_paper_mode_h2_materializes(self):
-        p = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
-        assert p.ledger is not None
-        assert p.eps_schedule[2] == Fraction(1, 256)
-        assert p.eps_schedule[1].denominator.bit_length() > 10_000
-
-    def test_paper_mode_h3_refuses(self):
-        with pytest.raises(InfeasibleAtScale):
-            KeyParams.paper(K3, QUARTER, QUARTER, QUARTER)
 
     def test_phi_is_decided_once_per_pair(self, monkeypatch):
         # phi is cached: every bound of every instance with the same
@@ -142,12 +125,6 @@ class TestKeyParams:
         pairs = [(1 - obj.delta_prime, obj.eta_prime) for obj in objs]
         assert len(set(pairs)) == 3
         assert calls == list(dict.fromkeys(pairs))
-
-    def test_phi_is_not_computed_on_the_log_scale(self, monkeypatch):
-        monkeypatch.setattr(rpt.keypartition, "phi", None)  # any call would raise
-        p = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
-        assert p.phi_bound() is None and p.part_bound() is None
-        assert p.n_bound_holds(10**6, 1)
 
 
 def prop16_graph(seed=7, n=40):
@@ -426,15 +403,16 @@ class TestRunKeyLemma:
         assert isinstance(res, BlowupFound) and res.transcript == ()
         assert res == replace(run_key_lemma(g, pat, params, 0, start=start), transcript=())
 
-    def test_an_exact_schedule_blowup_exceeds_the_copy_budget(self):
-        # D_1, D_2 completely joined: 16 copies, far above kappa * 1^2
-        paper = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
+    def test_a_complete_join_blowup_counts_every_copy(self):
+        # D_1, D_2 completely joined: all 16 copies, against the stated
+        # (1 - xi)^2 xi 4^2 = 225/256
+        params = KeyParams.practical(K2, QUARTER)
         g = Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)])
         parts = (mask_from_ids(range(4)), mask_from_ids(range(4, 8)))
-        p = MNTPartition((), (), (), parts, 0, paper, 1)
-        found = rpt.keypartition._blowup_found(g, K2, paper, p, 1, [])
+        p = MNTPartition((), (), (), parts, 0, params, 1)
+        found = rpt.keypartition._blowup_found(g, K2, params, p, [])
         assert (found.copy_count, found.copy_bound) == (16, Fraction(225, 256))
-        assert found.contradiction_checked and verify_blowup_found(g, found).ok
+        assert verify_blowup_found(g, found).ok
 
     def test_blowup_found_goes_through_the_verifier(self, monkeypatch):
         monkeypatch.setattr(rpt.keypartition, "verify_blowup_found",
@@ -539,17 +517,6 @@ class TestRunKeyLemma:
         assert isinstance(res, KeyLemmaResult)
         assert 1 <= res.removed.bit_count() <= 3
         verify_key_result(g, K2, res)
-
-    def test_paper_mode_edgeless(self):
-        params = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
-        res = run_key_lemma(Graph.empty(10), K2, params, 0)
-        assert isinstance(res, KeyLemmaResult)
-        verify_key_result(Graph.empty(10), K2, res)
-
-    def test_paper_mode_refuses_infeasible(self):
-        params = KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
-        with pytest.raises(InfeasibleAtScale):
-            run_key_lemma(Graph.complete(6), K2, params, 3)
 
 
 # _correct_adjacency_split as it was before it filtered whole sets with

@@ -21,14 +21,14 @@ from rpt.graph import (
     named_pattern,
     to_graph6,
 )
-from rpt.keypartition import InfeasibleAtScale, KeyParams, run_key_lemma
+from rpt.keypartition import KeyParams
 from rpt.predicates import (
     BlowupCertificate,
     CheckPreconditionError,
     extract_restricted_from_weak,
     is_tight_to,
 )
-from rpt.values import LogValue, log2_fraction, scalar_ceil_mul
+from rpt.values import log2_fraction, scalar_ceil_mul
 
 QUARTER = Fraction(1, 4)
 K2 = named_pattern("K2")
@@ -37,10 +37,6 @@ K3 = named_pattern("K3")
 
 def _key() -> KeyParams:
     return KeyParams.practical(K2, QUARTER)
-
-
-def _paper_k2() -> KeyParams:
-    return KeyParams.paper(K2, QUARTER, QUARTER, QUARTER)
 
 
 # (call, exception, message): each call trips exactly one check
@@ -106,11 +102,6 @@ REFUSALS = {
                                                   lam=Fraction(1, 1000),
                                                   eta_prime=Fraction(1, 100)),
                       ValueError, "eta_prime must be at most lam"),
-    "delta-prime-scale": (
-        lambda: replace(_paper_k2(), delta_prime=LogValue.of(Fraction(1, 8))).delta_prime_at(64),
-        InfeasibleAtScale, "delta_prime not representable at this scale"),
-    "paper-d0": (lambda: run_key_lemma(Graph.complete(3), K2, _paper_k2(), 0),
-                 InfeasibleAtScale, "exact schedule needs ind(G) = 0 when d = 0"),
     # predicates
     "tightness-mode": (lambda: is_tight_to(Graph.empty(2), 0b1, 0b10, QUARTER, "loose"),
                        ValueError, "unknown tightness mode 'loose'"),
